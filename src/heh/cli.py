@@ -4,7 +4,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .eval import EvalConfig, EvalError, Session, evaluate
+from .eval import EvalConfig, EvalError, Session, evaluate, new_session, probe
 from .ordinal import Ordinal, ZERO, omega_power
 from .runtime import (FilterClosure, FunClosure, ImapClosure, StrictArray,
                       render_scalar, render_shape, render_strict)
@@ -133,7 +133,7 @@ def run_source(source: str, args, config: EvalConfig) -> int:
             return 0
         if args.probe is not None:
             index = parse_index_literal(args.probe)
-            print(render_scalar(probe_value(result, index)))
+            print(render_scalar(probe(result, index)))
         else:
             print(format_value(result.session, result.handle, args.force_print))
         return 0
@@ -142,27 +142,11 @@ def run_source(source: str, args, config: EvalConfig) -> int:
         return 1
 
 
-def probe_value(result, index):
-    from .eval import probe
-    return probe(result, index)
-
-
 ### ---- interactive loop ----------------------------------------------------------
 
 
-def make_session(config: EvalConfig, with_prelude: bool) -> Session:
-    session = Session(config)
-    if with_prelude:
-        from .prelude import load_prelude
-        session.fuel = None
-        load_prelude(session)
-        session.stats = dict.fromkeys(session.stats, 0)
-    session.fuel = config.fuel
-    return session
-
-
 def repl_loop(args, config: EvalConfig) -> int:
-    session = make_session(config, with_prelude=not args.no_prelude)
+    session = new_session(config, prelude=not args.no_prelude)
     interactive = sys.stdin.isatty()
     prompt = "> " if interactive else ""
     if interactive:

@@ -13,9 +13,8 @@ from typing import Optional, Sequence, Tuple
 from .ordinal import Ordinal, UndefinedOrdinalOp, ZERO
 from .runtime import (
     Box, Env, Fault, FilterClosure, FunClosure, Gen, ImapClosure, ImapPart,
-    Memoized, ShapeVec, Store, StrictArray, Unevaluated, box_contains,
-    box_subtract, delinearize, element_count, forms_partition, linearize,
-    scalar_value, vector_value,
+    ShapeVec, Store, StrictArray, box_contains, delinearize, element_count,
+    forms_partition, linearize, scalar_value, vector_value,
 )
 from .syntax import (
     Apply, ArrayLiteral, BinOp, Binding, BoolConst, Bounds, Cond, Expr, Filter,
@@ -266,69 +265,49 @@ class Session:
                 if any(l > u for l, u in zip(lower, upper)):
                     raise Fault("NotAPartition", "generator bounds are inverted")
                 gen = Gen(gen_syntax.var, lower, upper)
-            parts.append(ImapPart(gen, Unevaluated(body, env)))
+            parts.append(ImapPart(gen, body, env))
         frame_box: Box = ((ZERO,) * len(frame), frame)
         problem = forms_partition(frame_box, [p.gen.box for p in parts])
         if problem is not None:
             raise Fault("NotAPartition", problem)
-        closure = ImapClosure(frame, cell, parts)
+        closure = ImapClosure(frame, cell, tuple(parts))
         finite = all(s.is_natural for s in frame + cell)
         if self.config.strict_finite_imaps and finite and self._letrec_depth == 0:
             return self.store.insert(self._force_closure_strict(closure))
         return self.store.insert(closure)
 
     def _cell_value(self, closure: ImapClosure, index: ShapeVec) -> int:
-        """Handle of the cell value at a frame index (memoized or computed)."""
-        hit = closure.memo_index.get(index)
+        """Handle of the cell value at a frame index.
+
+        The spec is the paper's update rule: forcing an element cuts its
+        generator box into guillotine pieces around the index and adds a
+        one-point partition holding the value, so a later selection finds
+        it without evaluating the body again.  The closure's memo dict is an
+        equivalent way to realise that rule: a hit is a one-point partition,
+        and a miss lies in exactly one of the generator boxes as written.
+        Without memoization nothing is recorded and every access evaluates.
+        """
+        hit = closure.memo.get(index)
         if hit is not None:
             return hit
-        parts = closure.partitions
-        k = self._containing_partition(parts, closure.scan_hint, index)
-        if k is None:
+        for part in closure.partitions:
+            if box_contains(part.gen.box, index):
+                break
+        else:
             raise Fault("NotAPartition",
                         f"no partition covers index {_fmt_idx(index)}")
-        closure.scan_hint = k
-        part = parts[k]
-        if isinstance(part.body, Memoized):
-            return part.body.handle
         self.stats["body_evals"] += 1
-        env = part.body.env.extend(part.gen.var,
-                                   self.store.insert(vector_value(list(index))))
-        result = self.eval(part.body.expr, env)
+        env = part.env.extend(part.gen.var,
+                              self.store.insert(vector_value(list(index))))
+        result = self.eval(part.expr, env)
         shape = self._shape_of(result)
         if shape != closure.cell:
             raise Fault("ShapeMismatch",
                         f"imap element at {_fmt_idx(index)} has shape "
                         f"{_fmt_shape(shape)}, cell shape is {_fmt_shape(closure.cell)}")
         if self.config.memoize:
-            self._update_imap(closure, k, index, result)
+            closure.memo[index] = result
         return result
-
-    @staticmethod
-    def _containing_partition(parts, hint: int, index: ShapeVec) -> Optional[int]:
-        # splitting a partition keeps pieces adjacent, so sequential access
-        # lands next to the previous match; probe the neighbourhood first
-        for k in (hint, hint + 1, hint - 1, hint + 2):
-            if 0 <= k < len(parts) and box_contains(parts[k].gen.box, index):
-                return k
-        for k, part in enumerate(parts):
-            if box_contains(part.gen.box, index):
-                return k
-        return None
-
-    def _update_imap(self, closure: ImapClosure, k: int, index: ShapeVec,
-                     result: int) -> None:
-        """Split partition k around `index`, now memoized to `result`."""
-        part = closure.partitions[k]
-        point: Box = (index, tuple(i + 1 for i in index))
-        memo = ImapPart(Gen(part.gen.var, point[0], point[1]), Memoized(result))
-        pieces = [ImapPart(Gen(part.gen.var, lo, up), part.body)
-                  for lo, up in box_subtract(part.gen.box, point)]
-        pieces.append(memo)
-        pieces.sort(key=lambda p: p.gen.lower)
-        closure.partitions[k:k + 1] = pieces
-        closure.memo_index[index] = result
-        closure.scan_hint = k + pieces.index(memo)
 
     def _force_closure_strict(self, closure: ImapClosure) -> StrictArray:
         data: list = []
@@ -595,9 +574,8 @@ class Result:
         return None if self.handle is None else self.session.shape_at(self.handle)
 
 
-def evaluate(source: str, config: Optional[EvalConfig] = None,
-             prelude: bool = True) -> Result:
-    """Run a program (bindings plus optional trailing expression)."""
+def new_session(config: Optional[EvalConfig] = None, prelude: bool = True) -> Session:
+    """A session ready for a user program, with the prelude bound if asked."""
     session = Session(config)
     if prelude:
         from .prelude import load_prelude
@@ -606,6 +584,13 @@ def evaluate(source: str, config: Optional[EvalConfig] = None,
         load_prelude(session)
         session.fuel = session.config.fuel
         session.stats = dict.fromkeys(session.stats, 0)
+    return session
+
+
+def evaluate(source: str, config: Optional[EvalConfig] = None,
+             prelude: bool = True) -> Result:
+    """Run a program (bindings plus optional trailing expression)."""
+    session = new_session(config, prelude)
     try:
         handle = session.run_program(source)
     except RecursionError:

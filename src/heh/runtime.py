@@ -88,42 +88,33 @@ class Gen:
         return (self.lower, self.upper)
 
 
-class Unevaluated:
-    __slots__ = ("expr", "env")
+class ImapPart:
+    """One generator box of an imap and the unevaluated body it maps."""
 
-    def __init__(self, expr, env: "Env"):
+    __slots__ = ("gen", "expr", "env")
+
+    def __init__(self, gen: Gen, expr, env: "Env"):
+        self.gen = gen
         self.expr = expr
         self.env = env
 
 
-class Memoized:
-    __slots__ = ("handle",)
-
-    def __init__(self, handle: int):
-        self.handle = handle
-
-
-class ImapPart:
-    __slots__ = ("gen", "body")
-
-    def __init__(self, gen: Gen, body):
-        self.gen = gen
-        self.body = body  # Unevaluated | Memoized
-
-
 class ImapClosure:
-    __slots__ = ("frame", "cell", "partitions", "memo_index", "scan_hint")
+    """A lazy index map.  The paper memoizes a forced element by cutting its
+    generator box into guillotine pieces around the index, leaving a
+    one-point partition that holds the value.  `memo` realises that rule
+    equivalently: its keys are exactly those one-point partitions, and every
+    other index still lies in the generator box it was written in, so the
+    partitions stay as `_eval_imap` checked them and are never cut."""
 
-    def __init__(self, frame: ShapeVec, cell: ShapeVec, partitions: List[ImapPart]):
+    __slots__ = ("frame", "cell", "partitions", "memo")
+
+    def __init__(self, frame: ShapeVec, cell: ShapeVec,
+                 partitions: Tuple[ImapPart, ...]):
         self.frame = frame
         self.cell = cell
         self.partitions = partitions
-        # frame index -> handle, a fast path over the Memoized partition boxes
-        self.memo_index: Dict[ShapeVec, int] = {}
-        # position of the most recently matched partition; sequential access
-        # patterns (filter scans, row-major forcing) hit a neighbour of the
-        # previous match, so probing around the hint avoids a linear scan
-        self.scan_hint = 0
+        self.memo: Dict[ShapeVec, int] = {}  # frame index -> value handle
 
     @property
     def shape(self) -> ShapeVec:

@@ -5,10 +5,15 @@ by small Python oracles inline; element probes compare against directly
 computed index arithmetic.
 """
 
+import itertools
+import math
+import random
+
 import pytest
 
 from heh.eval import EvalConfig, EvalError, Session, evaluate, probe
 from heh.ordinal import OMEGA, Ordinal, omega_power
+from heh.prelude import program_source
 from heh.runtime import ImapClosure, StrictArray
 
 
@@ -243,16 +248,40 @@ def test_memoization_skips_reevaluation():
     assert s.stats["body_evals"] == evals + 1
 
 
-def test_memoization_splits_partitions():
-    r = run("imap [w] {_(iv): 0}")
-    probe(r, [3])
-    parts = r.session.store.get(r.handle).partitions
-    boxes = [(p.gen.lower, p.gen.upper) for p in parts]
-    assert boxes == [
-        ((Ordinal(0),), (Ordinal(3),)),
-        ((Ordinal(3),), (Ordinal(4),)),
-        ((Ordinal(4),), (OMEGA,)),
-    ]
+def memoized_ackermann(m, n):
+    """Every entry the textbook memoized recursion computes for A(m, n),
+    mapped to its value.  An explicit stack stands in for the call stack."""
+    table = {}
+    stack = [(m, n)]
+    while stack:
+        i, j = stack[-1]
+        if i == 0:
+            table[i, j] = j + 1
+        else:
+            inner = (i - 1, 1) if j == 0 else (i, j - 1)
+            if inner not in table:
+                stack.append(inner)
+                continue
+            outer = inner if j == 0 else (i - 1, table[inner])
+            if outer not in table:
+                stack.append(outer)
+                continue
+            table[i, j] = table[outer]
+        stack.pop()
+    return table
+
+
+def test_memoization_evaluates_each_ackermann_entry_once():
+    for (m, n), entries in [((3, 5), 636), ((3, 6), 1277)]:
+        table = memoized_ackermann(m, n)
+        assert len(table) == entries
+        r = evaluate(program_source("ackermann.heh"))
+        s = r.session
+        assert probe(r, [m, n]) == table[m, n]
+        assert s.stats["body_evals"] == len(table)
+        for index, value in table.items():
+            assert probe(r, list(index)) == value, index
+        assert s.stats["body_evals"] == len(table)  # every entry was memoized
 
 
 def test_no_memo_reevaluates():
@@ -261,7 +290,63 @@ def test_no_memo_reevaluates():
     probe(r, [3])
     probe(r, [3])
     assert s.stats["body_evals"] == 2
-    assert len(s.store.get(r.handle).partitions) == 1  # untouched
+    assert s.store.get(r.handle).memo == {}
+
+
+def _guillotine(rng, box, count):
+    """`box` cut into `count` pieces by repeated axis-parallel cuts.  Bounds
+    are ints, with math.inf standing for w."""
+    boxes = [box]
+    while len(boxes) < count:
+        splittable = [(k, a) for k, (lo, up) in enumerate(boxes)
+                      for a in range(len(lo)) if up[a] - lo[a] >= 2]
+        k, axis = rng.choice(splittable)
+        lo, up = boxes.pop(k)
+        cut = lo[axis] + rng.randint(1, min(up[axis] - lo[axis] - 1, 6))
+        boxes.append((lo, up[:axis] + (cut,) + up[axis + 1:]))
+        boxes.append((lo[:axis] + (cut,) + lo[axis + 1:], up))
+    rng.shuffle(boxes)
+    return boxes
+
+
+def _bound(vector):
+    return "[" + ", ".join("w" if x == math.inf else str(x) for x in vector) + "]"
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_multi_generator_memo_matches_oracle(seed):
+    rng = random.Random(seed)
+    n, m = rng.randint(4, 7), rng.randint(2, 5)
+    for frame in [(n,), (n, m), (math.inf,)]:
+        boxes = _guillotine(rng, ((0,) * len(frame), frame), rng.randint(2, 4))
+        coeffs = [[rng.randint(0, 5) for _ in frame] + [rng.randint(0, 20)]
+                  for _ in boxes]
+        gens = ", ".join(
+            f"{_bound(lo)} <= iv < {_bound(up)}: "
+            + " + ".join(f"iv.[{a}] * {c}" for a, c in enumerate(cs[:-1]))
+            + f" + {cs[-1]}"
+            for (lo, up), cs in zip(boxes, coeffs))
+        src = f"imap {_bound(frame)} {{{gens}}}"
+
+        def oracle(index):
+            [cs] = [cs for (lo, up), cs in zip(boxes, coeffs)
+                    if all(l <= i < u for l, i, u in zip(lo, index, up))]
+            return sum(i * c for i, c in zip(index, cs)) + cs[-1]
+
+        space = list(itertools.product(*(range(min(s, 30)) for s in frame)))
+        distinct = rng.sample(space, rng.randint(1, min(len(space), 12)))
+        probes = [index for index in distinct for _ in range(rng.randint(1, 3))]
+        rng.shuffle(probes)
+        expected = [oracle(index) for index in probes]
+
+        seen = []
+        for memoize in (True, False):
+            r = run(src, EvalConfig(memoize=memoize))
+            seen.append([probe(r, list(index)) for index in probes])
+            assert seen[-1] == expected, src
+            evals = len(distinct) if memoize else len(probes)
+            assert r.session.stats["body_evals"] == evals, src
+        assert seen[0] == seen[1]
 
 
 def test_memoization_transparency():
