@@ -6,8 +6,8 @@ from typing import List, Optional
 
 from .eval import EvalConfig, EvalError, Session, evaluate, new_session, probe
 from .ordinal import Ordinal, ZERO, omega_power
-from .runtime import (FilterClosure, FunClosure, ImapClosure, StrictArray,
-                      render_scalar, render_shape, render_strict)
+from .runtime import (FilterClosure, ImapClosure, StrictArray, render_scalar,
+                      render_shape, render_strict, strict_value)
 from .syntax import LexError, ParseError
 
 REPL_FUEL = 10_000_000
@@ -19,35 +19,32 @@ _ONE = Ordinal(1)
 ### ---- value printing ---------------------------------------------------------
 
 
-def format_value(session: Session, handle: int, force_elements: int) -> str:
+def format_value(session: Session, value, force_elements: int) -> str:
     """Printable form of a value.  Lazy arrays with infinite shape render as a
     tag plus a bounded prefix, so printing always terminates."""
-    value = session.store.get(handle)
     if isinstance(value, StrictArray):
-        return render_scalar(value.scalar()) if value.is_scalar() else render_strict(value)
-    if isinstance(value, FunClosure):
-        return "<fun>"
+        return render_strict(value)
     if isinstance(value, FilterClosure):
         # forcing even one filtered element may diverge, so show the shape only
-        shape = session.shape_at(handle)
+        shape = session.shape_at(value)
         return f"<filter shape={render_shape(shape)}>"
     if isinstance(value, ImapClosure):
         shape = value.shape
         if all(s.is_natural for s in shape):
-            strict = session._force_strict(handle, "ShapeMismatch", "unreachable")
-            return render_scalar(strict.scalar()) if strict.is_scalar() else render_strict(strict)
-        prefix = _lazy_prefix(session, handle, shape, force_elements)
+            shape, data = session._force_strict(value, "ShapeMismatch", "unreachable")
+            return format_value(session, strict_value(shape, data), force_elements)
+        prefix = _lazy_prefix(session, value, shape, force_elements)
         return f"<imap shape={render_shape(shape)}> {prefix}"
-    raise TypeError(f"unprintable value: {value!r}")
+    return render_scalar(value)
 
 
-def _lazy_prefix(session: Session, handle: int, shape, k: int) -> str:
+def _lazy_prefix(session: Session, value, shape, k: int) -> str:
     parts: List[str] = []
     if len(shape) == 1:
         blocks, truncated = _segments(shape[0])
         for start, length in blocks:
             shown = length if length is not None and length <= k else k
-            if not _force_run(session, handle, parts,
+            if not _force_run(session, value, parts,
                               ((start + Ordinal(j),) for j in range(shown))):
                 break
             if length is None or length > shown:
@@ -56,18 +53,18 @@ def _lazy_prefix(session: Session, handle: int, shape, k: int) -> str:
             if truncated and (not parts or parts[-1] != "..."):
                 parts.append("...")
     else:
-        _force_run(session, handle, parts, _odometer(shape, k))
+        _force_run(session, value, parts, _odometer(shape, k))
         if not parts or parts[-1] != "...":
             parts.append("...")
     body = ", ".join(parts)
     return "[" + body + (" ]" if body.endswith("...") else "]")
 
 
-def _force_run(session: Session, handle: int, parts: List[str], indices) -> bool:
+def _force_run(session: Session, value, parts: List[str], indices) -> bool:
     """Append rendered elements; on failure record the error kind and stop."""
     for index in indices:
         try:
-            parts.append(render_scalar(session.select_at(handle, index)))
+            parts.append(render_scalar(session.select_at(value, index)))
         except EvalError as error:
             parts.append(f"!{error.kind}")
             return False
@@ -129,13 +126,13 @@ def parse_index_literal(text: str):
 def run_source(source: str, args, config: EvalConfig) -> int:
     try:
         result = evaluate(source, config, prelude=not args.no_prelude)
-        if result.handle is None:
+        if result.value is None:
             return 0
         if args.probe is not None:
             index = parse_index_literal(args.probe)
             print(render_scalar(probe(result, index)))
         else:
-            print(format_value(result.session, result.handle, args.force_print))
+            print(format_value(result.session, result.value, args.force_print))
         return 0
     except (LexError, ParseError, EvalError) as error:
         print(error, file=sys.stderr)
@@ -170,9 +167,9 @@ def repl_loop(args, config: EvalConfig) -> int:
             continue
         session.fuel = config.fuel  # a fresh budget for every entry
         try:
-            handle = session.run_program(line)
-            if handle is not None:
-                print(format_value(session, handle, args.force_print))
+            value = session.run_program(line)
+            if value is not None:
+                print(format_value(session, value, args.force_print))
         except (LexError, ParseError, EvalError) as error:
             print(error, file=sys.stderr)
         except KeyboardInterrupt:

@@ -1,9 +1,9 @@
 """Big-step evaluator: sessions, configuration, and all evaluation rules.
 
-A Session owns one store and one top-level environment.  Evaluation is
-strict except for imap over infinite (or, by default, any) frames and
-filter over infinite vectors, which build closures whose elements are
-computed and memoized on selection.
+A Session owns one top-level environment; values are plain Python objects
+(see `runtime`).  Evaluation is strict except for imap over infinite (or,
+by default, any) frames and filter over infinite vectors, which build
+closures whose elements are computed and memoized on selection.
 """
 
 import sys
@@ -13,8 +13,8 @@ from typing import Optional, Sequence, Tuple
 from .ordinal import Ordinal, UndefinedOrdinalOp, ZERO
 from .runtime import (
     Box, Env, Fault, FilterClosure, FunClosure, Gen, ImapClosure, ImapPart,
-    ShapeVec, Store, StrictArray, box_contains, delinearize, element_count,
-    forms_partition, linearize, scalar_value, vector_value,
+    Rec, ShapeVec, StrictArray, box_contains, delinearize, element_count,
+    forms_partition, linearize, render_shape, strict_value, vector_value,
 )
 from .syntax import (
     Apply, ArrayLiteral, BinOp, Binding, BoolConst, Bounds, Cond, Expr, Filter,
@@ -51,11 +51,10 @@ _RULE_NAMES = {
 
 
 class Session:
-    """One evaluation session: store, top-level environment, fuel, stats."""
+    """One evaluation session: top-level environment, fuel, stats."""
 
     def __init__(self, config: Optional[EvalConfig] = None):
         self.config = config or EvalConfig()
-        self.store = Store()
         self.env = Env()
         self.fuel = self.config.fuel
         self.stats = {"rules": 0, "body_evals": 0, "predicate_calls": 0}
@@ -71,18 +70,16 @@ class Session:
                 raise Fault("FuelExhausted", "evaluation fuel exhausted")
             self.fuel -= 1
 
-    def _value(self, handle: int):
-        return self.store.get(handle)
-
-    def _payload_handle(self, payload) -> int:
-        """Wrap an array element back into a store value."""
-        if isinstance(payload, FunClosure):
-            return self.store.insert(payload)
-        return self.store.insert(scalar_value(payload))
+    @staticmethod
+    def _value(value):
+        """`value` with recursion cells followed; an empty cell faults."""
+        while isinstance(value, Rec):
+            value = value.get()
+        return value
 
     ### the evaluator proper
 
-    def eval(self, node: Expr, env: Env) -> int:
+    def eval(self, node: Expr, env: Env):
         rule = _RULE_NAMES[type(node)]
         try:
             self._tick()
@@ -90,64 +87,69 @@ class Session:
         except Fault as fault:
             raise EvalError(fault.kind, fault.message, node.span, rule) from None
 
-    def _eval_const(self, node, env) -> int:
-        return self.store.insert(scalar_value(node.value))
+    def _eval_const(self, node, env):
+        return node.value
 
-    def _eval_var(self, node: Var, env: Env) -> int:
-        handle = env.lookup(node.name)
-        if handle is None:
+    def _eval_var(self, node: Var, env: Env):
+        value = env.lookup(node.name)
+        if value is None:
             raise Fault("UnboundVariable", f"unbound variable '{node.name}'")
-        return handle
+        # an empty cell is passed on unforced; only forcing it is an error
+        while isinstance(value, Rec) and value.value is not None:
+            value = value.value
+        return value
 
-    def _eval_lambda(self, node: Lambda, env: Env) -> int:
-        return self.store.insert(FunClosure(node.param, node.body, env))
+    def _eval_lambda(self, node: Lambda, env: Env):
+        return FunClosure(node.param, node.body, env)
 
-    def _eval_apply(self, node: Apply, env: Env) -> int:
+    def _eval_apply(self, node: Apply, env: Env):
         fun = self.eval(node.fun, env)
         arg = self.eval(node.arg, env)
         return self._apply(fun, arg)
 
-    def _apply(self, fun_handle: int, arg_handle: int) -> int:
+    def _apply(self, fun, arg):
         self._tick()
-        fun = self._value(fun_handle)
+        fun = self._value(fun)
         if not isinstance(fun, FunClosure):
             raise Fault("NotAFunction", "only functions can be applied")
-        return self.eval(fun.body, fun.env.extend(fun.param, arg_handle))
+        return self.eval(fun.body, fun.env.extend(fun.param, arg))
 
-    def _eval_cond(self, node: Cond, env: Env) -> int:
+    def _eval_cond(self, node: Cond, env: Env):
         test = self._force_scalar(self.eval(node.test, env))
         if not isinstance(test, bool):
             raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
         return self.eval(node.then if test else node.orelse, env)
 
-    def _eval_letrec(self, node: Letrec, env: Env) -> int:
-        _, result = self._eval_recursive_binding(node.name, node.bound, env)
-        return self.eval(node.body, env.extend(node.name, result))
+    def _eval_letrec(self, node: Letrec, env: Env):
+        cell = Rec(node.name)
+        env = env.extend(node.name, cell)
+        self._define_recursive(cell, node.bound, env, node.span)
+        return self.eval(node.body, env)
 
-    def _eval_recursive_binding(self, name: str, expr: Expr, env: Env) -> Tuple[int, int]:
-        """Placeholder cell, bound evaluation, alias patch.  Returns the
-        pair (handle to bind the name to, handle of the bound value)."""
-        placeholder = self.store.insert_bottom(name)
+    def _define_recursive(self, cell: Rec, expr: Expr, env: Env, span: Span):
+        """Evaluate a `letrec` definition in `env`, where its name is bound to
+        the empty `cell`, then fill the cell with the value and return it."""
         self._letrec_depth += 1
         try:
-            result = self.eval(expr, env.extend(name, placeholder))
+            value = self.eval(expr, env)
         finally:
             self._letrec_depth -= 1
-        if self.store.resolve(result) == placeholder:
-            raise Fault("UnboundVariable",
-                        f"premature recursive reference to '{name}'")
-        self.store.set_alias(placeholder, self.store.resolve(result))
-        return placeholder, result
+        if value is cell:
+            raise EvalError("UnboundVariable",
+                            f"premature recursive reference to '{cell.name}'",
+                            span, "letrec")
+        cell.value = value
+        return value
 
-    def _eval_binop(self, node: BinOp, env: Env) -> int:
+    def _eval_binop(self, node: BinOp, env: Env):
         lhs = self._force_scalar(self.eval(node.lhs, env))
         rhs = self._force_scalar(self.eval(node.rhs, env))
         op = node.op
         if op == "=":
             if isinstance(lhs, bool) and isinstance(rhs, bool):
-                return self.store.insert(scalar_value(lhs == rhs))
+                return lhs == rhs
             if isinstance(lhs, Ordinal) and isinstance(rhs, Ordinal):
-                return self.store.insert(scalar_value(lhs == rhs))
+                return lhs == rhs
             raise Fault("ShapeMismatch",
                         "'=' compares two ordinals or two booleans")
         if not isinstance(lhs, Ordinal) or not isinstance(rhs, Ordinal):
@@ -176,74 +178,54 @@ class Session:
             raise Fault("UndefinedOrdinalOp", str(exc)) from None
         except ZeroDivisionError:
             raise Fault("DivisionByZero", "division by zero") from None
-        return self.store.insert(scalar_value(result))
+        return result
 
-    def _eval_array(self, node: ArrayLiteral, env: Env) -> int:
-        handles = [self.eval(e, env) for e in node.elements]
-        if not handles:
-            return self.store.insert(StrictArray((ZERO,), []))
-        shapes, datas = [], []
-        for h in handles:
-            value = self._value(h)
-            if isinstance(value, FunClosure):
-                shapes.append(())
-                datas.append([value])
-            else:
-                strict = self._force_strict(h, "ShapeMismatch",
-                                            "array elements must have finite shape")
-                shapes.append(strict.shape)
-                datas.append(strict.data)
+    def _eval_array(self, node: ArrayLiteral, env: Env):
+        values = [self.eval(e, env) for e in node.elements]
+        if not values:
+            return StrictArray((ZERO,), [])
+        shapes, datas = zip(*(self._force_strict(v, "ShapeMismatch",
+                                                 "array elements must have finite shape")
+                              for v in values))
         for other in shapes[1:]:
             if other != shapes[0]:
                 raise Fault("HeterogeneousNesting",
                             "array elements have different shapes: "
-                            f"{_fmt_shape(shapes[0])} vs {_fmt_shape(other)}")
-        shape = (Ordinal(len(handles)),) + shapes[0]
-        data = [x for d in datas for x in d]
-        return self.store.insert(StrictArray(shape, data))
+                            f"{render_shape(shapes[0])} vs {render_shape(other)}")
+        shape = (Ordinal(len(values)),) + shapes[0]
+        return StrictArray(shape, [x for d in datas for x in d])
 
-    def _eval_shape(self, node: Shape, env: Env) -> int:
-        shape = self._shape_of(self.eval(node.arg, env))
-        return self.store.insert(vector_value(list(shape)))
+    def _eval_shape(self, node: Shape, env: Env):
+        return vector_value(list(self._shape_of(self.eval(node.arg, env))))
 
-    def _shape_of(self, handle: int) -> ShapeVec:
-        value = self._value(handle)
-        if isinstance(value, StrictArray):
-            return value.shape
-        if isinstance(value, FunClosure):
-            return ()
-        if isinstance(value, ImapClosure):
+    def _shape_of(self, value) -> ShapeVec:
+        value = self._value(value)
+        if isinstance(value, (StrictArray, ImapClosure)):
             return value.shape
         if isinstance(value, FilterClosure):
             return self._filter_shape(value)
-        raise Fault("IrreducibleTerm", f"value has no shape: {value!r}")
+        return ()
 
-    def _eval_islim(self, node: IsLim, env: Env) -> int:
+    def _eval_islim(self, node: IsLim, env: Env):
         x = self._force_scalar(self.eval(node.arg, env))
         if not isinstance(x, Ordinal):
             raise Fault("ShapeMismatch", "islim needs an ordinal scalar")
-        return self.store.insert(scalar_value(x.is_limit))
+        return x.is_limit
 
-    def _eval_reduce(self, node: Reduce, env: Env) -> int:
+    def _eval_reduce(self, node: Reduce, env: Env):
         fun = self.eval(node.fun, env)
         if not isinstance(self._value(fun), FunClosure):
             raise Fault("NotAFunction", "reduce needs a function as first argument")
         acc = self.eval(node.neutral, env)
-        array = self.eval(node.array, env)
-        value = self._value(array)
-        if isinstance(value, FunClosure):
-            payloads: Sequence = [value]
-        else:
-            strict = self._force_strict(array, "ReduceOnInfinite",
-                                        "reduce needs a finite array")
-            payloads = strict.data
-        for payload in payloads:
-            acc = self._apply(self._apply(fun, acc), self._payload_handle(payload))
+        _, data = self._force_strict(self.eval(node.array, env), "ReduceOnInfinite",
+                                     "reduce needs a finite array")
+        for x in data:
+            acc = self._apply(self._apply(fun, acc), x)
         return acc
 
     ### imap
 
-    def _eval_imap(self, node: Imap, env: Env) -> int:
+    def _eval_imap(self, node: Imap, env: Env):
         frame = self._force_ordinal_vector(self.eval(node.frame, env), "frame shape")
         if node.cell is not None:
             cell = self._force_ordinal_vector(self.eval(node.cell, env), "cell shape")
@@ -273,11 +255,11 @@ class Session:
         closure = ImapClosure(frame, cell, tuple(parts))
         finite = all(s.is_natural for s in frame + cell)
         if self.config.strict_finite_imaps and finite and self._letrec_depth == 0:
-            return self.store.insert(self._force_closure_strict(closure))
-        return self.store.insert(closure)
+            return strict_value(closure.shape, self._force_closure_strict(closure))
+        return closure
 
-    def _cell_value(self, closure: ImapClosure, index: ShapeVec) -> int:
-        """Handle of the cell value at a frame index.
+    def _cell_value(self, closure: ImapClosure, index: ShapeVec):
+        """The cell value at a frame index.
 
         The spec is the paper's update rule: forcing an element cuts its
         generator box into guillotine pieces around the index and adds a
@@ -295,51 +277,41 @@ class Session:
                 break
         else:
             raise Fault("NotAPartition",
-                        f"no partition covers index {_fmt_idx(index)}")
+                        f"no partition covers index {render_shape(index)}")
         self.stats["body_evals"] += 1
-        env = part.env.extend(part.gen.var,
-                              self.store.insert(vector_value(list(index))))
+        env = part.env.extend(part.gen.var, vector_value(list(index)))
         result = self.eval(part.expr, env)
         shape = self._shape_of(result)
         if shape != closure.cell:
             raise Fault("ShapeMismatch",
-                        f"imap element at {_fmt_idx(index)} has shape "
-                        f"{_fmt_shape(shape)}, cell shape is {_fmt_shape(closure.cell)}")
+                        f"imap element at {render_shape(index)} has shape "
+                        f"{render_shape(shape)}, cell shape is "
+                        f"{render_shape(closure.cell)}")
         if self.config.memoize:
             closure.memo[index] = result
         return result
 
-    def _force_closure_strict(self, closure: ImapClosure) -> StrictArray:
+    def _force_closure_strict(self, closure: ImapClosure) -> list:
+        """Row-major data of a finite imap, forcing every element."""
         data: list = []
         for offset in range(element_count(closure.frame)):
-            index = delinearize(closure.frame, offset)
-            cell_handle = self._cell_value(closure, index)
-            cell_value = self._value(cell_handle)
-            if isinstance(cell_value, FunClosure):
-                data.append(cell_value)
-            else:
-                strict = self._force_strict(cell_handle, "ShapeMismatch",
-                                            "imap cell is not finite")
-                data.extend(strict.data)
-        return StrictArray(closure.shape, data)
+            cell = self._cell_value(closure, delinearize(closure.frame, offset))
+            data.extend(self._force_strict(cell, "ShapeMismatch",
+                                           "imap cell is not finite")[1])
+        return data
 
     ### selection
 
-    def _eval_select(self, node: Select, env: Env) -> int:
+    def _eval_select(self, node: Select, env: Env):
         array = self.eval(node.array, env)
         index = self.eval(node.index, env)
         return self.select(array, self._force_ordinal_vector(index, "selection index"))
 
-    def select(self, array_handle: int, index: ShapeVec) -> int:
+    def select(self, value, index: ShapeVec):
         self._tick()
-        value = self._value(array_handle)
+        value = self._value(value)
         if isinstance(value, StrictArray):
-            payload = value.data[linearize(value.shape, index)]
-            return self._payload_handle(payload)
-        if isinstance(value, FunClosure):
-            if index == ():
-                return array_handle
-            raise Fault("IrreducibleTerm", "cannot select into a function")
+            return value.data[linearize(value.shape, index)]
         if isinstance(value, ImapClosure):
             m = len(value.frame)
             if len(index) != m + len(value.cell):
@@ -350,53 +322,55 @@ class Session:
             for i, s in zip(frame_index, value.frame):
                 if not ZERO <= i < s:
                     raise Fault("IndexOutOfBounds",
-                                f"index {_fmt_idx(index)} outside shape "
-                                f"{_fmt_shape(value.shape)}")
+                                f"index {render_shape(index)} outside shape "
+                                f"{render_shape(value.shape)}")
             for j, s in zip(cell_index, value.cell):
                 if not ZERO <= j < s:
                     raise Fault("IndexOutOfBounds",
-                                f"index {_fmt_idx(index)} outside shape "
-                                f"{_fmt_shape(value.shape)}")
+                                f"index {render_shape(index)} outside shape "
+                                f"{render_shape(value.shape)}")
             cell = self._cell_value(value, frame_index)
             return self.select(cell, cell_index)
         if isinstance(value, FilterClosure):
             if len(index) != 1:
                 raise Fault("RankMismatch", "filter results are 1-dimensional")
             return self._filter_select(value, index[0])
-        raise Fault("IrreducibleTerm", f"cannot select from {value!r}")
+        # a scalar
+        if index == ():
+            return value
+        if isinstance(value, FunClosure):
+            raise Fault("IrreducibleTerm", "cannot select into a function")
+        raise Fault("RankMismatch", f"index of length {len(index)} into rank-0 array")
 
     ### filter
 
-    def _eval_filter(self, node: Filter, env: Env) -> int:
-        predicate = self.eval(node.predicate, env)
-        if not isinstance(self._value(predicate), FunClosure):
+    def _eval_filter(self, node: Filter, env: Env):
+        predicate = self._value(self.eval(node.predicate, env))
+        if not isinstance(predicate, FunClosure):
             raise Fault("NotAFunction", "filter needs a predicate function")
-        array = self.eval(node.array, env)
-        value = self._value(array)
-        if isinstance(value, FunClosure):
+        array = self._value(self.eval(node.array, env))
+        if isinstance(array, FunClosure):
             raise Fault("FilterRankError", "filter needs a 1-dimensional array")
-        shape = self._shape_of(array) if not isinstance(value, StrictArray) \
-            else value.shape
+        shape = self._shape_of(array)
         if len(shape) != 1:
             raise Fault("FilterRankError",
                         f"filter needs a 1-dimensional array, got shape "
-                        f"{_fmt_shape(shape)}")
+                        f"{render_shape(shape)}")
         if shape[0].is_natural:
-            strict = self._force_strict(array, "FilterRankError",
-                                        "filter argument is not strict")
-            kept = [x for x in strict.data
-                    if self._predicate_accepts(predicate, self._payload_handle(x))]
-            return self.store.insert(vector_value(kept))
-        return self.store.insert(FilterClosure(predicate, array, shape))
+            _, data = self._force_strict(array, "FilterRankError",
+                                         "filter argument is not strict")
+            kept = [x for x in data if self._predicate_accepts(predicate, x)]
+            return vector_value(kept)
+        return FilterClosure(predicate, array, shape)
 
-    def _predicate_accepts(self, predicate: int, element: int) -> bool:
+    def _predicate_accepts(self, predicate: FunClosure, element) -> bool:
         self.stats["predicate_calls"] += 1
         result = self._force_scalar(self._apply(predicate, element))
         if not isinstance(result, bool):
             raise Fault("ShapeMismatch", "the filter predicate must return a boolean")
         return result
 
-    def _filter_select(self, fc: FilterClosure, target: Ordinal) -> int:
+    def _filter_select(self, fc: FilterClosure, target: Ordinal):
         xi, n = target.limit_part()
         segment = fc.segment(xi)
         alpha = fc.arg_shape[0]
@@ -405,7 +379,7 @@ class Session:
             if not source < alpha:
                 raise Fault("IndexOutOfBounds",
                             f"filter scan passed the end of the argument "
-                            f"(shape {_fmt_shape(fc.arg_shape)}) looking for "
+                            f"(shape {render_shape(fc.arg_shape)}) looking for "
                             f"element [{target}]")
             element = self.select(fc.argument, (source,))
             segment.scan += 1
@@ -427,59 +401,53 @@ class Session:
 
     ### forcing helpers
 
-    def _force_scalar(self, handle: int):
-        """Payload of a scalar value: Ordinal, bool, or FunClosure."""
-        value = self._value(handle)
+    def _force_scalar(self, value):
+        """A scalar value: Ordinal, bool, or FunClosure."""
+        value = self._value(value)
         if isinstance(value, StrictArray):
-            if value.is_scalar():
-                return value.scalar()
             raise Fault("ShapeMismatch",
-                        f"expected a scalar, got shape {_fmt_shape(value.shape)}")
-        if isinstance(value, FunClosure):
+                        f"expected a scalar, got shape {render_shape(value.shape)}")
+        if not isinstance(value, (ImapClosure, FilterClosure)):
             return value
-        shape = self._shape_of(handle)
+        shape = self._shape_of(value)
         if shape == ():
-            return self._force_scalar(self.select(handle, ()))
+            return self._force_scalar(self.select(value, ()))
         raise Fault("ShapeMismatch",
-                    f"expected a scalar, got shape {_fmt_shape(shape)}")
+                    f"expected a scalar, got shape {render_shape(shape)}")
 
-    def _force_ordinal_vector(self, handle: int, what: str) -> ShapeVec:
+    def _force_ordinal_vector(self, value, what: str) -> ShapeVec:
         """A rank-1 value forced to a tuple of ordinals."""
-        value = self._value(handle)
-        if not isinstance(value, StrictArray):
-            shape = self._shape_of(handle)
-            if len(shape) != 1:
-                raise Fault("RankMismatch",
-                            f"{what} must be a vector, got shape {_fmt_shape(shape)}")
-            value = self._force_strict(handle, "ShapeMismatch",
-                                       f"{what} must be a finite vector")
-        if value.rank != 1:
+        shape = self._shape_of(value)
+        if len(shape) != 1:
             raise Fault("RankMismatch",
-                        f"{what} must be a vector, got shape {_fmt_shape(value.shape)}")
-        for x in value.data:
+                        f"{what} must be a vector, got shape {render_shape(shape)}")
+        _, data = self._force_strict(value, "ShapeMismatch",
+                                     f"{what} must be a finite vector")
+        for x in data:
             if not isinstance(x, Ordinal):
                 raise Fault("ShapeMismatch", f"{what} components must be ordinals")
-        return tuple(value.data)
+        return tuple(data)
 
-    def _force_strict(self, handle: int, kind: str, message: str) -> StrictArray:
-        """A fully evaluated array; `kind` is the error for infinite shapes."""
-        value = self._value(handle)
+    def _force_strict(self, value, kind: str, message: str) -> Tuple[ShapeVec, list]:
+        """(shape, row-major data) of a fully evaluated finite value, with
+        ((), [x]) for a scalar x; `kind` is the error for infinite shapes."""
+        value = self._value(value)
         if isinstance(value, StrictArray):
-            return value
+            return value.shape, value.data
         if isinstance(value, ImapClosure):
             if all(s.is_natural for s in value.shape):
-                return self._force_closure_strict(value)
-            raise Fault(kind, message + f" (shape {_fmt_shape(value.shape)})")
+                return value.shape, self._force_closure_strict(value)
+            raise Fault(kind, message + f" (shape {render_shape(value.shape)})")
         if isinstance(value, FilterClosure):
             raise Fault(kind, message +
-                        f" (shape {_fmt_shape(self._filter_shape(value))})")
-        raise Fault(kind, message)
+                        f" (shape {render_shape(self._filter_shape(value))})")
+        return (), [value]
 
     ### program and embedding interface
 
-    def run_program(self, source: str) -> Optional[int]:
+    def run_program(self, source: str):
         """Evaluate top-level forms; bindings persist.  Returns the last
-        form's value handle (a binding's value for trailing bindings)."""
+        form's value (a binding's value for trailing bindings)."""
         last = None
         for form in parse_program(source):
             if isinstance(form, Binding):
@@ -488,46 +456,39 @@ class Session:
                 last = self.eval(form, self.env)
         return last
 
-    def _run_binding(self, form: Binding) -> int:
-        if form.recursive:
-            previous = self.env.frame.get(form.name)
-            placeholder = self.store.insert_bottom(form.name)
-            self.env.define(form.name, placeholder)
-            self._letrec_depth += 1
-            try:
-                result = self.eval(form.expr, self.env)
-                if self.store.resolve(result) == placeholder:
-                    raise EvalError("UnboundVariable",
-                                    f"premature recursive reference to '{form.name}'",
-                                    form.span, "letrec")
-            except BaseException:
-                if previous is None:
-                    del self.env.frame[form.name]
-                else:
-                    self.env.define(form.name, previous)
-                raise
-            finally:
-                self._letrec_depth -= 1
-            self.store.set_alias(placeholder, self.store.resolve(result))
-            return placeholder
-        result = self.eval(form.expr, self.env)
-        self.env.define(form.name, result)
-        return result
+    def _run_binding(self, form: Binding):
+        if not form.recursive:
+            value = self.eval(form.expr, self.env)
+            self.env.define(form.name, value)
+            return value
+        previous = self.env.frame.get(form.name)
+        cell = Rec(form.name)
+        self.env.define(form.name, cell)
+        try:
+            value = self._define_recursive(cell, form.expr, self.env, form.span)
+        except BaseException:
+            if previous is None:
+                del self.env.frame[form.name]
+            else:
+                self.env.define(form.name, previous)
+            raise
+        self.env.define(form.name, value)
+        return value
 
-    def eval_source(self, source: str) -> int:
+    def eval_source(self, source: str):
         return self.eval(parse_expr(source), self.env)
 
-    def select_at(self, handle: int, index: Sequence, span: Optional[Span] = None):
-        """Scalar payload at `index` (a sequence of ints/Ordinals)."""
+    def select_at(self, value, index: Sequence, span: Optional[Span] = None):
+        """Scalar at `index` (a sequence of ints/Ordinals) within `value`."""
         vec = tuple(x if isinstance(x, Ordinal) else Ordinal(x) for x in index)
         try:
-            return self._force_scalar(self.select(handle, vec))
+            return self._force_scalar(self.select(value, vec))
         except Fault as fault:
             raise EvalError(fault.kind, fault.message, span, "select") from None
 
-    def shape_at(self, handle: int, span: Optional[Span] = None) -> ShapeVec:
+    def shape_at(self, value, span: Optional[Span] = None) -> ShapeVec:
         try:
-            return self._shape_of(handle)
+            return self._shape_of(value)
         except Fault as fault:
             raise EvalError(fault.kind, fault.message, span, "shape") from None
 
@@ -551,27 +512,19 @@ _HANDLERS = {
 }
 
 
-def _fmt_shape(shape: ShapeVec) -> str:
-    return "[" + ", ".join(str(s) for s in shape) + "]"
-
-
-def _fmt_idx(index: ShapeVec) -> str:
-    return _fmt_shape(index)
-
-
 ### ---- embedding interface -------------------------------------------------------
 
 
 class Result:
     """A program's final value together with the session that owns it."""
 
-    def __init__(self, session: Session, handle: Optional[int]):
+    def __init__(self, session: Session, value):
         self.session = session
-        self.handle = handle
+        self.value = value  # None when the program has no forms
 
     @property
     def shape(self) -> Optional[ShapeVec]:
-        return None if self.handle is None else self.session.shape_at(self.handle)
+        return None if self.value is None else self.session.shape_at(self.value)
 
 
 def new_session(config: Optional[EvalConfig] = None, prelude: bool = True) -> Session:
@@ -592,19 +545,19 @@ def evaluate(source: str, config: Optional[EvalConfig] = None,
     """Run a program (bindings plus optional trailing expression)."""
     session = new_session(config, prelude)
     try:
-        handle = session.run_program(source)
+        value = session.run_program(source)
     except RecursionError:
         raise EvalError("FuelExhausted", "recursion depth exceeded; "
                         "the evaluation does not terminate", None, "eval") from None
-    return Result(session, handle)
+    return Result(session, value)
 
 
 def probe(result: Result, index: Sequence):
     """Scalar at `index` within a Result's value."""
-    if result.handle is None:
+    if result.value is None:
         raise ValueError("the program produced no value")
     try:
-        return result.session.select_at(result.handle, index)
+        return result.session.select_at(result.value, index)
     except RecursionError:
         raise EvalError("FuelExhausted", "recursion depth exceeded; "
                         "the evaluation does not terminate", None, "select") from None

@@ -1,9 +1,10 @@
-"""Value universe, store, environments, linearization, and box algebra.
+"""Value universe, environments, linearization, and box algebra.
 
-Values are strict arrays (shape tuple + flat data in row-major order),
-function closures, lazy index-map closures, and lazy filter closures.
-The store maps integer handles to values and supports in-place overwrite
-and alias cells; handles are never reused within a session.
+A value is a plain Python object: a scalar (`Ordinal`, `bool` or
+`FunClosure`), a `StrictArray` of rank >= 1 (shape tuple + flat data of
+scalars in row-major order), a lazy `ImapClosure`, or a lazy
+`FilterClosure`.  The one store-like cell is `Rec`, the name a `letrec` is
+defining: it is empty while the definition is evaluated and filled after.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -26,12 +27,13 @@ class Fault(Exception):
 
 
 class StrictArray:
-    """Shape/data pair; scalars have empty shape and a single data element."""
+    """Shape/data pair of rank >= 1; the data are scalars."""
 
     __slots__ = ("shape", "data")
 
     def __init__(self, shape: ShapeVec, data: list):
         if __debug__:
+            assert shape, "scalars are bare values, not rank-0 arrays"
             assert all(isinstance(s, Ordinal) for s in shape)
             assert all(s.is_natural for s in shape), "strict arrays have finite shape"
             n = 1
@@ -45,19 +47,14 @@ class StrictArray:
     def rank(self) -> int:
         return len(self.shape)
 
-    def is_scalar(self) -> bool:
-        return self.shape == ()
-
-    def scalar(self):
-        assert self.shape == ()
-        return self.data[0]
-
     def __repr__(self) -> str:
         return f"StrictArray({self.shape!r}, {self.data!r})"
 
 
-def scalar_value(x) -> StrictArray:
-    return StrictArray((), [x])
+def strict_value(shape: ShapeVec, data: list):
+    """The value with a finite shape and row-major data: a bare scalar for
+    the empty shape, else a strict array."""
+    return StrictArray(shape, data) if shape else data[0]
 
 
 def vector_value(elements: list) -> StrictArray:
@@ -114,7 +111,7 @@ class ImapClosure:
         self.frame = frame
         self.cell = cell
         self.partitions = partitions
-        self.memo: Dict[ShapeVec, int] = {}  # frame index -> value handle
+        self.memo: Dict[ShapeVec, object] = {}  # frame index -> cell value
 
     @property
     def shape(self) -> ShapeVec:
@@ -125,14 +122,14 @@ class FilterSegment:
     __slots__ = ("prefix", "scan")
 
     def __init__(self):
-        self.prefix: List[int] = []  # handles of accepted elements, in order
-        self.scan = 0                # source elements inspected in this segment
+        self.prefix: list = []  # accepted elements, in order
+        self.scan = 0           # source elements inspected in this segment
 
 
 class FilterClosure:
     __slots__ = ("predicate", "argument", "arg_shape", "partitions")
 
-    def __init__(self, predicate: int, argument: int, arg_shape: ShapeVec):
+    def __init__(self, predicate: FunClosure, argument, arg_shape: ShapeVec):
         self.predicate = predicate
         self.argument = argument
         self.arg_shape = arg_shape
@@ -145,56 +142,25 @@ class FilterClosure:
         return seg
 
 
-### ---- store and environment ---------------------------------------------------
+### ---- recursion cells and environment ------------------------------------------
 
 
-class _Alias:
-    __slots__ = ("target",)
+class Rec:
+    """The cell a `letrec` name is bound to.  It is empty while the definition
+    is evaluated and holds the defined value afterwards; it may be passed
+    around while empty, but forcing it then is a premature reference."""
 
-    def __init__(self, target: int):
-        self.target = target
-
-
-class _Bottom:
-    __slots__ = ("name",)
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str):
         self.name = name
+        self.value = None
 
-
-class Store:
-    """Append-only cell table; cells may be overwritten but never freed."""
-
-    def __init__(self):
-        self.cells: list = []
-
-    def insert(self, value) -> int:
-        self.cells.append(value)
-        return len(self.cells) - 1
-
-    def insert_bottom(self, name: str) -> int:
-        return self.insert(_Bottom(name))
-
-    def resolve(self, handle: int) -> int:
-        while isinstance(self.cells[handle], _Alias):
-            handle = self.cells[handle].target
-        return handle
-
-    def get(self, handle: int):
-        cell = self.cells[self.resolve(handle)]
-        if isinstance(cell, _Bottom):
+    def get(self):
+        if self.value is None:
             raise Fault("UnboundVariable",
-                        f"premature recursive reference to '{cell.name}'")
-        return cell
-
-    def is_bottom(self, handle: int) -> bool:
-        return isinstance(self.cells[self.resolve(handle)], _Bottom)
-
-    def set(self, handle: int, value) -> None:
-        self.cells[self.resolve(handle)] = value
-
-    def set_alias(self, handle: int, target: int) -> None:
-        self.cells[handle] = _Alias(target)
+                        f"premature recursive reference to '{self.name}'")
+        return self.value
 
 
 class Env:
@@ -206,20 +172,20 @@ class Env:
         self.frame = frame if frame is not None else {}
         self.parent = parent
 
-    def lookup(self, name: str) -> Optional[int]:
+    def lookup(self, name: str):
         env = self
         while env is not None:
-            handle = env.frame.get(name)
-            if handle is not None:
-                return handle
+            value = env.frame.get(name)
+            if value is not None:
+                return value
             env = env.parent
         return None
 
-    def extend(self, name: str, handle: int) -> "Env":
-        return Env({name: handle}, self)
+    def extend(self, name: str, value) -> "Env":
+        return Env({name: value}, self)
 
-    def define(self, name: str, handle: int) -> None:
-        self.frame[name] = handle
+    def define(self, name: str, value) -> None:
+        self.frame[name] = value
 
 
 ### ---- row-major linearization ---------------------------------------------------
@@ -245,8 +211,8 @@ def linearize(shape: ShapeVec, index: ShapeVec) -> int:
     for s, i in zip(shape, index):
         if not (ZERO <= i < s):
             raise Fault("IndexOutOfBounds",
-                        f"index [{', '.join(map(str, index))}] outside shape "
-                        f"[{', '.join(map(str, shape))}]")
+                        f"index {render_shape(index)} outside shape "
+                        f"{render_shape(shape)}")
         offset = offset * s.natural() + i.natural()
     return offset
 
@@ -327,7 +293,7 @@ def forms_partition(frame: Box, gens: List[Box]) -> Optional[str]:
     if remainder:
         lo, up = remainder[0]
         return ("the frame is not fully covered (e.g. indices from "
-                f"[{', '.join(map(str, lo))}] up to [{', '.join(map(str, up))}])")
+                f"{render_shape(lo)} up to {render_shape(up)})")
     return None
 
 

@@ -50,9 +50,8 @@ def fresh_session(config=None, prelude=True):
 
 def forced(session, source):
     """Shape tuple and payload list of a finite-valued expression."""
-    handle = session.eval_source(source)
-    strict = session._force_strict(handle, "ShapeMismatch", "expected finite")
-    return strict.shape, strict.data
+    return session._force_strict(session.eval_source(source), "ShapeMismatch",
+                                 "expected finite")
 
 
 ### ---- C1: ordinal arithmetic laws ---------------------------------------------------
@@ -346,9 +345,9 @@ def test_c5_game_of_life():
         expr = board_literal(board)
         for step in range(1, 5):
             expr = f"gol_step ({expr})"
-            handle = session.eval_source(expr)
+            value = session.eval_source(expr)
             rows, cols = len(board), len(board[0])
-            got = [[session.select_at(handle, [i, j]) for j in range(cols)]
+            got = [[session.select_at(value, [i, j]) for j in range(cols)]
                    for i in range(rows)]
             assert got == life_oracle(board, step), f"step {step}"
 

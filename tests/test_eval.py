@@ -5,16 +5,17 @@ by small Python oracles inline; element probes compare against directly
 computed index arithmetic.
 """
 
+import gc
 import itertools
 import math
 import random
 
 import pytest
 
-from heh.eval import EvalConfig, EvalError, Session, evaluate, probe
+from heh.eval import EvalConfig, EvalError, Session, evaluate, new_session, probe
 from heh.ordinal import OMEGA, Ordinal, omega_power
 from heh.prelude import program_source
-from heh.runtime import ImapClosure, StrictArray
+from heh.runtime import FunClosure, ImapClosure, StrictArray
 
 
 def run(src, config=None):
@@ -26,7 +27,7 @@ def val(src, config=None):
 
 
 def data(result):
-    return result.session.store.get(result.handle).data
+    return result.value.data
 
 
 def shape(result):
@@ -91,7 +92,7 @@ def test_shape_examples():
 
 def test_array_literal_strictness():
     r = run("[1, 2, 3]")
-    assert isinstance(r.session.store.get(r.handle), StrictArray)
+    assert isinstance(r.value, StrictArray)
     assert data(r) == [1, 2, 3]
     assert data(run("[[1,2],[3,4]]")) == [1, 2, 3, 4]
     assert shape(run("[[1,2],[3,4]]")) == (2, 2)
@@ -168,12 +169,12 @@ def test_imap_3x3():
 
 def test_imap_lazy_by_default_strict_on_flag():
     r = run("imap [3] {_(iv): iv.[0]}")
-    assert isinstance(r.session.store.get(r.handle), ImapClosure)
+    assert isinstance(r.value, ImapClosure)
     r = run("imap [3] {_(iv): iv.[0]}", EvalConfig(strict_finite_imaps=True))
-    assert isinstance(r.session.store.get(r.handle), StrictArray)
+    assert isinstance(r.value, StrictArray)
     # infinite frames stay lazy under the flag
     r = run("imap [w] {_(iv): 0}", EvalConfig(strict_finite_imaps=True))
-    assert isinstance(r.session.store.get(r.handle), ImapClosure)
+    assert isinstance(r.value, ImapClosure)
 
 
 def test_imap_partitioned_generators():
@@ -290,7 +291,7 @@ def test_no_memo_reevaluates():
     probe(r, [3])
     probe(r, [3])
     assert s.stats["body_evals"] == 2
-    assert s.store.get(r.handle).memo == {}
+    assert r.value.memo == {}
 
 
 def _guillotine(rng, box, count):
@@ -387,6 +388,22 @@ def test_letrec_premature_reference():
         assert "premature" in e.value.message
 
 
+def test_letrec_placeholder_is_passed_unforced():
+    """A name under definition may be passed around and captured; only
+    forcing it before its definition is complete is an error."""
+    assert val("letrec x = (\\y. 5) x in x") == 5
+    assert val("letrec f = (\\g. \\n. g) f in 1") == 1
+    # x is filled through the cell of the inner y
+    assert isinstance(val("letrec x = (letrec y = \\n. x in y) in (x 0) 0"), FunClosure)
+    for src, rule in [("letrec x = letrec y = x in y in 1", "letrec"),
+                      ("letrec x = [x] in 1", "array"),
+                      ("letrec x = (\\y. y) x in 3", "letrec")]:
+        with pytest.raises(EvalError) as e:
+            run(src)
+        assert (e.value.kind, e.value.rule) == ("UnboundVariable", rule), src
+        assert "premature recursive reference to 'x'" in e.value.message, src
+
+
 def test_letrec_under_strict_config_stays_lazy():
     src = "letrec nats = imap [5] {[0]<=iv<[1]: 0, [1]<=iv<[5]: nats.([iv.[0] - 1]) + 1} in nats"
     r = run(src, EvalConfig(strict_finite_imaps=True))
@@ -436,12 +453,7 @@ def test_binding_failure_restores_environment():
     session.run_program("let x = 1")
     with pytest.raises(EvalError):
         session.run_program("letrec x = x in 0")
-    assert probe_env(session, "x") == 1
-
-
-def probe_env(session, name):
-    handle = session.env.lookup(name)
-    return session.store.get(handle).scalar()
+    assert session.env.lookup("x") == 1
 
 
 ### ---- programs and embedding --------------------------------------------------------
@@ -451,8 +463,7 @@ def test_program_bindings_persist():
     session = Session()
     session.run_program("let x = 5")
     session.run_program("letrec double = \\n. if n = 0 then 0 else 2 + double (n - 1)")
-    handle = session.run_program("double x")
-    assert session.store.get(handle).scalar() == 10
+    assert session.run_program("double x") == 10
 
 
 def test_program_final_value_is_last_form():
@@ -462,9 +473,27 @@ def test_program_final_value_is_last_form():
 
 def test_top_level_recursive_binding():
     session = Session()
-    h = session.run_program(
+    nats = session.run_program(
         "letrec nats = imap [w] {[0]<=iv<[1]: 0, [1]<=iv<[w]: nats.([iv.[0] - 1]) + 1}")
-    assert session.select_at(h, [9]) == 9
+    assert session.select_at(nats, [9]) == 9
+
+
+def live_imaps():
+    return sum(isinstance(o, ImapClosure) for o in gc.get_objects())
+
+
+def test_session_values_are_reclaimable():
+    """A session keeps no value it does not bind: once a program's value is
+    dropped, its imap and memoized elements can be collected."""
+    session = new_session()
+    gc.collect()
+    before = live_imaps()
+    for n in range(200):
+        value = session.eval_source(f"imap [w] {{_(iv): iv.[0] + {n}}}")
+        assert session.select_at(value, [5]) == 5 + n
+    del value
+    gc.collect()
+    assert live_imaps() == before
 
 
 def test_strictness_coherence_on_finite_programs():

@@ -32,22 +32,21 @@ def test_finite_filter_matches_sequential_oracle():
     src = "filter (\\x. x % 2 = 0) " + str(values)
     r = run(src)
     expected = python_filter(lambda v: v % 2 == 0, values)
-    assert isinstance(r.session.store.get(r.handle), StrictArray)
-    assert r.session.store.get(r.handle).data == expected
+    assert isinstance(r.value, StrictArray)
+    assert r.value.data == expected
     assert list(r.shape) == [len(expected)]
 
 
 def test_finite_filter_all_and_none():
-    assert run("filter (\\x. true) [1,2,3]").session.store.get(
-        run("filter (\\x. true) [1,2,3]").handle).data == [1, 2, 3]
+    assert run("filter (\\x. true) [1,2,3]").value.data == [1, 2, 3]
     r = run("filter (\\x. false) [1,2,3]")
-    assert r.session.store.get(r.handle).data == []
+    assert r.value.data == []
     assert list(r.shape) == [0]
 
 
 def test_finite_filter_forces_lazy_argument():
     r = run("filter " + EVENS + " (imap [6] {_(iv): iv.[0]})")
-    assert r.session.store.get(r.handle).data == [0, 2, 4]
+    assert r.value.data == [0, 2, 4]
 
 
 def test_filter_predicate_must_return_boolean():
@@ -68,7 +67,7 @@ def test_filter_rank_errors():
 
 def test_evens_of_nats():
     r = run("filter " + EVENS + " (imap [w] {_(iv): iv.[0]})")
-    assert isinstance(r.session.store.get(r.handle), FilterClosure)
+    assert isinstance(r.value, FilterClosure)
     assert probe(r, [3]) == 6
     for n in (0, 1, 10, 25):
         assert probe(r, [n]) == 2 * n

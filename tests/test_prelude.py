@@ -311,8 +311,7 @@ def test_ackermann_memoization_effect():
 def test_prelude_loads_into_plain_session():
     session = Session()
     load_prelude(session)
-    handle = session.eval_source("sum [1,2,3]")
-    assert session.store.get(handle).scalar() == 6
+    assert session.eval_source("sum [1,2,3]") == 6
 
 
 def test_no_prelude_means_no_bindings():

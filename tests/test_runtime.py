@@ -1,4 +1,4 @@
-"""Store, environment, linearization, and box-algebra tests.
+"""Recursion cell, environment, linearization, and box-algebra tests.
 
 Box results are checked against a point-enumeration oracle: a candidate
 decomposition is correct iff every point of the outer box lands in
@@ -12,9 +12,9 @@ import pytest
 
 from heh.ordinal import OMEGA, Ordinal, ZERO
 from heh.runtime import (
-    Env, Fault, Store, StrictArray, box_intersect, box_is_empty, box_subtract,
+    Env, Fault, Rec, StrictArray, box_intersect, box_is_empty, box_subtract,
     delinearize, element_count, forms_partition, linearize, render_strict,
-    scalar_value, vector_value,
+    vector_value,
 )
 
 
@@ -148,39 +148,17 @@ def test_forms_partition_scalar_frame():
     assert "not fully covered" in forms_partition(((), ()), [])
 
 
-### ---- store and environment ------------------------------------------------------
+### ---- recursion cells and environment -------------------------------------------
 
 
-def test_store_roundtrip():
-    store = Store()
-    h1 = store.insert(scalar_value(Ordinal(1)))
-    h2 = store.insert(scalar_value(Ordinal(2)))
-    assert h1 != h2
-    assert store.get(h1).scalar() == Ordinal(1)
-    store.set(h1, scalar_value(Ordinal(9)))
-    assert store.get(h1).scalar() == Ordinal(9)
-
-
-def test_store_alias_chains():
-    store = Store()
-    a = store.insert_bottom("x")
-    b = store.insert(scalar_value(Ordinal(7)))
-    store.set_alias(a, b)
-    assert store.get(a).scalar() == Ordinal(7)
-    # overwriting through the alias is visible from both handles
-    store.set(a, scalar_value(Ordinal(8)))
-    assert store.get(b).scalar() == Ordinal(8)
-    assert store.resolve(a) == b
-
-
-def test_store_bottom():
-    store = Store()
-    h = store.insert_bottom("nats")
-    assert store.is_bottom(h)
+def test_rec_cell():
+    cell = Rec("nats")
     with pytest.raises(Fault) as f:
-        store.get(h)
+        cell.get()
     assert f.value.kind == "UnboundVariable"
-    assert "nats" in f.value.message
+    assert f.value.message == "premature recursive reference to 'nats'"
+    cell.value = Ordinal(7)
+    assert cell.get() == Ordinal(7)
 
 
 def test_env_lookup_most_recent():
@@ -197,8 +175,6 @@ def test_env_lookup_most_recent():
 
 
 def test_strict_array_shapes():
-    s = scalar_value(Ordinal(5))
-    assert s.is_scalar() and s.scalar() == Ordinal(5)
     v = vector_value([Ordinal(0), OMEGA])
     assert v.shape == vec(2)
     empty = StrictArray(vec(1, 0), [])
@@ -210,7 +186,6 @@ def test_strict_array_shapes():
 def test_render_strict():
     m = StrictArray(vec(2, 2), [Ordinal(n) for n in (1, 2, 3, 4)])
     assert render_strict(m) == "[[1, 2], [3, 4]]"
-    assert render_strict(scalar_value(True)) == "true"
     assert render_strict(vector_value([OMEGA])) == "[w]"
     assert render_strict(StrictArray(vec(1, 0), [])) == "[[]]"
     assert render_strict(StrictArray(vec(0,), [])) == "[]"
