@@ -31,7 +31,7 @@ def format_value(session: Session, value, force_elements: int) -> str:
     if isinstance(value, ImapClosure):
         shape = value.shape
         if all(s.is_natural for s in shape):
-            shape, data = session._force_strict(value, "ShapeMismatch", "unreachable")
+            shape, data = session.strict_at(value)
             return format_value(session, strict_value(shape, data), force_elements)
         prefix = _lazy_prefix(session, value, shape, force_elements)
         return f"<imap shape={render_shape(shape)}> {prefix}"

@@ -10,7 +10,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .ordinal import Ordinal, UndefinedOrdinalOp, ZERO
+from .ordinal import Ordinal, UndefinedOrdinalOp, ZERO, nat
 from .runtime import (
     Box, Env, Fault, FilterClosure, FunClosure, Gen, ImapClosure, ImapPart,
     Rec, ShapeVec, StrictArray, box_contains, delinearize, element_count,
@@ -80,12 +80,12 @@ class Session:
     ### the evaluator proper
 
     def eval(self, node: Expr, env: Env):
-        rule = _RULE_NAMES[type(node)]
         try:
             self._tick()
             return _HANDLERS[type(node)](self, node, env)
         except Fault as fault:
-            raise EvalError(fault.kind, fault.message, node.span, rule) from None
+            raise EvalError(fault.kind, fault.message, node.span,
+                            _RULE_NAMES[type(node)]) from None
 
     def _eval_const(self, node, env):
         return node.value
@@ -192,7 +192,7 @@ class Session:
                 raise Fault("HeterogeneousNesting",
                             "array elements have different shapes: "
                             f"{render_shape(shapes[0])} vs {render_shape(other)}")
-        shape = (Ordinal(len(values)),) + shapes[0]
+        shape = (nat(len(values)),) + shapes[0]
         return StrictArray(shape, [x for d in datas for x in d])
 
     def _eval_shape(self, node: Shape, env: Env):
@@ -253,8 +253,8 @@ class Session:
         if problem is not None:
             raise Fault("NotAPartition", problem)
         closure = ImapClosure(frame, cell, tuple(parts))
-        finite = all(s.is_natural for s in frame + cell)
-        if self.config.strict_finite_imaps and finite and self._letrec_depth == 0:
+        if (self.config.strict_finite_imaps and self._letrec_depth == 0
+                and all(s.is_natural for s in closure.shape)):
             return strict_value(closure.shape, self._force_closure_strict(closure))
         return closure
 
@@ -272,12 +272,16 @@ class Session:
         hit = closure.memo.get(index)
         if hit is not None:
             return hit
-        for part in closure.partitions:
-            if box_contains(part.gen.box, index):
-                break
+        parts = closure.partitions
+        if len(parts) == 1:
+            part = parts[0]  # a lone box tiles the frame, so it holds the index
         else:
-            raise Fault("NotAPartition",
-                        f"no partition covers index {render_shape(index)}")
+            for part in parts:
+                if box_contains(part.gen.box, index):
+                    break
+            else:
+                raise Fault("NotAPartition",
+                            f"no partition covers index {render_shape(index)}")
         self.stats["body_evals"] += 1
         env = part.env.extend(part.gen.var, vector_value(list(index)))
         result = self.eval(part.expr, env)
@@ -417,12 +421,15 @@ class Session:
 
     def _force_ordinal_vector(self, value, what: str) -> ShapeVec:
         """A rank-1 value forced to a tuple of ordinals."""
-        shape = self._shape_of(value)
-        if len(shape) != 1:
-            raise Fault("RankMismatch",
-                        f"{what} must be a vector, got shape {render_shape(shape)}")
-        _, data = self._force_strict(value, "ShapeMismatch",
-                                     f"{what} must be a finite vector")
+        if value.__class__ is StrictArray and len(value.shape) == 1:
+            data = value.data
+        else:
+            shape = self._shape_of(value)
+            if len(shape) != 1:
+                raise Fault("RankMismatch",
+                            f"{what} must be a vector, got shape {render_shape(shape)}")
+            _, data = self._force_strict(value, "ShapeMismatch",
+                                         f"{what} must be a finite vector")
         for x in data:
             if not isinstance(x, Ordinal):
                 raise Fault("ShapeMismatch", f"{what} components must be ordinals")
@@ -480,9 +487,16 @@ class Session:
 
     def select_at(self, value, index: Sequence, span: Optional[Span] = None):
         """Scalar at `index` (a sequence of ints/Ordinals) within `value`."""
-        vec = tuple(x if isinstance(x, Ordinal) else Ordinal(x) for x in index)
+        vec = tuple(x if isinstance(x, Ordinal) else nat(x) for x in index)
         try:
             return self._force_scalar(self.select(value, vec))
+        except Fault as fault:
+            raise EvalError(fault.kind, fault.message, span, "select") from None
+
+    def strict_at(self, value, span: Optional[Span] = None) -> Tuple[ShapeVec, list]:
+        """(shape, row-major data) of a finite `value`, forcing every element."""
+        try:
+            return self._force_strict(value, "ShapeMismatch", "expected a finite shape")
         except Fault as fault:
             raise EvalError(fault.kind, fault.message, span, "select") from None
 

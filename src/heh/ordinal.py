@@ -15,7 +15,14 @@ divmod produces the unique (q, r) with a == b*q + r and r < b.
 
 Partial operations raise UndefinedOrdinalOp (or ZeroDivisionError for
 division by zero) instead of returning sentinels.  Instances are
-immutable and hashable.
+immutable and hashable; a natural hashes like its int, since it compares
+equal to it.
+
+Most ordinals an evaluation computes are naturals (`()` or a single
+`(0, c)` term).  `nat(n)` builds one cheaply, interning those below
+`_NAT_CACHE`, and the operators take a natural-number fast path when both
+operands are natural Ordinals.  The general code after each fast path is
+the spec; the fast paths only skip its steps.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import re
 from typing import Tuple
 
-__all__ = ["Ordinal", "UndefinedOrdinalOp", "omega_power", "OMEGA", "ZERO"]
+__all__ = ["Ordinal", "UndefinedOrdinalOp", "nat", "omega_power", "OMEGA", "ZERO"]
 
 
 class UndefinedOrdinalOp(ArithmeticError):
@@ -77,7 +84,8 @@ class Ordinal:
     @property
     def is_natural(self) -> bool:
         """True when the ordinal is below w."""
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
+        t = self.terms
+        return not t or (len(t) == 1 and t[0][0] == 0)
 
     @property
     def is_limit(self) -> bool:
@@ -85,9 +93,12 @@ class Ordinal:
         return bool(self.terms) and self.terms[-1][0] != 0
 
     def natural(self) -> int:
-        if not self.is_natural:
-            raise UndefinedOrdinalOp(f"{self} is not a natural number")
-        return self.terms[0][1] if self.terms else 0
+        t = self.terms
+        if not t:
+            return 0
+        if len(t) == 1 and t[0][0] == 0:
+            return t[0][1]
+        raise UndefinedOrdinalOp(f"{self} is not a natural number")
 
     def limit_part(self) -> "tuple[Ordinal, int]":
         """Split self as l + k with l limit-or-zero and k natural."""
@@ -106,32 +117,55 @@ class Ordinal:
             return ((0, other),) if other else ()
         return None
 
+    # Two Ordinals compare by their terms directly; `_cmp_key` is the
+    # general path, which also admits int operands.
+
     def __eq__(self, other) -> bool:
+        if other.__class__ is Ordinal:
+            return self.terms == other.terms
         key = self._cmp_key(other)
         return NotImplemented if key is None else self.terms == key
 
     def __lt__(self, other) -> bool:
+        if other.__class__ is Ordinal:
+            return self.terms < other.terms
         key = self._cmp_key(other)
         return NotImplemented if key is None else self.terms < key
 
     def __le__(self, other) -> bool:
+        if other.__class__ is Ordinal:
+            return self.terms <= other.terms
         key = self._cmp_key(other)
         return NotImplemented if key is None else self.terms <= key
 
     def __gt__(self, other) -> bool:
+        if other.__class__ is Ordinal:
+            return self.terms > other.terms
         key = self._cmp_key(other)
         return NotImplemented if key is None else self.terms > key
 
     def __ge__(self, other) -> bool:
+        if other.__class__ is Ordinal:
+            return self.terms >= other.terms
         key = self._cmp_key(other)
         return NotImplemented if key is None else self.terms >= key
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        # a natural equals its int, so it must hash like it
+        t = self.terms
+        if not t:
+            return hash(0)
+        if len(t) == 1 and t[0][0] == 0:
+            return hash(t[0][1])
+        return hash(t)
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other) -> "Ordinal":
+        if other.__class__ is Ordinal:
+            a, b = self.terms, other.terms
+            if len(a) == 1 == len(b) and a[0][0] == 0 == b[0][0]:
+                return nat(a[0][1] + b[0][1])
         other = _as_ordinal(other)
         if other is NotImplemented:
             return NotImplemented
@@ -158,6 +192,10 @@ class Ordinal:
 
     def __sub__(self, other) -> "Ordinal":
         """Left subtraction: the unique x with other + x == self."""
+        if other.__class__ is Ordinal:
+            a, b = self.terms, other.terms
+            if len(a) == 1 == len(b) and a[0][0] == 0 == b[0][0] and a[0][1] >= b[0][1]:
+                return nat(a[0][1] - b[0][1])
         other = _as_ordinal(other)
         if other is NotImplemented:
             return NotImplemented
@@ -338,6 +376,28 @@ def _as_ordinal(x) -> "Ordinal":
     return NotImplemented
 
 
+# the slot itself, which bypasses the immutability guard in __setattr__
+_set_terms = Ordinal.terms.__set__
+_NAT_CACHE = 1024
+
+
+def _make_nat(n: int) -> Ordinal:
+    self = object.__new__(Ordinal)
+    _set_terms(self, ((0, n),) if n else ())
+    return self
+
+
+_NATS = tuple(_make_nat(n) for n in range(_NAT_CACHE))
+
+
+def nat(n: int) -> Ordinal:
+    """The natural n as an Ordinal; naturals below _NAT_CACHE are interned.
+    Anything but an int >= 0 goes to the constructor, which rejects it."""
+    if n.__class__ is int and n >= 0:
+        return _NATS[n] if n < _NAT_CACHE else _make_nat(n)
+    return Ordinal(n)
+
+
 def omega_power(exponent: int, coefficient: int = 1) -> Ordinal:
     """Build w^exponent * coefficient."""
     if exponent < 0 or coefficient < 0:
@@ -347,5 +407,5 @@ def omega_power(exponent: int, coefficient: int = 1) -> Ordinal:
     return Ordinal._make(((exponent, coefficient),))
 
 
-ZERO = Ordinal(0)
+ZERO = _NATS[0]
 OMEGA = Ordinal._make(((1, 1),))

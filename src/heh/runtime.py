@@ -9,7 +9,7 @@ defining: it is empty while the definition is evaluated and filled after.
 
 from typing import Dict, List, Optional, Tuple
 
-from .ordinal import Ordinal, ZERO
+from .ordinal import Ordinal, ZERO, nat
 
 ShapeVec = Tuple[Ordinal, ...]
 
@@ -34,10 +34,9 @@ class StrictArray:
     def __init__(self, shape: ShapeVec, data: list):
         if __debug__:
             assert shape, "scalars are bare values, not rank-0 arrays"
-            assert all(isinstance(s, Ordinal) for s in shape)
-            assert all(s.is_natural for s in shape), "strict arrays have finite shape"
             n = 1
             for s in shape:
+                assert isinstance(s, Ordinal) and s.is_natural, "strict arrays have finite shape"
                 n *= s.natural()
             assert len(data) == n, f"data length {len(data)} != shape product {n}"
         self.shape = shape
@@ -58,7 +57,7 @@ def strict_value(shape: ShapeVec, data: list):
 
 
 def vector_value(elements: list) -> StrictArray:
-    return StrictArray((Ordinal(len(elements)),), list(elements))
+    return StrictArray((nat(len(elements)),), list(elements))
 
 
 class FunClosure:
@@ -209,6 +208,13 @@ def linearize(shape: ShapeVec, index: ShapeVec) -> int:
                     f"index of length {len(index)} into rank-{len(shape)} array")
     offset = 0
     for s, i in zip(shape, index):
+        # natural path: a positive natural extent and a natural index below it
+        st, it = s.terms, i.terms
+        if len(st) == 1 and st[0][0] == 0 and (not it or (len(it) == 1 and it[0][0] == 0)):
+            k = it[0][1] if it else 0
+            if k < st[0][1]:
+                offset = offset * st[0][1] + k
+                continue
         if not (ZERO <= i < s):
             raise Fault("IndexOutOfBounds",
                         f"index {render_shape(index)} outside shape "
@@ -225,8 +231,8 @@ def delinearize(shape: ShapeVec, offset: int) -> ShapeVec:
                     f"offset {offset} outside 0..{total - 1}")
     index = []
     for s in reversed(shape_naturals(shape)):
-        index.append(Ordinal(offset % s))
-        offset //= s
+        offset, k = divmod(offset, s)
+        index.append(nat(k))
     return tuple(reversed(index))
 
 
@@ -281,6 +287,8 @@ def box_subtract(outer: Box, inner: Box) -> List[Box]:
 
 def forms_partition(frame: Box, gens: List[Box]) -> Optional[str]:
     """None when the boxes tile the frame exactly, else a description."""
+    if len(gens) == 1 and gens[0] == frame:
+        return None  # a lone box that is the frame tiles it
     for i, g in enumerate(gens):
         if not box_inside(g, frame):
             return f"generator {i} reaches outside the frame"

@@ -112,6 +112,14 @@ def test_eval_error_exits_one_with_span(capsys):
     assert "IndexOutOfBounds" in err and "line 1" in err
 
 
+def test_error_while_printing_finite_imap_exits_one(capsys):
+    # the element's fault surfaces only when printing forces the imap
+    code, out, err = run_cli(capsys, "-e", "imap [2] {_(iv): [1]}")
+    assert (code, out) == (1, "")
+    assert err.startswith("ShapeMismatch")
+    assert "imap element at [0] has shape [1], cell shape is []" in err
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     program = tmp_path / "p.heh"
     program.write_text("1")
@@ -207,6 +215,13 @@ def test_repl_survives_errors(monkeypatch, capsys):
     assert code == 0
     assert out == "[1, 2]\n1\n"
     assert "IndexOutOfBounds" in err and "expected an expression" in err
+
+
+def test_repl_survives_error_while_printing(monkeypatch, capsys):
+    code, out, err = run_repl(monkeypatch, capsys,
+                              "imap [2] {_(iv): [1]}\nimap [2] {_(iv): iv.[0]}\n")
+    assert (code, out) == (0, "[0, 1]\n")
+    assert err.startswith("ShapeMismatch")
 
 
 def test_repl_replenishes_fuel_per_entry(monkeypatch, capsys):

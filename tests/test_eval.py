@@ -285,6 +285,28 @@ def test_memoization_evaluates_each_ackermann_entry_once():
         assert s.stats["body_evals"] == len(table)  # every entry was memoized
 
 
+def rule_counts(name, probes):
+    """Probed values and (rules, body_evals, predicate_calls) after running a
+    shipped program with the prelude and probing it in order."""
+    r = evaluate(program_source(name))
+    values = [probe(r, list(index)) for index in probes]
+    s = r.session.stats
+    return values, (s["rules"], s["body_evals"], s["predicate_calls"])
+
+
+def test_rule_counts_are_pinned():
+    # Rule counts are deterministic, so a change meant only to speed up
+    # evaluation must leave them as they are.  The rule totals are the
+    # interpreter's own, recorded when this test was written; the body
+    # evaluations are derived.  nats.[2000] evaluates nats entries 0..2000
+    # and, for each entry after the first, the one cell of `subv iv [1]`.
+    assert rule_counts("nats.heh", [(2000,)]) == ([2000], (54_014, 2_001 + 2_000, 0))
+    table = memoized_ackermann(3, 6)
+    assert rule_counts("ackermann.heh", [(3, 6)]) == ([509], (47_315, len(table), 0))
+    assert len(table) == 1_277
+    assert rule_counts("game_of_life.heh", [(2, 2), (1, 2)]) == ([1, 1], (15_394, 941, 0))
+
+
 def test_no_memo_reevaluates():
     r = run("imap [w] {_(iv): 0}", EvalConfig(memoize=False))
     s = r.session
@@ -436,6 +458,28 @@ def test_error_kinds_and_spans():
         assert e.value.kind == kind, src
         assert e.value.span.line >= 1
         assert e.value.rule
+
+
+def test_ordinal_vector_errors():
+    # strict vectors and lazy ones are checked alike
+    cases = [
+        ("[1, 2].[true]", "ShapeMismatch",
+         "selection index components must be ordinals"),
+        ("[1, 2].(imap [1] {_(iv): true})", "ShapeMismatch",
+         "selection index components must be ordinals"),
+        ("[1, 2].[[0]]", "RankMismatch",
+         "selection index must be a vector, got shape [1, 1]"),
+        ("[1, 2].(5)", "RankMismatch",
+         "selection index must be a vector, got shape []"),
+        ("imap (imap [w] {_(iv): 0}) {_(iv): 0}", "ShapeMismatch",
+         "frame shape must be a finite vector (shape [w])"),
+        ("imap [2] {[0] <= iv < [true]: 0}", "ShapeMismatch",
+         "generator bound components must be ordinals"),
+    ]
+    for src, kind, message in cases:
+        with pytest.raises(EvalError) as e:
+            run(src)
+        assert (e.value.kind, e.value.message) == (kind, message), src
 
 
 def test_fuel_exhaustion():

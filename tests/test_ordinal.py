@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heh.ordinal import OMEGA, ZERO, Ordinal, UndefinedOrdinalOp, omega_power
+from heh.ordinal import OMEGA, ZERO, Ordinal, UndefinedOrdinalOp, nat, omega_power
 
 
 # --- oracles ---------------------------------------------------------------
@@ -113,6 +113,48 @@ def test_immutability_and_hash():
         a.terms = ()
     assert hash(a) == hash(ord_of((1, 2), (0, 5)))
     assert len({a, ord_of((1, 2), (0, 5)), OMEGA}) == 2
+
+
+def test_nat_builds_naturals():
+    for n in (0, 1, 7, 1023, 1024, 5000, 10**30):
+        assert nat(n).terms == (((0, n),) if n else ())
+        assert nat(n) == Ordinal(n)
+    assert nat(0) == ZERO
+    for bad, error in ((-1, ValueError), (True, TypeError), (1.5, TypeError)):
+        with pytest.raises(error):
+            nat(bad)
+
+
+@given(st.integers(0, 3000))
+def test_interned_naturals_are_immutable(n):
+    a = nat(n)
+    with pytest.raises(AttributeError):
+        a.terms = ()
+    with pytest.raises(AttributeError):
+        setattr(a, "terms", ((1, 1),))
+    assert nat(n).terms == (((0, n),) if n else ())
+
+
+def test_natural_hashes_like_its_int():
+    assert hash(Ordinal(3)) == hash(3) and hash(ZERO) == hash(0)
+    assert 3 in {Ordinal(3)} and Ordinal(3) in {3}
+    assert {Ordinal(2): "x"}[2] == "x"
+
+
+naturals = st.one_of(st.integers(0, 2000), st.integers(0, 10**20))
+
+
+@given(st.one_of(ordinals(), naturals.map(nat), naturals.map(Ordinal)),
+       st.one_of(naturals, st.integers(-5, -1)))
+def test_equal_ordinal_and_int_hash_alike(a, b):
+    try:
+        equal = a == b
+    except ValueError:   # a negative int is not an ordinal
+        return
+    if equal:
+        assert hash(a) == hash(b)
+    if a.is_natural:
+        assert hash(a) == hash(a.natural())
 
 
 # --- order -------------------------------------------------------------------
@@ -361,6 +403,39 @@ def test_naturals_behave_like_ints():
         if y:
             q, r = divmod(a, b)
             assert (q.natural(), r.natural()) == divmod(x, y)
+
+
+@given(naturals, naturals, st.sampled_from([nat, Ordinal]))
+def test_natural_fast_paths_match_ints(x, y, make):
+    a, b = make(x), make(y)
+    assert (a + b).natural() == x + y and (a + b).terms == Ordinal(x + y).terms
+    assert (a < b) == (x < y) and (a <= b) == (x <= y)
+    assert (a > b) == (x > y) and (a >= b) == (x >= y)
+    assert (a == b) == (x == y) and (a != b) == (x != y)
+    assert a.natural() == x and a.is_natural and not a.is_limit
+    if y <= x:
+        assert (a - b).natural() == x - y and (a - b).terms == Ordinal(x - y).terms
+    else:
+        with pytest.raises(UndefinedOrdinalOp) as error:
+            a - b
+        assert str(error.value) == f"({x}) - ({y}) is undefined: subtrahend is larger"
+
+
+@given(naturals, ordinals(max_coeff=50).filter(lambda o: not o.is_natural))
+def test_mixed_natural_and_transfinite_operands(n, x):
+    a = nat(n)
+    assert a + x == x        # n is absorbed below x's leading term
+    assert x - a == x        # so x is also the left difference
+    assert (x + a) - x == a
+    coeffs = dict(x.terms)
+    coeffs[0] = coeffs.get(0, 0) + n
+    assert (x + a).terms == tuple((e, c) for e, c in sorted(coeffs.items(), reverse=True) if c)
+    assert a < x and a <= x and x > a and x >= a and a != x
+    with pytest.raises(UndefinedOrdinalOp) as error:
+        a - x
+    assert str(error.value) == f"({n}) - ({x}) is undefined: subtrahend is larger"
+    with pytest.raises(UndefinedOrdinalOp):
+        x.natural()
 
 
 # --- text form -----------------------------------------------------------------

@@ -4,9 +4,15 @@ Game-of-Life expectations come from `life_oracle` below (a direct finite
 simulator); Ackermann expectations from the textbook recursive definition.
 """
 
+import inspect
+import json
+import os
+import subprocess
 import sys
 
 import pytest
+
+import heh
 
 from heh.eval import EvalConfig, EvalError, Session, evaluate, probe
 from heh.ordinal import OMEGA, Ordinal
@@ -327,3 +333,34 @@ def test_examples_suite_covers_and_matches_every_program():
         result = run(program_source(name))
         for index, expected in probes:
             assert probe(result, list(index)) == expected, (name, index)
+
+
+def examples_outcomes():
+    """[program, probed values as text, (rules, body_evals, predicate_calls)]
+    for every program of `examples_suite()`, plus whether asserts are on."""
+    from heh import evaluate, examples_suite, probe, program_source
+    outcomes = []
+    for name, probes in examples_suite():
+        result = evaluate(program_source(name))
+        values = [str(probe(result, list(index))) for index, _ in probes]
+        stats = result.session.stats
+        counts = [stats["rules"], stats["body_evals"], stats["predicate_calls"]]
+        outcomes.append([name, values, counts])
+    return {"debug": __debug__, "outcomes": outcomes}
+
+
+def test_optimized_mode_matches_debug_mode():
+    # the natural-number fast paths sit beside checks that run only under
+    # __debug__; `python -O` drops those and must give the same behaviour
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (inspect.getsource(examples_outcomes) +
+              "\nimport json\nprint(json.dumps(examples_outcomes()))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    optimized = json.loads(proc.stdout)
+    here = examples_outcomes()
+    assert here["debug"] and not optimized["debug"]
+    assert optimized["outcomes"] == here["outcomes"]

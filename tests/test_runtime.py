@@ -9,6 +9,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from heh.ordinal import OMEGA, Ordinal, ZERO
 from heh.runtime import (
@@ -53,6 +54,7 @@ def test_delinearize_witnesses():
     assert delinearize(vec(2, 2), 2) == vec(1, 0)
     assert delinearize(vec(7), 4) == vec(4)
     assert delinearize(vec(), 0) == ()
+    assert delinearize(vec(3, 2000), 5999) == vec(2, 1999)   # past the interned naturals
     with pytest.raises(Fault):
         delinearize(vec(2, 2), 4)
 
@@ -63,6 +65,57 @@ def test_linearize_roundtrip():
         shape = vec(*[rng.randrange(1, 6) for _ in range(rng.randrange(4))])
         offset = rng.randrange(element_count(shape))
         assert linearize(shape, delinearize(shape, offset)) == offset
+
+
+def row_major_offset(sizes, index):
+    """Pure-int oracle: the row-major offset of `index` in `sizes`."""
+    offset = 0
+    for axis, i in enumerate(index):
+        stride = 1
+        for s in sizes[axis + 1:]:
+            stride *= s
+        offset += i * stride
+    return offset
+
+
+@st.composite
+def shapes_and_indices(draw):
+    sizes = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 3000)),
+                          max_size=4))
+    return sizes, [draw(st.integers(0, s - 1)) for s in sizes]
+
+
+@given(shapes_and_indices())
+def test_linearize_matches_int_oracle(case):
+    sizes, index = case
+    offset = row_major_offset(sizes, index)
+    assert linearize(vec(*sizes), vec(*index)) == offset
+    got = delinearize(vec(*sizes), offset)
+    assert got == vec(*index) and all(type(i) is Ordinal for i in got)
+
+
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=3), st.data())
+def test_linearize_bounds_errors(sizes, data):
+    shape = vec(*sizes)
+    axis = data.draw(st.integers(0, len(sizes) - 1))
+    bad = data.draw(st.one_of(st.integers(sizes[axis], sizes[axis] + 10).map(Ordinal),
+                              st.sampled_from([OMEGA, OMEGA + 3])))
+    index = tuple(bad if k == axis else ZERO for k in range(len(sizes)))
+    with pytest.raises(Fault) as f:
+        linearize(shape, index)
+    assert f.value.kind == "IndexOutOfBounds"
+    shown = ", ".join(str(i) for i in index)
+    assert f.value.message == (f"index [{shown}] outside shape "
+                               f"[{', '.join(map(str, sizes))}]")
+    with pytest.raises(Fault) as f:
+        linearize(shape, index + (ZERO,))
+    assert (f.value.kind, f.value.message) == (
+        "RankMismatch", f"index of length {len(sizes) + 1} into rank-{len(sizes)} array")
+    total = element_count(shape)
+    with pytest.raises(Fault) as f:
+        delinearize(shape, total)
+    assert (f.value.kind, f.value.message) == (
+        "IndexOutOfBounds", f"offset {total} outside 0..{total - 1}")
 
 
 ### ---- box algebra ---------------------------------------------------------------
@@ -146,6 +199,39 @@ def test_forms_partition_2d():
 def test_forms_partition_scalar_frame():
     assert forms_partition(((), ()), [((), ())]) is None
     assert "not fully covered" in forms_partition(((), ()), [])
+
+
+extents = st.one_of(st.integers(0, 4).map(Ordinal),
+                    st.sampled_from([OMEGA, OMEGA + 2, OMEGA * 2]))
+
+
+@given(st.lists(extents, max_size=3))
+def test_forms_partition_lone_full_box(upper):
+    frame = ((ZERO,) * len(upper), tuple(upper))
+    # equal to the frame, whether or not it is the same object
+    assert forms_partition(frame, [frame]) is None
+    assert forms_partition(frame, [(vec(*[0] * len(upper)), tuple(upper))]) is None
+
+
+@given(st.lists(extents, min_size=1, max_size=3), st.data())
+def test_forms_partition_rejects_other_boxes(upper, data):
+    upper = tuple(upper)
+    lower = (ZERO,) * len(upper)
+    frame = (lower, upper)
+    nonempty = all(u != ZERO for u in upper)
+    axis = data.draw(st.integers(0, len(upper) - 1))
+    def with_extent(extent):
+        return (lower, upper[:axis] + (extent,) + upper[axis + 1:])
+    smaller = [c for c in vec(0, 1, 3) + (OMEGA, OMEGA + 1) if c < upper[axis]]
+    if nonempty:
+        assert "outside the frame" in forms_partition(frame, [with_extent(upper[axis] + 1)])
+        assert "overlap" in forms_partition(frame, [frame, frame])
+        if smaller:
+            short = with_extent(data.draw(st.sampled_from(smaller)))
+            assert "not fully covered" in forms_partition(frame, [short])
+    else:
+        # every box in an empty frame is empty, so these all tile it
+        assert forms_partition(frame, [frame, frame]) is None
 
 
 ### ---- recursion cells and environment -------------------------------------------
