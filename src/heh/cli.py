@@ -4,7 +4,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .eval import EvalConfig, EvalError, Session, evaluate, new_session, probe
+from .eval import EvalConfig, EvalError, Session, new_session
 from .ordinal import Ordinal, ZERO, omega_power
 from .runtime import (FilterClosure, ImapClosure, StrictArray, render_scalar,
                       render_shape, render_strict, strict_value)
@@ -123,20 +123,27 @@ def parse_index_literal(text: str):
     return tuple(Ordinal.parse(part) for part in inner.split(","))
 
 
-def run_source(source: str, args, config: EvalConfig) -> int:
+def run_text(session: Session, source: str, force_print: Optional[int],
+             probe: Optional[str] = None) -> int:
+    """Run a program text in `session` with a fresh fuel budget and print its
+    value (the scalar at index literal `probe` if given) unless `force_print`
+    is None.  A failure or an interrupt is reported on stderr; returns the
+    exit status."""
+    session.fuel = session.config.fuel
     try:
-        result = evaluate(source, config, prelude=not args.no_prelude)
-        if result.value is None:
+        value = session.run_program(source)
+        if value is None or force_print is None:
             return 0
-        if args.probe is not None:
-            index = parse_index_literal(args.probe)
-            print(render_scalar(probe(result, index)))
+        if probe is not None:
+            print(render_scalar(session.select_at(value, parse_index_literal(probe))))
         else:
-            print(format_value(result.session, result.value, args.force_print))
+            print(format_value(session, value, force_print))
         return 0
     except (LexError, ParseError, EvalError) as error:
         print(error, file=sys.stderr)
-        return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+    return 1
 
 
 ### ---- interactive loop ----------------------------------------------------------
@@ -165,17 +172,7 @@ def repl_loop(args, config: EvalConfig) -> int:
             if _meta_command(session, args, config, line):
                 return 0
             continue
-        session.fuel = config.fuel  # a fresh budget for every entry
-        try:
-            value = session.run_program(line)
-            if value is not None:
-                print(format_value(session, value, args.force_print))
-        except (LexError, ParseError, EvalError) as error:
-            print(error, file=sys.stderr)
-        except KeyboardInterrupt:
-            print("interrupted", file=sys.stderr)
-        except RecursionError:
-            print("FuelExhausted: recursion depth exceeded", file=sys.stderr)
+        run_text(session, line, args.force_print)
 
 
 def _meta_command(session: Session, args, config: EvalConfig, line: str) -> bool:
@@ -201,11 +198,7 @@ def _meta_command(session: Session, args, config: EvalConfig, line: str) -> bool
         except OSError as error:
             print(error, file=sys.stderr)
             return False
-        session.fuel = config.fuel
-        try:
-            session.run_program(source)
-        except (LexError, ParseError, EvalError) as error:
-            print(error, file=sys.stderr)
+        run_text(session, source, force_print=None)
         return False
     print(f"unknown command {command!r}; available: :quit :config :load",
           file=sys.stderr)
@@ -272,14 +265,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if repl_mode:
         return repl_loop(args, config)
     if args.expr is not None:
-        return run_source(args.expr, args, config)
-    try:
-        with open(args.file) as stream:
-            source = stream.read()
-    except OSError as error:
-        print(f"heh: error: {error}", file=sys.stderr)
-        return 2
-    return run_source(source, args, config)
+        source = args.expr
+    else:
+        try:
+            with open(args.file) as stream:
+                source = stream.read()
+        except OSError as error:
+            print(f"heh: error: {error}", file=sys.stderr)
+            return 2
+    session = new_session(config, prelude=not args.no_prelude)
+    return run_text(session, source, args.force_print, args.probe)
 
 
 if __name__ == "__main__":

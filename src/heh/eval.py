@@ -12,8 +12,8 @@ from typing import Optional, Sequence, Tuple
 
 from .ordinal import Ordinal, UndefinedOrdinalOp, ZERO, nat
 from .runtime import (
-    Box, Env, Fault, FilterClosure, FunClosure, Gen, ImapClosure, ImapPart,
-    Rec, ShapeVec, StrictArray, box_contains, delinearize, element_count,
+    Box, Env, Fault, FilterClosure, FilterSegment, FunClosure, ImapClosure,
+    ImapPart, Rec, ShapeVec, StrictArray, box_contains, delinearize, element_count,
     forms_partition, linearize, render_shape, strict_value, vector_value,
 )
 from .syntax import (
@@ -21,6 +21,10 @@ from .syntax import (
     Full, Imap, IsLim, Lambda, Letrec, OrdinalConst, Reduce, Select, Shape,
     Span, Var, parse_expr, parse_program,
 )
+
+# Python frames allowed while a public entry runs; a nats probe takes about
+# seven frames per level
+RECURSION_LIMIT = 200_000
 
 
 @dataclass
@@ -59,9 +63,27 @@ class Session:
         self.fuel = self.config.fuel
         self.stats = {"rules": 0, "body_evals": 0, "predicate_calls": 0}
         self._letrec_depth = 0
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 200_000))
 
     ### plumbing
+
+    def _entry(self, rule: str, span: Optional[Span], thunk):
+        """`thunk()` run as a public entry: the one place that decides how an
+        internal failure reaches the caller.  The recursion limit is raised
+        for the call only; a `Fault` becomes an `EvalError` of `rule` at
+        `span`, and running out of Python frames becomes `DepthExceeded`."""
+        previous = sys.getrecursionlimit()
+        limit = max(previous, RECURSION_LIMIT)
+        sys.setrecursionlimit(limit)
+        try:
+            return thunk()
+        except Fault as fault:
+            raise EvalError(fault.kind, fault.message, span, rule) from None
+        except RecursionError:
+            raise EvalError("DepthExceeded",
+                            "evaluation nested deeper than the interpreter's "
+                            f"recursion limit ({limit} frames)", span, rule) from None
+        finally:
+            sys.setrecursionlimit(previous)
 
     def _tick(self) -> None:
         self.stats["rules"] += 1
@@ -231,10 +253,11 @@ class Session:
             cell = self._force_ordinal_vector(self.eval(node.cell, env), "cell shape")
         else:
             cell = ()
+        frame_box: Box = ((ZERO,) * len(frame), frame)
         parts = []
         for gen_syntax, body in node.partitions:
             if isinstance(gen_syntax, Full):
-                gen = Gen(gen_syntax.var, (ZERO,) * len(frame), frame)
+                box = frame_box
             else:
                 lower = self._force_ordinal_vector(
                     self.eval(gen_syntax.lower, env), "generator bound")
@@ -246,10 +269,9 @@ class Session:
                                 f"({len(frame)})")
                 if any(l > u for l, u in zip(lower, upper)):
                     raise Fault("NotAPartition", "generator bounds are inverted")
-                gen = Gen(gen_syntax.var, lower, upper)
-            parts.append(ImapPart(gen, body, env))
-        frame_box: Box = ((ZERO,) * len(frame), frame)
-        problem = forms_partition(frame_box, [p.gen.box for p in parts])
+                box = (lower, upper)
+            parts.append(ImapPart(gen_syntax.var, box, body, env))
+        problem = forms_partition(frame_box, [p.box for p in parts])
         if problem is not None:
             raise Fault("NotAPartition", problem)
         closure = ImapClosure(frame, cell, tuple(parts))
@@ -277,13 +299,13 @@ class Session:
             part = parts[0]  # a lone box tiles the frame, so it holds the index
         else:
             for part in parts:
-                if box_contains(part.gen.box, index):
+                if box_contains(part.box, index):
                     break
             else:
                 raise Fault("NotAPartition",
                             f"no partition covers index {render_shape(index)}")
         self.stats["body_evals"] += 1
-        env = part.env.extend(part.gen.var, vector_value(list(index)))
+        env = part.env.extend(part.var, vector_value(list(index)))
         result = self.eval(part.expr, env)
         shape = self._shape_of(result)
         if shape != closure.cell:
@@ -385,10 +407,7 @@ class Session:
                             f"filter scan passed the end of the argument "
                             f"(shape {render_shape(fc.arg_shape)}) looking for "
                             f"element [{target}]")
-            element = self.select(fc.argument, (source,))
-            segment.scan += 1
-            if self._predicate_accepts(fc.predicate, element):
-                segment.prefix.append(element)
+            self._scan_step(fc, segment, source)
         return segment.prefix[n]
 
     def _filter_shape(self, fc: FilterClosure) -> ShapeVec:
@@ -397,11 +416,17 @@ class Session:
             return (lam,)
         segment = fc.segment(lam)
         while segment.scan < k:
-            element = self.select(fc.argument, (lam + segment.scan,))
-            segment.scan += 1
-            if self._predicate_accepts(fc.predicate, element):
-                segment.prefix.append(element)
+            self._scan_step(fc, segment, lam + segment.scan)
         return (lam + len(segment.prefix),)
+
+    def _scan_step(self, fc: FilterClosure, segment: FilterSegment, source: Ordinal):
+        """Inspect the argument element at `source`, the next one `segment`
+        has not scanned.  It counts as scanned only once the predicate has
+        answered, so a fault or interrupt leaves it to be inspected again."""
+        element = self.select(fc.argument, (source,))
+        if self._predicate_accepts(fc.predicate, element):
+            segment.prefix.append(element)
+        segment.scan += 1
 
     ### forcing helpers
 
@@ -455,6 +480,9 @@ class Session:
     def run_program(self, source: str):
         """Evaluate top-level forms; bindings persist.  Returns the last
         form's value (a binding's value for trailing bindings)."""
+        return self._entry("eval", None, lambda: self._run_forms(source))
+
+    def _run_forms(self, source: str):
         last = None
         for form in parse_program(source):
             if isinstance(form, Binding):
@@ -483,28 +511,22 @@ class Session:
         return value
 
     def eval_source(self, source: str):
-        return self.eval(parse_expr(source), self.env)
+        return self._entry("eval", None,
+                           lambda: self.eval(parse_expr(source), self.env))
 
     def select_at(self, value, index: Sequence, span: Optional[Span] = None):
         """Scalar at `index` (a sequence of ints/Ordinals) within `value`."""
         vec = tuple(x if isinstance(x, Ordinal) else nat(x) for x in index)
-        try:
-            return self._force_scalar(self.select(value, vec))
-        except Fault as fault:
-            raise EvalError(fault.kind, fault.message, span, "select") from None
+        return self._entry("select", span,
+                           lambda: self._force_scalar(self.select(value, vec)))
 
     def strict_at(self, value, span: Optional[Span] = None) -> Tuple[ShapeVec, list]:
         """(shape, row-major data) of a finite `value`, forcing every element."""
-        try:
-            return self._force_strict(value, "ShapeMismatch", "expected a finite shape")
-        except Fault as fault:
-            raise EvalError(fault.kind, fault.message, span, "select") from None
+        return self._entry("select", span, lambda: self._force_strict(
+            value, "ShapeMismatch", "expected a finite shape"))
 
     def shape_at(self, value, span: Optional[Span] = None) -> ShapeVec:
-        try:
-            return self._shape_of(value)
-        except Fault as fault:
-            raise EvalError(fault.kind, fault.message, span, "shape") from None
+        return self._entry("shape", span, lambda: self._shape_of(value))
 
 
 _HANDLERS = {
@@ -558,20 +580,11 @@ def evaluate(source: str, config: Optional[EvalConfig] = None,
              prelude: bool = True) -> Result:
     """Run a program (bindings plus optional trailing expression)."""
     session = new_session(config, prelude)
-    try:
-        value = session.run_program(source)
-    except RecursionError:
-        raise EvalError("FuelExhausted", "recursion depth exceeded; "
-                        "the evaluation does not terminate", None, "eval") from None
-    return Result(session, value)
+    return Result(session, session.run_program(source))
 
 
 def probe(result: Result, index: Sequence):
     """Scalar at `index` within a Result's value."""
     if result.value is None:
         raise ValueError("the program produced no value")
-    try:
-        return result.session.select_at(result.value, index)
-    except RecursionError:
-        raise EvalError("FuelExhausted", "recursion depth exceeded; "
-                        "the evaluation does not terminate", None, "select") from None
+    return result.session.select_at(result.value, index)

@@ -109,11 +109,11 @@ class Ordinal:
     # -- order ----------------------------------------------------------
 
     def _cmp_key(self, other) -> "Terms | None":
+        """`other`'s terms, or None when it is no ordinal (a negative int is
+        none): then it is unequal and unordered, as any unrelated type."""
         if isinstance(other, Ordinal):
             return other.terms
-        if isinstance(other, int) and not isinstance(other, bool):
-            if other < 0:
-                raise ValueError(f"ordinals cannot be negative: {other}")
+        if isinstance(other, int) and not isinstance(other, bool) and other >= 0:
             return ((0, other),) if other else ()
         return None
 

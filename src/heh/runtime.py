@@ -69,28 +69,15 @@ class FunClosure:
         self.env = env
 
 
-class Gen:
-    """Evaluated generator: variable name plus ordinal bounds vectors."""
-
-    __slots__ = ("var", "lower", "upper")
-
-    def __init__(self, var: str, lower: ShapeVec, upper: ShapeVec):
-        self.var = var
-        self.lower = lower
-        self.upper = upper
-
-    @property
-    def box(self) -> "Box":
-        return (self.lower, self.upper)
-
-
 class ImapPart:
-    """One generator box of an imap and the unevaluated body it maps."""
+    """One evaluated generator of an imap: its index variable, its box of
+    ordinal bounds, and the unevaluated body it maps."""
 
-    __slots__ = ("gen", "expr", "env")
+    __slots__ = ("var", "box", "expr", "env")
 
-    def __init__(self, gen: Gen, expr, env: "Env"):
-        self.gen = gen
+    def __init__(self, var: str, box: "Box", expr, env: "Env"):
+        self.var = var
+        self.box = box
         self.expr = expr
         self.env = env
 

@@ -8,6 +8,8 @@ from importlib.resources import files
 import pytest
 
 from heh import cli
+from heh.eval import Session
+from test_eval import interrupting_tick, shallow_limit  # noqa: F401 (a fixture)
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +120,25 @@ def test_error_while_printing_finite_imap_exits_one(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("ShapeMismatch")
     assert "imap element at [0] has shape [1], cell shape is []" in err
+
+
+# printing forces element 0, which recurses through the other 39,999
+DEEP_FINITE = ("letrec a = imap [40000] {[0] <= iv < [39999]: a.(addv iv [1]) + 1, "
+               "[39999] <= iv < [40000]: 0} in a")
+
+
+def test_depth_overflow_while_printing_exits_one(capsys):
+    code, out, err = run_cli(capsys, "-e", DEEP_FINITE)
+    assert (code, out) == (1, "")
+    assert err.startswith("DepthExceeded (in select): evaluation nested deeper "
+                          "than the interpreter's recursion limit")
+    assert "Traceback" not in err and "does not terminate" not in err
+
+
+def test_interrupted_run_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(Session, "_tick", interrupting_tick(1))
+    code, out, err = run_cli(capsys, "--no-prelude", "-e", "1 + 1")
+    assert (code, out, err) == (1, "", "interrupted\n")
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):
@@ -248,6 +269,25 @@ def test_repl_load_defines_names(monkeypatch, capsys):
     code, out, err = run_repl(monkeypatch, capsys,
                               f":load {path}\na.[0]\n")
     assert (code, out, err) == (0, "0\n", "")
+
+
+def test_repl_survives_depth_overflow_in_load(tmp_path, monkeypatch, capsys,
+                                              shallow_limit):
+    program = tmp_path / "deep.heh"
+    program.write_text(DEEP_FINITE.replace("40000", "2000").replace("39999", "1999")
+                       + ".[0]\n")
+    code, out, err = run_repl(monkeypatch, capsys, f":load {program}\n1 + 1\n")
+    assert (code, out) == (0, "2\n")
+    assert err.startswith("DepthExceeded (in eval): ")
+
+
+def test_repl_survives_interrupted_load(tmp_path, monkeypatch, capsys):
+    program = tmp_path / "p.heh"
+    program.write_text("let a = [1, 2]\nlet b = a.[1] + 1\n")
+    monkeypatch.setattr(Session, "_tick", interrupting_tick(5))
+    code, out, err = run_repl(monkeypatch, capsys, f":load {program}\n1 + 1\n",
+                              "--no-prelude")
+    assert (code, out, err) == (0, "2\n", "interrupted\n")
 
 
 def test_repl_load_missing_file(monkeypatch, capsys):

@@ -9,9 +9,13 @@ import gc
 import itertools
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+import heh.eval
+from heh.cli import format_value
 from heh.eval import EvalConfig, EvalError, Session, evaluate, new_session, probe
 from heh.ordinal import OMEGA, Ordinal, omega_power
 from heh.prelude import program_source
@@ -498,6 +502,135 @@ def test_binding_failure_restores_environment():
     with pytest.raises(EvalError):
         session.run_program("letrec x = x in 0")
     assert session.env.lookup("x") == 1
+
+
+### ---- the evaluation boundary -------------------------------------------------------
+
+
+def test_entries_leave_the_recursion_limit_as_found():
+    before = sys.getrecursionlimit()
+    session = Session()
+    assert sys.getrecursionlimit() == before
+    r = evaluate(program_source("nats.heh"))
+    assert sys.getrecursionlimit() == before
+    assert probe(r, [400]) == 400
+    assert sys.getrecursionlimit() == before
+    assert list(r.shape) == [OMEGA]
+    assert sys.getrecursionlimit() == before
+    assert format_value(r.session, r.value, 3).startswith("<imap shape=[w]> [0, 1, 2,")
+    assert sys.getrecursionlimit() == before
+    with pytest.raises(EvalError):
+        session.run_program("[1].[2]")
+    assert sys.getrecursionlimit() == before
+
+
+@pytest.fixture
+def shallow_limit(monkeypatch):
+    """A recursion limit of 3,000 frames for heh entries, so that running out
+    of frames is quick to reach; the process limit is held below it."""
+    monkeypatch.setattr(heh.eval, "RECURSION_LIMIT", 3000)
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(previous)
+
+
+def test_depth_overflow_is_depth_exceeded_and_the_session_recovers(shallow_limit):
+    r = evaluate(program_source("nats.heh"))
+    with pytest.raises(EvalError) as e:
+        probe(r, [2000])
+    assert (e.value.kind, e.value.rule) == ("DepthExceeded", "select")
+    assert e.value.message == ("evaluation nested deeper than the interpreter's "
+                               "recursion limit (3000 frames)")
+    assert sys.getrecursionlimit() == 1000
+    assert probe(r, [300]) == 300
+
+
+def test_depth_overflow_while_evaluating_a_program(shallow_limit):
+    session = new_session()
+    with pytest.raises(EvalError) as e:
+        session.run_program(program_source("nats.heh") + "\nnats.[2000]")
+    assert (e.value.kind, e.value.rule) == ("DepthExceeded", "eval")
+    assert session.run_program("nats.[300]") == 300
+
+
+def test_one_module_decides_about_the_recursion_limit():
+    """Raising the recursion limit and catching its overflow happen in the
+    evaluator's one entry boundary, and nowhere else in the package."""
+    sources = {path.name: path.read_text()
+               for path in Path(heh.eval.__file__).parent.glob("*.py")}
+    assert "eval.py" in sources and "cli.py" in sources
+    for name, text in sources.items():
+        if name != "eval.py":
+            assert "RecursionError" not in text, name
+            assert "setrecursionlimit" not in text, name
+    assert sources["eval.py"].count("except RecursionError") == 1
+    assert sources["eval.py"].count("sys.setrecursionlimit(") == 2  # raise, restore
+
+
+EVENS_OF = "filter (\\x. x % 2 = 0) "
+# (program defining v, probe of v, its value from a Python oracle)
+REPROBE_CASES = {
+    "filter over [w]": (
+        EVENS_OF + "(imap [w] {_(iv): iv.[0]})",
+        lambda s, v: [s.select_at(v, [i]) for i in range(13)],
+        [x for x in range(25) if x % 2 == 0]),
+    "filter over [w+3]": (
+        EVENS_OF + "(imap [w+3] {[0]<=iv<[w]: iv.[0], [w]<=iv<[w+3]: iv.[0] - w})",
+        lambda s, v: (s.shape_at(v), s.select_at(v, [OMEGA + 1]), s.select_at(v, [3])),
+        # the tail segment holds 0, 1, 2, of which 0 and 2 survive
+        ((OMEGA + 2,), 2, 6)),
+    "memoized nats": (
+        program_source("nats.heh"),
+        lambda s, v: s.select_at(v, [10]),
+        10),
+}
+
+
+@pytest.fixture(scope="module")
+def prelude_session():
+    return new_session()
+
+
+def interrupting_tick(k):
+    """A `Session._tick` whose k-th call raises KeyboardInterrupt, as Ctrl-C
+    in the middle of forcing would."""
+    tick = Session._tick
+    count = itertools.count(1)
+
+    def tick_or_interrupt(self):
+        if next(count) == k:
+            raise KeyboardInterrupt
+        tick(self)
+    return tick_or_interrupt
+
+
+@pytest.mark.parametrize("case", sorted(REPROBE_CASES))
+def test_failed_probe_leaves_the_session_able_to_reprobe(case, prelude_session,
+                                                         monkeypatch):
+    """Whichever rule a probe runs out of fuel at or is interrupted at, probing
+    again without a limit gives the oracle's value."""
+    source, probe_of, expected = REPROBE_CASES[case]
+    session = prelude_session
+    for k in range(1, 301):
+        for interrupt in (False, True):
+            session.fuel = None
+            value = session.run_program(source)
+            if interrupt:
+                with monkeypatch.context() as patch:
+                    patch.setattr(Session, "_tick", interrupting_tick(k))
+                    try:
+                        probe_of(session, value)
+                    except KeyboardInterrupt:
+                        pass
+            else:
+                session.fuel = k
+                try:
+                    probe_of(session, value)
+                except EvalError as error:
+                    assert error.kind == "FuelExhausted"
+                session.fuel = None
+            assert probe_of(session, value) == expected, (k, interrupt)
 
 
 ### ---- programs and embedding --------------------------------------------------------

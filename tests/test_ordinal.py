@@ -147,14 +147,28 @@ naturals = st.one_of(st.integers(0, 2000), st.integers(0, 10**20))
 @given(st.one_of(ordinals(), naturals.map(nat), naturals.map(Ordinal)),
        st.one_of(naturals, st.integers(-5, -1)))
 def test_equal_ordinal_and_int_hash_alike(a, b):
-    try:
-        equal = a == b
-    except ValueError:   # a negative int is not an ordinal
-        return
-    if equal:
+    if a == b:
         assert hash(a) == hash(b)
+    else:
+        assert a != b
     if a.is_natural:
         assert hash(a) == hash(a.natural())
+
+
+def test_negative_int_is_unequal_and_unordered():
+    # a negative int is no ordinal: it compares as any unrelated type would
+    assert Ordinal(3) != -1 and not Ordinal(3) == -1 and ZERO != -1
+    mixed = [Ordinal(3), -1, 3, -3]
+    assert mixed.count(-1) == 1 and mixed.index(Ordinal(3)) == 0
+    assert {Ordinal(2): "x", -2: "y"} == {2: "x", -2: "y"}
+    assert -2 not in {Ordinal(2), OMEGA}
+    for compare in (lambda: ZERO < -1, lambda: Ordinal(3) >= -1,
+                    lambda: -1 <= OMEGA):
+        with pytest.raises(TypeError):
+            compare()
+    for arithmetic in (lambda: Ordinal(3) + -1, lambda: -1 + Ordinal(3)):
+        with pytest.raises(ValueError):
+            arithmetic()
 
 
 # --- order -------------------------------------------------------------------
