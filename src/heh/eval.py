@@ -22,8 +22,8 @@ from .syntax import (
     Span, Var, parse_expr, parse_program,
 )
 
-# Python frames allowed while a public entry runs; a nats probe takes about
-# seven frames per level
+# Python frames allowed while a public entry runs; a nats level takes four
+# (`eval` of its sum and of its selection, `select`, `_cell_value`)
 RECURSION_LIMIT = 200_000
 
 
@@ -52,6 +52,42 @@ _RULE_NAMES = {
     ArrayLiteral: "array", Select: "select", Shape: "shape", Reduce: "reduce",
     Imap: "imap", Filter: "filter", IsLim: "islim",
 }
+
+
+def _binop(op: str, lhs, rhs):
+    """`lhs op rhs` for two forced scalars."""
+    if op == "=":
+        if isinstance(lhs, bool) and isinstance(rhs, bool):
+            return lhs == rhs
+        if isinstance(lhs, Ordinal) and isinstance(rhs, Ordinal):
+            return lhs == rhs
+        raise Fault("ShapeMismatch",
+                    "'=' compares two ordinals or two booleans")
+    if not isinstance(lhs, Ordinal) or not isinstance(rhs, Ordinal):
+        raise Fault("ShapeMismatch",
+                    f"'{op}' needs ordinal scalar operands")
+    try:
+        if op == "<":
+            return lhs < rhs
+        if op == "<=":
+            return lhs <= rhs
+        if op == ">":
+            return lhs > rhs
+        if op == ">=":
+            return lhs >= rhs
+        if op == "+":
+            return lhs + rhs
+        if op == "*":
+            return lhs * rhs
+        if op == "-":
+            return lhs - rhs
+        if op == "/":
+            return lhs // rhs
+        return lhs % rhs
+    except UndefinedOrdinalOp as exc:
+        raise Fault("UndefinedOrdinalOp", str(exc)) from None
+    except ZeroDivisionError:
+        raise Fault("DivisionByZero", "division by zero") from None
 
 
 class Session:
@@ -102,32 +138,66 @@ class Session:
     ### the evaluator proper
 
     def eval(self, node: Expr, env: Env):
+        """The value of `node` in `env`.  Every node is evaluated in this one
+        frame; the branches are ordered by how often each kind is met."""
         try:
             self._tick()
-            return _HANDLERS[type(node)](self, node, env)
+            cls = node.__class__
+            if cls is Var:
+                value = env.lookup(node.name)
+                if value is None:
+                    raise Fault("UnboundVariable", f"unbound variable '{node.name}'")
+                # an empty cell is passed on unforced; only forcing it is an error
+                while isinstance(value, Rec) and value.value is not None:
+                    value = value.value
+                return value
+            if cls is Select:
+                array = self.eval(node.array, env)
+                index = self._force_ordinal_vector(self.eval(node.index, env),
+                                                   "selection index")
+                return self.select(array, index)
+            if cls is OrdinalConst:
+                return node.value
+            if cls is BinOp:
+                lhs = self._force_scalar(self.eval(node.lhs, env))
+                rhs = self._force_scalar(self.eval(node.rhs, env))
+                return _binop(node.op, lhs, rhs)
+            if cls is Apply:
+                fun = self.eval(node.fun, env)
+                return self._apply(fun, self.eval(node.arg, env))
+            if cls is ArrayLiteral:
+                return self._eval_array(node, env)
+            if cls is Cond:
+                test = self._force_scalar(self.eval(node.test, env))
+                if not isinstance(test, bool):
+                    raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
+                return self.eval(node.then if test else node.orelse, env)
+            if cls is Lambda:
+                return FunClosure(node.param, node.body, env)
+            if cls is Letrec:
+                cell = Rec(node.name)
+                env = env.extend(node.name, cell)
+                self._define_recursive(cell, node.bound, env, node.span)
+                return self.eval(node.body, env)
+            if cls is Imap:
+                return self._eval_imap(node, env)
+            if cls is Shape:
+                return vector_value(list(self._shape_of(self.eval(node.arg, env))))
+            if cls is Reduce:
+                return self._eval_reduce(node, env)
+            if cls is Filter:
+                return self._eval_filter(node, env)
+            if cls is BoolConst:
+                return node.value
+            if cls is IsLim:
+                x = self._force_scalar(self.eval(node.arg, env))
+                if not isinstance(x, Ordinal):
+                    raise Fault("ShapeMismatch", "islim needs an ordinal scalar")
+                return x.is_limit
+            raise TypeError(f"not an expression: {node!r}")
         except Fault as fault:
             raise EvalError(fault.kind, fault.message, node.span,
-                            _RULE_NAMES[type(node)]) from None
-
-    def _eval_const(self, node, env):
-        return node.value
-
-    def _eval_var(self, node: Var, env: Env):
-        value = env.lookup(node.name)
-        if value is None:
-            raise Fault("UnboundVariable", f"unbound variable '{node.name}'")
-        # an empty cell is passed on unforced; only forcing it is an error
-        while isinstance(value, Rec) and value.value is not None:
-            value = value.value
-        return value
-
-    def _eval_lambda(self, node: Lambda, env: Env):
-        return FunClosure(node.param, node.body, env)
-
-    def _eval_apply(self, node: Apply, env: Env):
-        fun = self.eval(node.fun, env)
-        arg = self.eval(node.arg, env)
-        return self._apply(fun, arg)
+                            _RULE_NAMES[node.__class__]) from None
 
     def _apply(self, fun, arg):
         self._tick()
@@ -135,18 +205,6 @@ class Session:
         if not isinstance(fun, FunClosure):
             raise Fault("NotAFunction", "only functions can be applied")
         return self.eval(fun.body, fun.env.extend(fun.param, arg))
-
-    def _eval_cond(self, node: Cond, env: Env):
-        test = self._force_scalar(self.eval(node.test, env))
-        if not isinstance(test, bool):
-            raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
-        return self.eval(node.then if test else node.orelse, env)
-
-    def _eval_letrec(self, node: Letrec, env: Env):
-        cell = Rec(node.name)
-        env = env.extend(node.name, cell)
-        self._define_recursive(cell, node.bound, env, node.span)
-        return self.eval(node.body, env)
 
     def _define_recursive(self, cell: Rec, expr: Expr, env: Env, span: Span):
         """Evaluate a `letrec` definition in `env`, where its name is bound to
@@ -163,45 +221,6 @@ class Session:
         cell.value = value
         return value
 
-    def _eval_binop(self, node: BinOp, env: Env):
-        lhs = self._force_scalar(self.eval(node.lhs, env))
-        rhs = self._force_scalar(self.eval(node.rhs, env))
-        op = node.op
-        if op == "=":
-            if isinstance(lhs, bool) and isinstance(rhs, bool):
-                return lhs == rhs
-            if isinstance(lhs, Ordinal) and isinstance(rhs, Ordinal):
-                return lhs == rhs
-            raise Fault("ShapeMismatch",
-                        "'=' compares two ordinals or two booleans")
-        if not isinstance(lhs, Ordinal) or not isinstance(rhs, Ordinal):
-            raise Fault("ShapeMismatch",
-                        f"'{op}' needs ordinal scalar operands")
-        try:
-            if op == "<":
-                result = lhs < rhs
-            elif op == "<=":
-                result = lhs <= rhs
-            elif op == ">":
-                result = lhs > rhs
-            elif op == ">=":
-                result = lhs >= rhs
-            elif op == "+":
-                result = lhs + rhs
-            elif op == "*":
-                result = lhs * rhs
-            elif op == "-":
-                result = lhs - rhs
-            elif op == "/":
-                result = lhs // rhs
-            else:
-                result = lhs % rhs
-        except UndefinedOrdinalOp as exc:
-            raise Fault("UndefinedOrdinalOp", str(exc)) from None
-        except ZeroDivisionError:
-            raise Fault("DivisionByZero", "division by zero") from None
-        return result
-
     def _eval_array(self, node: ArrayLiteral, env: Env):
         values = [self.eval(e, env) for e in node.elements]
         if not values:
@@ -217,9 +236,6 @@ class Session:
         shape = (nat(len(values)),) + shapes[0]
         return StrictArray(shape, [x for d in datas for x in d])
 
-    def _eval_shape(self, node: Shape, env: Env):
-        return vector_value(list(self._shape_of(self.eval(node.arg, env))))
-
     def _shape_of(self, value) -> ShapeVec:
         value = self._value(value)
         if isinstance(value, (StrictArray, ImapClosure)):
@@ -227,12 +243,6 @@ class Session:
         if isinstance(value, FilterClosure):
             return self._filter_shape(value)
         return ()
-
-    def _eval_islim(self, node: IsLim, env: Env):
-        x = self._force_scalar(self.eval(node.arg, env))
-        if not isinstance(x, Ordinal):
-            raise Fault("ShapeMismatch", "islim needs an ordinal scalar")
-        return x.is_limit
 
     def _eval_reduce(self, node: Reduce, env: Env):
         fun = self.eval(node.fun, env)
@@ -328,35 +338,24 @@ class Session:
 
     ### selection
 
-    def _eval_select(self, node: Select, env: Env):
-        array = self.eval(node.array, env)
-        index = self.eval(node.index, env)
-        return self.select(array, self._force_ordinal_vector(index, "selection index"))
-
     def select(self, value, index: ShapeVec):
         self._tick()
         value = self._value(value)
         if isinstance(value, StrictArray):
             return value.data[linearize(value.shape, index)]
         if isinstance(value, ImapClosure):
-            m = len(value.frame)
-            if len(index) != m + len(value.cell):
+            shape = value.shape
+            if len(index) != len(shape):
                 raise Fault("RankMismatch",
-                            f"index of length {len(index)} into rank-"
-                            f"{m + len(value.cell)} imap")
-            frame_index, cell_index = index[:m], index[m:]
-            for i, s in zip(frame_index, value.frame):
+                            f"index of length {len(index)} into rank-{len(shape)} imap")
+            for i, s in zip(index, shape):
                 if not ZERO <= i < s:
                     raise Fault("IndexOutOfBounds",
                                 f"index {render_shape(index)} outside shape "
-                                f"{render_shape(value.shape)}")
-            for j, s in zip(cell_index, value.cell):
-                if not ZERO <= j < s:
-                    raise Fault("IndexOutOfBounds",
-                                f"index {render_shape(index)} outside shape "
-                                f"{render_shape(value.shape)}")
-            cell = self._cell_value(value, frame_index)
-            return self.select(cell, cell_index)
+                                f"{render_shape(shape)}")
+            m = len(value.frame)
+            cell = self._cell_value(value, index[:m])
+            return self.select(cell, index[m:])
         if isinstance(value, FilterClosure):
             if len(index) != 1:
                 raise Fault("RankMismatch", "filter results are 1-dimensional")
@@ -527,25 +526,6 @@ class Session:
 
     def shape_at(self, value, span: Optional[Span] = None) -> ShapeVec:
         return self._entry("shape", span, lambda: self._shape_of(value))
-
-
-_HANDLERS = {
-    OrdinalConst: Session._eval_const,
-    BoolConst: Session._eval_const,
-    Var: Session._eval_var,
-    Lambda: Session._eval_lambda,
-    Apply: Session._eval_apply,
-    Cond: Session._eval_cond,
-    Letrec: Session._eval_letrec,
-    BinOp: Session._eval_binop,
-    ArrayLiteral: Session._eval_array,
-    Select: Session._eval_select,
-    Shape: Session._eval_shape,
-    Reduce: Session._eval_reduce,
-    Imap: Session._eval_imap,
-    Filter: Session._eval_filter,
-    IsLim: Session._eval_islim,
-}
 
 
 ### ---- embedding interface -------------------------------------------------------

@@ -42,10 +42,6 @@ class StrictArray:
         self.shape = shape
         self.data = data
 
-    @property
-    def rank(self) -> int:
-        return len(self.shape)
-
     def __repr__(self) -> str:
         return f"StrictArray({self.shape!r}, {self.data!r})"
 

@@ -122,9 +122,9 @@ def test_error_while_printing_finite_imap_exits_one(capsys):
     assert "imap element at [0] has shape [1], cell shape is []" in err
 
 
-# printing forces element 0, which recurses through the other 39,999
-DEEP_FINITE = ("letrec a = imap [40000] {[0] <= iv < [39999]: a.(addv iv [1]) + 1, "
-               "[39999] <= iv < [40000]: 0} in a")
+# printing forces element 0, which recurses through the other 59,999
+DEEP_FINITE = ("letrec a = imap [60000] {[0] <= iv < [59999]: a.(addv iv [1]) + 1, "
+               "[59999] <= iv < [60000]: 0} in a")
 
 
 def test_depth_overflow_while_printing_exits_one(capsys):
@@ -274,7 +274,7 @@ def test_repl_load_defines_names(monkeypatch, capsys):
 def test_repl_survives_depth_overflow_in_load(tmp_path, monkeypatch, capsys,
                                               shallow_limit):
     program = tmp_path / "deep.heh"
-    program.write_text(DEEP_FINITE.replace("40000", "2000").replace("39999", "1999")
+    program.write_text(DEEP_FINITE.replace("60000", "2000").replace("59999", "1999")
                        + ".[0]\n")
     code, out, err = run_repl(monkeypatch, capsys, f":load {program}\n1 + 1\n")
     assert (code, out) == (0, "2\n")

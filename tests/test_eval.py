@@ -440,28 +440,55 @@ def test_letrec_under_strict_config_stays_lazy():
 
 
 def test_error_kinds_and_spans():
+    # (source, kind, rule, line, col): the rule and position are those of the
+    # node whose own step failed, a parenthesized node starting at its "("
     cases = [
-        ("nope", "UnboundVariable"),
-        ("5 3", "NotAFunction"),
-        ("if 1 then 2 else 3", "ShapeMismatch"),
-        ("1 - 2", "UndefinedOrdinalOp"),
-        ("1 / 0", "DivisionByZero"),
-        ("1 % 0", "DivisionByZero"),
-        ("(\\x.x).[0]", "IrreducibleTerm"),
-        ("5 = true", "ShapeMismatch"),
-        ("w < true", "ShapeMismatch"),
-        ("islim true", "ShapeMismatch"),
-        ("filter (\\x.true) 5", "FilterRankError"),
-        ("filter 5 [1]", "NotAFunction"),
-        ("reduce 5 0 [1]", "NotAFunction"),
-        ("imap [true] {_(iv): 0}", "ShapeMismatch"),
+        ("nope", "UnboundVariable", "var", 1, 1),
+        ("1 +\n  nope", "UnboundVariable", "var", 2, 3),
+        ("5 3", "NotAFunction", "apply", 1, 1),
+        ("(\\f. f 1) 2", "NotAFunction", "apply", 1, 6),
+        ("if 1 then 2 else 3", "ShapeMismatch", "cond", 1, 1),
+        ("(\\x. if x then 1 else 2) 3", "ShapeMismatch", "cond", 1, 6),
+        ("letrec x = x in 0", "UnboundVariable", "letrec", 1, 1),
+        ("1 - 2", "UndefinedOrdinalOp", "binop", 1, 1),
+        ("1 + (2 - 3)", "UndefinedOrdinalOp", "binop", 1, 5),
+        ("1 / 0", "DivisionByZero", "binop", 1, 1),
+        ("1 % 0", "DivisionByZero", "binop", 1, 1),
+        ("5 = true", "ShapeMismatch", "binop", 1, 1),
+        ("w < true", "ShapeMismatch", "binop", 1, 1),
+        ("if true then [1, [2]] else 0", "HeterogeneousNesting", "array", 1, 14),
+        ("(\\x.x).[0]", "IrreducibleTerm", "select", 1, 1),
+        ("1 + [1, 2].[9]", "IndexOutOfBounds", "select", 1, 5),
+        ("|filter (\\x. 1) (imap [w+1] {_(iv): 0})|", "ShapeMismatch",
+         "shape", 1, 1),
+        ("islim true", "ShapeMismatch", "islim", 1, 1),
+        ("filter (\\x.true) 5", "FilterRankError", "filter", 1, 1),
+        ("filter 5 [1]", "NotAFunction", "filter", 1, 1),
+        ("reduce 5 0 [1]", "NotAFunction", "reduce", 1, 1),
+        ("imap [true] {_(iv): 0}", "ShapeMismatch", "imap", 1, 1),
     ]
-    for src, kind in cases:
+    for src, kind, rule, line, col in cases:
         with pytest.raises(EvalError) as e:
             run(src)
-        assert e.value.kind == kind, src
-        assert e.value.span.line >= 1
-        assert e.value.rule
+        assert (e.value.kind, e.value.rule, e.value.span.line,
+                e.value.span.col) == (kind, rule, line, col), src
+
+
+def test_fuel_runs_out_at_the_same_rule():
+    # (\x. x + 1) 2 takes seven rules: the application, its function and
+    # argument, the beta step, then the sum, x and 1 in the body
+    src = "(\\x. x + 1) 2"
+    expected = [("apply", 1), ("lambda", 1), ("const", 13), ("apply", 1),
+                ("binop", 6), ("var", 6), ("const", 10)]
+    for fuel, (rule, col) in enumerate(expected):
+        with pytest.raises(EvalError) as e:
+            run(src, EvalConfig(fuel=fuel))
+        assert (e.value.kind, e.value.rule, e.value.span.col) == \
+            ("FuelExhausted", rule, col), fuel
+    assert run(src, EvalConfig(fuel=len(expected))).value == 3
+    with pytest.raises(EvalError) as e:
+        run("if true then 1 else 2", EvalConfig(fuel=1))
+    assert (e.value.rule, e.value.span.col) == ("const", 4)
 
 
 def test_ordinal_vector_errors():
@@ -544,6 +571,18 @@ def test_depth_overflow_is_depth_exceeded_and_the_session_recovers(shallow_limit
                                "recursion limit (3000 frames)")
     assert sys.getrecursionlimit() == 1000
     assert probe(r, [300]) == 300
+
+
+def test_a_nats_level_takes_four_frames(shallow_limit):
+    # each level is `eval` of the sum and of the selection, `select` and
+    # `_cell_value`: 600 levels fit under 3,000 frames, 750 would not
+    r = evaluate(program_source("nats.heh"))
+    assert probe(r, [600]) == 600
+
+
+def test_deepest_benchmark_probe_fits_under_the_real_limit():
+    r = evaluate(program_source("nats.heh"))
+    assert probe(r, [40000]) == 40000
 
 
 def test_depth_overflow_while_evaluating_a_program(shallow_limit):

@@ -261,15 +261,21 @@ def test_gol_infinite_plane_window():
 
 
 def ackermann_oracle(m, n):
-    sys.setrecursionlimit(200_000)
-
-    def ack(m, n):
+    """The textbook recurrence, with the pending outer calls' first
+    arguments on an explicit stack instead of Python frames."""
+    stack = [m]
+    while stack:
+        m = stack.pop()
         if m == 0:
-            return n + 1
-        if n == 0:
-            return ack(m - 1, 1)
-        return ack(m - 1, ack(m, n - 1))
-    return ack(m, n)
+            n += 1
+        elif n == 0:
+            stack.append(m - 1)
+            n = 1
+        else:
+            stack.append(m - 1)  # A(m - 1, A(m, n - 1))
+            stack.append(m)
+            n -= 1
+    return n
 
 
 def test_programs_ship():
