@@ -1,6 +1,7 @@
 """Command-line front end: run a file, evaluate one expression, or start a REPL."""
 
 import argparse
+import itertools
 import sys
 from typing import List, Optional
 
@@ -41,21 +42,17 @@ def format_value(session: Session, value, force_elements: int) -> str:
 def _lazy_prefix(session: Session, value, shape, k: int) -> str:
     parts: List[str] = []
     if len(shape) == 1:
-        blocks, truncated = _segments(shape[0])
-        for start, length in blocks:
+        # past the cap the shown blocks are all infinite, so each ends in "..."
+        for start, length in itertools.islice(_segments(shape[0]), SEGMENT_CAP):
             shown = length if length is not None and length <= k else k
             if not _force_run(session, value, parts,
                               ((start + Ordinal(j),) for j in range(shown))):
                 break
             if length is None or length > shown:
                 parts.append("...")
-        else:
-            if truncated and (not parts or parts[-1] != "..."):
-                parts.append("...")
-    else:
+    elif ZERO not in shape:
         _force_run(session, value, parts, _odometer(shape, k))
-        if not parts or parts[-1] != "...":
-            parts.append("...")
+        parts.append("...")
     body = ", ".join(parts)
     return "[" + body + (" ]" if body.endswith("...") else "]")
 
@@ -72,29 +69,21 @@ def _force_run(session: Session, value, parts: List[str], indices) -> bool:
 
 
 def _segments(alpha: Ordinal):
-    """Leading index blocks of a rank-1 shape as (start, finite length or None),
-    treating each w^e summand as a single block.  Capped at SEGMENT_CAP."""
-    blocks = []
+    """The index blocks of a rank-1 shape as (start, finite length or None),
+    treating each w^e summand as a single block; only the last can be finite."""
     acc = ZERO
     for exponent, coeff in alpha.terms:
         if exponent == 0:
-            blocks.append((acc, coeff))
+            yield acc, coeff
         else:
             unit = omega_power(exponent)
             for _ in range(coeff):
-                if len(blocks) == SEGMENT_CAP:
-                    return blocks, True
-                blocks.append((acc, None))
+                yield acc, None
                 acc = acc + unit
-        if len(blocks) > SEGMENT_CAP:
-            return blocks[:SEGMENT_CAP], True
-    return blocks[:SEGMENT_CAP], len(blocks) > SEGMENT_CAP
 
 
 def _odometer(shape, k: int):
-    """First k indices of a rank>=2 index space in row-major order."""
-    if any(s == ZERO for s in shape):
-        return
+    """First k indices of a non-empty rank>=2 index space in row-major order."""
     index = [ZERO] * len(shape)
     for _ in range(k):
         yield tuple(index)
@@ -245,10 +234,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("heh: error: a program file and -e are mutually exclusive",
               file=sys.stderr)
         return 2
-    if args.force_print < 0:
-        parser.print_usage(sys.stderr)
-        print("heh: error: --force-print must be >= 0", file=sys.stderr)
-        return 2
+    for flag, number in (("--fuel", args.fuel), ("--force-print", args.force_print)):
+        if number is not None and number < 0:
+            parser.print_usage(sys.stderr)
+            print(f"heh: error: {flag} must be >= 0", file=sys.stderr)
+            return 2
     if args.probe is not None:
         try:
             parse_index_literal(args.probe)

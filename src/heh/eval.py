@@ -6,6 +6,7 @@ by default, any) frames and filter over infinite vectors, which build
 closures whose elements are computed and memoized on selection.
 """
 
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -54,6 +55,14 @@ _RULE_NAMES = {
 }
 
 
+# `=` is not here: `_binop` handles it first, as it also compares booleans
+_ORDINAL_OPS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.floordiv, "%": operator.mod,
+}
+
+
 def _binop(op: str, lhs, rhs):
     """`lhs op rhs` for two forced scalars."""
     if op == "=":
@@ -67,23 +76,7 @@ def _binop(op: str, lhs, rhs):
         raise Fault("ShapeMismatch",
                     f"'{op}' needs ordinal scalar operands")
     try:
-        if op == "<":
-            return lhs < rhs
-        if op == "<=":
-            return lhs <= rhs
-        if op == ">":
-            return lhs > rhs
-        if op == ">=":
-            return lhs >= rhs
-        if op == "+":
-            return lhs + rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "/":
-            return lhs // rhs
-        return lhs % rhs
+        return _ORDINAL_OPS[op](lhs, rhs)
     except UndefinedOrdinalOp as exc:
         raise Fault("UndefinedOrdinalOp", str(exc)) from None
     except ZeroDivisionError:

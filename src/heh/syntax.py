@@ -81,7 +81,6 @@ _TOKEN_RE = re.compile(
 @dataclass(frozen=True)
 class Token:
     kind: str          # "number", "ident", "eof", a keyword, or the symbol text
-    text: str
     value: object      # int for numbers, name for idents, else None
     span: Span
 
@@ -104,19 +103,17 @@ def tokenize(source: str) -> List[Token]:
         if m.lastgroup == "ws":
             continue
         if m.lastgroup == "number":
-            tokens.append(Token("number", m.group(), int(m.group()), sp))
+            tokens.append(Token("number", int(m.group()), sp))
         elif m.lastgroup == "ident":
             text = m.group()
-            if text == "_":
-                tokens.append(Token("_", text, None, sp))
-            elif text in KEYWORDS:
-                tokens.append(Token(text, text, None, sp))
+            if text == "_" or text in KEYWORDS:
+                tokens.append(Token(text, None, sp))
             else:
-                tokens.append(Token("ident", text, text, sp))
+                tokens.append(Token("ident", text, sp))
         else:
             text = "\\" if m.group() == "λ" else m.group()
-            tokens.append(Token(text, text, None, sp))
-    tokens.append(Token("eof", "", None, span_at(len(source), len(source))))
+            tokens.append(Token(text, None, sp))
+    tokens.append(Token("eof", None, span_at(len(source), len(source))))
     return tokens
 
 
@@ -263,9 +260,12 @@ TopForm = Union[Binding, Expr]
 
 ### ---- parser -----------------------------------------------------------------
 
-_CMP_OPS = ("=", "<", "<=", ">", ">=")
-_ADD_OPS = ("+", "-")
-_MUL_OPS = ("*", "/", "%")
+# binary operators by precedence level, loosest first; `++` is right-
+# associative sugar for the prelude function, the rest are left-associative
+# BinOps
+_LEVELS = (("=", "<", "<=", ">", ">="), ("++",), ("+", "-"), ("*", "/", "%"))
+_LEVEL_OF = {op: level for level, ops in enumerate(_LEVELS) for op in ops}
+_TIGHTEST = len(_LEVELS) - 1
 
 # tokens that may start an atom (plus "|", which depends on context)
 _ATOM_STARTERS = ("number", "ident", "w", "true", "false", "(", "[")
@@ -315,7 +315,7 @@ class _Parser:
         if tok.kind == "let":
             raise ParseError("'let' is only a top-level binding; use 'letrec ... in' "
                              "for expressions", tok.span)
-        return self.comparison(bars)
+        return self.binary(bars)
 
     def lambda_(self, bars: bool) -> Expr:
         start = self.pos
@@ -380,52 +380,36 @@ class _Parser:
             gen: Generator = Full(var, self._span(start))
         else:
             # bounds sit at ++ level so the generator's < and <= stay unambiguous
-            lower = self.concat(bars=False)
+            lower = self.binary(False, _LEVEL_OF["++"])
             self.expect("<=")
             var = self.expect("ident").value
             self.expect("<")
-            upper = self.concat(bars=False)
+            upper = self.binary(False, _LEVEL_OF["++"])
             gen = Bounds(lower, var, upper, self._span(start))
         self.expect(":")
         body = self.expr(bars=False)
         return (gen, body)
 
-    def comparison(self, bars: bool) -> Expr:
-        start = self.pos
-        node = self.concat(bars)
-        while self.peek().kind in _CMP_OPS:
-            op = self.next().kind
-            rhs = self.concat(bars)
-            node = BinOp(op, node, rhs, self._span(start))
-        return node
-
-    def concat(self, bars: bool) -> Expr:
-        start = self.pos
-        node = self.additive(bars)
-        if self.at("++"):
-            optok = self.next()
-            rhs = self.concat(bars)  # right-associative
-            fn = Apply(Var("++", optok.span), node, self._span(start))
-            node = Apply(fn, rhs, self._span(start))
-        return node
-
-    def additive(self, bars: bool) -> Expr:
-        start = self.pos
-        node = self.multiplicative(bars)
-        while self.peek().kind in _ADD_OPS:
-            op = self.next().kind
-            rhs = self.multiplicative(bars)
-            node = BinOp(op, node, rhs, self._span(start))
-        return node
-
-    def multiplicative(self, bars: bool) -> Expr:
+    def binary(self, bars: bool, level: int = 0) -> Expr:
+        """Operators of `level` and tighter, by precedence climbing: the
+        right operand of a level-k operator takes only tighter operators
+        (the same level too for the right-associative `++`)."""
         start = self.pos
         node = self.selection(bars)
-        while self.peek().kind in _MUL_OPS:
-            op = self.next().kind
-            rhs = self.selection(bars)
-            node = BinOp(op, node, rhs, self._span(start))
-        return node
+        while True:
+            optok = self.peek()
+            op_level = _LEVEL_OF.get(optok.kind)
+            if op_level is None or op_level < level:
+                return node
+            self.next()
+            if optok.kind == "++":
+                rhs = self.binary(bars, op_level)
+                fn = Apply(Var("++", optok.span), node, self._span(start))
+                node = Apply(fn, rhs, self._span(start))
+            else:
+                rhs = (self.selection(bars) if op_level == _TIGHTEST
+                       else self.binary(bars, op_level + 1))
+                node = BinOp(optok.kind, node, rhs, self._span(start))
 
     def selection(self, bars: bool) -> Expr:
         start = self.pos
@@ -568,16 +552,12 @@ class _Parser:
         return self.expr(bars=False)
 
 
-def parse(tokens: List[Token]) -> Expr:
+def parse_expr(source: str) -> Expr:
     """Parse a single expression; all tokens must be consumed."""
-    p = _Parser(tokens)
+    p = _Parser(tokenize(source))
     node = p.expr(bars=False)
     p.expect("eof")
     return node
-
-
-def parse_expr(source: str) -> Expr:
-    return parse(tokenize(source))
 
 
 def parse_program(source: str) -> List[TopForm]:
@@ -589,26 +569,8 @@ def parse_program(source: str) -> List[TopForm]:
 ### ---- pretty-printer ----------------------------------------------------------
 
 # precedence tiers; a node is parenthesized when its tier is below the
-# minimum its position requires
+# minimum its position requires.  `_LEVELS` are the tiers from `_CMP` on.
 _LOOSE, _CMP, _CONCAT, _ADD, _MUL, _SELECT, _APP, _ATOM = range(8)
-
-
-def _tier(node: Expr) -> int:
-    if isinstance(node, (Lambda, Letrec, Cond, Imap)):
-        return _LOOSE
-    if isinstance(node, BinOp):
-        if node.op in _CMP_OPS:
-            return _CMP
-        if node.op in _ADD_OPS:
-            return _ADD
-        return _MUL
-    if _concat_parts(node) is not None:
-        return _CONCAT
-    if isinstance(node, Select):
-        return _SELECT
-    if isinstance(node, (Apply, Reduce, Filter, IsLim)):
-        return _APP
-    return _ATOM
 
 
 def _concat_parts(node: Expr):
@@ -663,7 +625,7 @@ def _render(node: Expr, bars: bool) -> Tuple[str, int]:
                 f"then {render(node.then, _LOOSE, bars)} "
                 f"else {render(node.orelse, _LOOSE, bars)}"), _LOOSE
     if isinstance(node, BinOp):
-        tier = _tier(node)
+        tier = _CMP + _LEVEL_OF[node.op]
         lhs = render(node.lhs, tier, bars)
         rhs = render(node.rhs, tier + 1, bars)
         return f"{lhs} {node.op} {rhs}", tier

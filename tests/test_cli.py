@@ -148,6 +148,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run_cli(capsys, "nonexistent.heh")[0] == 2            # missing file
     assert run_cli(capsys, "-e", "1", "--probe", "3,3")[0] == 2  # bad literal
     assert run_cli(capsys, "-e", "1", "--force-print", "-1")[0] == 2
+    code, _, err = run_cli(capsys, "-e", "1 + 1", "--fuel", "-5")
+    assert code == 2 and "heh: error: --fuel must be >= 0" in err
     assert cli.main(["--fuel", "abc"]) == 2
 
 
@@ -189,6 +191,12 @@ def test_each_infinite_segment_gets_a_prefix(capsys):
         "imap [w*2] {[0] <= iv < [w]: 0, [w] <= iv < [w*2]: 1}",
         "--force-print", "2")
     assert out == "<imap shape=[w*2]> [0, 0, ..., 1, 1, ... ]\n"
+    # w*7 and w*3+2 have more than SEGMENT_CAP (3) blocks; only the first get one
+    blocks = "[0, 1, 2, ..., w, w + 1, w + 2, ..., w*2, w*2 + 1, w*2 + 2, ... ]"
+    for shape, shown in (("w*7", "w*7"), ("w*3+2", "w*3 + 2")):
+        _, out, _ = run_cli(capsys, "-e", f"imap [{shape}] {{_(iv): iv.[0]}}",
+                            "--force-print", "3")
+        assert out == f"<imap shape=[{shown}]> {blocks}\n"
 
 
 def test_finite_tail_segment_prints_completely(capsys):
@@ -203,6 +211,16 @@ def test_rank_two_infinite_prints_row_major_prefix(capsys):
     _, out, _ = run_cli(capsys, "-e", "imap [w,w] {_(iv): iv.[1]}",
                         "--force-print", "4")
     assert out == "<imap shape=[w, w]> [0, 1, 2, 3, ... ]\n"
+    # the last axis carries into the one before it
+    _, out, _ = run_cli(capsys, "-e", "imap [w, 2] {_(iv): iv.[1]}",
+                        "--force-print", "3")
+    assert out == "<imap shape=[w, 2]> [0, 1, 0, ... ]\n"
+
+
+def test_infinite_shape_with_no_elements_prints_empty(capsys):
+    for shape in ("w, 0", "0, w"):
+        code, out, _ = run_cli(capsys, "-e", f"imap [{shape}] {{_(iv): 1}}")
+        assert (code, out) == (0, f"<imap shape=[{shape}]> []\n")
 
 
 def test_printing_never_forces_filter_elements(capsys):

@@ -65,6 +65,25 @@ def test_arithmetic():
     assert val("true = false") is False
     assert val("(w + 5) / w") == 1
     assert val("(w + 5) % w") == 5
+    assert val("10 - 3 - 2") == 5
+    assert val("20 / 3 % 4") == 2
+    # naturals against Python's int order
+    for a, b in itertools.product(range(4), repeat=2):
+        for op, holds in (("<", a < b), ("<=", a <= b), (">", a > b), (">=", a >= b)):
+            assert val(f"{a} {op} {b}") is holds, (a, op, b)
+    # transfinite pairs: 1 + w = w < w + 1, and w*2 > w + 5
+    assert val("w <= w") is True
+    assert val("w < w") is False
+    assert val("w >= w") is True
+    assert val("w + 1 <= w") is False
+    assert val("w <= w + 1") is True
+    assert val("3 >= w") is False
+    assert val("3 < w") is True
+    assert val("w > 3") is True
+    assert val("1 + w < w + 1") is True
+    assert val("1 + w >= w") is True
+    assert val("w * 2 > w + 5") is True
+    assert val("w^2 <= w * 7") is False
 
 
 def test_lexical_scope_and_shadowing():
@@ -529,6 +548,16 @@ def test_binding_failure_restores_environment():
     with pytest.raises(EvalError):
         session.run_program("letrec x = x in 0")
     assert session.env.lookup("x") == 1
+    # a failing top-level letrec binding puts the previous value back ...
+    with pytest.raises(EvalError) as e:
+        session.run_program("letrec x = [x]")
+    assert (e.value.kind, e.value.rule) == ("UnboundVariable", "array")
+    assert session.env.lookup("x") == 1
+    # ... and on a fresh name leaves it unbound
+    with pytest.raises(EvalError) as e:
+        session.run_program("letrec y = [y]")
+    assert (e.value.kind, e.value.rule) == ("UnboundVariable", "array")
+    assert session.env.lookup("y") is None
 
 
 ### ---- the evaluation boundary -------------------------------------------------------

@@ -8,7 +8,7 @@ from heh.ordinal import OMEGA, Ordinal, omega_power
 from heh.syntax import (
     Apply, ArrayLiteral, BinOp, Binding, BoolConst, Bounds, Cond, Filter, Full,
     Imap, IsLim, Lambda, LexError, Letrec, OrdinalConst, ParseError, Reduce,
-    Select, Shape, Var, parse_expr, parse_program, render, tokenize,
+    Select, Shape, Span, Var, parse_expr, parse_program, render, tokenize,
 )
 
 from astgen import gen_expr
@@ -105,6 +105,42 @@ def test_precedence():
     # ... and it applies to prefix forms too
     e = parse_expr("filter (\\x.x>0) (imap [w] {_(iv): 0}).[0]")
     assert isinstance(e, Select) and isinstance(e.array, Filter)
+
+    # every level but `++` groups left; `++` groups right
+    assert _op_tree(parse_expr("a - b - c")) == ("-", ("-", "a", "b"), "c")
+    assert _op_tree(parse_expr("a / b % c")) == ("%", ("/", "a", "b"), "c")
+    assert _op_tree(parse_expr("a < b < c")) == ("<", ("<", "a", "b"), "c")
+    assert _op_tree(parse_expr("a ++ b ++ c")) == ("++", "a", ("++", "b", "c"))
+    assert _op_tree(parse_expr("a ++ b + c")) == ("++", "a", ("+", "b", "c"))
+    assert _op_tree(parse_expr("a + b ++ c * d")) == (
+        "++", ("+", "a", "b"), ("*", "c", "d"))
+    assert _op_tree(parse_expr("a = b ++ c - d >= e")) == (
+        ">=", ("=", "a", ("++", "b", ("-", "c", "d"))), "e")
+    # spans of one mixed chain, offsets counted by hand
+    e = parse_expr("a + b * c - d < e ++ f")
+    assert e.op == "<" and e.span == Span(0, 22, 1, 1)
+    sub = e.lhs
+    assert sub.op == "-" and sub.span == Span(0, 13, 1, 1)
+    assert sub.rhs.span == Span(12, 13, 1, 13)
+    add = sub.lhs
+    assert add.op == "+" and add.span == Span(0, 9, 1, 1)
+    assert add.lhs.span == Span(0, 1, 1, 1)
+    mul = add.rhs
+    assert mul.op == "*" and mul.span == Span(4, 9, 1, 5)
+    assert (mul.lhs.span, mul.rhs.span) == (Span(4, 5, 1, 5), Span(8, 9, 1, 9))
+    cat = e.rhs  # Apply(Apply(Var("++"), e), f); both applications span "e ++ f"
+    assert cat.span == cat.fun.span == Span(16, 22, 1, 17)
+    assert cat.fun.fun.name == "++" and cat.fun.fun.span == Span(18, 20, 1, 19)
+    assert (cat.fun.arg.span, cat.arg.span) == (Span(16, 17, 1, 17), Span(21, 22, 1, 22))
+
+
+def _op_tree(e):
+    """The operator tree of `e`, names at the leaves, `++` sugar as ("++", l, r)."""
+    if isinstance(e, BinOp):
+        return (e.op, _op_tree(e.lhs), _op_tree(e.rhs))
+    if isinstance(e, Apply) and isinstance(e.fun, Apply) and e.fun.fun.name == "++":
+        return ("++", _op_tree(e.fun.arg), _op_tree(e.arg))
+    return e.name
 
 
 def test_application_left_associative():
