@@ -45,8 +45,11 @@ def _lazy_prefix(session: Session, value, shape, k: int) -> str:
         # past the cap the shown blocks are all infinite, so each ends in "..."
         for start, length in itertools.islice(_segments(shape[0]), SEGMENT_CAP):
             shown = length if length is not None and length <= k else k
-            if not _force_run(session, value, parts,
-                              ((start + Ordinal(j),) for j in range(shown))):
+            failed = _force_run(session, value, parts,
+                                ((start + Ordinal(j),) for j in range(shown)))
+            if failed is not None:
+                if failed[0] + _ONE < shape[0]:  # elements remain past it
+                    parts.append("...")
                 break
             if length is None or length > shown:
                 parts.append("...")
@@ -57,15 +60,16 @@ def _lazy_prefix(session: Session, value, shape, k: int) -> str:
     return "[" + body + (" ]" if body.endswith("...") else "]")
 
 
-def _force_run(session: Session, value, parts: List[str], indices) -> bool:
-    """Append rendered elements; on failure record the error kind and stop."""
+def _force_run(session: Session, value, parts: List[str], indices):
+    """Append rendered elements; on failure record the error kind and stop.
+    Returns the index that failed, or None."""
     for index in indices:
         try:
             parts.append(render_scalar(session.select_at(value, index)))
         except EvalError as error:
             parts.append(f"!{error.kind}")
-            return False
-    return True
+            return index
+    return None
 
 
 def _segments(alpha: Ordinal):

@@ -1,30 +1,40 @@
 """Big-step evaluator: sessions, configuration, and all evaluation rules.
 
-A Session owns one top-level environment; values are plain Python objects
-(see `runtime`).  Evaluation is strict except for imap over infinite (or,
-by default, any) frames and filter over infinite vectors, which build
-closures whose elements are computed and memoized on selection.
+A program is compiled before it runs: `compile_expr` translates each AST
+node once into a closure `code(session, env)` that applies that node's rule
+(closure generation, after Feeley and Lapalme, "Using closures for code
+generation", 1987).  A name bound by a lambda, a `letrec` or an imap
+generator is resolved at compile time to its depth in `env`, a chain of
+`(value, parent)` tuples; any other name is looked up by name in the
+session's top-level frame, the dict `Session.env`, when it is evaluated.
+Compiled code holds no session state, so one compilation of the prelude
+serves every session.
+
+Values are plain Python objects (see `runtime`).  Evaluation is strict
+except for imap over infinite (or, by default, any) frames and filter over
+infinite vectors, which build closures whose elements are computed and
+memoized on selection.
 """
 
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 from .ordinal import Ordinal, UndefinedOrdinalOp, ZERO, nat
 from .runtime import (
-    Box, Env, Fault, FilterClosure, FilterSegment, FunClosure, ImapClosure,
-    ImapPart, Rec, ShapeVec, StrictArray, box_contains, delinearize, element_count,
+    Box, Fault, FilterClosure, FilterSegment, FunClosure, ImapClosure, ImapPart,
+    Rec, ShapeVec, StrictArray, box_contains, delinearize, element_count,
     forms_partition, linearize, render_shape, strict_value, vector_value,
 )
 from .syntax import (
-    Apply, ArrayLiteral, BinOp, Binding, BoolConst, Bounds, Cond, Expr, Filter,
-    Full, Imap, IsLim, Lambda, Letrec, OrdinalConst, Reduce, Select, Shape,
-    Span, Var, parse_expr, parse_program,
+    Apply, ArrayLiteral, BinOp, Binding, BoolConst, Cond, Expr, Filter, Full,
+    Imap, IsLim, Lambda, Letrec, OrdinalConst, Reduce, Select, Shape, Span,
+    TopForm, Var, parse_expr, parse_program,
 )
 
 # Python frames allowed while a public entry runs; a nats level takes four
-# (`eval` of its sum and of its selection, `select`, `_cell_value`)
+# (the code of its sum and of its selection, `select`, `_cell_value`)
 RECURSION_LIMIT = 200_000
 
 
@@ -55,7 +65,7 @@ _RULE_NAMES = {
 }
 
 
-# `=` is not here: `_binop` handles it first, as it also compares booleans
+# `=` is not here: it also compares booleans, so its code is `_equal`
 _ORDINAL_OPS = {
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
     "+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -63,32 +73,224 @@ _ORDINAL_OPS = {
 }
 
 
-def _binop(op: str, lhs, rhs):
-    """`lhs op rhs` for two forced scalars."""
-    if op == "=":
-        if isinstance(lhs, bool) and isinstance(rhs, bool):
-            return lhs == rhs
-        if isinstance(lhs, Ordinal) and isinstance(rhs, Ordinal):
-            return lhs == rhs
-        raise Fault("ShapeMismatch",
-                    "'=' compares two ordinals or two booleans")
-    if not isinstance(lhs, Ordinal) or not isinstance(rhs, Ordinal):
-        raise Fault("ShapeMismatch",
-                    f"'{op}' needs ordinal scalar operands")
-    try:
-        return _ORDINAL_OPS[op](lhs, rhs)
-    except UndefinedOrdinalOp as exc:
-        raise Fault("UndefinedOrdinalOp", str(exc)) from None
-    except ZeroDivisionError:
-        raise Fault("DivisionByZero", "division by zero") from None
+def _equal(lhs, rhs) -> bool:
+    if isinstance(lhs, bool) and isinstance(rhs, bool):
+        return lhs == rhs
+    if isinstance(lhs, Ordinal) and isinstance(rhs, Ordinal):
+        return lhs == rhs
+    raise Fault("ShapeMismatch", "'=' compares two ordinals or two booleans")
+
+
+### ---- compilation ----------------------------------------------------------------
+
+# The code of a node: `code(session, env)` applies the node's rule in `env`,
+# a chain of `(value, parent)` tuples (None when empty).  Every code counts
+# its rule and spends one unit of fuel first, inline, as a call per rule
+# would cost more than most rules, and turns a `Fault` raised by its own
+# step into an `EvalError` at its node.
+Code = Callable
+
+
+def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
+    """The code of `node`; `scope` lists the names bound around it by
+    lambdas, `letrec`s and imap generators, innermost first."""
+    cls = node.__class__
+    span, rule = node.span, _RULE_NAMES[cls]
+
+    if cls is Var:
+        name = node.name
+        hops = range(scope.index(name)) if name in scope else None
+
+        def code(s, env):
+            try:
+                s.stats["rules"] += 1
+                if s.fuel is not None:
+                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+                if hops is None:  # not bound lexically: a top-level name
+                    value = s.env.get(name)
+                    if value is None:
+                        raise Fault("UnboundVariable", f"unbound variable '{name}'")
+                else:
+                    for _ in hops:
+                        env = env[1]
+                    value = env[0]
+            except Fault as fault:
+                raise EvalError(fault.kind, fault.message, span, rule) from None
+            # an empty cell is passed on unforced; only forcing it is an error
+            while value.__class__ is Rec and value.value is not None:
+                value = value.value
+            return value
+        return code
+
+    if cls is Select:
+        array, index = compile_expr(node.array, scope), compile_expr(node.index, scope)
+
+        def code(s, env):
+            try:
+                s.stats["rules"] += 1
+                if s.fuel is not None:
+                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+                return s.select(array(s, env), s._force_ordinal_vector(
+                    index(s, env), "selection index"))
+            except Fault as fault:
+                raise EvalError(fault.kind, fault.message, span, rule) from None
+        return code
+
+    if cls is OrdinalConst or cls is BoolConst:
+        value = node.value
+
+        def code(s, env):
+            try:
+                s.stats["rules"] += 1
+                if s.fuel is not None:
+                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+            except Fault as fault:
+                raise EvalError(fault.kind, fault.message, span, rule) from None
+            return value
+        return code
+
+    if cls is BinOp:
+        lhs, rhs = compile_expr(node.lhs, scope), compile_expr(node.rhs, scope)
+        op = node.op
+        fn = _ORDINAL_OPS.get(op, _equal)
+
+        def code(s, env):
+            try:
+                s.stats["rules"] += 1
+                if s.fuel is not None:
+                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+                a = lhs(s, env)
+                if a.__class__ is not Ordinal:
+                    a = s._force_scalar(a)
+                b = rhs(s, env)
+                if b.__class__ is not Ordinal:
+                    b = s._force_scalar(b)
+                if fn is not _equal and (a.__class__ is not Ordinal
+                                         or b.__class__ is not Ordinal):
+                    raise Fault("ShapeMismatch", f"'{op}' needs ordinal scalar operands")
+                try:
+                    return fn(a, b)
+                except UndefinedOrdinalOp as exc:
+                    raise Fault("UndefinedOrdinalOp", str(exc)) from None
+                except ZeroDivisionError:
+                    raise Fault("DivisionByZero", "division by zero") from None
+            except Fault as fault:
+                raise EvalError(fault.kind, fault.message, span, rule) from None
+        return code
+
+    if cls is Apply:
+        fun, arg = compile_expr(node.fun, scope), compile_expr(node.arg, scope)
+
+        def code(s, env):
+            try:
+                s.stats["rules"] += 1
+                if s.fuel is not None:
+                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+                return s._apply(fun(s, env), arg(s, env))
+            except Fault as fault:
+                raise EvalError(fault.kind, fault.message, span, rule) from None
+        return code
+
+    if cls is Cond:
+        test = compile_expr(node.test, scope)
+        then, orelse = compile_expr(node.then, scope), compile_expr(node.orelse, scope)
+
+        def code(s, env):
+            try:
+                s.stats["rules"] += 1
+                if s.fuel is not None:
+                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+                value = s._force_scalar(test(s, env))
+                if value is True:
+                    return then(s, env)
+                if value is False:
+                    return orelse(s, env)
+                raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
+            except Fault as fault:
+                raise EvalError(fault.kind, fault.message, span, rule) from None
+        return code
+
+    if cls is Lambda:
+        body = compile_expr(node.body, (node.param,) + scope)
+
+        def code(s, env):
+            try:
+                s.stats["rules"] += 1
+                if s.fuel is not None:
+                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+            except Fault as fault:
+                raise EvalError(fault.kind, fault.message, span, rule) from None
+            return FunClosure(body, env)
+        return code
+
+    if cls is Letrec:
+        name, inner = node.name, (node.name,) + scope
+        bound, body = compile_expr(node.bound, inner), compile_expr(node.body, inner)
+
+        def code(s, env):
+            try:
+                s.stats["rules"] += 1
+                if s.fuel is not None:
+                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+                cell = Rec(name)
+                env = (cell, env)
+                s._define_recursive(cell, bound, env, span)
+                return body(s, env)
+            except Fault as fault:
+                raise EvalError(fault.kind, fault.message, span, rule) from None
+        return code
+
+    # the rarer rules run a Session method on their compiled children
+    if cls is Imap:
+        gens = tuple((None, None) if isinstance(gen, Full)
+                     else (compile_expr(gen.lower, scope), compile_expr(gen.upper, scope))
+                     for gen, _ in node.partitions)
+        bodies = tuple(compile_expr(body, (gen.var,) + scope)
+                       for gen, body in node.partitions)
+        cell = None if node.cell is None else compile_expr(node.cell, scope)
+        method, children = Session._eval_imap, (compile_expr(node.frame, scope),
+                                                cell, gens, bodies)
+    elif cls is ArrayLiteral:
+        method, children = Session._eval_array, ([compile_expr(e, scope)
+                                                   for e in node.elements],)
+    elif cls is Reduce:
+        method, children = Session._eval_reduce, (compile_expr(node.fun, scope),
+                                                  compile_expr(node.neutral, scope),
+                                                  compile_expr(node.array, scope))
+    elif cls is Filter:
+        method, children = Session._eval_filter, (compile_expr(node.predicate, scope),
+                                                  compile_expr(node.array, scope))
+    elif cls is Shape:
+        method, children = Session._eval_shape, (compile_expr(node.arg, scope),)
+    elif cls is IsLim:
+        method, children = Session._eval_islim, (compile_expr(node.arg, scope),)
+    else:
+        raise TypeError(f"not an expression: {node!r}")
+
+    def code(s, env):
+        try:
+            s.stats["rules"] += 1
+            if s.fuel is not None:
+                s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+            return method(s, env, *children)
+        except Fault as fault:
+            raise EvalError(fault.kind, fault.message, span, rule) from None
+    return code
+
+
+def compile_program(source: str) -> List[Tuple[TopForm, Code]]:
+    """Each top-level form of `source` paired with its code; a binding's
+    code is that of its bound expression."""
+    return [(form, compile_expr(form.expr if isinstance(form, Binding) else form))
+            for form in parse_program(source)]
 
 
 class Session:
-    """One evaluation session: top-level environment, fuel, stats."""
+    """One evaluation session: top-level frame, fuel, stats."""
 
     def __init__(self, config: Optional[EvalConfig] = None):
         self.config = config or EvalConfig()
-        self.env = Env()
+        self.env: dict = {}  # the top-level frame: name -> value
         self.fuel = self.config.fuel
         self.stats = {"rules": 0, "body_evals": 0, "predicate_calls": 0}
         self._letrec_depth = 0
@@ -114,97 +316,36 @@ class Session:
         finally:
             sys.setrecursionlimit(previous)
 
-    def _tick(self) -> None:
-        self.stats["rules"] += 1
-        if self.fuel is not None:
-            if self.fuel <= 0:
-                raise Fault("FuelExhausted", "evaluation fuel exhausted")
-            self.fuel -= 1
+    def _out_of_fuel(self) -> NoReturn:
+        """The end of a rule that found no fuel left.  Each rule counts
+        itself and spends its unit of fuel inline, in the code of its node,
+        `_apply` or `select`; every rule that finds none left ends here."""
+        raise Fault("FuelExhausted", "evaluation fuel exhausted")
 
     @staticmethod
     def _value(value):
         """`value` with recursion cells followed; an empty cell faults."""
-        while isinstance(value, Rec):
+        while value.__class__ is Rec:
             value = value.get()
         return value
 
-    ### the evaluator proper
-
-    def eval(self, node: Expr, env: Env):
-        """The value of `node` in `env`.  Every node is evaluated in this one
-        frame; the branches are ordered by how often each kind is met."""
-        try:
-            self._tick()
-            cls = node.__class__
-            if cls is Var:
-                value = env.lookup(node.name)
-                if value is None:
-                    raise Fault("UnboundVariable", f"unbound variable '{node.name}'")
-                # an empty cell is passed on unforced; only forcing it is an error
-                while isinstance(value, Rec) and value.value is not None:
-                    value = value.value
-                return value
-            if cls is Select:
-                array = self.eval(node.array, env)
-                index = self._force_ordinal_vector(self.eval(node.index, env),
-                                                   "selection index")
-                return self.select(array, index)
-            if cls is OrdinalConst:
-                return node.value
-            if cls is BinOp:
-                lhs = self._force_scalar(self.eval(node.lhs, env))
-                rhs = self._force_scalar(self.eval(node.rhs, env))
-                return _binop(node.op, lhs, rhs)
-            if cls is Apply:
-                fun = self.eval(node.fun, env)
-                return self._apply(fun, self.eval(node.arg, env))
-            if cls is ArrayLiteral:
-                return self._eval_array(node, env)
-            if cls is Cond:
-                test = self._force_scalar(self.eval(node.test, env))
-                if not isinstance(test, bool):
-                    raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
-                return self.eval(node.then if test else node.orelse, env)
-            if cls is Lambda:
-                return FunClosure(node.param, node.body, env)
-            if cls is Letrec:
-                cell = Rec(node.name)
-                env = env.extend(node.name, cell)
-                self._define_recursive(cell, node.bound, env, node.span)
-                return self.eval(node.body, env)
-            if cls is Imap:
-                return self._eval_imap(node, env)
-            if cls is Shape:
-                return vector_value(list(self._shape_of(self.eval(node.arg, env))))
-            if cls is Reduce:
-                return self._eval_reduce(node, env)
-            if cls is Filter:
-                return self._eval_filter(node, env)
-            if cls is BoolConst:
-                return node.value
-            if cls is IsLim:
-                x = self._force_scalar(self.eval(node.arg, env))
-                if not isinstance(x, Ordinal):
-                    raise Fault("ShapeMismatch", "islim needs an ordinal scalar")
-                return x.is_limit
-            raise TypeError(f"not an expression: {node!r}")
-        except Fault as fault:
-            raise EvalError(fault.kind, fault.message, node.span,
-                            _RULE_NAMES[node.__class__]) from None
+    ### rules with a Session method
 
     def _apply(self, fun, arg):
-        self._tick()
+        self.stats["rules"] += 1
+        if self.fuel is not None:
+            self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
         fun = self._value(fun)
         if not isinstance(fun, FunClosure):
             raise Fault("NotAFunction", "only functions can be applied")
-        return self.eval(fun.body, fun.env.extend(fun.param, arg))
+        return fun.code(self, (arg, fun.env))
 
-    def _define_recursive(self, cell: Rec, expr: Expr, env: Env, span: Span):
+    def _define_recursive(self, cell: Rec, code: Code, env, span: Span):
         """Evaluate a `letrec` definition in `env`, where its name is bound to
         the empty `cell`, then fill the cell with the value and return it."""
         self._letrec_depth += 1
         try:
-            value = self.eval(expr, env)
+            value = code(self, env)
         finally:
             self._letrec_depth -= 1
         if value is cell:
@@ -214,10 +355,12 @@ class Session:
         cell.value = value
         return value
 
-    def _eval_array(self, node: ArrayLiteral, env: Env):
-        values = [self.eval(e, env) for e in node.elements]
+    def _eval_array(self, env, elements: List[Code]):
+        values = [code(self, env) for code in elements]
         if not values:
             return StrictArray((ZERO,), [])
+        if all(v.__class__ is Ordinal for v in values):  # an index vector
+            return StrictArray((nat(len(values)),), values)
         shapes, datas = zip(*(self._force_strict(v, "ShapeMismatch",
                                                  "array elements must have finite shape")
                               for v in values))
@@ -229,20 +372,30 @@ class Session:
         shape = (nat(len(values)),) + shapes[0]
         return StrictArray(shape, [x for d in datas for x in d])
 
+    def _eval_shape(self, env, arg: Code):
+        return vector_value(list(self._shape_of(arg(self, env))))
+
+    def _eval_islim(self, env, arg: Code):
+        x = self._force_scalar(arg(self, env))
+        if not isinstance(x, Ordinal):
+            raise Fault("ShapeMismatch", "islim needs an ordinal scalar")
+        return x.is_limit
+
     def _shape_of(self, value) -> ShapeVec:
         value = self._value(value)
-        if isinstance(value, (StrictArray, ImapClosure)):
+        cls = value.__class__
+        if cls is StrictArray or cls is ImapClosure:
             return value.shape
-        if isinstance(value, FilterClosure):
+        if cls is FilterClosure:
             return self._filter_shape(value)
         return ()
 
-    def _eval_reduce(self, node: Reduce, env: Env):
-        fun = self.eval(node.fun, env)
+    def _eval_reduce(self, env, fun: Code, neutral: Code, array: Code):
+        fun = fun(self, env)
         if not isinstance(self._value(fun), FunClosure):
             raise Fault("NotAFunction", "reduce needs a function as first argument")
-        acc = self.eval(node.neutral, env)
-        _, data = self._force_strict(self.eval(node.array, env), "ReduceOnInfinite",
+        acc = neutral(self, env)
+        _, data = self._force_strict(array(self, env), "ReduceOnInfinite",
                                      "reduce needs a finite array")
         for x in data:
             acc = self._apply(self._apply(fun, acc), x)
@@ -250,22 +403,20 @@ class Session:
 
     ### imap
 
-    def _eval_imap(self, node: Imap, env: Env):
-        frame = self._force_ordinal_vector(self.eval(node.frame, env), "frame shape")
-        if node.cell is not None:
-            cell = self._force_ordinal_vector(self.eval(node.cell, env), "cell shape")
-        else:
-            cell = ()
+    def _eval_imap(self, env, frame: Code, cell: Optional[Code], gens, bodies):
+        """`gens` holds the (lower, upper) bound codes of each generator,
+        (None, None) for a `_(x)` one; `bodies` the code of each body."""
+        frame = self._force_ordinal_vector(frame(self, env), "frame shape")
+        cell = () if cell is None else self._force_ordinal_vector(cell(self, env),
+                                                                   "cell shape")
         frame_box: Box = ((ZERO,) * len(frame), frame)
         parts = []
-        for gen_syntax, body in node.partitions:
-            if isinstance(gen_syntax, Full):
+        for (lower, upper), body in zip(gens, bodies):
+            if lower is None:
                 box = frame_box
             else:
-                lower = self._force_ordinal_vector(
-                    self.eval(gen_syntax.lower, env), "generator bound")
-                upper = self._force_ordinal_vector(
-                    self.eval(gen_syntax.upper, env), "generator bound")
+                lower = self._force_ordinal_vector(lower(self, env), "generator bound")
+                upper = self._force_ordinal_vector(upper(self, env), "generator bound")
                 if len(lower) != len(frame) or len(upper) != len(frame):
                     raise Fault("RankMismatch",
                                 "generator bounds must match the frame rank "
@@ -273,7 +424,7 @@ class Session:
                 if any(l > u for l, u in zip(lower, upper)):
                     raise Fault("NotAPartition", "generator bounds are inverted")
                 box = (lower, upper)
-            parts.append(ImapPart(gen_syntax.var, box, body, env))
+            parts.append(ImapPart(box, body, env))
         problem = forms_partition(frame_box, [p.box for p in parts])
         if problem is not None:
             raise Fault("NotAPartition", problem)
@@ -308,8 +459,7 @@ class Session:
                 raise Fault("NotAPartition",
                             f"no partition covers index {render_shape(index)}")
         self.stats["body_evals"] += 1
-        env = part.env.extend(part.var, vector_value(list(index)))
-        result = self.eval(part.expr, env)
+        result = part.code(self, (vector_value(list(index)), part.env))
         shape = self._shape_of(result)
         if shape != closure.cell:
             raise Fault("ShapeMismatch",
@@ -332,11 +482,15 @@ class Session:
     ### selection
 
     def select(self, value, index: ShapeVec):
-        self._tick()
-        value = self._value(value)
-        if isinstance(value, StrictArray):
+        self.stats["rules"] += 1
+        if self.fuel is not None:
+            self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
+        while value.__class__ is Rec:
+            value = value.get()
+        cls = value.__class__
+        if cls is StrictArray:
             return value.data[linearize(value.shape, index)]
-        if isinstance(value, ImapClosure):
+        if cls is ImapClosure:
             shape = value.shape
             if len(index) != len(shape):
                 raise Fault("RankMismatch",
@@ -349,7 +503,7 @@ class Session:
             m = len(value.frame)
             cell = self._cell_value(value, index[:m])
             return self.select(cell, index[m:])
-        if isinstance(value, FilterClosure):
+        if cls is FilterClosure:
             if len(index) != 1:
                 raise Fault("RankMismatch", "filter results are 1-dimensional")
             return self._filter_select(value, index[0])
@@ -362,11 +516,11 @@ class Session:
 
     ### filter
 
-    def _eval_filter(self, node: Filter, env: Env):
-        predicate = self._value(self.eval(node.predicate, env))
+    def _eval_filter(self, env, predicate: Code, array: Code):
+        predicate = self._value(predicate(self, env))
         if not isinstance(predicate, FunClosure):
             raise Fault("NotAFunction", "filter needs a predicate function")
-        array = self._value(self.eval(node.array, env))
+        array = self._value(array(self, env))
         if isinstance(array, FunClosure):
             raise Fault("FilterRankError", "filter needs a 1-dimensional array")
         shape = self._shape_of(array)
@@ -425,10 +579,11 @@ class Session:
     def _force_scalar(self, value):
         """A scalar value: Ordinal, bool, or FunClosure."""
         value = self._value(value)
-        if isinstance(value, StrictArray):
+        cls = value.__class__
+        if cls is StrictArray:
             raise Fault("ShapeMismatch",
                         f"expected a scalar, got shape {render_shape(value.shape)}")
-        if not isinstance(value, (ImapClosure, FilterClosure)):
+        if cls is not ImapClosure and cls is not FilterClosure:
             return value
         shape = self._shape_of(value)
         if shape == ():
@@ -472,39 +627,41 @@ class Session:
     def run_program(self, source: str):
         """Evaluate top-level forms; bindings persist.  Returns the last
         form's value (a binding's value for trailing bindings)."""
-        return self._entry("eval", None, lambda: self._run_forms(source))
+        return self._entry("eval", None, lambda: self._run(compile_program(source)))
 
-    def _run_forms(self, source: str):
+    def run_compiled(self, program: List[Tuple[TopForm, Code]]):
+        """`run_program` for forms `compile_program` has already compiled."""
+        return self._entry("eval", None, lambda: self._run(program))
+
+    def _run(self, program):
         last = None
-        for form in parse_program(source):
+        for form, code in program:
             if isinstance(form, Binding):
-                last = self._run_binding(form)
+                last = self._run_binding(form, code)
             else:
-                last = self.eval(form, self.env)
+                last = code(self, None)
         return last
 
-    def _run_binding(self, form: Binding):
+    def _run_binding(self, form: Binding, code: Code):
         if not form.recursive:
-            value = self.eval(form.expr, self.env)
-            self.env.define(form.name, value)
+            value = self.env[form.name] = code(self, None)
             return value
-        previous = self.env.frame.get(form.name)
-        cell = Rec(form.name)
-        self.env.define(form.name, cell)
+        previous = self.env.get(form.name)
+        cell = self.env[form.name] = Rec(form.name)
         try:
-            value = self._define_recursive(cell, form.expr, self.env, form.span)
+            value = self._define_recursive(cell, code, None, form.span)
         except BaseException:
             if previous is None:
-                del self.env.frame[form.name]
+                del self.env[form.name]
             else:
-                self.env.define(form.name, previous)
+                self.env[form.name] = previous
             raise
-        self.env.define(form.name, value)
+        self.env[form.name] = value
         return value
 
     def eval_source(self, source: str):
         return self._entry("eval", None,
-                           lambda: self.eval(parse_expr(source), self.env))
+                           lambda: compile_expr(parse_expr(source))(self, None))
 
     def select_at(self, value, index: Sequence, span: Optional[Span] = None):
         """Scalar at `index` (a sequence of ints/Ordinals) within `value`."""

@@ -1,4 +1,4 @@
-"""Value universe, environments, linearization, and box algebra.
+"""Value universe, recursion cells, linearization, and box algebra.
 
 A value is a plain Python object: a scalar (`Ordinal`, `bool` or
 `FunClosure`), a `StrictArray` of rank >= 1 (shape tuple + flat data of
@@ -57,24 +57,25 @@ def vector_value(elements: list) -> StrictArray:
 
 
 class FunClosure:
-    __slots__ = ("param", "body", "env")
+    """A function value: the code of its body and the environment it was
+    built in, which its argument extends."""
 
-    def __init__(self, param: str, body, env: "Env"):
-        self.param = param
-        self.body = body
+    __slots__ = ("code", "env")
+
+    def __init__(self, code, env):
+        self.code = code
         self.env = env
 
 
 class ImapPart:
-    """One evaluated generator of an imap: its index variable, its box of
-    ordinal bounds, and the unevaluated body it maps."""
+    """One evaluated generator of an imap: its box of ordinal bounds, the
+    code of the body it maps, and the environment the index extends."""
 
-    __slots__ = ("var", "box", "expr", "env")
+    __slots__ = ("box", "code", "env")
 
-    def __init__(self, var: str, box: "Box", expr, env: "Env"):
-        self.var = var
+    def __init__(self, box: "Box", code, env):
         self.box = box
-        self.expr = expr
+        self.code = code
         self.env = env
 
 
@@ -124,7 +125,7 @@ class FilterClosure:
         return seg
 
 
-### ---- recursion cells and environment ------------------------------------------
+### ---- recursion cells ----------------------------------------------------------
 
 
 class Rec:
@@ -143,31 +144,6 @@ class Rec:
             raise Fault("UnboundVariable",
                         f"premature recursive reference to '{self.name}'")
         return self.value
-
-
-class Env:
-    """Chained frames; lookup finds the most recent binding."""
-
-    __slots__ = ("frame", "parent")
-
-    def __init__(self, frame: Optional[dict] = None, parent: Optional["Env"] = None):
-        self.frame = frame if frame is not None else {}
-        self.parent = parent
-
-    def lookup(self, name: str):
-        env = self
-        while env is not None:
-            value = env.frame.get(name)
-            if value is not None:
-                return value
-            env = env.parent
-        return None
-
-    def extend(self, name: str, value) -> "Env":
-        return Env({name: value}, self)
-
-    def define(self, name: str, value) -> None:
-        self.frame[name] = value
 
 
 ### ---- row-major linearization ---------------------------------------------------

@@ -21,9 +21,8 @@ position; parenthesize (`imap (f |a|) {...}`).
 """
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .ordinal import Ordinal, omega_power
 
@@ -31,8 +30,9 @@ from .ordinal import Ordinal, omega_power
 ### ---- source spans ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
+    """A source range; immutable, so compiled code shared between sessions
+    can hand it to each session's errors."""
     begin: int
     end: int
     line: int
@@ -70,15 +70,17 @@ _SYMBOLS = [
     "|", "=", "<", ">", "+", "-", "*", "/", "%", "^", "_",
 ]
 
+# every character starts a match, so a scan is one pass of `finditer`; an
+# unrecognized character is a `bad` match of its own
 _TOKEN_RE = re.compile(
     r"(?P<ws>[ \t\r\n]+|;[^\n]*)"
     r"|(?P<number>[0-9]+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<symbol>" + "|".join(re.escape(s) for s in _SYMBOLS) + r")"
-)
+    r"|(?P<bad>.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)  # built per token: no frozen-init cost
 class Token:
     kind: str          # "number", "ident", "eof", a keyword, or the symbol text
     value: object      # int for numbers, name for idents, else None
@@ -86,34 +88,34 @@ class Token:
 
 
 def tokenize(source: str) -> List[Token]:
-    line_starts = [0] + [m.end() for m in re.finditer(r"\n", source)]
-
-    def span_at(begin: int, end: int) -> Span:
-        line = bisect_right(line_starts, begin)
-        return Span(begin, end, line, begin - line_starts[line - 1] + 1)
-
+    """The tokens of `source`, then "eof".  Whitespace and comments get no
+    token and no span; the line count advances over their newlines."""
     tokens: List[Token] = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise LexError(f"unrecognized character {source[pos]!r}", span_at(pos, pos + 1))
-        pos = m.end()
-        sp = span_at(m.start(), m.end())
-        if m.lastgroup == "ws":
+    line, line_start = 1, 0  # the current line and the offset it starts at
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        begin, end = m.span()
+        if kind == "ws":
+            newlines = source.count("\n", begin, end)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", begin, end) + 1
             continue
-        if m.lastgroup == "number":
-            tokens.append(Token("number", int(m.group()), sp))
-        elif m.lastgroup == "ident":
-            text = m.group()
-            if text == "_" or text in KEYWORDS:
-                tokens.append(Token(text, None, sp))
+        text = m.group()
+        span = Span(begin, end, line, begin - line_start + 1)
+        if kind == "ident":
+            if text in KEYWORDS or text == "_":
+                tokens.append(Token(text, None, span))
             else:
-                tokens.append(Token("ident", text, sp))
+                tokens.append(Token("ident", text, span))
+        elif kind == "symbol":
+            tokens.append(Token("\\" if text == "λ" else text, None, span))
+        elif kind == "number":
+            tokens.append(Token("number", int(text), span))
         else:
-            text = "\\" if m.group() == "λ" else m.group()
-            tokens.append(Token(text, None, sp))
-    tokens.append(Token("eof", None, span_at(len(source), len(source))))
+            raise LexError(f"unrecognized character {text!r}", span)
+    end = len(source)
+    tokens.append(Token("eof", None, Span(end, end, line, end - line_start + 1)))
     return tokens
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from heh import cli
 from heh.eval import Session
-from test_eval import interrupting_tick, shallow_limit  # noqa: F401 (a fixture)
+from test_eval import interrupt, shallow_limit  # noqa: F401 (a fixture)
 
 
 def run_cli(capsys, *argv):
@@ -136,8 +136,9 @@ def test_depth_overflow_while_printing_exits_one(capsys):
 
 
 def test_interrupted_run_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(Session, "_tick", interrupting_tick(1))
-    code, out, err = run_cli(capsys, "--no-prelude", "-e", "1 + 1")
+    # with no fuel, the first rule is interrupted
+    monkeypatch.setattr(Session, "_out_of_fuel", interrupt)
+    code, out, err = run_cli(capsys, "--no-prelude", "--fuel", "0", "-e", "1 + 1")
     assert (code, out, err) == (1, "", "interrupted\n")
 
 
@@ -234,7 +235,14 @@ def test_faulting_element_is_reported_inline(capsys):
     code, out, _ = run_cli(
         capsys, "-e", "imap [w] {[0] <= iv < [2]: 1, [2] <= iv < [w]: 1 / 0}")
     assert code == 0
-    assert out == "<imap shape=[w]> [1, 1, !DivisionByZero]\n"
+    assert out == "<imap shape=[w]> [1, 1, !DivisionByZero, ... ]\n"
+    # rank 2 closes the same way
+    code, out, _ = run_cli(capsys, "-e", "imap [w, 2] {_(iv): 1 / iv.[1]}")
+    assert (code, out) == (0, "<imap shape=[w, 2]> [!DivisionByZero, ... ]\n")
+    # no "..." when the element that failed is the last one
+    code, out, _ = run_cli(capsys, "--force-print", "2", "-e",
+                           "imap [w+1] {[0] <= iv < [w]: 1, [w] <= iv < [w+1]: 1 / 0}")
+    assert (code, out) == (0, "<imap shape=[w + 1]> [1, 1, ..., !DivisionByZero]\n")
 
 
 ### ---- REPL ------------------------------------------------------------------------------
@@ -302,9 +310,11 @@ def test_repl_survives_depth_overflow_in_load(tmp_path, monkeypatch, capsys,
 def test_repl_survives_interrupted_load(tmp_path, monkeypatch, capsys):
     program = tmp_path / "p.heh"
     program.write_text("let a = [1, 2]\nlet b = a.[1] + 1\n")
-    monkeypatch.setattr(Session, "_tick", interrupting_tick(5))
+    # each entry gets fuel 4: the load is interrupted at its fifth rule, the
+    # selection in `b`, and `1 + 1` needs only three
+    monkeypatch.setattr(Session, "_out_of_fuel", interrupt)
     code, out, err = run_repl(monkeypatch, capsys, f":load {program}\n1 + 1\n",
-                              "--no-prelude")
+                              "--no-prelude", "--fuel", "4")
     assert (code, out, err) == (0, "2\n", "interrupted\n")
 
 

@@ -1,0 +1,334 @@
+"""Differential tests on generated, evaluable programs.
+
+A seeded generator writes small closed programs that terminate: imaps with
+one to three generator boxes over finite, `[w]`, `[w+k]` and `[w, n]`
+frames, `letrec` streams defined by recurrences on earlier elements,
+filters over finite and transfinite vectors, and reductions.  Each program
+comes with the probes to make and, for each probe, the value or error kind
+a Python model of the program gives.  The model is written here with
+Python integers and lists; it never runs heh.  Every program is run under
+the four configurations memo on/off x strict/lazy finite imaps, which must
+all give the model's outcomes.
+"""
+
+import random
+
+import pytest
+
+from heh.eval import EvalConfig, EvalError, evaluate
+from heh.ordinal import OMEGA, Ordinal
+
+CONFIGS = [EvalConfig(memoize=memo, strict_finite_imaps=strict, fuel=3_000_000)
+           for memo in (True, False) for strict in (False, True)]
+CASES = 320
+FILTER_SCAN = 150  # the model looks this far for accepted elements
+
+
+class ModelFault(Exception):
+    """The error kind heh must report where the model faults."""
+
+    def __init__(self, kind):
+        super().__init__(kind)
+        self.kind = kind
+
+
+### ---- scalar expressions over natural variables -------------------------------------
+
+
+def scalar(rng, names, depth=2, faulting=False):
+    """(heh text, model) of a natural-valued expression over `names`, where
+    the model maps a dict of variable values to an int or raises
+    ModelFault.  Operands are evaluated left to right, as heh does."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            name = rng.choice(sorted(names))
+            return names[name], lambda v: v[name]
+        c = rng.randrange(10)
+        return str(c), lambda v: c
+    kind = rng.randrange(7 if faulting else 5)
+    a_text, a = scalar(rng, names, depth - 1, faulting)
+    if kind == 0:
+        b_text, b = scalar(rng, names, depth - 1, faulting)
+        return f"({a_text} + {b_text})", lambda v: a(v) + b(v)
+    if kind == 1:
+        c = rng.randrange(1, 5)
+        return f"({a_text} * {c})", lambda v: a(v) * c
+    if kind == 2:
+        c = rng.randrange(1, 8)
+        return f"({a_text} % {c})", lambda v: a(v) % c
+    if kind == 3:
+        c = rng.randrange(1, 4)
+        return f"({a_text} / {c})", lambda v: a(v) // c
+    if kind == 4:
+        b_text, b = scalar(rng, names, depth - 1, faulting)
+        t_text, t = scalar(rng, names, depth - 1, faulting)
+        e_text, e = scalar(rng, names, depth - 1, faulting)
+        return (f"(if {a_text} < {b_text} then {t_text} else {e_text})",
+                lambda v: t(v) if a(v) < b(v) else e(v))
+    b_text, b = scalar(rng, names, depth - 1, faulting)
+    if kind == 5:
+        def divide(v):
+            x, y = a(v), b(v)
+            if y == 0:
+                raise ModelFault("DivisionByZero")
+            return x // y
+        return f"({a_text} / {b_text})", divide
+
+    def subtract(v):
+        x, y = a(v), b(v)
+        if y > x:
+            raise ModelFault("UndefinedOrdinalOp")
+        return x - y
+    return f"({a_text} - {b_text})", subtract
+
+
+def outcome(thunk):
+    try:
+        return thunk()
+    except ModelFault as fault:
+        return "!" + fault.kind
+
+
+### ---- index vectors -------------------------------------------------------------------
+
+
+def ordinal(lead, n):
+    """The ordinal w*lead + n."""
+    return OMEGA * Ordinal(lead) + Ordinal(n)
+
+
+### ---- imap over 1-3 boxes -----------------------------------------------------------
+
+
+def imap_case(rng):
+    """An imap over a finite, [w], [w+k] or [w, n] frame, cut along its
+    first axis into 1-3 boxes, each with its own body."""
+    frame_kind = rng.choice(("finite", "w", "w+k", "w,n"))
+    k = rng.randrange(1, 5)
+    n = rng.randrange(1, 4)
+    if frame_kind == "finite":
+        extent = rng.randrange(2, 12)
+        # (lower text, upper text, first natural, end natural or None, tail?)
+        cuts = sorted(rng.sample(range(1, extent), min(rng.randrange(3), extent - 1)))
+        points = [0] + cuts + [extent]
+        boxes = [(str(lo), str(hi), lo, hi, False) for lo, hi in zip(points, points[1:])]
+        frame, faulting = f"[{extent}]", False
+    else:
+        cuts = sorted(rng.sample(range(1, 8), rng.randrange(2)))
+        points = [0] + cuts
+        boxes = [(str(lo), str(hi), lo, hi, False) for lo, hi in zip(points, points[1:])]
+        boxes.append((str(points[-1]), "w", points[-1], None, False))
+        if frame_kind == "w+k":
+            boxes.append(("w", f"w+{k}", 0, k, True))
+        frame = {"w": "[w]", "w+k": f"[w+{k}]", "w,n": f"[w, {n}]"}[frame_kind]
+        faulting = True  # never forced whole, in any configuration
+    rank2 = frame_kind == "w,n"
+    parts, models = [], []
+    for lo, hi, _, _, tail in boxes:
+        names = {"x": "(iv.[0] - w)" if tail else "iv.[0]"}
+        if rank2:
+            names["y"] = "iv.[1]"
+        text, model = scalar(rng, names, faulting=faulting)
+        if rank2:
+            parts.append(f"[{lo}, 0] <= iv < [{hi}, {n}]: {text}")
+        elif len(boxes) == 1:
+            parts.append(f"_(iv): {text}")
+        else:
+            parts.append(f"[{lo}] <= iv < [{hi}]: {text}")
+        models.append(model)
+    source = f"imap {frame} {{{', '.join(parts)}}}"
+
+    def expected(box, x, y=0):
+        return outcome(lambda: models[box]({"x": x, "y": y}))
+
+    probes = []
+    for box, (_, _, first, end, tail) in enumerate(boxes):
+        last = end if end is not None else first + 20
+        for x in sorted(rng.sample(range(first, last), min(3, last - first))):
+            index = [ordinal(1, x) if tail else Ordinal(x)]
+            y = rng.randrange(n) if rank2 else 0
+            if rank2:
+                index.append(Ordinal(y))
+            probes.append((index, expected(box, x, y)))
+    if frame_kind == "finite":
+        probes.append(([Ordinal(boxes[-1][3])], "!IndexOutOfBounds"))
+    if frame_kind == "w+k":
+        probes.append(([ordinal(1, k)], "!IndexOutOfBounds"))
+    return source, probes
+
+
+### ---- letrec streams ------------------------------------------------------------------
+
+
+def stream_case(rng):
+    """A stream whose elements past the first `order` are a recurrence on
+    the two before them; with a tail past w whose elements depend on the
+    previous tail element and on the stream's natural part."""
+    order = rng.choice((1, 2))
+    modulus = rng.randrange(5, 50)
+    a, b = rng.randrange(1, 4), rng.randrange(4)
+    init_text, init = scalar(rng, {"x": "iv.[0]"}, depth=1)
+    step_text, step = scalar(rng, {"x": "iv.[0]"}, depth=1)
+    back = " + ".join([f"s.[iv.[0] - 1] * {a}"] + ([f"s.[iv.[0] - 2] * {b}"] if order == 2 else []))
+    parts = [f"[0] <= iv < [{order}]: {init_text} % {modulus}",
+             f"[{order}] <= iv < [w]: ({back} + {step_text}) % {modulus}"]
+    k = rng.randrange(0, 4)
+    c = rng.randrange(10)
+    if k:
+        parts.append(f"[w] <= iv < [w + 1]: s.[{c}] + 1")
+    if k > 1:
+        parts.append(f"[w + 1] <= iv < [w + {k}]: "
+                     f"(s.[w + (iv.[0] - w - 1)] + s.[iv.[0] - w]) % {modulus}")
+    frame = f"[w + {k}]" if k else "[w]"
+    body = f"imap {frame} {{{', '.join(parts)}}}"
+    if rng.random() < 0.5:
+        source = f"letrec s = {body} in s"
+    else:
+        source = f"letrec s = {body}\ns"
+
+    top = 30 if order == 1 else 12  # unmemoized, order 2 costs fib(n) bodies
+    values = []
+    for x in range(max(top, 10) + 1):
+        if x < order:
+            values.append(init({"x": x}) % modulus)
+        else:
+            prior = values[x - 1] * a + (values[x - 2] * b if order == 2 else 0)
+            values.append((prior + step({"x": x})) % modulus)
+    probes = [([Ordinal(x)], values[x])
+              for x in sorted(rng.sample(range(top + 1), 4))]
+    if k:
+        tail = [values[c] + 1]
+        for j in range(1, k):
+            tail.append((tail[j - 1] + values[j]) % modulus)
+        probes += [([ordinal(1, j)], tail[j]) for j in range(k)]
+        probes.append(([ordinal(1, k)], "!IndexOutOfBounds"))
+    return source, probes
+
+
+### ---- filter ------------------------------------------------------------------------------
+
+
+def filter_case(rng):
+    """A filter over a finite vector or over one of shape [w], [w*2] or
+    [w+k]; the predicate is a scalar test on the element."""
+    arg_kind = rng.choice(("literal", "finite", "w", "w*2", "w+k"))
+    m = rng.randrange(2, 6)
+    r = rng.randrange(m)
+    c = rng.randrange(1, 30)
+    predicate_text, predicate = rng.choice((
+        (f"v % {m} = {r}", lambda v: v % m == r),
+        (f"v < {c}", lambda v: v < c),
+        (f"(v * 3 + {r}) % {m} < {max(1, r)}", lambda v: (v * 3 + r) % m < max(1, r)),
+    ))
+    elements_text, elements = scalar(rng, {"x": "iv.[0]"})
+    tail_text, tail_elements = scalar(rng, {"x": "(iv.[0] - w)"})
+    k = rng.randrange(1, 8)
+    if arg_kind == "literal":
+        values = [rng.randrange(40) for _ in range(rng.randrange(8))]
+        arg = "[" + ", ".join(map(str, values)) + "]"
+        segments = [values]
+    elif arg_kind == "finite":
+        n = rng.randrange(1, 12)
+        arg = f"imap [{n}] {{_(iv): {elements_text}}}"
+        segments = [[elements({"x": x}) for x in range(n)]]
+    else:
+        head = [elements({"x": x}) for x in range(FILTER_SCAN)]
+        second = [tail_elements({"x": x}) for x in range(FILTER_SCAN)]
+        if arg_kind == "w":
+            arg = f"imap [w] {{_(iv): {elements_text}}}"
+            segments = [head]
+        else:
+            frame = "w*2" if arg_kind == "w*2" else f"w+{k}"
+            arg = (f"imap [{frame}] {{[0] <= iv < [w]: {elements_text}, "
+                   f"[w] <= iv < [{frame}]: {tail_text}}}")
+            segments = [head, second if arg_kind == "w*2" else second[:k]]
+    source = f"filter (\\v. {predicate_text}) ({arg})"
+
+    probes = []
+    finite = arg_kind in ("literal", "finite")
+    for lead, segment in enumerate(segments):
+        kept = [v for v in segment if predicate(v)]
+        last_segment = finite or (arg_kind == "w+k" and lead == 1)
+        for i in range(min(len(kept), 3)):
+            probes.append(([ordinal(lead, i)], kept[i]))
+        if last_segment:
+            # the scan passes the end of the argument
+            probes.append(([ordinal(lead, len(kept))], "!IndexOutOfBounds"))
+    return source, probes
+
+
+### ---- reduce ----------------------------------------------------------------------------
+
+
+def reduce_case(rng):
+    """A fold over a finite vector, a finite filter or a finite rank-2 imap."""
+    modulus = rng.randrange(7, 100)
+    fold_text, fold = rng.choice((
+        ("acc + v", lambda acc, v: acc + v),
+        (f"(acc * 3 + v) % {modulus}", lambda acc, v: (acc * 3 + v) % modulus),
+        ("if v < acc then v else acc", lambda acc, v: v if v < acc else acc),
+        ("acc + v * v", lambda acc, v: acc + v * v),
+    ))
+    start = rng.randrange(50)
+    element_text, element = scalar(rng, {"x": "iv.[0]", "y": "iv.[1]"})
+    n, m = rng.randrange(1, 5), rng.randrange(1, 5)
+    arg_kind = rng.randrange(3)
+    if arg_kind == 0:
+        values = [rng.randrange(40) for _ in range(rng.randrange(6))]
+        arg = "[" + ", ".join(map(str, values)) + "]"
+    elif arg_kind == 1:
+        values = [element({"x": x, "y": y}) for x in range(n) for y in range(m)]
+        arg = f"(imap [{n}, {m}] {{_(iv): {element_text}}})"
+    else:
+        d = rng.randrange(2, 4)
+        element_text, element = scalar(rng, {"x": "iv.[0]"})
+        values = [v for v in (element({"x": x}) for x in range(n * 3)) if v % d == 0]
+        arg = f"(filter (\\u. u % {d} = 0) (imap [{n * 3}] {{_(iv): {element_text}}}))"
+    acc = start
+    for v in values:
+        acc = fold(acc, v)
+    return f"reduce (\\acc. \\v. {fold_text}) {start} {arg}", [([], acc)]
+
+
+GENERATORS = (imap_case, stream_case, filter_case, reduce_case)
+
+
+def corpus(seed=2024, size=CASES):
+    rng = random.Random(seed)
+    return [GENERATORS[i % len(GENERATORS)](rng) for i in range(size)]
+
+
+def run_case(source, probes, config):
+    """The outcome of each probe under `config`: its value, or "!kind"."""
+    try:
+        result = evaluate(source, config, prelude=False)
+    except EvalError as error:
+        return ["!" + error.kind] * len(probes)
+    outcomes = []
+    for index, _ in probes:
+        try:
+            outcomes.append(result.session.select_at(result.value, index))
+        except EvalError as error:
+            outcomes.append("!" + error.kind)
+    return outcomes
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_generated_programs_match_the_model_in_every_configuration(chunk):
+    cases = corpus()[chunk::4]
+    for source, probes in cases:
+        expected = [value for _, value in probes]
+        for config in CONFIGS:
+            got = run_case(source, probes, config)
+            assert got == expected, (source, config)
+
+
+def test_the_corpus_covers_each_construct():
+    sources = [source for source, _ in corpus()]
+    for construct in ("imap [w+", "imap [w, ", "letrec s", "[w] <= iv < [w + 1]",
+                       "filter", "reduce", "] <= iv < [w]"):
+        assert sum(construct in s for s in sources) >= 15, construct
+    outcomes = [value for _, probes in corpus() for _, value in probes]
+    for kind in ("!IndexOutOfBounds", "!DivisionByZero", "!UndefinedOrdinalOp"):
+        assert kind in outcomes, kind
+    assert sum(isinstance(v, int) for v in outcomes) > 500

@@ -542,22 +542,44 @@ def test_fuel_exhaustion():
     assert r.session.stats["rules"] > 0
 
 
+def test_lexical_addresses_find_the_innermost_binding():
+    # a name resolves to the nearest lambda, letrec or imap generator around
+    # it, however many binders lie between
+    assert val("(\\x. \\y. \\x. x) 1 2 3") == 3
+    assert val("(\\a. \\b. \\c. \\d. a * 1000 + b * 100 + c * 10 + d) 1 2 3 4") == 1234
+    assert val("(\\x. letrec x = 5 in x) 1") == 5
+    assert val("letrec x = 4 in (\\y. x + y) 1") == 5
+    assert val("(\\iv. (imap [3] {_(iv): iv.[0] * 10}).[2]) 7") == 20
+    assert val("(\\k. (imap [3] {_(iv): k + iv.[0]}).[2]) 7") == 9
+    assert val("letrec mk = \\n. \\m. n in (mk 3) 4") == 3
+    # any other name is looked up at the top level when it is evaluated
+    session = Session()
+    session.run_program("let f = \\x. g x")
+    session.run_program("let g = \\x. x + 1")
+    assert session.run_program("f 1") == 2
+    session.run_program("let g = \\x. x * 10")
+    assert session.run_program("f 2") == 20
+    session.run_program("let x = 100")
+    assert session.run_program("(\\x. x) 1") == 1
+    assert session.run_program("(\\y. x) 1") == 100
+
+
 def test_binding_failure_restores_environment():
     session = Session()
     session.run_program("let x = 1")
     with pytest.raises(EvalError):
         session.run_program("letrec x = x in 0")
-    assert session.env.lookup("x") == 1
+    assert session.env["x"] == 1
     # a failing top-level letrec binding puts the previous value back ...
     with pytest.raises(EvalError) as e:
         session.run_program("letrec x = [x]")
     assert (e.value.kind, e.value.rule) == ("UnboundVariable", "array")
-    assert session.env.lookup("x") == 1
+    assert session.env["x"] == 1
     # ... and on a fresh name leaves it unbound
     with pytest.raises(EvalError) as e:
         session.run_program("letrec y = [y]")
     assert (e.value.kind, e.value.rule) == ("UnboundVariable", "array")
-    assert session.env.lookup("y") is None
+    assert "y" not in session.env
 
 
 ### ---- the evaluation boundary -------------------------------------------------------
@@ -603,7 +625,7 @@ def test_depth_overflow_is_depth_exceeded_and_the_session_recovers(shallow_limit
 
 
 def test_a_nats_level_takes_four_frames(shallow_limit):
-    # each level is `eval` of the sum and of the selection, `select` and
+    # each level is the code of the sum and of the selection, `select` and
     # `_cell_value`: 600 levels fit under 3,000 frames, 750 would not
     r = evaluate(program_source("nats.heh"))
     assert probe(r, [600]) == 600
@@ -660,17 +682,11 @@ def prelude_session():
     return new_session()
 
 
-def interrupting_tick(k):
-    """A `Session._tick` whose k-th call raises KeyboardInterrupt, as Ctrl-C
-    in the middle of forcing would."""
-    tick = Session._tick
-    count = itertools.count(1)
-
-    def tick_or_interrupt(self):
-        if next(count) == k:
-            raise KeyboardInterrupt
-        tick(self)
-    return tick_or_interrupt
+def interrupt(session):
+    """An `_out_of_fuel` that raises KeyboardInterrupt, as Ctrl-C in the
+    middle of forcing would.  Every rule that finds no fuel left calls it,
+    so with fuel k - 1 the k-th rule is interrupted."""
+    raise KeyboardInterrupt
 
 
 @pytest.mark.parametrize("case", sorted(REPROBE_CASES))
@@ -680,25 +696,36 @@ def test_failed_probe_leaves_the_session_able_to_reprobe(case, prelude_session,
     again without a limit gives the oracle's value."""
     source, probe_of, expected = REPROBE_CASES[case]
     session = prelude_session
+    session.fuel = None
+    value = session.run_program(source)
+    before = session.stats["rules"]
+    probe_of(session, value)
+    rules = session.stats["rules"] - before  # the probe's rules, all of them
     for k in range(1, 301):
-        for interrupt in (False, True):
+        for interrupted in (False, True):
             session.fuel = None
             value = session.run_program(source)
-            if interrupt:
+            stopped = False
+            if interrupted:
+                session.fuel = k - 1
                 with monkeypatch.context() as patch:
-                    patch.setattr(Session, "_tick", interrupting_tick(k))
+                    patch.setattr(Session, "_out_of_fuel", interrupt)
                     try:
                         probe_of(session, value)
                     except KeyboardInterrupt:
-                        pass
+                        stopped = True
+                # rule k is interrupted whenever the probe has a k-th rule
+                assert stopped == (k <= rules), (k, rules)
             else:
                 session.fuel = k
                 try:
                     probe_of(session, value)
                 except EvalError as error:
                     assert error.kind == "FuelExhausted"
-                session.fuel = None
-            assert probe_of(session, value) == expected, (k, interrupt)
+                    stopped = True
+                assert stopped == (k < rules), (k, rules)
+            session.fuel = None
+            assert probe_of(session, value) == expected, (k, interrupted)
 
 
 ### ---- programs and embedding --------------------------------------------------------

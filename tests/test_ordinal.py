@@ -452,6 +452,41 @@ def test_mixed_natural_and_transfinite_operands(n, x):
         x.natural()
 
 
+def test_reflected_operators_take_an_int_on_the_left():
+    """`int op Ordinal` runs the reflected methods: on naturals they agree
+    with int arithmetic, and past w they keep the operands in order."""
+    rng = random.Random(11)
+    pairs = [(rng.randrange(10**4), rng.randrange(1, 10**4)) for _ in range(300)]
+    pairs += [(i, j) for i in range(6) for j in range(1, 6)]
+    for x, y in pairs:
+        b = Ordinal(y)
+        if y <= x:
+            assert (x - b).natural() == x - y
+        else:
+            with pytest.raises(UndefinedOrdinalOp):
+                x - b
+        q, r = divmod(x, b)
+        assert (q.natural(), r.natural()) == divmod(x, y)
+        assert (x // b).natural() == x // y
+        assert (x % b).natural() == x % y
+    with pytest.raises(UndefinedOrdinalOp) as error:
+        3 - OMEGA
+    assert str(error.value) == "(3) - (w) is undefined: subtrahend is larger"
+    assert 3 - Ordinal(3) == ZERO
+    assert divmod(3, OMEGA) == (ZERO, Ordinal(3))
+    assert (3 // OMEGA, 3 % OMEGA) == (ZERO, Ordinal(3))
+    for reflected in (lambda: divmod(3, ZERO), lambda: 3 // ZERO, lambda: 3 % ZERO):
+        with pytest.raises(ZeroDivisionError):
+            reflected()
+    # a bool is not an ordinal, and a negative int is none either
+    for reflected in (lambda: True - OMEGA, lambda: divmod(True, OMEGA),
+                      lambda: True // OMEGA, lambda: True % OMEGA):
+        with pytest.raises(TypeError):
+            reflected()
+    with pytest.raises(ValueError):
+        -1 - OMEGA
+
+
 # --- text form -----------------------------------------------------------------
 
 

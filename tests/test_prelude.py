@@ -16,8 +16,9 @@ import heh
 
 from heh.eval import EvalConfig, EvalError, Session, evaluate, probe
 from heh.ordinal import OMEGA, Ordinal
-from heh.prelude import (examples_suite, load_prelude, program_names,
-                         program_source)
+from heh.prelude import (compiled_prelude, examples_suite, load_prelude,
+                         prelude_source, program_names, program_source)
+from heh.syntax import Binding, render
 
 
 def run(src, config=None):
@@ -370,3 +371,69 @@ def test_optimized_mode_matches_debug_mode():
     here = examples_outcomes()
     assert here["debug"] and not optimized["debug"]
     assert optimized["outcomes"] == here["outcomes"]
+
+
+### ---- the prelude compiled once per process ------------------------------------------
+
+
+def test_redefining_a_prelude_name_stays_in_its_session():
+    first, second = Session(), Session()
+    load_prelude(first)
+    load_prelude(second)
+    first.run_program("let head = \\a. 99")
+    assert first.run_program("head [1, 2]") == 99
+    assert second.run_program("head [1, 2]") == 1
+    assert Session().run_program("1") == 1 and evaluate("head [7, 8]").value == 7
+
+
+def rendered_prelude():
+    return [(form.name, render(form.expr)) if isinstance(form, Binding) else render(form)
+            for form, _ in compiled_prelude(prelude_source())]
+
+
+def test_running_programs_leaves_the_cached_prelude_as_parsed():
+    before = rendered_prelude()
+    assert len(before) > 25
+    for name, probes in examples_suite():
+        result = evaluate(program_source(name))
+        for index, expected in probes:
+            assert probe(result, list(index)) == expected, (name, index)
+    assert rendered_prelude() == before
+
+
+def back_to_back_sessions():
+    """For two sessions built one after the other: the counters after
+    binding the prelude, then a value and the counters of a program."""
+    from heh import Session, load_prelude
+    outcomes = []
+    for _ in range(2):
+        session = Session()
+        load_prelude(session)
+        loaded = dict(session.stats)
+        value = session.run_program(
+            "let v = filter (\\x. x % 3 = 0) (imap [w] {_(iv): iv.[0]})\n"
+            "let s = sum (take [6] v)\n"
+            "reduce (\\a.\\b. a * 2 + b) s (reverse [1, 2, 3])")
+        outcomes.append([loaded, str(value), dict(session.stats)])
+    return outcomes
+
+
+def test_the_first_session_of_a_process_matches_later_ones():
+    # the subprocess compiles the prelude for its first session; here it is
+    # long compiled
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (inspect.getsource(back_to_back_sessions) +
+              "\nimport json\nprint(json.dumps(back_to_back_sessions()))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    fresh = json.loads(proc.stdout)
+    here = back_to_back_sessions()
+    assert fresh[0] == fresh[1] == here[0] == here[1]
+    acc = sum(3 * i for i in range(6))
+    for b in (3, 2, 1):
+        acc = acc * 2 + b
+    assert fresh[0][1] == str(acc)
+    assert fresh[0][0]["rules"] > 0

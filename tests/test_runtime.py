@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from heh.ordinal import OMEGA, Ordinal, ZERO
 from heh.runtime import (
-    Env, Fault, Rec, StrictArray, box_intersect, box_is_empty, box_subtract,
+    Fault, Rec, StrictArray, box_intersect, box_is_empty, box_subtract,
     delinearize, element_count, forms_partition, linearize, render_strict,
     vector_value,
 )
@@ -245,16 +245,6 @@ def test_rec_cell():
     assert f.value.message == "premature recursive reference to 'nats'"
     cell.value = Ordinal(7)
     assert cell.get() == Ordinal(7)
-
-
-def test_env_lookup_most_recent():
-    env = Env()
-    env.define("x", 1)
-    inner = env.extend("x", 2).extend("y", 3)
-    assert inner.lookup("x") == 2
-    assert inner.lookup("y") == 3
-    assert env.lookup("x") == 1
-    assert env.lookup("z") is None
 
 
 ### ---- strict arrays ----------------------------------------------------------------

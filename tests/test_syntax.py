@@ -1,6 +1,7 @@
 """Lexer, parser, and pretty-printer tests."""
 
 import random
+import string
 
 import pytest
 
@@ -12,6 +13,7 @@ from heh.syntax import (
 )
 
 from astgen import gen_expr
+from heh.prelude import prelude_source, program_names, program_source
 
 
 ### ---- lexer ------------------------------------------------------------------
@@ -47,6 +49,98 @@ def test_tokenize_symbols_and_lambda_alias():
 
 
 ### ---- basic expressions ------------------------------------------------------
+
+
+# the tokens a hand-written scan must find, longest first
+_NAIVE_SYMBOLS = sorted(["++", "<=", ">=", "\\", "λ", ".", ",", ":", "(", ")", "[",
+                         "]", "{", "}", "|", "=", "<", ">", "+", "-", "*", "/", "%",
+                         "^"], key=len, reverse=True)
+_NAIVE_KEYWORDS = {"if", "then", "else", "let", "letrec", "in", "imap", "reduce",
+                   "filter", "islim", "true", "false", "w", "_"}
+
+
+def naive_tokens(source):
+    """(kind, value, begin, end, line, col) of every token, found by walking
+    the text one character at a time and counting lines and columns as it
+    goes; an unrecognized character raises ("lex", begin, line, col)."""
+    found, i, line, col = [], 0, 1, 1
+
+    def step(n):
+        nonlocal i, line, col
+        for ch in source[i:i + n]:
+            line, col = (line + 1, 1) if ch == "\n" else (line, col + 1)
+        i += n
+
+    while i < len(source):
+        ch, begin, at = source[i], i, (line, col)
+        if ch in " \t\r\n":
+            step(1)
+            continue
+        if ch == ";":
+            end = source.find("\n", i)
+            step((len(source) if end < 0 else end) - i)
+            continue
+        if ch in string.digits:
+            n = 1
+            while i + n < len(source) and source[i + n] in string.digits:
+                n += 1
+            token = ("number", int(source[i:i + n]))
+        elif ch in string.ascii_letters + "_":
+            n = 1
+            while i + n < len(source) and source[i + n] in string.ascii_letters + string.digits + "_":
+                n += 1
+            word = source[i:i + n]
+            token = (word, None) if word in _NAIVE_KEYWORDS else ("ident", word)
+        else:
+            symbol = next((s for s in _NAIVE_SYMBOLS if source.startswith(s, i)), None)
+            if symbol is None:
+                raise ValueError(("lex", begin, *at))
+            n = len(symbol)
+            token = ("\\" if symbol == "λ" else symbol, None)
+        step(n)
+        found.append((*token, begin, i, *at))
+    found.append(("eof", None, i, i, line, col))
+    return found
+
+
+def lexed(source):
+    try:
+        return [(t.kind, t.value, t.span.begin, t.span.end, t.span.line, t.span.col)
+                for t in tokenize(source)]
+    except LexError as error:
+        return ("lex", error.span.begin, error.span.line, error.span.col)
+
+
+def oracle(source):
+    try:
+        return naive_tokens(source)
+    except ValueError as error:
+        return error.args[0]
+
+
+def test_tokenize_matches_a_naive_scan():
+    """Kinds, values and spans of every token, and the span of every
+    LexError, equal those a character-by-character scan finds."""
+    rng = random.Random(12)
+    texts = [prelude_source()] + [program_source(name) for name in program_names()]
+    for _ in range(300):
+        text = render(gen_expr(rng))
+        # spread it over lines, with comments, tabs and CR LF endings
+        words = text.split(" ")
+        for _ in range(rng.randrange(4)):
+            k = rng.randrange(len(words))
+            words[k] += rng.choice(("\n", " ; note\n\t", "\r\n  ", "\t"))
+        texts.append(" ".join(words))
+    texts += ["", "\n\n", "; only a comment", "x ; trailing", "λx. x", "a\n  #",
+              "ab +\n  cd $"]
+    for text in list(texts[:200]):
+        k = rng.randrange(len(text) + 1)
+        texts.append(text[:k] + rng.choice("#$@?!~`\"'") + text[k:])
+    lex_errors = 0
+    for text in texts:
+        assert lexed(text) == oracle(text), text
+        lex_errors += lexed(text)[0] == "lex"
+    assert lex_errors > 150
 
 
 def test_constants():
