@@ -54,7 +54,9 @@ def _lazy_prefix(session: Session, value, shape, k: int) -> str:
             if length is None or length > shown:
                 parts.append("...")
     elif ZERO not in shape:
-        _force_run(session, value, parts, _odometer(shape, k))
+        # row-major order; none of the first k indices reaches k on any axis
+        axes = (range(min(k, s.natural()) if s.is_natural else k) for s in shape)
+        _force_run(session, value, parts, itertools.islice(itertools.product(*axes), k))
         parts.append("...")
     body = ", ".join(parts)
     return "[" + body + (" ]" if body.endswith("...") else "]")
@@ -84,22 +86,6 @@ def _segments(alpha: Ordinal):
             for _ in range(coeff):
                 yield acc, None
                 acc = acc + unit
-
-
-def _odometer(shape, k: int):
-    """First k indices of a non-empty rank>=2 index space in row-major order."""
-    index = [ZERO] * len(shape)
-    for _ in range(k):
-        yield tuple(index)
-        axis = len(shape) - 1
-        while axis >= 0:
-            index[axis] = index[axis] + _ONE
-            if index[axis] < shape[axis]:
-                break
-            index[axis] = ZERO
-            axis -= 1
-        else:
-            return
 
 
 ### ---- one-shot modes -----------------------------------------------------------

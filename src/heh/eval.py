@@ -16,6 +16,7 @@ infinite vectors, which build closures whose elements are computed and
 memoized on selection.
 """
 
+import itertools
 import operator
 import sys
 from dataclasses import dataclass
@@ -23,9 +24,9 @@ from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 from .ordinal import Ordinal, UndefinedOrdinalOp, ZERO, nat
 from .runtime import (
-    Box, Fault, FilterClosure, FilterSegment, FunClosure, ImapClosure, ImapPart,
-    Rec, ShapeVec, StrictArray, box_contains, delinearize, element_count,
-    forms_partition, linearize, render_shape, strict_value, vector_value,
+    Box, Fault, FilterClosure, FilterSegment, FunClosure, ImapClosure, Rec,
+    ShapeVec, StrictArray, box_contains, forms_partition, linearize,
+    render_shape, strict_value, vector_value,
 )
 from .syntax import (
     Apply, ArrayLiteral, BinOp, Binding, BoolConst, Cond, Expr, Filter, Full,
@@ -373,7 +374,7 @@ class Session:
         return StrictArray(shape, [x for d in datas for x in d])
 
     def _eval_shape(self, env, arg: Code):
-        return vector_value(list(self._shape_of(arg(self, env))))
+        return vector_value(self._shape_of(arg(self, env)))
 
     def _eval_islim(self, env, arg: Code):
         x = self._force_scalar(arg(self, env))
@@ -424,11 +425,11 @@ class Session:
                 if any(l > u for l, u in zip(lower, upper)):
                     raise Fault("NotAPartition", "generator bounds are inverted")
                 box = (lower, upper)
-            parts.append(ImapPart(box, body, env))
-        problem = forms_partition(frame_box, [p.box for p in parts])
+            parts.append((box, body))
+        problem = forms_partition(frame_box, [box for box, _ in parts])
         if problem is not None:
             raise Fault("NotAPartition", problem)
-        closure = ImapClosure(frame, cell, tuple(parts))
+        closure = ImapClosure(frame, cell, env, tuple(parts))
         if (self.config.strict_finite_imaps and self._letrec_depth == 0
                 and all(s.is_natural for s in closure.shape)):
             return strict_value(closure.shape, self._force_closure_strict(closure))
@@ -450,16 +451,16 @@ class Session:
             return hit
         parts = closure.partitions
         if len(parts) == 1:
-            part = parts[0]  # a lone box tiles the frame, so it holds the index
+            code = parts[0][1]  # a lone box tiles the frame, so it holds the index
         else:
-            for part in parts:
-                if box_contains(part.box, index):
+            for box, code in parts:
+                if box_contains(box, index):
                     break
             else:
                 raise Fault("NotAPartition",
                             f"no partition covers index {render_shape(index)}")
         self.stats["body_evals"] += 1
-        result = part.code(self, (vector_value(list(index)), part.env))
+        result = code(self, (vector_value(index), closure.env))
         shape = self._shape_of(result)
         if shape != closure.cell:
             raise Fault("ShapeMismatch",
@@ -473,8 +474,9 @@ class Session:
     def _force_closure_strict(self, closure: ImapClosure) -> list:
         """Row-major data of a finite imap, forcing every element."""
         data: list = []
-        for offset in range(element_count(closure.frame)):
-            cell = self._cell_value(closure, delinearize(closure.frame, offset))
+        axes = (map(nat, range(s.natural())) for s in closure.frame)
+        for index in itertools.product(*axes):
+            cell = self._cell_value(closure, index)
             data.extend(self._force_strict(cell, "ShapeMismatch",
                                            "imap cell is not finite")[1])
         return data
@@ -544,7 +546,7 @@ class Session:
 
     def _filter_select(self, fc: FilterClosure, target: Ordinal):
         xi, n = target.limit_part()
-        segment = fc.segment(xi)
+        segment = fc.partitions[xi]
         alpha = fc.arg_shape[0]
         while len(segment.prefix) <= n:
             source = xi + segment.scan
@@ -560,7 +562,7 @@ class Session:
         lam, k = fc.arg_shape[0].limit_part()
         if k == 0:
             return (lam,)
-        segment = fc.segment(lam)
+        segment = fc.partitions[lam]
         while segment.scan < k:
             self._scan_step(fc, segment, lam + segment.scan)
         return (lam + len(segment.prefix),)

@@ -9,9 +9,8 @@ which already gives arbitrary precision.
 
 Arithmetic follows the classical non-commutative rules: `+` absorbs low
 terms of the left operand, `-` is left subtraction (the unique x with
-b + x == a), `sub_right` is right subtraction (the least x with
-x + b == a, partial), `*` is left-distributive multiplication, and
-divmod produces the unique (q, r) with a == b*q + r and r < b.
+b + x == a), `*` is left-distributive multiplication, and divmod
+produces the unique (q, r) with a == b*q + r and r < b.
 
 Partial operations raise UndefinedOrdinalOp (or ZeroDivisionError for
 division by zero) instead of returning sentinels.  Instances are
@@ -203,32 +202,6 @@ class Ordinal:
             return Ordinal._make(((ea, ca - cb),) + self.terms[i + 1 :])
         return Ordinal._make(self.terms[i:])
 
-    def sub_right(self, other) -> "Ordinal":
-        """Right subtraction: the least x with x + other == self (partial)."""
-        other = _as_ordinal(other)
-        if other is NotImplemented:
-            raise TypeError(f"cannot subtract {other!r}")
-        a, b = self, other
-        if b.terms == a.terms:
-            return ZERO
-        if b > a:
-            raise UndefinedOrdinalOp(f"({a}) -r ({b}) is undefined: subtrahend is larger")
-        if not b.terms:
-            return a
-        # x + b passes x's terms above lead(b) through and may raise b's
-        # leading coefficient, so a must end with b's tail exactly.
-        k = len(b.terms)
-        if k > 1 and a.terms[len(a.terms) - (k - 1) :] != b.terms[1:]:
-            raise UndefinedOrdinalOp(f"no x satisfies x + ({b}) = ({a})")
-        j = len(a.terms) - k
-        eb, cb = b.terms[0]
-        if j < 0 or a.terms[j][0] != eb or a.terms[j][1] < cb:
-            raise UndefinedOrdinalOp(f"no x satisfies x + ({b}) = ({a})")
-        ca = a.terms[j][1]
-        if ca == cb:
-            return Ordinal._make(a.terms[:j])
-        return Ordinal._make(a.terms[:j] + ((eb, ca - cb),))
-
     def __mul__(self, other) -> "Ordinal":
         other = _as_ordinal(other)
         if other is NotImplemented:
@@ -279,7 +252,7 @@ class Ordinal:
         if cand > a:
             q0 -= 1
             cand = b * q0
-        return Ordinal(q0), a - cand
+        return nat(q0), a - cand
 
     def __rsub__(self, other) -> "Ordinal":
         other = _as_ordinal(other)
@@ -361,7 +334,7 @@ def _as_ordinal(x) -> "Ordinal":
     if isinstance(x, int) and not isinstance(x, bool):
         if x < 0:
             raise ValueError(f"ordinals cannot be negative: {x}")
-        return Ordinal(x)
+        return nat(x)
     return NotImplemented
 
 

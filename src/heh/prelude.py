@@ -1,6 +1,6 @@
 """Loading of the standard library and access to the shipped example programs."""
 
-from functools import lru_cache
+from functools import cache
 from importlib import resources
 
 from .eval import Session, compile_program
@@ -27,17 +27,17 @@ def program_names() -> list:
                   if p.name.endswith(".heh") and p.name != "prelude.heh")
 
 
-@lru_cache(maxsize=1)
-def compiled_prelude(source: str) -> list:
-    """The prelude's forms and their code, compiled once per process for
-    its source text; compiled code holds no session state, so every session
-    runs the same forms."""
-    return compile_program(source)
+@cache
+def compiled_prelude() -> list:
+    """The prelude's forms and their code, read and compiled once per
+    process; compiled code holds no session state, so every session runs
+    the same forms."""
+    return compile_program(prelude_source())
 
 
 def load_prelude(session: Session) -> None:
     """Bind the standard library into the session's top-level frame."""
-    session.run_compiled(compiled_prelude(prelude_source()))
+    session.run_compiled(compiled_prelude())
 
 
 _BLINKER = [[0, 0, 0, 0, 0],

@@ -7,7 +7,8 @@ scalars in row-major order), a lazy `ImapClosure`, or a lazy
 defining: it is empty while the definition is evaluated and filled after.
 """
 
-from typing import Dict, List, Optional, Tuple
+from collections import defaultdict
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ordinal import Ordinal, ZERO, nat
 
@@ -52,7 +53,7 @@ def strict_value(shape: ShapeVec, data: list):
     return StrictArray(shape, data) if shape else data[0]
 
 
-def vector_value(elements: list) -> StrictArray:
+def vector_value(elements: Sequence) -> StrictArray:
     return StrictArray((nat(len(elements)),), list(elements))
 
 
@@ -67,38 +68,24 @@ class FunClosure:
         self.env = env
 
 
-class ImapPart:
-    """One evaluated generator of an imap: its box of ordinal bounds, the
-    code of the body it maps, and the environment the index extends."""
-
-    __slots__ = ("box", "code", "env")
-
-    def __init__(self, box: "Box", code, env):
-        self.box = box
-        self.code = code
-        self.env = env
-
-
 class ImapClosure:
-    """A lazy index map.  The paper memoizes a forced element by cutting its
-    generator box into guillotine pieces around the index, leaving a
-    one-point partition that holds the value.  `memo` realises that rule
-    equivalently: its keys are exactly those one-point partitions, and every
-    other index still lies in the generator box it was written in, so the
-    partitions stay as `_eval_imap` checked them and are never cut."""
+    """A lazy index map: one `(box, code)` pair per generator, whose bodies
+    all extend the one `env` with the index.  The paper memoizes a forced
+    element by cutting its generator box into guillotine pieces around the
+    index, leaving a one-point partition that holds the value.  `memo`
+    realises that rule equivalently: its keys are exactly those one-point
+    partitions, and every other index still lies in the generator box it
+    was written in, so the partitions are never cut."""
 
-    __slots__ = ("frame", "cell", "partitions", "memo")
+    __slots__ = ("frame", "cell", "shape", "env", "partitions", "memo")
 
-    def __init__(self, frame: ShapeVec, cell: ShapeVec,
-                 partitions: Tuple[ImapPart, ...]):
+    def __init__(self, frame: ShapeVec, cell: ShapeVec, env, partitions: tuple):
         self.frame = frame
         self.cell = cell
+        self.shape = frame + cell
+        self.env = env
         self.partitions = partitions
         self.memo: Dict[ShapeVec, object] = {}  # frame index -> cell value
-
-    @property
-    def shape(self) -> ShapeVec:
-        return self.frame + self.cell
 
 
 class FilterSegment:
@@ -110,19 +97,16 @@ class FilterSegment:
 
 
 class FilterClosure:
+    """A lazy filter of a vector of infinite shape: `partitions` maps the
+    limit part of an index to the segment scanned from it, made on first use."""
+
     __slots__ = ("predicate", "argument", "arg_shape", "partitions")
 
     def __init__(self, predicate: FunClosure, argument, arg_shape: ShapeVec):
         self.predicate = predicate
         self.argument = argument
         self.arg_shape = arg_shape
-        self.partitions: Dict[Ordinal, FilterSegment] = {}
-
-    def segment(self, xi: Ordinal) -> FilterSegment:
-        seg = self.partitions.get(xi)
-        if seg is None:
-            seg = self.partitions[xi] = FilterSegment()
-        return seg
+        self.partitions: Dict[Ordinal, FilterSegment] = defaultdict(FilterSegment)
 
 
 ### ---- recursion cells ----------------------------------------------------------
@@ -149,17 +133,6 @@ class Rec:
 ### ---- row-major linearization ---------------------------------------------------
 
 
-def shape_naturals(shape: ShapeVec) -> Tuple[int, ...]:
-    return tuple(s.natural() for s in shape)
-
-
-def element_count(shape: ShapeVec) -> int:
-    n = 1
-    for s in shape:
-        n *= s.natural()
-    return n
-
-
 def linearize(shape: ShapeVec, index: ShapeVec) -> int:
     """Row-major offset of `index` within `shape` (0-based, finite)."""
     if len(shape) != len(index):
@@ -180,19 +153,6 @@ def linearize(shape: ShapeVec, index: ShapeVec) -> int:
                         f"{render_shape(shape)}")
         offset = offset * s.natural() + i.natural()
     return offset
-
-
-def delinearize(shape: ShapeVec, offset: int) -> ShapeVec:
-    """Inverse of linearize: the index vector at `offset`."""
-    total = element_count(shape)
-    if not 0 <= offset < total:
-        raise Fault("IndexOutOfBounds",
-                    f"offset {offset} outside 0..{total - 1}")
-    index = []
-    for s in reversed(shape_naturals(shape)):
-        offset, k = divmod(offset, s)
-        index.append(nat(k))
-    return tuple(reversed(index))
 
 
 ### ---- box algebra over ordinal index spaces --------------------------------------
@@ -287,7 +247,7 @@ def render_strict(value: StrictArray) -> str:
                  for i in range(shape[0])]
         return "[" + ", ".join(parts) + "]"
 
-    return nest(shape_naturals(value.shape), value.data)
+    return nest(tuple(s.natural() for s in value.shape), value.data)
 
 
 def render_shape(shape: ShapeVec) -> str:

@@ -216,6 +216,10 @@ def test_rank_two_infinite_prints_row_major_prefix(capsys):
     _, out, _ = run_cli(capsys, "-e", "imap [w, 2] {_(iv): iv.[1]}",
                         "--force-print", "3")
     assert out == "<imap shape=[w, 2]> [0, 1, 0, ... ]\n"
+    # ... and through a finite middle axis
+    _, out, _ = run_cli(capsys, "-e", "imap [w, 3, 2] {_(iv): iv.[1] * 2 + iv.[2]}",
+                        "--force-print", "7")
+    assert out == "<imap shape=[w, 3, 2]> [0, 1, 2, 3, 4, 5, 0, ... ]\n"
 
 
 def test_infinite_shape_with_no_elements_prints_empty(capsys):

@@ -3,19 +3,27 @@
 A seeded generator writes small closed programs that terminate: imaps with
 one to three generator boxes over finite, `[w]`, `[w+k]` and `[w, n]`
 frames, `letrec` streams defined by recurrences on earlier elements,
-filters over finite and transfinite vectors, and reductions.  Each program
-comes with the probes to make and, for each probe, the value or error kind
-a Python model of the program gives.  The model is written here with
-Python integers and lists; it never runs heh.  Every program is run under
-the four configurations memo on/off x strict/lazy finite imaps, which must
-all give the model's outcomes.
+filters over finite and transfinite vectors, and reductions.  A second
+corpus applies the prelude's list operations `take`, `drop`, `++`,
+`reverse` and `zip` to finite and `[w+k]` vectors.  Each program comes with
+the probes to make and, for each probe, the value or error kind a Python
+model of the program gives.  The model is written here with Python
+integers and lists; it never runs heh.  Every program is run under the four
+configurations memo on/off x strict/lazy finite imaps, which must all give
+the model's outcomes, and under `python -O`, which must give the same
+outcomes and counters as with assertions on.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from heh.eval import EvalConfig, EvalError, evaluate
+import heh
+from heh.eval import EvalConfig, EvalError, new_session
 from heh.ordinal import OMEGA, Ordinal
 
 CONFIGS = [EvalConfig(memoize=memo, strict_finite_imaps=strict, fuel=3_000_000)
@@ -298,19 +306,132 @@ def corpus(seed=2024, size=CASES):
     return [GENERATORS[i % len(GENERATORS)](rng) for i in range(size)]
 
 
-def run_case(source, probes, config):
-    """The outcome of each probe under `config`: its value, or "!kind"."""
+### ---- prelude list operations -----------------------------------------------------
+#
+# A vector of shape w*c + n is modelled by that shape, kept as the pair
+# (c, n), and a function from such pairs to its elements.  Pairs compare as
+# the ordinals do; `pair_add` and `pair_sub` are ordinal + and left - below
+# w^2, which the prelude's index arithmetic uses.
+
+
+def pair_add(a, b):
+    return (a[0] + b[0], b[1]) if b[0] else (a[0], a[1] + b[1])
+
+
+def pair_sub(a, b):
+    """The x with b + x == a, for b <= a."""
+    return (0, a[1] - b[1]) if a[0] == b[0] else (a[0] - b[0], a[1])
+
+
+def pair_text(pair):
+    c, n = pair
+    lead = [] if c == 0 else ["w" if c == 1 else f"w * {c}"]
+    return " + ".join(lead + ([str(n)] if n or not c else []))
+
+
+class Vector:
+    def __init__(self, shape, element):
+        self.shape, self.element = shape, element
+
+    def at(self, i):
+        if not i < self.shape:
+            raise ModelFault("IndexOutOfBounds")
+        return self.element(i)
+
+
+def vector_leaf(rng):
+    """A finite or [w+k] imap, its elements scalar expressions of the index."""
+    text, head = scalar(rng, {"x": "iv.[0]"})
+    if rng.random() < 0.5:
+        n = rng.randrange(6)
+        return (f"(imap [{n}] {{_(iv): {text}}})",
+                Vector((0, n), lambda i: head({"x": i[1]})))
+    k = rng.randrange(4)
+    tail_text, tail = scalar(rng, {"x": "(iv.[0] - w)"})
+    return (f"(imap [w + {k}] {{[0] <= iv < [w]: {text}, "
+            f"[w] <= iv < [w + {k}]: {tail_text}}})",
+            Vector((1, k), lambda i: (tail if i[0] else head)({"x": i[1]})))
+
+
+def prefix_length(rng, shape):
+    c, n = shape
+    lead = rng.randrange(c + 1)
+    return (lead, rng.randrange((n if lead == c else 6) + 1))
+
+
+def vector_expr(rng, depth, top=False):
+    """(heh text, model) of a list operation on vectors.  `zip` is rank 2,
+    and the reverse of an infinite vector faults on its natural indices, so
+    both only appear at the top, where no strict finite imap forces them."""
+    if depth == 0 or (not top and rng.random() < 0.5):
+        return vector_leaf(rng)
+    a_text, a = vector_expr(rng, depth - 1)
+    ops = ["take", "drop", "++"] + (["reverse"] if top or not a.shape[0] else [])
+    op = rng.choice(ops + (["zip"] if top else []))
+    if op in ("++", "zip"):
+        b_text, b = vector_expr(rng, depth - 1)
+    if op == "take":
+        s = prefix_length(rng, a.shape)
+        return f"(take [{pair_text(s)}] {a_text})", Vector(s, a.at)
+    if op == "drop":
+        s = prefix_length(rng, a.shape)
+        return (f"(drop [{pair_text(s)}] {a_text})",
+                Vector(pair_sub(a.shape, s), lambda i: a.at(pair_add(s, i))))
+    if op == "++":
+        return (f"({a_text} ++ {b_text})",
+                Vector(pair_add(a.shape, b.shape), lambda i: a.at(i) if i < a.shape
+                       else b.at(pair_sub(i, a.shape))))
+    if op == "reverse":
+        return (f"(reverse {a_text})", Vector(a.shape, lambda i: a.at(
+            pair_sub(pair_sub(a.shape, i), (0, 1)))))
+    return (f"(zip {a_text} {b_text})",
+            Vector(min(a.shape, b.shape), lambda i: (a.at(i), b.at(i))))
+
+
+def list_case(rng):
+    """A list operation on list operations or vectors, probed at naturals,
+    in each block past w, in the finite tail and one past the end."""
+    source, model = vector_expr(rng, 2, top=True)
+    c, n = model.shape
+    naturals = range(n if c == 0 else 12)
+    indices = [(0, x) for x in sorted(rng.sample(naturals, min(4, len(naturals))))]
+    indices += [(b, x) for b in range(1, c) for x in rng.sample(range(12), 2)]
+    if c:
+        indices += [(c, x) for x in range(min(n, 2))]
+    indices.append(model.shape)  # one past the end
+    pair = source.startswith("(zip")
+    probes = []
+    for i in indices:
+        index = [ordinal(*i)]
+        if pair:
+            j = rng.randrange(2)
+            probes.append((index + [Ordinal(j)],
+                           outcome(lambda: model.at(i)[j])))
+        else:
+            probes.append((index, outcome(lambda: model.at(i))))
+    return source, probes
+
+
+def list_corpus(seed=2025, size=96):
+    rng = random.Random(seed)
+    return [list_case(rng) for _ in range(size)]
+
+
+def run_case(source, probes, config, prelude=False):
+    """The outcome of each probe under `config`, its value or "!kind", and
+    the session, whose counters and fuel the probes have left."""
+    session = new_session(config, prelude)
     try:
-        result = evaluate(source, config, prelude=False)
+        value = session.run_program(source)
     except EvalError as error:
-        return ["!" + error.kind] * len(probes)
+        return ["!" + error.kind] * len(probes), session
     outcomes = []
     for index, _ in probes:
         try:
-            outcomes.append(result.session.select_at(result.value, index))
+            outcomes.append(session.select_at(value, index))
         except EvalError as error:
             outcomes.append("!" + error.kind)
-    return outcomes
+    return outcomes, session
 
 
 @pytest.mark.parametrize("chunk", range(4))
@@ -319,8 +440,40 @@ def test_generated_programs_match_the_model_in_every_configuration(chunk):
     for source, probes in cases:
         expected = [value for _, value in probes]
         for config in CONFIGS:
-            got = run_case(source, probes, config)
+            got, _ = run_case(source, probes, config)
             assert got == expected, (source, config)
+
+
+def test_prelude_list_operations_match_the_model_in_every_configuration():
+    for source, probes in list_corpus():
+        expected = [value for _, value in probes]
+        for config in CONFIGS:
+            got, _ = run_case(source, probes, config, prelude=True)
+            assert got == expected, (source, config)
+
+
+def counted_outcomes():
+    """For every program of both corpora under the first configuration: its
+    probes' outcomes as text, its counters and the fuel left."""
+    rows = []
+    for prelude, cases in ((False, corpus()), (True, list_corpus())):
+        for source, probes in cases:
+            got, session = run_case(source, probes, CONFIGS[0], prelude)
+            rows.append([list(map(str, got)), session.stats, session.fuel])
+    return rows
+
+
+def test_optimized_mode_gives_the_same_outcomes_and_counters():
+    # `python -O` drops the checks under __debug__, beside which the
+    # natural-number fast paths sit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(heh.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")])))
+    script = "import json, test_differential as t; print(json.dumps(t.counted_outcomes()))"
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(json.dumps(counted_outcomes()))
 
 
 def test_the_corpus_covers_each_construct():
@@ -332,3 +485,7 @@ def test_the_corpus_covers_each_construct():
     for kind in ("!IndexOutOfBounds", "!DivisionByZero", "!UndefinedOrdinalOp"):
         assert kind in outcomes, kind
     assert sum(isinstance(v, int) for v in outcomes) > 500
+    lists = [source for source, _ in list_corpus()]
+    for op in ("(take ", "(drop ", " ++ ", "(reverse ", "(zip "):
+        assert sum(op in s and "imap [w + " in s for s in lists) >= 5, op
+        assert sum(op in s and "imap [w + " not in s for s in lists) >= 3, op

@@ -63,12 +63,6 @@ def search_left_difference(a, b, candidates):
     return [x for x in candidates if b + x == a]
 
 
-def search_right_difference(a, b, candidates):
-    """Least x among candidates with x + b == a, or None."""
-    hits = [x for x in candidates if x + b == a]
-    return min(hits) if hits else None
-
-
 def add_below_w2_oracle(p, q, r, s):
     """(w*p + q) + (w*r + s) as (p', q'), derived by hand from absorption."""
     if r == 0:
@@ -271,40 +265,6 @@ def test_left_sub_roundtrip(a, b):
     assert lo + (hi - lo) == hi
 
 
-def test_right_sub_witnesses():
-    assert OMEGA.sub_right(OMEGA) == ZERO
-    assert (OMEGA + 5).sub_right(5) == OMEGA      # frozen from bounded search
-    assert omega_power(1, 2).sub_right(OMEGA) == OMEGA
-    with pytest.raises(UndefinedOrdinalOp):
-        OMEGA.sub_right(42)
-    with pytest.raises(UndefinedOrdinalOp):
-        omega_power(2).sub_right(OMEGA)
-    with pytest.raises(UndefinedOrdinalOp):
-        Ordinal(5).sub_right(7)
-
-
-def test_right_sub_minimal_against_search():
-    rng = random.Random(20260814)
-    candidates = small_ordinals(max_exp=2, max_coeff=4)
-    pairs = [(rng.choice(candidates), rng.choice(candidates)) for _ in range(250)]
-    for a, b in pairs:
-        expected = search_right_difference(a, b, candidates)
-        if expected is None:
-            with pytest.raises(UndefinedOrdinalOp):
-                a.sub_right(b)
-        else:
-            assert a.sub_right(b) == expected
-
-
-@given(ordinals(), ordinals())
-def test_right_sub_reconstructs(a, b):
-    try:
-        x = a.sub_right(b)
-    except UndefinedOrdinalOp:
-        return
-    assert x + b == a
-
-
 # --- multiplication ----------------------------------------------------------
 
 
@@ -413,7 +373,6 @@ def test_naturals_behave_like_ints():
         assert (a < b) == (x < y) and (a == b) == (x == y)
         if y <= x:
             assert (a - b).natural() == x - y
-            assert a.sub_right(b).natural() == x - y
         if y:
             q, r = divmod(a, b)
             assert (q.natural(), r.natural()) == divmod(x, y)

@@ -17,7 +17,7 @@ import heh
 from heh.eval import EvalConfig, EvalError, Session, evaluate, probe
 from heh.ordinal import OMEGA, Ordinal
 from heh.prelude import (compiled_prelude, examples_suite, load_prelude,
-                         prelude_source, program_names, program_source)
+                         program_names, program_source)
 from heh.syntax import Binding, render
 
 
@@ -388,7 +388,7 @@ def test_redefining_a_prelude_name_stays_in_its_session():
 
 def rendered_prelude():
     return [(form.name, render(form.expr)) if isinstance(form, Binding) else render(form)
-            for form, _ in compiled_prelude(prelude_source())]
+            for form, _ in compiled_prelude()]
 
 
 def test_running_programs_leaves_the_cached_prelude_as_parsed():
