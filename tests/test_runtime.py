@@ -12,6 +12,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from heh.eval import evaluate
 from heh.ordinal import OMEGA, Ordinal, ZERO, nat
 from heh.runtime import (
     Fault, Rec, StrictArray, box_intersect, box_is_empty, box_subtract,
@@ -48,6 +49,27 @@ def test_linearize_bijective_3_4_5():
                for i in range(3) for j in range(4) for k in range(5)]
     assert sorted(offsets) == list(range(60))
     assert offsets == list(range(60))  # row-major: last axis fastest
+
+
+def forced_indices(sizes):
+    """Index vectors of a finite imap, in the order the evaluator forces them."""
+    shape = ", ".join(map(str, sizes))
+    result = evaluate(f"[imap [{shape}]|[{len(sizes)}] {{_(iv): iv}}]", prelude=False)
+    data, rank = result.value.data, len(sizes)
+    return [tuple(data[j:j + rank]) for j in range(0, len(data), rank)]
+
+
+def test_delinearize_witnesses():
+    # offset k of the evaluator's walk over a finite imap is the index that
+    # linearize numbers k
+    for sizes, offset, index in (([2, 2], 2, vec(1, 0)), ([7], 4, vec(4)),
+                                 ([3, 2000], 5999, vec(2, 1999))):  # past the interned naturals
+        got = forced_indices(sizes)[offset]
+        assert got == index and all(type(i) is Ordinal for i in got)
+        assert linearize(vec(*sizes), got) == offset
+    # rank 0: one element, at the empty index
+    assert evaluate("[imap [] {_(iv): 9}]", prelude=False).value.data == [9]
+    assert len(forced_indices([2, 2])) == 4   # offset 4 lies outside [2, 2]
 
 
 def test_linearize_roundtrip():
