@@ -23,7 +23,7 @@ _ONE = Ordinal(1)
 def format_value(session: Session, value, force_elements: int) -> str:
     """Printable form of a value.  Lazy arrays with infinite shape render as a
     tag plus a bounded prefix, so printing always terminates."""
-    if isinstance(value, StrictArray):
+    if isinstance(value, (StrictArray, tuple)):
         return render_strict(value)
     if isinstance(value, FilterClosure):
         # forcing even one filtered element may diverge, so show the shape only

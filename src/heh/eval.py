@@ -26,7 +26,7 @@ from .ordinal import Ordinal, UndefinedOrdinalOp, ZERO, nat
 from .runtime import (
     Box, Fault, FilterClosure, FilterSegment, FunClosure, ImapClosure, Rec,
     ShapeVec, StrictArray, box_contains, forms_partition, linearize,
-    render_shape, strict_value, vector_value,
+    render_shape, strict_value,
 )
 from .syntax import (
     Apply, ArrayLiteral, BinOp, Binding, BoolConst, Cond, Expr, Filter, Full,
@@ -358,10 +358,8 @@ class Session:
 
     def _eval_array(self, env, elements: List[Code]):
         values = [code(self, env) for code in elements]
-        if not values:
-            return StrictArray((ZERO,), [])
-        if all(v.__class__ is Ordinal for v in values):  # an index vector
-            return StrictArray((nat(len(values)),), values)
+        if all(v.__class__ is Ordinal for v in values):  # a vector of ordinals, or []
+            return tuple(values)
         shapes, datas = zip(*(self._force_strict(v, "ShapeMismatch",
                                                  "array elements must have finite shape")
                               for v in values))
@@ -371,10 +369,10 @@ class Session:
                             "array elements have different shapes: "
                             f"{render_shape(shapes[0])} vs {render_shape(other)}")
         shape = (nat(len(values)),) + shapes[0]
-        return StrictArray(shape, [x for d in datas for x in d])
+        return strict_value(shape, [x for d in datas for x in d])
 
     def _eval_shape(self, env, arg: Code):
-        return vector_value(self._shape_of(arg(self, env)))
+        return self._shape_of(arg(self, env))
 
     def _eval_islim(self, env, arg: Code):
         x = self._force_scalar(arg(self, env))
@@ -385,6 +383,8 @@ class Session:
     def _shape_of(self, value) -> ShapeVec:
         value = self._value(value)
         cls = value.__class__
+        if cls is tuple:
+            return (nat(len(value)),)
         if cls is StrictArray or cls is ImapClosure:
             return value.shape
         if cls is FilterClosure:
@@ -460,7 +460,7 @@ class Session:
                 raise Fault("NotAPartition",
                             f"no partition covers index {render_shape(index)}")
         self.stats["body_evals"] += 1
-        result = code(self, (vector_value(index), closure.env))
+        result = code(self, (index, closure.env))
         shape = self._shape_of(result)
         if shape != closure.cell:
             raise Fault("ShapeMismatch",
@@ -490,6 +490,8 @@ class Session:
         while value.__class__ is Rec:
             value = value.get()
         cls = value.__class__
+        if cls is tuple:
+            return value[linearize((nat(len(value)),), index)]
         if cls is StrictArray:
             return value.data[linearize(value.shape, index)]
         if cls is ImapClosure:
@@ -534,7 +536,7 @@ class Session:
             _, data = self._force_strict(array, "FilterRankError",
                                          "filter argument is not strict")
             kept = [x for x in data if self._predicate_accepts(predicate, x)]
-            return vector_value(kept)
+            return strict_value((nat(len(kept)),), kept)
         return FilterClosure(predicate, array, shape)
 
     def _predicate_accepts(self, predicate: FunClosure, element) -> bool:
@@ -582,10 +584,7 @@ class Session:
         """A scalar value: Ordinal, bool, or FunClosure."""
         value = self._value(value)
         cls = value.__class__
-        if cls is StrictArray:
-            raise Fault("ShapeMismatch",
-                        f"expected a scalar, got shape {render_shape(value.shape)}")
-        if cls is not ImapClosure and cls is not FilterClosure:
+        if cls is Ordinal or cls is bool or cls is FunClosure:
             return value
         shape = self._shape_of(value)
         if shape == ():
@@ -594,16 +593,15 @@ class Session:
                     f"expected a scalar, got shape {render_shape(shape)}")
 
     def _force_ordinal_vector(self, value, what: str) -> ShapeVec:
-        """A rank-1 value forced to a tuple of ordinals."""
-        if value.__class__ is StrictArray and len(value.shape) == 1:
-            data = value.data
-        else:
-            shape = self._shape_of(value)
-            if len(shape) != 1:
-                raise Fault("RankMismatch",
-                            f"{what} must be a vector, got shape {render_shape(shape)}")
-            _, data = self._force_strict(value, "ShapeMismatch",
-                                         f"{what} must be a finite vector")
+        """A rank-1 value forced to a tuple of ordinals; a tuple is returned as it is."""
+        if value.__class__ is tuple:
+            return value
+        shape = self._shape_of(value)
+        if len(shape) != 1:
+            raise Fault("RankMismatch",
+                        f"{what} must be a vector, got shape {render_shape(shape)}")
+        _, data = self._force_strict(value, "ShapeMismatch",
+                                     f"{what} must be a finite vector")
         for x in data:
             if not isinstance(x, Ordinal):
                 raise Fault("ShapeMismatch", f"{what} components must be ordinals")
@@ -611,8 +609,11 @@ class Session:
 
     def _force_strict(self, value, kind: str, message: str) -> Tuple[ShapeVec, list]:
         """(shape, row-major data) of a fully evaluated finite value, with
-        ((), [x]) for a scalar x; `kind` is the error for infinite shapes."""
+        ((), [x]) for a scalar x; `kind` is the error for infinite shapes.
+        A strict array's data are its own list, not a copy."""
         value = self._value(value)
+        if value.__class__ is tuple:
+            return (nat(len(value)),), list(value)
         if isinstance(value, StrictArray):
             return value.shape, value.data
         if isinstance(value, ImapClosure):
@@ -672,9 +673,11 @@ class Session:
                            lambda: self._force_scalar(self.select(value, vec)))
 
     def strict_at(self, value, span: Optional[Span] = None) -> Tuple[ShapeVec, list]:
-        """(shape, row-major data) of a finite `value`, forcing every element."""
-        return self._entry("select", span, lambda: self._force_strict(
+        """(shape, row-major data) of a finite `value`, forcing every element;
+        the data are a fresh list, which the caller may change."""
+        shape, data = self._entry("select", span, lambda: self._force_strict(
             value, "ShapeMismatch", "expected a finite shape"))
+        return shape, list(data)
 
     def shape_at(self, value, span: Optional[Span] = None) -> ShapeVec:
         return self._entry("shape", span, lambda: self._shape_of(value))

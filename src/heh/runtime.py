@@ -1,16 +1,18 @@
 """Value universe, recursion cells, linearization, and box algebra.
 
 A value is a plain Python object: a scalar (`Ordinal`, `bool` or
-`FunClosure`), a `StrictArray` of rank >= 1 (shape tuple + flat data of
-scalars in row-major order), a lazy `ImapClosure`, or a lazy
-`FilterClosure`.  The one store-like cell is `Rec`, the name a `letrec` is
-defining: it is empty while the definition is evaluated and filled after.
+`FunClosure`), a `tuple` for a vector of ordinals (an index, a shape, a
+literal such as `[1, 2]`), a `StrictArray` for any other finite array of
+rank >= 1 (shape tuple + flat data of scalars in row-major order), a lazy
+`ImapClosure`, or a lazy `FilterClosure`.  The one store-like cell is
+`Rec`, the name a `letrec` is defining: it is empty while the definition
+is evaluated and filled after.
 """
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .ordinal import Ordinal, ZERO, nat
+from .ordinal import Ordinal, ZERO
 
 ShapeVec = Tuple[Ordinal, ...]
 
@@ -28,7 +30,7 @@ class Fault(Exception):
 
 
 class StrictArray:
-    """Shape/data pair of rank >= 1; the data are scalars."""
+    """Shape/data pair of rank >= 1, never a vector of ordinals; the data are scalars."""
 
     __slots__ = ("shape", "data")
 
@@ -49,12 +51,13 @@ class StrictArray:
 
 def strict_value(shape: ShapeVec, data: list):
     """The value with a finite shape and row-major data: a bare scalar for
-    the empty shape, else a strict array."""
-    return StrictArray(shape, data) if shape else data[0]
-
-
-def vector_value(elements: Sequence) -> StrictArray:
-    return StrictArray((nat(len(elements)),), list(elements))
+    the empty shape, a tuple for a vector of ordinals (the empty vector
+    included), else a strict array."""
+    if not shape:
+        return data[0]
+    if len(shape) == 1 and all(x.__class__ is Ordinal for x in data):
+        return tuple(data)
+    return StrictArray(shape, data)
 
 
 class FunClosure:
@@ -237,8 +240,10 @@ def render_scalar(x) -> str:
     raise TypeError(f"not a scalar payload: {x!r}")
 
 
-def render_strict(value: StrictArray) -> str:
-    """Nested-bracket form of a strict array."""
+def render_strict(value) -> str:
+    """Nested-bracket form of a strict array or a vector of ordinals."""
+    if value.__class__ is tuple:
+        return render_shape(value)
     def nest(shape: Tuple[int, ...], data: list) -> str:
         if not shape:
             return render_scalar(data[0])

@@ -25,6 +25,7 @@ import pytest
 import heh
 from heh.eval import EvalConfig, EvalError, new_session
 from heh.ordinal import OMEGA, Ordinal
+from heh.runtime import FilterClosure, FunClosure, ImapClosure, Rec, StrictArray
 
 CONFIGS = [EvalConfig(memoize=memo, strict_finite_imaps=strict, fuel=3_000_000)
            for memo in (True, False) for strict in (False, True)]
@@ -418,20 +419,21 @@ def list_corpus(seed=2025, size=96):
 
 
 def run_case(source, probes, config, prelude=False):
-    """The outcome of each probe under `config`, its value or "!kind", and
-    the session, whose counters and fuel the probes have left."""
+    """The outcome of each probe under `config`, its value or "!kind"; the
+    session, whose counters and fuel the probes have left; and the program's
+    value, None if it failed."""
     session = new_session(config, prelude)
     try:
         value = session.run_program(source)
     except EvalError as error:
-        return ["!" + error.kind] * len(probes), session
+        return ["!" + error.kind] * len(probes), session, None
     outcomes = []
     for index, _ in probes:
         try:
             outcomes.append(session.select_at(value, index))
         except EvalError as error:
             outcomes.append("!" + error.kind)
-    return outcomes, session
+    return outcomes, session, value
 
 
 @pytest.mark.parametrize("chunk", range(4))
@@ -440,7 +442,7 @@ def test_generated_programs_match_the_model_in_every_configuration(chunk):
     for source, probes in cases:
         expected = [value for _, value in probes]
         for config in CONFIGS:
-            got, _ = run_case(source, probes, config)
+            got, _, _ = run_case(source, probes, config)
             assert got == expected, (source, config)
 
 
@@ -448,7 +450,7 @@ def test_prelude_list_operations_match_the_model_in_every_configuration():
     for source, probes in list_corpus():
         expected = [value for _, value in probes]
         for config in CONFIGS:
-            got, _ = run_case(source, probes, config, prelude=True)
+            got, _, _ = run_case(source, probes, config, prelude=True)
             assert got == expected, (source, config)
 
 
@@ -458,7 +460,7 @@ def counted_outcomes():
     rows = []
     for prelude, cases in ((False, corpus()), (True, list_corpus())):
         for source, probes in cases:
-            got, session = run_case(source, probes, CONFIGS[0], prelude)
+            got, session, _ = run_case(source, probes, CONFIGS[0], prelude)
             rows.append([list(map(str, got)), session.stats, session.fuel])
     return rows
 
@@ -474,6 +476,56 @@ def test_optimized_mode_gives_the_same_outcomes_and_counters():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == json.loads(json.dumps(counted_outcomes()))
+
+
+def env_values(env):
+    while env is not None:
+        yield env[0]
+        env = env[1]
+
+
+def misrepresented_values(roots):
+    """The values reachable from `roots` that break the rule that a finite
+    vector of ordinals is a tuple and a tuple is a vector of ordinals.  The
+    walk follows array elements, memoized imap cells, filter segments,
+    recursion cells and the environments of closures."""
+    bad, seen, todo = [], set(), list(roots)
+    while todo:
+        value = todo.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        cls = value.__class__
+        if cls is tuple:
+            if not all(x.__class__ is Ordinal for x in value):
+                bad.append(value)
+        elif cls is StrictArray:
+            if len(value.shape) == 1 and all(x.__class__ is Ordinal for x in value.data):
+                bad.append(value)
+            todo.extend(value.data)
+        elif cls is ImapClosure:
+            todo.extend(value.memo.values())
+            todo.extend(env_values(value.env))
+        elif cls is FilterClosure:
+            todo += [value.predicate, value.argument]
+            todo.extend(x for segment in value.partitions.values() for x in segment.prefix)
+        elif cls is FunClosure:
+            todo.extend(env_values(value.env))
+        elif cls is Rec and value.value is not None:
+            todo.append(value.value)
+    return bad
+
+
+def test_every_vector_of_ordinals_is_a_tuple():
+    runs = [(False, source, probes) for source, probes in corpus()]
+    runs += [(True, source, probes) for source, probes in list_corpus()]
+    runs += [(True, heh.program_source(name), probes)
+             for name, probes in heh.examples_suite()]
+    for prelude, source, probes in runs:
+        for config in CONFIGS[:2]:  # memo on: every forced cell stays reachable
+            _, session, value = run_case(source, probes, config, prelude)
+            roots = [value, *session.env.values()]
+            assert misrepresented_values(roots) == [], (source, config)
 
 
 def test_the_corpus_covers_each_construct():

@@ -31,7 +31,7 @@ def val(src, config=None):
 
 
 def data(result):
-    return result.value.data
+    return result.session.strict_at(result.value)[1]
 
 
 def shape(result):
@@ -115,10 +115,25 @@ def test_shape_examples():
 
 def test_array_literal_strictness():
     r = run("[1, 2, 3]")
-    assert isinstance(r.value, StrictArray)
+    assert isinstance(r.value, tuple)  # a vector of ordinals
     assert data(r) == [1, 2, 3]
-    assert data(run("[[1,2],[3,4]]")) == [1, 2, 3, 4]
+    r = run("[[1,2],[3,4]]")
+    assert isinstance(r.value, StrictArray)
+    assert data(r) == [1, 2, 3, 4]
     assert shape(run("[[1,2],[3,4]]")) == (2, 2)
+
+
+def test_strict_at_returns_a_fresh_list():
+    # the caller may change the data without changing the value
+    for src in ("filter (\\x. x > 1) [1,2,3]", "filter (\\x. x) [true, false, true]"):
+        r = run(src)
+        shape, data = r.session.strict_at(r.value)
+        expected = list(data)
+        data.clear()
+        assert r.session.strict_at(r.value) == (shape, expected)
+    r = run("[[1,2],[3,4]]")
+    r.session.strict_at(r.value)[1][0] = Ordinal(99)
+    assert probe(r, [0, 0]) == 1
 
 
 def test_array_literal_forces_finite_closures():
@@ -194,7 +209,9 @@ def test_imap_lazy_by_default_strict_on_flag():
     r = run("imap [3] {_(iv): iv.[0]}")
     assert isinstance(r.value, ImapClosure)
     r = run("imap [3] {_(iv): iv.[0]}", EvalConfig(strict_finite_imaps=True))
-    assert isinstance(r.value, StrictArray)
+    assert isinstance(r.value, tuple) and data(r) == [0, 1, 2]
+    r = run("imap [3]|[1] {_(iv): iv}", EvalConfig(strict_finite_imaps=True))
+    assert isinstance(r.value, StrictArray) and data(r) == [0, 1, 2]
     # infinite frames stay lazy under the flag
     r = run("imap [w] {_(iv): 0}", EvalConfig(strict_finite_imaps=True))
     assert isinstance(r.value, ImapClosure)
@@ -328,6 +345,24 @@ def test_rule_counts_are_pinned():
     assert rule_counts("ackermann.heh", [(3, 6)]) == ([509], (47_315, len(table), 0))
     assert len(table) == 1_277
     assert rule_counts("game_of_life.heh", [(2, 2), (1, 2)]) == ([1, 1], (15_394, 941, 0))
+
+
+def test_pinned_probes_build_no_strict_array(monkeypatch):
+    # index vectors, shapes and ordinal literals are tuples; when they were
+    # StrictArrays these two probes built 8,006 and 5,367 of them
+    built = []
+    init = StrictArray.__init__
+
+    def counting_init(self, shape, data):
+        built.append(shape)
+        init(self, shape, data)
+
+    monkeypatch.setattr(StrictArray, "__init__", counting_init)
+    assert rule_counts("nats.heh", [(2000,)])[0] == [2000]
+    assert rule_counts("ackermann.heh", [(3, 6)])[0] == [509]
+    assert built == []
+    run("[true]")  # the counter sees a StrictArray that is built
+    assert len(built) == 1
 
 
 def test_no_memo_reevaluates():

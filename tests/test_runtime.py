@@ -16,7 +16,7 @@ from heh.eval import evaluate
 from heh.ordinal import OMEGA, Ordinal, ZERO, nat
 from heh.runtime import (
     Fault, Rec, StrictArray, box_intersect, box_is_empty, box_subtract,
-    forms_partition, linearize, render_strict, vector_value,
+    forms_partition, linearize, render_strict, strict_value,
 )
 
 
@@ -55,7 +55,7 @@ def forced_indices(sizes):
     """Index vectors of a finite imap, in the order the evaluator forces them."""
     shape = ", ".join(map(str, sizes))
     result = evaluate(f"[imap [{shape}]|[{len(sizes)}] {{_(iv): iv}}]", prelude=False)
-    data, rank = result.value.data, len(sizes)
+    data, rank = result.session.strict_at(result.value)[1], len(sizes)
     return [tuple(data[j:j + rank]) for j in range(0, len(data), rank)]
 
 
@@ -68,7 +68,7 @@ def test_delinearize_witnesses():
         assert got == index and all(type(i) is Ordinal for i in got)
         assert linearize(vec(*sizes), got) == offset
     # rank 0: one element, at the empty index
-    assert evaluate("[imap [] {_(iv): 9}]", prelude=False).value.data == [9]
+    assert evaluate("[imap [] {_(iv): 9}]", prelude=False).value == (9,)
     assert len(forced_indices([2, 2])) == 4   # offset 4 lies outside [2, 2]
 
 
@@ -258,8 +258,15 @@ def test_rec_cell():
 
 
 def test_strict_array_shapes():
-    v = vector_value([Ordinal(0), OMEGA])
-    assert v.shape == vec(2)
+    # a vector of ordinals, the empty one included, is a tuple
+    v = strict_value(vec(2), [Ordinal(0), OMEGA])
+    assert v.__class__ is tuple and v == (Ordinal(0), OMEGA)
+    assert strict_value(vec(0), []) == ()
+    assert strict_value((), [OMEGA]) is OMEGA
+    # any other finite array of rank >= 1 is a StrictArray
+    flags = strict_value(vec(2), [True, False])
+    assert flags.__class__ is StrictArray and flags.shape == vec(2)
+    assert strict_value(vec(1, 2), [Ordinal(0), OMEGA]).shape == vec(1, 2)
     empty = StrictArray(vec(1, 0), [])
     assert math.prod(empty.shape) == 0
     with pytest.raises(AssertionError):
@@ -269,6 +276,7 @@ def test_strict_array_shapes():
 def test_render_strict():
     m = StrictArray(vec(2, 2), [Ordinal(n) for n in (1, 2, 3, 4)])
     assert render_strict(m) == "[[1, 2], [3, 4]]"
-    assert render_strict(vector_value([OMEGA])) == "[w]"
+    assert render_strict((OMEGA,)) == "[w]"
     assert render_strict(StrictArray(vec(1, 0), [])) == "[[]]"
-    assert render_strict(StrictArray(vec(0,), [])) == "[]"
+    assert render_strict(()) == "[]"
+    assert render_strict(StrictArray(vec(2), [True, False])) == "[true, false]"
