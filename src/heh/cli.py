@@ -7,8 +7,7 @@ from typing import List, Optional
 
 from .eval import EvalConfig, EvalError, Session, new_session
 from .ordinal import Ordinal, ZERO, omega_power
-from .runtime import (FilterClosure, ImapClosure, StrictArray, render_scalar,
-                      render_shape, render_strict, strict_value)
+from .runtime import FilterClosure, render_scalar, render_shape, render_strict
 from .syntax import LexError, ParseError
 
 REPL_FUEL = 10_000_000
@@ -23,20 +22,14 @@ _ONE = Ordinal(1)
 def format_value(session: Session, value, force_elements: int) -> str:
     """Printable form of a value.  Lazy arrays with infinite shape render as a
     tag plus a bounded prefix, so printing always terminates."""
-    if isinstance(value, (StrictArray, tuple)):
-        return render_strict(value)
+    shape = session.shape_at(value)
     if isinstance(value, FilterClosure):
         # forcing even one filtered element may diverge, so show the shape only
-        shape = session.shape_at(value)
         return f"<filter shape={render_shape(shape)}>"
-    if isinstance(value, ImapClosure):
-        shape = value.shape
-        if all(s.is_natural for s in shape):
-            shape, data = session.strict_at(value)
-            return format_value(session, strict_value(shape, data), force_elements)
-        prefix = _lazy_prefix(session, value, shape, force_elements)
-        return f"<imap shape={render_shape(shape)}> {prefix}"
-    return render_scalar(value)
+    if all(s.is_natural for s in shape):
+        return render_strict(*session.strict_at(value))
+    prefix = _lazy_prefix(session, value, shape, force_elements)
+    return f"<imap shape={render_shape(shape)}> {prefix}"
 
 
 def _lazy_prefix(session: Session, value, shape, k: int) -> str:

@@ -10,7 +10,8 @@ which already gives arbitrary precision.
 Arithmetic follows the classical non-commutative rules: `+` absorbs low
 terms of the left operand, `-` is left subtraction (the unique x with
 b + x == a), `*` is left-distributive multiplication, and divmod
-produces the unique (q, r) with a == b*q + r and r < b.
+produces the unique (q, r) with a == b*q + r and r < b.  `*` and divmod
+are one-pass closed forms over the term tuples (Manolios and Vroon 2005).
 
 Partial operations raise UndefinedOrdinalOp (or ZeroDivisionError for
 division by zero) instead of returning sentinels.  Instances are
@@ -19,9 +20,9 @@ equal to it.
 
 Most ordinals an evaluation computes are naturals (`()` or a single
 `(0, c)` term).  `nat(n)` builds one cheaply, interning those below
-`_NAT_CACHE`, and `+` and left `-` take a natural-number fast path when
-both operands are natural Ordinals.  The general code after each fast
-path is the spec; the fast paths only skip its steps.
+`_NAT_CACHE`, and all four operations take a natural-number fast path
+when both operands are naturals.  The general code after each fast path
+is the spec; the fast paths only skip its steps.
 """
 
 from __future__ import annotations
@@ -203,20 +204,21 @@ class Ordinal:
         return Ordinal._make(self.terms[i:])
 
     def __mul__(self, other) -> "Ordinal":
-        other = _as_ordinal(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.terms or not other.terms:
+        """Left-distributive product.  With w^e1*c1 leading self, a term w^e*c
+        (e > 0) of other gives w^(e1+e)*c and a final natural term c gives
+        w^e1*(c1*c) + self's tail; the exponents descend, so they concatenate."""
+        if other.__class__ is not Ordinal:
+            other = _as_ordinal(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.terms, other.terms
+        if not a or not b:
             return ZERO
-        e1, c1 = self.terms[0]
-        result = ZERO
-        for e, c in other.terms:
-            if e == 0:
-                part = Ordinal._make(((e1, c1 * c),) + self.terms[1:])
-            else:
-                part = Ordinal._make(((e1 + e, c),))
-            result = result + part
-        return result
+        e1, c1 = a[0]
+        if e1 == 0 == b[0][0]:
+            return nat(c1 * b[0][1])
+        tail = () if b[-1][0] else ((e1, c1 * b[-1][1]),) + a[1:]
+        return Ordinal._make(tuple([(e1 + e, c) for e, c in b if e]) + tail)
 
     def __rmul__(self, other) -> "Ordinal":
         other = _as_ordinal(other)
@@ -225,34 +227,33 @@ class Ordinal:
         return other.__mul__(self)
 
     def __divmod__(self, other) -> "tuple[Ordinal, Ordinal]":
-        """The unique (q, r) with self == other*q + r and r < other."""
-        other = _as_ordinal(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.terms:
+        """The unique (q, r) with self == other*q + r and r < other.  With
+        w^f*d leading other, each term w^e*c (e > f) of self is other*w^(e-f)*c
+        and gives q that term; the rest holds other k times, k = (its w^f
+        coefficient) // d or one less; k ends q, and r = rest - other*k."""
+        if other.__class__ is not Ordinal:
+            other = _as_ordinal(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.terms, other.terms
+        if not b:
             raise ZeroDivisionError("ordinal division by zero")
-        q, r = self._divmod(other)
+        f, d = b[0]
+        if a and a[0][0] == 0 == f:
+            q, r = map(nat, divmod(a[0][1], d))
+        else:
+            terms = [(e - f, c) for e, c in a if e > f]
+            rest = a[len(terms):]
+            k = rest[0][1] // d if rest and rest[0][0] == f else 0
+            if k and ((f, d * k),) + b[1:] > rest:  # other*k > rest, on terms
+                k -= 1
+            r = Ordinal._make(rest)
+            if k:
+                r = r - other * nat(k)
+            q = Ordinal._make(tuple(terms + [(0, k)] if k else terms))
         if __debug__:
             assert other * q + r == self and r < other, (self, other, q, r)
         return q, r
-
-    def _divmod(self, b: "Ordinal") -> "tuple[Ordinal, Ordinal]":
-        a = self
-        if a < b:
-            return ZERO, a
-        e1, c1 = a.terms[0]
-        f1 = b.terms[0][0]
-        if e1 > f1:
-            # b * w^(e1-f1)*c1 == w^e1*c1, so that leading term divides off
-            qt = Ordinal._make(((e1 - f1, c1),))
-            q2, r = Ordinal._make(a.terms[1:])._divmod(b)
-            return qt + q2, r
-        q0 = c1 // b.terms[0][1]
-        cand = b * q0
-        if cand > a:
-            q0 -= 1
-            cand = b * q0
-        return nat(q0), a - cand
 
     def __rsub__(self, other) -> "Ordinal":
         other = _as_ordinal(other)
@@ -305,11 +306,11 @@ class Ordinal:
 
     @classmethod
     def parse(cls, text: str) -> "Ordinal":
-        """Parse the rendering produced by str(): `w^2*3 + w*2 + 5`."""
+        """Parse the rendering produced by str(), `w^2*3 + w*2 + 5`, so
+        parse(str(a)) == a."""
         if text.strip() == "0":
             return ZERO
-        result = ZERO
-        prev_exp = None
+        terms = []
         for chunk in text.split("+"):
             m = _TERM_RE.match(chunk.strip())
             if m is None:
@@ -319,13 +320,12 @@ class Ordinal:
             else:
                 exp = int(m.group("exp")) if m.group("exp") else 1
                 coeff = int(m.group("coeff")) if m.group("coeff") else 1
-            if prev_exp is not None and exp >= prev_exp:
+            if terms and exp >= terms[-1][0]:
                 raise ValueError(f"ordinal terms out of order: {text!r}")
             if coeff == 0:
                 raise ValueError(f"zero coefficient in ordinal literal: {text!r}")
-            prev_exp = exp
-            result = result + Ordinal._make(((exp, coeff),))
-        return result
+            terms.append((exp, coeff))
+        return Ordinal._make(tuple(terms))
 
 
 def _as_ordinal(x) -> "Ordinal":

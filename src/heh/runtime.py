@@ -240,19 +240,15 @@ def render_scalar(x) -> str:
     raise TypeError(f"not a scalar payload: {x!r}")
 
 
-def render_strict(value) -> str:
-    """Nested-bracket form of a strict array or a vector of ordinals."""
-    if value.__class__ is tuple:
-        return render_shape(value)
-    def nest(shape: Tuple[int, ...], data: list) -> str:
-        if not shape:
-            return render_scalar(data[0])
-        chunk = len(data) // shape[0] if shape[0] else 0
-        parts = [nest(shape[1:], data[i * chunk:(i + 1) * chunk])
-                 for i in range(shape[0])]
-        return "[" + ", ".join(parts) + "]"
-
-    return nest(tuple(s.natural() for s in value.shape), value.data)
+def render_strict(shape: ShapeVec, data: list) -> str:
+    """Nested-bracket form of a finite array from its shape and row-major
+    data; a scalar x has shape () and data [x]."""
+    if not shape:
+        return render_scalar(data[0])
+    n = shape[0].natural()
+    chunk = len(data) // n if n else 0
+    return "[" + ", ".join(render_strict(shape[1:], data[i * chunk:(i + 1) * chunk])
+                           for i in range(n)) + "]"
 
 
 def render_shape(shape: ShapeVec) -> str:

@@ -2,8 +2,9 @@
 
 The oracles here are deliberately independent of the implementation:
 comparison is re-derived from padded coefficient vectors, subtraction
-results from bounded search over candidate ordinals, and addition below
-w^2 from a hand-derived closed form.  Expected values frozen in the
+results from bounded search over candidate ordinals, addition below
+w^2 from a hand-derived closed form, and multiplication from left
+distribution over repeated addition.  Expected values frozen in the
 tests were computed with these oracles.
 """
 
@@ -68,6 +69,33 @@ def add_below_w2_oracle(p, q, r, s):
     if r == 0:
         return (p, q + s)
     return (p + r, s)
+
+
+def mul_by_distribution(a, b):
+    """a*b as the left-distributive sum of a times each term of b: a*n is an
+    n-fold repeated `+` (n <= 6), and a*w^e*c with e > 0 is w^(e1+e)*c, e1
+    being a's leading exponent (the powers of w absorb a's lower terms)."""
+    if not a:
+        return ZERO
+    result = ZERO
+    for e, c in b.terms:
+        if e:
+            result = result + omega_power(a.terms[0][0] + e, c)
+        else:
+            assert c <= 6, "keep the repeated sum short"
+            for _ in range(c):
+                result = result + a
+    return result
+
+
+def mixed_ordinal(rng, big=True, max_natural=None):
+    """0-4 terms below w^6 whose coefficients mix 1-3 with (when `big`) ones up
+    to 10**6; the natural term's coefficient is at most `max_natural`."""
+    terms = []
+    for e in sorted(rng.sample(range(6), rng.randrange(5)), reverse=True):
+        c = rng.randint(1, 10**6) if big and rng.random() < 0.5 else rng.randint(1, 3)
+        terms.append((e, min(c, max_natural) if e == 0 and max_natural else c))
+    return ord_of(*terms)
 
 
 # --- hypothesis strategy ----------------------------------------------------
@@ -289,6 +317,13 @@ def test_mul_left_distributive(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+def test_mul_matches_distributive_oracle():
+    rng = random.Random(5)
+    for _ in range(4000):
+        a, b = mixed_ordinal(rng), mixed_ordinal(rng, max_natural=rng.randint(1, 6))
+        assert (a * b).terms == mul_by_distribution(a, b).terms, (a, b)
+
+
 def test_mul_not_right_distributive():
     # (w+1)*w == w^2 but w*w + 1*w == w^2 + w
     assert (OMEGA + 1) * OMEGA == omega_power(2)
@@ -318,6 +353,24 @@ def test_division_theorem(a, b):
     q, r = divmod(a, b)
     assert b * q + r == a
     assert r < b
+
+
+def test_divmod_against_distributive_oracle():
+    """Small coefficients keep the quotient's natural term at most 3; half the
+    divisors copy a's leading terms, one coefficient maybe raised by 1, so a
+    first guess at that term often overshoots by one."""
+    rng = random.Random(6)
+    for _ in range(4000):
+        a, b = mixed_ordinal(rng, big=False), mixed_ordinal(rng, big=False)
+        if a and rng.random() < 0.5:
+            head = list(a.terms[:rng.randint(1, len(a.terms))])
+            e, c = head[-1]
+            head[-1] = (e, c + rng.randint(0, 1))
+            b = ord_of(*head)
+        if not b:
+            continue
+        q, r = divmod(a, b)
+        assert mul_by_distribution(b, q) + r == a and r < b, (a, b, q, r)
 
 
 @settings(max_examples=50)

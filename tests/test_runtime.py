@@ -274,9 +274,10 @@ def test_strict_array_shapes():
 
 
 def test_render_strict():
-    m = StrictArray(vec(2, 2), [Ordinal(n) for n in (1, 2, 3, 4)])
-    assert render_strict(m) == "[[1, 2], [3, 4]]"
-    assert render_strict((OMEGA,)) == "[w]"
-    assert render_strict(StrictArray(vec(1, 0), [])) == "[[]]"
-    assert render_strict(()) == "[]"
-    assert render_strict(StrictArray(vec(2), [True, False])) == "[true, false]"
+    m = [Ordinal(n) for n in (1, 2, 3, 4)]
+    assert render_strict(vec(2, 2), m) == "[[1, 2], [3, 4]]"
+    assert render_strict(vec(1), [OMEGA]) == "[w]"
+    assert render_strict(vec(1, 0), []) == "[[]]"
+    assert render_strict(vec(0), []) == "[]"
+    assert render_strict(vec(2), [True, False]) == "[true, false]"
+    assert render_strict((), [OMEGA]) == "w"
