@@ -6,14 +6,12 @@ import sys
 from typing import List, Optional
 
 from .eval import EvalConfig, EvalError, Session, new_session
-from .ordinal import Ordinal, ZERO, omega_power
+from .ordinal import Ordinal, omega_power
 from .runtime import FilterClosure, render_scalar, render_shape, render_strict
 from .syntax import LexError, ParseError
 
 REPL_FUEL = 10_000_000
 SEGMENT_CAP = 3  # lazy printing shows at most this many index segments
-
-_ONE = Ordinal(1)
 
 
 ### ---- value printing ---------------------------------------------------------
@@ -26,7 +24,7 @@ def format_value(session: Session, value, force_elements: int) -> str:
     if isinstance(value, FilterClosure):
         # forcing even one filtered element may diverge, so show the shape only
         return f"<filter shape={render_shape(shape)}>"
-    if all(s.is_natural for s in shape):
+    if all(s.__class__ is int for s in shape):
         return render_strict(*session.strict_at(value))
     prefix = _lazy_prefix(session, value, shape, force_elements)
     return f"<imap shape={render_shape(shape)}> {prefix}"
@@ -39,16 +37,16 @@ def _lazy_prefix(session: Session, value, shape, k: int) -> str:
         for start, length in itertools.islice(_segments(shape[0]), SEGMENT_CAP):
             shown = length if length is not None and length <= k else k
             failed = _force_run(session, value, parts,
-                                ((start + Ordinal(j),) for j in range(shown)))
+                                ((start + j,) for j in range(shown)))
             if failed is not None:
-                if failed[0] + _ONE < shape[0]:  # elements remain past it
+                if failed[0] + 1 < shape[0]:  # elements remain past it
                     parts.append("...")
                 break
             if length is None or length > shown:
                 parts.append("...")
-    elif ZERO not in shape:
+    elif 0 not in shape:
         # row-major order; none of the first k indices reaches k on any axis
-        axes = (range(min(k, s.natural()) if s.is_natural else k) for s in shape)
+        axes = (range(min(k, s) if s.__class__ is int else k) for s in shape)
         _force_run(session, value, parts, itertools.islice(itertools.product(*axes), k))
         parts.append("...")
     body = ", ".join(parts)
@@ -70,7 +68,7 @@ def _force_run(session: Session, value, parts: List[str], indices):
 def _segments(alpha: Ordinal):
     """The index blocks of a rank-1 shape as (start, finite length or None),
     treating each w^e summand as a single block; only the last can be finite."""
-    acc = ZERO
+    acc = 0
     for exponent, coeff in alpha.terms:
         if exponent == 0:
             yield acc, coeff

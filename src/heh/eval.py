@@ -10,7 +10,8 @@ session's top-level frame, the dict `Session.env`, when it is evaluated.
 Compiled code holds no session state, so one compilation of the prelude
 serves every session.
 
-Values are plain Python objects (see `runtime`).  Evaluation is strict
+Values are plain Python objects (see `runtime`); an ordinal below w is an
+`int`, so index arithmetic on naturals is Python's own.  Evaluation is strict
 except for imap over infinite (or, by default, any) frames and filter over
 infinite vectors, which build closures whose elements are computed and
 memoized on selection.
@@ -22,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
-from .ordinal import Ordinal, UndefinedOrdinalOp, ZERO, nat
+from .ordinal import Ordinal, UndefinedOrdinalOp, is_limit, limit_part, sub
 from .runtime import (
     Box, Fault, FilterClosure, FilterSegment, FunClosure, ImapClosure, Rec,
     ShapeVec, StrictArray, box_contains, forms_partition, linearize,
@@ -69,7 +70,7 @@ _RULE_NAMES = {
 # `=` is not here: it also compares booleans, so its code is `_equal`
 _ORDINAL_OPS = {
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "+": operator.add, "-": sub, "*": operator.mul,
     "/": operator.floordiv, "%": operator.mod,
 }
 
@@ -77,7 +78,8 @@ _ORDINAL_OPS = {
 def _equal(lhs, rhs) -> bool:
     if isinstance(lhs, bool) and isinstance(rhs, bool):
         return lhs == rhs
-    if isinstance(lhs, Ordinal) and isinstance(rhs, Ordinal):
+    if ((lhs.__class__ is int or lhs.__class__ is Ordinal)
+            and (rhs.__class__ is int or rhs.__class__ is Ordinal)):
         return lhs == rhs
     raise Fault("ShapeMismatch", "'=' compares two ordinals or two booleans")
 
@@ -161,13 +163,14 @@ def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
                 if s.fuel is not None:
                     s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
                 a = lhs(s, env)
-                if a.__class__ is not Ordinal:
+                if a.__class__ is not int and a.__class__ is not Ordinal:
                     a = s._force_scalar(a)
                 b = rhs(s, env)
-                if b.__class__ is not Ordinal:
+                if b.__class__ is not int and b.__class__ is not Ordinal:
                     b = s._force_scalar(b)
-                if fn is not _equal and (a.__class__ is not Ordinal
-                                         or b.__class__ is not Ordinal):
+                if fn is not _equal and (
+                        a.__class__ is not int and a.__class__ is not Ordinal
+                        or b.__class__ is not int and b.__class__ is not Ordinal):
                     raise Fault("ShapeMismatch", f"'{op}' needs ordinal scalar operands")
                 try:
                     return fn(a, b)
@@ -358,7 +361,8 @@ class Session:
 
     def _eval_array(self, env, elements: List[Code]):
         values = [code(self, env) for code in elements]
-        if all(v.__class__ is Ordinal for v in values):  # a vector of ordinals, or []
+        if all(v.__class__ is int or v.__class__ is Ordinal
+               for v in values):  # a vector of ordinals, or []
             return tuple(values)
         shapes, datas = zip(*(self._force_strict(v, "ShapeMismatch",
                                                  "array elements must have finite shape")
@@ -368,7 +372,7 @@ class Session:
                 raise Fault("HeterogeneousNesting",
                             "array elements have different shapes: "
                             f"{render_shape(shapes[0])} vs {render_shape(other)}")
-        shape = (nat(len(values)),) + shapes[0]
+        shape = (len(values),) + shapes[0]
         return strict_value(shape, [x for d in datas for x in d])
 
     def _eval_shape(self, env, arg: Code):
@@ -376,15 +380,15 @@ class Session:
 
     def _eval_islim(self, env, arg: Code):
         x = self._force_scalar(arg(self, env))
-        if not isinstance(x, Ordinal):
+        if x.__class__ is not int and x.__class__ is not Ordinal:
             raise Fault("ShapeMismatch", "islim needs an ordinal scalar")
-        return x.is_limit
+        return is_limit(x)
 
     def _shape_of(self, value) -> ShapeVec:
         value = self._value(value)
         cls = value.__class__
         if cls is tuple:
-            return (nat(len(value)),)
+            return (len(value),)
         if cls is StrictArray or cls is ImapClosure:
             return value.shape
         if cls is FilterClosure:
@@ -410,7 +414,7 @@ class Session:
         frame = self._force_ordinal_vector(frame(self, env), "frame shape")
         cell = () if cell is None else self._force_ordinal_vector(cell(self, env),
                                                                    "cell shape")
-        frame_box: Box = ((ZERO,) * len(frame), frame)
+        frame_box: Box = ((0,) * len(frame), frame)
         parts = []
         for (lower, upper), body in zip(gens, bodies):
             if lower is None:
@@ -431,7 +435,7 @@ class Session:
             raise Fault("NotAPartition", problem)
         closure = ImapClosure(frame, cell, env, tuple(parts))
         if (self.config.strict_finite_imaps and self._letrec_depth == 0
-                and all(s.is_natural for s in closure.shape)):
+                and all(s.__class__ is int for s in closure.shape)):
             return strict_value(closure.shape, self._force_closure_strict(closure))
         return closure
 
@@ -474,8 +478,7 @@ class Session:
     def _force_closure_strict(self, closure: ImapClosure) -> list:
         """Row-major data of a finite imap, forcing every element."""
         data: list = []
-        axes = (map(nat, range(s.natural())) for s in closure.frame)
-        for index in itertools.product(*axes):
+        for index in itertools.product(*map(range, closure.frame)):
             cell = self._cell_value(closure, index)
             data.extend(self._force_strict(cell, "ShapeMismatch",
                                            "imap cell is not finite")[1])
@@ -491,7 +494,7 @@ class Session:
             value = value.get()
         cls = value.__class__
         if cls is tuple:
-            return value[linearize((nat(len(value)),), index)]
+            return value[linearize((len(value),), index)]
         if cls is StrictArray:
             return value.data[linearize(value.shape, index)]
         if cls is ImapClosure:
@@ -500,7 +503,7 @@ class Session:
                 raise Fault("RankMismatch",
                             f"index of length {len(index)} into rank-{len(shape)} imap")
             for i, s in zip(index, shape):
-                if not ZERO <= i < s:
+                if not 0 <= i < s:
                     raise Fault("IndexOutOfBounds",
                                 f"index {render_shape(index)} outside shape "
                                 f"{render_shape(shape)}")
@@ -532,11 +535,11 @@ class Session:
             raise Fault("FilterRankError",
                         f"filter needs a 1-dimensional array, got shape "
                         f"{render_shape(shape)}")
-        if shape[0].is_natural:
+        if shape[0].__class__ is int:
             _, data = self._force_strict(array, "FilterRankError",
                                          "filter argument is not strict")
             kept = [x for x in data if self._predicate_accepts(predicate, x)]
-            return strict_value((nat(len(kept)),), kept)
+            return strict_value((len(kept),), kept)
         return FilterClosure(predicate, array, shape)
 
     def _predicate_accepts(self, predicate: FunClosure, element) -> bool:
@@ -546,8 +549,8 @@ class Session:
             raise Fault("ShapeMismatch", "the filter predicate must return a boolean")
         return result
 
-    def _filter_select(self, fc: FilterClosure, target: Ordinal):
-        xi, n = target.limit_part()
+    def _filter_select(self, fc: FilterClosure, target):
+        xi, n = limit_part(target)
         segment = fc.partitions[xi]
         alpha = fc.arg_shape[0]
         while len(segment.prefix) <= n:
@@ -561,7 +564,7 @@ class Session:
         return segment.prefix[n]
 
     def _filter_shape(self, fc: FilterClosure) -> ShapeVec:
-        lam, k = fc.arg_shape[0].limit_part()
+        lam, k = limit_part(fc.arg_shape[0])
         if k == 0:
             return (lam,)
         segment = fc.partitions[lam]
@@ -569,7 +572,7 @@ class Session:
             self._scan_step(fc, segment, lam + segment.scan)
         return (lam + len(segment.prefix),)
 
-    def _scan_step(self, fc: FilterClosure, segment: FilterSegment, source: Ordinal):
+    def _scan_step(self, fc: FilterClosure, segment: FilterSegment, source):
         """Inspect the argument element at `source`, the next one `segment`
         has not scanned.  It counts as scanned only once the predicate has
         answered, so a fault or interrupt leaves it to be inspected again."""
@@ -581,10 +584,10 @@ class Session:
     ### forcing helpers
 
     def _force_scalar(self, value):
-        """A scalar value: Ordinal, bool, or FunClosure."""
+        """A scalar value: an ordinal, a bool, or a FunClosure."""
         value = self._value(value)
         cls = value.__class__
-        if cls is Ordinal or cls is bool or cls is FunClosure:
+        if cls is int or cls is Ordinal or cls is bool or cls is FunClosure:
             return value
         shape = self._shape_of(value)
         if shape == ():
@@ -603,7 +606,7 @@ class Session:
         _, data = self._force_strict(value, "ShapeMismatch",
                                      f"{what} must be a finite vector")
         for x in data:
-            if not isinstance(x, Ordinal):
+            if x.__class__ is not int and x.__class__ is not Ordinal:
                 raise Fault("ShapeMismatch", f"{what} components must be ordinals")
         return tuple(data)
 
@@ -613,11 +616,11 @@ class Session:
         A strict array's data are its own list, not a copy."""
         value = self._value(value)
         if value.__class__ is tuple:
-            return (nat(len(value)),), list(value)
+            return (len(value),), list(value)
         if isinstance(value, StrictArray):
             return value.shape, value.data
         if isinstance(value, ImapClosure):
-            if all(s.is_natural for s in value.shape):
+            if all(s.__class__ is int for s in value.shape):
                 return value.shape, self._force_closure_strict(value)
             raise Fault(kind, message + f" (shape {render_shape(value.shape)})")
         if isinstance(value, FilterClosure):
@@ -667,8 +670,10 @@ class Session:
                            lambda: compile_expr(parse_expr(source))(self, None))
 
     def select_at(self, value, index: Sequence, span: Optional[Span] = None):
-        """Scalar at `index` (a sequence of ints/Ordinals) within `value`."""
-        vec = tuple(x if isinstance(x, Ordinal) else nat(x) for x in index)
+        """Scalar at `index` (a sequence of ints/Ordinals) within `value`; a
+        boxed natural `Ordinal(n)` in it is unboxed to n."""
+        vec = tuple(x if x.__class__ is int and x >= 0 else Ordinal._make(Ordinal(x).terms)
+                    for x in index)
         return self._entry("select", span,
                            lambda: self._force_scalar(self.select(value, vec)))
 

@@ -1,11 +1,15 @@
 """Ordinals below w^w in Cantor normal form.
 
-An ordinal is kept as a tuple of (exponent, coefficient) pairs meaning
-w^e1*c1 + w^e2*c2 + ... with strictly descending natural exponents and
-positive integer coefficients; the empty tuple is 0.  The representation
-is canonical, so equality is term-tuple equality and the order is plain
-tuple comparison.  Coefficients and exponents are ordinary Python ints,
-which already gives arbitrary precision.
+Every ordinal has one canonical representation.  A natural (an ordinal
+below w) is a plain Python `int`, never a `bool`.  Any other ordinal is an
+`Ordinal`: a tuple of (exponent, coefficient) pairs meaning
+w^e1*c1 + w^e2*c2 + ... with strictly descending natural exponents,
+positive integer coefficients and a leading exponent >= 1.  Equality is
+int or term-tuple equality, and the order is plain int or tuple comparison
+(an int compares as its terms, `()` for 0 and `((0, n),)` for n).
+Coefficients and exponents are ordinary Python ints, which already gives
+arbitrary precision.  `terms(x)`, `limit_part(x)` and `is_limit(x)` take
+either form.
 
 Arithmetic follows the classical non-commutative rules: `+` absorbs low
 terms of the left operand, `-` is left subtraction (the unique x with
@@ -13,16 +17,16 @@ b + x == a), `*` is left-distributive multiplication, and divmod
 produces the unique (q, r) with a == b*q + r and r < b.  `*` and divmod
 are one-pass closed forms over the term tuples (Manolios and Vroon 2005).
 
+Two ints never reach `Ordinal`'s methods: `+`, `*`, `//`, `%` and the
+order are Python's own on them, and `sub(a, b)` is the ordinal `-`, which
+is Python's `-` on two ints wherever it is defined.  Each result of an
+`Ordinal` method is canonical: `Ordinal._make` turns the terms of a
+natural into its int.
+
 Partial operations raise UndefinedOrdinalOp (or ZeroDivisionError for
 division by zero) instead of returning sentinels.  Instances are
-immutable and hashable; a natural hashes like its int, since it compares
-equal to it.
-
-Most ordinals an evaluation computes are naturals (`()` or a single
-`(0, c)` term).  `nat(n)` builds one cheaply, interning those below
-`_NAT_CACHE`, and all four operations take a natural-number fast path
-when both operands are naturals.  The general code after each fast path
-is the spec; the fast paths only skip its steps.
+immutable and hashable.  `Ordinal(n)` still builds a boxed natural, for
+embedders: it equals and hashes like n, and arithmetic on it returns ints.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from __future__ import annotations
 import re
 from typing import Tuple
 
-__all__ = ["Ordinal", "UndefinedOrdinalOp", "nat", "omega_power", "OMEGA", "ZERO"]
+__all__ = ["Ordinal", "UndefinedOrdinalOp", "is_limit", "limit_part", "omega_power",
+           "sub", "terms", "OMEGA", "ZERO"]
 
 
 class UndefinedOrdinalOp(ArithmeticError):
@@ -43,26 +48,25 @@ _TERM_RE = re.compile(r"^(?:(?P<nat>\d+)|w(?:\^(?P<exp>\d+))?(?:\*(?P<coeff>\d+)
 
 
 class Ordinal:
-    """An ordinal below w^w in Cantor normal form."""
+    """An ordinal below w^w in Cantor normal form; canonical at or above w."""
 
     __slots__ = ("terms",)
 
     terms: Terms
 
     def __init__(self, value: "int | str | Ordinal" = 0):
-        if isinstance(value, Ordinal):
-            object.__setattr__(self, "terms", value.terms)
-        elif isinstance(value, int) and not isinstance(value, bool):
-            if value < 0:
-                raise ValueError(f"ordinals cannot be negative: {value}")
-            object.__setattr__(self, "terms", ((0, value),) if value else ())
-        elif isinstance(value, str):
-            object.__setattr__(self, "terms", Ordinal.parse(value).terms)
-        else:
+        terms = _operand(Ordinal.parse(value) if isinstance(value, str) else value)
+        if terms is None:
             raise TypeError(f"cannot build an ordinal from {value!r}")
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
-    def _make(cls, terms: Terms) -> "Ordinal":
+    def _make(cls, terms: Terms) -> "int | Ordinal":
+        """The canonical ordinal with these terms: an int below w."""
+        if not terms:
+            return 0
+        if len(terms) == 1 and terms[0][0] == 0:
+            return terms[0][1]
         self = object.__new__(cls)
         object.__setattr__(self, "terms", terms)
         if __debug__:
@@ -82,29 +86,21 @@ class Ordinal:
         return bool(self.terms)
 
     @property
-    def is_natural(self) -> bool:
-        """True when the ordinal is below w."""
-        t = self.terms
-        return not t or (len(t) == 1 and t[0][0] == 0)
-
-    @property
     def is_limit(self) -> bool:
         """True for limit ordinals: non-zero and not a successor."""
         return bool(self.terms) and self.terms[-1][0] != 0
 
-    def natural(self) -> int:
-        t = self.terms
-        if not t:
-            return 0
-        if len(t) == 1 and t[0][0] == 0:
-            return t[0][1]
-        raise UndefinedOrdinalOp(f"{self} is not a natural number")
-
-    def limit_part(self) -> "tuple[Ordinal, int]":
+    def limit_part(self) -> "tuple[int | Ordinal, int]":
         """Split self as l + k with l limit-or-zero and k natural."""
-        if self.terms and self.terms[-1][0] == 0:
-            return Ordinal._make(self.terms[:-1]), self.terms[-1][1]
-        return self, 0
+        t = self.terms
+        if t and t[-1][0] == 0:
+            return Ordinal._make(t[:-1]), t[-1][1]
+        return self._unboxed(), 0
+
+    def _unboxed(self) -> "int | Ordinal":
+        """self, or its int when it is a boxed natural."""
+        t = self.terms
+        return self if t and t[0][0] else Ordinal._make(t)
 
     # -- order ----------------------------------------------------------
 
@@ -138,7 +134,7 @@ class Ordinal:
         return NotImplemented if key is None else self.terms >= key
 
     def __hash__(self) -> int:
-        # a natural equals its int, so it must hash like it
+        # a boxed natural equals its int, so it must hash like it
         t = self.terms
         if not t:
             return hash(0)
@@ -147,143 +143,66 @@ class Ordinal:
         return hash(t)
 
     # -- arithmetic -----------------------------------------------------
+    # Each operator reads an int operand's terms without boxing it, computes
+    # on term tuples and makes the result canonical with `_make`.
 
-    def __add__(self, other) -> "Ordinal":
-        if other.__class__ is Ordinal:
-            a, b = self.terms, other.terms
-            if len(a) == 1 == len(b) and a[0][0] == 0 == b[0][0]:
-                return nat(a[0][1] + b[0][1])
-        else:
-            other = _as_ordinal(other)
-            if other is NotImplemented:
-                return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        e = other.terms[0][0]
-        # terms of self below other's leading exponent are absorbed
-        i = len(self.terms)
-        while i > 0 and self.terms[i - 1][0] < e:
-            i -= 1
-        if i > 0 and self.terms[i - 1][0] == e:
-            merged = ((e, self.terms[i - 1][1] + other.terms[0][1]),) + other.terms[1:]
-            return Ordinal._make(self.terms[: i - 1] + merged)
-        return Ordinal._make(self.terms[:i] + other.terms)
-
-    def __radd__(self, other) -> "Ordinal":
-        # addition is not commutative: delegate with operands in order
-        other = _as_ordinal(other)
-        if other is NotImplemented:
+    def __add__(self, other) -> "int | Ordinal":
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        return other.__add__(self)
+        return Ordinal._make(_add(self.terms, b)) if b else self._unboxed()
 
-    def __sub__(self, other) -> "Ordinal":
-        """Left subtraction: the unique x with other + x == self."""
-        if other.__class__ is Ordinal:
-            a, b = self.terms, other.terms
-            if len(a) == 1 == len(b) and a[0][0] == 0 == b[0][0] and a[0][1] >= b[0][1]:
-                return nat(a[0][1] - b[0][1])
-        else:
-            other = _as_ordinal(other)
-            if other is NotImplemented:
-                return NotImplemented
-        if other.terms == self.terms:
-            return ZERO
-        if other > self:
-            raise UndefinedOrdinalOp(f"({self}) - ({other}) is undefined: subtrahend is larger")
-        i = 0
-        while i < len(other.terms) and other.terms[i] == self.terms[i]:
-            i += 1
-        if i == len(other.terms):
-            return Ordinal._make(self.terms[i:])
-        ea, ca = self.terms[i]
-        eb, cb = other.terms[i]
-        if ea == eb:
-            return Ordinal._make(((ea, ca - cb),) + self.terms[i + 1 :])
-        return Ordinal._make(self.terms[i:])
-
-    def __mul__(self, other) -> "Ordinal":
-        """Left-distributive product.  With w^e1*c1 leading self, a term w^e*c
-        (e > 0) of other gives w^(e1+e)*c and a final natural term c gives
-        w^e1*(c1*c) + self's tail; the exponents descend, so they concatenate."""
-        if other.__class__ is not Ordinal:
-            other = _as_ordinal(other)
-            if other is NotImplemented:
-                return NotImplemented
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return ZERO
-        e1, c1 = a[0]
-        if e1 == 0 == b[0][0]:
-            return nat(c1 * b[0][1])
-        tail = () if b[-1][0] else ((e1, c1 * b[-1][1]),) + a[1:]
-        return Ordinal._make(tuple([(e1 + e, c) for e, c in b if e]) + tail)
-
-    def __rmul__(self, other) -> "Ordinal":
-        other = _as_ordinal(other)
-        if other is NotImplemented:
+    def __radd__(self, other) -> "int | Ordinal":
+        a = _operand(other)
+        if a is None:
             return NotImplemented
-        return other.__mul__(self)
+        return Ordinal._make(_add(a, self.terms)) if a else self._unboxed()
 
-    def __divmod__(self, other) -> "tuple[Ordinal, Ordinal]":
-        """The unique (q, r) with self == other*q + r and r < other.  With
-        w^f*d leading other, each term w^e*c (e > f) of self is other*w^(e-f)*c
-        and gives q that term; the rest holds other k times, k = (its w^f
-        coefficient) // d or one less; k ends q, and r = rest - other*k."""
-        if other.__class__ is not Ordinal:
-            other = _as_ordinal(other)
-            if other is NotImplemented:
-                return NotImplemented
-        a, b = self.terms, other.terms
-        if not b:
-            raise ZeroDivisionError("ordinal division by zero")
-        f, d = b[0]
-        if a and a[0][0] == 0 == f:
-            q, r = map(nat, divmod(a[0][1], d))
-        else:
-            terms = [(e - f, c) for e, c in a if e > f]
-            rest = a[len(terms):]
-            k = rest[0][1] // d if rest and rest[0][0] == f else 0
-            if k and ((f, d * k),) + b[1:] > rest:  # other*k > rest, on terms
-                k -= 1
-            r = Ordinal._make(rest)
-            if k:
-                r = r - other * nat(k)
-            q = Ordinal._make(tuple(terms + [(0, k)] if k else terms))
-        if __debug__:
-            assert other * q + r == self and r < other, (self, other, q, r)
-        return q, r
+    def __sub__(self, other) -> "int | Ordinal":
+        b = _operand(other)
+        return NotImplemented if b is None else Ordinal._make(_sub(self.terms, b))
 
-    def __rsub__(self, other) -> "Ordinal":
-        other = _as_ordinal(other)
-        if other is NotImplemented:
+    def __rsub__(self, other) -> "int | Ordinal":
+        a = _operand(other)
+        return NotImplemented if a is None else Ordinal._make(_sub(a, self.terms))
+
+    def __mul__(self, other) -> "int | Ordinal":
+        b = _operand(other)
+        return NotImplemented if b is None else Ordinal._make(_mul(self.terms, b))
+
+    def __rmul__(self, other) -> "int | Ordinal":
+        a = _operand(other)
+        return NotImplemented if a is None else Ordinal._make(_mul(a, self.terms))
+
+    def __divmod__(self, other) -> "tuple[int | Ordinal, int | Ordinal]":
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        return other.__sub__(self)
+        q, r = _divmod(self.terms, b)
+        return Ordinal._make(q), Ordinal._make(r)
 
-    def __rdivmod__(self, other):
-        other = _as_ordinal(other)
-        if other is NotImplemented:
+    def __rdivmod__(self, other) -> "tuple[int | Ordinal, int | Ordinal]":
+        a = _operand(other)
+        if a is None:
             return NotImplemented
-        return other.__divmod__(self)
+        q, r = _divmod(a, self.terms)
+        return Ordinal._make(q), Ordinal._make(r)
 
-    def __floordiv__(self, other) -> "Ordinal":
-        return divmod(self, other)[0]
+    def __floordiv__(self, other) -> "int | Ordinal":
+        qr = self.__divmod__(other)
+        return qr if qr is NotImplemented else qr[0]
 
-    def __mod__(self, other) -> "Ordinal":
-        return divmod(self, other)[1]
+    def __mod__(self, other) -> "int | Ordinal":
+        qr = self.__divmod__(other)
+        return qr if qr is NotImplemented else qr[1]
 
-    def __rfloordiv__(self, other) -> "Ordinal":
-        other = _as_ordinal(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return divmod(other, self)[0]
+    def __rfloordiv__(self, other) -> "int | Ordinal":
+        qr = self.__rdivmod__(other)
+        return qr if qr is NotImplemented else qr[0]
 
-    def __rmod__(self, other) -> "Ordinal":
-        other = _as_ordinal(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return divmod(other, self)[1]
+    def __rmod__(self, other) -> "int | Ordinal":
+        qr = self.__rdivmod__(other)
+        return qr if qr is NotImplemented else qr[1]
 
     # -- text -----------------------------------------------------------
 
@@ -305,7 +224,7 @@ class Ordinal:
         return f"Ordinal({str(self)!r})"
 
     @classmethod
-    def parse(cls, text: str) -> "Ordinal":
+    def parse(cls, text: str) -> "int | Ordinal":
         """Parse the rendering produced by str(), `w^2*3 + w*2 + 5`, so
         parse(str(a)) == a."""
         if text.strip() == "0":
@@ -328,41 +247,101 @@ class Ordinal:
         return Ordinal._make(tuple(terms))
 
 
-def _as_ordinal(x) -> "Ordinal":
+def _operand(x) -> "Terms | None":
+    """The terms of an arithmetic operand, or None when it is no ordinal (a
+    bool is none); a negative int raises."""
     if isinstance(x, Ordinal):
-        return x
+        return x.terms
     if isinstance(x, int) and not isinstance(x, bool):
         if x < 0:
             raise ValueError(f"ordinals cannot be negative: {x}")
-        return nat(x)
-    return NotImplemented
+        return ((0, x),) if x else ()
+    return None
 
 
-# Sized from the perfbench workloads: every natural that ackermann and
-# repl_mix build is below 1,024, and so are 85% of those nats builds (77%
-# are 0 or 1).  A table of 4,096 bought no time and cost 0.6 MB of peak
-# RSS on nats; tables of 16 or 256 lost about 5% of op_p50_ref there.
-_NAT_CACHE = 1024
+def _add(a: Terms, b: Terms) -> Terms:
+    """a + b: the terms of a below b's leading exponent are absorbed."""
+    if not b:
+        return a
+    e = b[0][0]
+    i = len(a)
+    while i > 0 and a[i - 1][0] < e:
+        i -= 1
+    if i > 0 and a[i - 1][0] == e:
+        return a[: i - 1] + ((e, a[i - 1][1] + b[0][1]),) + b[1:]
+    return a[:i] + b
 
 
-def _make_nat(n: int) -> Ordinal:
-    self = object.__new__(Ordinal)
-    object.__setattr__(self, "terms", ((0, n),) if n else ())
-    return self
+def _sub(a: Terms, b: Terms) -> Terms:
+    """Left subtraction: the unique x with b + x == a."""
+    if b > a:
+        raise UndefinedOrdinalOp(f"({Ordinal._make(a)}) - ({Ordinal._make(b)}) "
+                                 "is undefined: subtrahend is larger")
+    i = 0
+    while i < len(b) and b[i] == a[i]:
+        i += 1
+    if i < len(b) and a[i][0] == b[i][0]:
+        return ((a[i][0], a[i][1] - b[i][1]),) + a[i + 1 :]
+    return a[i:]
 
 
-_NATS = tuple(_make_nat(n) for n in range(_NAT_CACHE))
+def _mul(a: Terms, b: Terms) -> Terms:
+    """Left-distributive product.  With w^e1*c1 leading a, a term w^e*c
+    (e > 0) of b gives w^(e1+e)*c and a final natural term c gives
+    w^e1*(c1*c) + a's tail; the exponents descend, so they concatenate."""
+    if not a or not b:
+        return ()
+    e1, c1 = a[0]
+    tail = () if b[-1][0] else ((e1, c1 * b[-1][1]),) + a[1:]
+    return tuple([(e1 + e, c) for e, c in b if e]) + tail
 
 
-def nat(n: int) -> Ordinal:
-    """The natural n as an Ordinal; naturals below _NAT_CACHE are interned.
-    Anything but an int >= 0 goes to the constructor, which rejects it."""
-    if n.__class__ is int and n >= 0:
-        return _NATS[n] if n < _NAT_CACHE else _make_nat(n)
-    return Ordinal(n)
+def _divmod(a: Terms, b: Terms) -> "tuple[Terms, Terms]":
+    """The unique (q, r) with a == b*q + r and r < b.  With w^f*d leading b,
+    each term w^e*c (e > f) of a is b*w^(e-f)*c and gives q that term; the
+    rest holds b k times, k = (its w^f coefficient) // d or one less; k ends
+    q, and r = rest - b*k."""
+    if not b:
+        raise ZeroDivisionError("ordinal division by zero")
+    f, d = b[0]
+    q = [(e - f, c) for e, c in a if e > f]
+    r = a[len(q):]
+    k = r[0][1] // d if r and r[0][0] == f else 0
+    if k and ((f, d * k),) + b[1:] > r:  # b*k > r, on terms
+        k -= 1
+    if k:
+        q.append((0, k))
+        r = _sub(r, _mul(b, ((0, k),)))
+    q = tuple(q)
+    if __debug__:
+        assert _add(_mul(b, q), r) == a and r < b, (a, b, q, r)
+    return q, r
 
 
-def omega_power(exponent: int, coefficient: int = 1) -> Ordinal:
+def sub(a, b):
+    """Ordinal `-`, the left subtraction a - b: Python's `-` on two ints where
+    it is defined, else `Ordinal.__sub__`, which raises where it is not."""
+    if a.__class__ is int and b.__class__ is int and a >= b:
+        return a - b
+    return Ordinal(a) - b
+
+
+def terms(x) -> Terms:
+    """The Cantor normal form terms of an int or an Ordinal."""
+    return x.terms if x.__class__ is Ordinal else ((0, x),) if x else ()
+
+
+def limit_part(x) -> "tuple[int | Ordinal, int]":
+    """Split an int or an Ordinal as l + k with l limit-or-zero and k natural."""
+    return x.limit_part() if x.__class__ is Ordinal else (0, x)
+
+
+def is_limit(x) -> bool:
+    """True for a limit ordinal: non-zero and not a successor."""
+    return x.__class__ is Ordinal and x.is_limit
+
+
+def omega_power(exponent: int, coefficient: int = 1) -> "int | Ordinal":
     """Build w^exponent * coefficient."""
     if exponent < 0 or coefficient < 0:
         raise ValueError("exponent and coefficient must be naturals")
@@ -371,5 +350,5 @@ def omega_power(exponent: int, coefficient: int = 1) -> Ordinal:
     return Ordinal._make(((exponent, coefficient),))
 
 
-ZERO = _NATS[0]
+ZERO = 0
 OMEGA = Ordinal._make(((1, 1),))

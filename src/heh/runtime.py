@@ -1,20 +1,24 @@
 """Value universe, recursion cells, linearization, and box algebra.
 
-A value is a plain Python object: a scalar (`Ordinal`, `bool` or
+A value is a plain Python object: a scalar (an ordinal, a `bool` or a
 `FunClosure`), a `tuple` for a vector of ordinals (an index, a shape, a
 literal such as `[1, 2]`), a `StrictArray` for any other finite array of
 rank >= 1 (shape tuple + flat data of scalars in row-major order), a lazy
-`ImapClosure`, or a lazy `FilterClosure`.  The one store-like cell is
+`ImapClosure`, or a lazy `FilterClosure`.  An ordinal is in the canonical
+form of `heh.ordinal`: an `int` below w, an `Ordinal` at or above it.  So a
+value is an ordinal exactly when its class is `int` or `Ordinal` (a `bool`
+is an int to `isinstance`, never to this test), and a finite extent is an
+`int`.  The one store-like cell is
 `Rec`, the name a `letrec` is defining: it is empty while the definition
 is evaluated and filled after.
 """
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-from .ordinal import Ordinal, ZERO
+from .ordinal import Ordinal
 
-ShapeVec = Tuple[Ordinal, ...]
+ShapeVec = Tuple[Union[int, Ordinal], ...]
 
 
 class Fault(Exception):
@@ -39,8 +43,8 @@ class StrictArray:
             assert shape, "scalars are bare values, not rank-0 arrays"
             n = 1
             for s in shape:
-                assert isinstance(s, Ordinal) and s.is_natural, "strict arrays have finite shape"
-                n *= s.natural()
+                assert s.__class__ is int, "strict arrays have finite shape"
+                n *= s
             assert len(data) == n, f"data length {len(data)} != shape product {n}"
         self.shape = shape
         self.data = data
@@ -55,7 +59,7 @@ def strict_value(shape: ShapeVec, data: list):
     included), else a strict array."""
     if not shape:
         return data[0]
-    if len(shape) == 1 and all(x.__class__ is Ordinal for x in data):
+    if len(shape) == 1 and all(x.__class__ is int or x.__class__ is Ordinal for x in data):
         return tuple(data)
     return StrictArray(shape, data)
 
@@ -109,7 +113,7 @@ class FilterClosure:
         self.predicate = predicate
         self.argument = argument
         self.arg_shape = arg_shape
-        self.partitions: Dict[Ordinal, FilterSegment] = defaultdict(FilterSegment)
+        self.partitions: Dict[Union[int, Ordinal], FilterSegment] = defaultdict(FilterSegment)
 
 
 ### ---- recursion cells ----------------------------------------------------------
@@ -143,18 +147,11 @@ def linearize(shape: ShapeVec, index: ShapeVec) -> int:
                     f"index of length {len(index)} into rank-{len(shape)} array")
     offset = 0
     for s, i in zip(shape, index):
-        # natural path: a positive natural extent and a natural index below it
-        st, it = s.terms, i.terms
-        if len(st) == 1 and st[0][0] == 0 and (not it or (len(it) == 1 and it[0][0] == 0)):
-            k = it[0][1] if it else 0
-            if k < st[0][1]:
-                offset = offset * st[0][1] + k
-                continue
-        if not (ZERO <= i < s):
+        if not 0 <= i < s:
             raise Fault("IndexOutOfBounds",
                         f"index {render_shape(index)} outside shape "
                         f"{render_shape(shape)}")
-        offset = offset * s.natural() + i.natural()
+        offset = offset * s + i
     return offset
 
 
@@ -233,7 +230,7 @@ def forms_partition(frame: Box, gens: List[Box]) -> Optional[str]:
 def render_scalar(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, Ordinal):
+    if x.__class__ is int or x.__class__ is Ordinal:
         return str(x)
     if isinstance(x, FunClosure):
         return "<fun>"
@@ -245,7 +242,7 @@ def render_strict(shape: ShapeVec, data: list) -> str:
     data; a scalar x has shape () and data [x]."""
     if not shape:
         return render_scalar(data[0])
-    n = shape[0].natural()
+    n = shape[0]
     chunk = len(data) // n if n else 0
     return "[" + ", ".join(render_strict(shape[1:], data[i * chunk:(i + 1) * chunk])
                            for i in range(n)) + "]"

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple, Union
 
-from .ordinal import Ordinal, omega_power
+from .ordinal import Ordinal, omega_power, terms
 
 
 ### ---- source spans ----------------------------------------------------------
@@ -128,7 +128,7 @@ class Expr:
 
 @dataclass
 class OrdinalConst(Expr):
-    value: Ordinal
+    value: "int | Ordinal"
     span: Span = None
 
 
@@ -473,7 +473,7 @@ class _Parser:
             raise ParseError(f"expected an expression, found {tok.kind!r}", tok.span)
         if tok.kind == "number":
             self.next()
-            return OrdinalConst(Ordinal(tok.value), tok.span)
+            return OrdinalConst(tok.value, tok.span)
         if tok.kind == "w":
             start = self.pos
             self.next()
@@ -583,15 +583,15 @@ def _concat_parts(node: Expr):
     return None
 
 
-def _ordinal_literal(value: Ordinal) -> str:
+def _ordinal_literal(value) -> str:
     # the parser only builds naturals and w^k; anything else is not a literal
-    terms = value.terms
-    if terms == ():
+    t = terms(value)
+    if t == ():
         return "0"
-    if len(terms) == 1 and terms[0][0] == 0:
-        return str(terms[0][1])
-    if len(terms) == 1 and terms[0][1] == 1:
-        exp = terms[0][0]
+    if len(t) == 1 and t[0][0] == 0:
+        return str(t[0][1])
+    if len(t) == 1 and t[0][1] == 1:
+        exp = t[0][0]
         return "w" if exp == 1 else f"w^{exp}"
     raise ValueError(f"{value} is not expressible as a single literal")
 

@@ -2,15 +2,14 @@
 
 import random
 
-from heh.ordinal import Ordinal, omega_power
+from heh.ordinal import omega_power
 from heh.syntax import (
     Apply, ArrayLiteral, BinOp, BoolConst, Bounds, Cond, Filter, Full, Imap,
     IsLim, Lambda, Letrec, OrdinalConst, Reduce, Select, Shape, Var,
 )
 
 _NAMES = ["a", "b", "c", "f", "g", "x", "y", "iv", "s", "acc"]
-_ORDINALS = [Ordinal(0), Ordinal(1), Ordinal(2), Ordinal(5), Ordinal(42),
-             omega_power(1), omega_power(2), omega_power(3)]
+_ORDINALS = [0, 1, 2, 5, 42, omega_power(1), omega_power(2), omega_power(3)]
 _OPS = ["+", "-", "*", "/", "%", "<", "<=", "=", ">", ">="]
 
 

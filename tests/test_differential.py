@@ -466,8 +466,8 @@ def counted_outcomes():
 
 
 def test_optimized_mode_gives_the_same_outcomes_and_counters():
-    # `python -O` drops the checks under __debug__, beside which the
-    # natural-number fast paths sit
+    # `python -O` drops the checks under __debug__ (Ordinal._make's canonical
+    # form, divmod's multiply-back, StrictArray's shape), which ints skip
     src = os.path.dirname(os.path.dirname(os.path.abspath(heh.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")])))
@@ -484,11 +484,25 @@ def env_values(env):
         env = env[1]
 
 
+def is_ordinal(x):
+    return x.__class__ is int or x.__class__ is Ordinal
+
+
+def canonical_ordinal(x):
+    """An ordinal in canonical form: an int below w (never a bool), and an
+    Ordinal whose leading exponent is at least 1 from w on."""
+    return x.__class__ is int or (x.__class__ is Ordinal and bool(x.terms)
+                                  and x.terms[0][0] >= 1)
+
+
 def misrepresented_values(roots):
-    """The values reachable from `roots` that break the rule that a finite
-    vector of ordinals is a tuple and a tuple is a vector of ordinals.  The
-    walk follows array elements, memoized imap cells, filter segments,
-    recursion cells and the environments of closures."""
+    """The values reachable from `roots` that break the canonical
+    representation: each ordinal is a canonical one, a finite vector of
+    ordinals is a tuple and a tuple is a vector of canonical ordinals, and a
+    shape, frame index or box corner is such a tuple, whose finite extents
+    are ints.  The walk follows array elements and shapes, imap frames,
+    generator boxes, memoized indices and cells, filter segments, recursion
+    cells and the environments of closures."""
     bad, seen, todo = [], set(), list(roots)
     while todo:
         value = todo.pop()
@@ -496,18 +510,26 @@ def misrepresented_values(roots):
             continue
         seen.add(id(value))
         cls = value.__class__
-        if cls is tuple:
-            if not all(x.__class__ is Ordinal for x in value):
+        if cls is Ordinal:
+            if not canonical_ordinal(value):
+                bad.append(value)
+        elif cls is tuple:
+            if not all(map(canonical_ordinal, value)):
                 bad.append(value)
         elif cls is StrictArray:
-            if len(value.shape) == 1 and all(x.__class__ is Ordinal for x in value.data):
+            if (not all(s.__class__ is int for s in value.shape)
+                    or len(value.shape) == 1 and all(map(is_ordinal, value.data))):
                 bad.append(value)
             todo.extend(value.data)
         elif cls is ImapClosure:
+            todo += [value.frame, value.cell, value.shape]
+            todo.extend(corner for box, _ in value.partitions for corner in box)
+            todo.extend(value.memo)
             todo.extend(value.memo.values())
             todo.extend(env_values(value.env))
         elif cls is FilterClosure:
-            todo += [value.predicate, value.argument]
+            todo += [value.predicate, value.argument, value.arg_shape]
+            bad.extend(key for key in value.partitions if not canonical_ordinal(key))
             todo.extend(x for segment in value.partitions.values() for x in segment.prefix)
         elif cls is FunClosure:
             todo.extend(env_values(value.env))
@@ -517,14 +539,16 @@ def misrepresented_values(roots):
 
 
 def test_every_vector_of_ordinals_is_a_tuple():
+    # and every ordinal reachable from a program's value, its session or its
+    # probes' outcomes is canonical: see misrepresented_values
     runs = [(False, source, probes) for source, probes in corpus()]
     runs += [(True, source, probes) for source, probes in list_corpus()]
     runs += [(True, heh.program_source(name), probes)
              for name, probes in heh.examples_suite()]
     for prelude, source, probes in runs:
         for config in CONFIGS[:2]:  # memo on: every forced cell stays reachable
-            _, session, value = run_case(source, probes, config, prelude)
-            roots = [value, *session.env.values()]
+            outcomes, session, value = run_case(source, probes, config, prelude)
+            roots = [value, *session.env.values(), *outcomes]
             assert misrepresented_values(roots) == [], (source, config)
 
 

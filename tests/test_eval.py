@@ -567,6 +567,45 @@ def test_ordinal_vector_errors():
         assert (e.value.kind, e.value.message) == (kind, message), src
 
 
+def test_booleans_are_not_ordinals():
+    # a bool is an int to Python but never an ordinal to heh: each case fails
+    # with the kind, message, rule and column it had when every ordinal was
+    # an Ordinal instance
+    plus = "'+' needs ordinal scalar operands"
+    equal = "'=' compares two ordinals or two booleans"
+    index = "selection index components must be ordinals"
+    predicate = "the filter predicate must return a boolean"
+    cases = [
+        ("true = 1", equal, "binop", 1),
+        ("1 = true", equal, "binop", 1),
+        ("[true, 1].[0] = 1", equal, "binop", 1),
+        ("true + 1", plus, "binop", 1),
+        ("1 + true", plus, "binop", 1),
+        ("[true, 1].[0] + 1", plus, "binop", 1),
+        ("1 - true", "'-' needs ordinal scalar operands", "binop", 1),
+        ("[true, 1].[0] * 2", "'*' needs ordinal scalar operands", "binop", 1),
+        ("reduce (\\a.\\b. a + b) 0 [true, 1]", plus, "binop", 16),
+        ("islim true", "islim needs an ordinal scalar", "islim", 1),
+        ("islim ([true, 1].[0])", "islim needs an ordinal scalar", "islim", 1),
+        ("(imap [w] {_(iv): 1}).[1 = 1]", index, "select", 1),
+        ("(imap [2] {_(iv): 7}).[[true].[0]]", index, "select", 1),
+        ("[0, 1].[true]", index, "select", 1),
+        ("imap [true] {_(iv): 0}", "frame shape components must be ordinals", "imap", 1),
+        ("filter (\\x. 1) [1, 2]", predicate, "filter", 1),
+        ("filter (\\x. 1) (imap [w] {_(iv): 0}).[0]", predicate, "select", 1),
+    ]
+    for src, message, rule, col in cases:
+        with pytest.raises(EvalError) as e:
+            run(src)
+        assert (e.value.kind, e.value.message, e.value.rule, e.value.span.col) == \
+            ("ShapeMismatch", message, rule, col), src
+    # a vector holding a bool is no vector of ordinals, nor is a bool an index
+    assert isinstance(run("[1, true]").value, StrictArray)
+    assert data(run("[1, true]")) == [1, True]
+    with pytest.raises(TypeError):
+        probe(run("[1, 2]"), [True])
+
+
 def test_fuel_exhaustion():
     with pytest.raises(EvalError) as e:
         run("letrec f = \\x. f x in f 1", EvalConfig(fuel=1000))

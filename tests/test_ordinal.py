@@ -6,6 +6,9 @@ results from bounded search over candidate ordinals, addition below
 w^2 from a hand-derived closed form, and multiplication from left
 distribution over repeated addition.  Expected values frozen in the
 tests were computed with these oracles.
+
+A natural is an int, so terms are read through `terms(x)` and ordinal `-`
+on two naturals is `sub`; `Ordinal(n)` is a boxed natural.
 """
 
 import random
@@ -13,7 +16,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heh.ordinal import OMEGA, ZERO, Ordinal, UndefinedOrdinalOp, nat, omega_power
+from heh.ordinal import (
+    OMEGA, ZERO, Ordinal, UndefinedOrdinalOp, is_limit, limit_part, omega_power, sub, terms,
+)
 
 
 # --- oracles ---------------------------------------------------------------
@@ -29,9 +34,9 @@ def ord_of(*terms):
 
 def compare_by_coefficient_vectors(a, b):
     """Order oracle: compare [c_E, ..., c_1, c_0] lexicographically."""
-    exps = [e for e, _ in a.terms] + [e for e, _ in b.terms]
+    exps = [e for e, _ in terms(a)] + [e for e, _ in terms(b)]
     top = max(exps, default=0)
-    ca, cb = dict(a.terms), dict(b.terms)
+    ca, cb = dict(terms(a)), dict(terms(b))
     va = [ca.get(e, 0) for e in range(top, -1, -1)]
     vb = [cb.get(e, 0) for e in range(top, -1, -1)]
     return (va > vb) - (va < vb)
@@ -59,6 +64,12 @@ def _coeff_tuples(max_exp, max_coeff):
             yield rest + (c,)
 
 
+def natural_value(x):
+    """x, checked to be a natural in canonical form: an int."""
+    assert type(x) is int, x
+    return x
+
+
 def search_left_difference(a, b, candidates):
     """All x among candidates with b + x == a (should be exactly one when b <= a)."""
     return [x for x in candidates if b + x == a]
@@ -78,9 +89,9 @@ def mul_by_distribution(a, b):
     if not a:
         return ZERO
     result = ZERO
-    for e, c in b.terms:
+    for e, c in terms(b):
         if e:
-            result = result + omega_power(a.terms[0][0] + e, c)
+            result = result + omega_power(terms(a)[0][0] + e, c)
         else:
             assert c <= 6, "keep the repeated sum short"
             for _ in range(c):
@@ -112,6 +123,7 @@ def ordinals(draw, max_terms=4, max_exp=5, max_coeff=10**6):
 
 
 def test_construction():
+    assert ZERO == 0 and type(ZERO) is int
     assert Ordinal(0).terms == ()
     assert Ordinal(7).terms == ((0, 7),)
     assert OMEGA.terms == ((1, 1),)
@@ -125,8 +137,11 @@ def test_construction():
 
 @given(ordinals())
 def test_canonical_terms(a):
-    assert all(c > 0 and e >= 0 for e, c in a.terms)
-    assert all(a.terms[i][0] > a.terms[i + 1][0] for i in range(len(a.terms) - 1))
+    t = terms(a)
+    assert all(c > 0 and e >= 0 for e, c in t)
+    assert all(t[i][0] > t[i + 1][0] for i in range(len(t) - 1))
+    # below w an int, from w on an Ordinal led by w^e with e >= 1
+    assert type(a) is (int if not t or t[0][0] == 0 else Ordinal)
 
 
 def test_immutability_and_hash():
@@ -137,24 +152,29 @@ def test_immutability_and_hash():
     assert len({a, ord_of((1, 2), (0, 5)), OMEGA}) == 2
 
 
-def test_nat_builds_naturals():
+def test_naturals_are_ints():
+    # every operation on a boxed natural, the parser and omega_power give an int
     for n in (0, 1, 7, 1023, 1024, 5000, 10**30):
-        assert nat(n).terms == (((0, n),) if n else ())
-        assert nat(n) == Ordinal(n)
-    assert nat(0) == ZERO
+        boxed = Ordinal(n)
+        assert boxed.terms == (((0, n),) if n else ()) and boxed == n
+        for x in (boxed + 0, 0 + boxed, boxed * 1, boxed - 0, boxed // 1,
+                  boxed % (n + 1), (OMEGA + n) - OMEGA, Ordinal.parse(str(n)),
+                  omega_power(0, n), limit_part(OMEGA + n)[1], limit_part(boxed)[1]):
+            assert natural_value(x) == n
+        assert natural_value(limit_part(boxed)[0]) == 0
     for bad, error in ((-1, ValueError), (True, TypeError), (1.5, TypeError)):
         with pytest.raises(error):
-            nat(bad)
+            Ordinal(bad)
 
 
 @given(st.integers(0, 3000))
-def test_interned_naturals_are_immutable(n):
-    a = nat(n)
+def test_boxed_naturals_are_immutable(n):
+    a = Ordinal(n)
     with pytest.raises(AttributeError):
         a.terms = ()
     with pytest.raises(AttributeError):
         setattr(a, "terms", ((1, 1),))
-    assert nat(n).terms == (((0, n),) if n else ())
+    assert Ordinal(n).terms == (((0, n),) if n else ())
 
 
 def test_natural_hashes_like_its_int():
@@ -166,25 +186,26 @@ def test_natural_hashes_like_its_int():
 naturals = st.one_of(st.integers(0, 2000), st.integers(0, 10**20))
 
 
-@given(st.one_of(ordinals(), naturals.map(nat), naturals.map(Ordinal)),
+@given(st.one_of(ordinals(), naturals, naturals.map(Ordinal)),
        st.one_of(naturals, st.integers(-5, -1)))
 def test_equal_ordinal_and_int_hash_alike(a, b):
     if a == b:
         assert hash(a) == hash(b)
     else:
         assert a != b
-    if a.is_natural:
-        assert hash(a) == hash(a.natural())
+    lead, n = limit_part(a)
+    if lead == 0:  # a natural, boxed or not
+        assert hash(a) == hash(n)
 
 
 def test_negative_int_is_unequal_and_unordered():
     # a negative int is no ordinal: it compares as any unrelated type would
-    assert Ordinal(3) != -1 and not Ordinal(3) == -1 and ZERO != -1
+    assert Ordinal(3) != -1 and not Ordinal(3) == -1 and Ordinal(0) != -1
     mixed = [Ordinal(3), -1, 3, -3]
     assert mixed.count(-1) == 1 and mixed.index(Ordinal(3)) == 0
     assert {Ordinal(2): "x", -2: "y"} == {2: "x", -2: "y"}
     assert -2 not in {Ordinal(2), OMEGA}
-    for compare in (lambda: ZERO < -1, lambda: Ordinal(3) >= -1,
+    for compare in (lambda: Ordinal(0) < -1, lambda: Ordinal(3) >= -1,
                     lambda: -1 <= OMEGA):
         with pytest.raises(TypeError):
             compare()
@@ -270,6 +291,8 @@ def test_left_sub_witnesses():
     with pytest.raises(UndefinedOrdinalOp):
         Ordinal(1) - 2
     with pytest.raises(UndefinedOrdinalOp):
+        sub(1, 2)
+    with pytest.raises(UndefinedOrdinalOp):
         OMEGA - (OMEGA + 1)
 
 
@@ -280,17 +303,17 @@ def test_left_sub_unique_against_search():
             hits = search_left_difference(a, b, candidates)
             if b <= a:
                 assert len(hits) == 1
-                assert a - b == hits[0]
+                assert sub(a, b) == hits[0]
             else:
                 with pytest.raises(UndefinedOrdinalOp):
-                    a - b
+                    sub(a, b)
 
 
 @given(ordinals(), ordinals())
 def test_left_sub_roundtrip(a, b):
-    assert (b + a) - b == a
+    assert sub(b + a, b) == a
     lo, hi = (a, b) if a <= b else (b, a)
-    assert lo + (hi - lo) == hi
+    assert lo + sub(hi, lo) == hi
 
 
 # --- multiplication ----------------------------------------------------------
@@ -321,7 +344,7 @@ def test_mul_matches_distributive_oracle():
     rng = random.Random(5)
     for _ in range(4000):
         a, b = mixed_ordinal(rng), mixed_ordinal(rng, max_natural=rng.randint(1, 6))
-        assert (a * b).terms == mul_by_distribution(a, b).terms, (a, b)
+        assert terms(a * b) == terms(mul_by_distribution(a, b)), (a, b)
 
 
 def test_mul_not_right_distributive():
@@ -363,7 +386,7 @@ def test_divmod_against_distributive_oracle():
     for _ in range(4000):
         a, b = mixed_ordinal(rng, big=False), mixed_ordinal(rng, big=False)
         if a and rng.random() < 0.5:
-            head = list(a.terms[:rng.randint(1, len(a.terms))])
+            head = list(terms(a)[:rng.randint(1, len(terms(a)))])
             e, c = head[-1]
             head[-1] = (e, c + rng.randint(0, 1))
             b = ord_of(*head)
@@ -383,33 +406,31 @@ def test_division_unique(a, b):
         alt_q = q + dq
         if dq and b * alt_q <= a:
             # any larger quotient forces the remainder negative
-            assert b * alt_q + (a - b * alt_q) == a
-            assert not (a - b * alt_q) < b or alt_q == q
+            assert b * alt_q + sub(a, b * alt_q) == a
+            assert not sub(a, b * alt_q) < b or alt_q == q
 
 
 # --- classification ----------------------------------------------------------
 
 
 def test_limits_and_naturals():
-    assert OMEGA.is_limit
-    assert omega_power(1, 2).is_limit
-    assert omega_power(2).is_limit
-    assert not (OMEGA + 21).is_limit
-    assert not ZERO.is_limit
-    assert not Ordinal(3).is_limit
-    assert ZERO.is_natural and Ordinal(9).is_natural
-    assert not OMEGA.is_natural
-    assert Ordinal(9).natural() == 9
-    assert ZERO.natural() == 0
-    with pytest.raises(UndefinedOrdinalOp):
-        OMEGA.natural()
+    for x in (OMEGA, omega_power(1, 2), omega_power(2)):
+        assert x.is_limit and is_limit(x)
+    assert not (OMEGA + 21).is_limit and not is_limit(OMEGA + 21)
+    assert not is_limit(ZERO) and not Ordinal(0).is_limit
+    assert not is_limit(3) and not Ordinal(3).is_limit and not is_limit(Ordinal(3))
+    # a natural is an int, and a boxed one equals it; w is neither
+    assert type(ZERO) is type(Ordinal(9) + 0) is int and Ordinal(9) == 9
+    assert type(OMEGA) is Ordinal and limit_part(OMEGA) == (OMEGA, 0)
 
 
 def test_limit_part():
     assert (omega_power(1, 2) + 7).limit_part() == (omega_power(1, 2), 7)
     assert OMEGA.limit_part() == (OMEGA, 0)
     assert Ordinal(7).limit_part() == (ZERO, 7)
-    assert ZERO.limit_part() == (ZERO, 0)
+    assert Ordinal(0).limit_part() == (ZERO, 0)
+    assert limit_part(OMEGA + 7) == (OMEGA, 7)
+    assert limit_part(7) == (ZERO, 7) and limit_part(ZERO) == (ZERO, 0)
 
 
 # --- naturals agreement -------------------------------------------------------
@@ -421,35 +442,37 @@ def test_naturals_behave_like_ints():
     pairs += [(i, j) for i in range(8) for j in range(8)]
     for x, y in pairs:
         a, b = Ordinal(x), Ordinal(y)
-        assert (a + b).natural() == x + y
-        assert (a * b).natural() == x * y
+        assert natural_value(a + b) == x + y
+        assert natural_value(a * b) == x * y
         assert (a < b) == (x < y) and (a == b) == (x == y)
         if y <= x:
-            assert (a - b).natural() == x - y
+            assert natural_value(a - b) == x - y
         if y:
             q, r = divmod(a, b)
-            assert (q.natural(), r.natural()) == divmod(x, y)
+            assert (natural_value(q), natural_value(r)) == divmod(x, y)
 
 
-@given(naturals, naturals, st.sampled_from([nat, Ordinal]))
+@given(naturals, naturals, st.sampled_from([int, Ordinal]))
 def test_natural_fast_paths_match_ints(x, y, make):
+    # the fast path for two naturals is Python's own int arithmetic; a boxed
+    # natural takes Ordinal's general path and must agree with it
     a, b = make(x), make(y)
-    assert (a + b).natural() == x + y and (a + b).terms == Ordinal(x + y).terms
+    assert natural_value(a + b) == x + y and terms(a + b) == terms(Ordinal(x + y))
     assert (a < b) == (x < y) and (a <= b) == (x <= y)
     assert (a > b) == (x > y) and (a >= b) == (x >= y)
     assert (a == b) == (x == y) and (a != b) == (x != y)
-    assert a.natural() == x and a.is_natural and not a.is_limit
+    assert limit_part(a) == (0, x) and not is_limit(a)
     if y <= x:
-        assert (a - b).natural() == x - y and (a - b).terms == Ordinal(x - y).terms
+        assert natural_value(sub(a, b)) == x - y and terms(sub(a, b)) == terms(Ordinal(x - y))
     else:
         with pytest.raises(UndefinedOrdinalOp) as error:
-            a - b
+            sub(a, b)
         assert str(error.value) == f"({x}) - ({y}) is undefined: subtrahend is larger"
 
 
-@given(naturals, ordinals(max_coeff=50).filter(lambda o: not o.is_natural))
+@given(naturals, ordinals(max_coeff=50).filter(lambda o: type(o) is Ordinal))
 def test_mixed_natural_and_transfinite_operands(n, x):
-    a = nat(n)
+    a = n
     assert a + x == x        # n is absorbed below x's leading term
     assert x - a == x        # so x is also the left difference
     assert (x + a) - x == a
@@ -457,11 +480,11 @@ def test_mixed_natural_and_transfinite_operands(n, x):
     coeffs[0] = coeffs.get(0, 0) + n
     assert (x + a).terms == tuple((e, c) for e, c in sorted(coeffs.items(), reverse=True) if c)
     assert a < x and a <= x and x > a and x >= a and a != x
-    with pytest.raises(UndefinedOrdinalOp) as error:
-        a - x
-    assert str(error.value) == f"({n}) - ({x}) is undefined: subtrahend is larger"
-    with pytest.raises(UndefinedOrdinalOp):
-        x.natural()
+    for left_sub in (lambda: a - x, lambda: sub(a, x)):
+        with pytest.raises(UndefinedOrdinalOp) as error:
+            left_sub()
+        assert str(error.value) == f"({n}) - ({x}) is undefined: subtrahend is larger"
+    assert is_limit(limit_part(x)[0])  # x is no natural
 
 
 def test_reflected_operators_take_an_int_on_the_left():
@@ -473,14 +496,14 @@ def test_reflected_operators_take_an_int_on_the_left():
     for x, y in pairs:
         b = Ordinal(y)
         if y <= x:
-            assert (x - b).natural() == x - y
+            assert natural_value(x - b) == x - y
         else:
             with pytest.raises(UndefinedOrdinalOp):
                 x - b
         q, r = divmod(x, b)
-        assert (q.natural(), r.natural()) == divmod(x, y)
-        assert (x // b).natural() == x // y
-        assert (x % b).natural() == x % y
+        assert (natural_value(q), natural_value(r)) == divmod(x, y)
+        assert natural_value(x // b) == x // y
+        assert natural_value(x % b) == x % y
     with pytest.raises(UndefinedOrdinalOp) as error:
         3 - OMEGA
     assert str(error.value) == "(3) - (w) is undefined: subtrahend is larger"

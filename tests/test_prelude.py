@@ -357,7 +357,7 @@ def examples_outcomes():
 
 
 def test_optimized_mode_matches_debug_mode():
-    # the natural-number fast paths sit beside checks that run only under
+    # naturals are ints, which skip the checks that run only under
     # __debug__; `python -O` drops those and must give the same behaviour
     src = os.path.dirname(os.path.dirname(os.path.abspath(heh.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

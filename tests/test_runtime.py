@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heh.eval import evaluate
-from heh.ordinal import OMEGA, Ordinal, ZERO, nat
+from heh.ordinal import OMEGA, ZERO
 from heh.runtime import (
     Fault, Rec, StrictArray, box_intersect, box_is_empty, box_subtract,
     forms_partition, linearize, render_strict, strict_value,
@@ -21,7 +21,8 @@ from heh.runtime import (
 
 
 def vec(*xs):
-    return tuple(Ordinal(x) if not isinstance(x, Ordinal) else x for x in xs)
+    """A shape or index vector as the evaluator holds it: a natural is an int."""
+    return tuple(xs)
 
 
 ### ---- linearization ------------------------------------------------------------
@@ -63,9 +64,9 @@ def test_delinearize_witnesses():
     # offset k of the evaluator's walk over a finite imap is the index that
     # linearize numbers k
     for sizes, offset, index in (([2, 2], 2, vec(1, 0)), ([7], 4, vec(4)),
-                                 ([3, 2000], 5999, vec(2, 1999))):  # past the interned naturals
+                                 ([3, 2000], 5999, vec(2, 1999))):
         got = forced_indices(sizes)[offset]
-        assert got == index and all(type(i) is Ordinal for i in got)
+        assert got == index and all(type(i) is int for i in got)
         assert linearize(vec(*sizes), got) == offset
     # rank 0: one element, at the empty index
     assert evaluate("[imap [] {_(iv): 9}]", prelude=False).value == (9,)
@@ -76,7 +77,7 @@ def test_linearize_roundtrip():
     # itertools.product enumerates an index space in row-major order, which
     # linearize must number 0, 1, ..., n - 1
     for sizes in ([], [7], [2, 2], [3, 4, 5], [3, 2000], [2, 0, 3]):
-        indices = itertools.product(*(map(nat, range(s)) for s in sizes))
+        indices = itertools.product(*map(range, sizes))
         offsets = [linearize(vec(*sizes), index) for index in indices]
         assert offsets == list(range(math.prod(sizes))), sizes
 
@@ -110,7 +111,7 @@ def test_linearize_matches_int_oracle(case):
 def test_linearize_bounds_errors(sizes, data):
     shape = vec(*sizes)
     axis = data.draw(st.integers(0, len(sizes) - 1))
-    bad = data.draw(st.one_of(st.integers(sizes[axis], sizes[axis] + 10).map(Ordinal),
+    bad = data.draw(st.one_of(st.integers(sizes[axis], sizes[axis] + 10),
                               st.sampled_from([OMEGA, OMEGA + 3])))
     index = tuple(bad if k == axis else ZERO for k in range(len(sizes)))
     with pytest.raises(Fault) as f:
@@ -134,7 +135,7 @@ def box(lower, upper):
 
 def points(b):
     lo, up = b
-    return itertools.product(*[range(l.natural(), u.natural()) for l, u in zip(lo, up)])
+    return itertools.product(*[range(l, u) for l, u in zip(lo, up)])
 
 
 def test_box_subtract_whole():
@@ -208,7 +209,7 @@ def test_forms_partition_scalar_frame():
     assert "not fully covered" in forms_partition(((), ()), [])
 
 
-extents = st.one_of(st.integers(0, 4).map(Ordinal),
+extents = st.one_of(st.integers(0, 4),
                     st.sampled_from([OMEGA, OMEGA + 2, OMEGA * 2]))
 
 
@@ -250,8 +251,8 @@ def test_rec_cell():
         cell.get()
     assert f.value.kind == "UnboundVariable"
     assert f.value.message == "premature recursive reference to 'nats'"
-    cell.value = Ordinal(7)
-    assert cell.get() == Ordinal(7)
+    cell.value = 7
+    assert cell.get() == 7
 
 
 ### ---- strict arrays ----------------------------------------------------------------
@@ -259,22 +260,24 @@ def test_rec_cell():
 
 def test_strict_array_shapes():
     # a vector of ordinals, the empty one included, is a tuple
-    v = strict_value(vec(2), [Ordinal(0), OMEGA])
-    assert v.__class__ is tuple and v == (Ordinal(0), OMEGA)
+    v = strict_value(vec(2), [0, OMEGA])
+    assert v.__class__ is tuple and v == (0, OMEGA)
     assert strict_value(vec(0), []) == ()
     assert strict_value((), [OMEGA]) is OMEGA
     # any other finite array of rank >= 1 is a StrictArray
     flags = strict_value(vec(2), [True, False])
     assert flags.__class__ is StrictArray and flags.shape == vec(2)
-    assert strict_value(vec(1, 2), [Ordinal(0), OMEGA]).shape == vec(1, 2)
+    assert strict_value(vec(1, 2), [0, OMEGA]).shape == vec(1, 2)
     empty = StrictArray(vec(1, 0), [])
     assert math.prod(empty.shape) == 0
     with pytest.raises(AssertionError):
-        StrictArray(vec(2), [Ordinal(1)])
+        StrictArray(vec(2), [1])
+    with pytest.raises(AssertionError):  # a finite extent is an int
+        StrictArray((OMEGA,), [])
 
 
 def test_render_strict():
-    m = [Ordinal(n) for n in (1, 2, 3, 4)]
+    m = [1, 2, 3, 4]
     assert render_strict(vec(2, 2), m) == "[[1, 2], [3, 4]]"
     assert render_strict(vec(1), [OMEGA]) == "[w]"
     assert render_strict(vec(1, 0), []) == "[[]]"
