@@ -8,7 +8,7 @@ from typing import List, Optional
 from .eval import EvalConfig, EvalError, Session, new_session
 from .ordinal import Ordinal, omega_power
 from .runtime import FilterClosure, render_scalar, render_shape, render_strict
-from .syntax import LexError, ParseError
+from .syntax import ParseError
 
 REPL_FUEL = 10_000_000
 SEGMENT_CAP = 3  # lazy printing shows at most this many index segments
@@ -94,9 +94,9 @@ def parse_index_literal(text: str):
 
 
 def run_text(session: Session, source: str, force_print: Optional[int],
-             probe: Optional[str] = None) -> int:
+             probe: Optional[tuple] = None) -> int:
     """Run a program text in `session` with a fresh fuel budget and print its
-    value (the scalar at index literal `probe` if given) unless `force_print`
+    value (the scalar at index `probe` if given) unless `force_print`
     is None.  A failure or an interrupt is reported on stderr; returns the
     exit status."""
     session.fuel = session.config.fuel
@@ -105,11 +105,11 @@ def run_text(session: Session, source: str, force_print: Optional[int],
         if value is None or force_print is None:
             return 0
         if probe is not None:
-            print(render_scalar(session.select_at(value, parse_index_literal(probe))))
+            print(render_scalar(session.select_at(value, probe)))
         else:
             print(format_value(session, value, force_print))
         return 0
-    except (LexError, ParseError, EvalError) as error:
+    except (ParseError, EvalError) as error:
         print(error, file=sys.stderr)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
@@ -220,9 +220,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.print_usage(sys.stderr)
             print(f"heh: error: {flag} must be >= 0", file=sys.stderr)
             return 2
+    probe = None
     if args.probe is not None:
         try:
-            parse_index_literal(args.probe)
+            probe = parse_index_literal(args.probe)
         except ValueError as error:
             parser.print_usage(sys.stderr)
             print(f"heh: error: {error}", file=sys.stderr)
@@ -245,7 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"heh: error: {error}", file=sys.stderr)
             return 2
     session = new_session(config, prelude=not args.no_prelude)
-    return run_text(session, source, args.force_print, args.probe)
+    return run_text(session, source, args.force_print, probe)
 
 
 if __name__ == "__main__":

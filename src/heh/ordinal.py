@@ -9,7 +9,7 @@ int or term-tuple equality, and the order is plain int or tuple comparison
 (an int compares as its terms, `()` for 0 and `((0, n),)` for n).
 Coefficients and exponents are ordinary Python ints, which already gives
 arbitrary precision.  `terms(x)`, `limit_part(x)` and `is_limit(x)` take
-either form.
+either form; `limit_part` and `is_limit` are module functions only.
 
 Arithmetic follows the classical non-commutative rules: `+` absorbs low
 terms of the left operand, `-` is left subtraction (the unique x with
@@ -19,9 +19,9 @@ are one-pass closed forms over the term tuples (Manolios and Vroon 2005).
 
 Two ints never reach `Ordinal`'s methods: `+`, `*`, `//`, `%` and the
 order are Python's own on them, and `sub(a, b)` is the ordinal `-`, which
-is Python's `-` on two ints wherever it is defined.  Each result of an
-`Ordinal` method is canonical: `Ordinal._make` turns the terms of a
-natural into its int.
+is Python's `-` on two ints wherever it is defined.  `_operand` is the one
+rule that reads an operand; every operator computes on term tuples, and
+`Ordinal._make` makes its result canonical (the int of a natural).
 
 Partial operations raise UndefinedOrdinalOp (or ZeroDivisionError for
 division by zero) instead of returning sentinels.  Instances are
@@ -31,6 +31,7 @@ embedders: it equals and hashes like n, and arithmetic on it returns ints.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Tuple
 
@@ -45,206 +46,6 @@ class UndefinedOrdinalOp(ArithmeticError):
 Terms = Tuple[Tuple[int, int], ...]
 
 _TERM_RE = re.compile(r"^(?:(?P<nat>\d+)|w(?:\^(?P<exp>\d+))?(?:\*(?P<coeff>\d+))?)$")
-
-
-class Ordinal:
-    """An ordinal below w^w in Cantor normal form; canonical at or above w."""
-
-    __slots__ = ("terms",)
-
-    terms: Terms
-
-    def __init__(self, value: "int | str | Ordinal" = 0):
-        terms = _operand(Ordinal.parse(value) if isinstance(value, str) else value)
-        if terms is None:
-            raise TypeError(f"cannot build an ordinal from {value!r}")
-        object.__setattr__(self, "terms", terms)
-
-    @classmethod
-    def _make(cls, terms: Terms) -> "int | Ordinal":
-        """The canonical ordinal with these terms: an int below w."""
-        if not terms:
-            return 0
-        if len(terms) == 1 and terms[0][0] == 0:
-            return terms[0][1]
-        self = object.__new__(cls)
-        object.__setattr__(self, "terms", terms)
-        if __debug__:
-            assert all(
-                isinstance(e, int) and isinstance(c, int) and e >= 0 and c > 0
-                for e, c in terms
-            ), terms
-            assert all(terms[i][0] > terms[i + 1][0] for i in range(len(terms) - 1)), terms
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ordinal is immutable")
-
-    # -- classification ------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    @property
-    def is_limit(self) -> bool:
-        """True for limit ordinals: non-zero and not a successor."""
-        return bool(self.terms) and self.terms[-1][0] != 0
-
-    def limit_part(self) -> "tuple[int | Ordinal, int]":
-        """Split self as l + k with l limit-or-zero and k natural."""
-        t = self.terms
-        if t and t[-1][0] == 0:
-            return Ordinal._make(t[:-1]), t[-1][1]
-        return self._unboxed(), 0
-
-    def _unboxed(self) -> "int | Ordinal":
-        """self, or its int when it is a boxed natural."""
-        t = self.terms
-        return self if t and t[0][0] else Ordinal._make(t)
-
-    # -- order ----------------------------------------------------------
-
-    def _cmp_key(self, other) -> "Terms | None":
-        """`other`'s terms, or None when it is no ordinal (a negative int is
-        none): then it is unequal and unordered, as any unrelated type."""
-        if isinstance(other, Ordinal):
-            return other.terms
-        if isinstance(other, int) and not isinstance(other, bool) and other >= 0:
-            return ((0, other),) if other else ()
-        return None
-
-    def __eq__(self, other) -> bool:
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.terms == key
-
-    def __lt__(self, other) -> bool:
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.terms < key
-
-    def __le__(self, other) -> bool:
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.terms <= key
-
-    def __gt__(self, other) -> bool:
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.terms > key
-
-    def __ge__(self, other) -> bool:
-        key = self._cmp_key(other)
-        return NotImplemented if key is None else self.terms >= key
-
-    def __hash__(self) -> int:
-        # a boxed natural equals its int, so it must hash like it
-        t = self.terms
-        if not t:
-            return hash(0)
-        if len(t) == 1 and t[0][0] == 0:
-            return hash(t[0][1])
-        return hash(t)
-
-    # -- arithmetic -----------------------------------------------------
-    # Each operator reads an int operand's terms without boxing it, computes
-    # on term tuples and makes the result canonical with `_make`.
-
-    def __add__(self, other) -> "int | Ordinal":
-        b = _operand(other)
-        if b is None:
-            return NotImplemented
-        return Ordinal._make(_add(self.terms, b)) if b else self._unboxed()
-
-    def __radd__(self, other) -> "int | Ordinal":
-        a = _operand(other)
-        if a is None:
-            return NotImplemented
-        return Ordinal._make(_add(a, self.terms)) if a else self._unboxed()
-
-    def __sub__(self, other) -> "int | Ordinal":
-        b = _operand(other)
-        return NotImplemented if b is None else Ordinal._make(_sub(self.terms, b))
-
-    def __rsub__(self, other) -> "int | Ordinal":
-        a = _operand(other)
-        return NotImplemented if a is None else Ordinal._make(_sub(a, self.terms))
-
-    def __mul__(self, other) -> "int | Ordinal":
-        b = _operand(other)
-        return NotImplemented if b is None else Ordinal._make(_mul(self.terms, b))
-
-    def __rmul__(self, other) -> "int | Ordinal":
-        a = _operand(other)
-        return NotImplemented if a is None else Ordinal._make(_mul(a, self.terms))
-
-    def __divmod__(self, other) -> "tuple[int | Ordinal, int | Ordinal]":
-        b = _operand(other)
-        if b is None:
-            return NotImplemented
-        q, r = _divmod(self.terms, b)
-        return Ordinal._make(q), Ordinal._make(r)
-
-    def __rdivmod__(self, other) -> "tuple[int | Ordinal, int | Ordinal]":
-        a = _operand(other)
-        if a is None:
-            return NotImplemented
-        q, r = _divmod(a, self.terms)
-        return Ordinal._make(q), Ordinal._make(r)
-
-    def __floordiv__(self, other) -> "int | Ordinal":
-        qr = self.__divmod__(other)
-        return qr if qr is NotImplemented else qr[0]
-
-    def __mod__(self, other) -> "int | Ordinal":
-        qr = self.__divmod__(other)
-        return qr if qr is NotImplemented else qr[1]
-
-    def __rfloordiv__(self, other) -> "int | Ordinal":
-        qr = self.__rdivmod__(other)
-        return qr if qr is NotImplemented else qr[0]
-
-    def __rmod__(self, other) -> "int | Ordinal":
-        qr = self.__rdivmod__(other)
-        return qr if qr is NotImplemented else qr[1]
-
-    # -- text -----------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            if e == 0:
-                parts.append(str(c))
-                continue
-            text = "w" if e == 1 else f"w^{e}"
-            if c != 1:
-                text += f"*{c}"
-            parts.append(text)
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Ordinal({str(self)!r})"
-
-    @classmethod
-    def parse(cls, text: str) -> "int | Ordinal":
-        """Parse the rendering produced by str(), `w^2*3 + w*2 + 5`, so
-        parse(str(a)) == a."""
-        if text.strip() == "0":
-            return ZERO
-        terms = []
-        for chunk in text.split("+"):
-            m = _TERM_RE.match(chunk.strip())
-            if m is None:
-                raise ValueError(f"not an ordinal literal: {text!r}")
-            if m.group("nat") is not None:
-                exp, coeff = 0, int(m.group("nat"))
-            else:
-                exp = int(m.group("exp")) if m.group("exp") else 1
-                coeff = int(m.group("coeff")) if m.group("coeff") else 1
-            if terms and exp >= terms[-1][0]:
-                raise ValueError(f"ordinal terms out of order: {text!r}")
-            if coeff == 0:
-                raise ValueError(f"zero coefficient in ordinal literal: {text!r}")
-            terms.append((exp, coeff))
-        return Ordinal._make(tuple(terms))
 
 
 def _operand(x) -> "Terms | None":
@@ -318,12 +119,175 @@ def _divmod(a: Terms, b: Terms) -> "tuple[Terms, Terms]":
     return q, r
 
 
+def _comparison(test):
+    """An order method: `test` on the terms of both operands.  What
+    `_operand` rejects, a negative int included, is unequal and unordered,
+    as any unrelated type is."""
+    def method(self, other):
+        try:
+            b = _operand(other)
+        except ValueError:
+            return NotImplemented
+        return NotImplemented if b is None else test(self.terms, b)
+    return method
+
+
+def _arithmetic(fn):
+    """The forward and reflected methods of the operator `fn` computes on
+    terms, each making its result canonical."""
+    def forward(self, other):
+        b = _operand(other)
+        return NotImplemented if b is None else Ordinal._make(fn(self.terms, b))
+
+    def reflected(self, other):
+        a = _operand(other)
+        return NotImplemented if a is None else Ordinal._make(fn(a, self.terms))
+    return forward, reflected
+
+
+class Ordinal:
+    """An ordinal below w^w in Cantor normal form; canonical at or above w."""
+
+    __slots__ = ("terms",)
+
+    terms: Terms
+
+    def __init__(self, value: "int | str | Ordinal" = 0):
+        terms = _operand(Ordinal.parse(value) if isinstance(value, str) else value)
+        if terms is None:
+            raise TypeError(f"cannot build an ordinal from {value!r}")
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _make(cls, terms: Terms) -> "int | Ordinal":
+        """The canonical ordinal with these terms: an int below w."""
+        if not terms:
+            return 0
+        if len(terms) == 1 and terms[0][0] == 0:
+            return terms[0][1]
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        if __debug__:
+            assert all(
+                isinstance(e, int) and isinstance(c, int) and e >= 0 and c > 0
+                for e, c in terms
+            ), terms
+            assert all(terms[i][0] > terms[i + 1][0] for i in range(len(terms) - 1)), terms
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Ordinal is immutable")
+
+    # -- classification ------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _unboxed(self) -> "int | Ordinal":
+        """self, or its int when it is a boxed natural."""
+        t = self.terms
+        return self if t and t[0][0] else Ordinal._make(t)
+
+    # -- order ----------------------------------------------------------
+
+    __eq__ = _comparison(operator.eq)
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
+
+    def __hash__(self) -> int:
+        # a boxed natural equals its int, so it must hash like it
+        t = self.terms
+        if not t:
+            return hash(0)
+        if len(t) == 1 and t[0][0] == 0:
+            return hash(t[0][1])
+        return hash(t)
+
+    # -- arithmetic -----------------------------------------------------
+    # `+` keeps a zero shortcut that builds no instance; divmod returns a pair
+
+    def __add__(self, other) -> "int | Ordinal":
+        b = _operand(other)
+        if b is None:
+            return NotImplemented
+        return Ordinal._make(_add(self.terms, b)) if b else self._unboxed()
+
+    def __radd__(self, other) -> "int | Ordinal":
+        a = _operand(other)
+        if a is None:
+            return NotImplemented
+        return Ordinal._make(_add(a, self.terms)) if a else self._unboxed()
+
+    __sub__, __rsub__ = _arithmetic(_sub)
+    __mul__, __rmul__ = _arithmetic(_mul)
+    __floordiv__, __rfloordiv__ = _arithmetic(lambda a, b: _divmod(a, b)[0])
+    __mod__, __rmod__ = _arithmetic(lambda a, b: _divmod(a, b)[1])
+
+    def __divmod__(self, other) -> "tuple[int | Ordinal, int | Ordinal]":
+        b = _operand(other)
+        if b is None:
+            return NotImplemented
+        q, r = _divmod(self.terms, b)
+        return Ordinal._make(q), Ordinal._make(r)
+
+    def __rdivmod__(self, other) -> "tuple[int | Ordinal, int | Ordinal]":
+        a = _operand(other)
+        if a is None:
+            return NotImplemented
+        q, r = _divmod(a, self.terms)
+        return Ordinal._make(q), Ordinal._make(r)
+
+    # -- text -----------------------------------------------------------
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for e, c in self.terms:
+            if e == 0:
+                parts.append(str(c))
+                continue
+            text = "w" if e == 1 else f"w^{e}"
+            if c != 1:
+                text += f"*{c}"
+            parts.append(text)
+        return " + ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"Ordinal({str(self)!r})"
+
+    @classmethod
+    def parse(cls, text: str) -> "int | Ordinal":
+        """Parse the rendering produced by str(), `w^2*3 + w*2 + 5`, so
+        parse(str(a)) == a."""
+        if text.strip() == "0":
+            return ZERO
+        terms = []
+        for chunk in text.split("+"):
+            m = _TERM_RE.match(chunk.strip())
+            if m is None:
+                raise ValueError(f"not an ordinal literal: {text!r}")
+            if m.group("nat") is not None:
+                exp, coeff = 0, int(m.group("nat"))
+            else:
+                exp = int(m.group("exp")) if m.group("exp") else 1
+                coeff = int(m.group("coeff")) if m.group("coeff") else 1
+            if terms and exp >= terms[-1][0]:
+                raise ValueError(f"ordinal terms out of order: {text!r}")
+            if coeff == 0:
+                raise ValueError(f"zero coefficient in ordinal literal: {text!r}")
+            terms.append((exp, coeff))
+        return Ordinal._make(tuple(terms))
+
+
 def sub(a, b):
     """Ordinal `-`, the left subtraction a - b: Python's `-` on two ints where
-    it is defined, else `Ordinal.__sub__`, which raises where it is not."""
+    it is defined, else `_sub` on their terms, which raises where it is not."""
     if a.__class__ is int and b.__class__ is int and a >= b:
         return a - b
-    return Ordinal(a) - b
+    return Ordinal._make(_sub(_operand(a), _operand(b)))
 
 
 def terms(x) -> Terms:
@@ -333,12 +297,17 @@ def terms(x) -> Terms:
 
 def limit_part(x) -> "tuple[int | Ordinal, int]":
     """Split an int or an Ordinal as l + k with l limit-or-zero and k natural."""
-    return x.limit_part() if x.__class__ is Ordinal else (0, x)
+    if x.__class__ is not Ordinal:
+        return 0, x
+    t = x.terms
+    if t and t[-1][0] == 0:
+        return Ordinal._make(t[:-1]), t[-1][1]
+    return x._unboxed(), 0
 
 
 def is_limit(x) -> bool:
     """True for a limit ordinal: non-zero and not a successor."""
-    return x.__class__ is Ordinal and x.is_limit
+    return x.__class__ is Ordinal and bool(x.terms) and x.terms[-1][0] != 0
 
 
 def omega_power(exponent: int, coefficient: int = 1) -> "int | Ordinal":

@@ -42,18 +42,15 @@ class Span(NamedTuple):
         return f"line {self.line}, col {self.col}"
 
 
-class LexError(Exception):
-    def __init__(self, message: str, span: Span):
-        super().__init__(f"{message} at {span}")
-        self.message = message
-        self.span = span
-
-
 class ParseError(Exception):
     def __init__(self, message: str, span: Span):
         super().__init__(f"{message} at {span}")
         self.message = message
         self.span = span
+
+
+class LexError(ParseError):
+    """A character that begins no token."""
 
 
 ### ---- tokens ----------------------------------------------------------------
@@ -586,14 +583,9 @@ def _concat_parts(node: Expr):
 def _ordinal_literal(value) -> str:
     # the parser only builds naturals and w^k; anything else is not a literal
     t = terms(value)
-    if t == ():
-        return "0"
-    if len(t) == 1 and t[0][0] == 0:
-        return str(t[0][1])
-    if len(t) == 1 and t[0][1] == 1:
-        exp = t[0][0]
-        return "w" if exp == 1 else f"w^{exp}"
-    raise ValueError(f"{value} is not expressible as a single literal")
+    if len(t) > 1 or t and t[0][0] and t[0][1] != 1:
+        raise ValueError(f"{value} is not expressible as a single literal")
+    return str(value)
 
 
 def render(node: Expr, min_tier: int = _LOOSE, bars: bool = False,

@@ -11,6 +11,7 @@ A natural is an int, so terms are read through `terms(x)` and ordinal `-`
 on two naturals is `sub`; `Ordinal(n)` is a boxed natural.
 """
 
+import operator
 import random
 
 import pytest
@@ -214,6 +215,55 @@ def test_negative_int_is_unequal_and_unordered():
             arithmetic()
 
 
+# --- operator protocol ---------------------------------------------------------
+
+
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "//": operator.floordiv, "%": operator.mod, "divmod": divmod}
+ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def is_canonical(x):
+    """An int (never a bool) below w, else an Ordinal led by w^e with e >= 1."""
+    return type(x) is int or type(x) is Ordinal and x.terms[0][0] >= 1
+
+
+@pytest.mark.parametrize("other", [True, -1, 1.5, "w", None], ids=repr)
+@pytest.mark.parametrize("x", [OMEGA, Ordinal(3), Ordinal(0), omega_power(2, 3) + 4], ids=str)
+def test_operator_protocol_table(x, other):
+    # all 12 operators, the non-ordinal on either side: arithmetic with a
+    # negative int raises ValueError, any other arithmetic or order TypeError
+    for a, b in ((x, other), (other, x)):
+        for name, op in {**ARITHMETIC, **ORDER}.items():
+            expected = ValueError if type(other) is int and name in ARITHMETIC else TypeError
+            with pytest.raises(expected):
+                op(a, b)
+        assert (a == b) is False and (a != b) is True
+    if other != "w":  # ordinal `-` as the evaluator calls it
+        with pytest.raises(ValueError if type(other) is int else TypeError):
+            sub(other, x)
+        with pytest.raises(ValueError if type(other) is int else TypeError):
+            sub(x, other)
+
+
+def test_arithmetic_results_are_canonical():
+    rng = random.Random(5)
+    operands = [0, 1, 7, 10**20, Ordinal(0), Ordinal(1), Ordinal(7), Ordinal(10**20),
+                OMEGA, OMEGA + 3, omega_power(2, 3), omega_power(2) + OMEGA * 2 + 1]
+    operands += [mixed_ordinal(rng) for _ in range(24)]
+    for a in operands:
+        for b in operands:
+            if type(a) is int and type(b) is int:
+                continue  # Python's own arithmetic
+            for name, op in {**ARITHMETIC, "sub": sub}.items():
+                try:
+                    result = op(a, b)
+                except (UndefinedOrdinalOp, ZeroDivisionError):
+                    continue
+                for value in result if name == "divmod" else (result,):
+                    assert is_canonical(value), (a, name, b, value)
+
+
 # --- order -------------------------------------------------------------------
 
 
@@ -415,20 +465,20 @@ def test_division_unique(a, b):
 
 def test_limits_and_naturals():
     for x in (OMEGA, omega_power(1, 2), omega_power(2)):
-        assert x.is_limit and is_limit(x)
-    assert not (OMEGA + 21).is_limit and not is_limit(OMEGA + 21)
-    assert not is_limit(ZERO) and not Ordinal(0).is_limit
-    assert not is_limit(3) and not Ordinal(3).is_limit and not is_limit(Ordinal(3))
+        assert is_limit(x)
+    assert not is_limit(OMEGA + 21)
+    assert not is_limit(ZERO) and not is_limit(Ordinal(0))
+    assert not is_limit(3) and not is_limit(Ordinal(3))
     # a natural is an int, and a boxed one equals it; w is neither
     assert type(ZERO) is type(Ordinal(9) + 0) is int and Ordinal(9) == 9
     assert type(OMEGA) is Ordinal and limit_part(OMEGA) == (OMEGA, 0)
 
 
 def test_limit_part():
-    assert (omega_power(1, 2) + 7).limit_part() == (omega_power(1, 2), 7)
-    assert OMEGA.limit_part() == (OMEGA, 0)
-    assert Ordinal(7).limit_part() == (ZERO, 7)
-    assert Ordinal(0).limit_part() == (ZERO, 0)
+    assert limit_part(omega_power(1, 2) + 7) == (omega_power(1, 2), 7)
+    assert limit_part(OMEGA) == (OMEGA, 0)
+    assert limit_part(Ordinal(7)) == (ZERO, 7)
+    assert limit_part(Ordinal(0)) == (ZERO, 0)
     assert limit_part(OMEGA + 7) == (OMEGA, 7)
     assert limit_part(7) == (ZERO, 7) and limit_part(ZERO) == (ZERO, 0)
 

@@ -380,6 +380,16 @@ def test_render_adds_needed_parens():
     assert render(parse_expr("f (a.[0])")) == "f (a.[0])"
 
 
+def test_render_ordinal_literals():
+    # a constant renders only as one literal: a natural or w^k
+    for value, text in ((0, "0"), (7, "7"), (Ordinal(7), "7"), (Ordinal(0), "0"),
+                        (OMEGA, "w"), (omega_power(3), "w^3")):
+        assert render(OrdinalConst(value)) == text
+    for value in (OMEGA + 1, OMEGA * 2, omega_power(2, 3)):
+        with pytest.raises(ValueError):
+            render(OrdinalConst(value))
+
+
 def test_render_parse_render_roundtrip():
     rng = random.Random(20260814)
     for _ in range(300):
