@@ -133,8 +133,10 @@ def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
                 s.stats["rules"] += 1
                 if s.fuel is not None:
                     s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
-                return s.select(array(s, env), s._force_ordinal_vector(
-                    index(s, env), "selection index"))
+                value, vec = array(s, env), index(s, env)
+                if vec.__class__ is not tuple:  # hold the tuple, not a lazy index, below
+                    vec = s._force_ordinal_vector(vec, "selection index")
+                return s.select(value, vec)
             except Fault as fault:
                 raise EvalError(fault.kind, fault.message, span, rule) from None
         return code
@@ -214,6 +216,23 @@ def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
                 raise EvalError(fault.kind, fault.message, span, rule) from None
         return code
 
+    if cls is ArrayLiteral:
+        elements = [compile_expr(e, scope) for e in node.elements]
+
+        def code(s, env):
+            try:
+                s.stats["rules"] += 1
+                if s.fuel is not None:
+                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+                values = [element(s, env) for element in elements]
+                for v in values:
+                    if v.__class__ is not int and v.__class__ is not Ordinal:
+                        return s._nested_array(values)
+                return tuple(values)  # a vector of ordinals, or []
+            except Fault as fault:
+                raise EvalError(fault.kind, fault.message, span, rule) from None
+        return code
+
     if cls is Lambda:
         body = compile_expr(node.body, (node.param,) + scope)
 
@@ -254,9 +273,6 @@ def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
         cell = None if node.cell is None else compile_expr(node.cell, scope)
         method, children = Session._eval_imap, (compile_expr(node.frame, scope),
                                                 cell, gens, bodies)
-    elif cls is ArrayLiteral:
-        method, children = Session._eval_array, ([compile_expr(e, scope)
-                                                   for e in node.elements],)
     elif cls is Reduce:
         method, children = Session._eval_reduce, (compile_expr(node.fun, scope),
                                                   compile_expr(node.neutral, scope),
@@ -359,11 +375,8 @@ class Session:
         cell.value = value
         return value
 
-    def _eval_array(self, env, elements: List[Code]):
-        values = [code(self, env) for code in elements]
-        if all(v.__class__ is int or v.__class__ is Ordinal
-               for v in values):  # a vector of ordinals, or []
-            return tuple(values)
+    def _nested_array(self, values: list):
+        """The array literal of `values`, which are not all ordinals."""
         shapes, datas = zip(*(self._force_strict(v, "ShapeMismatch",
                                                  "array elements must have finite shape")
                               for v in values))
@@ -411,7 +424,9 @@ class Session:
     def _eval_imap(self, env, frame: Code, cell: Optional[Code], gens, bodies):
         """`gens` holds the (lower, upper) bound codes of each generator,
         (None, None) for a `_(x)` one; `bodies` the code of each body."""
-        frame = self._force_ordinal_vector(frame(self, env), "frame shape")
+        frame = frame(self, env)
+        if frame.__class__ is not tuple:
+            frame = self._force_ordinal_vector(frame, "frame shape")
         cell = () if cell is None else self._force_ordinal_vector(cell(self, env),
                                                                    "cell shape")
         frame_box: Box = ((0,) * len(frame), frame)
@@ -465,7 +480,9 @@ class Session:
                             f"no partition covers index {render_shape(index)}")
         self.stats["body_evals"] += 1
         result = code(self, (index, closure.env))
-        shape = self._shape_of(result)
+        shape = (() if result.__class__ is int or result.__class__ is Ordinal
+                 or result.__class__ is bool  # a scalar
+                 else self._shape_of(result))
         if shape != closure.cell:
             raise Fault("ShapeMismatch",
                         f"imap element at {render_shape(index)} has shape "
@@ -480,8 +497,11 @@ class Session:
         data: list = []
         for index in itertools.product(*map(range, closure.frame)):
             cell = self._cell_value(closure, index)
-            data.extend(self._force_strict(cell, "ShapeMismatch",
-                                           "imap cell is not finite")[1])
+            if cell.__class__ is int or cell.__class__ is Ordinal or cell.__class__ is bool:
+                data.append(cell)  # a scalar's data are [cell]
+            else:
+                data.extend(self._force_strict(cell, "ShapeMismatch",
+                                               "imap cell is not finite")[1])
         return data
 
     ### selection
@@ -503,12 +523,21 @@ class Session:
                 raise Fault("RankMismatch",
                             f"index of length {len(index)} into rank-{len(shape)} imap")
             for i, s in zip(index, shape):
+                if i.__class__ is int and s.__class__ is Ordinal and i >= 0:
+                    continue  # an int is below every Ordinal (see runtime)
                 if not 0 <= i < s:
                     raise Fault("IndexOutOfBounds",
                                 f"index {render_shape(index)} outside shape "
                                 f"{render_shape(shape)}")
             m = len(value.frame)
             cell = self._cell_value(value, index[:m])
+            cls = cell.__class__
+            if len(index) == m and (cls is int or cls is Ordinal or cls is bool):
+                # the rule of the trailing `()` selection, as the call would count it
+                self.stats["rules"] += 1
+                if self.fuel is not None:
+                    self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
+                return cell
             return self.select(cell, index[m:])
         if cls is FilterClosure:
             if len(index) != 1:
@@ -599,12 +628,16 @@ class Session:
         """A rank-1 value forced to a tuple of ordinals; a tuple is returned as it is."""
         if value.__class__ is tuple:
             return value
-        shape = self._shape_of(value)
-        if len(shape) != 1:
-            raise Fault("RankMismatch",
-                        f"{what} must be a vector, got shape {render_shape(shape)}")
-        _, data = self._force_strict(value, "ShapeMismatch",
-                                     f"{what} must be a finite vector")
+        if (value.__class__ is ImapClosure and len(value.shape) == 1
+                and value.shape[0].__class__ is int):
+            data = self._force_closure_strict(value)  # what `_force_strict` returns
+        else:
+            shape = self._shape_of(value)
+            if len(shape) != 1:
+                raise Fault("RankMismatch",
+                            f"{what} must be a vector, got shape {render_shape(shape)}")
+            _, data = self._force_strict(value, "ShapeMismatch",
+                                         f"{what} must be a finite vector")
         for x in data:
             if x.__class__ is not int and x.__class__ is not Ordinal:
                 raise Fault("ShapeMismatch", f"{what} components must be ordinals")

@@ -285,7 +285,7 @@ class Ordinal:
 def sub(a, b):
     """Ordinal `-`, the left subtraction a - b: Python's `-` on two ints where
     it is defined, else `_sub` on their terms, which raises where it is not."""
-    if a.__class__ is int and b.__class__ is int and a >= b:
+    if a.__class__ is int and b.__class__ is int and a >= b >= 0:
         return a - b
     return Ordinal._make(_sub(_operand(a), _operand(b)))
 

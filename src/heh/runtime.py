@@ -8,9 +8,10 @@ rank >= 1 (shape tuple + flat data of scalars in row-major order), a lazy
 form of `heh.ordinal`: an `int` below w, an `Ordinal` at or above it.  So a
 value is an ordinal exactly when its class is `int` or `Ordinal` (a `bool`
 is an int to `isinstance`, never to this test), and a finite extent is an
-`int`.  The one store-like cell is
-`Rec`, the name a `letrec` is defining: it is empty while the definition
-is evaluated and filled after.
+`int`.  Hence the invariant the evaluator's fast paths rely on: an `int`
+is below every `Ordinal`, so comparing the two needs no call into
+`Ordinal`.  The one store-like cell is `Rec`, the name a `letrec` is
+defining: it is empty while the definition is evaluated and filled after.
 """
 
 from collections import defaultdict
@@ -167,7 +168,13 @@ def box_is_empty(box: Box) -> bool:
 
 def box_contains(box: Box, index: ShapeVec) -> bool:
     lower, upper = box
-    return all(l <= i < u for l, i, u in zip(lower, index, upper))
+    for l, i, u in zip(lower, index, upper):
+        if i.__class__ is int:  # an int is below every Ordinal (module docstring)
+            if l.__class__ is not int or l > i or u.__class__ is int and i >= u:
+                return False
+        elif not l <= i < u:
+            return False
+    return True
 
 
 def box_inside(inner: Box, outer: Box) -> bool:

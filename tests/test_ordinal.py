@@ -572,6 +572,14 @@ def test_reflected_operators_take_an_int_on_the_left():
         -1 - OMEGA
 
 
+@pytest.mark.parametrize("a, b", [(4, -1), (0, -1), (-1, 4)], ids=str)
+def test_sub_rejects_a_negative_int_on_either_side(a, b):
+    # two ints take Python's `-`, but only when both are ordinals
+    with pytest.raises(ValueError) as error:
+        sub(a, b)
+    assert str(error.value) == "ordinals cannot be negative: -1"
+
+
 # --- text form -----------------------------------------------------------------
 
 

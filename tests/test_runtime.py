@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heh.eval import evaluate
-from heh.ordinal import OMEGA, ZERO
+from heh.ordinal import OMEGA, ZERO, omega_power
 from heh.runtime import (
-    Fault, Rec, StrictArray, box_intersect, box_is_empty, box_subtract,
+    Fault, Rec, StrictArray, box_contains, box_intersect, box_is_empty, box_subtract,
     forms_partition, linearize, render_strict, strict_value,
 )
 
@@ -183,6 +183,25 @@ def test_box_subtract_point_oracle():
         for pt in points(outer):
             hits = sum(pt in set(points(p)) for p in pieces)
             assert hits == (0 if pt in inner_pts else 1)
+
+
+def test_box_contains_matches_naive_comparison():
+    # bounds and indices mix ints with canonical Ordinals on every side; the
+    # int-below-Ordinal shortcut must agree with comparing through Ordinal
+    pool = [0, 1, 2, 3, 5, OMEGA, OMEGA + 3, OMEGA * 2, omega_power(2)]
+    assert all(p.__class__ is int or p.terms[0][0] >= 1 for p in pool)
+    rng = random.Random(15)
+    outcomes = set()
+    for _ in range(3000):
+        rank = rng.randint(1, 3)
+        axes = [[rng.choice(pool) for _ in range(3)] for _ in range(rank)]
+        if rng.random() < 0.5:
+            axes = [sorted(axis) for axis in axes]  # l <= i <= u on each axis
+        lower, index, upper = (tuple(axis[k] for axis in axes) for k in range(3))
+        expected = all(l <= i < u for l, i, u in zip(lower, index, upper))
+        assert box_contains((lower, upper), index) is expected, (lower, index, upper)
+        outcomes.add((expected, any(i.__class__ is int for i in index)))
+    assert len(outcomes) == 4  # inside and outside, with and without an int index
 
 
 def test_forms_partition():
