@@ -3,12 +3,14 @@
 A program is compiled before it runs: `compile_expr` translates each AST
 node once into a closure `code(session, env)` that applies that node's rule
 (closure generation, after Feeley and Lapalme, "Using closures for code
-generation", 1987).  A name bound by a lambda, a `letrec` or an imap
-generator is resolved at compile time to its depth in `env`, a chain of
-`(value, parent)` tuples; any other name is looked up by name in the
-session's top-level frame, the dict `Session.env`, when it is evaluated.
-Compiled code holds no session state, so one compilation of the prelude
-serves every session.
+generation", 1987).  Every node's code comes from one template, `_RULE`,
+which counts the rule, spends a unit of fuel and wraps a fault at the node
+around the rule's own step from `_STEPS`.  A name bound by a lambda, a
+`letrec` or an imap generator is resolved at compile time to its depth in
+`env`, a chain of `(value, parent)` tuples; any other name is looked up by
+name in the session's top-level frame, the dict `Session.env`, when it is
+evaluated.  Compiled code holds no session state, so one compilation of the
+prelude serves every session.
 
 Values are plain Python objects (see `runtime`); an ordinal below w is an
 `int`, so index arithmetic on naturals is Python's own.  Evaluation is strict
@@ -20,6 +22,7 @@ memoized on selection.
 import itertools
 import operator
 import sys
+import textwrap
 from dataclasses import dataclass
 from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
@@ -86,216 +89,166 @@ def _equal(lhs, rhs) -> bool:
 
 ### ---- compilation ----------------------------------------------------------------
 
-# The code of a node: `code(session, env)` applies the node's rule in `env`,
-# a chain of `(value, parent)` tuples (None when empty).  Every code counts
-# its rule and spends one unit of fuel first, inline, as a call per rule
-# would cost more than most rules, and turns a `Fault` raised by its own
-# step into an `EvalError` at its node.
+# The code of a node: `code(s, env)` applies the node's rule in `env`, a chain
+# of `(value, parent)` tuples (None when empty).  Every code is made from
+# `_RULE`, the one place where a node counts its rule, spends one unit of
+# fuel (inline, as a call per rule would cost more than most rules) and
+# turns a `Fault` raised by its step into an `EvalError` at its node;
+# `Session._apply` and `Session.select` are the only other places that count.
 Code = Callable
+
+_RULE = """\
+def make(span, rule, {fields}):
+    def code(s, env):
+        try:
+            s.stats["rules"] += 1
+            if s.fuel is not None:
+                s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+{step}
+        except Fault as fault:
+            raise EvalError(fault.kind, fault.message, span, rule) from None
+    return code
+"""
+
+# rule name -> (the fields `compile_expr` passes to its `make`, its step).  A
+# step reads this module's globals, so a name that only a step uses, such as
+# `is_limit`, is imported all the same.
+_STEPS = {
+    "const": ("value", "return value"),
+    "var": ("name, hops", """
+        if hops is None:  # not bound lexically: a top-level name
+            value = s.env.get(name)
+            if value is None:
+                raise Fault("UnboundVariable", f"unbound variable '{name}'")
+        else:
+            for _ in hops:
+                env = env[1]
+            value = env[0]
+        # an empty cell is passed on unforced; only forcing it is an error
+        while value.__class__ is Rec and value.value is not None:
+            value = value.value
+        return value
+        """),
+    "select": ("array, index", """
+        value, vec = array(s, env), index(s, env)
+        if vec.__class__ is not tuple:  # hold the tuple, not a lazy index, below
+            vec = s._force_ordinal_vector(vec, "selection index")
+        return s.select(value, vec)
+        """),
+    "binop": ("lhs, rhs, op, fn", """
+        a = lhs(s, env)
+        if a.__class__ is not int and a.__class__ is not Ordinal:
+            a = s._force_scalar(a)
+        b = rhs(s, env)
+        if b.__class__ is not int and b.__class__ is not Ordinal:
+            b = s._force_scalar(b)
+        if fn is not _equal and (
+                a.__class__ is not int and a.__class__ is not Ordinal
+                or b.__class__ is not int and b.__class__ is not Ordinal):
+            raise Fault("ShapeMismatch", f"'{op}' needs ordinal scalar operands")
+        try:
+            return fn(a, b)
+        except UndefinedOrdinalOp as exc:
+            raise Fault("UndefinedOrdinalOp", str(exc)) from None
+        except ZeroDivisionError:
+            raise Fault("DivisionByZero", "division by zero") from None
+        """),
+    "apply": ("fun, arg", "return s._apply(fun(s, env), arg(s, env))"),
+    "cond": ("test, then, orelse", """
+        value = s._force_scalar(test(s, env))
+        if value is True:
+            return then(s, env)
+        if value is False:
+            return orelse(s, env)
+        raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
+        """),
+    "array": ("elements", """
+        values = [element(s, env) for element in elements]
+        for v in values:
+            if v.__class__ is not int and v.__class__ is not Ordinal:
+                return s._nested_array(values)
+        return tuple(values)  # a vector of ordinals, or []
+        """),
+    "lambda": ("body", "return FunClosure(body, env)"),
+    "letrec": ("name, bound, body", """
+        cell = Rec(name)
+        env = (cell, env)
+        s._define_recursive(cell, bound, env, span)
+        return body(s, env)
+        """),
+    "shape": ("arg", "return s._shape_of(arg(s, env))"),
+    "islim": ("arg", """
+        x = s._force_scalar(arg(s, env))
+        if x.__class__ is not int and x.__class__ is not Ordinal:
+            raise Fault("ShapeMismatch", "islim needs an ordinal scalar")
+        return is_limit(x)
+        """),
+    # the rarer rules run a Session method on their compiled children
+    "imap": ("frame, cell, gens, bodies",
+             "return s._eval_imap(env, frame, cell, gens, bodies)"),
+    "reduce": ("fun, neutral, array", "return s._eval_reduce(env, fun, neutral, array)"),
+    "filter": ("predicate, array", "return s._eval_filter(env, predicate, array)"),
+}
+
+
+def _compile_rule(rule: str, fields: str, step: str):
+    """The `make(span, rule, *fields)` of `rule`: `_RULE` around its step,
+    compiled with this module's globals under the file name `<heh rule
+    NAME>`, so that profiles and tracebacks tell the rules apart."""
+    step = textwrap.indent(textwrap.dedent(step).strip(), " " * 12)
+    namespace: dict = {}
+    exec(compile(_RULE.format(fields=fields, step=step), f"<heh rule {rule}>", "exec"),
+         globals(), namespace)
+    return namespace["make"]
+
+
+_MAKE = {rule: _compile_rule(rule, *spec) for rule, spec in _STEPS.items()}
 
 
 def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
     """The code of `node`; `scope` lists the names bound around it by
-    lambdas, `letrec`s and imap generators, innermost first."""
+    lambdas, `letrec`s and imap generators, innermost first.  Source text
+    reaches the code only as a field, never as Python source."""
     cls = node.__class__
-    span, rule = node.span, _RULE_NAMES[cls]
-
-    if cls is Var:
-        name = node.name
-        hops = range(scope.index(name)) if name in scope else None
-
-        def code(s, env):
-            try:
-                s.stats["rules"] += 1
-                if s.fuel is not None:
-                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
-                if hops is None:  # not bound lexically: a top-level name
-                    value = s.env.get(name)
-                    if value is None:
-                        raise Fault("UnboundVariable", f"unbound variable '{name}'")
-                else:
-                    for _ in hops:
-                        env = env[1]
-                    value = env[0]
-            except Fault as fault:
-                raise EvalError(fault.kind, fault.message, span, rule) from None
-            # an empty cell is passed on unforced; only forcing it is an error
-            while value.__class__ is Rec and value.value is not None:
-                value = value.value
-            return value
-        return code
-
-    if cls is Select:
-        array, index = compile_expr(node.array, scope), compile_expr(node.index, scope)
-
-        def code(s, env):
-            try:
-                s.stats["rules"] += 1
-                if s.fuel is not None:
-                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
-                value, vec = array(s, env), index(s, env)
-                if vec.__class__ is not tuple:  # hold the tuple, not a lazy index, below
-                    vec = s._force_ordinal_vector(vec, "selection index")
-                return s.select(value, vec)
-            except Fault as fault:
-                raise EvalError(fault.kind, fault.message, span, rule) from None
-        return code
-
     if cls is OrdinalConst or cls is BoolConst:
-        value = node.value
-
-        def code(s, env):
-            try:
-                s.stats["rules"] += 1
-                if s.fuel is not None:
-                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
-            except Fault as fault:
-                raise EvalError(fault.kind, fault.message, span, rule) from None
-            return value
-        return code
-
-    if cls is BinOp:
-        lhs, rhs = compile_expr(node.lhs, scope), compile_expr(node.rhs, scope)
-        op = node.op
-        fn = _ORDINAL_OPS.get(op, _equal)
-
-        def code(s, env):
-            try:
-                s.stats["rules"] += 1
-                if s.fuel is not None:
-                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
-                a = lhs(s, env)
-                if a.__class__ is not int and a.__class__ is not Ordinal:
-                    a = s._force_scalar(a)
-                b = rhs(s, env)
-                if b.__class__ is not int and b.__class__ is not Ordinal:
-                    b = s._force_scalar(b)
-                if fn is not _equal and (
-                        a.__class__ is not int and a.__class__ is not Ordinal
-                        or b.__class__ is not int and b.__class__ is not Ordinal):
-                    raise Fault("ShapeMismatch", f"'{op}' needs ordinal scalar operands")
-                try:
-                    return fn(a, b)
-                except UndefinedOrdinalOp as exc:
-                    raise Fault("UndefinedOrdinalOp", str(exc)) from None
-                except ZeroDivisionError:
-                    raise Fault("DivisionByZero", "division by zero") from None
-            except Fault as fault:
-                raise EvalError(fault.kind, fault.message, span, rule) from None
-        return code
-
-    if cls is Apply:
-        fun, arg = compile_expr(node.fun, scope), compile_expr(node.arg, scope)
-
-        def code(s, env):
-            try:
-                s.stats["rules"] += 1
-                if s.fuel is not None:
-                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
-                return s._apply(fun(s, env), arg(s, env))
-            except Fault as fault:
-                raise EvalError(fault.kind, fault.message, span, rule) from None
-        return code
-
-    if cls is Cond:
-        test = compile_expr(node.test, scope)
-        then, orelse = compile_expr(node.then, scope), compile_expr(node.orelse, scope)
-
-        def code(s, env):
-            try:
-                s.stats["rules"] += 1
-                if s.fuel is not None:
-                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
-                value = s._force_scalar(test(s, env))
-                if value is True:
-                    return then(s, env)
-                if value is False:
-                    return orelse(s, env)
-                raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
-            except Fault as fault:
-                raise EvalError(fault.kind, fault.message, span, rule) from None
-        return code
-
-    if cls is ArrayLiteral:
-        elements = [compile_expr(e, scope) for e in node.elements]
-
-        def code(s, env):
-            try:
-                s.stats["rules"] += 1
-                if s.fuel is not None:
-                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
-                values = [element(s, env) for element in elements]
-                for v in values:
-                    if v.__class__ is not int and v.__class__ is not Ordinal:
-                        return s._nested_array(values)
-                return tuple(values)  # a vector of ordinals, or []
-            except Fault as fault:
-                raise EvalError(fault.kind, fault.message, span, rule) from None
-        return code
-
-    if cls is Lambda:
-        body = compile_expr(node.body, (node.param,) + scope)
-
-        def code(s, env):
-            try:
-                s.stats["rules"] += 1
-                if s.fuel is not None:
-                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
-            except Fault as fault:
-                raise EvalError(fault.kind, fault.message, span, rule) from None
-            return FunClosure(body, env)
-        return code
-
-    if cls is Letrec:
-        name, inner = node.name, (node.name,) + scope
-        bound, body = compile_expr(node.bound, inner), compile_expr(node.body, inner)
-
-        def code(s, env):
-            try:
-                s.stats["rules"] += 1
-                if s.fuel is not None:
-                    s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
-                cell = Rec(name)
-                env = (cell, env)
-                s._define_recursive(cell, bound, env, span)
-                return body(s, env)
-            except Fault as fault:
-                raise EvalError(fault.kind, fault.message, span, rule) from None
-        return code
-
-    # the rarer rules run a Session method on their compiled children
-    if cls is Imap:
+        fields = (node.value,)
+    elif cls is Var:
+        name = node.name
+        fields = name, range(scope.index(name)) if name in scope else None
+    elif cls is Select:
+        fields = compile_expr(node.array, scope), compile_expr(node.index, scope)
+    elif cls is BinOp:
+        fields = (compile_expr(node.lhs, scope), compile_expr(node.rhs, scope),
+                  node.op, _ORDINAL_OPS.get(node.op, _equal))
+    elif cls is Apply:
+        fields = compile_expr(node.fun, scope), compile_expr(node.arg, scope)
+    elif cls is Cond:
+        fields = tuple(compile_expr(e, scope) for e in (node.test, node.then, node.orelse))
+    elif cls is ArrayLiteral:
+        fields = (tuple(compile_expr(e, scope) for e in node.elements),)
+    elif cls is Lambda:
+        fields = (compile_expr(node.body, (node.param,) + scope),)
+    elif cls is Letrec:
+        inner = (node.name,) + scope
+        fields = node.name, compile_expr(node.bound, inner), compile_expr(node.body, inner)
+    elif cls is Shape or cls is IsLim:
+        fields = (compile_expr(node.arg, scope),)
+    elif cls is Imap:
         gens = tuple((None, None) if isinstance(gen, Full)
                      else (compile_expr(gen.lower, scope), compile_expr(gen.upper, scope))
                      for gen, _ in node.partitions)
         bodies = tuple(compile_expr(body, (gen.var,) + scope)
                        for gen, body in node.partitions)
         cell = None if node.cell is None else compile_expr(node.cell, scope)
-        method, children = Session._eval_imap, (compile_expr(node.frame, scope),
-                                                cell, gens, bodies)
+        fields = compile_expr(node.frame, scope), cell, gens, bodies
     elif cls is Reduce:
-        method, children = Session._eval_reduce, (compile_expr(node.fun, scope),
-                                                  compile_expr(node.neutral, scope),
-                                                  compile_expr(node.array, scope))
+        fields = tuple(compile_expr(e, scope) for e in (node.fun, node.neutral, node.array))
     elif cls is Filter:
-        method, children = Session._eval_filter, (compile_expr(node.predicate, scope),
-                                                  compile_expr(node.array, scope))
-    elif cls is Shape:
-        method, children = Session._eval_shape, (compile_expr(node.arg, scope),)
-    elif cls is IsLim:
-        method, children = Session._eval_islim, (compile_expr(node.arg, scope),)
+        fields = compile_expr(node.predicate, scope), compile_expr(node.array, scope)
     else:
         raise TypeError(f"not an expression: {node!r}")
-
-    def code(s, env):
-        try:
-            s.stats["rules"] += 1
-            if s.fuel is not None:
-                s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
-            return method(s, env, *children)
-        except Fault as fault:
-            raise EvalError(fault.kind, fault.message, span, rule) from None
-    return code
+    rule = _RULE_NAMES[cls]
+    return _MAKE[rule](node.span, rule, *fields)
 
 
 def compile_program(source: str) -> List[Tuple[TopForm, Code]]:
@@ -338,8 +291,9 @@ class Session:
 
     def _out_of_fuel(self) -> NoReturn:
         """The end of a rule that found no fuel left.  Each rule counts
-        itself and spends its unit of fuel inline, in the code of its node,
-        `_apply` or `select`; every rule that finds none left ends here."""
+        itself and spends its unit of fuel inline: a node's code in the
+        prologue of `_RULE`, the others in `_apply` or `select`.  Every rule
+        that finds none left ends here."""
         raise Fault("FuelExhausted", "evaluation fuel exhausted")
 
     @staticmethod
@@ -387,15 +341,6 @@ class Session:
                             f"{render_shape(shapes[0])} vs {render_shape(other)}")
         shape = (len(values),) + shapes[0]
         return strict_value(shape, [x for d in datas for x in d])
-
-    def _eval_shape(self, env, arg: Code):
-        return self._shape_of(arg(self, env))
-
-    def _eval_islim(self, env, arg: Code):
-        x = self._force_scalar(arg(self, env))
-        if x.__class__ is not int and x.__class__ is not Ordinal:
-            raise Fault("ShapeMismatch", "islim needs an ordinal scalar")
-        return is_limit(x)
 
     def _shape_of(self, value) -> ShapeVec:
         value = self._value(value)
@@ -514,7 +459,9 @@ class Session:
             value = value.get()
         cls = value.__class__
         if cls is tuple:
-            return value[linearize((len(value),), index)]
+            if len(index) == 1 and index[0].__class__ is int and 0 <= index[0] < len(value):
+                return value[index[0]]
+            return value[linearize((len(value),), index)]  # faults, saying how
         if cls is StrictArray:
             return value.data[linearize(value.shape, index)]
         if cls is ImapClosure:

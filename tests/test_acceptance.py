@@ -12,6 +12,7 @@ from itertools import product
 
 import pytest
 from astgen import gen_expr
+from canonical import is_canonical
 
 from heh.eval import EvalConfig, EvalError, Session, evaluate, probe
 from heh.ordinal import OMEGA, ZERO, Ordinal, omega_power
@@ -70,14 +71,20 @@ def test_c1_ordinal_laws():
     rng = random.Random(101)
     for _ in range(100_000):
         a, b, c = (random_ordinal(rng) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert (a + b) - a == b
-        assert (a + b == a + c) == (b == c)
+        ab, ac, bc, a_b, a_c, b_c = a + b, a + c, b + c, a * b, a * c, b * c
+        laws = [(ab + c, a + bc), (a_b * c, a * b_c), (a * bc, a_b + a_c), (ab - a, b)]
+        for lhs, rhs in laws:
+            assert lhs == rhs, (a, b, c)
+        assert (ab == ac) == (b == c)
+        computed = [a, b, c, ab, ac, bc, a_b, a_c, b_c] + [x for law in laws for x in law]
         if b != ZERO:
             q, r = divmod(a, b)
-            assert a == b * q + r and r < b
+            bq = b * q
+            whole = bq + r
+            assert a == whole and r < b
+            computed += [q, r, bq, whole]
+        # every ordinal computed is canonical, a check `Ordinal._make` leaves out
+        assert all(map(is_canonical, computed)), (a, b, c)
 
     two = Ordinal(2)
     assert two + OMEGA == OMEGA and OMEGA + two != OMEGA

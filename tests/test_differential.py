@@ -21,6 +21,7 @@ import subprocess
 import sys
 
 import pytest
+from canonical import is_canonical
 
 import heh
 from heh.eval import EvalConfig, EvalError, new_session
@@ -466,8 +467,9 @@ def counted_outcomes():
 
 
 def test_optimized_mode_gives_the_same_outcomes_and_counters():
-    # `python -O` drops the checks under __debug__ (Ordinal._make's canonical
-    # form, divmod's multiply-back, StrictArray's shape), which ints skip
+    # `python -O` drops the checks under __debug__ (divmod's multiply-back,
+    # StrictArray's shape), which ints skip; canonical form is checked by the
+    # tests, not under __debug__
     src = os.path.dirname(os.path.dirname(os.path.abspath(heh.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")])))
@@ -488,13 +490,6 @@ def is_ordinal(x):
     return x.__class__ is int or x.__class__ is Ordinal
 
 
-def canonical_ordinal(x):
-    """An ordinal in canonical form: an int below w (never a bool), and an
-    Ordinal whose leading exponent is at least 1 from w on."""
-    return x.__class__ is int or (x.__class__ is Ordinal and bool(x.terms)
-                                  and x.terms[0][0] >= 1)
-
-
 def misrepresented_values(roots):
     """The values reachable from `roots` that break the canonical
     representation: each ordinal is a canonical one, a finite vector of
@@ -511,10 +506,10 @@ def misrepresented_values(roots):
         seen.add(id(value))
         cls = value.__class__
         if cls is Ordinal:
-            if not canonical_ordinal(value):
+            if not is_canonical(value):
                 bad.append(value)
         elif cls is tuple:
-            if not all(map(canonical_ordinal, value)):
+            if not all(map(is_canonical, value)):
                 bad.append(value)
         elif cls is StrictArray:
             if (not all(s.__class__ is int for s in value.shape)
@@ -529,7 +524,7 @@ def misrepresented_values(roots):
             todo.extend(env_values(value.env))
         elif cls is FilterClosure:
             todo += [value.predicate, value.argument, value.arg_shape]
-            bad.extend(key for key in value.partitions if not canonical_ordinal(key))
+            bad.extend(key for key in value.partitions if not is_canonical(key))
             todo.extend(x for segment in value.partitions.values() for x in segment.prefix)
         elif cls is FunClosure:
             todo.extend(env_values(value.env))

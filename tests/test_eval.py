@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import heh.eval
+import heh.syntax
 from heh.cli import format_value
 from heh.eval import EvalConfig, EvalError, Session, evaluate, new_session, probe
 from heh.ordinal import OMEGA, Ordinal, omega_power
@@ -295,6 +296,10 @@ def test_selection_edges_around_w():
          "selection index must be a vector, got shape [2, 2]"),
         ("[5, 6].(imap [1] {_(iv): imap [] {_(jv): true}})", "ShapeMismatch",
          "selection index components must be ordinals"),
+        # a vector of ordinals is a tuple, indexed directly only when in range
+        ("[1, 2].[2]", "IndexOutOfBounds", "index [2] outside shape [2]"),
+        ("[1, 2].[w]", "IndexOutOfBounds", "index [w] outside shape [2]"),
+        ("[1, 2].[0, 0]", "RankMismatch", "index of length 2 into rank-1 array"),
     ]
     for config in (EvalConfig(), EvalConfig(memoize=False, strict_finite_imaps=True)):
         for src, kind, message in cases:
@@ -400,19 +405,30 @@ def test_pinned_probes_build_no_strict_array(monkeypatch):
 def test_pinned_probes_make_no_ordinal_comparison(monkeypatch):
     # a natural is below every Ordinal, so selection and partition lookup
     # compare a natural index with a w bound without calling Ordinal; these
-    # two probes made 4,000 and 3,072 such comparisons before
-    compared = []
+    # two probes made 4,000 and 3,072 such comparisons before.  Nor does a
+    # natural index into a vector of ordinals go through `linearize`: they
+    # made 4,000 and 2,554 such calls before
+    compared, linearized = [], []
     for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
         def counting(self, other, method=getattr(Ordinal, name), name=name):
             compared.append(name)
             return method(self, other)
         monkeypatch.setattr(Ordinal, name, counting)
+
+    def counting_linearize(shape, index, linearize=heh.eval.linearize):
+        linearized.append(index)
+        return linearize(shape, index)
+
+    monkeypatch.setattr(heh.eval, "linearize", counting_linearize)
     for name, index, expected in (("nats.heh", [2000], 2000), ("ackermann.heh", [3, 6], 509)):
         r = evaluate(program_source(name))
         compared.clear()  # defining nats checks its partition against w
+        linearized.clear()
         assert probe(r, index) == expected
         assert compared == [], name
+        assert linearized == [], name
     assert 1 < OMEGA and compared == ["__gt__"]  # the counter sees a comparison
+    assert run("[[1, 2]].[0, 1]").value == 2 and linearized == [(0, 1)]  # and a call
 
 
 def test_no_memo_reevaluates():
@@ -593,6 +609,35 @@ def test_fuel_runs_out_at_the_same_rule():
     with pytest.raises(EvalError) as e:
         run("if true then 1 else 2", EvalConfig(fuel=1))
     assert (e.value.rule, e.value.span.col) == ("const", 4)
+    # every other rule kind, counted from the rules: a rule counted inside
+    # `select` or `_apply` runs out at the node that called it, and a
+    # parenthesized expression starts at its parenthesis
+    src = ("letrec a = imap [2] {_(iv): iv.[0]} in reduce (\\x.\\y. if islim y "
+           "then x else x + y) 0 (filter (\\x. true) [a.[1], |a|.[0]])")
+    # a step of the reduction: the function applied to the accumulator
+    # gives \y, which applied to the element runs the body
+    step = [("reduce", 40), ("lambda", 51),
+            ("reduce", 40), ("cond", 55), ("islim", 58), ("var", 64),
+            ("binop", 78), ("var", 78), ("var", 82)]
+    expected = [
+        ("letrec", 1), ("imap", 12), ("array", 17), ("const", 18),
+        ("reduce", 40), ("lambda", 47), ("const", 85),
+        ("filter", 87), ("lambda", 95), ("array", 106),
+        ("select", 107), ("var", 107), ("array", 109), ("const", 110),
+        ("select", 107),  # `select` itself, which evaluates the cell a.[1]:
+        ("select", 29), ("var", 29), ("array", 32), ("const", 33), ("select", 29),
+        ("select", 107),  # the trailing () selection of the scalar cell
+        ("select", 114), ("shape", 114), ("var", 115), ("array", 118),
+        ("const", 119), ("select", 114),
+        ("filter", 87), ("const", 100),  # the predicate on 1
+        ("filter", 87), ("const", 100),  # and on 2
+    ] + step + step  # the reduction over [1, 2]
+    for fuel, (rule, col) in enumerate(expected):
+        with pytest.raises(EvalError) as e:
+            run(src, EvalConfig(fuel=fuel))
+        assert (e.value.kind, e.value.rule, e.value.span.col) == \
+            ("FuelExhausted", rule, col), fuel
+    assert run(src, EvalConfig(fuel=len(expected))).value == 3
 
 
 def test_ordinal_vector_errors():
@@ -766,6 +811,30 @@ def test_depth_overflow_while_evaluating_a_program(shallow_limit):
         session.run_program(program_source("nats.heh") + "\nnats.[2000]")
     assert (e.value.kind, e.value.rule) == ("DepthExceeded", "eval")
     assert session.run_program("nats.[300]") == 300
+
+
+def test_every_node_code_comes_from_the_rule_template():
+    """Each expression class has a rule name and a step.  Each rule's code is
+    compiled under its own file name, so that profiles and tracebacks tell
+    the rule kinds apart, and the prologue that counts a rule is written
+    once for all nodes, besides `_apply` and `select`."""
+    exprs = {cls for cls in vars(heh.syntax).values()
+             if isinstance(cls, type) and issubclass(cls, heh.syntax.Expr)
+             and cls is not heh.syntax.Expr}
+    assert len(exprs) == 15 and set(heh.eval._RULE_NAMES) == exprs
+    assert set(heh.eval._STEPS) == set(heh.eval._RULE_NAMES.values())
+    samples = ["1", "true", "x", "\\x. x", "f 1", "if true then 1 else 2",
+               "letrec x = 1 in x", "1 + 2", "[1]", "[1].[0]", "|[1]|",
+               "reduce f 0 [1]", "imap [1] {_(iv): 0}", "filter f [1]", "islim w"]
+    nodes = [heh.syntax.parse_expr(src) for src in samples]
+    assert {node.__class__ for node in nodes} == exprs
+    for node in nodes:
+        rule = heh.eval._RULE_NAMES[node.__class__]
+        code = heh.eval.compile_expr(node).__code__
+        assert code.co_filename == f"<heh rule {rule}>", node
+    text = Path(heh.eval.__file__).read_text()
+    assert text.count('s.stats["rules"] += 1') == 1  # in `_RULE`
+    assert text.count('self.stats["rules"] += 1') == 3  # `_apply`, `select` twice
 
 
 def test_one_module_decides_about_the_recursion_limit():

@@ -15,6 +15,7 @@ import operator
 import random
 
 import pytest
+from canonical import is_canonical
 from hypothesis import given, settings, strategies as st
 
 from heh.ordinal import (
@@ -138,11 +139,9 @@ def test_construction():
 
 @given(ordinals())
 def test_canonical_terms(a):
-    t = terms(a)
-    assert all(c > 0 and e >= 0 for e, c in t)
-    assert all(t[i][0] > t[i + 1][0] for i in range(len(t) - 1))
     # below w an int, from w on an Ordinal led by w^e with e >= 1
-    assert type(a) is (int if not t or t[0][0] == 0 else Ordinal)
+    assert is_canonical(a)
+    assert type(a) is (int if not terms(a) or terms(a)[0][0] == 0 else Ordinal)
 
 
 def test_immutability_and_hash():
@@ -221,11 +220,6 @@ def test_negative_int_is_unequal_and_unordered():
 ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "//": operator.floordiv, "%": operator.mod, "divmod": divmod}
 ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-def is_canonical(x):
-    """An int (never a bool) below w, else an Ordinal led by w^e with e >= 1."""
-    return type(x) is int or type(x) is Ordinal and x.terms[0][0] >= 1
 
 
 @pytest.mark.parametrize("other", [True, -1, 1.5, "w", None], ids=repr)

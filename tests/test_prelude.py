@@ -357,8 +357,9 @@ def examples_outcomes():
 
 
 def test_optimized_mode_matches_debug_mode():
-    # naturals are ints, which skip the checks that run only under
-    # __debug__; `python -O` drops those and must give the same behaviour
+    # naturals are ints, which skip the checks that run only under __debug__
+    # (divmod's multiply-back, StrictArray's shape); `python -O` drops those
+    # and must give the same behaviour
     src = os.path.dirname(os.path.dirname(os.path.abspath(heh.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
