@@ -1,14 +1,17 @@
 """Big-step evaluator: sessions, configuration, and all evaluation rules.
 
-A program is compiled before it runs: `compile_expr` translates each AST
-node once into a closure `code(session, env)` that applies that node's rule
-(closure generation, after Feeley and Lapalme, "Using closures for code
-generation", 1987).  Every node's code comes from one template, `_RULE`,
-which counts the rule, spends a unit of fuel and wraps a fault at the node
-around the rule's own step from `_STEPS`.  A name bound by a lambda, a
-`letrec` or an imap generator is resolved at compile time to its depth in
-`env`, a chain of `(value, parent)` tuples; any other name is looked up by
-name in the session's top-level frame, the dict `Session.env`, when it is
+A program is compiled before it runs: `compile_expr` turns the AST into
+Python functions `code(session, env)` (closure generation, after Feeley and
+Lapalme, "Using closures for code generation", 1987).  A maximal subtree of
+names, constants, operators, selections, applications and conditionals is
+one function, whose statements are each node's prologue and step in
+evaluation order (a superoperator, after Proebsting, "Optimizing an ANSI C
+interpreter with superoperators", POPL 1995); any other node is a function
+of its own.  All come from one template and the steps in `_STEPS`, and are
+cached by the shape of the subtree.  A name bound by a lambda, a `letrec` or
+an imap generator is resolved at compile time to its depth in `env`, a
+chain of `(value, parent)` tuples; any other name is looked up by name in
+the session's top-level frame, the dict `Session.env`, when it is
 evaluated.  Compiled code holds no session state, so one compilation of the
 prelude serves every session.
 
@@ -19,11 +22,12 @@ infinite vectors, which build closures whose elements are computed and
 memoized on selection.
 """
 
+import functools
 import itertools
-import operator
 import sys
 import textwrap
 from dataclasses import dataclass
+from string import Template
 from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 from .ordinal import Ordinal, UndefinedOrdinalOp, is_limit, limit_part, sub
@@ -38,8 +42,8 @@ from .syntax import (
     TopForm, Var, parse_expr, parse_program,
 )
 
-# Python frames allowed while a public entry runs; a nats level takes four
-# (the code of its sum and of its selection, `select`, `_cell_value`)
+# Python frames allowed while a public entry runs; a nats level takes three
+# (the code of its body, `select`, `_cell_value`)
 RECURSION_LIMIT = 200_000
 
 
@@ -62,22 +66,6 @@ class EvalError(Exception):
         super().__init__(f"{kind}{where} (in {rule}): {message}")
 
 
-_RULE_NAMES = {
-    OrdinalConst: "const", BoolConst: "const", Var: "var", Lambda: "lambda",
-    Apply: "apply", Cond: "cond", Letrec: "letrec", BinOp: "binop",
-    ArrayLiteral: "array", Select: "select", Shape: "shape", Reduce: "reduce",
-    Imap: "imap", Filter: "filter", IsLim: "islim",
-}
-
-
-# `=` is not here: it also compares booleans, so its code is `_equal`
-_ORDINAL_OPS = {
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-    "+": operator.add, "-": sub, "*": operator.mul,
-    "/": operator.floordiv, "%": operator.mod,
-}
-
-
 def _equal(lhs, rhs) -> bool:
     if isinstance(lhs, bool) and isinstance(rhs, bool):
         return lhs == rhs
@@ -90,149 +78,207 @@ def _equal(lhs, rhs) -> bool:
 ### ---- compilation ----------------------------------------------------------------
 
 # The code of a node: `code(s, env)` applies the node's rule in `env`, a chain
-# of `(value, parent)` tuples (None when empty).  Every code is made from
-# `_RULE`, the one place where a node counts its rule, spends one unit of
-# fuel (inline, as a call per rule would cost more than most rules) and
-# turns a `Fault` raised by its step into an `EvalError` at its node;
+# of `(value, parent)` tuples (None when empty).  `_factory` makes it for a
+# maximal subtree of the kinds in `_FUSED`, or else for one node.  Each node
+# starts with `_PROLOGUE`, which counts its rule and spends a unit of fuel
+# inline, as a call per rule would cost more than most rules;
 # `Session._apply` and `Session.select` are the only other places that count.
 Code = Callable
 
-_RULE = """\
-def make(span, rule, {fields}):
-    def code(s, env):
-        try:
-            s.stats["rules"] += 1
-            if s.fuel is not None:
-                s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
-{step}
-        except Fault as fault:
-            raise EvalError(fault.kind, fault.message, span, rule) from None
-    return code
-"""
+_PROLOGUE = """\
+s.stats["rules"] += 1
+if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()"""
+_FOLLOW = "while $t.__class__ is Rec and $t.value is not None: $t = $t.value"
+_BINOP = """
+    @t
+    if $t.__class__ is not int and $t.__class__ is not Ordinal: $t = s._force_scalar($t)
+    @u
+    if $u.__class__ is not int and $u.__class__ is not Ordinal: $u = s._force_scalar($u)
+    $check
+    try: $t, $u = $x, None
+    except UndefinedOrdinalOp as exc: raise Fault("UndefinedOrdinalOp", str(exc)) from None
+    except ZeroDivisionError: raise Fault("DivisionByZero", "division by zero") from None
+    """
+_CHECK = ("if $t.__class__ is not int and $t.__class__ is not Ordinal or $u.__class__ is not "
+          "int and $u.__class__ is not Ordinal: raise Fault(\"ShapeMismatch\", \"'$op' needs "
+          "ordinal scalar operands\")")
+_OPS = {"<": "$t < $u", "<=": "$t <= $u", ">": "$t > $u", ">=": "$t >= $u", "+": "$t + $u",
+        "-": "sub($t, $u)", "*": "$t * $u", "/": "$t // $u", "%": "$t % $u", "=": "_equal($t, $u)"}
 
-# rule name -> (the fields `compile_expr` passes to its `make`, its step).  A
-# step reads this module's globals, so a name that only a step uses, such as
-# `is_limit`, is imported all the same.
+# marker (see `_flatten`) -> (rule, step).  A step leaves its value in the
+# temp `$t`.  "@t" stands for the lines of the next child, which leave its
+# value in `$t`; "@u" for those of a second operand, in `$u`, which the step
+# clears once used, so a temp holds no value its rule has done with (in a
+# deep recursion, such a value stays alive on every level).  `$a`...`$d` are
+# arguments (a leaf's constant or top-level name, a hole's code, another
+# node's fields) and `$span` the node's span.  A step reads this module's
+# globals, so a name only a step uses, such as `is_limit`, is imported.
 _STEPS = {
-    "const": ("value", "return value"),
-    "var": ("name, hops", """
-        if hops is None:  # not bound lexically: a top-level name
-            value = s.env.get(name)
-            if value is None:
-                raise Fault("UnboundVariable", f"unbound variable '{name}'")
-        else:
-            for _ in hops:
-                env = env[1]
-            value = env[0]
-        # an empty cell is passed on unforced; only forcing it is an error
-        while value.__class__ is Rec and value.value is not None:
-            value = value.value
-        return value
+    "const": ("const", "$t = $a"),
+    "hops": ("var", "$t = env$hops[0]\n" + _FOLLOW),  # an empty cell is passed on
+    "var": ("var", "$t = s.env.get($a)\nif $t is None: raise Fault("
+                   "'UnboundVariable', f\"unbound variable '{$a}'\")\n" + _FOLLOW),
+    "select": ("select", """
+        @t
+        @u
+        if $u.__class__ is not tuple: $u = s._force_ordinal_vector($u, "selection index")
+        $t, $u = s.select($t, $u), None
         """),
-    "select": ("array, index", """
-        value, vec = array(s, env), index(s, env)
-        if vec.__class__ is not tuple:  # hold the tuple, not a lazy index, below
-            vec = s._force_ordinal_vector(vec, "selection index")
-        return s.select(value, vec)
+    "apply": ("apply", "@t\n@u\n$t, $u = s._apply($t, $u), None"),
+    "cond": ("cond", """
+        @t
+        if $t.__class__ is not bool: $t = s._force_scalar($t)
+        if $t is True:
+            @t
+        elif $t is False:
+            @t
+        else: raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
         """),
-    "binop": ("lhs, rhs, op, fn", """
-        a = lhs(s, env)
-        if a.__class__ is not int and a.__class__ is not Ordinal:
-            a = s._force_scalar(a)
-        b = rhs(s, env)
-        if b.__class__ is not int and b.__class__ is not Ordinal:
-            b = s._force_scalar(b)
-        if fn is not _equal and (
-                a.__class__ is not int and a.__class__ is not Ordinal
-                or b.__class__ is not int and b.__class__ is not Ordinal):
-            raise Fault("ShapeMismatch", f"'{op}' needs ordinal scalar operands")
-        try:
-            return fn(a, b)
-        except UndefinedOrdinalOp as exc:
-            raise Fault("UndefinedOrdinalOp", str(exc)) from None
-        except ZeroDivisionError:
-            raise Fault("DivisionByZero", "division by zero") from None
-        """),
-    "apply": ("fun, arg", "return s._apply(fun(s, env), arg(s, env))"),
-    "cond": ("test, then, orelse", """
-        value = s._force_scalar(test(s, env))
-        if value is True:
-            return then(s, env)
-        if value is False:
-            return orelse(s, env)
-        raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
-        """),
-    "array": ("elements", """
-        values = [element(s, env) for element in elements]
-        for v in values:
+    **{op: ("binop", _BINOP.replace("$x", x).replace("$check", _CHECK.replace("$op", op)
+                                                     if op != "=" else ""))
+       for op, x in _OPS.items()},  # `=` also compares booleans
+    None: (None, "$t = $a(s, env)"),  # a hole: the code of another node
+    "array": ("array", """
+        $t = [element(s, env) for element in $a]
+        for v in $t:
             if v.__class__ is not int and v.__class__ is not Ordinal:
-                return s._nested_array(values)
-        return tuple(values)  # a vector of ordinals, or []
+                $t = s._nested_array($t)
+                break
+        else: $t = tuple($t)  # a vector of ordinals, or []
         """),
-    "lambda": ("body", "return FunClosure(body, env)"),
-    "letrec": ("name, bound, body", """
-        cell = Rec(name)
-        env = (cell, env)
-        s._define_recursive(cell, bound, env, span)
-        return body(s, env)
+    "lambda": ("lambda", "$t = FunClosure($a, env)"),
+    "letrec": ("letrec", """
+        $t = Rec($a)
+        env = ($t, env)
+        s._define_recursive($t, $b, env, $span)
+        $t = $c(s, env)
         """),
-    "shape": ("arg", "return s._shape_of(arg(s, env))"),
-    "islim": ("arg", """
-        x = s._force_scalar(arg(s, env))
-        if x.__class__ is not int and x.__class__ is not Ordinal:
+    "shape": ("shape", "$t = s._shape_of($a(s, env))"),
+    "islim": ("islim", """
+        $t = s._force_scalar($a(s, env))
+        if $t.__class__ is not int and $t.__class__ is not Ordinal:
             raise Fault("ShapeMismatch", "islim needs an ordinal scalar")
-        return is_limit(x)
+        $t = is_limit($t)
         """),
     # the rarer rules run a Session method on their compiled children
-    "imap": ("frame, cell, gens, bodies",
-             "return s._eval_imap(env, frame, cell, gens, bodies)"),
-    "reduce": ("fun, neutral, array", "return s._eval_reduce(env, fun, neutral, array)"),
-    "filter": ("predicate, array", "return s._eval_filter(env, predicate, array)"),
+    "imap": ("imap", "$t = s._eval_imap(env, $a, $b, $c, $d)"),
+    "reduce": ("reduce", "$t = s._eval_reduce(env, $a, $b, $c)"),
+    "filter": ("filter", "$t = s._eval_filter(env, $a, $b)"),
 }
+# class -> (marker, the fields of its children); a `BinOp`'s marker is its op
+_KINDS = {Select: ("select", "array", "index"), Apply: ("apply", "fun", "arg"),
+          Cond: ("cond", "test", "then", "orelse"), BinOp: (None, "lhs", "rhs"),
+          Shape: ("shape", "arg"), IsLim: ("islim", "arg"), Letrec: ("letrec",),
+          Reduce: ("reduce", "fun", "neutral", "array"), Lambda: ("lambda",),
+          Filter: ("filter", "predicate", "array"), ArrayLiteral: ("array",), Imap: ("imap",)}
+_FUSED = {Select, Apply, Cond, BinOp, Var, OrdinalConst, BoolConst}
+_NESTED_CONDS = 40  # a branch is an indented block, and Python allows 100 levels
+
+_FUNCTION = Template("""\
+def make($args):
+    def code(s, env):
+        try:
+$body
+            return t0
+        except Fault as fault:  # at the node of the line that raised it
+            i = $nodes[fault.__traceback__.tb_lineno - 4]
+            raise EvalError(fault.kind, fault.message, ($spans,)[i], $rules[i]) from None
+    return code
+""")
 
 
-def _compile_rule(rule: str, fields: str, step: str):
-    """The `make(span, rule, *fields)` of `rule`: `_RULE` around its step,
-    compiled with this module's globals under the file name `<heh rule
-    NAME>`, so that profiles and tracebacks tell the rules apart."""
-    step = textwrap.indent(textwrap.dedent(step).strip(), " " * 12)
+def _source(key: tuple) -> Tuple[str, str]:
+    """The source of the `make(*args)` of the code `key` describes (see
+    `_flatten`), and its root's rule.  A node's lines are `_PROLOGUE` and
+    its step, and the line table gives the node of each line, whose span
+    and rule a fault raised there takes."""
+    body, nodes, spans, rules, args = [], [], [], [], []
+    markers = iter(key)
+
+    def emit(h, pad, node):
+        marker = next(markers)
+        hops = marker.__class__ is int
+        rule, step = _STEPS["hops" if hops else marker]
+        names = {"t": f"t{h}", "u": f"t{h + 1}", "hops": "[1]" * (hops and marker)}
+        step = textwrap.dedent(step).strip()
+        if rule is not None:  # a node, not a hole
+            node, names["span"] = len(spans), f"a{len(args)}"
+            spans.append(names["span"])
+            args.append(names["span"])
+            rules.append(rule)
+            step = _PROLOGUE + "\n" + step
+        for field in "abcd":
+            if "$" + field in step:
+                names[field] = f"a{len(args)}"
+                args.append(names[field])
+        for line in step.split("\n"):
+            text = line.lstrip()
+            indent = pad + len(line) - len(text)
+            if text[:1] == "@":
+                emit(h + (text == "@u"), indent, node)
+            elif text:
+                body.append(" " * indent + Template(text).substitute(names))
+                nodes.append(node)
+
+    emit(0, 12, None)
+    return _FUNCTION.substitute(args=", ".join(args), body="\n".join(body), nodes=tuple(nodes),
+                                spans=", ".join(spans), rules=tuple(rules)), rules[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _factory(key: tuple):
+    """`_source(key)` compiled with this module's globals, as the file
+    `<heh RULE>` of its root's rule.  Codes of one shape share a key; the
+    cache is bounded, as each REPL entry is compiled anew."""
+    source, rule = _source(key)
     namespace: dict = {}
-    exec(compile(_RULE.format(fields=fields, step=step), f"<heh rule {rule}>", "exec"),
-         globals(), namespace)
+    exec(compile(source, f"<heh {rule}>", "exec"), globals(), namespace)
     return namespace["make"]
 
 
-_MAKE = {rule: _compile_rule(rule, *spec) for rule, spec in _STEPS.items()}
+def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, nest=0):
+    """Append to `key` a marker for each node of the fused subtree at `node`,
+    in evaluation order, and to `args` its span and a leaf's constant or
+    top-level name.  A lexically bound name's marker is its depth in `env`.
+    Any other node is a hole: marker None, and its code as the argument."""
+    cls = node.__class__
+    if cls is Var and node.name in scope:
+        key.append(scope.index(node.name))
+        args.append(node.span)
+    elif cls is Var or cls is OrdinalConst or cls is BoolConst:
+        key.append("var" if cls is Var else "const")
+        args += node.span, node.name if cls is Var else node.value
+    elif cls in _FUSED and nest < _NESTED_CONDS:
+        marker, *fields = _KINDS[cls]
+        key.append(marker or node.op)
+        args.append(node.span)
+        for field in fields:
+            _flatten(getattr(node, field), scope, key, args, nest + (cls is Cond))
+    else:
+        key.append(None)
+        args.append(compile_expr(node, scope))
 
 
 def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
     """The code of `node`; `scope` lists the names bound around it by
     lambdas, `letrec`s and imap generators, innermost first.  Source text
-    reaches the code only as a field, never as Python source."""
+    reaches the code only as an argument, never as Python source."""
     cls = node.__class__
-    if cls is OrdinalConst or cls is BoolConst:
-        fields = (node.value,)
-    elif cls is Var:
-        name = node.name
-        fields = name, range(scope.index(name)) if name in scope else None
-    elif cls is Select:
-        fields = compile_expr(node.array, scope), compile_expr(node.index, scope)
-    elif cls is BinOp:
-        fields = (compile_expr(node.lhs, scope), compile_expr(node.rhs, scope),
-                  node.op, _ORDINAL_OPS.get(node.op, _equal))
-    elif cls is Apply:
-        fields = compile_expr(node.fun, scope), compile_expr(node.arg, scope)
-    elif cls is Cond:
-        fields = tuple(compile_expr(e, scope) for e in (node.test, node.then, node.orelse))
-    elif cls is ArrayLiteral:
+    if cls in _FUSED:
+        key, args = [], []
+        _flatten(node, scope, key, args)
+        return _factory(tuple(key))(*args)
+    if cls not in _KINDS:
+        raise TypeError(f"not an expression: {node!r}")
+    rule, *children = _KINDS[cls]
+    fields = [compile_expr(getattr(node, child), scope) for child in children]
+    if cls is ArrayLiteral:
         fields = (tuple(compile_expr(e, scope) for e in node.elements),)
     elif cls is Lambda:
         fields = (compile_expr(node.body, (node.param,) + scope),)
     elif cls is Letrec:
         inner = (node.name,) + scope
         fields = node.name, compile_expr(node.bound, inner), compile_expr(node.body, inner)
-    elif cls is Shape or cls is IsLim:
-        fields = (compile_expr(node.arg, scope),)
     elif cls is Imap:
         gens = tuple((None, None) if isinstance(gen, Full)
                      else (compile_expr(gen.lower, scope), compile_expr(gen.upper, scope))
@@ -241,14 +287,7 @@ def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
                        for gen, body in node.partitions)
         cell = None if node.cell is None else compile_expr(node.cell, scope)
         fields = compile_expr(node.frame, scope), cell, gens, bodies
-    elif cls is Reduce:
-        fields = tuple(compile_expr(e, scope) for e in (node.fun, node.neutral, node.array))
-    elif cls is Filter:
-        fields = compile_expr(node.predicate, scope), compile_expr(node.array, scope)
-    else:
-        raise TypeError(f"not an expression: {node!r}")
-    rule = _RULE_NAMES[cls]
-    return _MAKE[rule](node.span, rule, *fields)
+    return _factory((rule,))(node.span, *fields)
 
 
 def compile_program(source: str) -> List[Tuple[TopForm, Code]]:
@@ -291,9 +330,9 @@ class Session:
 
     def _out_of_fuel(self) -> NoReturn:
         """The end of a rule that found no fuel left.  Each rule counts
-        itself and spends its unit of fuel inline: a node's code in the
-        prologue of `_RULE`, the others in `_apply` or `select`.  Every rule
-        that finds none left ends here."""
+        itself and spends its unit of fuel inline: a node's in `_PROLOGUE`,
+        the others in `_apply` or `select`.  Every rule that finds none left
+        ends here."""
         raise Fault("FuelExhausted", "evaluation fuel exhausted")
 
     @staticmethod

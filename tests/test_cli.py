@@ -122,12 +122,13 @@ def test_error_while_printing_finite_imap_exits_one(capsys):
     assert "imap element at [0] has shape [1], cell shape is []" in err
 
 
-# printing forces element 0, which recurses through the other 59,999
-DEEP_FINITE = ("letrec a = imap [60000] {[0] <= iv < [59999]: a.(addv iv [1]) + 1, "
-               "[59999] <= iv < [60000]: 0} in a")
+# printing forces element 0, which recurses through the other 1,999: deeper
+# than the 3,000 frames of the `shallow_limit` fixture allow
+DEEP_FINITE = ("letrec a = imap [2000] {[0] <= iv < [1999]: a.(addv iv [1]) + 1, "
+               "[1999] <= iv < [2000]: 0} in a")
 
 
-def test_depth_overflow_while_printing_exits_one(capsys):
+def test_depth_overflow_while_printing_exits_one(capsys, shallow_limit):
     code, out, err = run_cli(capsys, "-e", DEEP_FINITE)
     assert (code, out) == (1, "")
     assert err.startswith("DepthExceeded (in select): evaluation nested deeper "
@@ -304,8 +305,7 @@ def test_repl_load_defines_names(monkeypatch, capsys):
 def test_repl_survives_depth_overflow_in_load(tmp_path, monkeypatch, capsys,
                                               shallow_limit):
     program = tmp_path / "deep.heh"
-    program.write_text(DEEP_FINITE.replace("60000", "2000").replace("59999", "1999")
-                       + ".[0]\n")
+    program.write_text(DEEP_FINITE + ".[0]\n")
     code, out, err = run_repl(monkeypatch, capsys, f":load {program}\n1 + 1\n")
     assert (code, out) == (0, "2\n")
     assert err.startswith("DepthExceeded (in eval): ")

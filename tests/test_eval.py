@@ -793,11 +793,15 @@ def test_depth_overflow_is_depth_exceeded_and_the_session_recovers(shallow_limit
     assert probe(r, [300]) == 300
 
 
-def test_a_nats_level_takes_four_frames(shallow_limit):
-    # each level is the code of the sum and of the selection, `select` and
-    # `_cell_value`: 600 levels fit under 3,000 frames, 750 would not
+def test_a_nats_level_takes_three_frames(shallow_limit):
+    # each level is the code of the body, `select` and `_cell_value`: 900
+    # levels fit under 3,000 frames, 1,100 do not
     r = evaluate(program_source("nats.heh"))
-    assert probe(r, [600]) == 600
+    assert probe(r, [900]) == 900
+    r = evaluate(program_source("nats.heh"))
+    with pytest.raises(EvalError) as e:
+        probe(r, [1100])
+    assert e.value.kind == "DepthExceeded"
 
 
 def test_deepest_benchmark_probe_fits_under_the_real_limit():
@@ -813,28 +817,153 @@ def test_depth_overflow_while_evaluating_a_program(shallow_limit):
     assert session.run_program("nats.[300]") == 300
 
 
-def test_every_node_code_comes_from_the_rule_template():
-    """Each expression class has a rule name and a step.  Each rule's code is
-    compiled under its own file name, so that profiles and tracebacks tell
-    the rule kinds apart, and the prologue that counts a rule is written
-    once for all nodes, besides `_apply` and `select`."""
+PINNED_SOURCE = """\
+def make(a0, a1, a2, a3, a4, a5):
+    def code(s, env):
+        try:
+            s.stats["rules"] += 1
+            if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+            s.stats["rules"] += 1
+            if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+            t0 = env[0]
+            while t0.__class__ is Rec and t0.value is not None: t0 = t0.value
+            if t0.__class__ is not bool: t0 = s._force_scalar(t0)
+            if t0 is True:
+                s.stats["rules"] += 1
+                if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+                t0 = s.env.get(a3)
+                if t0 is None: raise Fault('UnboundVariable', f"unbound variable '{a3}'")
+                while t0.__class__ is Rec and t0.value is not None: t0 = t0.value
+            elif t0 is False:
+                s.stats["rules"] += 1
+                if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+                t0 = a5
+            else: raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
+            return t0
+        except Fault as fault:  # at the node of the line that raised it
+            i = (0, 0, 1, 1, 1, 1, 0, 0, 2, 2, 2, 2, 2, 0, 3, 3, 3, 0)[fault.__traceback__.tb_lineno - 4]
+            raise EvalError(fault.kind, fault.message, (a0, a1, a2, a4,)[i], ('cond', 'var', 'var', 'const')[i]) from None
+    return code
+"""
+
+
+def test_scalar_subtrees_compile_to_one_function(monkeypatch):
+    """Every expression class compiles.  The prologue that counts a rule is
+    written once, besides `_apply` and `select`.  A maximal subtree of
+    names, constants, operators, selections, applications and conditionals
+    is one generated function, whose source holds none of the program's
+    names and numbers; a program of the same shape with other names and
+    constants reuses it without compiling again."""
     exprs = {cls for cls in vars(heh.syntax).values()
              if isinstance(cls, type) and issubclass(cls, heh.syntax.Expr)
              and cls is not heh.syntax.Expr}
-    assert len(exprs) == 15 and set(heh.eval._RULE_NAMES) == exprs
-    assert set(heh.eval._STEPS) == set(heh.eval._RULE_NAMES.values())
+    assert len(exprs) == 15 and set(heh.eval._KINDS) | heh.eval._FUSED == exprs
     samples = ["1", "true", "x", "\\x. x", "f 1", "if true then 1 else 2",
                "letrec x = 1 in x", "1 + 2", "[1]", "[1].[0]", "|[1]|",
                "reduce f 0 [1]", "imap [1] {_(iv): 0}", "filter f [1]", "islim w"]
     nodes = [heh.syntax.parse_expr(src) for src in samples]
     assert {node.__class__ for node in nodes} == exprs
     for node in nodes:
-        rule = heh.eval._RULE_NAMES[node.__class__]
-        code = heh.eval.compile_expr(node).__code__
-        assert code.co_filename == f"<heh rule {rule}>", node
+        assert heh.eval.compile_expr(node).__code__.co_filename.startswith("<heh "), node
     text = Path(heh.eval.__file__).read_text()
-    assert text.count('s.stats["rules"] += 1') == 1  # in `_RULE`
+    assert text.count('s.stats["rules"] += 1') == 1  # in `_PROLOGUE`
     assert text.count('self.stats["rules"] += 1') == 3  # `_apply`, `select` twice
+
+    def key_of(src):
+        node = heh.syntax.parse_expr(src)
+        key, args = [], []
+        heh.eval._flatten(node.body, (node.param,), key, args)
+        return tuple(key)
+
+    source, rule = heh.eval._source(key_of("\\depth. if depth then ceiling else 7919"))
+    assert (source, rule) == (PINNED_SOURCE, "cond")
+    assert "depth" not in source and "ceiling" not in source and "7919" not in source
+    assert key_of("\\level. if level then limit else 12") == ("cond", 0, "var", "const")
+
+    compiled = []
+    monkeypatch.setattr(heh.eval, "compile",
+                        lambda *args: compiled.append(args) or compile(*args), raising=False)
+    heh.eval._factory.cache_clear()
+    session = Session()
+    session.run_program("let ceiling = 3")
+    assert session.run_program("(\\depth. if depth then ceiling else 7919) false") == 7919
+    assert compiled
+    compiled.clear()
+    session.run_program("let limit = 8")
+    assert session.run_program("(\\level. if level then limit else 12) true") == 8
+    assert compiled == []
+
+
+# Faults inside a lambda or imap body at each fused kind: the error's kind,
+# message, rule and span (begin, end, line, col) are those of the node whose
+# step raised it
+FUSED_FAULTS = [
+    ("(\\x. x + nope) 1",
+     ("UnboundVariable", "unbound variable 'nope'", "var", (9, 13, 1, 10))),
+    ("(imap [2] {_(iv): iv.[0] + nope}).[1]",
+     ("UnboundVariable", "unbound variable 'nope'", "var", (27, 31, 1, 28))),
+    ("(\\x. x + true) 1",
+     ("ShapeMismatch", "'+' needs ordinal scalar operands", "binop", (5, 13, 1, 6))),
+    ("(imap [2] {_(iv): (iv.[0] = 1) + 1}).[1]",
+     ("ShapeMismatch", "'+' needs ordinal scalar operands", "binop", (18, 34, 1, 19))),
+    ("(\\x. 1 / x) 0",
+     ("DivisionByZero", "division by zero", "binop", (5, 10, 1, 6))),
+    ("(imap [2] {_(iv): 5 / (iv.[0] * 0)}).[1]",
+     ("DivisionByZero", "division by zero", "binop", (18, 34, 1, 19))),
+    ("(\\x. 3 - x) w",
+     ("UndefinedOrdinalOp", "(3) - (w) is undefined: subtrahend is larger", "binop",
+      (5, 10, 1, 6))),
+    ("(imap [2] {_(iv): (iv.[0] * 0 + 3) - w}).[1]",
+     ("UndefinedOrdinalOp", "(3) - (w) is undefined: subtrahend is larger", "binop",
+      (18, 38, 1, 19))),
+    ("(\\x. if x then 1 else 2) 3",
+     ("ShapeMismatch", "the condition must be a boolean scalar", "cond", (5, 23, 1, 6))),
+    ("(imap [2] {_(iv): if iv.[0] then 1 else 2}).[1]",
+     ("ShapeMismatch", "the condition must be a boolean scalar", "cond", (18, 41, 1, 19))),
+    ("(\\x. x 1) 3",
+     ("NotAFunction", "only functions can be applied", "apply", (5, 8, 1, 6))),
+    ("(imap [2] {_(iv): (iv.[0]) 1}).[1]",
+     ("NotAFunction", "only functions can be applied", "apply", (18, 28, 1, 19))),
+    ("(\\x. x.[5]) [1, 2]",
+     ("IndexOutOfBounds", "index [5] outside shape [2]", "select", (5, 10, 1, 6))),
+    ("(imap [2] {_(iv): iv.[3]}).[1]",
+     ("IndexOutOfBounds", "index [3] outside shape [1]", "select", (18, 24, 1, 19))),
+    ("(\\x. if x.[0] = 1 then x.[9] + 1 else 0) [1]",
+     ("IndexOutOfBounds", "index [9] outside shape [1]", "select", (23, 28, 1, 24))),
+    ("(imap [2] {_(iv): if iv.[0] < 5 then 1 + (iv.[0] * 0 - 7) else 0}).[1]",
+     ("UndefinedOrdinalOp", "(0) - (7) is undefined: subtrahend is larger", "binop",
+      (41, 57, 1, 42))),
+]
+
+
+@pytest.mark.parametrize("config", [EvalConfig(),
+                                    EvalConfig(memoize=False, strict_finite_imaps=True)])
+def test_a_fault_in_a_fused_body_is_reported_at_its_node(config):
+    for src, expected in FUSED_FAULTS:
+        with pytest.raises(EvalError) as e:
+            evaluate(src, config)
+        error = e.value
+        assert (error.kind, error.message, error.rule, tuple(error.span)) == expected, src
+
+
+def test_a_nats_level_keeps_no_lazy_index_alive(monkeypatch):
+    """The lazy imap that `subv iv [1]` builds at each level is dropped once
+    it has been forced into the index tuple, so the live imaps at the base
+    case of a deep probe do not grow with its depth."""
+    counts = {}
+    cell_value = Session._cell_value
+
+    def counting(session, closure, index):
+        if index == (0,) and closure.shape == (OMEGA,):  # the base case
+            gc.collect()
+            counts[depth] = sum(1 for o in gc.get_objects() if o.__class__ is ImapClosure)
+        return cell_value(session, closure, index)
+
+    monkeypatch.setattr(Session, "_cell_value", counting)
+    for depth in (200, 2000):
+        r = evaluate(program_source("nats.heh"))
+        assert probe(r, [depth]) == depth
+    assert counts[2000] == counts[200] < 10, counts
 
 
 def test_one_module_decides_about_the_recursion_limit():
