@@ -20,8 +20,12 @@ are one-pass closed forms over the term tuples (Manolios and Vroon 2005).
 Two ints never reach `Ordinal`'s methods: `+`, `*`, `//`, `%` and the
 order are Python's own on them, and `sub(a, b)` is the ordinal `-`, which
 is Python's `-` on two ints wherever it is defined.  `_operand` is the one
-rule that reads an operand; every operator computes on term tuples, and
-`Ordinal._make` makes its result canonical (the int of a natural).
+rule that reads an operand, and every operator is built on it by one of
+two templates: the five comparisons by `_comparison`, and the forward and
+reflected `+`, `-`, `*`, `//`, `%` and divmod by `_arithmetic`, which
+computes on term tuples and makes the result canonical with `_canonical`
+(the int of a natural; `Ordinal._make` to other modules).  No operator
+method is written by hand.
 
 Partial operations raise UndefinedOrdinalOp (or ZeroDivisionError for
 division by zero) instead of returning sentinels.  Instances are
@@ -76,7 +80,7 @@ def _add(a: Terms, b: Terms) -> Terms:
 def _sub(a: Terms, b: Terms) -> Terms:
     """Left subtraction: the unique x with b + x == a."""
     if b > a:
-        raise UndefinedOrdinalOp(f"({Ordinal._make(a)}) - ({Ordinal._make(b)}) "
+        raise UndefinedOrdinalOp(f"({_canonical(a)}) - ({_canonical(b)}) "
                                  "is undefined: subtrahend is larger")
     i = 0
     while i < len(b) and b[i] == a[i]:
@@ -113,10 +117,7 @@ def _divmod(a: Terms, b: Terms) -> "tuple[Terms, Terms]":
     if k:
         q.append((0, k))
         r = _sub(r, _mul(b, ((0, k),)))
-    q = tuple(q)
-    if __debug__:
-        assert _add(_mul(b, q), r) == a and r < b, (a, b, q, r)
-    return q, r
+    return tuple(q), r
 
 
 def _comparison(test):
@@ -132,16 +133,29 @@ def _comparison(test):
     return method
 
 
-def _arithmetic(fn):
+def _canonical(terms: Terms) -> "int | Ordinal":
+    """The canonical ordinal with these terms: an int below w.  The terms
+    must descend with positive coefficients; the hot path does not check
+    that, the tests do on what arithmetic and evaluation return."""
+    if not terms:
+        return 0
+    if len(terms) == 1 and terms[0][0] == 0:
+        return terms[0][1]
+    self = object.__new__(Ordinal)
+    object.__setattr__(self, "terms", terms)
+    return self
+
+
+def _arithmetic(fn, canonical=_canonical):
     """The forward and reflected methods of the operator `fn` computes on
-    terms, each making its result canonical."""
+    terms; `canonical` makes its result canonical."""
     def forward(self, other):
         b = _operand(other)
-        return NotImplemented if b is None else Ordinal._make(fn(self.terms, b))
+        return NotImplemented if b is None else canonical(fn(self.terms, b))
 
     def reflected(self, other):
         a = _operand(other)
-        return NotImplemented if a is None else Ordinal._make(fn(a, self.terms))
+        return NotImplemented if a is None else canonical(fn(a, self.terms))
     return forward, reflected
 
 
@@ -158,18 +172,7 @@ class Ordinal:
             raise TypeError(f"cannot build an ordinal from {value!r}")
         object.__setattr__(self, "terms", terms)
 
-    @classmethod
-    def _make(cls, terms: Terms) -> "int | Ordinal":
-        """The canonical ordinal with these terms: an int below w.  The terms
-        must descend with positive coefficients; the hot path does not check
-        that, the tests do on what arithmetic and evaluation return."""
-        if not terms:
-            return 0
-        if len(terms) == 1 and terms[0][0] == 0:
-            return terms[0][1]
-        self = object.__new__(cls)
-        object.__setattr__(self, "terms", terms)
-        return self
+    _make = staticmethod(_canonical)  # for other modules
 
     def __setattr__(self, name, value):
         raise AttributeError("Ordinal is immutable")
@@ -178,11 +181,6 @@ class Ordinal:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def _unboxed(self) -> "int | Ordinal":
-        """self, or its int when it is a boxed natural."""
-        t = self.terms
-        return self if t and t[0][0] else Ordinal._make(t)
 
     # -- order ----------------------------------------------------------
 
@@ -202,38 +200,14 @@ class Ordinal:
         return hash(t)
 
     # -- arithmetic -----------------------------------------------------
-    # `+` keeps a zero shortcut that builds no instance; divmod returns a pair
 
-    def __add__(self, other) -> "int | Ordinal":
-        b = _operand(other)
-        if b is None:
-            return NotImplemented
-        return Ordinal._make(_add(self.terms, b)) if b else self._unboxed()
-
-    def __radd__(self, other) -> "int | Ordinal":
-        a = _operand(other)
-        if a is None:
-            return NotImplemented
-        return Ordinal._make(_add(a, self.terms)) if a else self._unboxed()
-
+    __add__, __radd__ = _arithmetic(_add)
     __sub__, __rsub__ = _arithmetic(_sub)
     __mul__, __rmul__ = _arithmetic(_mul)
-    __floordiv__, __rfloordiv__ = _arithmetic(lambda a, b: _divmod(a, b)[0])
-    __mod__, __rmod__ = _arithmetic(lambda a, b: _divmod(a, b)[1])
-
-    def __divmod__(self, other) -> "tuple[int | Ordinal, int | Ordinal]":
-        b = _operand(other)
-        if b is None:
-            return NotImplemented
-        q, r = _divmod(self.terms, b)
-        return Ordinal._make(q), Ordinal._make(r)
-
-    def __rdivmod__(self, other) -> "tuple[int | Ordinal, int | Ordinal]":
-        a = _operand(other)
-        if a is None:
-            return NotImplemented
-        q, r = _divmod(a, self.terms)
-        return Ordinal._make(q), Ordinal._make(r)
+    __floordiv__, __rfloordiv__ = _arithmetic(_divmod, lambda qr: _canonical(qr[0]))
+    __mod__, __rmod__ = _arithmetic(_divmod, lambda qr: _canonical(qr[1]))
+    __divmod__, __rdivmod__ = _arithmetic(_divmod, lambda qr: (_canonical(qr[0]),
+                                                               _canonical(qr[1])))
 
     # -- text -----------------------------------------------------------
 
@@ -257,11 +231,10 @@ class Ordinal:
     @classmethod
     def parse(cls, text: str) -> "int | Ordinal":
         """Parse the rendering produced by str(), `w^2*3 + w*2 + 5`, so
-        parse(str(a)) == a."""
-        if text.strip() == "0":
-            return ZERO
+        parse(str(a)) == a.  A natural term may be 0 only as the only term."""
+        chunks = text.split("+")
         terms = []
-        for chunk in text.split("+"):
+        for chunk in chunks:
             m = _TERM_RE.match(chunk.strip())
             if m is None:
                 raise ValueError(f"not an ordinal literal: {text!r}")
@@ -272,10 +245,10 @@ class Ordinal:
                 coeff = int(m.group("coeff")) if m.group("coeff") else 1
             if terms and exp >= terms[-1][0]:
                 raise ValueError(f"ordinal terms out of order: {text!r}")
-            if coeff == 0:
+            if coeff == 0 and (m.group("nat") is None or len(chunks) > 1):
                 raise ValueError(f"zero coefficient in ordinal literal: {text!r}")
             terms.append((exp, coeff))
-        return Ordinal._make(tuple(terms))
+        return _canonical(tuple(terms))
 
 
 def sub(a, b):
@@ -283,7 +256,7 @@ def sub(a, b):
     it is defined, else `_sub` on their terms, which raises where it is not."""
     if a.__class__ is int and b.__class__ is int and a >= b >= 0:
         return a - b
-    return Ordinal._make(_sub(_operand(a), _operand(b)))
+    return _canonical(_sub(_operand(a), _operand(b)))
 
 
 def terms(x) -> Terms:
@@ -297,8 +270,8 @@ def limit_part(x) -> "tuple[int | Ordinal, int]":
         return 0, x
     t = x.terms
     if t and t[-1][0] == 0:
-        return Ordinal._make(t[:-1]), t[-1][1]
-    return x._unboxed(), 0
+        return _canonical(t[:-1]), t[-1][1]
+    return _canonical(t), 0
 
 
 def is_limit(x) -> bool:
@@ -312,8 +285,8 @@ def omega_power(exponent: int, coefficient: int = 1) -> "int | Ordinal":
         raise ValueError("exponent and coefficient must be naturals")
     if coefficient == 0:
         return ZERO
-    return Ordinal._make(((exponent, coefficient),))
+    return _canonical(((exponent, coefficient),))
 
 
 ZERO = 0
-OMEGA = Ordinal._make(((1, 1),))
+OMEGA = _canonical(((1, 1),))

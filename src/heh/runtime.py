@@ -35,18 +35,13 @@ class Fault(Exception):
 
 
 class StrictArray:
-    """Shape/data pair of rank >= 1, never a vector of ordinals; the data are scalars."""
+    """Shape/data pair of rank >= 1, never a vector of ordinals; the data are
+    scalars, as many as the product of the shape's int extents.  The
+    constructor does not check that; the tests do (`tests/canonical.py`)."""
 
     __slots__ = ("shape", "data")
 
     def __init__(self, shape: ShapeVec, data: list):
-        if __debug__:
-            assert shape, "scalars are bare values, not rank-0 arrays"
-            n = 1
-            for s in shape:
-                assert s.__class__ is int, "strict arrays have finite shape"
-                n *= s
-            assert len(data) == n, f"data length {len(data)} != shape product {n}"
         self.shape = shape
         self.data = data
 

@@ -1,11 +1,16 @@
-"""The canonical form of an ordinal, the one predicate the tests use for it.
+"""The canonical forms of an ordinal and of a strict array, the one
+predicate the tests use for each.
 
-`heh.ordinal` promises one representation per ordinal but does not check
-it on the values it builds; the tests check it on the ordinals that
+`heh.ordinal` promises one representation per ordinal, and
+`heh.runtime.StrictArray` one shape/data layout, but neither checks it on
+the values it builds; the tests check it on the ordinals and arrays that
 arithmetic and evaluation compute.
 """
 
+import math
+
 from heh.ordinal import Ordinal
+from heh.runtime import StrictArray
 
 
 def is_canonical(x) -> bool:
@@ -24,3 +29,18 @@ def is_canonical(x) -> bool:
             return False
         above = e
     return True
+
+
+def is_canonical_array(x) -> bool:
+    """x is a StrictArray as the evaluator must build one: of rank >= 1 (a
+    scalar is a bare value), every extent an int (a strict array is
+    finite), as many data as the product of the extents, and not a vector
+    of ordinals (that is a tuple)."""
+    if x.__class__ is not StrictArray or x.shape.__class__ is not tuple or not x.shape:
+        return False
+    if not all(s.__class__ is int and s >= 0 for s in x.shape):
+        return False
+    if len(x.data) != math.prod(x.shape):
+        return False
+    return len(x.shape) > 1 or not all(
+        d.__class__ is int or d.__class__ is Ordinal for d in x.data)

@@ -82,6 +82,9 @@ def test_probe_scalar_and_ordinal_components(capsys):
     code, out, _ = run_cli(capsys, "-e", "tail (imap [w+42] {_(iv): iv.[0]})",
                            "--probe", "[w]")
     assert (code, out) == (0, "w\n")
+    # a component is read as the lexer reads a number, leading zeros and all
+    assert run_cli(capsys, "-e", "[7, 8]", "--probe", "[00]")[:2] == (0, "7\n")
+    assert run_cli(capsys, "-e", "[7, 8]", "--probe", "[01]")[:2] == (0, "8\n")
 
 
 def test_probe_out_of_bounds_is_an_error(capsys):

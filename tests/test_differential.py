@@ -11,9 +11,10 @@ model of the program gives.  The model is written here with Python
 integers and lists; it never runs heh.  Every program is run under the four
 configurations memo on/off x strict/lazy finite imaps, which must all give
 the model's outcomes, and under `python -O`, which must give the same
-outcomes and counters as with assertions on.
+outcomes and counters.
 """
 
+import ast
 import json
 import os
 import random
@@ -21,7 +22,7 @@ import subprocess
 import sys
 
 import pytest
-from canonical import is_canonical
+from canonical import is_canonical, is_canonical_array
 
 import heh
 from heh.eval import EvalConfig, EvalError, new_session
@@ -466,10 +467,25 @@ def counted_outcomes():
     return rows
 
 
+def test_no_module_checks_under_debug():
+    # the invariants are checked by the tests (see canonical.py), never by an
+    # assert or a `__debug__` block, so `python` and `python -O` run the same
+    # interpreter
+    package = os.path.dirname(os.path.abspath(heh.__file__))
+    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert {"eval.py", "ordinal.py", "runtime.py"} <= set(modules)
+    for name in modules:
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read(), name)
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)
+                 or isinstance(node, ast.Name) and node.id == "__debug__"]
+        assert found == [], name
+
+
 def test_optimized_mode_gives_the_same_outcomes_and_counters():
-    # `python -O` drops the checks under __debug__ (divmod's multiply-back,
-    # StrictArray's shape), which ints skip; canonical form is checked by the
-    # tests, not under __debug__
+    # a second process, under `python -O`, gives the same outcomes, counters
+    # and fuel left: it shares no compiled code or cache with this one, and
+    # `-O` changes nothing, as no module checks under __debug__ (see above)
     src = os.path.dirname(os.path.dirname(os.path.abspath(heh.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")])))
@@ -486,18 +502,15 @@ def env_values(env):
         env = env[1]
 
 
-def is_ordinal(x):
-    return x.__class__ is int or x.__class__ is Ordinal
-
-
 def misrepresented_values(roots):
     """The values reachable from `roots` that break the canonical
     representation: each ordinal is a canonical one, a finite vector of
-    ordinals is a tuple and a tuple is a vector of canonical ordinals, and a
+    ordinals is a tuple and a tuple is a vector of canonical ordinals, a
     shape, frame index or box corner is such a tuple, whose finite extents
-    are ints.  The walk follows array elements and shapes, imap frames,
-    generator boxes, memoized indices and cells, filter segments, recursion
-    cells and the environments of closures."""
+    are ints, and each strict array is canonical (`is_canonical_array`).
+    The walk follows array elements and shapes, imap frames, generator
+    boxes, memoized indices and cells, filter segments, recursion cells and
+    the environments of closures."""
     bad, seen, todo = [], set(), list(roots)
     while todo:
         value = todo.pop()
@@ -512,8 +525,7 @@ def misrepresented_values(roots):
             if not all(map(is_canonical, value)):
                 bad.append(value)
         elif cls is StrictArray:
-            if (not all(s.__class__ is int for s in value.shape)
-                    or len(value.shape) == 1 and all(map(is_ordinal, value.data))):
+            if not is_canonical_array(value):
                 bad.append(value)
             todo.extend(value.data)
         elif cls is ImapClosure:
@@ -533,10 +545,17 @@ def misrepresented_values(roots):
     return bad
 
 
+# imaps of rank 0, whose value is a bare scalar when strict; neither corpus
+# makes one
+SCALAR_IMAPS = [("imap [] {_(iv): 7}", [([], 7)]),
+                ("imap [] {_(iv): true}", [([], True)]),
+                ("(\\n. imap [] {_(iv): w + n}) 3", [([], OMEGA + 3)])]
+
+
 def test_every_vector_of_ordinals_is_a_tuple():
-    # and every ordinal reachable from a program's value, its session or its
-    # probes' outcomes is canonical: see misrepresented_values
-    runs = [(False, source, probes) for source, probes in corpus()]
+    # and every ordinal and strict array reachable from a program's value, its
+    # session or its probes' outcomes is canonical: see misrepresented_values
+    runs = [(False, source, probes) for source, probes in corpus() + SCALAR_IMAPS]
     runs += [(True, source, probes) for source, probes in list_corpus()]
     runs += [(True, heh.program_source(name), probes)
              for name, probes in heh.examples_suite()]

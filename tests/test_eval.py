@@ -640,6 +640,20 @@ def test_fuel_runs_out_at_the_same_rule():
     assert run(src, EvalConfig(fuel=len(expected))).value == 3
 
 
+def test_every_counted_rule_is_in_the_rule_inventory():
+    # docs/semantics.md says which step counts as one rule: a table row for
+    # each rule name compiled code reports, and the counts `_apply` and
+    # `select` add; the program above is its worked example
+    doc = (Path(__file__).parent.parent / "docs" / "semantics.md").read_text()
+    names = {rule for rule, _ in heh.eval._STEPS.values() if rule is not None}
+    assert len(names) == 14
+    for name in sorted(names):
+        assert f"\n| `{name}` |" in doc, name
+    for counted in ("Session._apply", "Session.select", "trailing `()`", "body_evals",
+                    "predicate_calls", "The total is 49"):
+        assert counted in doc, counted
+
+
 def test_ordinal_vector_errors():
     # strict vectors and lazy ones are checked alike
     cases = [

@@ -591,7 +591,13 @@ def test_parse():
     assert Ordinal.parse("w^2*3 + w*2 + 5") == ord_of((2, 3), (1, 2), (0, 5))
     assert Ordinal.parse("w^2*3+4") == ord_of((2, 3), (0, 4))
     assert Ordinal("w + 42") == OMEGA + 42
-    for bad in ["", "w^", "x", "5 + w", "w*0", "w^2 + w^2"]:
+    # a natural term may be 0 only as the only term; leading zeros are read
+    # as the lexer reads them
+    for text, value in [("00", 0), (" 0 ", 0), ("007", 7), ("w + 05", OMEGA + 5)]:
+        parsed = Ordinal.parse(text)
+        assert parsed == value and parsed.__class__ is value.__class__, text
+    for bad in ["", "w^", "x", "5 + w", "w*0", "w^2 + w^2", "w + 0", "w + 00",
+                "0 + 0", "0 + w", "w^0*0"]:
         with pytest.raises(ValueError):
             Ordinal.parse(bad)
 

@@ -10,6 +10,7 @@ import math
 import random
 
 import pytest
+from canonical import is_canonical_array
 from hypothesis import given, strategies as st
 
 from heh.eval import evaluate
@@ -289,10 +290,17 @@ def test_strict_array_shapes():
     assert strict_value(vec(1, 2), [0, OMEGA]).shape == vec(1, 2)
     empty = StrictArray(vec(1, 0), [])
     assert math.prod(empty.shape) == 0
-    with pytest.raises(AssertionError):
-        StrictArray(vec(2), [1])
-    with pytest.raises(AssertionError):  # a finite extent is an int
-        StrictArray((OMEGA,), [])
+    # what the evaluator builds is canonical; the constructor does not check,
+    # the one predicate for it does
+    for good in [flags, strict_value(vec(1, 2), [0, OMEGA]), empty]:
+        assert is_canonical_array(good), good
+    for bad in [StrictArray(vec(2), [1]),
+                StrictArray((OMEGA,), []),          # a finite extent is an int
+                StrictArray(vec(2), [True]),        # as many data as the extents give
+                StrictArray((), [True]),            # a scalar is a bare value
+                StrictArray((True,), [True]),       # an extent is an int, not a bool
+                StrictArray(vec(2), [0, OMEGA])]:   # a vector of ordinals is a tuple
+        assert not is_canonical_array(bad), bad
 
 
 def test_render_strict():
