@@ -206,28 +206,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
+    probe = None
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exit_:   # argparse already printed the message
+        if args.file is not None and args.expr is not None:
+            parser.error("a program file and -e are mutually exclusive")
+        for flag, number in (("--fuel", args.fuel), ("--force-print", args.force_print)):
+            if number is not None and number < 0:
+                parser.error(f"{flag} must be >= 0")
+        if args.probe is not None:
+            try:
+                probe = parse_index_literal(args.probe)
+            except ValueError as error:
+                parser.error(str(error))
+    except SystemExit as exit_:   # argparse has printed the usage and the message
         return exit_.code or 0
-    if args.file is not None and args.expr is not None:
-        parser.print_usage(sys.stderr)
-        print("heh: error: a program file and -e are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    for flag, number in (("--fuel", args.fuel), ("--force-print", args.force_print)):
-        if number is not None and number < 0:
-            parser.print_usage(sys.stderr)
-            print(f"heh: error: {flag} must be >= 0", file=sys.stderr)
-            return 2
-    probe = None
-    if args.probe is not None:
-        try:
-            probe = parse_index_literal(args.probe)
-        except ValueError as error:
-            parser.print_usage(sys.stderr)
-            print(f"heh: error: {error}", file=sys.stderr)
-            return 2
 
     repl_mode = args.file is None and args.expr is None
     fuel = args.fuel if args.fuel is not None else (REPL_FUEL if repl_mode else None)

@@ -37,9 +37,9 @@ from .runtime import (
     render_shape, strict_value,
 )
 from .syntax import (
-    Apply, ArrayLiteral, BinOp, Binding, BoolConst, Cond, Expr, Filter, Full,
-    Imap, IsLim, Lambda, Letrec, OrdinalConst, Reduce, Select, Shape, Span,
-    TopForm, Var, parse_expr, parse_program,
+    PREFIX_FORMS, Apply, ArrayLiteral, BinOp, Binding, BoolConst, Cond, Expr, Full,
+    Imap, Lambda, Letrec, OrdinalConst, Select, Shape, Span, TopForm, Var,
+    parse_expr, parse_program,
 )
 
 # Python frames allowed while a public entry runs; a nats level takes three
@@ -165,12 +165,13 @@ _STEPS = {
     "reduce": ("reduce", "$t = s._eval_reduce(env, $a, $b, $c)"),
     "filter": ("filter", "$t = s._eval_filter(env, $a, $b)"),
 }
-# class -> (marker, the fields of its children); a `BinOp`'s marker is its op
+# class -> (marker, the fields of its children); a `BinOp`'s marker is its op,
+# a prefix form's its keyword
 _KINDS = {Select: ("select", "array", "index"), Apply: ("apply", "fun", "arg"),
           Cond: ("cond", "test", "then", "orelse"), BinOp: (None, "lhs", "rhs"),
-          Shape: ("shape", "arg"), IsLim: ("islim", "arg"), Letrec: ("letrec",),
-          Reduce: ("reduce", "fun", "neutral", "array"), Lambda: ("lambda",),
-          Filter: ("filter", "predicate", "array"), ArrayLiteral: ("array",), Imap: ("imap",)}
+          Shape: ("shape", "arg"), Letrec: ("letrec",), Lambda: ("lambda",),
+          ArrayLiteral: ("array",), Imap: ("imap",),
+          **{cls: (keyword, *fields) for keyword, (cls, fields) in PREFIX_FORMS.items()}}
 _FUSED = {Select, Apply, Cond, BinOp, Var, OrdinalConst, BoolConst}
 _NESTED_CONDS = 40  # a branch is an indented block, and Python allows 100 levels
 
@@ -309,22 +310,22 @@ class Session:
 
     ### plumbing
 
-    def _entry(self, rule: str, span: Optional[Span], thunk):
+    def _entry(self, rule: str, thunk):
         """`thunk()` run as a public entry: the one place that decides how an
         internal failure reaches the caller.  The recursion limit is raised
-        for the call only; a `Fault` becomes an `EvalError` of `rule` at
-        `span`, and running out of Python frames becomes `DepthExceeded`."""
+        for the call only; a `Fault` becomes an `EvalError` of `rule` with no
+        span, and running out of Python frames becomes `DepthExceeded`."""
         previous = sys.getrecursionlimit()
         limit = max(previous, RECURSION_LIMIT)
         sys.setrecursionlimit(limit)
         try:
             return thunk()
         except Fault as fault:
-            raise EvalError(fault.kind, fault.message, span, rule) from None
+            raise EvalError(fault.kind, fault.message, None, rule) from None
         except RecursionError:
             raise EvalError("DepthExceeded",
                             "evaluation nested deeper than the interpreter's "
-                            f"recursion limit ({limit} frames)", span, rule) from None
+                            f"recursion limit ({limit} frames)", None, rule) from None
         finally:
             sys.setrecursionlimit(previous)
 
@@ -652,11 +653,11 @@ class Session:
     def run_program(self, source: str):
         """Evaluate top-level forms; bindings persist.  Returns the last
         form's value (a binding's value for trailing bindings)."""
-        return self._entry("eval", None, lambda: self._run(compile_program(source)))
+        return self._entry("eval", lambda: self._run(compile_program(source)))
 
     def run_compiled(self, program: List[Tuple[TopForm, Code]]):
         """`run_program` for forms `compile_program` has already compiled."""
-        return self._entry("eval", None, lambda: self._run(program))
+        return self._entry("eval", lambda: self._run(program))
 
     def _run(self, program):
         last = None
@@ -685,26 +686,24 @@ class Session:
         return value
 
     def eval_source(self, source: str):
-        return self._entry("eval", None,
-                           lambda: compile_expr(parse_expr(source))(self, None))
+        return self._entry("eval", lambda: compile_expr(parse_expr(source))(self, None))
 
-    def select_at(self, value, index: Sequence, span: Optional[Span] = None):
+    def select_at(self, value, index: Sequence):
         """Scalar at `index` (a sequence of ints/Ordinals) within `value`; a
         boxed natural `Ordinal(n)` in it is unboxed to n."""
         vec = tuple(x if x.__class__ is int and x >= 0 else Ordinal._make(Ordinal(x).terms)
                     for x in index)
-        return self._entry("select", span,
-                           lambda: self._force_scalar(self.select(value, vec)))
+        return self._entry("select", lambda: self._force_scalar(self.select(value, vec)))
 
-    def strict_at(self, value, span: Optional[Span] = None) -> Tuple[ShapeVec, list]:
+    def strict_at(self, value) -> Tuple[ShapeVec, list]:
         """(shape, row-major data) of a finite `value`, forcing every element;
         the data are a fresh list, which the caller may change."""
-        shape, data = self._entry("select", span, lambda: self._force_strict(
+        shape, data = self._entry("select", lambda: self._force_strict(
             value, "ShapeMismatch", "expected a finite shape"))
         return shape, list(data)
 
-    def shape_at(self, value, span: Optional[Span] = None) -> ShapeVec:
-        return self._entry("shape", span, lambda: self._shape_of(value))
+    def shape_at(self, value) -> ShapeVec:
+        return self._entry("shape", lambda: self._shape_of(value))
 
 
 ### ---- embedding interface -------------------------------------------------------

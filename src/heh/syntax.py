@@ -10,7 +10,7 @@ Surface syntax in brief::
     imap s | c {...}            with explicit cell shape
     letrec x = e in e           recursive binding
     if c then a else b          conditional
-    reduce f n a, filter p a, islim o        prefix forms
+    reduce f n a, filter p a, islim o        prefix forms: one atom per child
     w  w^2  42  true  false     constants; `;` starts a line comment
 
 Operator precedence, loosest to tightest: comparisons (`= < <= > >=`),
@@ -56,10 +56,8 @@ class LexError(ParseError):
 ### ---- tokens ----------------------------------------------------------------
 
 
-KEYWORDS = {
-    "if", "then", "else", "let", "letrec", "in",
-    "imap", "reduce", "filter", "islim", "true", "false", "w",
-}
+# reserved words; the keywords of `PREFIX_FORMS` below join them
+KEYWORDS = {"if", "then", "else", "let", "letrec", "in", "imap", "true", "false", "w"}
 
 _SYMBOLS = [
     "++", "<=", ">=",
@@ -256,6 +254,14 @@ class Binding:
 
 TopForm = Union[Binding, Expr]
 
+# keyword -> (node class, child fields): the parser reads one atom per child,
+# the printer writes them back, and the evaluator runs the rule of the keyword
+PREFIX_FORMS = {"reduce": (Reduce, ("fun", "neutral", "array")),
+                "filter": (Filter, ("predicate", "array")),
+                "islim": (IsLim, ("arg",))}
+KEYWORDS.update(PREFIX_FORMS)
+_PREFIX_OF = {cls: (keyword, fields) for keyword, (cls, fields) in PREFIX_FORMS.items()}
+
 
 ### ---- parser -----------------------------------------------------------------
 
@@ -301,19 +307,17 @@ class _Parser:
 
     ### expression grammar, loosest level first
 
-    def expr(self, bars: bool) -> Expr:
+    def expr(self, bars: bool, top: bool = False) -> TopForm:
+        """An expression; at the top level (`top`) also a `Binding`."""
         tok = self.peek()
         if tok.kind == "\\":
             return self.lambda_(bars)
-        if tok.kind == "letrec":
-            return self.letrec(bars)
+        if tok.kind in ("let", "letrec"):
+            return self.letrec(bars, top)
         if tok.kind == "if":
             return self.cond(bars)
         if tok.kind == "imap":
             return self.imap()
-        if tok.kind == "let":
-            raise ParseError("'let' is only a top-level binding; use 'letrec ... in' "
-                             "for expressions", tok.span)
         return self.binary(bars)
 
     def lambda_(self, bars: bool) -> Expr:
@@ -324,12 +328,22 @@ class _Parser:
         body = self.expr(bars)
         return Lambda(param, body, self._span(start))
 
-    def letrec(self, bars: bool) -> Expr:
+    def letrec(self, bars: bool, top: bool) -> TopForm:
+        """`letrec x = e in e`.  At the top level (`top`), `let x = e` and
+        `letrec x = e` with no `in` are a `Binding`.  `let` takes no `in`:
+        the top level refuses it at the `in`, anywhere else at the keyword."""
         start = self.pos
-        self.next()
-        name = self.binder_name()
-        self.expect("=")
-        bound = self.expr(bars)
+        kind = self.peek().kind
+        if top or kind == "letrec":
+            self.next()
+            name = self.binder_name()
+            self.expect("=")
+            bound = self.expr(bars)
+            if top and not self.at("in"):
+                return Binding(name, bound, kind == "letrec", self._span(start))
+        if kind == "let":
+            raise ParseError("'let' is only a top-level binding; use 'letrec ... in' "
+                             "for expressions", self.peek().span)
         self.expect("in")
         body = self.expr(bars)
         return Letrec(name, bound, body, self._span(start))
@@ -362,10 +376,7 @@ class _Parser:
             self.next()
             cell = self.expr(bars=True)
         self.expect("{")
-        partitions = [self.partition()]
-        while self.at(","):
-            self.next()
-            partitions.append(self.partition())
+        partitions = self.comma_list(self.partition)
         self.expect("}")
         return Imap(frame, cell, partitions, self._span(start))
 
@@ -421,33 +432,19 @@ class _Parser:
 
     def selection_index(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "ident":
-            self.next()
-            return Var(tok.value, tok.span)
-        if tok.kind == "[":
-            return self.array_literal()
-        if tok.kind == "(":
-            return self.parens()
-        raise ParseError("selection index must be a bracketed literal, a "
-                         "parenthesized expression, or a name", tok.span)
+        if tok.kind not in ("ident", "[", "("):
+            raise ParseError("selection index must be a bracketed literal, a "
+                             "parenthesized expression, or a name", tok.span)
+        return self.atom(bars=False, head=False)
 
     def application(self, bars: bool) -> Expr:
         start = self.pos
-        tok = self.peek()
-        if tok.kind == "reduce":
+        form = PREFIX_FORMS.get(self.peek().kind)
+        if form is not None:
             self.next()
-            fun = self.atom(bars, head=False)
-            neutral = self.atom(bars, head=False)
-            array = self.atom(bars, head=False)
-            node: Expr = Reduce(fun, neutral, array, self._span(start))
-        elif tok.kind == "filter":
-            self.next()
-            predicate = self.atom(bars, head=False)
-            array = self.atom(bars, head=False)
-            node = Filter(predicate, array, self._span(start))
-        elif tok.kind == "islim":
-            self.next()
-            node = IsLim(self.atom(bars, head=False), self._span(start))
+            cls, fields = form
+            children = [self.atom(bars, head=False) for _ in fields]
+            node = cls(*children, self._span(start))
         else:
             node = self.atom(bars, head=True)
         while self.starts_atom(bars, head=False):
@@ -511,44 +508,29 @@ class _Parser:
     def array_literal(self) -> Expr:
         start = self.pos
         self.expect("[")
-        elements = []
-        if not self.at("]"):
-            elements.append(self.expr(bars=False))
-            while self.at(","):
-                self.next()
-                elements.append(self.expr(bars=False))
+        elements = [] if self.at("]") else self.comma_list(lambda: self.expr(bars=False))
         self.expect("]")
         return ArrayLiteral(elements, self._span(start))
+
+    def comma_list(self, item) -> list:
+        """One or more `item()`s, separated by commas."""
+        items = [item()]
+        while self.at(","):
+            self.next()
+            items.append(item())
+        return items
 
     ### top-level forms
 
     def program(self) -> List[TopForm]:
         forms: List[TopForm] = []
         while not self.at("eof"):
-            form = self.top_form()
+            form = self.expr(bars=False, top=True)
             forms.append(form)
             if not isinstance(form, Binding) and not self.at("eof"):
                 raise ParseError("only the final form may be a bare expression",
                                  self.peek().span)
         return forms
-
-    def top_form(self) -> TopForm:
-        start = self.pos
-        kind = self.peek().kind
-        if kind in ("let", "letrec"):
-            self.next()
-            name = self.binder_name()
-            self.expect("=")
-            bound = self.expr(bars=False)
-            if self.at("in"):
-                if kind == "let":
-                    raise ParseError("'let' is only a top-level binding; use "
-                                     "'letrec ... in' for expressions", self.peek().span)
-                self.next()
-                body = self.expr(bars=False)
-                return Letrec(name, bound, body, self._span(start))
-            return Binding(name, bound, kind == "letrec", self._span(start))
-        return self.expr(bars=False)
 
 
 def parse_expr(source: str) -> Expr:
@@ -635,15 +617,10 @@ def _render(node: Expr, bars: bool) -> Tuple[str, int]:
         fun = render(node.fun, _APP, bars)
         arg = render(node.arg, _ATOM, bars, arg_pos=True)
         return f"{fun} {arg}", _APP
-    if isinstance(node, Reduce):
-        return (f"reduce {render(node.fun, _ATOM, bars, arg_pos=True)} "
-                f"{render(node.neutral, _ATOM, bars, arg_pos=True)} "
-                f"{render(node.array, _ATOM, bars, arg_pos=True)}"), _APP
-    if isinstance(node, Filter):
-        return (f"filter {render(node.predicate, _ATOM, bars, arg_pos=True)} "
-                f"{render(node.array, _ATOM, bars, arg_pos=True)}"), _APP
-    if isinstance(node, IsLim):
-        return f"islim {render(node.arg, _ATOM, bars, arg_pos=True)}", _APP
+    if node.__class__ in _PREFIX_OF:
+        keyword, fields = _PREFIX_OF[node.__class__]
+        children = (render(getattr(node, f), _ATOM, bars, arg_pos=True) for f in fields)
+        return " ".join((keyword, *children)), _APP
     if isinstance(node, Imap):
         frame = render(node.frame, _LOOSE, bars=True)
         head = f"imap {frame}"

@@ -8,7 +8,7 @@ recursion, Python's own filtering) or hand-verified goldens.
 import functools
 import random
 import time
-from itertools import product
+from itertools import chain, product, repeat
 
 import pytest
 from astgen import gen_expr
@@ -58,19 +58,21 @@ def forced(session, source):
 ### ---- C1: ordinal arithmetic laws ---------------------------------------------------
 
 
-def random_ordinal(rng):
+def random_ordinal(rng, coefficients=10**6):
     n_terms = rng.randrange(0, 5)
     value = ZERO
     for exponent in sorted(rng.sample(range(6), k=n_terms), reverse=True):
-        value = value + omega_power(exponent, rng.randint(1, 10**6))
+        value = value + omega_power(exponent, rng.randint(1, coefficients))
     return value
 
 
 @criterion(1, "ordinal arithmetic laws", budget=30)
 def test_c1_ordinal_laws():
     rng = random.Random(101)
-    for _ in range(100_000):
-        a, b, c = (random_ordinal(rng) for _ in range(3))
+    # coefficients up to 10^6, then 1-3: with small ones, divmod's first
+    # guess at the last digit of the quotient is often one too large
+    for bound in chain(repeat(10**6, 100_000), repeat(3, 20_000)):
+        a, b, c = (random_ordinal(rng, bound) for _ in range(3))
         ab, ac, bc, a_b, a_c, b_c = a + b, a + c, b + c, a * b, a * c, b * c
         laws = [(ab + c, a + bc), (a_b * c, a * b_c), (a * bc, a_b + a_c), (ab - a, b)]
         for lhs, rhs in laws:
@@ -83,8 +85,14 @@ def test_c1_ordinal_laws():
             whole = bq + r
             assert a == whole and r < b
             computed += [q, r, bq, whole]
-        # every ordinal computed is canonical, a check `Ordinal._make` leaves out
+        # every ordinal computed is canonical, which arithmetic does not check
         assert all(map(is_canonical, computed)), (a, b, c)
+
+    # in both, the first guess at the last digit of the quotient, 2, is one
+    # too large
+    assert divmod(OMEGA * 2, OMEGA + 1) == (1, OMEGA)
+    w2 = omega_power(2)
+    assert divmod(w2 * 2 + OMEGA, w2 + OMEGA * 2) == (1, w2 + OMEGA)
 
     two = Ordinal(2)
     assert two + OMEGA == OMEGA and OMEGA + two != OMEGA

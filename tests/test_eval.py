@@ -960,6 +960,41 @@ def test_a_fault_in_a_fused_body_is_reported_at_its_node(config):
         assert (error.kind, error.message, error.rule, tuple(error.span)) == expected, src
 
 
+# error branches and rank-0 coercions that no other in-process test takes
+RARE_FAULTS = [
+    ("letrec a = a.[0] in a",
+     ("UnboundVariable", "premature recursive reference to 'a'", "select", (11, 16, 1, 12))),
+    ("5.[0]", ("RankMismatch", "index of length 1 into rank-0 array", "select", (0, 5, 1, 1))),
+    ("filter (\\x. true) (\\y. y)",
+     ("FilterRankError", "filter needs a 1-dimensional array", "filter", (0, 25, 1, 1))),
+    ("reduce (\\a. \\b. a + b) 0 (filter (\\x. x < 3) (imap [w] {_(iv): iv.[0]}))",
+     ("ReduceOnInfinite", "reduce needs a finite array (shape [w])", "reduce", (0, 72, 1, 1))),
+]
+RANK_0_SCALARS = [("(imap [] {_(iv): 5}) + 1", 6),
+                  ("if imap [] {_(iv): true} then 1 else 0", 1),
+                  ("islim (imap [] {_(iv): w})", True)]
+
+
+@pytest.mark.parametrize("config", [EvalConfig(),
+                                    EvalConfig(memoize=False, strict_finite_imaps=True)])
+def test_rarely_taken_branches(config):
+    for src, expected in RARE_FAULTS:
+        with pytest.raises(EvalError) as e:
+            evaluate(src, config)
+        error = e.value
+        assert (error.kind, error.message, error.rule, tuple(error.span)) == expected, src
+    for src, expected in RANK_0_SCALARS:
+        value = probe(evaluate(src, config), [])
+        assert (value, value.__class__) == (expected, expected.__class__), src
+    with pytest.raises(heh.syntax.ParseError) as e:
+        evaluate("imap reduce f 0 |a| {_(iv): 0}", config)
+    assert e.value.__class__ is heh.syntax.ParseError
+    assert (e.value.message, tuple(e.value.span)) == (
+        "'|' cannot start a shape here; parenthesize the |...| expression", (16, 17, 1, 17))
+    with pytest.raises(ValueError, match="^the program produced no value$"):
+        probe(evaluate("", config), [])
+
+
 def test_a_nats_level_keeps_no_lazy_index_alive(monkeypatch):
     """The lazy imap that `subv iv [1]` builds at each level is dropped once
     it has been forced into the index tuple, so the live imaps at the base

@@ -131,6 +131,9 @@ def test_construction():
     assert OMEGA.terms == ((1, 1),)
     assert omega_power(3, 2).terms == ((3, 2),)
     assert omega_power(2, 0) == ZERO
+    for exponent, coefficient in ((-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="^exponent and coefficient must be naturals$"):
+            omega_power(exponent, coefficient)
     with pytest.raises(ValueError):
         Ordinal(-1)
     with pytest.raises(TypeError):

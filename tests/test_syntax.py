@@ -5,10 +5,11 @@ import string
 
 import pytest
 
+import heh.eval
 from heh.ordinal import OMEGA, Ordinal, omega_power
 from heh.syntax import (
-    Apply, ArrayLiteral, BinOp, Binding, BoolConst, Bounds, Cond, Filter, Full,
-    Imap, IsLim, Lambda, LexError, Letrec, OrdinalConst, ParseError, Reduce,
+    KEYWORDS, PREFIX_FORMS, Apply, ArrayLiteral, BinOp, Binding, BoolConst, Bounds, Cond,
+    Filter, Full, Imap, IsLim, Lambda, LexError, Letrec, OrdinalConst, ParseError, Reduce,
     Select, Shape, Span, Var, parse_expr, parse_program, render, tokenize,
 )
 
@@ -269,6 +270,18 @@ def test_prefix_forms():
         parse_expr("f reduce g 0 a")
 
 
+def test_prefix_forms_come_from_one_table():
+    # the parser, the printer and the evaluator's rule table all read it
+    for keyword, (cls, fields) in PREFIX_FORMS.items():
+        names = ["a", "b", "c"][:len(fields)]
+        source = " ".join([keyword, *names])
+        node = parse_expr(source)
+        assert node.__class__ is cls and [getattr(node, f).name for f in fields] == names
+        assert render(node) == source
+        assert heh.eval._KINDS[cls] == (keyword, *fields)
+    assert {"reduce", "filter", "islim"} == set(PREFIX_FORMS) <= KEYWORDS
+
+
 def test_conditional_and_letrec():
     e = parse_expr("if a < b then a else b")
     assert isinstance(e, Cond) and e.test.op == "<"
@@ -341,10 +354,16 @@ def test_program_letrec_in_is_expression():
 
 
 def test_plain_let_has_no_in():
-    with pytest.raises(ParseError):
-        parse_program("let x = 5 in x")
-    with pytest.raises(ParseError):
-        parse_expr("let x = 5")
+    # refused at the `in` at the top level, and at the keyword anywhere else
+    for parse, source, span in [(parse_program, "let x = 5 in x", (10, 12, 1, 11)),
+                                (parse_program, "let x = 1\nlet x = 2 in x", (20, 22, 2, 11)),
+                                (parse_program, "letrec y = (let x = 5) in y", (12, 15, 1, 13)),
+                                (parse_expr, "let x = 5", (0, 3, 1, 1))]:
+        with pytest.raises(ParseError) as e:
+            parse(source)
+        assert e.value.message == ("'let' is only a top-level binding; use "
+                                   "'letrec ... in' for expressions"), source
+        assert tuple(e.value.span) == span, source
 
 
 def test_bare_expression_must_be_last():
