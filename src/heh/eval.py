@@ -12,8 +12,8 @@ cached by the shape of the subtree.  A name bound by a lambda, a `letrec` or
 an imap generator is resolved at compile time to its depth in `env`, a
 chain of `(value, parent)` tuples; any other name is looked up by name in
 the session's top-level frame, the dict `Session.env`, when it is
-evaluated.  Compiled code holds no session state, so one compilation of the
-prelude serves every session.
+evaluated.  Compiled code holds no session state, so the prelude's
+functions, built once per process, serve every session (see `prelude`).
 
 Values are plain Python objects (see `runtime`); an ordinal below w is an
 `int`, so index arithmetic on naturals is Python's own.  Evaluation is strict
@@ -454,15 +454,11 @@ class Session:
         if hit is not None:
             return hit
         parts = closure.partitions
-        if len(parts) == 1:
-            code = parts[0][1]  # a lone box tiles the frame, so it holds the index
+        for box, code in parts[:-1]:
+            if box_contains(box, index):
+                break
         else:
-            for box, code in parts:
-                if box_contains(box, index):
-                    break
-            else:
-                raise Fault("NotAPartition",
-                            f"no partition covers index {render_shape(index)}")
+            code = parts[-1][1]  # the boxes tile the frame, so the last holds it
         self.stats["body_evals"] += 1
         result = code(self, (index, closure.env))
         shape = (() if result.__class__ is int or result.__class__ is Ordinal
@@ -655,10 +651,6 @@ class Session:
         form's value (a binding's value for trailing bindings)."""
         return self._entry("eval", lambda: self._run(compile_program(source)))
 
-    def run_compiled(self, program: List[Tuple[TopForm, Code]]):
-        """`run_program` for forms `compile_program` has already compiled."""
-        return self._entry("eval", lambda: self._run(program))
-
     def _run(self, program):
         last = None
         for form, code in program:
@@ -726,11 +718,7 @@ def new_session(config: Optional[EvalConfig] = None, prelude: bool = True) -> Se
     session = Session(config)
     if prelude:
         from .prelude import load_prelude
-        # fuel and counters describe the user program, not library setup
-        session.fuel = None
         load_prelude(session)
-        session.fuel = session.config.fuel
-        session.stats = dict.fromkeys(session.stats, 0)
     return session
 
 

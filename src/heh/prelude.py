@@ -3,7 +3,7 @@
 from functools import cache
 from importlib import resources
 
-from .eval import Session, compile_program
+from .eval import Session
 
 __all__ = ["load_prelude", "prelude_source", "program_source", "program_names",
            "examples_suite"]
@@ -28,16 +28,20 @@ def program_names() -> list:
 
 
 @cache
-def compiled_prelude() -> list:
-    """The prelude's forms and their code, read and compiled once per
-    process; compiled code holds no session state, so every session runs
-    the same forms."""
-    return compile_program(prelude_source())
+def _prelude_values() -> dict:
+    """The prelude's top-level frame, evaluated once per process.  Every
+    value is a function that captures no environment and looks its free
+    names up in the frame of the session that calls it, so sessions can
+    share them."""
+    session = Session()
+    session.run_program(prelude_source())
+    return session.env
 
 
 def load_prelude(session: Session) -> None:
-    """Bind the standard library into the session's top-level frame."""
-    session.run_compiled(compiled_prelude())
+    """Bind the standard library into the session's top-level frame.  It
+    runs no rule, so it spends no fuel and counts nothing."""
+    session.env.update(_prelude_values())
 
 
 _BLINKER = [[0, 0, 0, 0, 0],

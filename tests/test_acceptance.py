@@ -14,9 +14,9 @@ import pytest
 from astgen import gen_expr
 from canonical import is_canonical
 
-from heh.eval import EvalConfig, EvalError, Session, evaluate, probe
+from heh.eval import EvalConfig, EvalError, evaluate, new_session, probe
 from heh.ordinal import OMEGA, ZERO, Ordinal, omega_power
-from heh.prelude import load_prelude, program_source
+from heh.prelude import program_source
 from heh.syntax import parse_expr, render
 
 
@@ -38,15 +38,6 @@ def criterion(number, label, budget=None):
             print(f"\nC{number} {label}: PASS ({elapsed:.1f}s)")
         return run
     return wrap
-
-
-def fresh_session(config=None, prelude=True):
-    session = Session(config)
-    if prelude:
-        session.fuel = None
-        load_prelude(session)
-        session.fuel = session.config.fuel
-    return session
 
 
 def forced(session, source):
@@ -105,7 +96,7 @@ def test_c1_ordinal_laws():
 
 @criterion(2, "worked-example goldens", budget=10)
 def test_c2_worked_examples():
-    session = fresh_session()
+    session = new_session()
 
     assert probe(evaluate(r"reduce (\x.\y.x+y) 0 [[1,2],[3,4]]"), []) == 10
 
@@ -168,7 +159,7 @@ def random_predicate(rng):
 
 @criterion(3, "reshape/concat/filter equations and applicative laws", budget=60)
 def test_c3_equality_properties():
-    session = fresh_session()
+    session = new_session()
     rng = random.Random(303)
 
     # reshape |a| (flatten a) == a, 1000 finite instances
@@ -355,7 +346,7 @@ def board_literal(board):
 
 @criterion(5, "Game of Life (finite oracle and infinite plane)", budget=30)
 def test_c5_game_of_life():
-    session = fresh_session()
+    session = new_session()
     for board in (BLINKER, GLIDER):
         expr = board_literal(board)
         for step in range(1, 5):
@@ -383,7 +374,7 @@ def test_c5_game_of_life():
 
 @criterion(6, "filter semantics (oracle, probes, shape postulates, divergence)")
 def test_c6_filter():
-    session = fresh_session()
+    session = new_session()
     rng = random.Random(606)
 
     for _ in range(1000):
@@ -404,20 +395,20 @@ def test_c6_filter():
             ("filter (\\x. x > 0) (imap [w] {_(iv): iv.[0]})", (OMEGA,)),
             ("filter (\\x. x > 0) (imap [w*2] {_(iv): 1})", (OMEGA * 2,)),
     ]:
-        fresh = fresh_session()
+        fresh = new_session()
         calls_before = fresh.stats["predicate_calls"]
         assert fresh.shape_at(fresh.eval_source(src)) == expected_shape
         assert fresh.stats["predicate_calls"] == calls_before
 
     # a trailing finite segment shortens by its rejected elements
-    trailing = fresh_session()
+    trailing = new_session()
     shape = trailing.shape_at(trailing.eval_source(
         "filter (\\x. x = 1) (imap [w+3] { [0] <= iv < [w]: 1, "
         "[w] <= iv < [w+3]: iv.[0] - w })"))
     assert shape == (OMEGA + Ordinal(1),)
 
     # a filter that never finds an element burns its budget and stops
-    divergent = fresh_session(EvalConfig(fuel=200_000))
+    divergent = new_session(EvalConfig(fuel=200_000))
     with pytest.raises(EvalError) as err:
         divergent.select_at(
             divergent.eval_source("filter (\\x. x > 0) (imap [w] {_(iv): 0})"),

@@ -337,6 +337,34 @@ def test_repl_unknown_command(monkeypatch, capsys):
     assert "unknown command" in err
 
 
+BANNER = "heh repl; :quit exits, :config shows options, :load FILE runs a file\n"
+
+
+def run_tty_repl(monkeypatch, capsys, text):
+    """`run_repl` with stdin a terminal: a banner, a prompt per entry, and a
+    newline when input ends."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+    return run_cli(capsys)
+
+
+def test_tty_repl_prompts_and_ends_with_a_newline(monkeypatch, capsys):
+    code, out, err = run_tty_repl(monkeypatch, capsys, "1 + 1\n\n; note\n:load\n")
+    assert (code, err) == (0, ":load needs a file path\n")
+    assert out == BANNER + "> 2\n> > > > \n"
+
+
+def test_tty_repl_continues_after_ctrl_c(monkeypatch, capsys):
+    real_input = input
+
+    def interrupted(prompt):  # Ctrl-C at the first prompt, then real input
+        monkeypatch.setattr("builtins.input", real_input)
+        raise KeyboardInterrupt
+    monkeypatch.setattr("builtins.input", interrupted)
+    code, out, err = run_tty_repl(monkeypatch, capsys, "2 * 3\n")
+    assert (code, out, err) == (0, BANNER + "\n> 6\n> \n", "")
+
+
 def test_repl_letrec_binding(monkeypatch, capsys):
     text = ("letrec nats = imap [w] { [0] <= iv < [1]: 0, "
             "[1] <= iv < [w]: nats.(subv iv [1]) + 1 }\nnats.[40]\n")

@@ -16,9 +16,10 @@ import heh
 
 from heh.eval import EvalConfig, EvalError, Session, evaluate, probe
 from heh.ordinal import OMEGA, Ordinal
-from heh.prelude import (compiled_prelude, examples_suite, load_prelude,
+from heh.prelude import (examples_suite, load_prelude, prelude_source,
                          program_names, program_source)
-from heh.syntax import Binding, render
+from heh.runtime import FunClosure
+from heh.syntax import parse_program
 
 
 def run(src, config=None):
@@ -374,7 +375,29 @@ def test_optimized_mode_matches_debug_mode():
     assert optimized["outcomes"] == here["outcomes"]
 
 
-### ---- the prelude compiled once per process ------------------------------------------
+### ---- the prelude built once per process -------------------------------------------
+
+
+def prelude_names():
+    return [form.name for form in parse_program(prelude_source())]
+
+
+def test_loading_never_half_loads():
+    # loading copies values, so no fuel budget can stop it part way
+    session = Session(EvalConfig(fuel=5))
+    load_prelude(session)
+    assert len(prelude_names()) == 29
+    assert sorted(session.env) == sorted(prelude_names())
+    assert session.fuel == 5
+    assert set(session.stats.values()) == {0}
+
+
+def test_the_prelude_values_are_stateless():
+    # what makes sharing them safe: a function that captures no environment
+    session = Session()
+    load_prelude(session)
+    for name, value in session.env.items():
+        assert isinstance(value, FunClosure) and value.env is None, name
 
 
 def test_redefining_a_prelude_name_stays_in_its_session():
@@ -387,19 +410,23 @@ def test_redefining_a_prelude_name_stays_in_its_session():
     assert Session().run_program("1") == 1 and evaluate("head [7, 8]").value == 7
 
 
-def rendered_prelude():
-    return [(form.name, render(form.expr)) if isinstance(form, Binding) else render(form)
-            for form, _ in compiled_prelude()]
+def loaded_prelude():
+    session = Session()
+    load_prelude(session)
+    return {name: (value, value.code, value.env) for name, value in session.env.items()}
 
 
 def test_running_programs_leaves_the_cached_prelude_as_parsed():
-    before = rendered_prelude()
-    assert len(before) > 25
+    before = loaded_prelude()
+    assert len(before) == 29
     for name, probes in examples_suite():
         result = evaluate(program_source(name))
         for index, expected in probes:
             assert probe(result, list(index)) == expected, (name, index)
-    assert rendered_prelude() == before
+    after = loaded_prelude()
+    assert after.keys() == before.keys()
+    for name, (value, code, env) in after.items():
+        assert all(a is b for a, b in zip((value, code, env), before[name])), name
 
 
 def back_to_back_sessions():
@@ -420,8 +447,8 @@ def back_to_back_sessions():
 
 
 def test_the_first_session_of_a_process_matches_later_ones():
-    # the subprocess compiles the prelude for its first session; here it is
-    # long compiled
+    # the subprocess builds the prelude's values for its first session; here
+    # they are long built
     src = os.path.dirname(os.path.dirname(os.path.abspath(heh.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -437,4 +464,4 @@ def test_the_first_session_of_a_process_matches_later_ones():
     for b in (3, 2, 1):
         acc = acc * 2 + b
     assert fresh[0][1] == str(acc)
-    assert fresh[0][0]["rules"] > 0
+    assert set(fresh[0][0].values()) == {0}  # loading runs no rule
