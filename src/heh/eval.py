@@ -2,13 +2,13 @@
 
 A program is compiled before it runs: `compile_expr` turns the AST into
 Python functions `code(session, env)` (closure generation, after Feeley and
-Lapalme, "Using closures for code generation", 1987).  A maximal subtree of
-names, constants, operators, selections, applications and conditionals is
-one function, whose statements are each node's prologue and step in
-evaluation order (a superoperator, after Proebsting, "Optimizing an ANSI C
-interpreter with superoperators", POPL 1995); any other node is a function
-of its own.  All come from one template and the steps in `_STEPS`, and are
-cached by the shape of the subtree.  A name bound by a lambda, a `letrec` or
+Lapalme, "Using closures for code generation", 1987).  A body is one
+function, whose statements are each node's prologue and step in evaluation
+order (a superoperator, after Proebsting, "Optimizing an ANSI C interpreter
+with superoperators", POPL 1995).  A new function starts only at a lambda or
+imap body, an imap's bounds and cell shape, a long array literal, and past
+a budget of nodes or of nesting.  All come from one template and the steps
+in `_STEPS`, and are cached by the shape of the subtree.  A name bound by a lambda, a `letrec` or
 an imap generator is resolved at compile time to its depth in `env`, a
 chain of `(value, parent)` tuples; any other name is looked up by name in
 the session's top-level frame, the dict `Session.env`, when it is
@@ -79,10 +79,10 @@ def _equal(lhs, rhs) -> bool:
 
 # The code of a node: `code(s, env)` applies the node's rule in `env`, a chain
 # of `(value, parent)` tuples (None when empty).  `_factory` makes it for a
-# maximal subtree of the kinds in `_FUSED`, or else for one node.  Each node
-# starts with `_PROLOGUE`, which counts its rule and spends a unit of fuel
-# inline, as a call per rule would cost more than most rules;
-# `Session._apply` and `Session.select` are the only other places that count.
+# subtree of nodes (see `_flatten`).  Each node starts with `_PROLOGUE`,
+# which counts its rule and spends a unit of fuel inline, as a call per rule
+# would cost more than most rules; `Session._apply` and `Session.select` are
+# the only other places that count.
 Code = Callable
 
 _PROLOGUE = """\
@@ -105,17 +105,32 @@ _CHECK = ("if $t.__class__ is not int and $t.__class__ is not Ordinal or $u.__cl
 _OPS = {"<": "$t < $u", "<=": "$t <= $u", ">": "$t > $u", ">=": "$t >= $u", "+": "$t + $u",
         "-": "sub($t, $u)", "*": "$t * $u", "/": "$t // $u", "%": "$t % $u", "=": "_equal($t, $u)"}
 
+_ELEMENTS = 16  # the longest array literal whose elements each get a temp
+
+
+def _array(n: int) -> str:
+    """The step of an `n`-element array literal: each element in a temp of
+    its own, a vector of ordinals built inline, and the temps cleared."""
+    temps = [f"$t{k}" for k in range(n)]
+    ordinals = " and ".join(f"({t}.__class__ is int or {t}.__class__ is Ordinal)" for t in temps)
+    return "\n".join([f"@t{k}" for k in range(n)]
+                     + [f"if {ordinals or True}: $t = ({''.join(t + ', ' for t in temps)})",
+                        f"else: $t = s._nested_array([{', '.join(temps)}])"]
+                     + [" = ".join(temps[1:] + ["None"])] * (n > 1))
+
+
 # marker (see `_flatten`) -> (rule, step).  A step leaves its value in the
 # temp `$t`.  "@t" stands for the lines of the next child, which leave its
 # value in `$t`; "@u" for those of a second operand, in `$u`, which the step
 # clears once used, so a temp holds no value its rule has done with (in a
-# deep recursion, such a value stays alive on every level).  `$a`...`$d` are
-# arguments (a leaf's constant or top-level name, a hole's code, another
-# node's fields) and `$span` the node's span.  A step reads this module's
-# globals, so a name only a step uses, such as `is_limit`, is imported.
+# deep recursion, such a value stays alive on every level); "@tK" for those
+# of a K-th, in `$tK`.  `$a`...`$d` are arguments (a leaf's constant or
+# top-level name, a hole's code, another node's fields), `$span` the node's
+# span and `$env` the variable that holds its environment.  A step reads this
+# module's globals, so a name only a step uses, such as `is_limit`, is imported.
 _STEPS = {
     "const": ("const", "$t = $a"),
-    "hops": ("var", "$t = env$hops[0]\n" + _FOLLOW),  # an empty cell is passed on
+    "hops": ("var", "$t = $env$hops[0]\n" + _FOLLOW),  # an empty cell is passed on
     "var": ("var", "$t = s.env.get($a)\nif $t is None: raise Fault("
                    "'UnboundVariable', f\"unbound variable '{$a}'\")\n" + _FOLLOW),
     "select": ("select", """
@@ -137,53 +152,75 @@ _STEPS = {
     **{op: ("binop", _BINOP.replace("$x", x).replace("$check", _CHECK.replace("$op", op)
                                                      if op != "=" else ""))
        for op, x in _OPS.items()},  # `=` also compares booleans
-    None: (None, "$t = $a(s, env)"),  # a hole: the code of another node
-    "array": ("array", """
-        $t = [element(s, env) for element in $a]
-        for v in $t:
-            if v.__class__ is not int and v.__class__ is not Ordinal:
-                $t = s._nested_array($t)
-                break
-        else: $t = tuple($t)  # a vector of ordinals, or []
-        """),
-    "lambda": ("lambda", "$t = FunClosure($a, env)"),
+    None: (None, "$t = $a(s, $env)"),  # a hole: the code of another node
+    # an array literal of more than `_ELEMENTS` elements, from their codes
+    "array": ("array", "$t = s._nested_array([element(s, $env) for element in $a])"),
+    **{f"array{n}": ("array", _array(n)) for n in range(_ELEMENTS + 1)},
+    "lambda": ("lambda", "$t = FunClosure($a, $env)"),
+    # the bound and the body extend `$env` in `$inner`, which later siblings do not see
     "letrec": ("letrec", """
         $t = Rec($a)
-        env = ($t, env)
-        s._define_recursive($t, $b, env, $span)
-        $t = $c(s, env)
+        $inner = ($t, $env)
+        s._letrec_depth += 1
+        try:
+            @u
+        finally: s._letrec_depth -= 1
+        if $u is $t: raise Fault("UnboundVariable", f"premature recursive reference to '{$a}'")
+        $t.value, $u = $u, None
+        @t
         """),
-    "shape": ("shape", "$t = s._shape_of($a(s, env))"),
+    "shape": ("shape", "@t\n$t = s._shape_of($t)"),
     "islim": ("islim", """
-        $t = s._force_scalar($a(s, env))
+        @t
+        $t = s._force_scalar($t)
         if $t.__class__ is not int and $t.__class__ is not Ordinal:
             raise Fault("ShapeMismatch", "islim needs an ordinal scalar")
         $t = is_limit($t)
         """),
-    # the rarer rules run a Session method on their compiled children
-    "imap": ("imap", "$t = s._eval_imap(env, $a, $b, $c, $d)"),
-    "reduce": ("reduce", "$t = s._eval_reduce(env, $a, $b, $c)"),
-    "filter": ("filter", "$t = s._eval_filter(env, $a, $b)"),
+    # the rarer rules end in a Session method, given the compiled bodies
+    "imap": ("imap", "@t\n$t = s._eval_imap($env, $t, $a, $b, $c)"),
+    "reduce": ("reduce", """
+        @t
+        if not isinstance(s._value($t), FunClosure):
+            raise Fault("NotAFunction", "reduce needs a function as first argument")
+        @u
+        @t2
+        $t, $u, $t2 = s._eval_reduce($t, $u, $t2), None, None
+        """),
+    "filter": ("filter", """
+        @t
+        $t = s._value($t)
+        if not isinstance($t, FunClosure):
+            raise Fault("NotAFunction", "filter needs a predicate function")
+        @u
+        $t, $u = s._eval_filter($t, $u), None
+        """),
 }
 # class -> (marker, the fields of its children); a `BinOp`'s marker is its op,
-# a prefix form's its keyword
+# a prefix form's its keyword, an array literal's "array" and its length
 _KINDS = {Select: ("select", "array", "index"), Apply: ("apply", "fun", "arg"),
           Cond: ("cond", "test", "then", "orelse"), BinOp: (None, "lhs", "rhs"),
-          Shape: ("shape", "arg"), Letrec: ("letrec",), Lambda: ("lambda",),
-          ArrayLiteral: ("array",), Imap: ("imap",),
+          Shape: ("shape", "arg"), Letrec: ("letrec", "bound", "body"), Lambda: ("lambda",),
+          ArrayLiteral: ("array",), Imap: ("imap", "frame"),
           **{cls: (keyword, *fields) for keyword, (cls, fields) in PREFIX_FORMS.items()}}
-_FUSED = {Select, Apply, Cond, BinOp, Var, OrdinalConst, BoolConst}
-_NESTED_CONDS = 40  # a branch is an indented block, and Python allows 100 levels
+_FUSED = {Var, OrdinalConst, BoolConst, *_KINDS}  # every kind
+# Python allows 100 nested indented blocks, such as a branch, and 20 nested
+# `try` blocks, such as a `letrec` bound, which counts as three branches
+_NESTED_CONDS = 40
+# compiling a function peaks at about 35 KB a node, which can set the
+# process's peak memory
+_NODES = 24
 
 _FUNCTION = Template("""\
 def make($args):
+    spans = ($spans,)  # one variable of `code`, not one for each span
     def code(s, env):
         try:
 $body
             return t0
         except Fault as fault:  # at the node of the line that raised it
-            i = $nodes[fault.__traceback__.tb_lineno - 4]
-            raise EvalError(fault.kind, fault.message, ($spans,)[i], $rules[i]) from None
+            i = $nodes[fault.__traceback__.tb_lineno - 5]
+            raise EvalError(fault.kind, fault.message, spans[i], $rules[i]) from None
     return code
 """)
 
@@ -196,11 +233,13 @@ def _source(key: tuple) -> Tuple[str, str]:
     body, nodes, spans, rules, args = [], [], [], [], []
     markers = iter(key)
 
-    def emit(h, pad, node):
+    def emit(h, pad, node, level):
         marker = next(markers)
         hops = marker.__class__ is int
         rule, step = _STEPS["hops" if hops else marker]
-        names = {"t": f"t{h}", "u": f"t{h + 1}", "hops": "[1]" * (hops and marker)}
+        names = {"t": f"t{h}", "u": f"t{h + 1}", "hops": "[1]" * (hops and marker),
+                 "env": f"env{level or ''}", "inner": f"env{level + 1}",
+                 **{f"t{k}": f"t{h + k}" for k in range(_ELEMENTS)}}
         step = textwrap.dedent(step).strip()
         if rule is not None:  # a node, not a hole
             node, names["span"] = len(spans), f"a{len(args)}"
@@ -215,13 +254,14 @@ def _source(key: tuple) -> Tuple[str, str]:
         for line in step.split("\n"):
             text = line.lstrip()
             indent = pad + len(line) - len(text)
-            if text[:1] == "@":
-                emit(h + (text == "@u"), indent, node)
+            if text[:1] == "@":  # a letrec's children see its `$inner`
+                emit(h + (1 if text == "@u" else int(text[2:] or 0)), indent, node,
+                     level + (rule == "letrec"))
             elif text:
                 body.append(" " * indent + Template(text).substitute(names))
                 nodes.append(node)
 
-    emit(0, 12, None)
+    emit(0, 12, None, 0)
     return _FUNCTION.substitute(args=", ".join(args), body="\n".join(body), nodes=tuple(nodes),
                                 spans=", ".join(spans), rules=tuple(rules)), rules[0]
 
@@ -239,9 +279,11 @@ def _factory(key: tuple):
 
 def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, nest=0):
     """Append to `key` a marker for each node of the fused subtree at `node`,
-    in evaluation order, and to `args` its span and a leaf's constant or
-    top-level name.  A lexically bound name's marker is its depth in `env`.
-    Any other node is a hole: marker None, and its code as the argument."""
+    in evaluation order, and to `args` its span, a leaf's constant or
+    top-level name, and the codes of lambda and imap bodies.  A lexically
+    bound name's marker is its depth in `env`.  A node past `_NODES` or
+    `_NESTED_CONDS`, or a literal of more than `_ELEMENTS` elements, is a
+    hole: marker None, and its own code as the argument."""
     cls = node.__class__
     if cls is Var and node.name in scope:
         key.append(scope.index(node.name))
@@ -249,12 +291,30 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, nest=0):
     elif cls is Var or cls is OrdinalConst or cls is BoolConst:
         key.append("var" if cls is Var else "const")
         args += node.span, node.name if cls is Var else node.value
-    elif cls in _FUSED and nest < _NESTED_CONDS:
+    elif (nest < _NESTED_CONDS and len(key) < _NODES
+          and (cls is not ArrayLiteral or len(node.elements) <= _ELEMENTS)):
         marker, *fields = _KINDS[cls]
+        children = [getattr(node, field) for field in fields]
         key.append(marker or node.op)
         args.append(node.span)
-        for field in fields:
-            _flatten(getattr(node, field), scope, key, args, nest + (cls is Cond))
+        if cls is ArrayLiteral:
+            key[-1] += str(len(node.elements))
+            children = node.elements
+        elif cls is Letrec:
+            args.append(node.name)
+            scope = (node.name,) + scope
+        elif cls is Lambda:
+            args.append(compile_expr(node.body, (node.param,) + scope))
+        elif cls is Imap:  # a lone `_(x)` generator's box is the frame: gens None
+            lone = len(node.partitions) == 1 and isinstance(node.partitions[0][0], Full)
+            args += (None if node.cell is None else compile_expr(node.cell, scope),
+                     None if lone else [(None, None) if isinstance(gen, Full) else
+                                        (compile_expr(gen.lower, scope),
+                                         compile_expr(gen.upper, scope))
+                                        for gen, _ in node.partitions],
+                     [compile_expr(body, (gen.var,) + scope) for gen, body in node.partitions])
+        for child in children:
+            _flatten(child, scope, key, args, nest + (cls is Cond) + 3 * (cls is Letrec))
     else:
         key.append(None)
         args.append(compile_expr(node, scope))
@@ -264,31 +324,13 @@ def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
     """The code of `node`; `scope` lists the names bound around it by
     lambdas, `letrec`s and imap generators, innermost first.  Source text
     reaches the code only as an argument, never as Python source."""
-    cls = node.__class__
-    if cls in _FUSED:
-        key, args = [], []
-        _flatten(node, scope, key, args)
-        return _factory(tuple(key))(*args)
-    if cls not in _KINDS:
+    if node.__class__ not in _FUSED:
         raise TypeError(f"not an expression: {node!r}")
-    rule, *children = _KINDS[cls]
-    fields = [compile_expr(getattr(node, child), scope) for child in children]
-    if cls is ArrayLiteral:
-        fields = (tuple(compile_expr(e, scope) for e in node.elements),)
-    elif cls is Lambda:
-        fields = (compile_expr(node.body, (node.param,) + scope),)
-    elif cls is Letrec:
-        inner = (node.name,) + scope
-        fields = node.name, compile_expr(node.bound, inner), compile_expr(node.body, inner)
-    elif cls is Imap:
-        gens = tuple((None, None) if isinstance(gen, Full)
-                     else (compile_expr(gen.lower, scope), compile_expr(gen.upper, scope))
-                     for gen, _ in node.partitions)
-        bodies = tuple(compile_expr(body, (gen.var,) + scope)
-                       for gen, body in node.partitions)
-        cell = None if node.cell is None else compile_expr(node.cell, scope)
-        fields = compile_expr(node.frame, scope), cell, gens, bodies
-    return _factory((rule,))(node.span, *fields)
+    if node.__class__ is ArrayLiteral and len(node.elements) > _ELEMENTS:
+        return _factory(("array",))(node.span, [compile_expr(e, scope) for e in node.elements])
+    key, args = [], []
+    _flatten(node, scope, key, args)
+    return _factory(tuple(key))(*args)
 
 
 def compile_program(source: str) -> List[Tuple[TopForm, Code]]:
@@ -354,33 +396,18 @@ class Session:
             raise Fault("NotAFunction", "only functions can be applied")
         return fun.code(self, (arg, fun.env))
 
-    def _define_recursive(self, cell: Rec, code: Code, env, span: Span):
-        """Evaluate a `letrec` definition in `env`, where its name is bound to
-        the empty `cell`, then fill the cell with the value and return it."""
-        self._letrec_depth += 1
-        try:
-            value = code(self, env)
-        finally:
-            self._letrec_depth -= 1
-        if value is cell:
-            raise EvalError("UnboundVariable",
-                            f"premature recursive reference to '{cell.name}'",
-                            span, "letrec")
-        cell.value = value
-        return value
-
     def _nested_array(self, values: list):
-        """The array literal of `values`, which are not all ordinals."""
-        shapes, datas = zip(*(self._force_strict(v, "ShapeMismatch",
-                                                 "array elements must have finite shape")
-                              for v in values))
-        for other in shapes[1:]:
-            if other != shapes[0]:
+        """The array literal of `values`.  A list, not a generator run from C,
+        so nesting costs no C stack."""
+        forced = [self._force_strict(v, "ShapeMismatch", "array elements must have finite shape")
+                  for v in values]
+        first = forced[0][0] if forced else ()
+        for other, _ in forced[1:]:
+            if other != first:
                 raise Fault("HeterogeneousNesting",
                             "array elements have different shapes: "
-                            f"{render_shape(shapes[0])} vs {render_shape(other)}")
-        shape = (len(values),) + shapes[0]
-        return strict_value(shape, [x for d in datas for x in d])
+                            f"{render_shape(first)} vs {render_shape(other)}")
+        return strict_value((len(values),) + first, [x for _, d in forced for x in d])
 
     def _shape_of(self, value) -> ShapeVec:
         value = self._value(value)
@@ -393,30 +420,26 @@ class Session:
             return self._filter_shape(value)
         return ()
 
-    def _eval_reduce(self, env, fun: Code, neutral: Code, array: Code):
-        fun = fun(self, env)
-        if not isinstance(self._value(fun), FunClosure):
-            raise Fault("NotAFunction", "reduce needs a function as first argument")
-        acc = neutral(self, env)
-        _, data = self._force_strict(array(self, env), "ReduceOnInfinite",
-                                     "reduce needs a finite array")
+    def _eval_reduce(self, fun, acc, array):
+        _, data = self._force_strict(array, "ReduceOnInfinite", "reduce needs a finite array")
         for x in data:
             acc = self._apply(self._apply(fun, acc), x)
         return acc
 
     ### imap
 
-    def _eval_imap(self, env, frame: Code, cell: Optional[Code], gens, bodies):
-        """`gens` holds the (lower, upper) bound codes of each generator,
-        (None, None) for a `_(x)` one; `bodies` the code of each body."""
-        frame = frame(self, env)
+    def _eval_imap(self, env, frame, cell: Optional[Code], gens, bodies):
+        """`frame` is the frame's value, `bodies` the code of each body and
+        `gens` the (lower, upper) bound codes of each generator, (None, None)
+        for a `_(x)` one; `gens` is None for a lone `_(x)` generator."""
         if frame.__class__ is not tuple:
             frame = self._force_ordinal_vector(frame, "frame shape")
         cell = () if cell is None else self._force_ordinal_vector(cell(self, env),
                                                                    "cell shape")
         frame_box: Box = ((0,) * len(frame), frame)
-        parts = []
-        for (lower, upper), body in zip(gens, bodies):
+        # a lone `_(x)` generator, gens None, tiles the frame with its one box
+        parts = [] if gens is not None else [(frame_box, bodies[0])]
+        for (lower, upper), body in zip(gens or (), bodies):
             if lower is None:
                 box = frame_box
             else:
@@ -430,7 +453,7 @@ class Session:
                     raise Fault("NotAPartition", "generator bounds are inverted")
                 box = (lower, upper)
             parts.append((box, body))
-        problem = forms_partition(frame_box, [box for box, _ in parts])
+        problem = None if gens is None else forms_partition(frame_box, [b for b, _ in parts])
         if problem is not None:
             raise Fault("NotAPartition", problem)
         closure = ImapClosure(frame, cell, env, tuple(parts))
@@ -535,11 +558,8 @@ class Session:
 
     ### filter
 
-    def _eval_filter(self, env, predicate: Code, array: Code):
-        predicate = self._value(predicate(self, env))
-        if not isinstance(predicate, FunClosure):
-            raise Fault("NotAFunction", "filter needs a predicate function")
-        array = self._value(array(self, env))
+    def _eval_filter(self, predicate: FunClosure, array):
+        array = self._value(array)
         if isinstance(array, FunClosure):
             raise Fault("FilterRankError", "filter needs a 1-dimensional array")
         shape = self._shape_of(array)
@@ -664,17 +684,24 @@ class Session:
         if not form.recursive:
             value = self.env[form.name] = code(self, None)
             return value
+        # evaluated as a `letrec` bound is, with its name bound to an empty cell
         previous = self.env.get(form.name)
         cell = self.env[form.name] = Rec(form.name)
+        self._letrec_depth += 1
         try:
-            value = self._define_recursive(cell, code, None, form.span)
+            value = code(self, None)
+            if value is cell:
+                raise EvalError("UnboundVariable", f"premature recursive reference to "
+                                f"'{form.name}'", form.span, "letrec")
         except BaseException:
             if previous is None:
                 del self.env[form.name]
             else:
                 self.env[form.name] = previous
             raise
-        self.env[form.name] = value
+        finally:
+            self._letrec_depth -= 1
+        cell.value = self.env[form.name] = value
         return value
 
     def eval_source(self, source: str):

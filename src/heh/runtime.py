@@ -241,13 +241,17 @@ def render_scalar(x) -> str:
 
 def render_strict(shape: ShapeVec, data: list) -> str:
     """Nested-bracket form of a finite array from its shape and row-major
-    data; a scalar x has shape () and data [x]."""
-    if not shape:
-        return render_scalar(data[0])
-    n = shape[0]
-    chunk = len(data) // n if n else 0
-    return "[" + ", ".join(render_strict(shape[1:], data[i * chunk:(i + 1) * chunk])
-                           for i in range(n)) + "]"
+    data; a scalar x has shape () and data [x].  It brackets the rows of
+    the last axis first, then those of the one before, and so on, so a rank
+    of any size costs no recursion."""
+    rows = [1]  # rows[k]: the number of rows of axis k, the product of shape[:k]
+    for n in shape:
+        rows.append(rows[-1] * n)
+    parts = [render_scalar(x) for x in data]
+    for k in range(len(shape) - 1, -1, -1):
+        n = shape[k]
+        parts = ["[" + ", ".join(parts[i * n:(i + 1) * n]) + "]" for i in range(rows[k])]
+    return parts[0]
 
 
 def render_shape(shape: ShapeVec) -> str:

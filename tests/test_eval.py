@@ -7,8 +7,11 @@ computed index arithmetic.
 
 import gc
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -833,6 +836,7 @@ def test_depth_overflow_while_evaluating_a_program(shallow_limit):
 
 PINNED_SOURCE = """\
 def make(a0, a1, a2, a3, a4, a5):
+    spans = (a0, a1, a2, a4,)  # one variable of `code`, not one for each span
     def code(s, env):
         try:
             s.stats["rules"] += 1
@@ -855,8 +859,8 @@ def make(a0, a1, a2, a3, a4, a5):
             else: raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
             return t0
         except Fault as fault:  # at the node of the line that raised it
-            i = (0, 0, 1, 1, 1, 1, 0, 0, 2, 2, 2, 2, 2, 0, 3, 3, 3, 0)[fault.__traceback__.tb_lineno - 4]
-            raise EvalError(fault.kind, fault.message, (a0, a1, a2, a4,)[i], ('cond', 'var', 'var', 'const')[i]) from None
+            i = (0, 0, 1, 1, 1, 1, 0, 0, 2, 2, 2, 2, 2, 0, 3, 3, 3, 0)[fault.__traceback__.tb_lineno - 5]
+            raise EvalError(fault.kind, fault.message, spans[i], ('cond', 'var', 'var', 'const')[i]) from None
     return code
 """
 
@@ -947,6 +951,39 @@ FUSED_FAULTS = [
     ("(imap [2] {_(iv): if iv.[0] < 5 then 1 + (iv.[0] * 0 - 7) else 0}).[1]",
      ("UndefinedOrdinalOp", "(0) - (7) is undefined: subtrahend is larger", "binop",
       (41, 57, 1, 42))),
+    # inside `letrec`, array, shape, islim, imap, reduce and filter nodes
+    ("(\\y. letrec x = y / 0 in x) 1",
+     ("DivisionByZero", "division by zero", "binop", (16, 21, 1, 17))),
+    ("(\\y. letrec x = x in x) 1",
+     ("UnboundVariable", "premature recursive reference to 'x'", "letrec", (5, 22, 1, 6))),
+    ("(\\y. letrec x = [y, x.[0]] in x) 1",
+     ("UnboundVariable", "premature recursive reference to 'x'", "select", (20, 25, 1, 21))),
+    ("(\\y. letrec x = [y, x] in x) 1",
+     ("UnboundVariable", "premature recursive reference to 'x'", "array", (16, 22, 1, 17))),
+    ("(\\y. [[1], [1, 2]]) 0",
+     ("HeterogeneousNesting", "array elements have different shapes: [1] vs [2]", "array",
+      (5, 18, 1, 6))),
+    ("(imap [2] {_(iv): letrec x = [iv.[0], iv] in x}).[1]",
+     ("HeterogeneousNesting", "array elements have different shapes: [] vs [1]", "array",
+      (29, 41, 1, 30))),
+    ("(\\y. [y, imap [w] {_(iv): 0}]) 1",
+     ("ShapeMismatch", "array elements must have finite shape (shape [w])", "array",
+      (5, 29, 1, 6))),
+    ("(\\y. [y, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, [y]]) 1",
+     ("HeterogeneousNesting", "array elements have different shapes: [] vs [1]", "array",
+      (5, 68, 1, 6))),
+    ("(\\y. |y.[3]|) [1]",
+     ("IndexOutOfBounds", "index [3] outside shape [1]", "select", (6, 11, 1, 7))),
+    ("(\\y. islim [y]) 1",
+     ("ShapeMismatch", "expected a scalar, got shape [1]", "islim", (5, 14, 1, 6))),
+    ("(imap [2] {_(iv): islim (iv.[0] = 1)}).[1]",
+     ("ShapeMismatch", "islim needs an ordinal scalar", "islim", (18, 36, 1, 19))),
+    ("(\\y. imap [y, true] {_(iv): 0}) 1",
+     ("ShapeMismatch", "frame shape components must be ordinals", "imap", (5, 30, 1, 6))),
+    ("(\\y. reduce y 0 [1]) 1",
+     ("NotAFunction", "reduce needs a function as first argument", "reduce", (5, 19, 1, 6))),
+    ("(\\y. filter y [1]) 1",
+     ("NotAFunction", "filter needs a predicate function", "filter", (5, 17, 1, 6))),
 ]
 
 
@@ -958,6 +995,136 @@ def test_a_fault_in_a_fused_body_is_reported_at_its_node(config):
             evaluate(src, config)
         error = e.value
         assert (error.kind, error.message, error.rule, tuple(error.span)) == expected, src
+
+
+def called_code_files(thunk) -> list:
+    """The file name of the code of every Python function `thunk` calls."""
+    files = []
+
+    def record(frame, event, arg):
+        if event == "call":
+            files.append(frame.f_code.co_filename)
+
+    sys.setprofile(record)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return files
+
+
+def test_which_compiled_code_a_probe_calls():
+    """Probing calls the code of lambda and imap bodies, each named after its
+    root's rule, and of subtrees past a function's budget of nodes, never
+    the code of an array literal, a constant, a `letrec` or a shape of its
+    own.  ackermann.[3,6] evaluates its body, a `letrec`, once per table
+    entry; at each entry with m > 0 it applies `and`, whose two lambda
+    bodies are a lambda and a conditional, and runs the two subtrees past
+    the budget: the test `n = 0` and one branch, a selection.  nats.[2000]
+    evaluates the body of its first generator, a constant, once and that of
+    its second, a sum, 2,000 times; each of those applies `subv`, whose two
+    lambda bodies are a lambda and an imap, and forces the imap's one
+    element, a difference."""
+    table = memoized_ackermann(3, 6)
+    m_positive = sum(m > 0 for m, _ in table)
+    for name, index, calls in (
+            ("ackermann.heh", [3, 6], {"letrec": len(table), "lambda": m_positive,
+                                       "cond": m_positive, "binop": m_positive,
+                                       "select": m_positive}),
+            ("nats.heh", [2000], {"const": 1, "binop": 2 * 2000, "lambda": 2000,
+                                  "imap": 2000})):
+        r = evaluate(program_source(name))
+        files = called_code_files(lambda: probe(r, index))
+        assert {f[5:-1]: files.count(f) for f in set(files) if f.startswith("<heh ")} == calls
+
+
+@pytest.mark.parametrize("interrupted", [False, True])
+def test_a_stopped_letrec_bound_leaves_no_depth(monkeypatch, interrupted):
+    # fuel runs out, or Ctrl-C comes, at each rule in turn, inside and
+    # outside the bound of a `letrec` in a lambda body and in an imap body
+    src = ("(\\y. letrec x = (letrec z = [y, |[y]|.[0]] in z.[1] + y) in "
+           "(imap [2] {_(iv): letrec v = iv.[0] + x in v}).[1]) 2")
+    assert val(src) == 4
+    if interrupted:
+        monkeypatch.setattr(Session, "_out_of_fuel", interrupt)
+    for fuel in range(30):
+        session = Session(EvalConfig(fuel=fuel))
+        with pytest.raises(KeyboardInterrupt if interrupted else EvalError):
+            session.run_program(src)
+        assert session._letrec_depth == 0, fuel
+
+
+def test_deep_nesting_compiles():
+    # a branch is an indented block, of which Python allows 100 nested, and
+    # a `letrec` bound a `try` block, of which it allows 20
+    n = 120
+    src = ("".join(f"letrec a{k} = " for k in range(n)) + "1"
+           + "".join(f" in a{k} + 1" for k in reversed(range(n))))
+    assert val(src) == n + 1
+    src = ("(\\y. " + "".join(f"if y then letrec a{k} = " for k in range(n)) + "y"
+           + "".join(f" in a{k} else 0" for k in reversed(range(n))) + ") true")
+    assert val(src) is True
+
+
+# Each shape runs deep, to a value or `DepthExceeded`, on a thread with a
+# 1 MiB stack.  Python-to-Python calls use no C stack, so a path that
+# re-enters the interpreter from C once per level (a generator driven by
+# `zip(*...)`, `tuple(...)` or `join`) crashes the process long before it
+# reaches the 50,000 frames allowed here.
+SMALL_STACK_SCRIPT = """
+import json, threading
+import heh.eval
+from heh.cli import format_value
+from heh.eval import EvalError, new_session
+from heh.prelude import program_source
+
+heh.eval.RECURSION_LIMIT = 50_000
+NATS = program_source("nats.heh") + "\\n"
+NESTED = ("letrec a = imap [w]|[1, 1] {[0] <= iv < [1]: [[0]], [1] <= iv < [w]: "
+          "[imap [1] {_(jv): a.[iv.[0] - 1, 0, 0] + 1}]} in a")
+BACKWARDS = ("letrec r = imap [N] {[0] <= iv < [N - 1]: r.(addv iv [1]) + 1, "
+             "[N - 1] <= iv < [N]: 0} in ")
+SHAPES = [("[" * 1500 + "1" + "]" * 1500, None), ("[" * 12000 + "1" + "]" * 12000, None),
+          (NESTED, [3000, 0, 0]), (NESTED, [10000, 0, 0]),
+          (NATS + "nats", [10000]), (NATS + "nats", [20000]),
+          (NATS + "filter (\\\\x. true) (imap [w] {_(iv): nats.[iv.[0] + 5000]})", [0]),
+          (NATS + "filter (\\\\x. true) (imap [w] {_(iv): nats.[iv.[0] + 20000]})", [0]),
+          (BACKWARDS.replace("N", "5000") + "reduce (\\\\x.\\\\y. x + y) 0 r", []),
+          (BACKWARDS.replace("N", "20000") + "reduce (\\\\x.\\\\y. x + y) 0 r", []),
+          (BACKWARDS.replace("N", "20000") + "r", None)]
+
+
+def run_all(outcomes):
+    for source, index in SHAPES:
+        session = new_session()
+        try:
+            value = session.run_program(source)
+            outcomes.append(format_value(session, value, 3) if index is None
+                            else session.select_at(value, index))
+        except EvalError as error:
+            outcomes.append(error.kind)
+
+
+outcomes = []
+threading.stack_size(1 << 20)
+thread = threading.Thread(target=run_all, args=(outcomes,))
+thread.start()
+thread.join()
+print(json.dumps(outcomes))
+"""
+
+
+def test_deep_shapes_run_on_a_small_stack():
+    src = Path(heh.eval.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SMALL_STACK_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == [
+        "[" * 1500 + "1" + "]" * 1500, "DepthExceeded", 3000, "DepthExceeded",
+        10000, "DepthExceeded", 5000, "DepthExceeded", 5000 * 4999 // 2, "DepthExceeded",
+        "DepthExceeded"]
 
 
 # error branches and rank-0 coercions that no other in-process test takes
