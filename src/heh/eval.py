@@ -7,13 +7,14 @@ function, whose statements are each node's prologue and step in evaluation
 order (a superoperator, after Proebsting, "Optimizing an ANSI C interpreter
 with superoperators", POPL 1995).  A new function starts only at a lambda or
 imap body, an imap's bounds and cell shape, a long array literal, and past
-a budget of nodes or of nesting.  All come from one template and the steps
-in `_STEPS`, and are cached by the shape of the subtree.  A name bound by a lambda, a `letrec` or
-an imap generator is resolved at compile time to its depth in `env`, a
-chain of `(value, parent)` tuples; any other name is looked up by name in
-the session's top-level frame, the dict `Session.env`, when it is
-evaluated.  Compiled code holds no session state, so the prelude's
-functions, built once per process, serve every session (see `prelude`).
+a budget of nodes or of nested `letrec` bounds.  All come from one
+template and the steps in `_STEPS`, and are cached by the shape of the
+subtree.  A name bound by a lambda, a `letrec` or an imap generator is
+resolved at compile time to its depth in `env`, a chain of `(value,
+parent)` tuples; any other name is looked up by name in the session's
+top-level frame, the dict `Session.env`, when it is evaluated.  Compiled
+code holds no session state, so the prelude's functions, built once per
+process, serve every session (see `prelude`).
 
 Values are plain Python objects (see `runtime`); an ordinal below w is an
 `int`, so index arithmetic on naturals is Python's own.  Evaluation is strict
@@ -203,10 +204,12 @@ _KINDS = {Select: ("select", "array", "index"), Apply: ("apply", "fun", "arg"),
           Shape: ("shape", "arg"), Letrec: ("letrec", "bound", "body"), Lambda: ("lambda",),
           ArrayLiteral: ("array",), Imap: ("imap", "frame"),
           **{cls: (keyword, *fields) for keyword, (cls, fields) in PREFIX_FORMS.items()}}
-_FUSED = {Var, OrdinalConst, BoolConst, *_KINDS}  # every kind
-# Python allows 100 nested indented blocks, such as a branch, and 20 nested
-# `try` blocks, such as a `letrec` bound, which counts as three branches
-_NESTED_CONDS = 40
+_EXPRESSIONS = {Var, OrdinalConst, BoolConst, *_KINDS}  # every expression class
+# a `letrec` bound is a `try` block, of which Python allows 20 nested (19
+# nested bounds in one function are already too many); Python also allows
+# 100 nested indented blocks, and a node opens at most one, so the node
+# budget keeps a function under that
+_BOUNDS = 16
 # compiling a function peaks at about 35 KB a node, which can set the
 # process's peak memory
 _NODES = 24
@@ -277,13 +280,14 @@ def _factory(key: tuple):
     return namespace["make"]
 
 
-def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, nest=0):
+def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, bounds=0):
     """Append to `key` a marker for each node of the fused subtree at `node`,
     in evaluation order, and to `args` its span, a leaf's constant or
     top-level name, and the codes of lambda and imap bodies.  A lexically
-    bound name's marker is its depth in `env`.  A node past `_NODES` or
-    `_NESTED_CONDS`, or a literal of more than `_ELEMENTS` elements, is a
-    hole: marker None, and its own code as the argument."""
+    bound name's marker is its depth in `env`.  A node past `_NODES` nodes
+    or inside `_BOUNDS` `letrec` bounds, or a literal of more than
+    `_ELEMENTS` elements, is a hole: marker None, and its own code as the
+    argument."""
     cls = node.__class__
     if cls is Var and node.name in scope:
         key.append(scope.index(node.name))
@@ -291,7 +295,7 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, nest=0):
     elif cls is Var or cls is OrdinalConst or cls is BoolConst:
         key.append("var" if cls is Var else "const")
         args += node.span, node.name if cls is Var else node.value
-    elif (nest < _NESTED_CONDS and len(key) < _NODES
+    elif (bounds < _BOUNDS and len(key) < _NODES
           and (cls is not ArrayLiteral or len(node.elements) <= _ELEMENTS)):
         marker, *fields = _KINDS[cls]
         children = [getattr(node, field) for field in fields]
@@ -306,15 +310,14 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, nest=0):
         elif cls is Lambda:
             args.append(compile_expr(node.body, (node.param,) + scope))
         elif cls is Imap:  # a lone `_(x)` generator's box is the frame: gens None
-            lone = len(node.partitions) == 1 and isinstance(node.partitions[0][0], Full)
+            gens = [(None, None) if isinstance(gen, Full) else
+                    (compile_expr(gen.lower, scope), compile_expr(gen.upper, scope))
+                    for gen, _ in node.partitions]
             args += (None if node.cell is None else compile_expr(node.cell, scope),
-                     None if lone else [(None, None) if isinstance(gen, Full) else
-                                        (compile_expr(gen.lower, scope),
-                                         compile_expr(gen.upper, scope))
-                                        for gen, _ in node.partitions],
+                     None if gens == [(None, None)] else gens,
                      [compile_expr(body, (gen.var,) + scope) for gen, body in node.partitions])
         for child in children:
-            _flatten(child, scope, key, args, nest + (cls is Cond) + 3 * (cls is Letrec))
+            _flatten(child, scope, key, args, bounds + (cls is Letrec and child is node.bound))
     else:
         key.append(None)
         args.append(compile_expr(node, scope))
@@ -324,7 +327,7 @@ def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
     """The code of `node`; `scope` lists the names bound around it by
     lambdas, `letrec`s and imap generators, innermost first.  Source text
     reaches the code only as an argument, never as Python source."""
-    if node.__class__ not in _FUSED:
+    if node.__class__ not in _EXPRESSIONS:
         raise TypeError(f"not an expression: {node!r}")
     if node.__class__ is ArrayLiteral and len(node.elements) > _ELEMENTS:
         return _factory(("array",))(node.span, [compile_expr(e, scope) for e in node.elements])
@@ -431,31 +434,33 @@ class Session:
     def _eval_imap(self, env, frame, cell: Optional[Code], gens, bodies):
         """`frame` is the frame's value, `bodies` the code of each body and
         `gens` the (lower, upper) bound codes of each generator, (None, None)
-        for a `_(x)` one; `gens` is None for a lone `_(x)` generator."""
+        for a `_(x)` one, or None for a lone `_(x)` generator."""
         if frame.__class__ is not tuple:
             frame = self._force_ordinal_vector(frame, "frame shape")
         cell = () if cell is None else self._force_ordinal_vector(cell(self, env),
                                                                    "cell shape")
         frame_box: Box = ((0,) * len(frame), frame)
-        # a lone `_(x)` generator, gens None, tiles the frame with its one box
-        parts = [] if gens is not None else [(frame_box, bodies[0])]
-        for (lower, upper), body in zip(gens or (), bodies):
-            if lower is None:
-                box = frame_box
-            else:
-                lower = self._force_ordinal_vector(lower(self, env), "generator bound")
-                upper = self._force_ordinal_vector(upper(self, env), "generator bound")
-                if len(lower) != len(frame) or len(upper) != len(frame):
-                    raise Fault("RankMismatch",
-                                "generator bounds must match the frame rank "
-                                f"({len(frame)})")
-                if any(l > u for l, u in zip(lower, upper)):
-                    raise Fault("NotAPartition", "generator bounds are inverted")
-                box = (lower, upper)
-            parts.append((box, body))
-        problem = None if gens is None else forms_partition(frame_box, [b for b, _ in parts])
-        if problem is not None:
-            raise Fault("NotAPartition", problem)
+        if gens is None:  # its one box tiles the frame: no bounds, no check
+            parts = [(frame_box, bodies[0])]
+        else:
+            parts = []
+            for (lower, upper), body in zip(gens, bodies):
+                if lower is None:
+                    box = frame_box
+                else:
+                    lower = self._force_ordinal_vector(lower(self, env), "generator bound")
+                    upper = self._force_ordinal_vector(upper(self, env), "generator bound")
+                    if len(lower) != len(frame) or len(upper) != len(frame):
+                        raise Fault("RankMismatch",
+                                    "generator bounds must match the frame rank "
+                                    f"({len(frame)})")
+                    if any(l > u for l, u in zip(lower, upper)):
+                        raise Fault("NotAPartition", "generator bounds are inverted")
+                    box = (lower, upper)
+                parts.append((box, body))
+            problem = forms_partition(frame_box, [box for box, _ in parts])
+            if problem is not None:
+                raise Fault("NotAPartition", problem)
         closure = ImapClosure(frame, cell, env, tuple(parts))
         if (self.config.strict_finite_imaps and self._letrec_depth == 0
                 and all(s.__class__ is int for s in closure.shape)):

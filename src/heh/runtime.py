@@ -208,8 +208,6 @@ def box_subtract(outer: Box, inner: Box) -> List[Box]:
 
 def forms_partition(frame: Box, gens: List[Box]) -> Optional[str]:
     """None when the boxes tile the frame exactly, else a description."""
-    if len(gens) == 1 and gens[0] == frame:
-        return None  # a lone box that is the frame tiles it
     for i, g in enumerate(gens):
         if not box_inside(g, frame):
             return f"generator {i} reaches outside the frame"

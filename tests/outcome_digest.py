@@ -7,7 +7,7 @@ JSON list a line, to find where two versions differ).  A row holds each
 probe's outcome (its value, or its error's kind, message, rule and span),
 the session's counters, the fuel left and the `letrec` depth left over:
 
-- every program of both corpora in `corpora.py` and of `FAULT_PROGRAMS`,
+- every program of both corpora in `corpora.py` and of `corpora.FAULTS`,
   under the four memo/strict configurations of `corpora.CONFIGS`;
 - every shipped program at the indices of `examples_suite()`, under the
   same four configurations;
@@ -28,7 +28,7 @@ from pathlib import Path
 
 sys.path[:0] = [str(Path(__file__).parent), str(Path(__file__).parent.parent / "src")]
 
-from corpora import CONFIGS, corpus, list_corpus  # noqa: E402
+from corpora import CONFIGS, FAULTS, corpus, list_corpus  # noqa: E402
 
 from heh.eval import EvalConfig, EvalError, Session, new_session  # noqa: E402
 from heh.prelude import examples_suite, program_source  # noqa: E402
@@ -47,20 +47,6 @@ FUEL_PROGRAMS = [
      "letrec v = [x, |[[x], [y]]|.[1], x / (y - 2)] in v.[0] + v.[1]) 2", False),
     ("letrec s = imap [w]|[2] {[0] <= iv < [1]: [1, 2], [1] <= iv < [w]: "
      "[s.((subv iv [1]) ++ [1]), s.((subv iv [1]) ++ [0]) + 1]} in s.[3, 0] + |s|.[1]", True),
-]
-
-# programs that fault inside a node of each kind, or at a top-level binding
-FAULT_PROGRAMS = [
-    "(\\x. x + nope) 1", "(\\x. x + true) 1", "(\\x. 3 - x) w", "(\\x. 1 / x) 0",
-    "(\\x. if x then 1 else 2) 3", "(\\x. x 1) 3", "(\\x. x.[5]) [1, 2]",
-    "(\\y. letrec x = y / 0 in x) 1", "(\\y. letrec x = x in x) 1",
-    "(\\y. letrec x = [y, x.[0]] in x) 1", "(\\y. letrec x = [y, x] in x) 1",
-    "(\\y. [[1], [1, 2]]) 0", "(\\y. [y, imap [w] {_(iv): 0}]) 1",
-    "(\\y. [y, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, [y]]) 1",
-    "(\\y. |y.[3]|) [1]", "(\\y. islim [y]) 1", "(imap [2] {_(iv): islim (iv.[0] = 1)}).[1]",
-    "(\\y. imap [y, true] {_(iv): 0}) 1", "(\\y. imap [2] {[0] <= iv < [1]: 0}) 1",
-    "(\\y. reduce y 0 [1]) 1", "(\\y. filter y [1]) 1", "letrec a = a.[0] in a",
-    "letrec x = x", "letrec x = [x]",
 ]
 
 
@@ -96,7 +82,7 @@ def rows():
         for source, probes in cases:
             for config in CONFIGS:
                 yield run(source, [index for index, _ in probes], config, prelude)
-    for source in FAULT_PROGRAMS:
+    for source, _ in FAULTS:
         for config in CONFIGS:
             yield run(source, None, config, False)
     for name, probes in examples_suite():
@@ -105,14 +91,18 @@ def rows():
     for name, probes in (("nats.heh", [(2000,)]), ("ackermann.heh", [(3, 6)]),
                          ("game_of_life.heh", [(2, 2), (1, 2)])):
         yield run(program_source(name), probes, EvalConfig())
-    for interrupting in (False, True):
-        if interrupting:
-            def interrupt(session):
-                raise KeyboardInterrupt
-            Session._out_of_fuel = interrupt
-        for source, prelude in FUEL_PROGRAMS:
-            for fuel in range(60):
-                yield run(source, None, EvalConfig(fuel=fuel), prelude)
+    out_of_fuel = Session._out_of_fuel
+    try:
+        for interrupting in (False, True):
+            if interrupting:
+                def interrupt(session):
+                    raise KeyboardInterrupt
+                Session._out_of_fuel = interrupt
+            for source, prelude in FUEL_PROGRAMS:
+                for fuel in range(60):
+                    yield run(source, None, EvalConfig(fuel=fuel), prelude)
+    finally:
+        Session._out_of_fuel = out_of_fuel
 
 
 def main(argv):

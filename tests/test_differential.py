@@ -15,7 +15,7 @@ import sys
 
 import pytest
 from canonical import is_canonical, is_canonical_array
-from corpora import CONFIGS, corpus, list_corpus, run_case
+from corpora import CONFIGS, FAULTS, corpus, list_corpus, run_case
 
 import heh
 from heh.ordinal import OMEGA, Ordinal
@@ -163,3 +163,18 @@ def test_the_corpus_covers_each_construct():
     for op in ("(take ", "(drop ", " ++ ", "(reverse ", "(zip "):
         assert sum(op in s and "imap [w + " in s for s in lists) >= 5, op
         assert sum(op in s and "imap [w + " not in s for s in lists) >= 3, op
+
+
+def test_the_outcome_digest_still_takes_its_rows():
+    """`outcome_digest.py` is run by hand, before and after a change meant
+    to keep every outcome; its first row, a fault's row and a fuel
+    program's row still come out, in the form it hashes."""
+    import outcome_digest
+    source, (kind, message, rule, span) = FAULTS[0]
+    fault = outcome_digest.run(source, None, CONFIGS[0], False)
+    fuel = outcome_digest.run(outcome_digest.FUEL_PROGRAMS[0][0], None,
+                              heh.EvalConfig(fuel=3), False)
+    for row in next(outcome_digest.rows()), fault, fuel:
+        json.dumps(row)
+    assert fault[0] == [[kind, message, rule, list(span)]]
+    assert fuel[0][0][0] == "FuelExhausted" and fuel[2] == 0

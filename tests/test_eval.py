@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from corpora import FAULTS
 
 import heh.eval
 import heh.syntax
@@ -875,7 +876,7 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     exprs = {cls for cls in vars(heh.syntax).values()
              if isinstance(cls, type) and issubclass(cls, heh.syntax.Expr)
              and cls is not heh.syntax.Expr}
-    assert len(exprs) == 15 and set(heh.eval._KINDS) | heh.eval._FUSED == exprs
+    assert len(exprs) == 15 and heh.eval._EXPRESSIONS == exprs
     samples = ["1", "true", "x", "\\x. x", "f 1", "if true then 1 else 2",
                "letrec x = 1 in x", "1 + 2", "[1]", "[1].[0]", "|[1]|",
                "reduce f 0 [1]", "imap [1] {_(iv): 0}", "filter f [1]", "islim w"]
@@ -912,85 +913,10 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     assert compiled == []
 
 
-# Faults inside a lambda or imap body at each fused kind: the error's kind,
-# message, rule and span (begin, end, line, col) are those of the node whose
-# step raised it
-FUSED_FAULTS = [
-    ("(\\x. x + nope) 1",
-     ("UnboundVariable", "unbound variable 'nope'", "var", (9, 13, 1, 10))),
-    ("(imap [2] {_(iv): iv.[0] + nope}).[1]",
-     ("UnboundVariable", "unbound variable 'nope'", "var", (27, 31, 1, 28))),
-    ("(\\x. x + true) 1",
-     ("ShapeMismatch", "'+' needs ordinal scalar operands", "binop", (5, 13, 1, 6))),
-    ("(imap [2] {_(iv): (iv.[0] = 1) + 1}).[1]",
-     ("ShapeMismatch", "'+' needs ordinal scalar operands", "binop", (18, 34, 1, 19))),
-    ("(\\x. 1 / x) 0",
-     ("DivisionByZero", "division by zero", "binop", (5, 10, 1, 6))),
-    ("(imap [2] {_(iv): 5 / (iv.[0] * 0)}).[1]",
-     ("DivisionByZero", "division by zero", "binop", (18, 34, 1, 19))),
-    ("(\\x. 3 - x) w",
-     ("UndefinedOrdinalOp", "(3) - (w) is undefined: subtrahend is larger", "binop",
-      (5, 10, 1, 6))),
-    ("(imap [2] {_(iv): (iv.[0] * 0 + 3) - w}).[1]",
-     ("UndefinedOrdinalOp", "(3) - (w) is undefined: subtrahend is larger", "binop",
-      (18, 38, 1, 19))),
-    ("(\\x. if x then 1 else 2) 3",
-     ("ShapeMismatch", "the condition must be a boolean scalar", "cond", (5, 23, 1, 6))),
-    ("(imap [2] {_(iv): if iv.[0] then 1 else 2}).[1]",
-     ("ShapeMismatch", "the condition must be a boolean scalar", "cond", (18, 41, 1, 19))),
-    ("(\\x. x 1) 3",
-     ("NotAFunction", "only functions can be applied", "apply", (5, 8, 1, 6))),
-    ("(imap [2] {_(iv): (iv.[0]) 1}).[1]",
-     ("NotAFunction", "only functions can be applied", "apply", (18, 28, 1, 19))),
-    ("(\\x. x.[5]) [1, 2]",
-     ("IndexOutOfBounds", "index [5] outside shape [2]", "select", (5, 10, 1, 6))),
-    ("(imap [2] {_(iv): iv.[3]}).[1]",
-     ("IndexOutOfBounds", "index [3] outside shape [1]", "select", (18, 24, 1, 19))),
-    ("(\\x. if x.[0] = 1 then x.[9] + 1 else 0) [1]",
-     ("IndexOutOfBounds", "index [9] outside shape [1]", "select", (23, 28, 1, 24))),
-    ("(imap [2] {_(iv): if iv.[0] < 5 then 1 + (iv.[0] * 0 - 7) else 0}).[1]",
-     ("UndefinedOrdinalOp", "(0) - (7) is undefined: subtrahend is larger", "binop",
-      (41, 57, 1, 42))),
-    # inside `letrec`, array, shape, islim, imap, reduce and filter nodes
-    ("(\\y. letrec x = y / 0 in x) 1",
-     ("DivisionByZero", "division by zero", "binop", (16, 21, 1, 17))),
-    ("(\\y. letrec x = x in x) 1",
-     ("UnboundVariable", "premature recursive reference to 'x'", "letrec", (5, 22, 1, 6))),
-    ("(\\y. letrec x = [y, x.[0]] in x) 1",
-     ("UnboundVariable", "premature recursive reference to 'x'", "select", (20, 25, 1, 21))),
-    ("(\\y. letrec x = [y, x] in x) 1",
-     ("UnboundVariable", "premature recursive reference to 'x'", "array", (16, 22, 1, 17))),
-    ("(\\y. [[1], [1, 2]]) 0",
-     ("HeterogeneousNesting", "array elements have different shapes: [1] vs [2]", "array",
-      (5, 18, 1, 6))),
-    ("(imap [2] {_(iv): letrec x = [iv.[0], iv] in x}).[1]",
-     ("HeterogeneousNesting", "array elements have different shapes: [] vs [1]", "array",
-      (29, 41, 1, 30))),
-    ("(\\y. [y, imap [w] {_(iv): 0}]) 1",
-     ("ShapeMismatch", "array elements must have finite shape (shape [w])", "array",
-      (5, 29, 1, 6))),
-    ("(\\y. [y, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, [y]]) 1",
-     ("HeterogeneousNesting", "array elements have different shapes: [] vs [1]", "array",
-      (5, 68, 1, 6))),
-    ("(\\y. |y.[3]|) [1]",
-     ("IndexOutOfBounds", "index [3] outside shape [1]", "select", (6, 11, 1, 7))),
-    ("(\\y. islim [y]) 1",
-     ("ShapeMismatch", "expected a scalar, got shape [1]", "islim", (5, 14, 1, 6))),
-    ("(imap [2] {_(iv): islim (iv.[0] = 1)}).[1]",
-     ("ShapeMismatch", "islim needs an ordinal scalar", "islim", (18, 36, 1, 19))),
-    ("(\\y. imap [y, true] {_(iv): 0}) 1",
-     ("ShapeMismatch", "frame shape components must be ordinals", "imap", (5, 30, 1, 6))),
-    ("(\\y. reduce y 0 [1]) 1",
-     ("NotAFunction", "reduce needs a function as first argument", "reduce", (5, 19, 1, 6))),
-    ("(\\y. filter y [1]) 1",
-     ("NotAFunction", "filter needs a predicate function", "filter", (5, 17, 1, 6))),
-]
-
-
 @pytest.mark.parametrize("config", [EvalConfig(),
                                     EvalConfig(memoize=False, strict_finite_imaps=True)])
 def test_a_fault_in_a_fused_body_is_reported_at_its_node(config):
-    for src, expected in FUSED_FAULTS:
+    for src, expected in FAULTS:
         with pytest.raises(EvalError) as e:
             evaluate(src, config)
         error = e.value
