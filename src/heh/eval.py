@@ -33,7 +33,7 @@ from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 from .ordinal import Ordinal, UndefinedOrdinalOp, is_limit, limit_part, sub
 from .runtime import (
-    Box, Fault, FilterClosure, FilterSegment, FunClosure, ImapClosure, Rec,
+    Box, Fault, FilterClosure, FunClosure, ImapClosure, Rec,
     ShapeVec, StrictArray, box_contains, forms_partition, linearize,
     render_shape, strict_value,
 )
@@ -82,8 +82,8 @@ def _equal(lhs, rhs) -> bool:
 # of `(value, parent)` tuples (None when empty).  `_factory` makes it for a
 # subtree of nodes (see `_flatten`).  Each node starts with `_PROLOGUE`,
 # which counts its rule and spends a unit of fuel inline, as a call per rule
-# would cost more than most rules; `Session._apply` and `Session.select` are
-# the only other places that count.
+# would cost more than most rules; `Session._apply`, `Session.select` and a
+# filter's `Session._scan` are the only other places that count.
 Code = Callable
 
 _PROLOGUE = """\
@@ -377,8 +377,8 @@ class Session:
     def _out_of_fuel(self) -> NoReturn:
         """The end of a rule that found no fuel left.  Each rule counts
         itself and spends its unit of fuel inline: a node's in `_PROLOGUE`,
-        the others in `_apply` or `select`.  Every rule that finds none left
-        ends here."""
+        the others in `_apply`, `select` or `_scan`.  Every rule that finds
+        none left ends here."""
         raise Fault("FuelExhausted", "evaluation fuel exhausted")
 
     @staticmethod
@@ -588,35 +588,58 @@ class Session:
 
     def _filter_select(self, fc: FilterClosure, target):
         xi, n = limit_part(target)
-        segment = fc.partitions[xi]
-        alpha = fc.arg_shape[0]
-        while len(segment.prefix) <= n:
-            source = xi + segment.scan
-            if not source < alpha:
-                raise Fault("IndexOutOfBounds",
-                            f"filter scan passed the end of the argument "
-                            f"(shape {render_shape(fc.arg_shape)}) looking for "
-                            f"element [{target}]")
-            self._scan_step(fc, segment, source)
-        return segment.prefix[n]
+        return self._scan(fc, xi, n)[n]
 
     def _filter_shape(self, fc: FilterClosure) -> ShapeVec:
         lam, k = limit_part(fc.arg_shape[0])
-        if k == 0:
-            return (lam,)
-        segment = fc.partitions[lam]
-        while segment.scan < k:
-            self._scan_step(fc, segment, lam + segment.scan)
-        return (lam + len(segment.prefix),)
+        return (lam,) if k == 0 else (lam + len(self._scan(fc, lam, None)),)
 
-    def _scan_step(self, fc: FilterClosure, segment: FilterSegment, source):
-        """Inspect the argument element at `source`, the next one `segment`
-        has not scanned.  It counts as scanned only once the predicate has
-        answered, so a fault or interrupt leaves it to be inspected again."""
-        element = self.select(fc.argument, (source,))
-        if self._predicate_accepts(fc.predicate, element):
-            segment.prefix.append(element)
-        segment.scan += 1
+    def _scan(self, fc: FilterClosure, xi, n) -> list:
+        """The prefix of the segment of `fc` from `xi`, scanned until it holds
+        element `n` or, for None, to the end of the argument.  Each element
+        is selected as `select` would, then given to the predicate as
+        `_predicate_accepts` would, with the same rules in the same order.
+        An element counts as scanned only once the predicate has answered,
+        so a fault or interrupt leaves it to be inspected again."""
+        segment = fc.partitions[xi]
+        prefix, alpha, argument, stats = segment.prefix, fc.arg_shape[0], fc.argument, self.stats
+        pcode, penv = fc.predicate.code, fc.predicate.env
+        cells = argument.__class__ is ImapClosure and argument.cell == ()
+        while n is None or len(prefix) <= n:
+            source = xi + segment.scan
+            if source.__class__ is not int and not source < alpha:  # alpha > every int
+                if n is None:
+                    break
+                raise Fault("IndexOutOfBounds", f"filter scan passed the end of the argument "
+                            f"(shape {render_shape(fc.arg_shape)}) looking for element "
+                            f"[{xi + n}]")
+            if cells:  # `select` with the bounds just tested: the cell, then its `()`
+                stats["rules"] += 1
+                if self.fuel is not None:
+                    self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
+                element = self._cell_value(argument, (source,))
+                cls = element.__class__
+                if cls is int or cls is Ordinal or cls is bool:
+                    stats["rules"] += 1
+                    if self.fuel is not None:
+                        self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
+                else:
+                    element = self.select(element, ())
+            else:
+                element = self.select(argument, (source,))
+            stats["predicate_calls"] += 1
+            stats["rules"] += 1  # applying the predicate
+            if self.fuel is not None:
+                self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
+            accepted = pcode(self, (element, penv))
+            if accepted.__class__ is not bool:
+                accepted = self._force_scalar(accepted)
+                if accepted.__class__ is not bool:
+                    raise Fault("ShapeMismatch", "the filter predicate must return a boolean")
+            if accepted:
+                prefix.append(element)
+            segment.scan += 1
+        return prefix
 
     ### forcing helpers
 

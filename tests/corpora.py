@@ -511,4 +511,17 @@ FAULTS = [
      ("UnboundVariable", "premature recursive reference to 'x'", "letrec", (0, 12, 1, 1))),
     ("letrec x = [x]",
      ("UnboundVariable", "premature recursive reference to 'x'", "array", (11, 14, 1, 12))),
+    # inside a transfinite filter scan, reported at the selection that scans
+    ("(filter (\\x. true) (imap [w] {_(iv): [1]})).[0]",
+     ("ShapeMismatch", "imap element at [0] has shape [1], cell shape is []", "select",
+      (0, 47, 1, 1))),
+    ("(filter (\\x. x) (imap [w] {_(iv): 1})).[0]",
+     ("ShapeMismatch", "the filter predicate must return a boolean", "select", (0, 42, 1, 1))),
+    ("(filter (\\x. x > 0) (imap [w+3] {_(iv): 0})).[w]",
+     ("IndexOutOfBounds", "filter scan passed the end of the argument (shape [w + 3]) "
+      "looking for element [w]", "select", (0, 48, 1, 1))),
 ]
+
+# A filter scan whose imap cells are rank-0 imaps selects each with `[]`;
+# it gives 2, with body_evals 8 and predicate_calls 4 in every configuration
+RANK_0_CELL_SCAN = "(filter (\\x. x > 1) (imap [w] {_(iv): imap [] {_(jv): 2}})).[3]"

@@ -28,14 +28,16 @@ from pathlib import Path
 
 sys.path[:0] = [str(Path(__file__).parent), str(Path(__file__).parent.parent / "src")]
 
-from corpora import CONFIGS, FAULTS, corpus, list_corpus  # noqa: E402
+from corpora import CONFIGS, FAULTS, RANK_0_CELL_SCAN, corpus, list_corpus  # noqa: E402
 
 from heh.eval import EvalConfig, EvalError, Session, new_session  # noqa: E402
 from heh.prelude import examples_suite, program_source  # noqa: E402
 from heh.runtime import render_scalar  # noqa: E402
 
 # (source, prelude): between them they run every rule kind, with `letrec`s
-# inside bodies and bounds; the fourth faults inside a `letrec` bound
+# inside bodies and bounds; the fourth faults inside a `letrec` bound; the
+# last two scan a transfinite filter, for a selection and for its shape, and
+# over cells that are rank-0 imaps
 FUEL_PROGRAMS = [
     ("letrec a = imap [2] {_(iv): iv.[0]} in reduce (\\x.\\y. if islim y then x else x + y) "
      "0 (filter (\\x. true) [a.[1], |a|.[0]])", False),
@@ -47,6 +49,8 @@ FUEL_PROGRAMS = [
      "letrec v = [x, |[[x], [y]]|.[1], x / (y - 2)] in v.[0] + v.[1]) 2", False),
     ("letrec s = imap [w]|[2] {[0] <= iv < [1]: [1, 2], [1] <= iv < [w]: "
      "[s.((subv iv [1]) ++ [1]), s.((subv iv [1]) ++ [0]) + 1]} in s.[3, 0] + |s|.[1]", True),
+    ("letrec f = filter (\\x. x % 2 = 0) (imap [w+3] {_(iv): iv.[0]}) in f.[w] + |f|.[0]", False),
+    (RANK_0_CELL_SCAN, False),
 ]
 
 

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from corpora import FAULTS
+from corpora import FAULTS, RANK_0_CELL_SCAN
 
 import heh.eval
 import heh.syntax
@@ -24,7 +24,7 @@ from heh.cli import format_value
 from heh.eval import EvalConfig, EvalError, Session, evaluate, new_session, probe
 from heh.ordinal import OMEGA, Ordinal, omega_power
 from heh.prelude import program_source
-from heh.runtime import FunClosure, ImapClosure, StrictArray
+from heh.runtime import FilterClosure, FunClosure, ImapClosure, StrictArray
 
 
 def run(src, config=None):
@@ -646,15 +646,15 @@ def test_fuel_runs_out_at_the_same_rule():
 
 def test_every_counted_rule_is_in_the_rule_inventory():
     # docs/semantics.md says which step counts as one rule: a table row for
-    # each rule name compiled code reports, and the counts `_apply` and
-    # `select` add; the program above is its worked example
+    # each rule name compiled code reports, and the counts `_apply`, `select`
+    # and a filter's `_scan` add; the program above is its worked example
     doc = (Path(__file__).parent.parent / "docs" / "semantics.md").read_text()
     names = {rule for rule, _ in heh.eval._STEPS.values() if rule is not None}
     assert len(names) == 14
     for name in sorted(names):
         assert f"\n| `{name}` |" in doc, name
-    for counted in ("Session._apply", "Session.select", "trailing `()`", "body_evals",
-                    "predicate_calls", "The total is 49"):
+    for counted in ("Session._apply", "Session.select", "Session._scan", "trailing `()`",
+                    "body_evals", "predicate_calls", "The total is 49"):
         assert counted in doc, counted
 
 
@@ -921,22 +921,32 @@ def test_a_fault_in_a_fused_body_is_reported_at_its_node(config):
             evaluate(src, config)
         error = e.value
         assert (error.kind, error.message, error.rule, tuple(error.span)) == expected, src
+    # a scan whose cells are not scalars selects in each, and gives a value
+    r = evaluate(RANK_0_CELL_SCAN, config)
+    assert r.value == 2
+    assert (r.session.stats["body_evals"], r.session.stats["predicate_calls"]) == (8, 4)
 
 
-def called_code_files(thunk) -> list:
-    """The file name of the code of every Python function `thunk` calls."""
-    files = []
+def called_codes(thunk) -> list:
+    """The code of every Python function `thunk` calls."""
+    codes = []
 
     def record(frame, event, arg):
         if event == "call":
-            files.append(frame.f_code.co_filename)
+            codes.append(frame.f_code)
 
     sys.setprofile(record)
     try:
         thunk()
     finally:
         sys.setprofile(None)
-    return files
+    return codes
+
+
+def heh_calls(codes) -> dict:
+    """How often `codes` holds compiled code, by the rule its file is named after."""
+    files = [code.co_filename for code in codes]
+    return {f[5:-1]: files.count(f) for f in set(files) if f.startswith("<heh ")}
 
 
 def test_which_compiled_code_a_probe_calls():
@@ -950,7 +960,8 @@ def test_which_compiled_code_a_probe_calls():
     evaluates the body of its first generator, a constant, once and that of
     its second, a sum, 2,000 times; each of those applies `subv`, whose two
     lambda bodies are a lambda and an imap, and forces the imap's one
-    element, a difference."""
+    element, a difference.  A transfinite filter scan reads each imap cell
+    and calls the predicate's code itself, with no `select` per element."""
     table = memoized_ackermann(3, 6)
     m_positive = sum(m > 0 for m, _ in table)
     for name, index, calls in (
@@ -960,8 +971,11 @@ def test_which_compiled_code_a_probe_calls():
             ("nats.heh", [2000], {"const": 1, "binop": 2 * 2000, "lambda": 2000,
                                   "imap": 2000})):
         r = evaluate(program_source(name))
-        files = called_code_files(lambda: probe(r, index))
-        assert {f[5:-1]: files.count(f) for f in set(files) if f.startswith("<heh ")} == calls
+        assert heh_calls(called_codes(lambda: probe(r, index))) == calls
+    r = evaluate("filter (\\x. x < 5) (imap [w] {_(iv): 4})")
+    codes = called_codes(lambda: probe(r, [19]))  # scans 20 elements
+    assert heh_calls(codes) == {"const": 20, "binop": 20}
+    assert codes.count(Session.select.__code__) == 1  # the probe's own
 
 
 @pytest.mark.parametrize("interrupted", [False, True])
@@ -1123,7 +1137,8 @@ def test_one_module_decides_about_the_recursion_limit():
 
 
 EVENS_OF = "filter (\\x. x % 2 = 0) "
-# (program defining v, probe of v, its value from a Python oracle)
+# (program defining v, probe of v, its value from a Python oracle); a filter's
+# argument holds j at the j-th source of each segment
 REPROBE_CASES = {
     "filter over [w]": (
         EVENS_OF + "(imap [w] {_(iv): iv.[0]})",
@@ -1156,8 +1171,9 @@ def interrupt(session):
 @pytest.mark.parametrize("case", sorted(REPROBE_CASES))
 def test_failed_probe_leaves_the_session_able_to_reprobe(case, prelude_session,
                                                          monkeypatch):
-    """Whichever rule a probe runs out of fuel at or is interrupted at, probing
-    again without a limit gives the oracle's value."""
+    """Whichever rule a probe runs out of fuel at or is interrupted at, each
+    filter segment holds just the evens among the sources it has scanned,
+    and probing again without a limit gives the oracle's value."""
     source, probe_of, expected = REPROBE_CASES[case]
     session = prelude_session
     session.fuel = None
@@ -1188,6 +1204,10 @@ def test_failed_probe_leaves_the_session_able_to_reprobe(case, prelude_session,
                     assert error.kind == "FuelExhausted"
                     stopped = True
                 assert stopped == (k < rules), (k, rules)
+            if value.__class__ is FilterClosure:  # an element counts once answered
+                for segment in value.partitions.values():
+                    assert segment.prefix == [j for j in range(segment.scan) if j % 2 == 0], \
+                        (k, interrupted)
             session.fuel = None
             assert probe_of(session, value) == expected, (k, interrupted)
 

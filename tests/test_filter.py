@@ -8,7 +8,7 @@ and below-w survivors stay below w.
 
 import pytest
 
-from heh.eval import EvalConfig, EvalError, evaluate, probe
+from heh.eval import EvalConfig, EvalError, evaluate, new_session, probe
 from heh.ordinal import OMEGA, Ordinal
 from heh.runtime import FilterClosure, StrictArray
 
@@ -116,6 +116,37 @@ def test_scan_past_end_of_segment():
     with pytest.raises(EvalError) as e:
         probe(r, [3])
     assert e.value.kind == "FuelExhausted"
+
+
+# Each element the divergent scan inspects costs 7 rules: selecting it from
+# the imap, the imap's body `4`, the trailing `()` selection of the scalar
+# cell, applying the predicate, and its body `x > 4` (binop, var, const).
+# After the 9 rules before the scan and 7,141 elements, the 7,142nd element
+# has its cell evaluated and its predicate applied, and the 50,001st rule,
+# the binop of that predicate's body, finds no fuel left.  Read off the
+# implementation, so a pure-speed change must leave them as they are.
+SCAN_COUNTS = [
+    ("(filter (\\x. x > 4) (imap [w] {_(iv): 4})).[0]",
+     ("FuelExhausted", "binop", (13, 18, 1, 14)), (50_001, 7_142, 7_142), 0),
+    ("(filter (\\x. x % 3 = 1) (imap [w*2] {_(iv): iv.[0]})).[w + 5]",
+     OMEGA + 16, (234, 17, 17), 50_000 - 234),
+    ("|filter (\\x. x % 2 = 0) (imap [w+5] {_(iv): iv.[0]})|",
+     (OMEGA + 3,), (73, 5, 5), 50_000 - 73),
+]
+
+
+@pytest.mark.parametrize("src, outcome, counts, fuel", SCAN_COUNTS,
+                         ids=["divergent", "select past w", "shape"])
+def test_scan_counts_are_pinned(src, outcome, counts, fuel):
+    session = new_session(EvalConfig(fuel=50_000))
+    try:
+        got = session.run_program(src)
+    except EvalError as error:
+        got = (error.kind, error.rule, tuple(error.span))
+    assert got == outcome
+    stats = session.stats
+    assert (stats["rules"], stats["body_evals"], stats["predicate_calls"]) == counts
+    assert session.fuel == fuel
 
 
 ### ---- shape postulates ---------------------------------------------------------------
