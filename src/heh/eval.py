@@ -80,15 +80,20 @@ def _equal(lhs, rhs) -> bool:
 
 # The code of a node: `code(s, env)` applies the node's rule in `env`, a chain
 # of `(value, parent)` tuples (None when empty).  `_factory` makes it for a
-# subtree of nodes (see `_flatten`).  Each node starts with `_PROLOGUE`,
-# which counts its rule and spends a unit of fuel inline, as a call per rule
-# would cost more than most rules; `Session._apply`, `Session.select` and a
+# subtree of nodes (see `_flatten`).  Each node starts with a prologue that
+# counts its rule and spends a unit of fuel inline, as a call per rule would
+# cost more than most rules.  `_PROLOGUE` does so for a run of `$k` nodes at
+# once: their prologues at one indent, with only `const`, `hops` and
+# `lambda` steps, which cannot call out or fault, between them.  When less
+# than `$k` is left, `Session._short` runs out at the node of the run that
+# one prologue per node would.  `Session._apply`, `Session.select` and a
 # filter's `Session._scan` are the only other places that count.
 Code = Callable
 
 _PROLOGUE = """\
-s.stats["rules"] += 1
-if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()"""
+if s.fuel is not None: s.fuel = s.fuel - $k if s.fuel >= $k else s._short($k)
+s.stats["rules"] += $k"""
+_QUIET = {"const", "hops", "lambda"}  # the steps a run of prologues spans
 _FOLLOW = "while $t.__class__ is Rec and $t.value is not None: $t = $t.value"
 _BINOP = """
     @t
@@ -222,7 +227,7 @@ def make($args):
 $body
             return t0
         except Fault as fault:  # at the node of the line that raised it
-            i = $nodes[fault.__traceback__.tb_lineno - 5]
+            i = $nodes[fault.__traceback__.tb_lineno - 5] + fault.skip
             raise EvalError(fault.kind, fault.message, spans[i], $rules[i]) from None
     return code
 """)
@@ -230,16 +235,20 @@ $body
 
 def _source(key: tuple) -> Tuple[str, str]:
     """The source of the `make(*args)` of the code `key` describes (see
-    `_flatten`), and its root's rule.  A node's lines are `_PROLOGUE` and
-    its step, and the line table gives the node of each line, whose span
-    and rule a fault raised there takes."""
-    body, nodes, spans, rules, args = [], [], [], [], []
+    `_flatten`), and its root's rule.  A node's lines are its step, after
+    the `_PROLOGUE` of the run it starts or joins; the line table gives the
+    node of each line, whose span and rule a fault raised there takes (a
+    run's prologue has its first node's)."""
+    body, nodes, spans, rules, args, runs = [], [], [], [], [], []
+    run = None  # the open run: [its indent, its first line, its nodes]
     markers = iter(key)
 
     def emit(h, pad, node, level):
+        nonlocal run
         marker = next(markers)
         hops = marker.__class__ is int
-        rule, step = _STEPS["hops" if hops else marker]
+        kind = "hops" if hops else marker
+        rule, step = _STEPS[kind]
         names = {"t": f"t{h}", "u": f"t{h + 1}", "hops": "[1]" * (hops and marker),
                  "env": f"env{level or ''}", "inner": f"env{level + 1}",
                  **{f"t{k}": f"t{h + k}" for k in range(_ELEMENTS)}}
@@ -249,7 +258,13 @@ def _source(key: tuple) -> Tuple[str, str]:
             spans.append(names["span"])
             args.append(names["span"])
             rules.append(rule)
-            step = _PROLOGUE + "\n" + step
+            if run is not None and run[0] == pad:
+                run[2] += 1
+            else:
+                run = [pad, len(body), 1]
+                runs.append(run)
+                body.extend(("", ""))
+                nodes.extend((node, node))
         for field in "abcd":
             if "$" + field in step:
                 names[field] = f"a{len(args)}"
@@ -263,8 +278,13 @@ def _source(key: tuple) -> Tuple[str, str]:
             elif text:
                 body.append(" " * indent + Template(text).substitute(names))
                 nodes.append(node)
+                if kind not in _QUIET:
+                    run = None
 
     emit(0, 12, None, 0)
+    for pad, first, k in runs:
+        body[first:first + 2] = [" " * pad + line
+                                 for line in _PROLOGUE.replace("$k", str(k)).split("\n")]
     return _FUNCTION.substitute(args=", ".join(args), body="\n".join(body), nodes=tuple(nodes),
                                 spans=", ".join(spans), rules=tuple(rules)), rules[0]
 
@@ -376,10 +396,24 @@ class Session:
 
     def _out_of_fuel(self) -> NoReturn:
         """The end of a rule that found no fuel left.  Each rule counts
-        itself and spends its unit of fuel inline: a node's in `_PROLOGUE`,
-        the others in `_apply`, `select` or `_scan`.  Every rule that finds
-        none left ends here."""
+        itself and spends its unit of fuel inline: a node's in the
+        `_PROLOGUE` of its run, the others in `_apply`, `select` or `_scan`.
+        Every rule that finds none left ends here, a node's through
+        `_short`."""
         raise Fault("FuelExhausted", "evaluation fuel exhausted")
+
+    def _short(self, k: int) -> NoReturn:
+        """The end of a run of `k` nodes that found `f < k` units of fuel
+        left: its first `f` nodes spend them and count, and the next counts
+        and runs out, with the fault at its node."""
+        f = max(self.fuel, 0)
+        self.fuel -= f
+        self.stats["rules"] += f + 1
+        try:
+            self._out_of_fuel()
+        except Fault as fault:
+            fault.skip = f
+            raise
 
     @staticmethod
     def _value(value):

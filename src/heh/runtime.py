@@ -25,6 +25,8 @@ ShapeVec = Tuple[Union[int, Ordinal], ...]
 class Fault(Exception):
     """Internal error carrier; the evaluator wraps these with span and rule."""
 
+    skip = 0  # the nodes it is reported past its line's node (see `eval._source`)
+
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind

@@ -13,8 +13,9 @@ the session's counters, the fuel left and the `letrec` depth left over:
   same four configurations;
 - the pinned probes `nats.[2000]`, `ackermann.[3,6]` and Game of Life at
   [2, 2] and [1, 2];
-- the programs of `FUEL_PROGRAMS` at each fuel from 0 to 59, once as they
-  are and once with running out of fuel raising `KeyboardInterrupt`.
+- the programs of `FUEL_PROGRAMS` at each fuel from 0 to the rules the
+  program takes, once as they are and once with running out of fuel
+  raising `KeyboardInterrupt`.
 
 A change that is meant to be pure speed must leave the digest as it was,
 under `python` and under `python -O`.  Only the standard library and heh
@@ -81,6 +82,11 @@ def run(source, probes, config, prelude=True):
     return [outcomes, session.stats, session.fuel, session._letrec_depth]
 
 
+def rule_total(source, prelude):
+    """The rules `source` takes in a fresh session with no fuel limit."""
+    return run(source, None, EvalConfig(), prelude)[1]["rules"]
+
+
 def rows():
     for prelude, cases in ((False, corpus()), (True, list_corpus())):
         for source, probes in cases:
@@ -95,6 +101,7 @@ def rows():
     for name, probes in (("nats.heh", [(2000,)]), ("ackermann.heh", [(3, 6)]),
                          ("game_of_life.heh", [(2, 2), (1, 2)])):
         yield run(program_source(name), probes, EvalConfig())
+    totals = [rule_total(source, prelude) for source, prelude in FUEL_PROGRAMS]
     out_of_fuel = Session._out_of_fuel
     try:
         for interrupting in (False, True):
@@ -102,8 +109,8 @@ def rows():
                 def interrupt(session):
                     raise KeyboardInterrupt
                 Session._out_of_fuel = interrupt
-            for source, prelude in FUEL_PROGRAMS:
-                for fuel in range(60):
+            for (source, prelude), total in zip(FUEL_PROGRAMS, totals):
+                for fuel in range(total + 1):
                     yield run(source, None, EvalConfig(fuel=fuel), prelude)
     finally:
         Session._out_of_fuel = out_of_fuel

@@ -5,6 +5,7 @@ by small Python oracles inline; element probes compare against directly
 computed index arithmetic.
 """
 
+import ast
 import gc
 import itertools
 import json
@@ -16,14 +17,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from corpora import FAULTS, RANK_0_CELL_SCAN
+from corpora import FAULTS, RANK_0_CELL_SCAN, corpus, list_corpus
+from outcome_digest import FUEL_PROGRAMS, rule_total
 
 import heh.eval
 import heh.syntax
 from heh.cli import format_value
 from heh.eval import EvalConfig, EvalError, Session, evaluate, new_session, probe
 from heh.ordinal import OMEGA, Ordinal, omega_power
-from heh.prelude import program_source
+from heh.prelude import prelude_source, program_names, program_source
 from heh.runtime import FilterClosure, FunClosure, ImapClosure, StrictArray
 
 
@@ -644,17 +646,34 @@ def test_fuel_runs_out_at_the_same_rule():
     assert run(src, EvalConfig(fuel=len(expected))).value == 3
 
 
+@pytest.mark.parametrize("interrupted", [False, True])
+def test_fuel_pays_for_as_many_rules_as_it_holds(monkeypatch, interrupted):
+    # k units of fuel pay for k rules, so the next rule counts itself, finds
+    # none left and stops evaluation, with the fuel spent to 0, whichever
+    # rule it is and however rules are grouped when they spend
+    if interrupted:
+        monkeypatch.setattr(Session, "_out_of_fuel", interrupt)
+    for source, prelude in FUEL_PROGRAMS:
+        for fuel in range(rule_total(source, prelude)):
+            session = new_session(EvalConfig(fuel=fuel), prelude)
+            with pytest.raises(KeyboardInterrupt if interrupted else EvalError) as e:
+                session.run_program(source)
+            assert interrupted or e.value.kind == "FuelExhausted"
+            assert (session.stats["rules"], session.fuel) == (fuel + 1, 0), (source, fuel)
+
+
 def test_every_counted_rule_is_in_the_rule_inventory():
     # docs/semantics.md says which step counts as one rule: a table row for
-    # each rule name compiled code reports, and the counts `_apply`, `select`
-    # and a filter's `_scan` add; the program above is its worked example
+    # each rule name compiled code reports, the count of a run that finds
+    # too little fuel (`_short`), and the counts `_apply`, `select` and a
+    # filter's `_scan` add; the program above is its worked example
     doc = (Path(__file__).parent.parent / "docs" / "semantics.md").read_text()
     names = {rule for rule, _ in heh.eval._STEPS.values() if rule is not None}
     assert len(names) == 14
     for name in sorted(names):
         assert f"\n| `{name}` |" in doc, name
-    for counted in ("Session._apply", "Session.select", "Session._scan", "trailing `()`",
-                    "body_evals", "predicate_calls", "The total is 49"):
+    for counted in ("Session._short", "Session._apply", "Session.select", "Session._scan",
+                    "trailing `()`", "body_evals", "predicate_calls", "The total is 49"):
         assert counted in doc, counted
 
 
@@ -840,27 +859,25 @@ def make(a0, a1, a2, a3, a4, a5):
     spans = (a0, a1, a2, a4,)  # one variable of `code`, not one for each span
     def code(s, env):
         try:
-            s.stats["rules"] += 1
-            if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
-            s.stats["rules"] += 1
-            if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
+            if s.fuel is not None: s.fuel = s.fuel - 2 if s.fuel >= 2 else s._short(2)
+            s.stats["rules"] += 2
             t0 = env[0]
             while t0.__class__ is Rec and t0.value is not None: t0 = t0.value
             if t0.__class__ is not bool: t0 = s._force_scalar(t0)
             if t0 is True:
+                if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel >= 1 else s._short(1)
                 s.stats["rules"] += 1
-                if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
                 t0 = s.env.get(a3)
                 if t0 is None: raise Fault('UnboundVariable', f"unbound variable '{a3}'")
                 while t0.__class__ is Rec and t0.value is not None: t0 = t0.value
             elif t0 is False:
+                if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel >= 1 else s._short(1)
                 s.stats["rules"] += 1
-                if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()
                 t0 = a5
             else: raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
             return t0
         except Fault as fault:  # at the node of the line that raised it
-            i = (0, 0, 1, 1, 1, 1, 0, 0, 2, 2, 2, 2, 2, 0, 3, 3, 3, 0)[fault.__traceback__.tb_lineno - 5]
+            i = (0, 0, 1, 1, 0, 0, 2, 2, 2, 2, 2, 0, 3, 3, 3, 0)[fault.__traceback__.tb_lineno - 5] + fault.skip
             raise EvalError(fault.kind, fault.message, spans[i], ('cond', 'var', 'var', 'const')[i]) from None
     return code
 """
@@ -885,7 +902,7 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     for node in nodes:
         assert heh.eval.compile_expr(node).__code__.co_filename.startswith("<heh "), node
     text = Path(heh.eval.__file__).read_text()
-    assert text.count('s.stats["rules"] += 1') == 1  # in `_PROLOGUE`
+    assert text.count('s.stats["rules"] += $k') == 1  # in `_PROLOGUE`
     assert text.count('self.stats["rules"] += 1') == 3  # `_apply`, `select` twice
 
     def key_of(src):
@@ -911,6 +928,35 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     session.run_program("let limit = 8")
     assert session.run_program("(\\level. if level then limit else 12) true") == 8
     assert compiled == []
+
+
+def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
+    """The line table of every function compiled for the prelude, the
+    shipped programs and the corpora gives one node for each line of the
+    body, and the merged prologues count each node once, in order: each
+    spends for its first node and the nodes after it."""
+    keys = []
+    source_of = heh.eval._source
+    monkeypatch.setattr(heh.eval, "_source", lambda key: keys.append(key) or source_of(key))
+    heh.eval._factory.cache_clear()
+    for src in ([prelude_source()] + [program_source(name) for name in program_names()]
+                + [src for src, _ in corpus() + list_corpus() + FAULTS + FUEL_PROGRAMS]):
+        heh.eval.compile_program(src)
+    assert len(keys) > 200
+    for key in keys:
+        lines = source_of(key)[0].split("\n")
+        end = lines.index("            return t0")
+        body = lines[4:end]  # the line `tb_lineno - 5` indexes from
+        nodes = ast.literal_eval(lines[end + 2].split(" = ", 1)[1].split("[")[0])
+        rules = ast.literal_eval(lines[end + 3].split("spans[i], ")[1].split("[")[0])
+        assert len(nodes) == len(body), key
+        counted = []
+        for line, following, node in zip(body, body[1:], nodes):
+            if "s._short(" in line:
+                k = int(line.split("s._short(")[1][:-1])
+                assert following.strip() == f's.stats["rules"] += {k}', key
+                counted += range(node, node + k)
+        assert counted == list(range(len(rules))), key
 
 
 @pytest.mark.parametrize("config", [EvalConfig(),
@@ -1016,7 +1062,7 @@ import json, threading
 import heh.eval
 from heh.cli import format_value
 from heh.eval import EvalError, new_session
-from heh.prelude import program_source
+from heh.prelude import prelude_source, program_names, program_source
 
 heh.eval.RECURSION_LIMIT = 50_000
 NATS = program_source("nats.heh") + "\\n"
