@@ -44,8 +44,10 @@ from .syntax import (
 )
 
 # Python frames allowed while a public entry runs; a nats level takes three
-# (the code of its body, `select`, `_cell_value`)
+# (the code of its body, `select`, `_cell_value`), and a level of recursion
+# through application one (the code of the function's body)
 RECURSION_LIMIT = 200_000
+_SCALARS = {int, Ordinal, bool}  # the classes of a scalar that is no function
 
 
 @dataclass
@@ -68,10 +70,8 @@ class EvalError(Exception):
 
 
 def _equal(lhs, rhs) -> bool:
-    if isinstance(lhs, bool) and isinstance(rhs, bool):
-        return lhs == rhs
-    if ((lhs.__class__ is int or lhs.__class__ is Ordinal)
-            and (rhs.__class__ is int or rhs.__class__ is Ordinal)):
+    if (lhs.__class__ in _SCALARS and rhs.__class__ in _SCALARS
+            and (lhs.__class__ is bool) is (rhs.__class__ is bool)):
         return lhs == rhs
     raise Fault("ShapeMismatch", "'=' compares two ordinals or two booleans")
 
@@ -83,35 +83,44 @@ def _equal(lhs, rhs) -> bool:
 # subtree of nodes (see `_flatten`).  Each node starts with a prologue that
 # counts its rule and spends a unit of fuel inline, as a call per rule would
 # cost more than most rules.  `_PROLOGUE` does so for a run of `$k` nodes at
-# once: their prologues at one indent, with only `const`, `hops` and
-# `lambda` steps, which cannot call out or fault, between them.  When less
-# than `$k` is left, `Session._short` runs out at the node of the run that
-# one prologue per node would.  `Session._apply`, `Session.select` and a
-# filter's `Session._scan` are the only other places that count.
+# once: their prologues at one indent, with only `_QUIET` steps, which
+# cannot call out or fault, between them.  When less than `$k` is left,
+# `Session._short` runs out at the node of the run that one prologue per
+# node would.  With no fuel set, the `apply` and `select` steps count an
+# application and a selection in a tuple themselves, else `Session._callee`
+# and `Session.select` do; with `reduce`'s loop and a filter's `_scan`, they
+# are the only other places that count.
 Code = Callable
 
 _PROLOGUE = """\
 if s.fuel is not None: s.fuel = s.fuel - $k if s.fuel >= $k else s._short($k)
 s.stats["rules"] += $k"""
-_QUIET = {"const", "hops", "lambda"}  # the steps a run of prologues spans
+_ELEMENTS = 16  # the longest array literal whose elements each get a temp
+_QUIET = {"const", "hops", "index", "lambda", *(f"vector{n}" for n in range(_ELEMENTS + 1))}
 _FOLLOW = "while $t.__class__ is Rec and $t.value is not None: $t = $t.value"
-_BINOP = """
-    @t
-    if $t.__class__ is not int and $t.__class__ is not Ordinal: $t = s._force_scalar($t)
-    @u
-    if $u.__class__ is not int and $u.__class__ is not Ordinal: $u = s._force_scalar($u)
-    $check
-    try: $t, $u = $x, None
-    except UndefinedOrdinalOp as exc: raise Fault("UndefinedOrdinalOp", str(exc)) from None
-    except ZeroDivisionError: raise Fault("DivisionByZero", "division by zero") from None
-    """
+_BINOP = """\
+@t
+if $t.__class__ is not int and $t.__class__ is not Ordinal: $t = s._force_scalar($t)
+@u
+if $u.__class__ is not int and $u.__class__ is not Ordinal: $u = s._force_scalar($u)
+$check
+$apply"""
+# of two ordinals, only `sub` and division can fail
+_PARTIAL = """try: $t, $u = $x, None
+except UndefinedOrdinalOp as exc: raise Fault("UndefinedOrdinalOp", str(exc)) from None
+except ZeroDivisionError: raise Fault("DivisionByZero", "division by zero") from None"""
+# the selection step, which reads an element of a tuple itself when no fuel
+# is set and the index is one natural in range (a vector's ints are naturals)
+_PICK = ("if $t.__class__ is tuple and s.fuel is None and len($u) == 1 and $u[0].__class__ is "
+         "int and $u[0] < len($t):\n"
+         '    s.stats["rules"] += 1\n'
+         "    $t, $u = $t[$u[0]], None\n"
+         "else: $t, $u = s.select($t, $u), None")
 _CHECK = ("if $t.__class__ is not int and $t.__class__ is not Ordinal or $u.__class__ is not "
           "int and $u.__class__ is not Ordinal: raise Fault(\"ShapeMismatch\", \"'$op' needs "
           "ordinal scalar operands\")")
 _OPS = {"<": "$t < $u", "<=": "$t <= $u", ">": "$t > $u", ">=": "$t >= $u", "+": "$t + $u",
         "-": "sub($t, $u)", "*": "$t * $u", "/": "$t // $u", "%": "$t % $u", "=": "_equal($t, $u)"}
-
-_ELEMENTS = 16  # the longest array literal whose elements each get a temp
 
 
 def _array(n: int) -> str:
@@ -137,15 +146,21 @@ def _array(n: int) -> str:
 _STEPS = {
     "const": ("const", "$t = $a"),
     "hops": ("var", "$t = $env$hops[0]\n" + _FOLLOW),  # an empty cell is passed on
+    "index": ("var", "$t = $env$hops[0]"),  # an imap generator's name: never a cell
+    # a top-level name holds its value, or an empty cell while its own recursive
+    # binding runs (see `Session._run_binding`), so there is no cell to follow
     "var": ("var", "$t = s.env.get($a)\nif $t is None: raise Fault("
-                   "'UnboundVariable', f\"unbound variable '{$a}'\")\n" + _FOLLOW),
-    "select": ("select", """
+                   "'UnboundVariable', f\"unbound variable '{$a}'\")"),
+    "select": ("select", "@t\n@u\nif $u.__class__ is not tuple: "
+                         "$u = s._force_ordinal_vector($u, \"selection index\")\n" + _PICK),
+    # `Session._apply` done here; `_callee` counts if fuel is set or `$t` is no function
+    "apply": ("apply", """
         @t
         @u
-        if $u.__class__ is not tuple: $u = s._force_ordinal_vector($u, "selection index")
-        $t, $u = s.select($t, $u), None
+        if $t.__class__ is FunClosure and s.fuel is None: s.stats["rules"] += 1
+        else: $t = s._callee($t)
+        $t, $u = $t.code(s, ($u, $t.env)), None
         """),
-    "apply": ("apply", "@t\n@u\n$t, $u = s._apply($t, $u), None"),
     "cond": ("cond", """
         @t
         if $t.__class__ is not bool: $t = s._force_scalar($t)
@@ -155,13 +170,17 @@ _STEPS = {
             @t
         else: raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
         """),
-    **{op: ("binop", _BINOP.replace("$x", x).replace("$check", _CHECK.replace("$op", op)
-                                                     if op != "=" else ""))
+    **{op: ("binop", _BINOP.replace("$apply", _PARTIAL if op in "-/%" else "$t, $u = $x, None")
+            .replace("$x", x).replace("$check", _CHECK.replace("$op", op) if op != "=" else ""))
        for op, x in _OPS.items()},  # `=` also compares booleans
     None: (None, "$t = $a(s, $env)"),  # a hole: the code of another node
     # an array literal of more than `_ELEMENTS` elements, from their codes
     "array": ("array", "$t = s._nested_array([element(s, $env) for element in $a])"),
     **{f"array{n}": ("array", _array(n)) for n in range(_ELEMENTS + 1)},
+    # a literal of ordinal constants: its vector, an argument, after its elements'
+    # rules; "elem" is such an element, which has a rule and no step
+    **{f"vector{n}": ("array", "@t\n" * n + "$t = $a") for n in range(_ELEMENTS + 1)},
+    "elem": ("const", ""),
     "lambda": ("lambda", "$t = FunClosure($a, $env)"),
     # the bound and the body extend `$env` in `$inner`, which later siblings do not see
     "letrec": ("letrec", """
@@ -175,7 +194,7 @@ _STEPS = {
         $t.value, $u = $u, None
         @t
         """),
-    "shape": ("shape", "@t\n$t = s._shape_of($t)"),
+    "shape": ("shape", "@t\n$t = (len($t),) if $t.__class__ is tuple else s._shape_of($t)"),
     "islim": ("islim", """
         @t
         $t = s._force_scalar($t)
@@ -185,9 +204,14 @@ _STEPS = {
         """),
     # the rarer rules end in a Session method, given the compiled bodies
     "imap": ("imap", "@t\n$t = s._eval_imap($env, $t, $a, $b, $c)"),
+    # a lone `_(x)` generator and no cell shape, over a tuple frame: one box
+    "imap_full": ("imap", "@t\nif $t.__class__ is tuple and not s.config.strict_finite_imaps: "
+                  "$t = ImapClosure($t, (), $env, ((((0,) * len($t), $t), $c[0]),))\n"
+                  "else: $t = s._eval_imap($env, $t, $a, $b, $c)"),
     "reduce": ("reduce", """
         @t
-        if not isinstance(s._value($t), FunClosure):
+        $t = s._value($t)
+        if $t.__class__ is not FunClosure:
             raise Fault("NotAFunction", "reduce needs a function as first argument")
         @u
         @t2
@@ -247,7 +271,8 @@ def _source(key: tuple) -> Tuple[str, str]:
         nonlocal run
         marker = next(markers)
         hops = marker.__class__ is int
-        kind = "hops" if hops else marker
+        kind = ("hops" if marker >= 0 else "index") if hops else marker
+        marker = ~marker if hops and marker < 0 else marker
         rule, step = _STEPS[kind]
         names = {"t": f"t{h}", "u": f"t{h + 1}", "hops": "[1]" * (hops and marker),
                  "env": f"env{level or ''}", "inner": f"env{level + 1}",
@@ -304,13 +329,15 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, bounds=0
     """Append to `key` a marker for each node of the fused subtree at `node`,
     in evaluation order, and to `args` its span, a leaf's constant or
     top-level name, and the codes of lambda and imap bodies.  A lexically
-    bound name's marker is its depth in `env`.  A node past `_NODES` nodes
-    or inside `_BOUNDS` `letrec` bounds, or a literal of more than
-    `_ELEMENTS` elements, is a hole: marker None, and its own code as the
-    argument."""
+    bound name's marker is its depth in `env`, or `~depth` for the name of an
+    imap generator, which holds an index and never a cell.  A node past
+    `_NODES` nodes or inside `_BOUNDS` `letrec` bounds, or a literal of more
+    than `_ELEMENTS` elements, is a hole: marker None, and its own code as
+    the argument."""
     cls = node.__class__
     if cls is Var and node.name in scope:
-        key.append(scope.index(node.name))
+        depth = scope.index(node.name)
+        key.append(~depth if scope[depth].__class__ is _Index else depth)
         args.append(node.span)
     elif cls is Var or cls is OrdinalConst or cls is BoolConst:
         key.append("var" if cls is Var else "const")
@@ -321,7 +348,12 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, bounds=0
         children = [getattr(node, field) for field in fields]
         key.append(marker or node.op)
         args.append(node.span)
-        if cls is ArrayLiteral:
+        if cls is ArrayLiteral and all(e.__class__ is OrdinalConst for e in node.elements):
+            key[-1] = f"vector{len(node.elements)}"  # then an "elem" for each element
+            args.append(tuple(element.value for element in node.elements))
+            key += ["elem"] * len(node.elements)
+            args += [element.span for element in node.elements]
+        elif cls is ArrayLiteral:
             key[-1] += str(len(node.elements))
             children = node.elements
         elif cls is Letrec:
@@ -335,12 +367,19 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, bounds=0
                     for gen, _ in node.partitions]
             args += (None if node.cell is None else compile_expr(node.cell, scope),
                      None if gens == [(None, None)] else gens,
-                     [compile_expr(body, (gen.var,) + scope) for gen, body in node.partitions])
+                     [compile_expr(body, (_Index(gen.var),) + scope)
+                      for gen, body in node.partitions])
+            if args[-3] is None and args[-2] is None:  # no cell shape, a lone `_(x)`
+                key[-1] = "imap_full"
         for child in children:
             _flatten(child, scope, key, args, bounds + (cls is Letrec and child is node.bound))
     else:
         key.append(None)
         args.append(compile_expr(node, scope))
+
+
+class _Index(str):
+    """In a scope, the name of an imap generator."""
 
 
 def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
@@ -397,7 +436,7 @@ class Session:
     def _out_of_fuel(self) -> NoReturn:
         """The end of a rule that found no fuel left.  Each rule counts
         itself and spends its unit of fuel inline: a node's in the
-        `_PROLOGUE` of its run, the others in `_apply`, `select` or `_scan`.
+        `_PROLOGUE` of its run, the others in `_callee`, `select` or a loop.
         Every rule that finds none left ends here, a node's through
         `_short`."""
         raise Fault("FuelExhausted", "evaluation fuel exhausted")
@@ -425,13 +464,19 @@ class Session:
     ### rules with a Session method
 
     def _apply(self, fun, arg):
+        fun = self._callee(fun)
+        return fun.code(self, (arg, fun.env))
+
+    def _callee(self, fun) -> FunClosure:
+        """`fun`, a cell followed, as the function an application calls, once
+        the application has counted its rule and spent its fuel."""
         self.stats["rules"] += 1
         if self.fuel is not None:
             self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
         fun = self._value(fun)
-        if not isinstance(fun, FunClosure):
+        if fun.__class__ is not FunClosure:
             raise Fault("NotAFunction", "only functions can be applied")
-        return fun.code(self, (arg, fun.env))
+        return fun
 
     def _nested_array(self, values: list):
         """The array literal of `values`.  A list, not a generator run from C,
@@ -457,10 +502,22 @@ class Session:
             return self._filter_shape(value)
         return ()
 
-    def _eval_reduce(self, fun, acc, array):
+    def _eval_reduce(self, fun: FunClosure, acc, array):
+        """`fun acc`, then its value applied to `x`, for each element `x`: counted
+        here as in the compiled `apply` step."""
         _, data = self._force_strict(array, "ReduceOnInfinite", "reduce needs a finite array")
+        code, env, stats = fun.code, fun.env, self.stats
         for x in data:
-            acc = self._apply(self._apply(fun, acc), x)
+            if self.fuel is None:
+                stats["rules"] += 1
+            else:
+                self._callee(fun)
+            step = code(self, (acc, env))
+            if step.__class__ is FunClosure and self.fuel is None:
+                stats["rules"] += 1
+            else:
+                step = self._callee(step)
+            acc = step.code(self, (x, step.env))
         return acc
 
     ### imap
@@ -523,24 +580,39 @@ class Session:
             code = parts[-1][1]  # the boxes tile the frame, so the last holds it
         self.stats["body_evals"] += 1
         result = code(self, (index, closure.env))
-        shape = (() if result.__class__ is int or result.__class__ is Ordinal
-                 or result.__class__ is bool  # a scalar
-                 else self._shape_of(result))
+        if result.__class__ not in _SCALARS or closure.cell:
+            self._check_cell(closure, index, result)
+        if self.config.memoize:
+            closure.memo[index] = result
+        return result
+
+    def _check_cell(self, closure: ImapClosure, index: ShapeVec, result) -> None:
+        """Fault unless the cell value `result` at `index` has the cell shape."""
+        shape = () if result.__class__ in _SCALARS else self._shape_of(result)
         if shape != closure.cell:
             raise Fault("ShapeMismatch",
                         f"imap element at {render_shape(index)} has shape "
                         f"{render_shape(shape)}, cell shape is "
                         f"{render_shape(closure.cell)}")
-        if self.config.memoize:
-            closure.memo[index] = result
-        return result
 
     def _force_closure_strict(self, closure: ImapClosure) -> list:
-        """Row-major data of a finite imap, forcing every element."""
-        data: list = []
-        for index in itertools.product(*map(range, closure.frame)):
-            cell = self._cell_value(closure, index)
-            if cell.__class__ is int or cell.__class__ is Ordinal or cell.__class__ is bool:
+        """Row-major data of a finite imap, forcing every element.  A memo
+        hit is read here, and so is a miss of a closure with one partition,
+        whose body runs here as in `_cell_value`."""
+        frame, memo, parts, data = closure.frame, closure.memo, closure.partitions, []
+        for index in (zip(range(frame[0])) if len(frame) == 1  # a rank-1 frame
+                      else itertools.product(*map(range, frame))):
+            cell = memo.get(index)
+            if cell is None and len(parts) > 1:
+                cell = self._cell_value(closure, index)
+            elif cell is None:
+                self.stats["body_evals"] += 1
+                cell = parts[0][1](self, (index, closure.env))
+                if cell.__class__ not in _SCALARS or closure.cell:
+                    self._check_cell(closure, index, cell)
+                if self.config.memoize:
+                    memo[index] = cell
+            if cell.__class__ in _SCALARS:
                 data.append(cell)  # a scalar's data are [cell]
             else:
                 data.extend(self._force_strict(cell, "ShapeMismatch",
@@ -576,8 +648,7 @@ class Session:
                                 f"{render_shape(shape)}")
             m = len(value.frame)
             cell = self._cell_value(value, index[:m])
-            cls = cell.__class__
-            if len(index) == m and (cls is int or cls is Ordinal or cls is bool):
+            if len(index) == m and cell.__class__ in _SCALARS:
                 # the rule of the trailing `()` selection, as the call would count it
                 self.stats["rules"] += 1
                 if self.fuel is not None:
@@ -652,8 +723,7 @@ class Session:
                 if self.fuel is not None:
                     self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
                 element = self._cell_value(argument, (source,))
-                cls = element.__class__
-                if cls is int or cls is Ordinal or cls is bool:
+                if element.__class__ in _SCALARS:
                     stats["rules"] += 1
                     if self.fuel is not None:
                         self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
@@ -681,7 +751,7 @@ class Session:
         """A scalar value: an ordinal, a bool, or a FunClosure."""
         value = self._value(value)
         cls = value.__class__
-        if cls is int or cls is Ordinal or cls is bool or cls is FunClosure:
+        if cls in _SCALARS or cls is FunClosure:
             return value
         shape = self._shape_of(value)
         if shape == ():

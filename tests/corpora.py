@@ -18,8 +18,11 @@ import random
 from heh.eval import EvalConfig, EvalError, new_session
 from heh.ordinal import OMEGA, Ordinal
 
+# memo on/off x strict/lazy finite imaps, under a fuel budget; then the
+# default, with no fuel set, under which the compiled `apply` and `select`
+# steps and `reduce` count applications and selections themselves
 CONFIGS = [EvalConfig(memoize=memo, strict_finite_imaps=strict, fuel=3_000_000)
-           for memo in (True, False) for strict in (False, True)]
+           for memo in (True, False) for strict in (False, True)] + [EvalConfig()]
 CASES = 320
 FILTER_SCAN = 150  # the model looks this far for accepted elements
 
@@ -511,6 +514,19 @@ FAULTS = [
      ("UnboundVariable", "premature recursive reference to 'x'", "letrec", (0, 12, 1, 1))),
     ("letrec x = [x]",
      ("UnboundVariable", "premature recursive reference to 'x'", "array", (11, 14, 1, 12))),
+    # what the `apply` and `select` steps and `reduce`'s loop leave to
+    # `Session._callee` and `Session.select`: an index that is no natural in
+    # range, an empty cell applied, and a step of `reduce` that is no function
+    ("(\\x. x.[w]) [1, 2]",
+     ("IndexOutOfBounds", "index [w] outside shape [2]", "select", (5, 10, 1, 6))),
+    ("(\\x. x.[0, 0]) [1, 2]",
+     ("RankMismatch", "index of length 2 into rank-1 array", "select", (5, 13, 1, 6))),
+    ("letrec f = f 1 in f",
+     ("UnboundVariable", "premature recursive reference to 'f'", "apply", (11, 14, 1, 12))),
+    ("(\\y. reduce (\\x. x) 0 [1]) 1",
+     ("NotAFunction", "only functions can be applied", "reduce", (5, 25, 1, 6))),
+    ("letrec g = \\x. x in reduce g 0 [1]",
+     ("NotAFunction", "only functions can be applied", "reduce", (20, 34, 1, 21))),
     # inside a transfinite filter scan, reported at the selection that scans
     ("(filter (\\x. true) (imap [w] {_(iv): [1]})).[0]",
      ("ShapeMismatch", "imap element at [0] has shape [1], cell shape is []", "select",

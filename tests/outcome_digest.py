@@ -8,9 +8,9 @@ probe's outcome (its value, or its error's kind, message, rule and span),
 the session's counters, the fuel left and the `letrec` depth left over:
 
 - every program of both corpora in `corpora.py` and of `corpora.FAULTS`,
-  under the four memo/strict configurations of `corpora.CONFIGS`;
+  under the five configurations of `corpora.CONFIGS`;
 - every shipped program at the indices of `examples_suite()`, under the
-  same four configurations;
+  same five configurations;
 - the pinned probes `nats.[2000]`, `ackermann.[3,6]` and Game of Life at
   [2, 2] and [1, 2];
 - the programs of `FUEL_PROGRAMS` at each fuel from 0 to the rules the
@@ -37,8 +37,9 @@ from heh.runtime import render_scalar  # noqa: E402
 
 # (source, prelude): between them they run every rule kind, with `letrec`s
 # inside bodies and bounds; the fourth faults inside a `letrec` bound; the
-# last two scan a transfinite filter, for a selection and for its shape, and
-# over cells that are rank-0 imaps
+# sixth and seventh scan a transfinite filter, for a selection and for its
+# shape, and over cells that are rank-0 imaps; the last applies a function
+# held in a `letrec` cell recursively, and `reduce`s with it
 FUEL_PROGRAMS = [
     ("letrec a = imap [2] {_(iv): iv.[0]} in reduce (\\x.\\y. if islim y then x else x + y) "
      "0 (filter (\\x. true) [a.[1], |a|.[0]])", False),
@@ -52,6 +53,8 @@ FUEL_PROGRAMS = [
      "[s.((subv iv [1]) ++ [1]), s.((subv iv [1]) ++ [0]) + 1]} in s.[3, 0] + |s|.[1]", True),
     ("letrec f = filter (\\x. x % 2 = 0) (imap [w+3] {_(iv): iv.[0]}) in f.[w] + |f|.[0]", False),
     (RANK_0_CELL_SCAN, False),
+    ("letrec go = \\k. if k = 0 then 0 else go (k - 1) in reduce (\\x.\\y. x + go y) 0 [2, 1]",
+     False),
 ]
 
 

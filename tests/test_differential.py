@@ -1,8 +1,9 @@
 """Differential tests on generated, evaluable programs.
 
 The programs and the outcome a Python model gives for each probe come from
-`corpora.py`.  Every program is run under the four configurations memo
-on/off x strict/lazy finite imaps, which must all give the model's
+`corpora.py`.  Every program is run under the five configurations of
+`corpora.CONFIGS`, memo on/off x strict/lazy finite imaps under a fuel
+budget and the default with none, which must all give the model's
 outcomes, and under `python -O`, which must give the same outcomes and
 counters.
 """

@@ -665,15 +665,18 @@ def test_fuel_pays_for_as_many_rules_as_it_holds(monkeypatch, interrupted):
 def test_every_counted_rule_is_in_the_rule_inventory():
     # docs/semantics.md says which step counts as one rule: a table row for
     # each rule name compiled code reports, the count of a run that finds
-    # too little fuel (`_short`), and the counts `_apply`, `select` and a
-    # filter's `_scan` add; the program above is its worked example
+    # too little fuel (`_short`), and the counts the compiled `apply` and
+    # `select` steps, `_callee`, `select`, `reduce`'s loop and a filter's
+    # `_scan` add; the program above is its worked example
     doc = (Path(__file__).parent.parent / "docs" / "semantics.md").read_text()
     names = {rule for rule, _ in heh.eval._STEPS.values() if rule is not None}
     assert len(names) == 14
     for name in sorted(names):
         assert f"\n| `{name}` |" in doc, name
-    for counted in ("Session._short", "Session._apply", "Session.select", "Session._scan",
-                    "trailing `()`", "body_evals", "predicate_calls", "The total is 49"):
+    for counted in ("Session._short", "compiled `apply` step", "compiled `select` step",
+                    "Session._callee", "Session._apply", "Session.select",
+                    "Session._eval_reduce", "Session._scan", "trailing `()`", "body_evals",
+                    "predicate_calls", "The total is 49"):
         assert counted in doc, counted
 
 
@@ -841,6 +844,17 @@ def test_a_nats_level_takes_three_frames(shallow_limit):
     assert e.value.kind == "DepthExceeded"
 
 
+def test_a_recursive_application_takes_one_frame(shallow_limit):
+    # the compiled `apply` step calls the function's body itself, so each
+    # level of `go` is one frame, the code of its body: 2,900 levels fit
+    # under 3,000 frames, 3,100 do not
+    src = "letrec go = \\k. if k = 0 then 0 else go (k - 1) in go "
+    assert evaluate(src + "2900").value == 0
+    with pytest.raises(EvalError) as e:
+        evaluate(src + "3100")
+    assert e.value.kind == "DepthExceeded"
+
+
 def test_deepest_benchmark_probe_fits_under_the_real_limit():
     r = evaluate(program_source("nats.heh"))
     assert probe(r, [40000]) == 40000
@@ -869,7 +883,6 @@ def make(a0, a1, a2, a3, a4, a5):
                 s.stats["rules"] += 1
                 t0 = s.env.get(a3)
                 if t0 is None: raise Fault('UnboundVariable', f"unbound variable '{a3}'")
-                while t0.__class__ is Rec and t0.value is not None: t0 = t0.value
             elif t0 is False:
                 if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel >= 1 else s._short(1)
                 s.stats["rules"] += 1
@@ -877,7 +890,7 @@ def make(a0, a1, a2, a3, a4, a5):
             else: raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
             return t0
         except Fault as fault:  # at the node of the line that raised it
-            i = (0, 0, 1, 1, 0, 0, 2, 2, 2, 2, 2, 0, 3, 3, 3, 0)[fault.__traceback__.tb_lineno - 5] + fault.skip
+            i = (0, 0, 1, 1, 0, 0, 2, 2, 2, 2, 0, 3, 3, 3, 0)[fault.__traceback__.tb_lineno - 5] + fault.skip
             raise EvalError(fault.kind, fault.message, spans[i], ('cond', 'var', 'var', 'const')[i]) from None
     return code
 """
@@ -885,11 +898,12 @@ def make(a0, a1, a2, a3, a4, a5):
 
 def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     """Every expression class compiles.  The prologue that counts a rule is
-    written once, besides `_apply` and `select`.  A maximal subtree of
-    names, constants, operators, selections, applications and conditionals
-    is one generated function, whose source holds none of the program's
-    names and numbers; a program of the same shape with other names and
-    constants reuses it without compiling again."""
+    written once; besides it, `_callee` and `select` count, and so do the
+    compiled `apply` and `select` steps when no fuel is set.  A maximal
+    subtree of names, constants, operators, selections, applications and
+    conditionals is one generated function, whose source holds none of the
+    program's names and numbers; a program of the same shape with other
+    names and constants reuses it without compiling again."""
     exprs = {cls for cls in vars(heh.syntax).values()
              if isinstance(cls, type) and issubclass(cls, heh.syntax.Expr)
              and cls is not heh.syntax.Expr}
@@ -903,7 +917,8 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
         assert heh.eval.compile_expr(node).__code__.co_filename.startswith("<heh "), node
     text = Path(heh.eval.__file__).read_text()
     assert text.count('s.stats["rules"] += $k') == 1  # in `_PROLOGUE`
-    assert text.count('self.stats["rules"] += 1') == 3  # `_apply`, `select` twice
+    assert text.count('self.stats["rules"] += 1') == 3  # `_callee`, `select` twice
+    assert text.count('s.stats["rules"] += 1') == 2  # the `apply` and `select` steps
 
     def key_of(src):
         node = heh.syntax.parse_expr(src)
@@ -1022,6 +1037,46 @@ def test_which_compiled_code_a_probe_calls():
     codes = called_codes(lambda: probe(r, [19]))  # scans 20 elements
     assert heh_calls(codes) == {"const": 20, "binop": 20}
     assert codes.count(Session.select.__code__) == 1  # the probe's own
+
+
+# the `Session` methods a compiled step, strict forcing or `reduce` would
+# call if it did not handle the common case itself
+HELPERS = ("_apply", "_callee", "_eval_imap", "_shape_of", "select", "_cell_value")
+
+
+def helper_calls(thunk) -> dict:
+    """How often `thunk` calls each of `HELPERS`."""
+    codes = called_codes(thunk)
+    return {name: codes.count(getattr(Session, name).__code__) for name in HELPERS}
+
+
+def test_which_helpers_a_probe_calls():
+    """With no fuel set, a compiled step applies a function, selects from a
+    tuple by one natural in range, takes the shape of a tuple and builds an
+    imap of one `_(x)` generator over a tuple frame without a call, and
+    forcing a finite imap of one partition runs its body itself.
+
+    nats.[2000] selects in `nats` at each of the 2,000 levels and in the
+    probe: 2,001 `select` calls, each a memo miss, so 2,001 `_cell_value`
+    calls.  Each level applies `subv` twice, takes `|iv|`, builds and forces
+    the one-element imap of `subv iv [1]` and selects `a.iv` and `b.iv` in
+    two tuples in its body, all without a call.  ackermann.[3,6] calls
+    `select` only for the probe and the selections `a.[...]` in the table:
+    one at an entry with m > 0 and n = 0, two at any other entry with m > 0;
+    `iv.[0]` and `iv.[1]` select in a tuple.  `reduce` applies its function
+    with no call, and the second strict forcing of `v` reads memo hits."""
+    none = dict.fromkeys(HELPERS, 0)
+    r = evaluate(program_source("nats.heh"))
+    assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 2001,
+                                                      "_cell_value": 2001}
+    table = memoized_ackermann(3, 6)
+    selections = 1 + sum(1 if n == 0 else 2 for m, n in table if m > 0)
+    r = evaluate(program_source("ackermann.heh"))
+    assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": selections,
+                                                      "_cell_value": selections}
+    src = ("letrec v = imap [3] {_(iv): iv.[0] + 1} in "
+           "reduce (\\x.\\y. x + y) (reduce (\\x.\\y. x + y) 0 v) v")
+    assert helper_calls(lambda: evaluate(src, prelude=False)) == none
 
 
 @pytest.mark.parametrize("interrupted", [False, True])
