@@ -86,17 +86,20 @@ def _equal(lhs, rhs) -> bool:
 # once: their prologues at one indent, with only `_QUIET` steps, which
 # cannot call out or fault, between them.  When less than `$k` is left,
 # `Session._short` runs out at the node of the run that one prologue per
-# node would.  With no fuel set, the `apply` and `select` steps count an
-# application and a selection in a tuple themselves, else `Session._callee`
-# and `Session.select` do; with `reduce`'s loop and a filter's `_scan`, they
-# are the only other places that count.
+# node would.  The `apply` step and the `select` step of a tuple count an
+# application and a selection with `_COUNT`, as `Session._apply` and
+# `Session.select` do; with these and a filter's `Session._scan`, they are
+# the only other places that count.
 Code = Callable
 
 _PROLOGUE = """\
 if s.fuel is not None: s.fuel = s.fuel - $k if s.fuel >= $k else s._short($k)
 s.stats["rules"] += $k"""
+_COUNT = """\
+s.stats["rules"] += 1
+if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()"""
 _ELEMENTS = 16  # the longest array literal whose elements each get a temp
-_QUIET = {"const", "hops", "index", "lambda", *(f"vector{n}" for n in range(_ELEMENTS + 1))}
+_QUIET = {"const", "hops", "lambda", *(f"vector{n}" for n in range(_ELEMENTS + 1))}
 _FOLLOW = "while $t.__class__ is Rec and $t.value is not None: $t = $t.value"
 _BINOP = """\
 @t
@@ -109,12 +112,10 @@ $apply"""
 _PARTIAL = """try: $t, $u = $x, None
 except UndefinedOrdinalOp as exc: raise Fault("UndefinedOrdinalOp", str(exc)) from None
 except ZeroDivisionError: raise Fault("DivisionByZero", "division by zero") from None"""
-# the selection step, which reads an element of a tuple itself when no fuel
-# is set and the index is one natural in range (a vector's ints are naturals)
-_PICK = ("if $t.__class__ is tuple and s.fuel is None and len($u) == 1 and $u[0].__class__ is "
-         "int and $u[0] < len($t):\n"
-         '    s.stats["rules"] += 1\n'
-         "    $t, $u = $t[$u[0]], None\n"
+# the selection step, which reads an element of a tuple itself when the
+# index is one natural in range (a vector's ints are naturals)
+_PICK = ("if $t.__class__ is tuple and len($u) == 1 and $u[0].__class__ is int and $u[0] < "
+         "len($t):\n" + textwrap.indent(_COUNT, "    ") + "\n    $t, $u = $t[$u[0]], None\n"
          "else: $t, $u = s.select($t, $u), None")
 _CHECK = ("if $t.__class__ is not int and $t.__class__ is not Ordinal or $u.__class__ is not "
           "int and $u.__class__ is not Ordinal: raise Fault(\"ShapeMismatch\", \"'$op' needs "
@@ -146,21 +147,15 @@ def _array(n: int) -> str:
 _STEPS = {
     "const": ("const", "$t = $a"),
     "hops": ("var", "$t = $env$hops[0]\n" + _FOLLOW),  # an empty cell is passed on
-    "index": ("var", "$t = $env$hops[0]"),  # an imap generator's name: never a cell
     # a top-level name holds its value, or an empty cell while its own recursive
     # binding runs (see `Session._run_binding`), so there is no cell to follow
     "var": ("var", "$t = s.env.get($a)\nif $t is None: raise Fault("
                    "'UnboundVariable', f\"unbound variable '{$a}'\")"),
     "select": ("select", "@t\n@u\nif $u.__class__ is not tuple: "
                          "$u = s._force_ordinal_vector($u, \"selection index\")\n" + _PICK),
-    # `Session._apply` done here; `_callee` counts if fuel is set or `$t` is no function
-    "apply": ("apply", """
-        @t
-        @u
-        if $t.__class__ is FunClosure and s.fuel is None: s.stats["rules"] += 1
-        else: $t = s._callee($t)
-        $t, $u = $t.code(s, ($u, $t.env)), None
-        """),
+    # `Session._apply` done here: count, fuel, follow a cell, check, call
+    "apply": ("apply", "@t\n@u\n" + _COUNT + "\nif $t.__class__ is not FunClosure: "
+                       "$t = s._function($t)\n$t, $u = $t.code(s, ($u, $t.env)), None"),
     "cond": ("cond", """
         @t
         if $t.__class__ is not bool: $t = s._force_scalar($t)
@@ -210,8 +205,7 @@ _STEPS = {
                   "else: $t = s._eval_imap($env, $t, $a, $b, $c)"),
     "reduce": ("reduce", """
         @t
-        $t = s._value($t)
-        if $t.__class__ is not FunClosure:
+        if not isinstance(s._value($t), FunClosure):
             raise Fault("NotAFunction", "reduce needs a function as first argument")
         @u
         @t2
@@ -271,8 +265,7 @@ def _source(key: tuple) -> Tuple[str, str]:
         nonlocal run
         marker = next(markers)
         hops = marker.__class__ is int
-        kind = ("hops" if marker >= 0 else "index") if hops else marker
-        marker = ~marker if hops and marker < 0 else marker
+        kind = "hops" if hops else marker
         rule, step = _STEPS[kind]
         names = {"t": f"t{h}", "u": f"t{h + 1}", "hops": "[1]" * (hops and marker),
                  "env": f"env{level or ''}", "inner": f"env{level + 1}",
@@ -329,15 +322,13 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, bounds=0
     """Append to `key` a marker for each node of the fused subtree at `node`,
     in evaluation order, and to `args` its span, a leaf's constant or
     top-level name, and the codes of lambda and imap bodies.  A lexically
-    bound name's marker is its depth in `env`, or `~depth` for the name of an
-    imap generator, which holds an index and never a cell.  A node past
-    `_NODES` nodes or inside `_BOUNDS` `letrec` bounds, or a literal of more
-    than `_ELEMENTS` elements, is a hole: marker None, and its own code as
-    the argument."""
+    bound name's marker is its depth in `env`.  A node past `_NODES` nodes
+    or inside `_BOUNDS` `letrec` bounds, or a literal of more than
+    `_ELEMENTS` elements, is a hole: marker None, and its own code as the
+    argument."""
     cls = node.__class__
     if cls is Var and node.name in scope:
-        depth = scope.index(node.name)
-        key.append(~depth if scope[depth].__class__ is _Index else depth)
+        key.append(scope.index(node.name))
         args.append(node.span)
     elif cls is Var or cls is OrdinalConst or cls is BoolConst:
         key.append("var" if cls is Var else "const")
@@ -367,8 +358,7 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, bounds=0
                     for gen, _ in node.partitions]
             args += (None if node.cell is None else compile_expr(node.cell, scope),
                      None if gens == [(None, None)] else gens,
-                     [compile_expr(body, (_Index(gen.var),) + scope)
-                      for gen, body in node.partitions])
+                     [compile_expr(body, (gen.var,) + scope) for gen, body in node.partitions])
             if args[-3] is None and args[-2] is None:  # no cell shape, a lone `_(x)`
                 key[-1] = "imap_full"
         for child in children:
@@ -376,10 +366,6 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, bounds=0
     else:
         key.append(None)
         args.append(compile_expr(node, scope))
-
-
-class _Index(str):
-    """In a scope, the name of an imap generator."""
 
 
 def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
@@ -436,7 +422,8 @@ class Session:
     def _out_of_fuel(self) -> NoReturn:
         """The end of a rule that found no fuel left.  Each rule counts
         itself and spends its unit of fuel inline: a node's in the
-        `_PROLOGUE` of its run, the others in `_callee`, `select` or a loop.
+        `_PROLOGUE` of its run, the others in the `_COUNT` of a step,
+        `_apply`, `select` or `_scan`.
         Every rule that finds none left ends here, a node's through
         `_short`."""
         raise Fault("FuelExhausted", "evaluation fuel exhausted")
@@ -464,15 +451,14 @@ class Session:
     ### rules with a Session method
 
     def _apply(self, fun, arg):
-        fun = self._callee(fun)
-        return fun.code(self, (arg, fun.env))
-
-    def _callee(self, fun) -> FunClosure:
-        """`fun`, a cell followed, as the function an application calls, once
-        the application has counted its rule and spent its fuel."""
         self.stats["rules"] += 1
         if self.fuel is not None:
             self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
+        fun = self._function(fun)
+        return fun.code(self, (arg, fun.env))
+
+    def _function(self, fun) -> FunClosure:
+        """`fun`, a cell followed, as the function an application calls."""
         fun = self._value(fun)
         if fun.__class__ is not FunClosure:
             raise Fault("NotAFunction", "only functions can be applied")
@@ -502,22 +488,10 @@ class Session:
             return self._filter_shape(value)
         return ()
 
-    def _eval_reduce(self, fun: FunClosure, acc, array):
-        """`fun acc`, then its value applied to `x`, for each element `x`: counted
-        here as in the compiled `apply` step."""
+    def _eval_reduce(self, fun, acc, array):
         _, data = self._force_strict(array, "ReduceOnInfinite", "reduce needs a finite array")
-        code, env, stats = fun.code, fun.env, self.stats
         for x in data:
-            if self.fuel is None:
-                stats["rules"] += 1
-            else:
-                self._callee(fun)
-            step = code(self, (acc, env))
-            if step.__class__ is FunClosure and self.fuel is None:
-                stats["rules"] += 1
-            else:
-                step = self._callee(step)
-            acc = step.code(self, (x, step.env))
+            acc = self._apply(self._apply(fun, acc), x)
         return acc
 
     ### imap

@@ -666,16 +666,15 @@ def test_every_counted_rule_is_in_the_rule_inventory():
     # docs/semantics.md says which step counts as one rule: a table row for
     # each rule name compiled code reports, the count of a run that finds
     # too little fuel (`_short`), and the counts the compiled `apply` and
-    # `select` steps, `_callee`, `select`, `reduce`'s loop and a filter's
-    # `_scan` add; the program above is its worked example
+    # `select` steps, `_apply`, `select` and a filter's `_scan` add; the
+    # program above is its worked example
     doc = (Path(__file__).parent.parent / "docs" / "semantics.md").read_text()
     names = {rule for rule, _ in heh.eval._STEPS.values() if rule is not None}
     assert len(names) == 14
     for name in sorted(names):
         assert f"\n| `{name}` |" in doc, name
     for counted in ("Session._short", "compiled `apply` step", "compiled `select` step",
-                    "Session._callee", "Session._apply", "Session.select",
-                    "Session._eval_reduce", "Session._scan", "trailing `()`", "body_evals",
+                    "Session._apply", "Session.select", "Session._scan", "trailing `()`", "body_evals",
                     "predicate_calls", "The total is 49"):
         assert counted in doc, counted
 
@@ -898,8 +897,8 @@ def make(a0, a1, a2, a3, a4, a5):
 
 def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     """Every expression class compiles.  The prologue that counts a rule is
-    written once; besides it, `_callee` and `select` count, and so do the
-    compiled `apply` and `select` steps when no fuel is set.  A maximal
+    written once; besides it, `_apply` and `select` count, and so do the
+    compiled `apply` and `select` steps, through `_COUNT`.  A maximal
     subtree of names, constants, operators, selections, applications and
     conditionals is one generated function, whose source holds none of the
     program's names and numbers; a program of the same shape with other
@@ -917,8 +916,8 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
         assert heh.eval.compile_expr(node).__code__.co_filename.startswith("<heh "), node
     text = Path(heh.eval.__file__).read_text()
     assert text.count('s.stats["rules"] += $k') == 1  # in `_PROLOGUE`
-    assert text.count('self.stats["rules"] += 1') == 3  # `_callee`, `select` twice
-    assert text.count('s.stats["rules"] += 1') == 2  # the `apply` and `select` steps
+    assert text.count('self.stats["rules"] += 1') == 3  # `_apply`, `select` twice
+    assert text.count('s.stats["rules"] += 1') == 1  # `_COUNT`, of the `apply` and `select` steps
 
     def key_of(src):
         node = heh.syntax.parse_expr(src)
@@ -1039,9 +1038,9 @@ def test_which_compiled_code_a_probe_calls():
     assert codes.count(Session.select.__code__) == 1  # the probe's own
 
 
-# the `Session` methods a compiled step, strict forcing or `reduce` would
-# call if it did not handle the common case itself
-HELPERS = ("_apply", "_callee", "_eval_imap", "_shape_of", "select", "_cell_value")
+# the `Session` methods a compiled step or strict forcing would call if it
+# did not handle the common case itself
+HELPERS = ("_apply", "_function", "_eval_imap", "_shape_of", "select", "_cell_value")
 
 
 def helper_calls(thunk) -> dict:
@@ -1050,11 +1049,12 @@ def helper_calls(thunk) -> dict:
     return {name: codes.count(getattr(Session, name).__code__) for name in HELPERS}
 
 
-def test_which_helpers_a_probe_calls():
-    """With no fuel set, a compiled step applies a function, selects from a
-    tuple by one natural in range, takes the shape of a tuple and builds an
-    imap of one `_(x)` generator over a tuple frame without a call, and
-    forcing a finite imap of one partition runs its body itself.
+@pytest.mark.parametrize("config", [EvalConfig(), EvalConfig(fuel=10**6)])
+def test_which_helpers_a_probe_calls(config):
+    """With fuel set or not, a compiled step applies a function, selects
+    from a tuple by one natural in range, takes the shape of a tuple and
+    builds an imap of one `_(x)` generator over a tuple frame without a
+    call, and forcing a finite imap of one partition runs its body itself.
 
     nats.[2000] selects in `nats` at each of the 2,000 levels and in the
     probe: 2,001 `select` calls, each a memo miss, so 2,001 `_cell_value`
@@ -1063,20 +1063,19 @@ def test_which_helpers_a_probe_calls():
     two tuples in its body, all without a call.  ackermann.[3,6] calls
     `select` only for the probe and the selections `a.[...]` in the table:
     one at an entry with m > 0 and n = 0, two at any other entry with m > 0;
-    `iv.[0]` and `iv.[1]` select in a tuple.  `reduce` applies its function
-    with no call, and the second strict forcing of `v` reads memo hits."""
+    `iv.[0]` and `iv.[1]` select in a tuple.  The first strict forcing of
+    `v` runs its body for each cell, and the second reads memo hits."""
     none = dict.fromkeys(HELPERS, 0)
-    r = evaluate(program_source("nats.heh"))
+    r = evaluate(program_source("nats.heh"), config)
     assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 2001,
                                                       "_cell_value": 2001}
     table = memoized_ackermann(3, 6)
     selections = 1 + sum(1 if n == 0 else 2 for m, n in table if m > 0)
-    r = evaluate(program_source("ackermann.heh"))
+    r = evaluate(program_source("ackermann.heh"), config)
     assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": selections,
                                                       "_cell_value": selections}
-    src = ("letrec v = imap [3] {_(iv): iv.[0] + 1} in "
-           "reduce (\\x.\\y. x + y) (reduce (\\x.\\y. x + y) 0 v) v")
-    assert helper_calls(lambda: evaluate(src, prelude=False)) == none
+    src = "letrec v = imap [3] {_(iv): iv.[0] + 1} in [v, v]"
+    assert helper_calls(lambda: evaluate(src, config, prelude=False)) == none
 
 
 @pytest.mark.parametrize("interrupted", [False, True])
