@@ -48,6 +48,7 @@ from .syntax import (
 # through application one (the code of the function's body)
 RECURSION_LIMIT = 200_000
 _SCALARS = {int, Ordinal, bool}  # the classes of a scalar that is no function
+_NO_LIMIT = sys.maxsize  # `Session.limit` with no fuel set: above any count reached
 
 
 @dataclass
@@ -81,23 +82,20 @@ def _equal(lhs, rhs) -> bool:
 # The code of a node: `code(s, env)` applies the node's rule in `env`, a chain
 # of `(value, parent)` tuples (None when empty).  `_factory` makes it for a
 # subtree of nodes (see `_flatten`).  Each node starts with a prologue that
-# counts its rule and spends a unit of fuel inline, as a call per rule would
-# cost more than most rules.  `_PROLOGUE` does so for a run of `$k` nodes at
-# once: their prologues at one indent, with only `_QUIET` steps, which
-# cannot call out or fault, between them.  When less than `$k` is left,
-# `Session._short` runs out at the node of the run that one prologue per
-# node would.  The `apply` step and the `select` step of a tuple count an
-# application and a selection with `_COUNT`, as `Session._apply` and
-# `Session.select` do; with these and a filter's `Session._scan`, they are
-# the only other places that count.
+# counts its rule inline, as a call per rule would cost more than most rules;
+# fuel is a limit on that count (see `Session.fuel`).  `_PROLOGUE` counts a
+# run of `$k` nodes at once: their prologues at one indent, with only
+# `_QUIET` steps, which cannot call out or fault, between them.  When the
+# count passes the limit, `Session._short` runs out at the node of the run
+# that one prologue per node would.  The `apply` step and the `select` step
+# of a tuple count an application and a selection with `_PROLOGUE` at
+# `$k = 1`, as `Session._apply` and `Session.select` do; with these and a
+# filter's `Session._scan`, they are the only other places that count.
 Code = Callable
 
 _PROLOGUE = """\
-if s.fuel is not None: s.fuel = s.fuel - $k if s.fuel >= $k else s._short($k)
-s.stats["rules"] += $k"""
-_COUNT = """\
-s.stats["rules"] += 1
-if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel > 0 else s._out_of_fuel()"""
+s.rules += $k
+if s.rules > s.limit: s._short($k)"""
 _ELEMENTS = 16  # the longest array literal whose elements each get a temp
 _QUIET = {"const", "hops", "lambda", *(f"vector{n}" for n in range(_ELEMENTS + 1))}
 _FOLLOW = "while $t.__class__ is Rec and $t.value is not None: $t = $t.value"
@@ -115,8 +113,8 @@ except ZeroDivisionError: raise Fault("DivisionByZero", "division by zero") from
 # the selection step, which reads an element of a tuple itself when the
 # index is one natural in range (a vector's ints are naturals)
 _PICK = ("if $t.__class__ is tuple and len($u) == 1 and $u[0].__class__ is int and $u[0] < "
-         "len($t):\n" + textwrap.indent(_COUNT, "    ") + "\n    $t, $u = $t[$u[0]], None\n"
-         "else: $t, $u = s.select($t, $u), None")
+         "len($t):\n" + textwrap.indent(_PROLOGUE.replace("$k", "1"), "    ")
+         + "\n    $t, $u = $t[$u[0]], None\nelse: $t, $u = s.select($t, $u), None")
 _CHECK = ("if $t.__class__ is not int and $t.__class__ is not Ordinal or $u.__class__ is not "
           "int and $u.__class__ is not Ordinal: raise Fault(\"ShapeMismatch\", \"'$op' needs "
           "ordinal scalar operands\")")
@@ -153,9 +151,10 @@ _STEPS = {
                    "'UnboundVariable', f\"unbound variable '{$a}'\")"),
     "select": ("select", "@t\n@u\nif $u.__class__ is not tuple: "
                          "$u = s._force_ordinal_vector($u, \"selection index\")\n" + _PICK),
-    # `Session._apply` done here: count, fuel, follow a cell, check, call
-    "apply": ("apply", "@t\n@u\n" + _COUNT + "\nif $t.__class__ is not FunClosure: "
-                       "$t = s._function($t)\n$t, $u = $t.code(s, ($u, $t.env)), None"),
+    # `Session._apply` done here: count, follow a cell, check, call
+    "apply": ("apply", "@t\n@u\n" + _PROLOGUE.replace("$k", "1")
+              + "\nif $t.__class__ is not FunClosure: $t = s._function($t)\n"
+              "$t, $u = $t.code(s, ($u, $t.env)), None"),
     "cond": ("cond", """
         @t
         if $t.__class__ is not bool: $t = s._force_scalar($t)
@@ -394,9 +393,26 @@ class Session:
     def __init__(self, config: Optional[EvalConfig] = None):
         self.config = config or EvalConfig()
         self.env: dict = {}  # the top-level frame: name -> value
-        self.fuel = self.config.fuel
-        self.stats = {"rules": 0, "body_evals": 0, "predicate_calls": 0}
+        self.rules = 0  # the rules applied; fuel is a limit on this count
+        self.limit = _NO_LIMIT if self.config.fuel is None else self.config.fuel
+        self._stats = {"rules": 0, "body_evals": 0, "predicate_calls": 0}
         self._letrec_depth = 0
+
+    @property
+    def fuel(self) -> Optional[int]:
+        """The rules left before evaluation runs out, or None for no limit;
+        setting it allows that many more rules."""
+        return None if self.limit == _NO_LIMIT else max(self.limit - self.rules, 0)
+
+    @fuel.setter
+    def fuel(self, fuel: Optional[int]) -> None:
+        self.limit = _NO_LIMIT if fuel is None else self.rules + fuel
+
+    @property
+    def stats(self) -> dict:
+        """The counters, with "rules" read afresh from `rules`."""
+        self._stats["rules"] = self.rules
+        return self._stats
 
     ### plumbing
 
@@ -420,21 +436,18 @@ class Session:
             sys.setrecursionlimit(previous)
 
     def _out_of_fuel(self) -> NoReturn:
-        """The end of a rule that found no fuel left.  Each rule counts
-        itself and spends its unit of fuel inline: a node's in the
-        `_PROLOGUE` of its run, the others in the `_COUNT` of a step,
-        `_apply`, `select` or `_scan`.
-        Every rule that finds none left ends here, a node's through
-        `_short`."""
+        """The end of a rule that found no fuel left, through `_short`.
+        Each rule counts itself inline, with `_PROLOGUE` or the same two
+        lines in `_apply`, `select` or `_scan`: `rules += k` for `k` rules,
+        then `_short(k)` if that passes `limit`."""
         raise Fault("FuelExhausted", "evaluation fuel exhausted")
 
     def _short(self, k: int) -> NoReturn:
-        """The end of a run of `k` nodes that found `f < k` units of fuel
-        left: its first `f` nodes spend them and count, and the next counts
-        and runs out, with the fault at its node."""
-        f = max(self.fuel, 0)
-        self.fuel -= f
-        self.stats["rules"] += f + 1
+        """The end of `k` rules, counted at once, that passed the limit with
+        `f < k` rules left before them: the first `f` stay counted, and the
+        next counts and runs out, with the fault at its node."""
+        f = max(self.limit - self.rules + k, 0)
+        self.rules += f + 1 - k
         try:
             self._out_of_fuel()
         except Fault as fault:
@@ -451,9 +464,8 @@ class Session:
     ### rules with a Session method
 
     def _apply(self, fun, arg):
-        self.stats["rules"] += 1
-        if self.fuel is not None:
-            self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
+        self.rules += 1
+        if self.rules > self.limit: self._short(1)
         fun = self._function(fun)
         return fun.code(self, (arg, fun.env))
 
@@ -552,7 +564,7 @@ class Session:
                 break
         else:
             code = parts[-1][1]  # the boxes tile the frame, so the last holds it
-        self.stats["body_evals"] += 1
+        self._stats["body_evals"] += 1
         result = code(self, (index, closure.env))
         if result.__class__ not in _SCALARS or closure.cell:
             self._check_cell(closure, index, result)
@@ -580,7 +592,7 @@ class Session:
             if cell is None and len(parts) > 1:
                 cell = self._cell_value(closure, index)
             elif cell is None:
-                self.stats["body_evals"] += 1
+                self._stats["body_evals"] += 1
                 cell = parts[0][1](self, (index, closure.env))
                 if cell.__class__ not in _SCALARS or closure.cell:
                     self._check_cell(closure, index, cell)
@@ -596,16 +608,13 @@ class Session:
     ### selection
 
     def select(self, value, index: ShapeVec):
-        self.stats["rules"] += 1
-        if self.fuel is not None:
-            self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
+        self.rules += 1
+        if self.rules > self.limit: self._short(1)
         while value.__class__ is Rec:
             value = value.get()
         cls = value.__class__
-        if cls is tuple:
-            if len(index) == 1 and index[0].__class__ is int and 0 <= index[0] < len(value):
-                return value[index[0]]
-            return value[linearize((len(value),), index)]  # faults, saying how
+        if cls is tuple:  # the compiled `select` step reads one in range itself
+            return value[linearize((len(value),), index)]
         if cls is StrictArray:
             return value.data[linearize(value.shape, index)]
         if cls is ImapClosure:
@@ -624,9 +633,8 @@ class Session:
             cell = self._cell_value(value, index[:m])
             if len(index) == m and cell.__class__ in _SCALARS:
                 # the rule of the trailing `()` selection, as the call would count it
-                self.stats["rules"] += 1
-                if self.fuel is not None:
-                    self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
+                self.rules += 1
+                if self.rules > self.limit: self._short(1)
                 return cell
             return self.select(cell, index[m:])
         if cls is FilterClosure:
@@ -659,7 +667,7 @@ class Session:
         return FilterClosure(predicate, array, shape)
 
     def _predicate_accepts(self, predicate: FunClosure, element) -> bool:
-        self.stats["predicate_calls"] += 1
+        self._stats["predicate_calls"] += 1
         result = self._force_scalar(self._apply(predicate, element))
         if not isinstance(result, bool):
             raise Fault("ShapeMismatch", "the filter predicate must return a boolean")
@@ -681,7 +689,7 @@ class Session:
         An element counts as scanned only once the predicate has answered,
         so a fault or interrupt leaves it to be inspected again."""
         segment = fc.partitions[xi]
-        prefix, alpha, argument, stats = segment.prefix, fc.arg_shape[0], fc.argument, self.stats
+        prefix, alpha, argument = segment.prefix, fc.arg_shape[0], fc.argument
         pcode, penv = fc.predicate.code, fc.predicate.env
         cells = argument.__class__ is ImapClosure and argument.cell == ()
         while n is None or len(prefix) <= n:
@@ -693,22 +701,19 @@ class Session:
                             f"(shape {render_shape(fc.arg_shape)}) looking for element "
                             f"[{xi + n}]")
             if cells:  # `select` with the bounds just tested: the cell, then its `()`
-                stats["rules"] += 1
-                if self.fuel is not None:
-                    self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
+                self.rules += 1
+                if self.rules > self.limit: self._short(1)
                 element = self._cell_value(argument, (source,))
                 if element.__class__ in _SCALARS:
-                    stats["rules"] += 1
-                    if self.fuel is not None:
-                        self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
+                    self.rules += 1
+                    if self.rules > self.limit: self._short(1)
                 else:
                     element = self.select(element, ())
             else:
                 element = self.select(argument, (source,))
-            stats["predicate_calls"] += 1
-            stats["rules"] += 1  # applying the predicate
-            if self.fuel is not None:
-                self.fuel = self.fuel - 1 if self.fuel > 0 else self._out_of_fuel()
+            self._stats["predicate_calls"] += 1
+            self.rules += 1  # applying the predicate
+            if self.rules > self.limit: self._short(1)
             accepted = pcode(self, (element, penv))
             if accepted.__class__ is not bool:
                 accepted = self._force_scalar(accepted)

@@ -18,8 +18,8 @@ the session's counters, the fuel left and the `letrec` depth left over:
   raising `KeyboardInterrupt`.
 
 A change that is meant to be pure speed must leave the digest as it was,
-under `python` and under `python -O`.  Only the standard library and heh
-are needed.
+under `python` and under `python -O`; Tier-1 pins it (see
+`test_differential.py`).  Only the standard library and heh are needed.
 """
 
 import hashlib
@@ -119,15 +119,20 @@ def rows():
         Session._out_of_fuel = out_of_fuel
 
 
+def digest() -> str:
+    """The sha256 of the rows, one JSON list a line."""
+    hashed = hashlib.sha256()
+    for row in rows():
+        hashed.update(json.dumps(row).encode() + b"\n")
+    return hashed.hexdigest()
+
+
 def main(argv):
     if argv == ["--rows"]:
         for row in rows():
             print(json.dumps(row))
         return
-    digest = hashlib.sha256()
-    for row in rows():
-        digest.update(json.dumps(row).encode() + b"\n")
-    print(digest.hexdigest())
+    print(digest())
 
 
 if __name__ == "__main__":

@@ -167,9 +167,9 @@ def test_the_corpus_covers_each_construct():
 
 
 def test_the_outcome_digest_still_takes_its_rows():
-    """`outcome_digest.py` is run by hand, before and after a change meant
-    to keep every outcome; its first row, a fault's row and a fuel
-    program's row still come out, in the form it hashes."""
+    """`outcome_digest.py` hashes what a change meant to keep every outcome
+    must keep; its first row, a fault's row and a fuel program's row still
+    come out, in the form it hashes."""
     import outcome_digest
     source, (kind, message, rule, span) = FAULTS[0]
     fault = outcome_digest.run(source, None, CONFIGS[0], False)
@@ -179,3 +179,13 @@ def test_the_outcome_digest_still_takes_its_rows():
         json.dumps(row)
     assert fault[0] == [[kind, message, rule, list(span)]]
     assert fuel[0][0][0] == "FuelExhausted" and fuel[2] == 0
+
+
+# the digest of every outcome, counter and fuel read `outcome_digest.rows()`
+# takes; a change that moves it changed what a user can observe
+OUTCOME_DIGEST = "09961e84d452a98b0df0203824d187ecdb32ec27db5e425239d41ba85c8b64b6"
+
+
+def test_the_outcome_digest_is_pinned():
+    import outcome_digest
+    assert outcome_digest.digest() == OUTCOME_DIGEST

@@ -650,7 +650,7 @@ def test_fuel_runs_out_at_the_same_rule():
 def test_fuel_pays_for_as_many_rules_as_it_holds(monkeypatch, interrupted):
     # k units of fuel pay for k rules, so the next rule counts itself, finds
     # none left and stops evaluation, with the fuel spent to 0, whichever
-    # rule it is and however rules are grouped when they spend
+    # rule it is and however rules are grouped when they are counted
     if interrupted:
         monkeypatch.setattr(Session, "_out_of_fuel", interrupt)
     for source, prelude in FUEL_PROGRAMS:
@@ -660,6 +660,27 @@ def test_fuel_pays_for_as_many_rules_as_it_holds(monkeypatch, interrupted):
                 session.run_program(source)
             assert interrupted or e.value.kind == "FuelExhausted"
             assert (session.stats["rules"], session.fuel) == (fuel + 1, 0), (source, fuel)
+    # fuel set on a session that has counted rules pays for as many more
+    source, prelude = FUEL_PROGRAMS[0]
+    total = rule_total(source, prelude)
+    session = new_session(EvalConfig(), prelude)
+    session.run_program("1 + 2")
+    before = session.stats["rules"]
+    assert before == 3
+    for fuel in (0, total - 1):
+        session.fuel = fuel
+        with pytest.raises(KeyboardInterrupt if interrupted else EvalError):
+            session.run_program(source)
+        assert (session.stats["rules"], session.fuel) == (before + fuel + 1, 0), fuel
+        before = session.stats["rules"]
+    session.fuel = total
+    session.run_program(source)
+    assert (session.stats["rules"], session.fuel) == (before + total, 0)
+    # negative fuel runs out at the first rule, and then reads as none left
+    session = new_session(EvalConfig(fuel=-5), prelude=False)
+    with pytest.raises(KeyboardInterrupt if interrupted else EvalError):
+        session.run_program("1")
+    assert (session.stats["rules"], session.fuel) == (1, 0)
 
 
 def test_every_counted_rule_is_in_the_rule_inventory():
@@ -872,19 +893,19 @@ def make(a0, a1, a2, a3, a4, a5):
     spans = (a0, a1, a2, a4,)  # one variable of `code`, not one for each span
     def code(s, env):
         try:
-            if s.fuel is not None: s.fuel = s.fuel - 2 if s.fuel >= 2 else s._short(2)
-            s.stats["rules"] += 2
+            s.rules += 2
+            if s.rules > s.limit: s._short(2)
             t0 = env[0]
             while t0.__class__ is Rec and t0.value is not None: t0 = t0.value
             if t0.__class__ is not bool: t0 = s._force_scalar(t0)
             if t0 is True:
-                if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel >= 1 else s._short(1)
-                s.stats["rules"] += 1
+                s.rules += 1
+                if s.rules > s.limit: s._short(1)
                 t0 = s.env.get(a3)
                 if t0 is None: raise Fault('UnboundVariable', f"unbound variable '{a3}'")
             elif t0 is False:
-                if s.fuel is not None: s.fuel = s.fuel - 1 if s.fuel >= 1 else s._short(1)
-                s.stats["rules"] += 1
+                s.rules += 1
+                if s.rules > s.limit: s._short(1)
                 t0 = a5
             else: raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
             return t0
@@ -897,12 +918,13 @@ def make(a0, a1, a2, a3, a4, a5):
 
 def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     """Every expression class compiles.  The prologue that counts a rule is
-    written once; besides it, `_apply` and `select` count, and so do the
-    compiled `apply` and `select` steps, through `_COUNT`.  A maximal
-    subtree of names, constants, operators, selections, applications and
-    conditionals is one generated function, whose source holds none of the
-    program's names and numbers; a program of the same shape with other
-    names and constants reuses it without compiling again."""
+    written once; the compiled `apply` and `select` steps count with it too,
+    and besides it only `_apply`, `select` and `_scan` count, with the same
+    two lines.  A maximal subtree of names, constants, operators,
+    selections, applications and conditionals is one generated function,
+    whose source holds none of the program's names and numbers; a program
+    of the same shape with other names and constants reuses it without
+    compiling again."""
     exprs = {cls for cls in vars(heh.syntax).values()
              if isinstance(cls, type) and issubclass(cls, heh.syntax.Expr)
              and cls is not heh.syntax.Expr}
@@ -915,9 +937,16 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     for node in nodes:
         assert heh.eval.compile_expr(node).__code__.co_filename.startswith("<heh "), node
     text = Path(heh.eval.__file__).read_text()
-    assert text.count('s.stats["rules"] += $k') == 1  # in `_PROLOGUE`
-    assert text.count('self.stats["rules"] += 1') == 3  # `_apply`, `select` twice
-    assert text.count('s.stats["rules"] += 1') == 1  # `_COUNT`, of the `apply` and `select` steps
+    assert text.count("s.rules += $k\nif s.rules > s.limit: s._short($k)") == 1  # `_PROLOGUE`
+    assert text.count("s.rules += ") == 1
+    assert text.count('_PROLOGUE.replace("$k", "1")') == 2  # the `apply` and `select` steps
+    counting = sorted(function.name for function in ast.walk(ast.parse(text))
+                      if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
+                      if isinstance(node, ast.AugAssign)
+                      and getattr(node.target, "attr", "") == "rules")
+    assert counting == ["_apply", "_scan", "_scan", "_scan", "_short", "select", "select"]
+    assert text.count("self.rules += 1") == 6
+    assert text.count("if self.rules > self.limit: self._short(1)\n") == 6
 
     def key_of(src):
         node = heh.syntax.parse_expr(src)
@@ -948,7 +977,8 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
     """The line table of every function compiled for the prelude, the
     shipped programs and the corpora gives one node for each line of the
     body, and the merged prologues count each node once, in order: each
-    spends for its first node and the nodes after it."""
+    counts its first node and the nodes after it.  The `apply` and `select`
+    steps count one more rule each, of a node counted before."""
     keys = []
     source_of = heh.eval._source
     monkeypatch.setattr(heh.eval, "_source", lambda key: keys.append(key) or source_of(key))
@@ -965,11 +995,17 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
         rules = ast.literal_eval(lines[end + 3].split("spans[i], ")[1].split("[")[0])
         assert len(nodes) == len(body), key
         counted = []
-        for line, following, node in zip(body, body[1:], nodes):
+        for i, (line, node) in enumerate(zip(body, nodes)):
             if "s._short(" in line:
                 k = int(line.split("s._short(")[1][:-1])
-                assert following.strip() == f's.stats["rules"] += {k}', key
-                counted += range(node, node + k)
+                assert line.strip() == f"if s.rules > s.limit: s._short({k})", key
+                assert body[i - 1].strip() == f"s.rules += {k}" and nodes[i - 1] == node, key
+                if node < len(counted):  # an `apply` or `select` step's own count
+                    following = body[i + 1]
+                    assert k == 1 and ("is not FunClosure" in following if rules[node] == "apply"
+                                       else "[0]], None" in following), key
+                else:
+                    counted += range(node, node + k)
         assert counted == list(range(len(rules))), key
 
 
