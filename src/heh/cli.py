@@ -5,7 +5,7 @@ import itertools
 import sys
 from typing import List, Optional
 
-from .eval import EvalConfig, EvalError, Session, new_session
+from .eval import EvalConfig, EvalError, Session, check_fuel, new_session
 from .ordinal import Ordinal, omega_power
 from .runtime import FilterClosure, render_scalar, render_shape, render_strict
 from .syntax import ParseError
@@ -212,7 +212,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.file is not None and args.expr is not None:
             parser.error("a program file and -e are mutually exclusive")
         for flag, number in (("--fuel", args.fuel), ("--force-print", args.force_print)):
-            if number is not None and number < 0:
+            try:
+                check_fuel(number)  # a count of rules or of elements
+            except ValueError:
                 parser.error(f"{flag} must be >= 0")
         if args.probe is not None:
             try:

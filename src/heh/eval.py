@@ -7,14 +7,13 @@ function, whose statements are each node's prologue and step in evaluation
 order (a superoperator, after Proebsting, "Optimizing an ANSI C interpreter
 with superoperators", POPL 1995).  A new function starts only at a lambda or
 imap body, an imap's bounds and cell shape, a long array literal, and past
-a budget of nodes or of nested `letrec` bounds.  All come from one
-template and the steps in `_STEPS`, and are cached by the shape of the
-subtree.  A name bound by a lambda, a `letrec` or an imap generator is
-resolved at compile time to its depth in `env`, a chain of `(value,
-parent)` tuples; any other name is looked up by name in the session's
-top-level frame, the dict `Session.env`, when it is evaluated.  Compiled
-code holds no session state, so the prelude's functions, built once per
-process, serve every session (see `prelude`).
+a budget of nodes.  All come from one template and the steps in `_STEPS`,
+and are cached by the shape of the subtree.  A name bound by a lambda, a
+`letrec` or an imap generator is resolved at compile time to its depth in
+`env`, a chain of `(value, parent)` tuples; any other name is looked up by
+name in the session's top-level frame, the dict `Session.env`, when it is
+evaluated.  Compiled code holds no session state, so the prelude's
+functions, built once per process, serve every session (see `prelude`).
 
 Values are plain Python objects (see `runtime`); an ordinal below w is an
 `int`, so index arithmetic on naturals is Python's own.  Evaluation is strict
@@ -51,11 +50,20 @@ _SCALARS = {int, Ordinal, bool}  # the classes of a scalar that is no function
 _NO_LIMIT = sys.maxsize  # `Session.limit` with no fuel set: above any count reached
 
 
+def check_fuel(fuel) -> None:
+    """Raise ValueError, naming `fuel`, unless it is None or an int >= 0."""
+    if fuel is not None and (fuel.__class__ is not int or fuel < 0):  # a bool is no count
+        raise ValueError(f"fuel must be None or an int >= 0, not {fuel!r}")
+
+
 @dataclass
 class EvalConfig:
     strict_finite_imaps: bool = False
     memoize: bool = True
     fuel: Optional[int] = None  # max rule applications; None = unlimited
+
+    def __post_init__(self):
+        if self.fuel is not None: check_fuel(self.fuel)  # no call for the default
 
 
 class EvalError(Exception):
@@ -137,11 +145,12 @@ def _array(n: int) -> str:
 # temp `$t`.  "@t" stands for the lines of the next child, which leave its
 # value in `$t`; "@u" for those of a second operand, in `$u`, which the step
 # clears once used, so a temp holds no value its rule has done with (in a
-# deep recursion, such a value stays alive on every level); "@tK" for those
-# of a K-th, in `$tK`.  `$a`...`$d` are arguments (a leaf's constant or
-# top-level name, a hole's code, another node's fields), `$span` the node's
-# span and `$env` the variable that holds its environment.  A step reads this
-# module's globals, so a name only a step uses, such as `is_limit`, is imported.
+# deep recursion, such a value stays alive on every level); "@v" for those of
+# a third, in `$v`; "@tK" for those of an array literal's K-th element, in
+# `$tK`.  `$a`...`$d` are arguments (a leaf's constant or top-level name, a
+# hole's code, another node's fields), `$span` the node's span and `$env` the
+# variable that holds its environment.  A step reads this module's globals,
+# so a name only a step uses, such as `is_limit`, is imported.
 _STEPS = {
     "const": ("const", "$t = $a"),
     "hops": ("var", "$t = $env$hops[0]\n" + _FOLLOW),  # an empty cell is passed on
@@ -181,9 +190,8 @@ _STEPS = {
         $t = Rec($a)
         $inner = ($t, $env)
         s._letrec_depth += 1
-        try:
-            @u
-        finally: s._letrec_depth -= 1
+        @u
+        s._letrec_depth -= 1
         if $u is $t: raise Fault("UnboundVariable", f"premature recursive reference to '{$a}'")
         $t.value, $u = $u, None
         @t
@@ -207,8 +215,8 @@ _STEPS = {
         if not isinstance(s._value($t), FunClosure):
             raise Fault("NotAFunction", "reduce needs a function as first argument")
         @u
-        @t2
-        $t, $u, $t2 = s._eval_reduce($t, $u, $t2), None, None
+        @v
+        $t, $u, $v = s._eval_reduce($t, $u, $v), None, None
         """),
     "filter": ("filter", """
         @t
@@ -227,13 +235,8 @@ _KINDS = {Select: ("select", "array", "index"), Apply: ("apply", "fun", "arg"),
           ArrayLiteral: ("array",), Imap: ("imap", "frame"),
           **{cls: (keyword, *fields) for keyword, (cls, fields) in PREFIX_FORMS.items()}}
 _EXPRESSIONS = {Var, OrdinalConst, BoolConst, *_KINDS}  # every expression class
-# a `letrec` bound is a `try` block, of which Python allows 20 nested (19
-# nested bounds in one function are already too many); Python also allows
-# 100 nested indented blocks, and a node opens at most one, so the node
-# budget keeps a function under that
-_BOUNDS = 16
-# compiling a function peaks at about 35 KB a node, which can set the
-# process's peak memory
+# a node opens at most one indented block, of which Python allows 100 nested;
+# compiling a function peaks at about 35 KB a node, which can set peak memory
 _NODES = 24
 
 _FUNCTION = Template("""\
@@ -266,8 +269,8 @@ def _source(key: tuple) -> Tuple[str, str]:
         hops = marker.__class__ is int
         kind = "hops" if hops else marker
         rule, step = _STEPS[kind]
-        names = {"t": f"t{h}", "u": f"t{h + 1}", "hops": "[1]" * (hops and marker),
-                 "env": f"env{level or ''}", "inner": f"env{level + 1}",
+        names = {"t": f"t{h}", "u": f"t{h + 1}", "v": f"t{h + 2}", "env": f"env{level or ''}",
+                 "inner": f"env{level + 1}", "hops": "[1]" * (hops and marker),
                  **{f"t{k}": f"t{h + k}" for k in range(_ELEMENTS)}}
         step = textwrap.dedent(step).strip()
         if rule is not None:  # a node, not a hole
@@ -290,8 +293,8 @@ def _source(key: tuple) -> Tuple[str, str]:
             text = line.lstrip()
             indent = pad + len(line) - len(text)
             if text[:1] == "@":  # a letrec's children see its `$inner`
-                emit(h + (1 if text == "@u" else int(text[2:] or 0)), indent, node,
-                     level + (rule == "letrec"))
+                offset = int(text[2:]) if text[2:] else "tuv".index(text[1])
+                emit(h + offset, indent, node, level + (rule == "letrec"))
             elif text:
                 body.append(" " * indent + Template(text).substitute(names))
                 nodes.append(node)
@@ -317,14 +320,13 @@ def _factory(key: tuple):
     return namespace["make"]
 
 
-def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, bounds=0):
+def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list):
     """Append to `key` a marker for each node of the fused subtree at `node`,
     in evaluation order, and to `args` its span, a leaf's constant or
     top-level name, and the codes of lambda and imap bodies.  A lexically
-    bound name's marker is its depth in `env`.  A node past `_NODES` nodes
-    or inside `_BOUNDS` `letrec` bounds, or a literal of more than
-    `_ELEMENTS` elements, is a hole: marker None, and its own code as the
-    argument."""
+    bound name's marker is its depth in `env`.  A node past `_NODES` nodes,
+    or a literal of more than `_ELEMENTS` elements, is a hole: marker None,
+    and its own code as the argument."""
     cls = node.__class__
     if cls is Var and node.name in scope:
         key.append(scope.index(node.name))
@@ -332,8 +334,7 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, bounds=0
     elif cls is Var or cls is OrdinalConst or cls is BoolConst:
         key.append("var" if cls is Var else "const")
         args += node.span, node.name if cls is Var else node.value
-    elif (bounds < _BOUNDS and len(key) < _NODES
-          and (cls is not ArrayLiteral or len(node.elements) <= _ELEMENTS)):
+    elif len(key) < _NODES and (cls is not ArrayLiteral or len(node.elements) <= _ELEMENTS):
         marker, *fields = _KINDS[cls]
         children = [getattr(node, field) for field in fields]
         key.append(marker or node.op)
@@ -361,7 +362,7 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list, bounds=0
             if args[-3] is None and args[-2] is None:  # no cell shape, a lone `_(x)`
                 key[-1] = "imap_full"
         for child in children:
-            _flatten(child, scope, key, args, bounds + (cls is Letrec and child is node.bound))
+            _flatten(child, scope, key, args)
     else:
         key.append(None)
         args.append(compile_expr(node, scope))
@@ -394,9 +395,10 @@ class Session:
         self.config = config or EvalConfig()
         self.env: dict = {}  # the top-level frame: name -> value
         self.rules = 0  # the rules applied; fuel is a limit on this count
-        self.limit = _NO_LIMIT if self.config.fuel is None else self.config.fuel
+        self.limit = _NO_LIMIT  # fuel is checked again: a config can change once made
+        if self.config.fuel is not None: self.fuel = self.config.fuel
         self._stats = {"rules": 0, "body_evals": 0, "predicate_calls": 0}
-        self._letrec_depth = 0
+        self._letrec_depth = 0  # the `letrec` bounds being evaluated; `_entry` zeroes it
 
     @property
     def fuel(self) -> Optional[int]:
@@ -406,6 +408,7 @@ class Session:
 
     @fuel.setter
     def fuel(self, fuel: Optional[int]) -> None:
+        check_fuel(fuel)
         self.limit = _NO_LIMIT if fuel is None else self.rules + fuel
 
     @property
@@ -417,10 +420,11 @@ class Session:
     ### plumbing
 
     def _entry(self, rule: str, thunk):
-        """`thunk()` run as a public entry: the one place that decides how an
-        internal failure reaches the caller.  The recursion limit is raised
-        for the call only; a `Fault` becomes an `EvalError` of `rule` with no
-        span, and running out of Python frames becomes `DepthExceeded`."""
+        """`thunk()` run as a public entry, the one place that decides how an
+        internal failure reaches the caller: a `Fault` becomes an `EvalError`
+        of `rule` with no span, and running out of Python frames
+        `DepthExceeded`.  The recursion limit is raised for the call only, and
+        `_letrec_depth`, which a failure leaves raised, is zeroed after it."""
         previous = sys.getrecursionlimit()
         limit = max(previous, RECURSION_LIMIT)
         sys.setrecursionlimit(limit)
@@ -434,6 +438,7 @@ class Session:
                             f"recursion limit ({limit} frames)", None, rule) from None
         finally:
             sys.setrecursionlimit(previous)
+            self._letrec_depth = 0
 
     def _out_of_fuel(self) -> NoReturn:
         """The end of a rule that found no fuel left, through `_short`.
@@ -514,8 +519,7 @@ class Session:
         for a `_(x)` one, or None for a lone `_(x)` generator."""
         if frame.__class__ is not tuple:
             frame = self._force_ordinal_vector(frame, "frame shape")
-        cell = () if cell is None else self._force_ordinal_vector(cell(self, env),
-                                                                   "cell shape")
+        cell = () if cell is None else self._force_ordinal_vector(cell(self, env), "cell shape")
         frame_box: Box = ((0,) * len(frame), frame)
         if gens is None:  # its one box tiles the frame: no bounds, no check
             parts = [(frame_box, bodies[0])]
@@ -528,9 +532,8 @@ class Session:
                     lower = self._force_ordinal_vector(lower(self, env), "generator bound")
                     upper = self._force_ordinal_vector(upper(self, env), "generator bound")
                     if len(lower) != len(frame) or len(upper) != len(frame):
-                        raise Fault("RankMismatch",
-                                    "generator bounds must match the frame rank "
-                                    f"({len(frame)})")
+                        raise Fault("RankMismatch", "generator bounds must match the frame "
+                                    f"rank ({len(frame)})")
                     if any(l > u for l, u in zip(lower, upper)):
                         raise Fault("NotAPartition", "generator bounds are inverted")
                     box = (lower, upper)
@@ -576,10 +579,8 @@ class Session:
         """Fault unless the cell value `result` at `index` has the cell shape."""
         shape = () if result.__class__ in _SCALARS else self._shape_of(result)
         if shape != closure.cell:
-            raise Fault("ShapeMismatch",
-                        f"imap element at {render_shape(index)} has shape "
-                        f"{render_shape(shape)}, cell shape is "
-                        f"{render_shape(closure.cell)}")
+            raise Fault("ShapeMismatch", f"imap element at {render_shape(index)} has shape "
+                        f"{render_shape(shape)}, cell shape is {render_shape(closure.cell)}")
 
     def _force_closure_strict(self, closure: ImapClosure) -> list:
         """Row-major data of a finite imap, forcing every element.  A memo
@@ -785,10 +786,7 @@ class Session:
     def _run(self, program):
         last = None
         for form, code in program:
-            if isinstance(form, Binding):
-                last = self._run_binding(form, code)
-            else:
-                last = code(self, None)
+            last = self._run_binding(form, code) if isinstance(form, Binding) else code(self, None)
         return last
 
     def _run_binding(self, form: Binding, code: Code):
@@ -810,8 +808,7 @@ class Session:
             else:
                 self.env[form.name] = previous
             raise
-        finally:
-            self._letrec_depth -= 1
+        self._letrec_depth -= 1
         cell.value = self.env[form.name] = value
         return value
 

@@ -1,9 +1,12 @@
 """One sha256 over everything a user of the evaluator can observe.
 
-    PYTHONPATH=src python tests/outcome_digest.py [--rows]
+    PYTHONPATH=src python tests/outcome_digest.py [--rows] [--fusion NAME=N ...]
 
 prints the digest (`--rows` prints the rows it is taken over instead, one
-JSON list a line, to find where two versions differ).  A row holds each
+JSON list a line, to find where two versions differ).  Each `--fusion`,
+such as `--fusion _NODES=1`, sets one of the compiler's fusion budgets in
+`heh.eval` (see `FUSION`), and all code is compiled afresh under them, so
+the digest of any fusion configuration takes one command.  A row holds each
 probe's outcome (its value, or its error's kind, message, rule and span),
 the session's counters, the fuel left and the `letrec` depth left over:
 
@@ -22,17 +25,22 @@ under `python` and under `python -O`; Tier-1 pins it (see
 `test_differential.py`).  Only the standard library and heh are needed.
 """
 
+import argparse
+import functools
 import hashlib
 import json
+import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path[:0] = [str(Path(__file__).parent), str(Path(__file__).parent.parent / "src")]
 
 from corpora import CONFIGS, FAULTS, RANK_0_CELL_SCAN, corpus, list_corpus  # noqa: E402
 
+import heh.eval  # noqa: E402
 from heh.eval import EvalConfig, EvalError, Session, new_session  # noqa: E402
-from heh.prelude import examples_suite, program_source  # noqa: E402
+from heh.prelude import _prelude_values, examples_suite, program_source  # noqa: E402
 from heh.runtime import render_scalar  # noqa: E402
 
 # (source, prelude): between them they run every rule kind, with `letrec`s
@@ -90,22 +98,58 @@ def rule_total(source, prelude):
     return run(source, None, EvalConfig(), prelude)[1]["rules"]
 
 
-def rows():
-    for prelude, cases in ((False, corpus()), (True, list_corpus())):
+# the budgets of `heh.eval` that decide only how code is fused into
+# functions, with the least value of each: `_NODES` nodes a function (its
+# root at least), `_ELEMENTS` elements of an array literal fused with it
+FUSION = {"_NODES": 1, "_ELEMENTS": 0}
+
+
+@contextmanager
+def fusion(settings):
+    """The block run with `heh.eval`'s fusion budgets set as `settings`
+    (name -> int), and the code of the prelude and of every program
+    compiled afresh under them; after it, the budgets as they were, and
+    the code compiled afresh again."""
+    saved = {name: getattr(heh.eval, name) for name in settings}
+
+    def rebuild(values):
+        for name, value in values.items():
+            setattr(heh.eval, name, value)
+        heh.eval._factory.cache_clear()
+        _prelude_values.cache_clear()
+    rebuild(settings)
+    try:
+        yield
+    finally:
+        rebuild(saved)
+
+
+def rows(sample=None):
+    """The rows, in a fixed order.  With `sample`, each corpus gives only
+    that many programs, picked with a fixed seed, and the shipped programs
+    at `examples_suite()`'s indices are left out; `FAULTS`, the pinned
+    probes and the `FUEL_PROGRAMS` sweeps are all kept."""
+    corpora = [(False, corpus()), (True, list_corpus())]
+    if sample is not None:
+        corpora = [(prelude, random.Random(7).sample(cases, sample)) for prelude, cases in corpora]
+    for prelude, cases in corpora:
         for source, probes in cases:
             for config in CONFIGS:
                 yield run(source, [index for index, _ in probes], config, prelude)
     for source, _ in FAULTS:
         for config in CONFIGS:
             yield run(source, None, config, False)
-    for name, probes in examples_suite():
+    for name, probes in examples_suite() if sample is None else ():
         for config in CONFIGS:
             yield run(program_source(name), [index for index, _ in probes], config)
     for name, probes in (("nats.heh", [(2000,)]), ("ackermann.heh", [(3, 6)]),
                          ("game_of_life.heh", [(2, 2), (1, 2)])):
         yield run(program_source(name), probes, EvalConfig())
     totals = [rule_total(source, prelude) for source, prelude in FUEL_PROGRAMS]
-    out_of_fuel = Session._out_of_fuel
+    out_of_fuel, compile_program = Session._out_of_fuel, heh.eval.compile_program
+    # a swept program is compiled once for all its runs (compiled code holds
+    # no session state): parsing it again at each fuel took most of the time
+    heh.eval.compile_program = functools.lru_cache(maxsize=None)(compile_program)
     try:
         for interrupting in (False, True):
             if interrupting:
@@ -116,7 +160,7 @@ def rows():
                 for fuel in range(total + 1):
                     yield run(source, None, EvalConfig(fuel=fuel), prelude)
     finally:
-        Session._out_of_fuel = out_of_fuel
+        Session._out_of_fuel, heh.eval.compile_program = out_of_fuel, compile_program
 
 
 def digest() -> str:
@@ -127,12 +171,27 @@ def digest() -> str:
     return hashed.hexdigest()
 
 
+def fusion_setting(text):
+    """`NAME=N` as (NAME, N), for a budget of `FUSION` and N at least its least value."""
+    name, _, value = text.partition("=")
+    if name not in FUSION or not value.isdigit() or int(value) < FUSION[name]:
+        raise argparse.ArgumentTypeError(
+            "expected NAME=N, with " + " or ".join(f"{k}=N, N >= {v}" for k, v in FUSION.items()))
+    return name, int(value)
+
+
 def main(argv):
-    if argv == ["--rows"]:
-        for row in rows():
-            print(json.dumps(row))
-        return
-    print(digest())
+    parser = argparse.ArgumentParser(description="The digest of every observable outcome.")
+    parser.add_argument("--rows", action="store_true", help="print the rows, not their digest")
+    parser.add_argument("--fusion", type=fusion_setting, action="append", default=[],
+                        metavar="NAME=N", help="set a fusion budget of heh.eval (repeatable)")
+    args = parser.parse_args(argv)
+    with fusion(dict(args.fusion)):
+        if args.rows:
+            for row in rows():
+                print(json.dumps(row))
+        else:
+            print(digest())
 
 
 if __name__ == "__main__":

@@ -189,3 +189,26 @@ OUTCOME_DIGEST = "09961e84d452a98b0df0203824d187ecdb32ec27db5e425239d41ba85c8b64
 def test_the_outcome_digest_is_pinned():
     import outcome_digest
     assert outcome_digest.digest() == OUTCOME_DIGEST
+
+
+# fusion budgets under which compiled code is split differently: every node
+# a function of its own (but an array literal's constant elements), no node
+# budget, and no array literal fused with its elements
+FUSION_CONFIGS = [{"_NODES": 1}, {"_NODES": 10**9}, {"_ELEMENTS": 0}]
+
+
+def test_outcomes_do_not_depend_on_how_code_is_fused():
+    """How nodes are fused into functions decides only how fast code runs:
+    a sample of the digest's rows, with every fault, pinned probe and fuel
+    sweep, is the same under each of `FUSION_CONFIGS` as under the default
+    budgets.  The pinned digest was read off the fused compiler, so this
+    also catches a fusion fault older than the pin."""
+    import outcome_digest
+    sample = 40  # programs of each corpus
+    expected = list(outcome_digest.rows(sample))
+    for settings in FUSION_CONFIGS:
+        with outcome_digest.fusion(settings):
+            got = list(outcome_digest.rows(sample))
+        assert len(got) == len(expected), settings
+        for row, want in zip(got, expected):
+            assert row == want, settings

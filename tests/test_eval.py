@@ -229,6 +229,9 @@ def test_imap_partitioned_generators():
     r = run(src)
     assert [probe(r, [n]) for n in range(6)] == [9, 9, 9, 3, 4, 5]
     assert probe(r, [1000]) == 1000
+    # a `_(x)` generator next to another one, whose box is empty
+    r = run("imap [3] { _(iv): 1, [2] <= iv < [2]: 0 }")
+    assert [probe(r, [n]) for n in range(3)] == [1, 1, 1]
 
 
 def test_imap_cell_shapes():
@@ -676,11 +679,30 @@ def test_fuel_pays_for_as_many_rules_as_it_holds(monkeypatch, interrupted):
     session.fuel = total
     session.run_program(source)
     assert (session.stats["rules"], session.fuel) == (before + total, 0)
-    # negative fuel runs out at the first rule, and then reads as none left
-    session = new_session(EvalConfig(fuel=-5), prelude=False)
-    with pytest.raises(KeyboardInterrupt if interrupted else EvalError):
-        session.run_program("1")
-    assert (session.stats["rules"], session.fuel) == (1, 0)
+    # fuel that is not a count of rules is refused before anything runs
+    with pytest.raises(ValueError, match="-5"):
+        EvalConfig(fuel=-5)
+
+
+@pytest.mark.parametrize("fuel", [-5, 2.5, 3.0, "3", True])
+def test_fuel_is_none_or_a_count(fuel):
+    # refused with a ValueError that names it, by the config, by a session
+    # made from a config it was set in later, and by the setter of a
+    # session, which keeps the fuel it had
+    with pytest.raises(ValueError) as e:
+        EvalConfig(fuel=fuel)
+    assert str(e.value) == f"fuel must be None or an int >= 0, not {fuel!r}"
+    config = EvalConfig()
+    config.fuel = fuel
+    with pytest.raises(ValueError):
+        Session(config)
+    session = Session(EvalConfig(fuel=7))
+    with pytest.raises(ValueError) as e:
+        session.fuel = fuel
+    assert repr(fuel) in str(e.value)
+    assert session.fuel == 7 and session.run_program("1 + 1") == 2
+    for count in (None, 0, 3):
+        assert Session(EvalConfig(fuel=count)).fuel == count
 
 
 def test_every_counted_rule_is_in_the_rule_inventory():
@@ -1123,16 +1145,20 @@ def test_a_stopped_letrec_bound_leaves_no_depth(monkeypatch, interrupted):
     assert val(src) == 4
     if interrupted:
         monkeypatch.setattr(Session, "_out_of_fuel", interrupt)
-    for fuel in range(30):
-        session = Session(EvalConfig(fuel=fuel))
+    for strict, fuel in itertools.product((False, True), range(30)):
+        session = Session(EvalConfig(strict_finite_imaps=strict, fuel=fuel))
         with pytest.raises(KeyboardInterrupt if interrupted else EvalError):
             session.run_program(src)
         assert session._letrec_depth == 0, fuel
+        if strict:  # so a finite imap of the next entry runs its body at once
+            session.fuel = None
+            evals = session.stats["body_evals"]
+            assert session.run_program("imap [3] {_(iv): iv.[0] + 1}") == (1, 2, 3)
+            assert session.stats["body_evals"] == evals + 3, fuel
 
 
 def test_deep_nesting_compiles():
-    # a branch is an indented block, of which Python allows 100 nested, and
-    # a `letrec` bound a `try` block, of which it allows 20
+    # a branch is an indented block, of which Python allows 100 nested
     n = 120
     src = ("".join(f"letrec a{k} = " for k in range(n)) + "1"
            + "".join(f" in a{k} + 1" for k in reversed(range(n))))
