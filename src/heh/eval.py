@@ -42,9 +42,8 @@ from .syntax import (
     parse_expr, parse_program,
 )
 
-# Python frames allowed while a public entry runs; a nats level takes three
-# (the code of its body, `select`, `_cell_value`), and a level of recursion
-# through application one (the code of the function's body)
+# Python frames allowed while a public entry runs; a nats level takes two (the
+# code of its body and `_cell_value`), a level of recursion through application one
 RECURSION_LIMIT = 200_000
 _SCALARS = {int, Ordinal, bool}  # the classes of a scalar that is no function
 _NO_LIMIT = sys.maxsize  # `Session.limit` with no fuel set: above any count reached
@@ -78,6 +77,14 @@ class EvalError(Exception):
         super().__init__(f"{kind}{where} (in {rule}): {message}")
 
 
+def _check_bounds(closure: ImapClosure, index: ShapeVec) -> None:
+    """Fault unless `index`, of the rank of `closure`'s shape, lies in it."""
+    for i, s in zip(index, closure.shape):  # an int is below every Ordinal (see runtime)
+        if not (i.__class__ is int and s.__class__ is Ordinal and i >= 0 or 0 <= i < s):
+            raise Fault("IndexOutOfBounds", f"index {render_shape(index)} outside shape "
+                        f"{render_shape(closure.shape)}")
+
+
 def _equal(lhs, rhs) -> bool:
     if (lhs.__class__ in _SCALARS and rhs.__class__ in _SCALARS
             and (lhs.__class__ is bool) is (rhs.__class__ is bool)):
@@ -95,10 +102,9 @@ def _equal(lhs, rhs) -> bool:
 # run of `$k` nodes at once: their prologues at one indent, with only
 # `_QUIET` steps, which cannot call out or fault, between them.  When the
 # count passes the limit, `Session._short` runs out at the node of the run
-# that one prologue per node would.  The `apply` step and the `select` step
-# of a tuple count an application and a selection with `_PROLOGUE` at
-# `$k = 1`, as `Session._apply` and `Session.select` do; with these and a
-# filter's `Session._scan`, they are the only other places that count.
+# that one prologue per node would.  A step's line `$prologue` is `_PROLOGUE` at
+# `$k = 1`, with which the `apply` and `select` steps count as `_apply` and
+# `Session.select` do; with these and a filter's `_scan`, they are all that count.
 Code = Callable
 
 _PROLOGUE = """\
@@ -118,11 +124,25 @@ $apply"""
 _PARTIAL = """try: $t, $u = $x, None
 except UndefinedOrdinalOp as exc: raise Fault("UndefinedOrdinalOp", str(exc)) from None
 except ZeroDivisionError: raise Fault("DivisionByZero", "division by zero") from None"""
-# the selection step, which reads an element of a tuple itself when the
-# index is one natural in range (a vector's ints are naturals)
-_PICK = ("if $t.__class__ is tuple and len($u) == 1 and $u[0].__class__ is int and $u[0] < "
-         "len($t):\n" + textwrap.indent(_PROLOGUE.replace("$k", "1"), "    ")
-         + "\n    $t, $u = $t[$u[0]], None\nelse: $t, $u = s.select($t, $u), None")
+# the selection step, which reads a tuple by one natural in range (a vector's ints
+# are naturals), and an imap with no cell shape by an index of its rank as `select`
+# would, calling only `_cell_value` (a memo key is in range, a miss is tested)
+_PICK = """\
+if $t.__class__ is tuple and len($u) == 1 and $u[0].__class__ is int and $u[0] < len($t):
+    $prologue
+    $t, $u = $t[$u[0]], None
+elif $t.__class__ is ImapClosure and not $t.cell and len($u) == len($t.frame):
+    $prologue
+    $v = $t.memo.get($u)
+    if $v is None:
+        if len($u) != 1 or $u[0].__class__ is not int or $t.frame[0].__class__ is int \
+and $u[0] >= $t.frame[0]: _check_bounds($t, $u)
+        $v = s._cell_value($t, $u)
+    if $v.__class__ not in _SCALARS: $v = s.select($v, ())
+    else:
+        $prologue
+    $t, $u, $v = $v, None, None
+else: $t, $u = s.select($t, $u), None"""
 _CHECK = ("if $t.__class__ is not int and $t.__class__ is not Ordinal or $u.__class__ is not "
           "int and $u.__class__ is not Ordinal: raise Fault(\"ShapeMismatch\", \"'$op' needs "
           "ordinal scalar operands\")")
@@ -161,9 +181,8 @@ _STEPS = {
     "select": ("select", "@t\n@u\nif $u.__class__ is not tuple: "
                          "$u = s._force_ordinal_vector($u, \"selection index\")\n" + _PICK),
     # `Session._apply` done here: count, follow a cell, check, call
-    "apply": ("apply", "@t\n@u\n" + _PROLOGUE.replace("$k", "1")
-              + "\nif $t.__class__ is not FunClosure: $t = s._function($t)\n"
-              "$t, $u = $t.code(s, ($u, $t.env)), None"),
+    "apply": ("apply", "@t\n@u\n$prologue\nif $t.__class__ is not FunClosure: $t = s._function($t)"
+              "\n$t, $u = $t.code(s, ($u, $t.env)), None"),
     "cond": ("cond", """
         @t
         if $t.__class__ is not bool: $t = s._force_scalar($t)
@@ -295,6 +314,9 @@ def _source(key: tuple) -> Tuple[str, str]:
             if text[:1] == "@":  # a letrec's children see its `$inner`
                 offset = int(text[2:]) if text[2:] else "tuv".index(text[1])
                 emit(h + offset, indent, node, level + (rule == "letrec"))
+            elif text == "$prologue":  # a rule of the step's own: `_PROLOGUE` at `$k = 1`
+                body.extend(" " * indent + x for x in _PROLOGUE.replace("$k", "1").split("\n"))
+                nodes.extend((node, node))
             elif text:
                 body.append(" " * indent + Template(text).substitute(names))
                 nodes.append(node)
@@ -618,18 +640,11 @@ class Session:
             return value[linearize((len(value),), index)]
         if cls is StrictArray:
             return value.data[linearize(value.shape, index)]
-        if cls is ImapClosure:
-            shape = value.shape
-            if len(index) != len(shape):
+        if cls is ImapClosure:  # the compiled `select` step does this with no cell shape
+            if len(index) != len(value.shape):
                 raise Fault("RankMismatch",
-                            f"index of length {len(index)} into rank-{len(shape)} imap")
-            for i, s in zip(index, shape):
-                if i.__class__ is int and s.__class__ is Ordinal and i >= 0:
-                    continue  # an int is below every Ordinal (see runtime)
-                if not 0 <= i < s:
-                    raise Fault("IndexOutOfBounds",
-                                f"index {render_shape(index)} outside shape "
-                                f"{render_shape(shape)}")
+                            f"index of length {len(index)} into rank-{len(value.shape)} imap")
+            _check_bounds(value, index)
             m = len(value.frame)
             cell = self._cell_value(value, index[:m])
             if len(index) == m and cell.__class__ in _SCALARS:

@@ -527,6 +527,27 @@ FAULTS = [
      ("NotAFunction", "only functions can be applied", "reduce", (5, 25, 1, 6))),
     ("letrec g = \\x. x in reduce g 0 [1]",
      ("NotAFunction", "only functions can be applied", "reduce", (20, 34, 1, 21))),
+    # what the `select` step does with an imap: with no cell shape and an index
+    # of its rank, it tests a miss itself (a natural against an int or an
+    # `Ordinal` extent, any other index through `_check_bounds`) and reads the
+    # cell, a scalar, a function or the one cell of a rank-0 imap; with a cell
+    # shape or another rank, it calls `Session.select`
+    ("(\\y. (imap [2] {_(iv): iv.[0]}).[y]) 5",
+     ("IndexOutOfBounds", "index [5] outside shape [2]", "select", (5, 35, 1, 6))),
+    ("(\\y. (imap [w+3] {_(iv): iv.[0] / y}).[w + 1]) 0",
+     ("DivisionByZero", "division by zero", "binop", (25, 35, 1, 26))),
+    ("(\\y. (imap [w+3] {_(iv): y}).[w + y]) 5",
+     ("IndexOutOfBounds", "index [w + 5] outside shape [w + 3]", "select", (5, 36, 1, 6))),
+    ("(\\y. (imap [w] {_(iv): y}).[y, y]) 1",
+     ("RankMismatch", "index of length 2 into rank-1 imap", "select", (5, 33, 1, 6))),
+    ("(\\y. (imap [w]|[3] {_(iv): [y, y, y]}).[1]) 0",
+     ("RankMismatch", "index of length 1 into rank-2 imap", "select", (5, 42, 1, 6))),
+    ("(\\y. (imap [w]|[3] {_(iv): [y, y, y]}).[1, 5]) 0",
+     ("IndexOutOfBounds", "index [1, 5] outside shape [w, 3]", "select", (5, 45, 1, 6))),
+    ("(\\y. (imap [w] {_(iv): \\x. x + y}).[3] + 1) 2",
+     ("ShapeMismatch", "'+' needs ordinal scalar operands", "binop", (5, 42, 1, 6))),
+    ("(imap [] {_(iv): 1}).[] + true",
+     ("ShapeMismatch", "'+' needs ordinal scalar operands", "binop", (0, 30, 1, 1))),
     # inside a transfinite filter scan, reported at the selection that scans
     ("(filter (\\x. true) (imap [w] {_(iv): [1]})).[0]",
      ("ShapeMismatch", "imap element at [0] has shape [1], cell shape is []", "select",

@@ -183,7 +183,7 @@ def test_the_outcome_digest_still_takes_its_rows():
 
 # the digest of every outcome, counter and fuel read `outcome_digest.rows()`
 # takes; a change that moves it changed what a user can observe
-OUTCOME_DIGEST = "09961e84d452a98b0df0203824d187ecdb32ec27db5e425239d41ba85c8b64b6"
+OUTCOME_DIGEST = "1d6e41df32651d645824cc7609a58bf9bdbabfdadafb3749e61affc72c8e9be2"
 
 
 def test_the_outcome_digest_is_pinned():

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -875,14 +876,15 @@ def test_depth_overflow_is_depth_exceeded_and_the_session_recovers(shallow_limit
     assert probe(r, [300]) == 300
 
 
-def test_a_nats_level_takes_three_frames(shallow_limit):
-    # each level is the code of the body, `select` and `_cell_value`: 900
-    # levels fit under 3,000 frames, 1,100 do not
+def test_a_nats_level_takes_two_frames(shallow_limit):
+    # each level is the code of the body, whose `select` step calls
+    # `_cell_value` itself, and `_cell_value`: 1,494 levels fit under 3,000
+    # frames, and at three frames a level only 996 would; 1,400 fit, 1,600 do not
     r = evaluate(program_source("nats.heh"))
-    assert probe(r, [900]) == 900
+    assert probe(r, [1400]) == 1400
     r = evaluate(program_source("nats.heh"))
     with pytest.raises(EvalError) as e:
-        probe(r, [1100])
+        probe(r, [1600])
     assert e.value.kind == "DepthExceeded"
 
 
@@ -900,6 +902,10 @@ def test_a_recursive_application_takes_one_frame(shallow_limit):
 def test_deepest_benchmark_probe_fits_under_the_real_limit():
     r = evaluate(program_source("nats.heh"))
     assert probe(r, [40000]) == 40000
+    # a fresh probe fits up to 99,994 levels, at two frames a level; at three
+    # only about 66,000 would, and this one is 40% past that
+    r = evaluate(program_source("nats.heh"))
+    assert probe(r, [93000]) == 93000
 
 
 def test_depth_overflow_while_evaluating_a_program(shallow_limit):
@@ -941,12 +947,14 @@ def make(a0, a1, a2, a3, a4, a5):
 def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     """Every expression class compiles.  The prologue that counts a rule is
     written once; the compiled `apply` and `select` steps count with it too,
-    and besides it only `_apply`, `select` and `_scan` count, with the same
-    two lines.  A maximal subtree of names, constants, operators,
-    selections, applications and conditionals is one generated function,
-    whose source holds none of the program's names and numbers; a program
-    of the same shape with other names and constants reuses it without
-    compiling again."""
+    through their lines `$prologue`: an application, and a selection in a
+    tuple, in an imap and of a scalar cell's trailing `()`.  Besides it only
+    `_apply`, `select` and `_scan` count, with the same two lines.  A
+    maximal subtree of names, constants, operators, selections,
+    applications and conditionals is one generated function, whose source
+    holds none of the program's names and numbers; a program of the same
+    shape with other names and constants reuses it without compiling
+    again."""
     exprs = {cls for cls in vars(heh.syntax).values()
              if isinstance(cls, type) and issubclass(cls, heh.syntax.Expr)
              and cls is not heh.syntax.Expr}
@@ -961,7 +969,9 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     text = Path(heh.eval.__file__).read_text()
     assert text.count("s.rules += $k\nif s.rules > s.limit: s._short($k)") == 1  # `_PROLOGUE`
     assert text.count("s.rules += ") == 1
-    assert text.count('_PROLOGUE.replace("$k", "1")') == 2  # the `apply` and `select` steps
+    assert text.count('_PROLOGUE.replace("$k", "1")') == 1  # a step's line `$prologue`
+    assert {kind: step.count("$prologue") for kind, (_, step) in heh.eval._STEPS.items()
+            if "$prologue" in step} == {"apply": 1, "select": 3}
     counting = sorted(function.name for function in ast.walk(ast.parse(text))
                       if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
                       if isinstance(node, ast.AugAssign)
@@ -995,12 +1005,19 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     assert compiled == []
 
 
+# the line after each count of a step's own, with every temp named `t`
+OWN_COUNTS = {"apply": {"if t.__class__ is not FunClosure: t = s._function(t)"},
+              "select": {"t, t = t[t[0]], None", "t = t.memo.get(t)",
+                         "t, t, t = t, None, None"}}
+
+
 def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
     """The line table of every function compiled for the prelude, the
     shipped programs and the corpora gives one node for each line of the
     body, and the merged prologues count each node once, in order: each
-    counts its first node and the nodes after it.  The `apply` and `select`
-    steps count one more rule each, of a node counted before."""
+    counts its first node and the nodes after it.  The `apply` step counts
+    one more rule, of a node counted before, and so does the `select` step,
+    before it reads a tuple, reads an imap's memo, or takes a scalar cell."""
     keys = []
     source_of = heh.eval._source
     monkeypatch.setattr(heh.eval, "_source", lambda key: keys.append(key) or source_of(key))
@@ -1023,9 +1040,8 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
                 assert line.strip() == f"if s.rules > s.limit: s._short({k})", key
                 assert body[i - 1].strip() == f"s.rules += {k}" and nodes[i - 1] == node, key
                 if node < len(counted):  # an `apply` or `select` step's own count
-                    following = body[i + 1]
-                    assert k == 1 and ("is not FunClosure" in following if rules[node] == "apply"
-                                       else "[0]], None" in following), key
+                    following = re.sub(r"\bt\d+", "t", body[i + 1].strip())
+                    assert k == 1 and following in OWN_COUNTS[rules[node]], key
                 else:
                     counted += range(node, node + k)
         assert counted == list(range(len(rules))), key
@@ -1114,24 +1130,25 @@ def test_which_helpers_a_probe_calls(config):
     builds an imap of one `_(x)` generator over a tuple frame without a
     call, and forcing a finite imap of one partition runs its body itself.
 
-    nats.[2000] selects in `nats` at each of the 2,000 levels and in the
-    probe: 2,001 `select` calls, each a memo miss, so 2,001 `_cell_value`
-    calls.  Each level applies `subv` twice, takes `|iv|`, builds and forces
-    the one-element imap of `subv iv [1]` and selects `a.iv` and `b.iv` in
-    two tuples in its body, all without a call.  ackermann.[3,6] calls
-    `select` only for the probe and the selections `a.[...]` in the table:
-    one at an entry with m > 0 and n = 0, two at any other entry with m > 0;
+    nats.[2000] calls `select` once, for the probe, and the `select` step
+    of each of the 2,000 levels selects in `nats`, an imap with no cell
+    shape, by calling `_cell_value` itself: each is a memo miss, so 2,001
+    `_cell_value` calls.  Each level applies `subv` twice, takes `|iv|`,
+    builds and forces the one-element imap of `subv iv [1]` and selects
+    `a.iv` and `b.iv` in two tuples in its body, all without a call.
+    ackermann.[3,6] calls `select` only for the probe; its step reads a
+    memo hit of a selection `a.[...]` in the table itself, and calls
+    `_cell_value` once for each entry of the table, on its one miss;
     `iv.[0]` and `iv.[1]` select in a tuple.  The first strict forcing of
     `v` runs its body for each cell, and the second reads memo hits."""
     none = dict.fromkeys(HELPERS, 0)
     r = evaluate(program_source("nats.heh"), config)
-    assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 2001,
+    assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 1,
                                                       "_cell_value": 2001}
     table = memoized_ackermann(3, 6)
-    selections = 1 + sum(1 if n == 0 else 2 for m, n in table if m > 0)
     r = evaluate(program_source("ackermann.heh"), config)
-    assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": selections,
-                                                      "_cell_value": selections}
+    assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": 1,
+                                                      "_cell_value": len(table)}
     src = "letrec v = imap [3] {_(iv): iv.[0] + 1} in [v, v]"
     assert helper_calls(lambda: evaluate(src, config, prelude=False)) == none
 
@@ -1188,12 +1205,15 @@ BACKWARDS = ("letrec r = imap [N] {[0] <= iv < [N - 1]: r.(addv iv [1]) + 1, "
              "[N - 1] <= iv < [N]: 0} in ")
 SHAPES = [("[" * 1500 + "1" + "]" * 1500, None), ("[" * 12000 + "1" + "]" * 12000, None),
           (NESTED, [3000, 0, 0]), (NESTED, [10000, 0, 0]),
-          (NATS + "nats", [10000]), (NATS + "nats", [20000]),
+          (NATS + "nats", [10000]), (NATS + "nats", [20000]), (NATS + "nats", [30000]),
           (NATS + "filter (\\\\x. true) (imap [w] {_(iv): nats.[iv.[0] + 5000]})", [0]),
           (NATS + "filter (\\\\x. true) (imap [w] {_(iv): nats.[iv.[0] + 20000]})", [0]),
+          (NATS + "filter (\\\\x. true) (imap [w] {_(iv): nats.[iv.[0] + 30000]})", [0]),
           (BACKWARDS.replace("N", "5000") + "reduce (\\\\x.\\\\y. x + y) 0 r", []),
           (BACKWARDS.replace("N", "20000") + "reduce (\\\\x.\\\\y. x + y) 0 r", []),
-          (BACKWARDS.replace("N", "20000") + "r", None)]
+          (BACKWARDS.replace("N", "30000") + "reduce (\\\\x.\\\\y. x + y) 0 r", []),
+          (BACKWARDS.replace("N", "20000") + "r", None),
+          (BACKWARDS.replace("N", "30000") + "r", None)]
 
 
 def run_all(outcomes):
@@ -1223,10 +1243,13 @@ def test_deep_shapes_run_on_a_small_stack():
     proc = subprocess.run([sys.executable, "-c", SMALL_STACK_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # a level of `nats` or of `r` takes two frames, so 20,000 levels fit under
+    # 50,000 frames and 30,000 do not
     assert json.loads(proc.stdout) == [
         "[" * 1500 + "1" + "]" * 1500, "DepthExceeded", 3000, "DepthExceeded",
-        10000, "DepthExceeded", 5000, "DepthExceeded", 5000 * 4999 // 2, "DepthExceeded",
-        "DepthExceeded"]
+        10000, 20000, "DepthExceeded", 5000, 20000, "DepthExceeded",
+        5000 * 4999 // 2, 20000 * 19999 // 2, "DepthExceeded",
+        "[" + ", ".join(map(str, reversed(range(20000)))) + "]", "DepthExceeded"]
 
 
 # error branches and rank-0 coercions that no other in-process test takes
