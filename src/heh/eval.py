@@ -42,8 +42,8 @@ from .syntax import (
     parse_expr, parse_program,
 )
 
-# Python frames allowed while a public entry runs; a nats level takes two (the
-# code of its body and `_cell_value`), a level of recursion through application one
+# Python frames allowed while a public entry runs; a level of recursion through
+# an imap (a nats level) or through application takes one, the code of its body
 RECURSION_LIMIT = 200_000
 _SCALARS = {int, Ordinal, bool}  # the classes of a scalar that is no function
 _NO_LIMIT = sys.maxsize  # `Session.limit` with no fuel set: above any count reached
@@ -126,7 +126,7 @@ except UndefinedOrdinalOp as exc: raise Fault("UndefinedOrdinalOp", str(exc)) fr
 except ZeroDivisionError: raise Fault("DivisionByZero", "division by zero") from None"""
 # the selection step, which reads a tuple by one natural in range (a vector's ints
 # are naturals), and an imap with no cell shape by an index of its rank as `select`
-# would, calling only `_cell_value` (a memo key is in range, a miss is tested)
+# would, with no frame between levels: for a miss it runs the body `_miss` gives
 _PICK = """\
 if $t.__class__ is tuple and len($u) == 1 and $u[0].__class__ is int and $u[0] < len($t):
     $prologue
@@ -135,9 +135,9 @@ elif $t.__class__ is ImapClosure and not $t.cell and len($u) == len($t.frame):
     $prologue
     $v = $t.memo.get($u)
     if $v is None:
-        if len($u) != 1 or $u[0].__class__ is not int or $t.frame[0].__class__ is int \
-and $u[0] >= $t.frame[0]: _check_bounds($t, $u)
-        $v = s._cell_value($t, $u)
+        $v = s._miss($t, $u)(s, ($u, $t.env))
+        if $v.__class__ not in _SCALARS: s._check_cell($t, $u, $v)
+        if s.config.memoize: $t.memo[$u] = $v
     if $v.__class__ not in _SCALARS: $v = s.select($v, ())
     else:
         $prologue
@@ -569,8 +569,18 @@ class Session:
             return strict_value(closure.shape, self._force_closure_strict(closure))
         return closure
 
+    def _miss(self, closure: ImapClosure, index: ShapeVec) -> Code:
+        """The body's code for `index`, a memo miss of the compiled `select`
+        step, once the index is tested and the evaluation counted."""
+        n = closure.frame[0] if len(index) == 1 and index[0].__class__ is int else None
+        if n is None or n.__class__ is int and index[0] >= n: _check_bounds(closure, index)
+        self._stats["body_evals"] += 1
+        for box, code in closure.partitions[:-1]:
+            if box_contains(box, index): return code
+        return closure.partitions[-1][1]  # the boxes tile the frame, so the last holds it
+
     def _cell_value(self, closure: ImapClosure, index: ShapeVec):
-        """The cell value at a frame index.
+        """The cell value at a frame index (the `select` step runs a miss itself).
 
         The spec is the paper's update rule: forcing an element cuts its
         generator box into guillotine pieces around the index and adds a

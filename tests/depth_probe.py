@@ -1,0 +1,104 @@
+"""Depth and memory of deep recursion in heh, each probe in a fresh process.
+
+    python tests/depth_probe.py [--depths N ...] [--no-ceiling]
+
+For each of two shapes of recursion, `nats.[N]` on the shipped nats.heh
+(through an imap) and `go N` with `letrec go = \\k. if k = 0 then 0 else
+go (k - 1)` (through application), it prints:
+
+- the growth of peak RSS (`ru_maxrss`) over the session before the probe,
+  in MiB and in bytes per level, at each of `--depths`;
+- the fresh ceiling: the deepest N that a fresh session evaluates under
+  `heh.eval.RECURSION_LIMIT`, found by bisection, with the process's peak
+  RSS there.
+
+Peak RSS is a high-water mark of the whole process, so each probe runs in a
+process of its own.  Only the standard library and heh are needed; it is not
+part of Tier-1.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from heh.eval import RECURSION_LIMIT  # noqa: E402
+
+# the definitions a probe loads, the entry that recurses N levels deep, and
+# the value it prints
+SHAPES = {
+    "nats": ('program_source("nats.heh")', "nats.[{n}]", "{n}"),
+    "apply": ('"letrec go = \\\\k. if k = 0 then 0 else go (k - 1)"', "go {n}", "0"),
+}
+CHILD = """
+import json, resource, sys
+from heh.eval import EvalError, new_session
+from heh.prelude import program_source
+
+session = new_session()
+session.run_program({definitions})
+entry = {entry!r}.format(n=sys.argv[1])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    outcome = str(session.run_program(entry))
+except EvalError as error:
+    outcome = error.kind
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps([outcome, before, after]))  # ru_maxrss is in KiB on Linux
+"""
+
+
+def run(shape: str, n: int):
+    """(whether `n` levels of `shape` gave their value, the peak RSS in KiB
+    before the probe, and after it), from a fresh process."""
+    definitions, entry, value = SHAPES[shape]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", CHILD.format(definitions=definitions,
+                                                              entry=entry), str(n)],
+                          env=env, capture_output=True, text=True, check=True)
+    outcome, before, after = json.loads(proc.stdout)
+    return outcome == value.format(n=n), before, after
+
+
+def ceiling(shape: str) -> int:
+    """The deepest probe of `shape` a fresh session evaluates: a level takes
+    at least one frame, so none reaches `RECURSION_LIMIT`."""
+    fits, misses = 0, RECURSION_LIMIT
+    while misses - fits > 1:
+        mid = (fits + misses) // 2
+        if run(shape, mid)[0]:
+            fits = mid
+        else:
+            misses = mid
+    return fits
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--depths", type=int, nargs="+", default=[20_000, 40_000, 60_000])
+    parser.add_argument("--no-ceiling", action="store_true",
+                        help="skip the bisection for the fresh ceiling")
+    args = parser.parse_args(argv)
+    print(f"python {sys.version.split()[0]}, RECURSION_LIMIT {RECURSION_LIMIT:,}")
+    for shape in SHAPES:
+        print(f"{shape}:")
+        for n in args.depths:
+            ok, before, after = run(shape, n)
+            growth = (after - before) * 1024
+            print(f"  depth {n:,}: {'value' if ok else 'failed'}, peak RSS "
+                  f"+{growth / 2**20:.1f} MiB over the session, {growth / n:.0f} B a level")
+        if not args.no_ceiling:
+            n = ceiling(shape)
+            peak = run(shape, n)[2] * 1024
+            print(f"  fresh ceiling: {n:,} levels, {n + 1:,} fail; "
+                  f"peak RSS there {peak / 2**20:.1f} MiB")
+
+
+if __name__ == "__main__":
+    main()

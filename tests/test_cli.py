@@ -125,10 +125,10 @@ def test_error_while_printing_finite_imap_exits_one(capsys):
     assert "imap element at [0] has shape [1], cell shape is []" in err
 
 
-# printing forces element 0, which recurses through the other 1,999: deeper
-# than the 3,000 frames of the `shallow_limit` fixture allow
-DEEP_FINITE = ("letrec a = imap [2000] {[0] <= iv < [1999]: a.(addv iv [1]) + 1, "
-               "[1999] <= iv < [2000]: 0} in a")
+# printing forces element 0, which recurses through the other 3,999, a frame
+# each: deeper than the 3,000 frames of the `shallow_limit` fixture allow
+DEEP_FINITE = ("letrec a = imap [4000] {[0] <= iv < [3999]: a.(addv iv [1]) + 1, "
+               "[3999] <= iv < [4000]: 0} in a")
 
 
 def test_depth_overflow_while_printing_exits_one(capsys, shallow_limit):

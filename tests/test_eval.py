@@ -336,6 +336,31 @@ def test_memoization_skips_reevaluation():
     assert s.stats["body_evals"] == evals + 1
 
 
+# (binding, entry): each entry runs the body of `a` at a cell whose value fails
+# its shape check, through the compiled `select` step, `Session.select` (a cell
+# shape), a filter's scan and strict forcing (an imap of one partition)
+UNCHECKED_CELLS = [
+    ("let a = imap [w] {_(iv): [1, 2]}", "a.[0]"),
+    ("let a = imap [w]|[2] {_(iv): [1, 2, 3]}", "a.[0, 0]"),
+    ("let a = imap [w] {_(iv): [1, 2]}", "(filter (\\x. true) a).[0]"),
+    ("let a = imap [3] {_(iv): [1, 2]}", "reduce (\\x. \\y. x) 0 a"),
+]
+
+
+@pytest.mark.parametrize("binding, entry", UNCHECKED_CELLS)
+def test_a_cell_that_fails_its_shape_check_is_not_memoized(binding, entry):
+    # a memo written before the check would serve the bad cell the second time
+    session = new_session()
+    session.run_program(binding)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(EvalError) as e:
+            session.run_program(entry)
+        errors.append((e.value.kind, e.value.message, e.value.rule, tuple(e.value.span)))
+    assert errors[0][0] == "ShapeMismatch" and errors[1] == errors[0]
+    assert session.env["a"].memo == {}
+
+
 def memoized_ackermann(m, n):
     """Every entry the textbook memoized recursion computes for A(m, n),
     mapped to its value.  An explicit stack stands in for the call stack."""
@@ -868,7 +893,7 @@ def shallow_limit(monkeypatch):
 def test_depth_overflow_is_depth_exceeded_and_the_session_recovers(shallow_limit):
     r = evaluate(program_source("nats.heh"))
     with pytest.raises(EvalError) as e:
-        probe(r, [2000])
+        probe(r, [4000])
     assert (e.value.kind, e.value.rule) == ("DepthExceeded", "select")
     assert e.value.message == ("evaluation nested deeper than the interpreter's "
                                "recursion limit (3000 frames)")
@@ -876,15 +901,16 @@ def test_depth_overflow_is_depth_exceeded_and_the_session_recovers(shallow_limit
     assert probe(r, [300]) == 300
 
 
-def test_a_nats_level_takes_two_frames(shallow_limit):
-    # each level is the code of the body, whose `select` step calls
-    # `_cell_value` itself, and `_cell_value`: 1,494 levels fit under 3,000
-    # frames, and at three frames a level only 996 would; 1,400 fit, 1,600 do not
+def test_a_nats_level_takes_one_frame(shallow_limit):
+    # the `select` step runs the body of `nats` itself, so each level is one
+    # frame, the code of that body, as a recursive application is: 2,900
+    # levels fit under 3,000 frames (at two frames a level, under 1,500
+    # would), 3,100 do not
     r = evaluate(program_source("nats.heh"))
-    assert probe(r, [1400]) == 1400
+    assert probe(r, [2900]) == 2900
     r = evaluate(program_source("nats.heh"))
     with pytest.raises(EvalError) as e:
-        probe(r, [1600])
+        probe(r, [3100])
     assert e.value.kind == "DepthExceeded"
 
 
@@ -902,16 +928,16 @@ def test_a_recursive_application_takes_one_frame(shallow_limit):
 def test_deepest_benchmark_probe_fits_under_the_real_limit():
     r = evaluate(program_source("nats.heh"))
     assert probe(r, [40000]) == 40000
-    # a fresh probe fits up to 99,994 levels, at two frames a level; at three
-    # only about 66,000 would, and this one is 40% past that
+    # a fresh probe fits up to 199,990 levels, at one frame a level; at two
+    # only 99,994 would, and this one is 50% past that
     r = evaluate(program_source("nats.heh"))
-    assert probe(r, [93000]) == 93000
+    assert probe(r, [150000]) == 150000
 
 
 def test_depth_overflow_while_evaluating_a_program(shallow_limit):
     session = new_session()
     with pytest.raises(EvalError) as e:
-        session.run_program(program_source("nats.heh") + "\nnats.[2000]")
+        session.run_program(program_source("nats.heh") + "\nnats.[4000]")
     assert (e.value.kind, e.value.rule) == ("DepthExceeded", "eval")
     assert session.run_program("nats.[300]") == 300
 
@@ -1113,8 +1139,9 @@ def test_which_compiled_code_a_probe_calls():
 
 
 # the `Session` methods a compiled step or strict forcing would call if it
-# did not handle the common case itself
-HELPERS = ("_apply", "_function", "_eval_imap", "_shape_of", "select", "_cell_value")
+# did not handle the common case itself, and `_miss`, which the `select` step
+# calls for the body of a memo miss it runs itself
+HELPERS = ("_apply", "_function", "_eval_imap", "_shape_of", "select", "_cell_value", "_miss")
 
 
 def helper_calls(thunk) -> dict:
@@ -1130,25 +1157,26 @@ def test_which_helpers_a_probe_calls(config):
     builds an imap of one `_(x)` generator over a tuple frame without a
     call, and forcing a finite imap of one partition runs its body itself.
 
-    nats.[2000] calls `select` once, for the probe, and the `select` step
-    of each of the 2,000 levels selects in `nats`, an imap with no cell
-    shape, by calling `_cell_value` itself: each is a memo miss, so 2,001
-    `_cell_value` calls.  Each level applies `subv` twice, takes `|iv|`,
-    builds and forces the one-element imap of `subv iv [1]` and selects
-    `a.iv` and `b.iv` in two tuples in its body, all without a call.
-    ackermann.[3,6] calls `select` only for the probe; its step reads a
-    memo hit of a selection `a.[...]` in the table itself, and calls
-    `_cell_value` once for each entry of the table, on its one miss;
-    `iv.[0]` and `iv.[1]` select in a tuple.  The first strict forcing of
-    `v` runs its body for each cell, and the second reads memo hits."""
+    nats.[2000] calls `select` and `_cell_value` once, for the probe, and
+    the `select` step of each of the 2,000 levels selects in `nats`, an
+    imap with no cell shape, itself: each is a memo miss, so 2,000 `_miss`
+    calls.  Each level applies `subv` twice, takes `|iv|`, builds and
+    forces the one-element imap of `subv iv [1]` and selects `a.iv` and
+    `b.iv` in two tuples in its body, all without a call.
+    ackermann.[3,6] calls `select` and `_cell_value` only for the probe;
+    its step reads a memo hit of a selection `a.[...]` in the table itself,
+    and calls `_miss` once for each other entry of the table, on its one
+    miss; `iv.[0]` and `iv.[1]` select in a tuple.  The first strict
+    forcing of `v` runs its body for each cell, and the second reads memo
+    hits."""
     none = dict.fromkeys(HELPERS, 0)
     r = evaluate(program_source("nats.heh"), config)
-    assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 1,
-                                                      "_cell_value": 2001}
+    assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 1, "_cell_value": 1,
+                                                      "_miss": 2000}
     table = memoized_ackermann(3, 6)
     r = evaluate(program_source("ackermann.heh"), config)
-    assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": 1,
-                                                      "_cell_value": len(table)}
+    assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": 1, "_cell_value": 1,
+                                                      "_miss": len(table) - 1}
     src = "letrec v = imap [3] {_(iv): iv.[0] + 1} in [v, v]"
     assert helper_calls(lambda: evaluate(src, config, prelude=False)) == none
 
@@ -1205,15 +1233,15 @@ BACKWARDS = ("letrec r = imap [N] {[0] <= iv < [N - 1]: r.(addv iv [1]) + 1, "
              "[N - 1] <= iv < [N]: 0} in ")
 SHAPES = [("[" * 1500 + "1" + "]" * 1500, None), ("[" * 12000 + "1" + "]" * 12000, None),
           (NESTED, [3000, 0, 0]), (NESTED, [10000, 0, 0]),
-          (NATS + "nats", [10000]), (NATS + "nats", [20000]), (NATS + "nats", [30000]),
+          (NATS + "nats", [10000]), (NATS + "nats", [40000]), (NATS + "nats", [60000]),
           (NATS + "filter (\\\\x. true) (imap [w] {_(iv): nats.[iv.[0] + 5000]})", [0]),
-          (NATS + "filter (\\\\x. true) (imap [w] {_(iv): nats.[iv.[0] + 20000]})", [0]),
-          (NATS + "filter (\\\\x. true) (imap [w] {_(iv): nats.[iv.[0] + 30000]})", [0]),
+          (NATS + "filter (\\\\x. true) (imap [w] {_(iv): nats.[iv.[0] + 40000]})", [0]),
+          (NATS + "filter (\\\\x. true) (imap [w] {_(iv): nats.[iv.[0] + 60000]})", [0]),
           (BACKWARDS.replace("N", "5000") + "reduce (\\\\x.\\\\y. x + y) 0 r", []),
-          (BACKWARDS.replace("N", "20000") + "reduce (\\\\x.\\\\y. x + y) 0 r", []),
-          (BACKWARDS.replace("N", "30000") + "reduce (\\\\x.\\\\y. x + y) 0 r", []),
-          (BACKWARDS.replace("N", "20000") + "r", None),
-          (BACKWARDS.replace("N", "30000") + "r", None)]
+          (BACKWARDS.replace("N", "40000") + "reduce (\\\\x.\\\\y. x + y) 0 r", []),
+          (BACKWARDS.replace("N", "60000") + "reduce (\\\\x.\\\\y. x + y) 0 r", []),
+          (BACKWARDS.replace("N", "40000") + "r", None),
+          (BACKWARDS.replace("N", "60000") + "r", None)]
 
 
 def run_all(outcomes):
@@ -1243,13 +1271,13 @@ def test_deep_shapes_run_on_a_small_stack():
     proc = subprocess.run([sys.executable, "-c", SMALL_STACK_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    # a level of `nats` or of `r` takes two frames, so 20,000 levels fit under
-    # 50,000 frames and 30,000 do not
+    # a level of `nats` or of `r` takes one frame, so 40,000 levels fit under
+    # 50,000 frames (at two frames a level, 25,000 would not) and 60,000 do not
     assert json.loads(proc.stdout) == [
         "[" * 1500 + "1" + "]" * 1500, "DepthExceeded", 3000, "DepthExceeded",
-        10000, 20000, "DepthExceeded", 5000, 20000, "DepthExceeded",
-        5000 * 4999 // 2, 20000 * 19999 // 2, "DepthExceeded",
-        "[" + ", ".join(map(str, reversed(range(20000)))) + "]", "DepthExceeded"]
+        10000, 40000, "DepthExceeded", 5000, 40000, "DepthExceeded",
+        5000 * 4999 // 2, 40000 * 39999 // 2, "DepthExceeded",
+        "[" + ", ".join(map(str, reversed(range(40000)))) + "]", "DepthExceeded"]
 
 
 # error branches and rank-0 coercions that no other in-process test takes
@@ -1292,15 +1320,15 @@ def test_a_nats_level_keeps_no_lazy_index_alive(monkeypatch):
     it has been forced into the index tuple, so the live imaps at the base
     case of a deep probe do not grow with its depth."""
     counts = {}
-    cell_value = Session._cell_value
+    miss = Session._miss
 
     def counting(session, closure, index):
         if index == (0,) and closure.shape == (OMEGA,):  # the base case
             gc.collect()
             counts[depth] = sum(1 for o in gc.get_objects() if o.__class__ is ImapClosure)
-        return cell_value(session, closure, index)
+        return miss(session, closure, index)
 
-    monkeypatch.setattr(Session, "_cell_value", counting)
+    monkeypatch.setattr(Session, "_miss", counting)
     for depth in (200, 2000):
         r = evaluate(program_source("nats.heh"))
         assert probe(r, [depth]) == depth
