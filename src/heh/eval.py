@@ -571,10 +571,15 @@ class Session:
 
     def _miss(self, closure: ImapClosure, index: ShapeVec) -> Code:
         """The body's code for `index`, a memo miss of the compiled `select`
-        step, once the index is tested and the evaluation counted."""
+        step, once the index is tested and the evaluation counted.  The box
+        of a rank-1 natural index is found inline, with no `box_contains`."""
         n = closure.frame[0] if len(index) == 1 and index[0].__class__ is int else None
         if n is None or n.__class__ is int and index[0] >= n: _check_bounds(closure, index)
         self._stats["body_evals"] += 1
+        if n is not None:  # a natural, below every Ordinal: its box's lower bound is an
+            i = index[0]   # int at most `i`, its upper an Ordinal or an int above `i`
+            for ((l,), (u,)), code in closure.partitions:
+                if l.__class__ is int and l <= i and (u.__class__ is not int or i < u): return code
         for box, code in closure.partitions[:-1]:
             if box_contains(box, index): return code
         return closure.partitions[-1][1]  # the boxes tile the frame, so the last holds it
@@ -615,22 +620,14 @@ class Session:
                         f"{render_shape(shape)}, cell shape is {render_shape(closure.cell)}")
 
     def _force_closure_strict(self, closure: ImapClosure) -> list:
-        """Row-major data of a finite imap, forcing every element.  A memo
-        hit is read here, and so is a miss of a closure with one partition,
-        whose body runs here as in `_cell_value`."""
-        frame, memo, parts, data = closure.frame, closure.memo, closure.partitions, []
-        for index in (zip(range(frame[0])) if len(frame) == 1  # a rank-1 frame
-                      else itertools.product(*map(range, frame))):
-            cell = memo.get(index)
-            if cell is None and len(parts) > 1:
-                cell = self._cell_value(closure, index)
-            elif cell is None:
-                self._stats["body_evals"] += 1
-                cell = parts[0][1](self, (index, closure.env))
-                if cell.__class__ not in _SCALARS or closure.cell:
-                    self._check_cell(closure, index, cell)
-                if self.config.memoize:
-                    memo[index] = cell
+        """Row-major data of a finite imap, forcing every element: a rank-1
+        one with one partition and no cell shape in `_force_ordinal_vector`'s
+        loop, any other cell by cell through `_cell_value`."""
+        if len(closure.frame) == 1 and len(closure.partitions) == 1 and not closure.cell:
+            return self._force_ordinal_vector(closure, None)
+        data = []
+        for index in itertools.product(*map(range, closure.frame)):
+            cell = self._cell_value(closure, index)
             if cell.__class__ in _SCALARS:
                 data.append(cell)  # a scalar's data are [cell]
             else:
@@ -764,13 +761,34 @@ class Session:
         raise Fault("ShapeMismatch",
                     f"expected a scalar, got shape {render_shape(shape)}")
 
-    def _force_ordinal_vector(self, value, what: str) -> ShapeVec:
-        """A rank-1 value forced to a tuple of ordinals; a tuple is returned as it is."""
+    def _force_ordinal_vector(self, value, what: Optional[str]):
+        """A rank-1 value forced to a tuple of ordinals, each forced before
+        any is checked; a tuple is returned as it is.  A finite rank-1 imap
+        of one partition and no cell shape is forced in one loop, which
+        reads a memo hit and runs a miss's body as `_cell_value` does; with
+        `what` None, the result is its data (see `_force_closure_strict`)."""
         if value.__class__ is tuple:
             return value
-        if (value.__class__ is ImapClosure and len(value.shape) == 1
-                and value.shape[0].__class__ is int):
-            data = self._force_closure_strict(value)  # what `_force_strict` returns
+        if (value.__class__ is ImapClosure and len(value.frame) == 1 and len(value.partitions) == 1
+                and not value.cell and value.frame[0].__class__ is int):
+            memo, code, env, data = value.memo, value.partitions[0][1], value.env, []
+            for i in range(value.frame[0]):
+                index = (i,)
+                cell = memo.get(index)
+                if cell is None:
+                    self._stats["body_evals"] += 1
+                    cell = code(self, (index, env))
+                    if cell.__class__ not in _SCALARS:
+                        self._check_cell(value, index, cell)
+                    if self.config.memoize:
+                        memo[index] = cell
+                if cell.__class__ in _SCALARS:
+                    data.append(cell)
+                else:  # of shape [], by the check: a rank-0 imap or array, or a function
+                    data.extend(self._force_strict(cell, "ShapeMismatch",
+                                                   "imap cell is not finite")[1])
+            if what is None:
+                return data
         else:
             shape = self._shape_of(value)
             if len(shape) != 1:

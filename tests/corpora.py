@@ -433,6 +433,19 @@ def run_case(source, probes, config, prelude=False):
 ### ---- faults at each node kind ---------------------------------------------------
 
 
+# index vectors whose cells are not all naturals, which the `select` step has
+# `Session._force_ordinal_vector` force in one loop: `true`, a rank-0 imap
+# (forced to its one element), and `true` before a fault.  Every cell is
+# forced, each body once, before any is checked.
+INDEX_CELL_FAULTS = [
+    ("(imap [3] {_(iv): iv.[0]}).(imap [1] {_(iv): true})",
+     ("ShapeMismatch", "selection index components must be ordinals", "select", (0, 51, 1, 1))),
+    ("(imap [2] {_(iv): iv.[0]}).(imap [1] {_(iv): imap [] {_(jv): 2}})",
+     ("IndexOutOfBounds", "index [2] outside shape [2]", "select", (0, 65, 1, 1))),
+    ("(imap [3, 3] {_(iv): iv.[0]}).(imap [2] {_(iv): if iv.[0] = 0 then true else 1 / 0})",
+     ("DivisionByZero", "division by zero", "binop", (77, 82, 1, 78))),
+]
+
 # Programs that fault inside a lambda or imap body at each node kind, or at a
 # top-level binding: the error's kind, message, rule and span (begin, end,
 # line, col) are those of the node whose step raised it
@@ -557,6 +570,7 @@ FAULTS = [
     ("(filter (\\x. x > 0) (imap [w+3] {_(iv): 0})).[w]",
      ("IndexOutOfBounds", "filter scan passed the end of the argument (shape [w + 3]) "
       "looking for element [w]", "select", (0, 48, 1, 1))),
+    *INDEX_CELL_FAULTS,
 ]
 
 # A filter scan whose imap cells are rank-0 imaps selects each with `[]`;

@@ -1,6 +1,7 @@
 """Depth and memory of deep recursion in heh, each probe in a fresh process.
 
     python tests/depth_probe.py [--depths N ...] [--no-ceiling]
+    python tests/depth_probe.py --calls
 
 For each of two shapes of recursion, `nats.[N]` on the shipped nats.heh
 (through an imap) and `go N` with `letrec go = \\k. if k = 0 then 0 else
@@ -11,6 +12,12 @@ go (k - 1)` (through application), it prints:
 - the fresh ceiling: the deepest N that a fresh session evaluates under
   `heh.eval.RECURSION_LIMIT`, found by bisection, with the process's peak
   RSS there.
+
+`--calls` prints instead, from `sys.setprofile` in this process, the Python
+calls (and calls of builtins) that one `nats` level makes, the difference
+between fresh probes `nats.[2000]` and `nats.[1000]` over 1,000, and those
+that one entry of the table behind `ackermann.[3,6]` makes, a fresh probe's
+calls over its body evaluations.
 
 Peak RSS is a high-water mark of the whole process, so each probe runs in a
 process of its own.  Only the standard library and heh are needed; it is not
@@ -27,7 +34,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from heh.eval import RECURSION_LIMIT  # noqa: E402
+from heh.eval import RECURSION_LIMIT, evaluate, probe  # noqa: E402
+from heh.prelude import program_source  # noqa: E402
 
 # the definitions a probe loads, the entry that recurses N levels deep, and
 # the value it prints
@@ -79,12 +87,43 @@ def ceiling(shape: str) -> int:
     return fits
 
 
+def calls(program: str, index) -> tuple:
+    """(Python calls, builtin calls, body evaluations) of probing a fresh
+    session of the shipped `program` at `index`."""
+    result = evaluate(program_source(program))
+    counts = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+    evals = result.session.stats["body_evals"]
+    sys.setprofile(count)
+    try:
+        probe(result, index)
+    finally:
+        sys.setprofile(None)
+    return counts["call"], counts["c_call"], result.session.stats["body_evals"] - evals
+
+
+def print_calls() -> None:
+    (short, c_short, _), (long, c_long, _) = calls("nats.heh", [1000]), calls("nats.heh", [2000])
+    print(f"nats: {(long - short) / 1000:.1f} Python calls and {(c_long - c_short) / 1000:.1f} "
+          f"builtin calls a level (nats.[2000]: {long:,} and {c_long:,})")
+    python, builtin, entries = calls("ackermann.heh", [3, 6])
+    print(f"ackermann.[3,6]: {python / entries:.1f} Python calls and {builtin / entries:.1f} "
+          f"builtin calls a table entry ({python:,} and {builtin:,} over {entries:,} entries)")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--depths", type=int, nargs="+", default=[20_000, 40_000, 60_000])
     parser.add_argument("--no-ceiling", action="store_true",
                         help="skip the bisection for the fresh ceiling")
+    parser.add_argument("--calls", action="store_true",
+                        help="print the calls a nats level and an ackermann entry make, only")
     args = parser.parse_args(argv)
+    if args.calls:
+        return print_calls()
     print(f"python {sys.version.split()[0]}, RECURSION_LIMIT {RECURSION_LIMIT:,}")
     for shape in SHAPES:
         print(f"{shape}:")

@@ -183,7 +183,7 @@ def test_the_outcome_digest_still_takes_its_rows():
 
 # the digest of every outcome, counter and fuel read `outcome_digest.rows()`
 # takes; a change that moves it changed what a user can observe
-OUTCOME_DIGEST = "1d6e41df32651d645824cc7609a58bf9bdbabfdadafb3749e61affc72c8e9be2"
+OUTCOME_DIGEST = "3a07ef3fe6a1b0f4aa1f1f303bcccbe084c5a82a606c14771cfff9b0ad439e61"
 
 
 def test_the_outcome_digest_is_pinned():

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from corpora import FAULTS, RANK_0_CELL_SCAN, corpus, list_corpus
+from corpora import CONFIGS, FAULTS, INDEX_CELL_FAULTS, RANK_0_CELL_SCAN, corpus, list_corpus
 from outcome_digest import FUEL_PROGRAMS, rule_total
 
 import heh.eval
@@ -928,7 +928,7 @@ def test_a_recursive_application_takes_one_frame(shallow_limit):
 def test_deepest_benchmark_probe_fits_under_the_real_limit():
     r = evaluate(program_source("nats.heh"))
     assert probe(r, [40000]) == 40000
-    # a fresh probe fits up to 199,990 levels, at one frame a level; at two
+    # a fresh probe fits up to 199,991 levels, at one frame a level; at two
     # only 99,994 would, and this one is 50% past that
     r = evaluate(program_source("nats.heh"))
     assert probe(r, [150000]) == 150000
@@ -1141,7 +1141,8 @@ def test_which_compiled_code_a_probe_calls():
 # the `Session` methods a compiled step or strict forcing would call if it
 # did not handle the common case itself, and `_miss`, which the `select` step
 # calls for the body of a memo miss it runs itself
-HELPERS = ("_apply", "_function", "_eval_imap", "_shape_of", "select", "_cell_value", "_miss")
+HELPERS = ("_apply", "_function", "_eval_imap", "_shape_of", "select", "_cell_value", "_miss",
+           "_force_closure_strict")
 
 
 def helper_calls(thunk) -> dict:
@@ -1155,20 +1156,22 @@ def test_which_helpers_a_probe_calls(config):
     """With fuel set or not, a compiled step applies a function, selects
     from a tuple by one natural in range, takes the shape of a tuple and
     builds an imap of one `_(x)` generator over a tuple frame without a
-    call, and forcing a finite imap of one partition runs its body itself.
+    call, and forcing a finite rank-1 imap of one partition and no cell
+    shape runs its body in `_force_ordinal_vector`'s loop.
 
     nats.[2000] calls `select` and `_cell_value` once, for the probe, and
     the `select` step of each of the 2,000 levels selects in `nats`, an
     imap with no cell shape, itself: each is a memo miss, so 2,000 `_miss`
     calls.  Each level applies `subv` twice, takes `|iv|`, builds and
     forces the one-element imap of `subv iv [1]` and selects `a.iv` and
-    `b.iv` in two tuples in its body, all without a call.
+    `b.iv` in two tuples in its body, all without a call: the index is
+    forced with no `_force_closure_strict` frame.
     ackermann.[3,6] calls `select` and `_cell_value` only for the probe;
     its step reads a memo hit of a selection `a.[...]` in the table itself,
     and calls `_miss` once for each other entry of the table, on its one
-    miss; `iv.[0]` and `iv.[1]` select in a tuple.  The first strict
-    forcing of `v` runs its body for each cell, and the second reads memo
-    hits."""
+    miss; `iv.[0]` and `iv.[1]` select in a tuple.  Forcing `v` strictly,
+    once for each element of `[v, v]`, calls `_force_closure_strict`; the
+    first runs its body for each cell, and the second reads memo hits."""
     none = dict.fromkeys(HELPERS, 0)
     r = evaluate(program_source("nats.heh"), config)
     assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 1, "_cell_value": 1,
@@ -1178,7 +1181,25 @@ def test_which_helpers_a_probe_calls(config):
     assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": 1, "_cell_value": 1,
                                                       "_miss": len(table) - 1}
     src = "letrec v = imap [3] {_(iv): iv.[0] + 1} in [v, v]"
-    assert helper_calls(lambda: evaluate(src, config, prelude=False)) == none
+    assert helper_calls(lambda: evaluate(src, config, prelude=False)) == {
+        **none, "_force_closure_strict": 2}
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_an_index_vector_forces_each_cell_once(config):
+    """An index vector whose cells are not all naturals (`INDEX_CELL_FAULTS`)
+    has each of its cells forced once, memo on or off, before any is
+    checked: the body evaluations are those of its cells (a rank-0 imap
+    cell's own body too), and, when finite imaps are strict, those of the
+    imap it indexes, forced when it is built."""
+    for (src, expected), cells, indexed in zip(INDEX_CELL_FAULTS, (1, 2, 2), (3, 2, 9)):
+        session = Session(config)
+        with pytest.raises(EvalError) as e:
+            session.run_program(src)
+        error = e.value
+        assert (error.kind, error.message, error.rule, tuple(error.span)) == expected, src
+        evals = cells + indexed * config.strict_finite_imaps
+        assert session.stats["body_evals"] == evals, (src, config)
 
 
 @pytest.mark.parametrize("interrupted", [False, True])

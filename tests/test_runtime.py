@@ -13,10 +13,10 @@ import pytest
 from canonical import is_canonical_array
 from hypothesis import given, strategies as st
 
-from heh.eval import evaluate
+from heh.eval import Session, evaluate
 from heh.ordinal import OMEGA, ZERO, omega_power
 from heh.runtime import (
-    Fault, Rec, StrictArray, box_contains, box_intersect, box_is_empty, box_subtract,
+    Fault, ImapClosure, Rec, StrictArray, box_contains, box_intersect, box_is_empty, box_subtract,
     forms_partition, linearize, render_strict, strict_value,
 )
 
@@ -203,6 +203,30 @@ def test_box_contains_matches_naive_comparison():
         assert box_contains((lower, upper), index) is expected, (lower, index, upper)
         outcomes.add((expected, any(i.__class__ is int for i in index)))
     assert len(outcomes) == 4  # inside and outside, with and without an int index
+
+
+def test_a_miss_finds_the_box_box_contains_finds():
+    # `Session._miss` finds the generator box of a rank-1 natural index with
+    # an inline `l <= i < u` test, any other index through `box_contains`.
+    # Over random tilings of a rank-1 frame, in any order, by boxes with int
+    # and Ordinal bounds (such as [w] <= iv < [w*2], and int uppers below
+    # the index), each index in the frame gets the box `box_contains` picks
+    pool = [1, 2, 3, 5, 8, OMEGA, OMEGA + 1, OMEGA + 3, OMEGA * 2, omega_power(2)]
+    rng = random.Random(29)
+    session = Session()
+    seen = set()
+    for _ in range(2000):
+        cuts = [0] + sorted(rng.sample(pool, rng.randint(1, 5)))
+        boxes = [((lo,), (hi,)) for lo, hi in zip(cuts, cuts[1:])]
+        rng.shuffle(boxes)
+        closure = ImapClosure((cuts[-1],), (), None, tuple((box, k) for k, box in enumerate(boxes)))
+        index = rng.choice([i for i in pool[:5] + [0, 4, 9, OMEGA + 2] if i < cuts[-1]])
+        picked = [k for box, k in closure.partitions if box_contains(box, (index,))]
+        assert session._miss(closure, (index,)) == picked[0] and len(picked) == 1, (boxes, index)
+        seen.add((index.__class__ is int, any(hi[0].__class__ is int and hi[0] <= index
+                                              for _, hi in boxes),
+                  any(lo[0].__class__ is not int for lo, _ in boxes)))
+    assert len(seen) == 8  # a natural or not, an int upper below it or not, an Ordinal lower or not
 
 
 def test_forms_partition():
