@@ -104,7 +104,7 @@ def _equal(lhs, rhs) -> bool:
 # count passes the limit, `Session._short` runs out at the node of the run
 # that one prologue per node would.  A step's line `$prologue` is `_PROLOGUE` at
 # `$k = 1`, with which the `apply` and `select` steps count as `_apply` and
-# `Session.select` do; with these and a filter's `_scan`, they are all that count.
+# `Session.select` do; with these, `_pick` and `_scan`, they are all that count.
 Code = Callable
 
 _PROLOGUE = """\
@@ -465,8 +465,8 @@ class Session:
     def _out_of_fuel(self) -> NoReturn:
         """The end of a rule that found no fuel left, through `_short`.
         Each rule counts itself inline, with `_PROLOGUE` or the same two
-        lines in `_apply`, `select` or `_scan`: `rules += k` for `k` rules,
-        then `_short(k)` if that passes `limit`."""
+        lines in `_apply`, `select`, `_pick` or `_scan`: `rules += k` for
+        `k` rules, then `_short(k)` if that passes `limit`."""
         raise Fault("FuelExhausted", "evaluation fuel exhausted")
 
     def _short(self, k: int) -> NoReturn:
@@ -566,13 +566,14 @@ class Session:
         closure = ImapClosure(frame, cell, env, tuple(parts))
         if (self.config.strict_finite_imaps and self._letrec_depth == 0
                 and all(s.__class__ is int for s in closure.shape)):
-            return strict_value(closure.shape, self._force_closure_strict(closure))
+            return strict_value(closure.shape, self._force_ordinal_vector(closure, None))
         return closure
 
     def _miss(self, closure: ImapClosure, index: ShapeVec) -> Code:
         """The body's code for `index`, a memo miss of the compiled `select`
-        step, once the index is tested and the evaluation counted.  The box
-        of a rank-1 natural index is found inline, with no `box_contains`."""
+        step or of strict forcing, once the index is tested and the
+        evaluation counted.  The box of a rank-1 natural index is found
+        inline, with no `box_contains`."""
         n = closure.frame[0] if len(index) == 1 and index[0].__class__ is int else None
         if n is None or n.__class__ is int and index[0] >= n: _check_bounds(closure, index)
         self._stats["body_evals"] += 1
@@ -584,8 +585,12 @@ class Session:
             if box_contains(box, index): return code
         return closure.partitions[-1][1]  # the boxes tile the frame, so the last holds it
 
-    def _cell_value(self, closure: ImapClosure, index: ShapeVec):
-        """The cell value at a frame index (the `select` step runs a miss itself).
+    def _pick(self, closure: ImapClosure, index: ShapeVec, rest: ShapeVec = ()):
+        """The selection of `rest` in the cell at a frame index, once the
+        selection is counted and the index tested: a scalar cell, with no
+        index left, counts the rule of the trailing `()` selection inline,
+        and any other cell is selected by `rest` (the `select` step runs a
+        miss itself, and strict forcing reads cells with no selection).
 
         The spec is the paper's update rule: forcing an element cuts its
         generator box into guillotine pieces around the index and adds a
@@ -595,22 +600,25 @@ class Session:
         and a miss lies in exactly one of the generator boxes as written.
         Without memoization nothing is recorded and every access evaluates.
         """
-        hit = closure.memo.get(index)
-        if hit is not None:
-            return hit
-        parts = closure.partitions
-        for box, code in parts[:-1]:
-            if box_contains(box, index):
-                break
-        else:
-            code = parts[-1][1]  # the boxes tile the frame, so the last holds it
-        self._stats["body_evals"] += 1
-        result = code(self, (index, closure.env))
-        if result.__class__ not in _SCALARS or closure.cell:
-            self._check_cell(closure, index, result)
-        if self.config.memoize:
-            closure.memo[index] = result
-        return result
+        cell = closure.memo.get(index)
+        if cell is None:
+            parts = closure.partitions
+            for box, code in parts[:-1]:
+                if box_contains(box, index):
+                    break
+            else:
+                code = parts[-1][1]  # the boxes tile the frame, so the last holds it
+            self._stats["body_evals"] += 1
+            cell = code(self, (index, closure.env))
+            if cell.__class__ not in _SCALARS or closure.cell:
+                self._check_cell(closure, index, cell)
+            if self.config.memoize:
+                closure.memo[index] = cell
+        if cell.__class__ in _SCALARS:  # of no cell shape, so `rest` is empty
+            self.rules += 1
+            if self.rules > self.limit: self._short(1)
+            return cell
+        return self.select(cell, rest)
 
     def _check_cell(self, closure: ImapClosure, index: ShapeVec, result) -> None:
         """Fault unless the cell value `result` at `index` has the cell shape."""
@@ -618,22 +626,6 @@ class Session:
         if shape != closure.cell:
             raise Fault("ShapeMismatch", f"imap element at {render_shape(index)} has shape "
                         f"{render_shape(shape)}, cell shape is {render_shape(closure.cell)}")
-
-    def _force_closure_strict(self, closure: ImapClosure) -> list:
-        """Row-major data of a finite imap, forcing every element: a rank-1
-        one with one partition and no cell shape in `_force_ordinal_vector`'s
-        loop, any other cell by cell through `_cell_value`."""
-        if len(closure.frame) == 1 and len(closure.partitions) == 1 and not closure.cell:
-            return self._force_ordinal_vector(closure, None)
-        data = []
-        for index in itertools.product(*map(range, closure.frame)):
-            cell = self._cell_value(closure, index)
-            if cell.__class__ in _SCALARS:
-                data.append(cell)  # a scalar's data are [cell]
-            else:
-                data.extend(self._force_strict(cell, "ShapeMismatch",
-                                               "imap cell is not finite")[1])
-        return data
 
     ### selection
 
@@ -653,13 +645,7 @@ class Session:
                             f"index of length {len(index)} into rank-{len(value.shape)} imap")
             _check_bounds(value, index)
             m = len(value.frame)
-            cell = self._cell_value(value, index[:m])
-            if len(index) == m and cell.__class__ in _SCALARS:
-                # the rule of the trailing `()` selection, as the call would count it
-                self.rules += 1
-                if self.rules > self.limit: self._short(1)
-                return cell
-            return self.select(cell, index[m:])
+            return self._pick(value, index[:m], index[m:])
         if cls is FilterClosure:
             if len(index) != 1:
                 raise Fault("RankMismatch", "filter results are 1-dimensional")
@@ -723,15 +709,10 @@ class Session:
                 raise Fault("IndexOutOfBounds", f"filter scan passed the end of the argument "
                             f"(shape {render_shape(fc.arg_shape)}) looking for element "
                             f"[{xi + n}]")
-            if cells:  # `select` with the bounds just tested: the cell, then its `()`
+            if cells:  # `select` with the bounds just tested
                 self.rules += 1
                 if self.rules > self.limit: self._short(1)
-                element = self._cell_value(argument, (source,))
-                if element.__class__ in _SCALARS:
-                    self.rules += 1
-                    if self.rules > self.limit: self._short(1)
-                else:
-                    element = self.select(element, ())
+                element = self._pick(argument, (source,))
             else:
                 element = self.select(argument, (source,))
             self._stats["predicate_calls"] += 1
@@ -763,28 +744,32 @@ class Session:
 
     def _force_ordinal_vector(self, value, what: Optional[str]):
         """A rank-1 value forced to a tuple of ordinals, each forced before
-        any is checked; a tuple is returned as it is.  A finite rank-1 imap
-        of one partition and no cell shape is forced in one loop, which
-        reads a memo hit and runs a miss's body as `_cell_value` does; with
-        `what` None, the result is its data (see `_force_closure_strict`)."""
+        any is checked; a tuple is returned as it is.  A finite imap is
+        forced in one loop, which reads each cell with no selection rule:
+        a memo hit as it is, and for a miss the body of its one partition,
+        or of several the one `_miss` finds, then the cell check and the
+        memo as in `_pick`.  With `what` None, `value` is any finite imap,
+        and the result is its row-major data: strict forcing."""
         if value.__class__ is tuple:
             return value
-        if (value.__class__ is ImapClosure and len(value.frame) == 1 and len(value.partitions) == 1
-                and not value.cell and value.frame[0].__class__ is int):
-            memo, code, env, data = value.memo, value.partitions[0][1], value.env, []
-            for i in range(value.frame[0]):
-                index = (i,)
+        if value.__class__ is ImapClosure and (what is None or len(value.shape) == 1
+                                               and value.shape[0].__class__ is int):
+            memo, parts, env, frame, data = value.memo, value.partitions, value.env, value.frame, []
+            code = parts[0][1] if len(parts) == 1 else None
+            rank1 = len(frame) == 1
+            for index in range(frame[0]) if rank1 else itertools.product(*map(range, frame)):
+                if rank1: index = (index,)
                 cell = memo.get(index)
                 if cell is None:
-                    self._stats["body_evals"] += 1
-                    cell = code(self, (index, env))
-                    if cell.__class__ not in _SCALARS:
+                    if code is not None: self._stats["body_evals"] += 1  # else `_miss` counts
+                    cell = (code or self._miss(value, index))(self, (index, env))
+                    if cell.__class__ not in _SCALARS or value.cell:
                         self._check_cell(value, index, cell)
                     if self.config.memoize:
                         memo[index] = cell
                 if cell.__class__ in _SCALARS:
                     data.append(cell)
-                else:  # of shape [], by the check: a rank-0 imap or array, or a function
+                else:  # of the cell shape, by the check: a finite array, or a function
                     data.extend(self._force_strict(cell, "ShapeMismatch",
                                                    "imap cell is not finite")[1])
             if what is None:
@@ -812,7 +797,7 @@ class Session:
             return value.shape, value.data
         if isinstance(value, ImapClosure):
             if all(s.__class__ is int for s in value.shape):
-                return value.shape, self._force_closure_strict(value)
+                return value.shape, self._force_ordinal_vector(value, None)
             raise Fault(kind, message + f" (shape {render_shape(value.shape)})")
         if isinstance(value, FilterClosure):
             raise Fault(kind, message +

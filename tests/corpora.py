@@ -434,9 +434,10 @@ def run_case(source, probes, config, prelude=False):
 
 
 # index vectors whose cells are not all naturals, which the `select` step has
-# `Session._force_ordinal_vector` force in one loop: `true`, a rank-0 imap
-# (forced to its one element), and `true` before a fault.  Every cell is
-# forced, each body once, before any is checked.
+# `Session._force_ordinal_vector` force in the one loop that forces every
+# finite imap strictly: `true`, a rank-0 imap (forced to its one element),
+# and `true` before a fault.  Every cell is forced, each body once, before
+# any is checked.
 INDEX_CELL_FAULTS = [
     ("(imap [3] {_(iv): iv.[0]}).(imap [1] {_(iv): true})",
      ("ShapeMismatch", "selection index components must be ordinals", "select", (0, 51, 1, 1))),
@@ -570,6 +571,16 @@ FAULTS = [
     ("(filter (\\x. x > 0) (imap [w+3] {_(iv): 0})).[w]",
      ("IndexOutOfBounds", "filter scan passed the end of the argument (shape [w + 3]) "
       "looking for element [w]", "select", (0, 48, 1, 1))),
+    # strict forcing of an imap with a cell shape, whose cell is a scalar: in
+    # one partition, whose body the loop runs, and in the second of two, whose
+    # body `_miss` finds; reported at the `reduce` that forces it
+    ("(\\y. letrec a = imap [2] | [3] {_(iv): y} in reduce (\\x.\\z. x + z) 0 a) 5",
+     ("ShapeMismatch", "imap element at [0] has shape [], cell shape is [3]", "reduce",
+      (45, 70, 1, 46))),
+    ("(\\y. letrec a = imap [2] | [3] {[0] <= iv < [1]: [y, y, y], [1] <= iv < [2]: y} in "
+     "reduce (\\x.\\z. x + z) 0 a) 5",
+     ("ShapeMismatch", "imap element at [1] has shape [], cell shape is [3]", "reduce",
+      (83, 108, 1, 84))),
     *INDEX_CELL_FAULTS,
 ]
 

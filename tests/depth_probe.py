@@ -15,9 +15,12 @@ go (k - 1)` (through application), it prints:
 
 `--calls` prints instead, from `sys.setprofile` in this process, the Python
 calls (and calls of builtins) that one `nats` level makes, the difference
-between fresh probes `nats.[2000]` and `nats.[1000]` over 1,000, and those
+between fresh probes `nats.[2000]` and `nats.[1000]` over 1,000; those
 that one entry of the table behind `ackermann.[3,6]` makes, a fresh probe's
-calls over its body evaluations.
+calls over its body evaluations; and those that strict forcing makes for
+one cell of each imap of `STRICT`, the difference between the imap and one
+of half its cells, each built in a fresh session with `strict_finite_imaps`,
+over the difference in cells.
 
 Peak RSS is a high-water mark of the whole process, so each probe runs in a
 process of its own.  Only the standard library and heh are needed; it is not
@@ -34,7 +37,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from heh.eval import RECURSION_LIMIT, evaluate, probe  # noqa: E402
+from heh.eval import RECURSION_LIMIT, EvalConfig, Session, evaluate, probe  # noqa: E402
 from heh.prelude import program_source  # noqa: E402
 
 # the definitions a probe loads, the entry that recurses N levels deep, and
@@ -87,22 +90,39 @@ def ceiling(shape: str) -> int:
     return fits
 
 
-def calls(program: str, index) -> tuple:
-    """(Python calls, builtin calls, body evaluations) of probing a fresh
-    session of the shipped `program` at `index`."""
-    result = evaluate(program_source(program))
+# (imap, the imap of half its cells) forced strictly: one partition of rank 2,
+# and two partitions of rank 1
+STRICT = [("imap [60, 60] {_(iv): iv.[0] + iv.[1]}", "imap [30, 60] {_(iv): iv.[0] + iv.[1]}"),
+          ("imap [3600] {[0] <= iv < [1800]: iv.[0], [1800] <= iv < [3600]: 0}",
+           "imap [1800] {[0] <= iv < [900]: iv.[0], [900] <= iv < [1800]: 0}")]
+
+
+def profiled(session: Session, thunk) -> tuple:
+    """(Python calls, builtin calls, body evaluations) of `thunk()` in `session`."""
     counts = {"call": 0, "c_call": 0}
 
     def count(frame, event, arg):
         if event in counts:
             counts[event] += 1
-    evals = result.session.stats["body_evals"]
+    evals = session.stats["body_evals"]
     sys.setprofile(count)
     try:
-        probe(result, index)
+        thunk()
     finally:
         sys.setprofile(None)
-    return counts["call"], counts["c_call"], result.session.stats["body_evals"] - evals
+    return counts["call"], counts["c_call"], session.stats["body_evals"] - evals
+
+
+def calls(program: str, index) -> tuple:
+    """`profiled` probing a fresh session of the shipped `program` at `index`."""
+    result = evaluate(program_source(program))
+    return profiled(result.session, lambda: probe(result, index))
+
+
+def strict_calls(src: str) -> tuple:
+    """`profiled` evaluating `src` in a fresh session with strict finite imaps."""
+    session = Session(EvalConfig(strict_finite_imaps=True))
+    return profiled(session, lambda: session.eval_source(src))
 
 
 def print_calls() -> None:
@@ -112,6 +132,12 @@ def print_calls() -> None:
     python, builtin, entries = calls("ackermann.heh", [3, 6])
     print(f"ackermann.[3,6]: {python / entries:.1f} Python calls and {builtin / entries:.1f} "
           f"builtin calls a table entry ({python:,} and {builtin:,} over {entries:,} entries)")
+    for full, half in STRICT:
+        strict_calls(half)  # compiles the code both share
+        (python, builtin, cells), (p_half, b_half, c_half) = strict_calls(full), strict_calls(half)
+        print(f"strict {full}: {(python - p_half) / (cells - c_half):.1f} Python calls and "
+              f"{(builtin - b_half) / (cells - c_half):.1f} builtin calls a cell "
+              f"({python:,} and {builtin:,} over {cells:,} cells)")
 
 
 def main(argv=None) -> None:
@@ -120,7 +146,8 @@ def main(argv=None) -> None:
     parser.add_argument("--no-ceiling", action="store_true",
                         help="skip the bisection for the fresh ceiling")
     parser.add_argument("--calls", action="store_true",
-                        help="print the calls a nats level and an ackermann entry make, only")
+                        help="print the calls a nats level, an ackermann entry and a "
+                        "strictly forced imap cell make, only")
     args = parser.parse_args(argv)
     if args.calls:
         return print_calls()

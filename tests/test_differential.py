@@ -183,7 +183,7 @@ def test_the_outcome_digest_still_takes_its_rows():
 
 # the digest of every outcome, counter and fuel read `outcome_digest.rows()`
 # takes; a change that moves it changed what a user can observe
-OUTCOME_DIGEST = "3a07ef3fe6a1b0f4aa1f1f303bcccbe084c5a82a606c14771cfff9b0ad439e61"
+OUTCOME_DIGEST = "f11700cf51573334c4cf54e956a891f93b224034d5da92bf41f36109dd710908"
 
 
 def test_the_outcome_digest_is_pinned():

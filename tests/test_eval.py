@@ -975,7 +975,7 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     written once; the compiled `apply` and `select` steps count with it too,
     through their lines `$prologue`: an application, and a selection in a
     tuple, in an imap and of a scalar cell's trailing `()`.  Besides it only
-    `_apply`, `select` and `_scan` count, with the same two lines.  A
+    `_apply`, `select`, `_pick` and `_scan` count, with the same two lines.  A
     maximal subtree of names, constants, operators, selections,
     applications and conditionals is one generated function, whose source
     holds none of the program's names and numbers; a program of the same
@@ -1002,9 +1002,9 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
                       if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
                       if isinstance(node, ast.AugAssign)
                       and getattr(node.target, "attr", "") == "rules")
-    assert counting == ["_apply", "_scan", "_scan", "_scan", "_short", "select", "select"]
-    assert text.count("self.rules += 1") == 6
-    assert text.count("if self.rules > self.limit: self._short(1)\n") == 6
+    assert counting == ["_apply", "_pick", "_scan", "_scan", "_short", "select"]
+    assert text.count("self.rules += 1") == 5
+    assert text.count("if self.rules > self.limit: self._short(1)\n") == 5
 
     def key_of(src):
         node = heh.syntax.parse_expr(src)
@@ -1140,9 +1140,8 @@ def test_which_compiled_code_a_probe_calls():
 
 # the `Session` methods a compiled step or strict forcing would call if it
 # did not handle the common case itself, and `_miss`, which the `select` step
-# calls for the body of a memo miss it runs itself
-HELPERS = ("_apply", "_function", "_eval_imap", "_shape_of", "select", "_cell_value", "_miss",
-           "_force_closure_strict")
+# and strict forcing call for the body of a memo miss they run themselves
+HELPERS = ("_apply", "_function", "_eval_imap", "_shape_of", "select", "_pick", "_miss")
 
 
 def helper_calls(thunk) -> dict:
@@ -1156,33 +1155,40 @@ def test_which_helpers_a_probe_calls(config):
     """With fuel set or not, a compiled step applies a function, selects
     from a tuple by one natural in range, takes the shape of a tuple and
     builds an imap of one `_(x)` generator over a tuple frame without a
-    call, and forcing a finite rank-1 imap of one partition and no cell
-    shape runs its body in `_force_ordinal_vector`'s loop.
+    call, and forcing a finite imap runs its body in
+    `_force_ordinal_vector`'s loop.
 
-    nats.[2000] calls `select` and `_cell_value` once, for the probe, and
-    the `select` step of each of the 2,000 levels selects in `nats`, an
-    imap with no cell shape, itself: each is a memo miss, so 2,000 `_miss`
+    nats.[2000] calls `select` and `_pick` once, for the probe, and the
+    `select` step of each of the 2,000 levels selects in `nats`, an imap
+    with no cell shape, itself: each is a memo miss, so 2,000 `_miss`
     calls.  Each level applies `subv` twice, takes `|iv|`, builds and
     forces the one-element imap of `subv iv [1]` and selects `a.iv` and
-    `b.iv` in two tuples in its body, all without a call: the index is
-    forced with no `_force_closure_strict` frame.
-    ackermann.[3,6] calls `select` and `_cell_value` only for the probe;
-    its step reads a memo hit of a selection `a.[...]` in the table itself,
-    and calls `_miss` once for each other entry of the table, on its one
-    miss; `iv.[0]` and `iv.[1]` select in a tuple.  Forcing `v` strictly,
-    once for each element of `[v, v]`, calls `_force_closure_strict`; the
-    first runs its body for each cell, and the second reads memo hits."""
+    `b.iv` in two tuples in its body, all without a call.
+    ackermann.[3,6] calls `select` and `_pick` only for the probe; its step
+    reads a memo hit of a selection `a.[...]` in the table itself, and
+    calls `_miss` once for each other entry of the table, on its one miss;
+    `iv.[0]` and `iv.[1]` select in a tuple.  Forcing `v` strictly, once
+    for each element of `[v, v]`, calls no helper: the first runs its body
+    for each cell, and the second reads memo hits.  Strict forcing of a
+    rank-2 imap of one partition runs its body for each cell with no call,
+    and of an imap of two partitions calls `_miss` once a cell."""
     none = dict.fromkeys(HELPERS, 0)
     r = evaluate(program_source("nats.heh"), config)
-    assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 1, "_cell_value": 1,
+    assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 1, "_pick": 1,
                                                       "_miss": 2000}
     table = memoized_ackermann(3, 6)
     r = evaluate(program_source("ackermann.heh"), config)
-    assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": 1, "_cell_value": 1,
+    assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": 1, "_pick": 1,
                                                       "_miss": len(table) - 1}
     src = "letrec v = imap [3] {_(iv): iv.[0] + 1} in [v, v]"
-    assert helper_calls(lambda: evaluate(src, config, prelude=False)) == {
-        **none, "_force_closure_strict": 2}
+    assert helper_calls(lambda: evaluate(src, config, prelude=False)) == none
+    for src, misses, data in [
+            ("imap [3, 3] {_(iv): iv.[0] * iv.[1]}", 0, [0, 0, 0, 0, 1, 2, 0, 2, 4]),
+            ("imap [5] {[0] <= iv < [2]: iv.[0], [2] <= iv < [5]: 7}", 5, [0, 1, 7, 7, 7])]:
+        session, values = Session(EvalConfig(strict_finite_imaps=True, fuel=config.fuel)), []
+        assert helper_calls(lambda: values.append(session.eval_source(src))) == {
+            **none, "_eval_imap": 1, "_miss": misses}, src
+        assert session.strict_at(values[0])[1] == data and session.stats["body_evals"] == len(data)
 
 
 @pytest.mark.parametrize("config", CONFIGS)

@@ -207,26 +207,45 @@ def test_box_contains_matches_naive_comparison():
 
 def test_a_miss_finds_the_box_box_contains_finds():
     # `Session._miss` finds the generator box of a rank-1 natural index with
-    # an inline `l <= i < u` test, any other index through `box_contains`.
-    # Over random tilings of a rank-1 frame, in any order, by boxes with int
-    # and Ordinal bounds (such as [w] <= iv < [w*2], and int uppers below
-    # the index), each index in the frame gets the box `box_contains` picks
+    # an inline `l <= i < u` test, any other index through `box_contains`,
+    # as `Session._pick` finds any index's.  Over random tilings of a rank-1
+    # or rank-2 frame, in any order, by boxes with int and Ordinal bounds
+    # (such as [w] <= iv < [w*2], and int uppers below the index), each
+    # index in the frame gets from both the box `box_contains` picks, whose
+    # body returns the box's number
     pool = [1, 2, 3, 5, 8, OMEGA, OMEGA + 1, OMEGA + 3, OMEGA * 2, omega_power(2)]
     rng = random.Random(29)
+
+    def cuts(end):  # 0, cut points below `end`, and `end`; or with no `end`, 0 and points
+        inner = [x for x in pool if end is None or x < end]
+        points = sorted(rng.sample(inner, min(len(inner), rng.randint(0 if end else 1, 5))))
+        return [0] + points + ([end] if end else [])
+
     session = Session()
     seen = set()
-    for _ in range(2000):
-        cuts = [0] + sorted(rng.sample(pool, rng.randint(1, 5)))
-        boxes = [((lo,), (hi,)) for lo, hi in zip(cuts, cuts[1:])]
+    for _ in range(4000):
+        rows = cuts(None)
+        frame, boxes = (rows[-1],), [((lo,), (hi,)) for lo, hi in zip(rows, rows[1:])]
+        if rng.random() < 0.5:  # each row cut again along a second axis, or all rows alike
+            frame += (rng.choice(pool),)
+            grid = cuts(frame[1]) if rng.random() < 0.5 else None
+            boxes = [((lo, l), (hi, u)) for (lo,), (hi,) in boxes
+                     for columns in [grid or cuts(frame[1])] for l, u in zip(columns, columns[1:])]
         rng.shuffle(boxes)
-        closure = ImapClosure((cuts[-1],), (), None, tuple((box, k) for k, box in enumerate(boxes)))
-        index = rng.choice([i for i in pool[:5] + [0, 4, 9, OMEGA + 2] if i < cuts[-1]])
-        picked = [k for box, k in closure.partitions if box_contains(box, (index,))]
-        assert session._miss(closure, (index,)) == picked[0] and len(picked) == 1, (boxes, index)
-        seen.add((index.__class__ is int, any(hi[0].__class__ is int and hi[0] <= index
-                                              for _, hi in boxes),
-                  any(lo[0].__class__ is not int for lo, _ in boxes)))
-    assert len(seen) == 8  # a natural or not, an int upper below it or not, an Ordinal lower or not
+        closure = ImapClosure(frame, (), None, tuple((box, lambda s, env, k=k: k)
+                                                     for k, box in enumerate(boxes)))
+        index = tuple(rng.choice([i for i in pool[:5] + [0, 4, 9, OMEGA + 2] if i < extent])
+                      for extent in frame)
+        picked = [k for k, box in enumerate(boxes) if box_contains(box, index)]
+        assert len(picked) == 1, (boxes, index)
+        assert session._miss(closure, index)(session, None) == picked[0], (boxes, index)
+        assert session._pick(closure, index) == picked[0], (boxes, index)
+        seen.add((len(frame), index[-1].__class__ is int,
+                  any(hi[-1].__class__ is int and hi[-1] <= index[-1] for _, hi in boxes),
+                  any(lo[-1].__class__ is not int for lo, _ in boxes)))
+    # of rank 1 and 2, a natural or not, an int upper below it or not, an
+    # Ordinal lower or not, on the last axis
+    assert len(seen) == 16
 
 
 def test_forms_partition():
