@@ -39,7 +39,7 @@ from .runtime import (
 from .syntax import (
     PREFIX_FORMS, Apply, ArrayLiteral, BinOp, Binding, BoolConst, Cond, Expr, Full,
     Imap, Lambda, Letrec, OrdinalConst, Select, Shape, Span, TopForm, Var,
-    parse_expr, parse_program,
+    names, parse_expr, parse_program,
 )
 
 # Python frames allowed while a public entry runs; a level of recursion through
@@ -204,7 +204,7 @@ _STEPS = {
     **{f"vector{n}": ("array", "@t\n" * n + "$t = $a") for n in range(_ELEMENTS + 1)},
     "elem": ("const", ""),
     "lambda": ("lambda", "$t = FunClosure($a, $env)"),
-    # the bound and the body extend `$env` in `$inner`, which later siblings do not see
+    # `$inner` extends `$env` for the body and a letrec's bound; later siblings do not see it
     "letrec": ("letrec", """
         $t = Rec($a)
         $inner = ($t, $env)
@@ -215,6 +215,8 @@ _STEPS = {
         $t.value, $u = $u, None
         @t
         """),
+    "let": ("letrec", "s._letrec_depth += 1\n@u\ns._letrec_depth -= 1\n"  # a letrec, no cell
+                      "$inner, $u = ($u, $env), None\n@t"),
     "shape": ("shape", "@t\n$t = (len($t),) if $t.__class__ is tuple else s._shape_of($t)"),
     "islim": ("islim", """
         @t
@@ -311,9 +313,10 @@ def _source(key: tuple) -> Tuple[str, str]:
         for line in step.split("\n"):
             text = line.lstrip()
             indent = pad + len(line) - len(text)
-            if text[:1] == "@":  # a letrec's children see its `$inner`
+            if text[:1] == "@":  # a letrec's children see its `$inner`, a let's body only
                 offset = int(text[2:]) if text[2:] else "tuv".index(text[1])
-                emit(h + offset, indent, node, level + (rule == "letrec"))
+                emit(h + offset, indent, node,
+                     level + (rule == "letrec" and (kind == "letrec" or text == "@t")))
             elif text == "$prologue":  # a rule of the step's own: `_PROLOGUE` at `$k = 1`
                 body.extend(" " * indent + x for x in _PROLOGUE.replace("$k", "1").split("\n"))
                 nodes.extend((node, node))
@@ -369,8 +372,11 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list):
         elif cls is ArrayLiteral:
             key[-1] += str(len(node.elements))
             children = node.elements
-        elif cls is Letrec:
-            args.append(node.name)
+        elif cls is Letrec:  # a "let" if its bound does not name it, which needs no cell
+            if names(node.bound, node.name): args.append(node.name)  # bound to a `Rec` cell
+            else:  # only the body is in the name's scope
+                key[-1], children = "let", [node.body]
+                _flatten(node.bound, scope, key, args)
             scope = (node.name,) + scope
         elif cls is Lambda:
             args.append(compile_expr(node.body, (node.param,) + scope))
@@ -571,11 +577,17 @@ class Session:
 
     def _miss(self, closure: ImapClosure, index: ShapeVec) -> Code:
         """The body's code for `index`, a memo miss of the compiled `select`
-        step or of strict forcing, once the index is tested and the
-        evaluation counted.  The box of a rank-1 natural index is found
-        inline, with no `box_contains`."""
+        step or of strict forcing, once the index is tested (ints in Ordinal
+        extents need no test) and the evaluation counted.  The box of a
+        rank-1 natural index is found inline, with no `box_contains`."""
         n = closure.frame[0] if len(index) == 1 and index[0].__class__ is int else None
-        if n is None or n.__class__ is int and index[0] >= n: _check_bounds(closure, index)
+        if n is None:  # loops, as a call or a C-level test of so short a tuple costs more
+            extents = iter(closure.frame)
+            for i in index:
+                if i.__class__ is not int or next(extents).__class__ is not Ordinal:
+                    _check_bounds(closure, index)
+                    break
+        elif n.__class__ is int and index[0] >= n: _check_bounds(closure, index)
         self._stats["body_evals"] += 1
         if n is not None:  # a natural, below every Ordinal: its box's lower bound is an
             i = index[0]   # int at most `i`, its upper an Ordinal or an int above `i`

@@ -57,7 +57,7 @@ def strict_value(shape: ShapeVec, data: list):
     included), else a strict array."""
     if not shape:
         return data[0]
-    if len(shape) == 1 and all(x.__class__ is int or x.__class__ is Ordinal for x in data):
+    if len(shape) == 1 and {int, Ordinal}.issuperset(map(type, data)):  # no bool
         return tuple(data)
     return StrictArray(shape, data)
 
@@ -118,9 +118,8 @@ class FilterClosure:
 
 
 class Rec:
-    """The cell a `letrec` name is bound to.  It is empty while the definition
-    is evaluated and holds the defined value afterwards; it may be passed
-    around while empty, but forcing it then is a premature reference."""
+    """The cell of a `letrec` whose bound names its variable: empty while the
+    definition runs, then its value; it may be passed on empty, not forced."""
 
     __slots__ = ("name", "value")
 

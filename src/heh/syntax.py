@@ -263,6 +263,15 @@ KEYWORDS.update(PREFIX_FORMS)
 _PREFIX_OF = {cls: (keyword, fields) for keyword, (cls, fields) in PREFIX_FORMS.items()}
 
 
+def names(node: Expr, name: str) -> bool:
+    """Whether the variable `name` occurs in the tree `node`, shadowed or not."""
+    todo = [node]
+    for x in todo:  # a loop that `todo` grows under, not recursion: a tree may be deep
+        if x.__class__ is list or x.__class__ is tuple: todo += x  # partitions too
+        elif isinstance(x, (Expr, Bounds)): todo += vars(x).values()
+    return any(x.__class__ is Var and x.name == name for x in todo)
+
+
 ### ---- parser -----------------------------------------------------------------
 
 # binary operators by precedence level, loosest first; `++` is right-

@@ -581,6 +581,14 @@ FAULTS = [
      "reduce (\\x.\\z. x + z) 0 a) 5",
      ("ShapeMismatch", "imap element at [1] has shape [], cell shape is [3]", "reduce",
       (83, 108, 1, 84))),
+    # a `letrec` whose bound does not name its variable binds the bound's value
+    # with no cell: here an outer `letrec`'s empty cell, which that one finds
+    # as its own value, and a difference of variables at two depths outside it
+    ("letrec a = (letrec b = a in b) in a",
+     ("UnboundVariable", "premature recursive reference to 'a'", "letrec", (0, 35, 1, 1))),
+    ("(\\y.\\z. letrec x = z - y in x - z) 1 5",
+     ("UndefinedOrdinalOp", "(4) - (5) is undefined: subtrahend is larger", "binop",
+      (28, 33, 1, 29))),
     *INDEX_CELL_FAULTS,
 ]
 

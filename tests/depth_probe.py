@@ -17,7 +17,8 @@ go (k - 1)` (through application), it prints:
 calls (and calls of builtins) that one `nats` level makes, the difference
 between fresh probes `nats.[2000]` and `nats.[1000]` over 1,000; those
 that one entry of the table behind `ackermann.[3,6]` makes, a fresh probe's
-calls over its body evaluations; and those that strict forcing makes for
+calls over its body evaluations, with its `Rec` constructions and its
+`_check_bounds` calls; and those that strict forcing makes for
 one cell of each imap of `STRICT`, the difference between the imap and one
 of half its cells, each built in a fresh session with `strict_finite_imaps`,
 over the difference in cells.
@@ -37,7 +38,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from heh.eval import RECURSION_LIMIT, EvalConfig, Session, evaluate, probe  # noqa: E402
+from heh.eval import (  # noqa: E402
+    RECURSION_LIMIT, EvalConfig, Session, _check_bounds, evaluate, probe,
+)
+from heh.runtime import Rec  # noqa: E402
 from heh.prelude import program_source  # noqa: E402
 
 # the definitions a probe loads, the entry that recurses N levels deep, and
@@ -97,20 +101,28 @@ STRICT = [("imap [60, 60] {_(iv): iv.[0] + iv.[1]}", "imap [30, 60] {_(iv): iv.[
            "imap [1800] {[0] <= iv < [900]: iv.[0], [900] <= iv < [1800]: 0}")]
 
 
+# the Python functions whose calls `profiled` also counts one by one
+WATCHED = (Rec.__init__.__code__, _check_bounds.__code__)
+
+
 def profiled(session: Session, thunk) -> tuple:
-    """(Python calls, builtin calls, body evaluations) of `thunk()` in `session`."""
-    counts = {"call": 0, "c_call": 0}
+    """(Python calls, builtin calls, body evaluations, and the calls of each
+    function of `WATCHED`) of `thunk()` in `session`."""
+    counts = {"call": 0, "c_call": 0, **dict.fromkeys(WATCHED, 0)}
 
     def count(frame, event, arg):
         if event in counts:
             counts[event] += 1
+            if event == "call" and frame.f_code in counts:
+                counts[frame.f_code] += 1
     evals = session.stats["body_evals"]
     sys.setprofile(count)
     try:
         thunk()
     finally:
         sys.setprofile(None)
-    return counts["call"], counts["c_call"], session.stats["body_evals"] - evals
+    return (counts["call"], counts["c_call"], session.stats["body_evals"] - evals,
+            [counts[code] for code in WATCHED])
 
 
 def calls(program: str, index) -> tuple:
@@ -126,15 +138,17 @@ def strict_calls(src: str) -> tuple:
 
 
 def print_calls() -> None:
-    (short, c_short, _), (long, c_long, _) = calls("nats.heh", [1000]), calls("nats.heh", [2000])
+    (short, c_short, *_), (long, c_long, *_) = calls("nats.heh", [1000]), calls("nats.heh", [2000])
     print(f"nats: {(long - short) / 1000:.1f} Python calls and {(c_long - c_short) / 1000:.1f} "
           f"builtin calls a level (nats.[2000]: {long:,} and {c_long:,})")
-    python, builtin, entries = calls("ackermann.heh", [3, 6])
+    python, builtin, entries, (cells, bounds) = calls("ackermann.heh", [3, 6])
     print(f"ackermann.[3,6]: {python / entries:.1f} Python calls and {builtin / entries:.1f} "
-          f"builtin calls a table entry ({python:,} and {builtin:,} over {entries:,} entries)")
+          f"builtin calls a table entry ({python:,} and {builtin:,} over {entries:,} entries), "
+          f"of which {cells / entries:.2f} Rec constructions and {bounds / entries:.2f} "
+          f"_check_bounds calls ({cells:,} and {bounds:,})")
     for full, half in STRICT:
         strict_calls(half)  # compiles the code both share
-        (python, builtin, cells), (p_half, b_half, c_half) = strict_calls(full), strict_calls(half)
+        (python, builtin, cells, _), (p_half, b_half, c_half, _) = map(strict_calls, (full, half))
         print(f"strict {full}: {(python - p_half) / (cells - c_half):.1f} Python calls and "
               f"{(builtin - b_half) / (cells - c_half):.1f} builtin calls a cell "
               f"({python:,} and {builtin:,} over {cells:,} cells)")

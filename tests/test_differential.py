@@ -183,7 +183,7 @@ def test_the_outcome_digest_still_takes_its_rows():
 
 # the digest of every outcome, counter and fuel read `outcome_digest.rows()`
 # takes; a change that moves it changed what a user can observe
-OUTCOME_DIGEST = "f11700cf51573334c4cf54e956a891f93b224034d5da92bf41f36109dd710908"
+OUTCOME_DIGEST = "c7280a3636f131b72deb78fc9c183e92800ca0070db6ea86583c63330a2ff7f7"
 
 
 def test_the_outcome_digest_is_pinned():

@@ -27,7 +27,7 @@ from heh.cli import format_value
 from heh.eval import EvalConfig, EvalError, Session, evaluate, new_session, probe
 from heh.ordinal import OMEGA, Ordinal, omega_power
 from heh.prelude import prelude_source, program_names, program_source
-from heh.runtime import FilterClosure, FunClosure, ImapClosure, StrictArray
+from heh.runtime import FilterClosure, FunClosure, ImapClosure, Rec, StrictArray
 
 
 def run(src, config=None):
@@ -1189,6 +1189,24 @@ def test_which_helpers_a_probe_calls(config):
         assert helper_calls(lambda: values.append(session.eval_source(src))) == {
             **none, "_eval_imap": 1, "_miss": misses}, src
         assert session.strict_at(values[0])[1] == data and session.stats["body_evals"] == len(data)
+
+
+def test_what_an_ackermann_entry_no_longer_calls():
+    """A `letrec` whose bound does not name its variable binds the bound's
+    value with no `Rec` cell, and `_miss` tests an index of ints in a frame
+    of `Ordinal`s without `_check_bounds`.  So a fresh ackermann.[3,6]
+    probe builds no cell for `m` or `n` (two a table entry before), and
+    calls `_check_bounds` once, for the probe's own selection (once a table
+    entry before).  A `letrec` whose bound names its variable, here a
+    recursive function, still builds its one cell."""
+    r = evaluate(program_source("ackermann.heh"))
+    codes = called_codes(lambda: probe(r, [3, 6]))
+    assert codes.count(Rec.__init__.__code__) == 0
+    assert codes.count(heh.eval._check_bounds.__code__) == 1
+    src = "letrec go = \\k. if k = 0 then 0 else go (k - 1) in go 3"
+    values = []
+    codes = called_codes(lambda: values.append(evaluate(src, prelude=False).value))
+    assert values == [0] and codes.count(Rec.__init__.__code__) == 1
 
 
 @pytest.mark.parametrize("config", CONFIGS)

@@ -10,7 +10,7 @@ from heh.ordinal import OMEGA, Ordinal, omega_power
 from heh.syntax import (
     KEYWORDS, PREFIX_FORMS, Apply, ArrayLiteral, BinOp, Binding, BoolConst, Bounds, Cond,
     Filter, Full, Imap, IsLim, Lambda, LexError, Letrec, OrdinalConst, ParseError, Reduce,
-    Select, Shape, Span, Var, parse_expr, parse_program, render, tokenize,
+    Select, Shape, Span, Var, names, parse_expr, parse_program, render, tokenize,
 )
 
 from astgen import gen_expr
@@ -290,6 +290,62 @@ def test_conditional_and_letrec():
     assert isinstance(e.body, Apply)
     e = parse_expr("letrec (++) = \\a.\\b. a in 1")
     assert e.name == "++"
+
+
+# the fields that hold a node's subexpressions, for `children`
+CHILDREN = {Lambda: "body", Apply: "fun arg", Cond: "test then orelse", Letrec: "bound body",
+            BinOp: "lhs rhs", Select: "array index", Shape: "arg", Reduce: "fun neutral array",
+            Filter: "predicate array", IsLim: "arg"}
+
+
+def children(node) -> list:
+    """The subexpressions of `node`, written out class by class."""
+    if isinstance(node, ArrayLiteral):
+        return node.elements
+    if isinstance(node, Imap):
+        return [node.frame, *[node.cell] * (node.cell is not None),
+                *(part for gen, body in node.partitions for part in (
+                    (gen.lower, gen.upper, body) if isinstance(gen, Bounds) else (body,)))]
+    return [getattr(node, field) for field in CHILDREN.get(node.__class__, "").split()]
+
+
+def mentions(node, name: str) -> bool:
+    """`names` as a recursion over `children`, the oracle it is checked against."""
+    if isinstance(node, Var):
+        return node.name == name
+    return any(mentions(kid, name) for kid in children(node))
+
+
+def letrecs(node) -> list:
+    """Every `Letrec` node in `node`, outermost first."""
+    return [node] * isinstance(node, Letrec) + [x for kid in children(node) for x in letrecs(kid)]
+
+
+def test_names_finds_a_variable_anywhere_in_an_expression():
+    """`names(e, x)`, which decides whether a `letrec` binds its name to a
+    cell, holds when `x` occurs as a variable in `e`, shadowed or not, and
+    not for a binder alone.  Of the shipped `letrec ... in`s, only `i2o`'s
+    `go` names itself in its bound; ackermann's `m` and `n`, `fzip`'s `s`
+    and `gol_step`'s `F` and `c` do not."""
+    for source, name, expected in [
+            ("x", "x", True), ("y", "x", False), ("\\x. 1", "x", False),
+            ("\\x. x", "x", True), ("letrec x = 1 in x", "x", True),
+            ("imap [2] {_(x): 1}", "x", False), ("imap [2] | [x] {_(iv): 1}", "x", True),
+            ("imap [w] {[0] <= iv < [x]: 1, [x] <= iv < [w]: 2}", "x", True),
+            ("imap [1] {_(iv): [1, [x]].[1]}", "x", True), ("reduce f 0 (filter g x)", "x", True),
+            ("islim (|x|.[0])", "x", True), ("if a then b else x", "x", True)]:
+        assert names(parse_expr(source), name) is expected, source
+    found = {}
+    for form in parse_program(prelude_source()) + [
+            form for name in program_names() for form in parse_program(program_source(name))]:
+        for node in letrecs(form.expr if isinstance(form, Binding) else form):
+            found[node.name] = names(node.bound, node.name)
+    assert found == {"go": True, "s": False, "F": False, "c": False, "m": False, "n": False}
+    rng = random.Random(31)
+    for _ in range(500):
+        node = gen_expr(rng)
+        for name in ("x", "iv", "acc", "++"):
+            assert names(node, name) is mentions(node, name), render(node)
 
 
 def test_imap_forms():
