@@ -26,6 +26,7 @@ import functools
 import itertools
 import sys
 import textwrap
+import threading
 from dataclasses import dataclass
 from string import Template
 from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
@@ -45,6 +46,9 @@ from .syntax import (
 # Python frames allowed while a public entry runs; a level of recursion through
 # an imap (a nats level) or through application takes one, the code of its body
 RECURSION_LIMIT = 200_000
+# the entries open in any thread and the limit the first found: the limit is the
+# interpreter's, so the first entry raises it and the last one restores it
+_ENTRIES, _open = threading.Lock(), [0, 0]
 _SCALARS = {int, Ordinal, bool}  # the classes of a scalar that is no function
 _NO_LIMIT = sys.maxsize  # `Session.limit` with no fuel set: above any count reached
 
@@ -80,7 +84,7 @@ class EvalError(Exception):
 def _check_bounds(closure: ImapClosure, index: ShapeVec) -> None:
     """Fault unless `index`, of the rank of `closure`'s shape, lies in it."""
     for i, s in zip(index, closure.shape):  # an int is below every Ordinal (see runtime)
-        if not (i.__class__ is int and s.__class__ is Ordinal and i >= 0 or 0 <= i < s):
+        if (i.__class__ is not int or s.__class__ is not Ordinal) and not i < s:
             raise Fault("IndexOutOfBounds", f"index {render_shape(index)} outside shape "
                         f"{render_shape(closure.shape)}")
 
@@ -168,9 +172,9 @@ def _array(n: int) -> str:
 # deep recursion, such a value stays alive on every level); "@v" for those of
 # a third, in `$v`; "@tK" for those of an array literal's K-th element, in
 # `$tK`.  `$a`...`$d` are arguments (a leaf's constant or top-level name, a
-# hole's code, another node's fields), `$span` the node's span and `$env` the
-# variable that holds its environment.  A step reads this module's globals,
-# so a name only a step uses, such as `is_limit`, is imported.
+# hole's code, another node's fields) and `$env` the variable that holds its
+# environment (a node's span is in `where`, see `_FUNCTION`).  A step reads this
+# module's globals, so a name only a step uses, such as `is_limit`, is imported.
 _STEPS = {
     "const": ("const", "$t = $a"),
     "hops": ("var", "$t = $env$hops[0]\n" + _FOLLOW),  # an empty cell is passed on
@@ -260,27 +264,27 @@ _EXPRESSIONS = {Var, OrdinalConst, BoolConst, *_KINDS}  # every expression class
 # compiling a function peaks at about 35 KB a node, which can set peak memory
 _NODES = 24
 
+# `where` (the node of each line, each node's rule and span) is data, not source,
+# and the one variable of `code` beyond its body's arguments, as each adds a frame slot
 _FUNCTION = Template("""\
-def make($args):
-    spans = ($spans,)  # one variable of `code`, not one for each span
+def make(where, $args):
     def code(s, env):
         try:
 $body
             return t0
-        except Fault as fault:  # at the node of the line that raised it
-            i = $nodes[fault.__traceback__.tb_lineno - 5] + fault.skip
-            raise EvalError(fault.kind, fault.message, spans[i], $rules[i]) from None
+        except Fault as fault:
+            i = where[0][fault.__traceback__.tb_lineno - 4] + fault.skip
+            raise EvalError(fault.kind, fault.message, where[2][i], where[1][i]) from None
     return code
 """)
 
 
-def _source(key: tuple) -> Tuple[str, str]:
-    """The source of the `make(*args)` of the code `key` describes (see
-    `_flatten`), and its root's rule.  A node's lines are its step, after
-    the `_PROLOGUE` of the run it starts or joins; the line table gives the
-    node of each line, whose span and rule a fault raised there takes (a
-    run's prologue has its first node's)."""
-    body, nodes, spans, rules, args, runs = [], [], [], [], [], []
+def _source(key: tuple) -> Tuple[str, tuple, tuple]:
+    """The source of the `make(where, *args)` of the code `key` describes (see
+    `_flatten`), its line table (the node of each line, whose span and rule a fault
+    raised there takes; a run's prologue has its first node's) and each node's
+    rule.  A node's lines are its step, after the `_PROLOGUE` of its run."""
+    body, nodes, rules, args, runs = [], [], [], [], []
     run = None  # the open run: [its indent, its first line, its nodes]
     markers = iter(key)
 
@@ -295,9 +299,7 @@ def _source(key: tuple) -> Tuple[str, str]:
                  **{f"t{k}": f"t{h + k}" for k in range(_ELEMENTS)}}
         step = textwrap.dedent(step).strip()
         if rule is not None:  # a node, not a hole
-            node, names["span"] = len(spans), f"a{len(args)}"
-            spans.append(names["span"])
-            args.append(names["span"])
+            node = len(rules)
             rules.append(rule)
             if run is not None and run[0] == pad:
                 run[2] += 1
@@ -330,45 +332,45 @@ def _source(key: tuple) -> Tuple[str, str]:
     for pad, first, k in runs:
         body[first:first + 2] = [" " * pad + line
                                  for line in _PROLOGUE.replace("$k", str(k)).split("\n")]
-    return _FUNCTION.substitute(args=", ".join(args), body="\n".join(body), nodes=tuple(nodes),
-                                spans=", ".join(spans), rules=tuple(rules)), rules[0]
+    return (_FUNCTION.substitute(args=", ".join(args), body="\n".join(body)),
+            tuple(nodes), tuple(rules))
 
 
 @functools.lru_cache(maxsize=256)
 def _factory(key: tuple):
-    """`_source(key)` compiled with this module's globals, as the file
-    `<heh RULE>` of its root's rule.  Codes of one shape share a key; the
-    cache is bounded, as each REPL entry is compiled anew."""
-    source, rule = _source(key)
+    """`make` of `_source(key)`, compiled with this module's globals as the file
+    `<heh RULE>` of its root's rule, with the line table and rules of `where`.  Codes
+    of one shape share a key; the cache is bounded, as each REPL entry is compiled anew."""
+    source, nodes, rules = _source(key)
     namespace: dict = {}
-    exec(compile(source, f"<heh {rule}>", "exec"), globals(), namespace)
-    return namespace["make"]
+    exec(compile(source, f"<heh {rules[0]}>", "exec"), globals(), namespace)
+    return namespace["make"], nodes, rules
 
 
-def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list):
-    """Append to `key` a marker for each node of the fused subtree at `node`,
-    in evaluation order, and to `args` its span, a leaf's constant or
-    top-level name, and the codes of lambda and imap bodies.  A lexically
-    bound name's marker is its depth in `env`.  A node past `_NODES` nodes,
-    or a literal of more than `_ELEMENTS` elements, is a hole: marker None,
-    and its own code as the argument."""
+def _flatten(node: Expr, scope: Tuple[str, ...], key: list, spans: list, args: list):
+    """Append to `key` a marker for each node of the fused subtree at `node`, in
+    evaluation order, to `spans` its span, and to `args` a leaf's constant or
+    top-level name and the codes of lambda and imap bodies.  A lexically bound
+    name's marker is its depth in `env`.  A node past `_NODES` nodes, or a literal
+    of more than `_ELEMENTS` elements, is a hole: marker None, its code an argument."""
     cls = node.__class__
     if cls is Var and node.name in scope:
         key.append(scope.index(node.name))
-        args.append(node.span)
+        spans.append(node.span)
     elif cls is Var or cls is OrdinalConst or cls is BoolConst:
         key.append("var" if cls is Var else "const")
-        args += node.span, node.name if cls is Var else node.value
+        spans.append(node.span)
+        args.append(node.name if cls is Var else node.value)
     elif len(key) < _NODES and (cls is not ArrayLiteral or len(node.elements) <= _ELEMENTS):
         marker, *fields = _KINDS[cls]
         children = [getattr(node, field) for field in fields]
         key.append(marker or node.op)
-        args.append(node.span)
+        spans.append(node.span)
         if cls is ArrayLiteral and all(e.__class__ is OrdinalConst for e in node.elements):
             key[-1] = f"vector{len(node.elements)}"  # then an "elem" for each element
             args.append(tuple(element.value for element in node.elements))
             key += ["elem"] * len(node.elements)
-            args += [element.span for element in node.elements]
+            spans += [element.span for element in node.elements]
         elif cls is ArrayLiteral:
             key[-1] += str(len(node.elements))
             children = node.elements
@@ -376,7 +378,7 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list):
             if names(node.bound, node.name): args.append(node.name)  # bound to a `Rec` cell
             else:  # only the body is in the name's scope
                 key[-1], children = "let", [node.body]
-                _flatten(node.bound, scope, key, args)
+                _flatten(node.bound, scope, key, spans, args)
             scope = (node.name,) + scope
         elif cls is Lambda:
             args.append(compile_expr(node.body, (node.param,) + scope))
@@ -390,7 +392,7 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, args: list):
             if args[-3] is None and args[-2] is None:  # no cell shape, a lone `_(x)`
                 key[-1] = "imap_full"
         for child in children:
-            _flatten(child, scope, key, args)
+            _flatten(child, scope, key, spans, args)
     else:
         key.append(None)
         args.append(compile_expr(node, scope))
@@ -403,10 +405,12 @@ def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
     if node.__class__ not in _EXPRESSIONS:
         raise TypeError(f"not an expression: {node!r}")
     if node.__class__ is ArrayLiteral and len(node.elements) > _ELEMENTS:
-        return _factory(("array",))(node.span, [compile_expr(e, scope) for e in node.elements])
-    key, args = [], []
-    _flatten(node, scope, key, args)
-    return _factory(tuple(key))(*args)
+        key, spans, args = ["array"], [node.span], [[compile_expr(e, scope) for e in node.elements]]
+    else:
+        key, spans, args = [], [], []
+        _flatten(node, scope, key, spans, args)
+    make, nodes, rules = _factory(tuple(key))
+    return make((nodes, rules, tuple(spans)), *args)
 
 
 def compile_program(source: str) -> List[Tuple[TopForm, Code]]:
@@ -451,21 +455,26 @@ class Session:
         """`thunk()` run as a public entry, the one place that decides how an
         internal failure reaches the caller: a `Fault` becomes an `EvalError`
         of `rule` with no span, and running out of Python frames
-        `DepthExceeded`.  The recursion limit is raised for the call only, and
-        `_letrec_depth`, which a failure leaves raised, is zeroed after it."""
-        previous = sys.getrecursionlimit()
-        limit = max(previous, RECURSION_LIMIT)
-        sys.setrecursionlimit(limit)
+        `DepthExceeded`.  The recursion limit is raised while an entry is open
+        in any thread (see `_open`), and `_letrec_depth`, which a failure leaves
+        raised, is zeroed after the call."""
+        with _ENTRIES:
+            if not _open[0]:
+                _open[1] = sys.getrecursionlimit()
+                sys.setrecursionlimit(max(_open[1], RECURSION_LIMIT))
+            _open[0] += 1
         try:
             return thunk()
         except Fault as fault:
             raise EvalError(fault.kind, fault.message, None, rule) from None
         except RecursionError:
             raise EvalError("DepthExceeded",
-                            "evaluation nested deeper than the interpreter's "
-                            f"recursion limit ({limit} frames)", None, rule) from None
+                            "evaluation nested deeper than the interpreter's recursion "
+                            f"limit ({sys.getrecursionlimit()} frames)", None, rule) from None
         finally:
-            sys.setrecursionlimit(previous)
+            with _ENTRIES:
+                _open[0] -= 1
+                if not _open[0]: sys.setrecursionlimit(_open[1])
             self._letrec_depth = 0
 
     def _out_of_fuel(self) -> NoReturn:

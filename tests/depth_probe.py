@@ -2,6 +2,7 @@
 
     python tests/depth_probe.py [--depths N ...] [--no-ceiling]
     python tests/depth_probe.py --calls
+    python tests/depth_probe.py --compile
 
 For each of two shapes of recursion, `nats.[N]` on the shipped nats.heh
 (through an imap) and `go N` with `letrec go = \\k. if k = 0 then 0 else
@@ -22,6 +23,13 @@ calls over its body evaluations, with its `Rec` constructions and its
 one cell of each imap of `STRICT`, the difference between the imap and one
 of half its cells, each built in a fresh session with `strict_finite_imaps`,
 over the difference in cells.
+
+`--compile` prints instead what building the prelude and evaluating the
+shipped programs compiles: the functions, characters and lines of generated
+source; the tracemalloc peak, and the memory still traced once the programs'
+values are dropped; the compiled bodies then alive, with the sums of their
+`co_nlocals`, free variables and `co_stacksize` (the slots of their frames);
+and the seconds spent in `compile`, untraced, over `COMPILE_RUNS` processes.
 
 Peak RSS is a high-water mark of the whole process, so each probe runs in a
 process of its own.  Only the standard library and heh are needed; it is not
@@ -68,16 +76,21 @@ print(json.dumps([outcome, before, after]))  # ru_maxrss is in KiB on Linux
 """
 
 
+def child(script: str, arg: str):
+    """What `script`, run with `arg` by a fresh process that imports this
+    checkout's heh, prints as JSON."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, arg], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def run(shape: str, n: int):
     """(whether `n` levels of `shape` gave their value, the peak RSS in KiB
     before the probe, and after it), from a fresh process."""
     definitions, entry, value = SHAPES[shape]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", CHILD.format(definitions=definitions,
-                                                              entry=entry), str(n)],
-                          env=env, capture_output=True, text=True, check=True)
-    outcome, before, after = json.loads(proc.stdout)
+    outcome, before, after = child(CHILD.format(definitions=definitions, entry=entry), str(n))
     return outcome == value.format(n=n), before, after
 
 
@@ -154,6 +167,58 @@ def print_calls() -> None:
               f"({python:,} and {builtin:,} over {cells:,} cells)")
 
 
+COMPILE_CHILD = """
+import gc, json, sys, time, tracemalloc
+from types import FunctionType
+import heh.eval
+from heh.eval import evaluate
+from heh.prelude import _prelude_values, program_names, program_source
+
+sizes, seconds, source_of = [], [0.0], heh.eval._source
+
+def source(key):
+    made = source_of(key)
+    sizes.append((len(made[0]), made[0].count("\\n")))
+    return made
+
+def timed_compile(*args):
+    start = time.perf_counter()
+    try:
+        return compile(*args)
+    finally:
+        seconds[0] += time.perf_counter() - start
+
+heh.eval._source, heh.eval.compile = source, timed_compile
+if sys.argv[1] == "traced":
+    tracemalloc.start()
+_prelude_values()
+for name in program_names():
+    evaluate(program_source(name))
+gc.collect()
+kept, peak = tracemalloc.get_traced_memory()
+codes = {f.__code__ for f in gc.get_objects() if f.__class__ is FunctionType
+         and f.__code__.co_filename.startswith("<heh ") and f.__code__.co_name == "code"}
+print(json.dumps([len(sizes), sum(n for n, _ in sizes), sum(k for _, k in sizes), peak, kept,
+                  len(codes), sum(c.co_nlocals for c in codes),
+                  sum(len(c.co_freevars) for c in codes), sum(c.co_stacksize for c in codes),
+                  seconds[0]]))
+"""
+COMPILE_RUNS = 5  # untraced processes that time `compile`
+
+
+def print_compile() -> None:
+    traced = child(COMPILE_CHILD, "traced")
+    functions, chars, lines, peak, kept, codes, nlocals, free, stack, _ = traced
+    times = sorted(child(COMPILE_CHILD, "untraced")[-1] for _ in range(COMPILE_RUNS))
+    print(f"prelude and shipped programs: {functions} functions, {chars:,} characters and "
+          f"{lines:,} lines of generated source")
+    print(f"tracemalloc: peak {peak / 1024:,.0f} KB, kept {kept / 1024:,.0f} KB")
+    print(f"{codes} compiled bodies alive: co_nlocals {nlocals}, free variables {free}, "
+          f"co_stacksize {stack}")
+    print(f"compile: {times[len(times) // 2] * 1000:.1f} ms, median of {COMPILE_RUNS} "
+          f"processes ({times[0] * 1000:.1f}-{times[-1] * 1000:.1f} ms)")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--depths", type=int, nargs="+", default=[20_000, 40_000, 60_000])
@@ -162,9 +227,14 @@ def main(argv=None) -> None:
     parser.add_argument("--calls", action="store_true",
                         help="print the calls a nats level, an ackermann entry and a "
                         "strictly forced imap cell make, only")
+    parser.add_argument("--compile", action="store_true",
+                        help="print the source, memory and time that compiling the prelude "
+                        "and the shipped programs takes, only")
     args = parser.parse_args(argv)
     if args.calls:
         return print_calls()
+    if args.compile:
+        return print_compile()
     print(f"python {sys.version.split()[0]}, RECURSION_LIMIT {RECURSION_LIMIT:,}")
     for shape in SHAPES:
         print(f"{shape}:")

@@ -15,6 +15,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -943,8 +944,7 @@ def test_depth_overflow_while_evaluating_a_program(shallow_limit):
 
 
 PINNED_SOURCE = """\
-def make(a0, a1, a2, a3, a4, a5):
-    spans = (a0, a1, a2, a4,)  # one variable of `code`, not one for each span
+def make(where, a0, a1):
     def code(s, env):
         try:
             s.rules += 2
@@ -955,17 +955,17 @@ def make(a0, a1, a2, a3, a4, a5):
             if t0 is True:
                 s.rules += 1
                 if s.rules > s.limit: s._short(1)
-                t0 = s.env.get(a3)
-                if t0 is None: raise Fault('UnboundVariable', f"unbound variable '{a3}'")
+                t0 = s.env.get(a0)
+                if t0 is None: raise Fault('UnboundVariable', f"unbound variable '{a0}'")
             elif t0 is False:
                 s.rules += 1
                 if s.rules > s.limit: s._short(1)
-                t0 = a5
+                t0 = a1
             else: raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
             return t0
-        except Fault as fault:  # at the node of the line that raised it
-            i = (0, 0, 1, 1, 0, 0, 2, 2, 2, 2, 0, 3, 3, 3, 0)[fault.__traceback__.tb_lineno - 5] + fault.skip
-            raise EvalError(fault.kind, fault.message, spans[i], ('cond', 'var', 'var', 'const')[i]) from None
+        except Fault as fault:
+            i = where[0][fault.__traceback__.tb_lineno - 4] + fault.skip
+            raise EvalError(fault.kind, fault.message, where[2][i], where[1][i]) from None
     return code
 """
 
@@ -1008,14 +1008,19 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
 
     def key_of(src):
         node = heh.syntax.parse_expr(src)
-        key, args = [], []
-        heh.eval._flatten(node.body, (node.param,), key, args)
-        return tuple(key)
+        key, spans, args = [], [], []
+        heh.eval._flatten(node.body, (node.param,), key, spans, args)
+        return tuple(key), [src[span.begin:span.end] for span in spans], args
 
-    source, rule = heh.eval._source(key_of("\\depth. if depth then ceiling else 7919"))
-    assert (source, rule) == (PINNED_SOURCE, "cond")
+    key, spans, args = key_of("\\depth. if depth then ceiling else 7919")
+    assert spans == ["if depth then ceiling else 7919", "depth", "ceiling", "7919"]
+    assert args == ["ceiling", 7919]
+    source, nodes, rules = heh.eval._source(key)
+    assert source == PINNED_SOURCE  # the line table and rules are not in it
+    assert nodes == (0, 0, 1, 1, 0, 0, 2, 2, 2, 2, 0, 3, 3, 3, 0)
+    assert rules == ("cond", "var", "var", "const")
     assert "depth" not in source and "ceiling" not in source and "7919" not in source
-    assert key_of("\\level. if level then limit else 12") == ("cond", 0, "var", "const")
+    assert key_of("\\level. if level then limit else 12")[0] == key == ("cond", 0, "var", "const")
 
     compiled = []
     monkeypatch.setattr(heh.eval, "compile",
@@ -1053,11 +1058,11 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
         heh.eval.compile_program(src)
     assert len(keys) > 200
     for key in keys:
-        lines = source_of(key)[0].split("\n")
+        source, nodes, rules = source_of(key)
+        lines = source.split("\n")
         end = lines.index("            return t0")
-        body = lines[4:end]  # the line `tb_lineno - 5` indexes from
-        nodes = ast.literal_eval(lines[end + 2].split(" = ", 1)[1].split("[")[0])
-        rules = ast.literal_eval(lines[end + 3].split("spans[i], ")[1].split("[")[0])
+        body = lines[3:end]  # the line `tb_lineno - 4` indexes from
+        assert "tb_lineno - 4]" in lines[end + 2], key
         assert len(nodes) == len(body), key
         counted = []
         for i, (line, node) in enumerate(zip(body, nodes)):
@@ -1071,6 +1076,28 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
                 else:
                     counted += range(node, node + k)
         assert counted == list(range(len(rules))), key
+
+
+def test_compiled_code_adds_no_slot_to_its_frame(monkeypatch):
+    """Every function compiled for the prelude and the shipped programs reads
+    its line table, rules and spans through the one tuple `where`: its free
+    variables are `where` and the arguments its body reads, and it binds none
+    of the three as a local, as each variable adds a slot to every frame of a
+    deep recursion."""
+    codes, factory = [], heh.eval._factory
+    monkeypatch.setattr(heh.eval, "_factory", lambda key: codes.extend(
+        c for c in factory(key)[0].__code__.co_consts if c.__class__ is types.CodeType)
+        or factory(key))
+    factory.cache_clear()
+    Session().run_program(prelude_source())
+    for name in program_names():
+        evaluate(program_source(name))
+    assert len(codes) > 50
+    for code in codes:
+        assert code.co_name == "code" and "where" in code.co_freevars, code.co_filename
+        assert all(re.fullmatch(r"a\d+", name) for name in code.co_freevars
+                   if name != "where"), code.co_freevars
+        assert not {"nodes", "rules", "spans"} & set(code.co_varnames), code.co_varnames
 
 
 @pytest.mark.parametrize("config", [EvalConfig(),
@@ -1309,16 +1336,22 @@ print(json.dumps(outcomes))
 """
 
 
-def test_deep_shapes_run_on_a_small_stack():
+def run_script(script: str) -> str:
+    """The output of `script`, run by a fresh interpreter that imports this
+    heh, once it has exited with status 0."""
     src = Path(heh.eval.__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", SMALL_STACK_SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def test_deep_shapes_run_on_a_small_stack():
     # a level of `nats` or of `r` takes one frame, so 40,000 levels fit under
     # 50,000 frames (at two frames a level, 25,000 would not) and 60,000 do not
-    assert json.loads(proc.stdout) == [
+    assert json.loads(run_script(SMALL_STACK_SCRIPT)) == [
         "[" * 1500 + "1" + "]" * 1500, "DepthExceeded", 3000, "DepthExceeded",
         10000, 40000, "DepthExceeded", 5000, 40000, "DepthExceeded",
         5000 * 4999 // 2, 40000 * 39999 // 2, "DepthExceeded",
@@ -1392,6 +1425,47 @@ def test_one_module_decides_about_the_recursion_limit():
             assert "setrecursionlimit" not in text, name
     assert sources["eval.py"].count("except RecursionError") == 1
     assert sources["eval.py"].count("sys.setrecursionlimit(") == 2  # raise, restore
+
+
+# Thread A probes a fresh `nats.[60000]` twice while thread B probes a fresh
+# `nats.[3000]` until A is done, and at least 50 times.  An entry that restored
+# the limit it found while the other thread was deep would leave that thread
+# past the limit: a false `DepthExceeded`, or an abort ("Cannot recover from
+# stack overflow") when the handler nests deeper still.
+RACE_SCRIPT = """
+import json, sys, threading
+from heh.eval import EvalError, evaluate, probe
+from heh.prelude import program_source
+
+def run(depth, rounds, outcomes, done=None):
+    while len(outcomes) < rounds or done is not None and not done.is_set():
+        try:
+            outcomes.append(probe(evaluate(program_source("nats.heh")), [depth]))
+        except EvalError as error:
+            outcomes.append(error.kind)
+
+def deep_then_done():
+    try:
+        run(60000, 2, deep)
+    finally:
+        done.set()
+
+before = sys.getrecursionlimit()
+sys.setswitchinterval(1e-4)  # switch threads often, to interleave entries
+threading.stack_size(256 << 20)
+done, deep, shallow = threading.Event(), [], []
+a = threading.Thread(target=deep_then_done)
+b = threading.Thread(target=run, args=(3000, 50, shallow, done))
+a.start(), b.start(), a.join(), b.join()
+print(json.dumps([deep, shallow, before, sys.getrecursionlimit()]))
+"""
+
+
+def test_entries_in_two_threads_share_the_recursion_limit():
+    deep, shallow, before, after = json.loads(run_script(RACE_SCRIPT))
+    assert deep == [60000, 60000] and len(shallow) >= 50
+    assert set(shallow) == {3000}, [x for x in shallow if x != 3000][:5]
+    assert after == before
 
 
 EVENS_OF = "filter (\\x. x % 2 = 0) "
