@@ -10,10 +10,10 @@ imap body, an imap's bounds and cell shape, a long array literal, and past
 a budget of nodes.  All come from one template and the steps in `_STEPS`,
 and are cached by the shape of the subtree.  A name bound by a lambda, a
 `letrec` or an imap generator is resolved at compile time to its depth in
-`env`, a chain of `(value, parent)` tuples; any other name is looked up by
-name in the session's top-level frame, the dict `Session.env`, when it is
-evaluated.  Compiled code holds no session state, so the prelude's
-functions, built once per process, serve every session (see `prelude`).
+`env`, a chain of `(value, parent)` pairs (a recursive `letrec`'s is a list,
+set to its value once its bound returns); any other name is looked up in
+the top-level frame, the dict `Session.env`, when it is evaluated.  Compiled
+code holds no session state, so the prelude's functions serve every session.
 
 Values are plain Python objects (see `runtime`); an ordinal below w is an
 `int`, so index arithmetic on naturals is Python's own.  Evaluation is strict
@@ -83,8 +83,9 @@ class EvalError(Exception):
 
 def _check_bounds(closure: ImapClosure, index: ShapeVec) -> None:
     """Fault unless `index`, of the rank of `closure`'s shape, lies in it."""
-    for i, s in zip(index, closure.shape):  # an int is below every Ordinal (see runtime)
-        if (i.__class__ is not int or s.__class__ is not Ordinal) and not i < s:
+    extents = iter(closure.shape)  # `next` costs less than `zip` over so short a tuple
+    for i in index:  # an int is below every Ordinal (see runtime)
+        if ((s := next(extents)).__class__ is not Ordinal or i.__class__ is not int) and not i < s:
             raise Fault("IndexOutOfBounds", f"index {render_shape(index)} outside shape "
                         f"{render_shape(closure.shape)}")
 
@@ -99,7 +100,7 @@ def _equal(lhs, rhs) -> bool:
 ### ---- compilation ----------------------------------------------------------------
 
 # The code of a node: `code(s, env)` applies the node's rule in `env`, a chain
-# of `(value, parent)` tuples (None when empty).  `_factory` makes it for a
+# of `(value, parent)` pairs (None when empty).  `_factory` makes it for a
 # subtree of nodes (see `_flatten`).  Each node starts with a prologue that
 # counts its rule inline, as a call per rule would cost more than most rules;
 # fuel is a limit on that count (see `Session.fuel`).  `_PROLOGUE` counts a
@@ -116,7 +117,6 @@ s.rules += $k
 if s.rules > s.limit: s._short($k)"""
 _ELEMENTS = 16  # the longest array literal whose elements each get a temp
 _QUIET = {"const", "hops", "lambda", *(f"vector{n}" for n in range(_ELEMENTS + 1))}
-_FOLLOW = "while $t.__class__ is Rec and $t.value is not None: $t = $t.value"
 _BINOP = """\
 @t
 if $t.__class__ is not int and $t.__class__ is not Ordinal: $t = s._force_scalar($t)
@@ -177,9 +177,8 @@ def _array(n: int) -> str:
 # module's globals, so a name only a step uses, such as `is_limit`, is imported.
 _STEPS = {
     "const": ("const", "$t = $a"),
-    "hops": ("var", "$t = $env$hops[0]\n" + _FOLLOW),  # an empty cell is passed on
-    # a top-level name holds its value, or an empty cell while its own recursive
-    # binding runs (see `Session._run_binding`), so there is no cell to follow
+    # a name holds its value, or its empty `Rec` cell while its recursive definition runs
+    "hops": ("var", "$t = $env$hops[0]"),
     "var": ("var", "$t = s.env.get($a)\nif $t is None: raise Fault("
                    "'UnboundVariable', f\"unbound variable '{$a}'\")"),
     "select": ("select", "@t\n@u\nif $u.__class__ is not tuple: "
@@ -211,12 +210,12 @@ _STEPS = {
     # `$inner` extends `$env` for the body and a letrec's bound; later siblings do not see it
     "letrec": ("letrec", """
         $t = Rec($a)
-        $inner = ($t, $env)
+        $inner = [$t, $env]
         s._letrec_depth += 1
         @u
         s._letrec_depth -= 1
         if $u is $t: raise Fault("UnboundVariable", f"premature recursive reference to '{$a}'")
-        $t.value, $u = $u, None
+        $t.value, $inner[0], $u = $u, $u, None
         @t
         """),
     "let": ("letrec", "s._letrec_depth += 1\n@u\ns._letrec_depth -= 1\n"  # a letrec, no cell
@@ -592,10 +591,10 @@ class Session:
         n = closure.frame[0] if len(index) == 1 and index[0].__class__ is int else None
         if n is None:  # loops, as a call or a C-level test of so short a tuple costs more
             extents = iter(closure.frame)
-            for i in index:
-                if i.__class__ is not int or next(extents).__class__ is not Ordinal:
+            for i in index:  # the test of `_check_bounds`, which is called only to raise
+                s = next(extents)
+                if (i.__class__ is not int or s.__class__ is not Ordinal) and not i < s:
                     _check_bounds(closure, index)
-                    break
         elif n.__class__ is int and index[0] >= n: _check_bounds(closure, index)
         self._stats["body_evals"] += 1
         if n is not None:  # a natural, below every Ordinal: its box's lower bound is an
@@ -653,8 +652,7 @@ class Session:
     def select(self, value, index: ShapeVec):
         self.rules += 1
         if self.rules > self.limit: self._short(1)
-        while value.__class__ is Rec:
-            value = value.get()
+        if value.__class__ is Rec: value = self._value(value)  # a cell passed on
         cls = value.__class__
         if cls is tuple:  # the compiled `select` step reads one in range itself
             return value[linearize((len(value),), index)]
@@ -836,11 +834,11 @@ class Session:
         last = None
         for form, code in program:
             last = self._run_binding(form, code) if isinstance(form, Binding) else code(self, None)
-        return last
+        return self._value(last)  # a cell passed on while its definition ran is followed
 
     def _run_binding(self, form: Binding, code: Code):
         if not form.recursive:
-            value = self.env[form.name] = code(self, None)
+            value = self.env[form.name] = self._value(code(self, None))
             return value
         # evaluated as a `letrec` bound is, with its name bound to an empty cell
         previous = self.env.get(form.name)
@@ -851,6 +849,7 @@ class Session:
             if value is cell:
                 raise EvalError("UnboundVariable", f"premature recursive reference to "
                                 f"'{form.name}'", form.span, "letrec")
+            value = self._value(value)
         except BaseException:
             if previous is None:
                 del self.env[form.name]
@@ -862,7 +861,8 @@ class Session:
         return value
 
     def eval_source(self, source: str):
-        return self._entry("eval", lambda: compile_expr(parse_expr(source))(self, None))
+        return self._entry("eval", lambda: self._value(
+            compile_expr(parse_expr(source))(self, None)))
 
     def select_at(self, value, index: Sequence):
         """Scalar at `index` (a sequence of ints/Ordinals) within `value`; a

@@ -10,8 +10,8 @@ value is an ordinal exactly when its class is `int` or `Ordinal` (a `bool`
 is an int to `isinstance`, never to this test), and a finite extent is an
 `int`.  Hence the invariant the evaluator's fast paths rely on: an `int`
 is below every `Ordinal`, so comparing the two needs no call into
-`Ordinal`.  The one store-like cell is `Rec`, the name a `letrec` is
-defining: it is empty while the definition is evaluated and filled after.
+`Ordinal`.  The one store-like cell is `Rec`, what a recursive `letrec`
+binds its name to while the definition is evaluated.
 """
 
 from collections import defaultdict
@@ -118,8 +118,8 @@ class FilterClosure:
 
 
 class Rec:
-    """The cell of a `letrec` whose bound names its variable: empty while the
-    definition runs, then its value; it may be passed on empty, not forced."""
+    """The cell a recursive `letrec` binds its name to while the definition
+    runs, filled after; a value only if read then and passed on, not forced."""
 
     __slots__ = ("name", "value")
 

@@ -22,7 +22,7 @@ calls over its body evaluations, with its `Rec` constructions and its
 `_check_bounds` calls; and those that strict forcing makes for
 one cell of each imap of `STRICT`, the difference between the imap and one
 of half its cells, each built in a fresh session with `strict_finite_imaps`,
-over the difference in cells.
+over the difference in cells, with the `_check_bounds` calls of the imap.
 
 `--compile` prints instead what building the prelude and evaluating the
 shipped programs compiles: the functions, characters and lines of generated
@@ -108,10 +108,12 @@ def ceiling(shape: str) -> int:
 
 
 # (imap, the imap of half its cells) forced strictly: one partition of rank 2,
-# and two partitions of rank 1
+# and two partitions of rank 1 and of rank 2
 STRICT = [("imap [60, 60] {_(iv): iv.[0] + iv.[1]}", "imap [30, 60] {_(iv): iv.[0] + iv.[1]}"),
           ("imap [3600] {[0] <= iv < [1800]: iv.[0], [1800] <= iv < [3600]: 0}",
-           "imap [1800] {[0] <= iv < [900]: iv.[0], [900] <= iv < [1800]: 0}")]
+           "imap [1800] {[0] <= iv < [900]: iv.[0], [900] <= iv < [1800]: 0}"),
+          ("imap [60, 60] {[0, 0] <= iv < [30, 60]: iv.[0], [30, 0] <= iv < [60, 60]: 0}",
+           "imap [30, 60] {[0, 0] <= iv < [15, 60]: iv.[0], [15, 0] <= iv < [30, 60]: 0}")]
 
 
 # the Python functions whose calls `profiled` also counts one by one
@@ -161,10 +163,11 @@ def print_calls() -> None:
           f"_check_bounds calls ({cells:,} and {bounds:,})")
     for full, half in STRICT:
         strict_calls(half)  # compiles the code both share
-        (python, builtin, cells, _), (p_half, b_half, c_half, _) = map(strict_calls, (full, half))
+        (python, builtin, cells, (_, bounds)), (p_half, b_half, c_half, _) = map(
+            strict_calls, (full, half))
         print(f"strict {full}: {(python - p_half) / (cells - c_half):.1f} Python calls and "
               f"{(builtin - b_half) / (cells - c_half):.1f} builtin calls a cell "
-              f"({python:,} and {builtin:,} over {cells:,} cells)")
+              f"({python:,} and {builtin:,} over {cells:,} cells, {bounds:,} _check_bounds calls)")
 
 
 COMPILE_CHILD = """

@@ -46,8 +46,12 @@ from heh.runtime import render_scalar  # noqa: E402
 # (source, prelude): between them they run every rule kind, with `letrec`s
 # inside bodies and bounds; the fourth faults inside a `letrec` bound; the
 # sixth and seventh scan a transfinite filter, for a selection and for its
-# shape, and over cells that are rank-0 imaps; the last applies a function
-# held in a `letrec` cell recursively, and `reduce`s with it
+# shape, and over cells that are rank-0 imaps; the eighth applies a function
+# held in a `letrec` cell recursively, and `reduce`s with it.  Each of the
+# rest reads a name while its definition runs, passes its cell on, and uses
+# it once filled: by application, by selection and `|...|` in an imap, in an
+# array literal and by `reduce`, as a filter's predicate, and in a binop and
+# a `cond` that fail
 FUEL_PROGRAMS = [
     ("letrec a = imap [2] {_(iv): iv.[0]} in reduce (\\x.\\y. if islim y then x else x + y) "
      "0 (filter (\\x. true) [a.[1], |a|.[0]])", False),
@@ -63,6 +67,14 @@ FUEL_PROGRAMS = [
     (RANK_0_CELL_SCAN, False),
     ("letrec go = \\k. if k = 0 then 0 else go (k - 1) in reduce (\\x.\\y. x + go y) 0 [2, 1]",
      False),
+    ("letrec f = (\\g.\\k. if k = 0 then 7 else g (k - 1)) f in f 3", False),
+    ("letrec a = (\\g. imap [4] {_(iv): if iv.[0] = 0 then |g|.[0] else g.[iv.[0] - 1] + 1}) a "
+     "in a.[3]", False),
+    ("letrec f = (\\g.\\x.\\y. if y = 0 then x else if y = 1 then reduce g (x + 1) [0] "
+     "else ([g].[0]) (x + 2) (y - 1)) f in f 0 3", False),
+    ("letrec p = (\\g.\\x. if x = 0 then true else |filter g [x - 1]|.[0] = 1) p in p 1", False),
+    ("letrec f = (\\g.\\k. g + 1) f in f 0", False),
+    ("letrec b = (\\g.\\k. if g then 1 else 2) b in b 0", False),
 ]
 
 

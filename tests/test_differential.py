@@ -183,7 +183,7 @@ def test_the_outcome_digest_still_takes_its_rows():
 
 # the digest of every outcome, counter and fuel read `outcome_digest.rows()`
 # takes; a change that moves it changed what a user can observe
-OUTCOME_DIGEST = "c7280a3636f131b72deb78fc9c183e92800ca0070db6ea86583c63330a2ff7f7"
+OUTCOME_DIGEST = "3beb91c7fd95c5a380a0d72fb15bb8d1072ecf6f3e38f49e5b0ea6bf2331af9e"
 
 
 def test_the_outcome_digest_is_pinned():

@@ -586,6 +586,21 @@ def test_letrec_placeholder_is_passed_unforced():
         assert "premature recursive reference to 'x'" in e.value.message, src
 
 
+def test_no_caller_receives_a_cell():
+    """A name read while its own definition runs is its empty cell, which
+    may be passed on and so outlive the definition, filled.  A program's
+    value, a return of `run_program` and of `eval_source`, and a top-level
+    binding follow such a cell: each is the function it holds, not a `Rec`."""
+    src = "letrec f = (\\g.\\y. g) f"
+    values = [evaluate(src + " in f 0", prelude=False).value]
+    session = Session()
+    session.run_program(src)
+    values += [session.run_program("f 0"), session.eval_source("f 0")]
+    session.run_program("let h = f 0")
+    values.append(session.env["h"])
+    assert [value.__class__ for value in values] == [FunClosure] * 4
+
+
 def test_letrec_under_strict_config_stays_lazy():
     src = "letrec nats = imap [5] {[0]<=iv<[1]: 0, [1]<=iv<[5]: nats.([iv.[0] - 1]) + 1} in nats"
     r = run(src, EvalConfig(strict_finite_imaps=True))
@@ -950,7 +965,6 @@ def make(where, a0, a1):
             s.rules += 2
             if s.rules > s.limit: s._short(2)
             t0 = env[0]
-            while t0.__class__ is Rec and t0.value is not None: t0 = t0.value
             if t0.__class__ is not bool: t0 = s._force_scalar(t0)
             if t0 is True:
                 s.rules += 1
@@ -1017,7 +1031,7 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     assert args == ["ceiling", 7919]
     source, nodes, rules = heh.eval._source(key)
     assert source == PINNED_SOURCE  # the line table and rules are not in it
-    assert nodes == (0, 0, 1, 1, 0, 0, 2, 2, 2, 2, 0, 3, 3, 3, 0)
+    assert nodes == (0, 0, 1, 0, 0, 2, 2, 2, 2, 0, 3, 3, 3, 0)
     assert rules == ("cond", "var", "var", "const")
     assert "depth" not in source and "ceiling" not in source and "7919" not in source
     assert key_of("\\level. if level then limit else 12")[0] == key == ("cond", 0, "var", "const")
@@ -1048,7 +1062,8 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
     body, and the merged prologues count each node once, in order: each
     counts its first node and the nodes after it.  The `apply` step counts
     one more rule, of a node counted before, and so does the `select` step,
-    before it reads a tuple, reads an imap's memo, or takes a scalar cell."""
+    before it reads a tuple, reads an imap's memo, or takes a scalar cell.
+    No body loops: a name is read from its frame with no `Rec` cell to follow."""
     keys = []
     source_of = heh.eval._source
     monkeypatch.setattr(heh.eval, "_source", lambda key: keys.append(key) or source_of(key))
@@ -1076,6 +1091,7 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
                 else:
                     counted += range(node, node + k)
         assert counted == list(range(len(rules))), key
+        assert not any(line.lstrip().startswith("while ") for line in body), key
 
 
 def test_compiled_code_adds_no_slot_to_its_frame(monkeypatch):
@@ -1234,6 +1250,21 @@ def test_what_an_ackermann_entry_no_longer_calls():
     values = []
     codes = called_codes(lambda: values.append(evaluate(src, prelude=False).value))
     assert values == [0] and codes.count(Rec.__init__.__code__) == 1
+
+
+def test_strict_forcing_tests_no_index_inside_the_frame():
+    """Strict forcing generates only indexes inside the frame, so `_miss`
+    tests each component inline and calls `_check_bounds` only to raise:
+    forcing a rank-2 imap of two partitions calls it for none of its
+    3,600 cells, and a selection outside such a frame still faults."""
+    src = "imap [60, 60] {[0, 0] <= iv < [30, 60]: iv.[0], [30, 0] <= iv < [60, 60]: 0}"
+    session, values = Session(EvalConfig(strict_finite_imaps=True)), []
+    codes = called_codes(lambda: values.append(session.eval_source(src)))
+    assert codes.count(heh.eval._check_bounds.__code__) == 0
+    assert values[0].data == [i if i < 30 else 0 for i in range(60) for _ in range(60)]
+    with pytest.raises(EvalError) as e:
+        Session().run_program(f"({src}).[59, 60]")
+    assert (e.value.kind, e.value.rule) == ("IndexOutOfBounds", "select")
 
 
 @pytest.mark.parametrize("config", CONFIGS)
