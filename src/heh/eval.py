@@ -123,11 +123,7 @@ if $t.__class__ is not int and $t.__class__ is not Ordinal: $t = s._force_scalar
 @u
 if $u.__class__ is not int and $u.__class__ is not Ordinal: $u = s._force_scalar($u)
 $check
-$apply"""
-# of two ordinals, only `sub` and division can fail
-_PARTIAL = """try: $t, $u = $x, None
-except UndefinedOrdinalOp as exc: raise Fault("UndefinedOrdinalOp", str(exc)) from None
-except ZeroDivisionError: raise Fault("DivisionByZero", "division by zero") from None"""
+$apply"""  # of two ordinals, only `sub`, `//` and `%` fail: `Session._entry` reports it
 # the selection step, which reads a tuple by one natural in range (a vector's ints
 # are naturals), and an imap with no cell shape by an index of its rank as `select`
 # would, with no frame between levels: for a miss it runs the body `_miss` gives
@@ -195,8 +191,8 @@ _STEPS = {
             @t
         else: raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
         """),
-    **{op: ("binop", _BINOP.replace("$apply", _PARTIAL if op in "-/%" else "$t, $u = $x, None")
-            .replace("$x", x).replace("$check", _CHECK.replace("$op", op) if op != "=" else ""))
+    **{op: ("binop", _BINOP.replace("$apply", "$t, $u = $x, None").replace("$x", x)
+            .replace("$check", _CHECK.replace("$op", op) if op != "=" else ""))
        for op, x in _OPS.items()},  # `=` also compares booleans
     None: (None, "$t = $a(s, $env)"),  # a hole: the code of another node
     # an array literal of more than `_ELEMENTS` elements, from their codes
@@ -214,7 +210,7 @@ _STEPS = {
         s._letrec_depth += 1
         @u
         s._letrec_depth -= 1
-        if $u is $t: raise Fault("UnboundVariable", f"premature recursive reference to '{$a}'")
+        if $u is $t: $t.get()
         $t.value, $inner[0], $u = $u, $u, None
         @t
         """),
@@ -263,17 +259,14 @@ _EXPRESSIONS = {Var, OrdinalConst, BoolConst, *_KINDS}  # every expression class
 # compiling a function peaks at about 35 KB a node, which can set peak memory
 _NODES = 24
 
-# `where` (the node of each line, each node's rule and span) is data, not source,
-# and the one variable of `code` beyond its body's arguments, as each adds a frame slot
+# `where` (each line's node, each node's rule and span) is data, not source: the one variable
+# of `code` past its arguments (each is a frame slot), kept by a dead line for `Session._entry`
 _FUNCTION = Template("""\
 def make(where, $args):
     def code(s, env):
-        try:
 $body
-            return t0
-        except Fault as fault:
-            i = where[0][fault.__traceback__.tb_lineno - 4] + fault.skip
-            raise EvalError(fault.kind, fault.message, where[2][i], where[1][i]) from None
+        return t0
+        where
     return code
 """)
 
@@ -327,7 +320,7 @@ def _source(key: tuple) -> Tuple[str, tuple, tuple]:
                 if kind not in _QUIET:
                     run = None
 
-    emit(0, 12, None, 0)
+    emit(0, 8, None, 0)
     for pad, first, k in runs:
         body[first:first + 2] = [" " * pad + line
                                  for line in _PROLOGUE.replace("$k", str(k)).split("\n")]
@@ -452,11 +445,12 @@ class Session:
 
     def _entry(self, rule: str, thunk):
         """`thunk()` run as a public entry, the one place that decides how an
-        internal failure reaches the caller: a `Fault` becomes an `EvalError`
-        of `rule` with no span, and running out of Python frames
-        `DepthExceeded`.  The recursion limit is raised while an entry is open
-        in any thread (see `_open`), and `_letrec_depth`, which a failure leaves
-        raised, is zeroed after the call."""
+        internal failure reaches the caller: a `Fault`, or a binop's failed
+        `sub`, `//` or `%`, becomes an `EvalError` at its line's node in the
+        innermost compiled `code` it passed through (of `rule` with no span if
+        none), and running out of Python frames `DepthExceeded`.  The recursion
+        limit is raised while an entry is open in any thread (see `_open`), and
+        `_letrec_depth`, which a failure leaves raised, is zeroed after the call."""
         with _ENTRIES:
             if not _open[0]:
                 _open[1] = sys.getrecursionlimit()
@@ -464,8 +458,19 @@ class Session:
             _open[0] += 1
         try:
             return thunk()
-        except Fault as fault:
-            raise EvalError(fault.kind, fault.message, None, rule) from None
+        except (Fault, UndefinedOrdinalOp, ZeroDivisionError) as e:
+            kind, message = ((e.kind, e.message) if isinstance(e, Fault) else
+                             ("UndefinedOrdinalOp", str(e)) if isinstance(e, UndefinedOrdinalOp)
+                             else ("DivisionByZero", "division by zero"))
+            last, tb = None, e.__traceback__
+            while tb is not None:  # to the innermost frame of a compiled `code`
+                if "where" in tb.tb_frame.f_code.co_freevars: last = tb
+                tb = tb.tb_next
+            if last is None: raise EvalError(kind, message, None, rule) from None
+            # a frame kept in a local would keep those below it alive, in a cycle through this one
+            where, line, last = last.tb_frame.f_locals["where"], last.tb_lineno, None
+            i = where[0][line - 3] + getattr(e, "skip", 0)  # its node (see `_FUNCTION`)
+            raise EvalError(kind, message, where[2][i], where[1][i]) from None
         except RecursionError:
             raise EvalError("DepthExceeded",
                             "evaluation nested deeper than the interpreter's recursion "
@@ -507,7 +512,7 @@ class Session:
     def _apply(self, fun, arg):
         self.rules += 1
         if self.rules > self.limit: self._short(1)
-        fun = self._function(fun)
+        if fun.__class__ is not FunClosure: fun = self._function(fun)
         return fun.code(self, (arg, fun.env))
 
     def _function(self, fun) -> FunClosure:

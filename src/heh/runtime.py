@@ -25,7 +25,7 @@ ShapeVec = Tuple[Union[int, Ordinal], ...]
 class Fault(Exception):
     """Internal error carrier; the evaluator wraps these with span and rule."""
 
-    skip = 0  # the nodes it is reported past its line's node (see `eval._source`)
+    skip = 0  # the nodes it is reported past its line's node (see `eval.Session._entry`)
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)

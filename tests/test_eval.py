@@ -961,25 +961,22 @@ def test_depth_overflow_while_evaluating_a_program(shallow_limit):
 PINNED_SOURCE = """\
 def make(where, a0, a1):
     def code(s, env):
-        try:
-            s.rules += 2
-            if s.rules > s.limit: s._short(2)
-            t0 = env[0]
-            if t0.__class__ is not bool: t0 = s._force_scalar(t0)
-            if t0 is True:
-                s.rules += 1
-                if s.rules > s.limit: s._short(1)
-                t0 = s.env.get(a0)
-                if t0 is None: raise Fault('UnboundVariable', f"unbound variable '{a0}'")
-            elif t0 is False:
-                s.rules += 1
-                if s.rules > s.limit: s._short(1)
-                t0 = a1
-            else: raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
-            return t0
-        except Fault as fault:
-            i = where[0][fault.__traceback__.tb_lineno - 4] + fault.skip
-            raise EvalError(fault.kind, fault.message, where[2][i], where[1][i]) from None
+        s.rules += 2
+        if s.rules > s.limit: s._short(2)
+        t0 = env[0]
+        if t0.__class__ is not bool: t0 = s._force_scalar(t0)
+        if t0 is True:
+            s.rules += 1
+            if s.rules > s.limit: s._short(1)
+            t0 = s.env.get(a0)
+            if t0 is None: raise Fault('UnboundVariable', f"unbound variable '{a0}'")
+        elif t0 is False:
+            s.rules += 1
+            if s.rules > s.limit: s._short(1)
+            t0 = a1
+        else: raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
+        return t0
+        where
     return code
 """
 
@@ -1075,9 +1072,9 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
     for key in keys:
         source, nodes, rules = source_of(key)
         lines = source.split("\n")
-        end = lines.index("            return t0")
-        body = lines[3:end]  # the line `tb_lineno - 4` indexes from
-        assert "tb_lineno - 4]" in lines[end + 2], key
+        end = lines.index("        return t0")
+        body = lines[2:end]  # the line `tb_lineno - 3` indexes from
+        assert not re.search(r"\btry:|\bexcept\b|EvalError", source), key
         assert len(nodes) == len(body), key
         counted = []
         for i, (line, node) in enumerate(zip(body, nodes)):
@@ -1092,6 +1089,13 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
                     counted += range(node, node + k)
         assert counted == list(range(len(rules))), key
         assert not any(line.lstrip().startswith("while ") for line in body), key
+    text = Path(heh.eval.__file__).read_text()
+    assert text.count("where[0][line - 3]") == 1 and "_PARTIAL" not in text
+    # apart from `Session._entry`, only `_short` catches a fault, to mark its node
+    catching = [function.name for function in ast.walk(ast.parse(text))
+                if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
+                if isinstance(node, ast.ExceptHandler) and "Fault" in ast.unparse(node.type)]
+    assert catching == ["_entry", "_short"]
 
 
 def test_compiled_code_adds_no_slot_to_its_frame(monkeypatch):
@@ -1099,7 +1103,8 @@ def test_compiled_code_adds_no_slot_to_its_frame(monkeypatch):
     its line table, rules and spans through the one tuple `where`: its free
     variables are `where` and the arguments its body reads, and it binds none
     of the three as a local, as each variable adds a slot to every frame of a
-    deep recursion."""
+    deep recursion.  It has no failure handler: no exception table, and no
+    local but its arguments, its temps and its environments."""
     codes, factory = [], heh.eval._factory
     monkeypatch.setattr(heh.eval, "_factory", lambda key: codes.extend(
         c for c in factory(key)[0].__code__.co_consts if c.__class__ is types.CodeType)
@@ -1114,6 +1119,39 @@ def test_compiled_code_adds_no_slot_to_its_frame(monkeypatch):
         assert all(re.fullmatch(r"a\d+", name) for name in code.co_freevars
                    if name != "where"), code.co_freevars
         assert not {"nodes", "rules", "spans"} & set(code.co_varnames), code.co_varnames
+        assert code.co_exceptiontable == b"", code.co_filename
+        assert all(re.fullmatch(r"s|env|t\d+|env\d+", name) for name in code.co_varnames
+                   + code.co_cellvars), code.co_varnames
+
+
+def test_deep_and_arithmetic_faults_are_reported_at_their_node():
+    """A fault raised tens of thousands of frames down, and the failure of an
+    ordinal `-` or `/`, which is no `Fault`, each take the span and rule of
+    the node that raised it."""
+    cases = [("letrec go = \\k. if k = 0 then 1 / 0 else go (k - 1) in go 50000", None,
+              ("DivisionByZero", "division by zero", "binop", (30, 35, 1, 31))),
+             (program_source("nats.heh") + "\nnats.[150000]", EvalConfig(fuel=500_000),
+              ("FuelExhausted", "evaluation fuel exhausted", "array", (241, 244, 4, 57))),
+             ("1 - w", None, ("UndefinedOrdinalOp", "(1) - (w) is undefined: subtrahend is "
+                              "larger", "binop", (0, 5, 1, 1)))]
+    for src, config, expected in cases:
+        with pytest.raises(EvalError) as e:
+            evaluate(src, config)
+        error = e.value
+        assert (error.kind, error.message, error.rule, tuple(error.span)) == expected, src
+    # the error, once dropped, frees the frames it passed through with no collection:
+    # a traceback kept in `Session._entry` held all 50,000 in a cycle through its frame
+    del e, error
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            evaluate(cases[0][0])
+        except EvalError:
+            pass
+        assert gc.collect() < 1000
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("config", [EvalConfig(),
