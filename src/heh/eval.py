@@ -444,13 +444,13 @@ class Session:
     ### plumbing
 
     def _entry(self, rule: str, thunk):
-        """`thunk()` run as a public entry, the one place that decides how an
-        internal failure reaches the caller: a `Fault`, or a binop's failed
-        `sub`, `//` or `%`, becomes an `EvalError` at its line's node in the
-        innermost compiled `code` it passed through (of `rule` with no span if
-        none), and running out of Python frames `DepthExceeded`.  The recursion
-        limit is raised while an entry is open in any thread (see `_open`), and
-        `_letrec_depth`, which a failure leaves raised, is zeroed after the call."""
+        """`thunk()` run as a public entry, the one place where an internal failure becomes
+        an error: a `Fault`, or a binop's failed `sub`, `//` or `%`, an `EvalError` at its
+        line's node in the innermost compiled `code` it passed through (of `rule` with no
+        span if none), and running out of Python frames `DepthExceeded`.  The error is
+        raised after the handler, which takes the failure's traceback, so no frame of the
+        failure outlives it.  The recursion limit is raised while an entry is open (see
+        `_open`), and `_letrec_depth`, which a failure leaves raised, is zeroed after."""
         with _ENTRIES:
             if not _open[0]:
                 _open[1] = sys.getrecursionlimit()
@@ -462,43 +462,41 @@ class Session:
             kind, message = ((e.kind, e.message) if isinstance(e, Fault) else
                              ("UndefinedOrdinalOp", str(e)) if isinstance(e, UndefinedOrdinalOp)
                              else ("DivisionByZero", "division by zero"))
-            last, tb = None, e.__traceback__
+            span, last, tb, e.__traceback__ = None, None, e.__traceback__, None
             while tb is not None:  # to the innermost frame of a compiled `code`
                 if "where" in tb.tb_frame.f_code.co_freevars: last = tb
                 tb = tb.tb_next
-            if last is None: raise EvalError(kind, message, None, rule) from None
-            # a frame kept in a local would keep those below it alive, in a cycle through this one
-            where, line, last = last.tb_frame.f_locals["where"], last.tb_lineno, None
-            i = where[0][line - 3] + getattr(e, "skip", 0)  # its node (see `_FUNCTION`)
-            raise EvalError(kind, message, where[2][i], where[1][i]) from None
+            if last is not None:  # `last` is cleared, as the error's traceback keeps this frame
+                where, line, last = last.tb_frame.f_locals["where"], last.tb_lineno, None
+                i = where[0][line - 3] + getattr(e, "skip", 0)  # its node (see `_FUNCTION`)
+                span, rule = where[2][i], where[1][i]
         except RecursionError:
-            raise EvalError("DepthExceeded",
-                            "evaluation nested deeper than the interpreter's recursion "
-                            f"limit ({sys.getrecursionlimit()} frames)", None, rule) from None
+            kind, span = "DepthExceeded", None
+            message = ("evaluation nested deeper than the interpreter's recursion limit "
+                       f"({sys.getrecursionlimit()} frames)")
         finally:
             with _ENTRIES:
                 _open[0] -= 1
                 if not _open[0]: sys.setrecursionlimit(_open[1])
             self._letrec_depth = 0
+        raise EvalError(kind, message, span, rule)
 
-    def _out_of_fuel(self) -> NoReturn:
-        """The end of a rule that found no fuel left, through `_short`.
+    def _out_of_fuel(self) -> Fault:
+        """The fault of a rule that found no fuel left, which `_short` raises.
         Each rule counts itself inline, with `_PROLOGUE` or the same two
         lines in `_apply`, `select`, `_pick` or `_scan`: `rules += k` for
         `k` rules, then `_short(k)` if that passes `limit`."""
-        raise Fault("FuelExhausted", "evaluation fuel exhausted")
+        return Fault("FuelExhausted", "evaluation fuel exhausted")
 
     def _short(self, k: int) -> NoReturn:
-        """The end of `k` rules, counted at once, that passed the limit with
-        `f < k` rules left before them: the first `f` stay counted, and the
-        next counts and runs out, with the fault at its node."""
+        """The end of `k` rules, counted at once, that passed the limit with `f < k` rules left
+        before them: the first `f` stay counted, and the next counts and runs out, raising
+        `_out_of_fuel()` at its node (its frame holds the fault, a cycle `_entry` breaks)."""
         f = max(self.limit - self.rules + k, 0)
         self.rules += f + 1 - k
-        try:
-            self._out_of_fuel()
-        except Fault as fault:
-            fault.skip = f
-            raise
+        fault = self._out_of_fuel()
+        fault.skip = f
+        raise fault
 
     @staticmethod
     def _value(value):
@@ -695,16 +693,15 @@ class Session:
         if shape[0].__class__ is int:
             _, data = self._force_strict(array, "FilterRankError",
                                          "filter argument is not strict")
-            kept = [x for x in data if self._predicate_accepts(predicate, x)]
+            kept = []
+            for x in data:
+                self._stats["predicate_calls"] += 1
+                accepted = self._force_scalar(self._apply(predicate, x))
+                if not isinstance(accepted, bool):
+                    raise Fault("ShapeMismatch", "the filter predicate must return a boolean")
+                if accepted: kept.append(x)
             return strict_value((len(kept),), kept)
         return FilterClosure(predicate, array, shape)
-
-    def _predicate_accepts(self, predicate: FunClosure, element) -> bool:
-        self._stats["predicate_calls"] += 1
-        result = self._force_scalar(self._apply(predicate, element))
-        if not isinstance(result, bool):
-            raise Fault("ShapeMismatch", "the filter predicate must return a boolean")
-        return result
 
     def _filter_select(self, fc: FilterClosure, target):
         xi, n = limit_part(target)
@@ -718,9 +715,9 @@ class Session:
         """The prefix of the segment of `fc` from `xi`, scanned until it holds
         element `n` or, for None, to the end of the argument.  Each element
         is selected as `select` would, then given to the predicate as
-        `_predicate_accepts` would, with the same rules in the same order.
-        An element counts as scanned only once the predicate has answered,
-        so a fault or interrupt leaves it to be inspected again."""
+        `_eval_filter` gives a finite array's, with the same rules in the same
+        order.  An element counts as scanned only once the predicate has
+        answered, so a fault or interrupt leaves it to be inspected again."""
         segment = fc.partitions[xi]
         prefix, alpha, argument = segment.prefix, fc.arg_shape[0], fc.argument
         pcode, penv = fc.predicate.code, fc.predicate.env

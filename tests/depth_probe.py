@@ -3,6 +3,7 @@
     python tests/depth_probe.py [--depths N ...] [--no-ceiling]
     python tests/depth_probe.py --calls
     python tests/depth_probe.py --compile
+    python tests/depth_probe.py --errors
 
 For each of two shapes of recursion, `nats.[N]` on the shipped nats.heh
 (through an imap) and `go N` with `letrec go = \\k. if k = 0 then 0 else
@@ -30,6 +31,12 @@ source; the tracemalloc peak, and the memory still traced once the programs'
 values are dropped; the compiled bodies then alive, with the sums of their
 `co_nlocals`, free variables and `co_stacksize` (the slots of their frames);
 and the seconds spent in `compile`, untraced, over `COMPILE_RUNS` processes.
+
+`--errors` prints instead the memory that caught errors keep, from the RSS
+of `/proc/self/statm` after `gc.collect()`: its growth over a fresh session
+once the session has raised and kept each error of `KEPT`, a deep fault and
+a recursion past `RECURSION_LIMIT`; and the wall time of one deep fault, the
+median over `FAULT_RUNS` processes that each raise it once and keep nothing.
 
 Peak RSS is a high-water mark of the whole process, so each probe runs in a
 process of its own.  Only the standard library and heh are needed; it is not
@@ -222,6 +229,47 @@ def print_compile() -> None:
           f"processes ({times[0] * 1000:.1f}-{times[-1] * 1000:.1f} ms)")
 
 
+# (entry, the errors of it a process keeps), for `--errors`: a fault 50,000
+# levels down, and a recursion that runs out of frames
+KEPT = [("letrec go = \\k. if k = 0 then 1 / 0 else go (k - 1) in go 50000", 5),
+        ("letrec go = \\k. if k = 0 then 0 else go (k - 1) in go 300000", 3)]
+ERRORS_CHILD = """
+import gc, json, os, sys, time
+from heh.eval import EvalError, new_session
+
+def rss():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+session, kept, seconds = new_session(), [], []
+gc.collect()
+before = rss()
+for _ in range(int(sys.argv[1])):
+    start = time.perf_counter()
+    try:
+        session.run_program({entry!r})
+    except EvalError as error:
+        seconds.append(time.perf_counter() - start)
+        kept.append(error)
+gc.collect()
+print(json.dumps([[error.kind for error in kept], before, rss(), seconds]))
+"""
+FAULT_RUNS = 5  # processes that time the deep fault
+
+
+def print_errors() -> None:
+    print(f"python {sys.version.split()[0]}, RECURSION_LIMIT {RECURSION_LIMIT:,}")
+    for entry, count in KEPT:
+        kinds, before, after, _ = child(ERRORS_CHILD.format(entry=entry), str(count))
+        print(f"{len(kinds)} kept {' '.join(sorted(set(kinds)))} errors of `{entry}`: RSS "
+              f"{before / 2**20:.1f} -> {after / 2**20:.1f} MiB, "
+              f"+{(after - before) / 2**20:.1f} MiB")
+    times = sorted(child(ERRORS_CHILD.format(entry=KEPT[0][0]), "1")[-1][0]
+                   for _ in range(FAULT_RUNS))
+    print(f"one such fault: {times[len(times) // 2] * 1000:.1f} ms, median of {FAULT_RUNS} "
+          f"processes ({times[0] * 1000:.1f}-{times[-1] * 1000:.1f} ms)")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--depths", type=int, nargs="+", default=[20_000, 40_000, 60_000])
@@ -233,7 +281,12 @@ def main(argv=None) -> None:
     parser.add_argument("--compile", action="store_true",
                         help="print the source, memory and time that compiling the prelude "
                         "and the shipped programs takes, only")
+    parser.add_argument("--errors", action="store_true",
+                        help="print the memory that caught deep errors keep, and the time "
+                        "of a deep fault, only")
     args = parser.parse_args(argv)
+    if args.errors:
+        return print_errors()
     if args.calls:
         return print_calls()
     if args.compile:
