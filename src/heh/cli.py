@@ -54,14 +54,14 @@ def _lazy_prefix(session: Session, value, shape, k: int) -> str:
 
 
 def _force_run(session: Session, value, parts: List[str], indices):
-    """Append rendered elements; on failure record the error kind and stop.
-    Returns the index that failed, or None."""
-    for index in indices:
-        try:
-            parts.append(render_scalar(session.select_at(value, index)))
-        except EvalError as error:
-            parts.append(f"!{error.kind}")
-            return index
+    """Append rendered elements, all in one entry; on failure record the error
+    kind and stop.  Returns the index that failed, the first not appended, or None."""
+    indices, first = list(indices), len(parts)
+    try:
+        session.select_each(value, indices, lambda scalar: parts.append(render_scalar(scalar)))
+    except EvalError as error:
+        parts.append(f"!{error.kind}")
+        return indices[len(parts) - 1 - first]
     return None
 
 

@@ -29,7 +29,7 @@ import textwrap
 import threading
 from dataclasses import dataclass
 from string import Template
-from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
 from .ordinal import Ordinal, UndefinedOrdinalOp, is_limit, limit_part, sub
 from .runtime import (
@@ -108,8 +108,8 @@ def _equal(lhs, rhs) -> bool:
 # `_QUIET` steps, which cannot call out or fault, between them.  When the
 # count passes the limit, `Session._short` runs out at the node of the run
 # that one prologue per node would.  A step's line `$prologue` is `_PROLOGUE` at
-# `$k = 1`, with which the `apply` and `select` steps count as `_apply` and
-# `Session.select` do; with these, `_pick` and `_scan`, they are all that count.
+# `$k = 1`, with which the `apply` and `select` steps count as `_apply` and `select` do;
+# only these, `_pick`, `_scan` and, where fuel is left, `apply1` and `_eval_reduce` count.
 Code = Callable
 
 _PROLOGUE = """\
@@ -146,8 +146,13 @@ else: $t, $u = s.select($t, $u), None"""
 _CHECK = ("if $t.__class__ is not int and $t.__class__ is not Ordinal or $u.__class__ is not "
           "int and $u.__class__ is not Ordinal: raise Fault(\"ShapeMismatch\", \"'$op' needs "
           "ordinal scalar operands\")")
+# an application of `$t` to `$u`: a cell followed and the function checked, then its body
+_IS_FUNCTION, _CALL = ("if $t.__class__ is not FunClosure: $t = s._function($t)\n",
+                       "$t, $u = $t.code(s, ($u, $t.env)), None")
+_INTS = "$t.__class__ is int and $u.__class__ is int"  # for `-` as `sub` does it, and `=`
 _OPS = {"<": "$t < $u", "<=": "$t <= $u", ">": "$t > $u", ">=": "$t >= $u", "+": "$t + $u",
-        "-": "sub($t, $u)", "*": "$t * $u", "/": "$t // $u", "%": "$t % $u", "=": "_equal($t, $u)"}
+        "-": f"$t - $u if {_INTS} and $t >= $u >= 0 else sub($t, $u)", "*": "$t * $u",
+        "/": "$t // $u", "%": "$t % $u", "=": f"$t == $u if {_INTS} else _equal($t, $u)"}
 
 
 def _array(n: int) -> str:
@@ -180,8 +185,14 @@ _STEPS = {
     "select": ("select", "@t\n@u\nif $u.__class__ is not tuple: "
                          "$u = s._force_ordinal_vector($u, \"selection index\")\n" + _PICK),
     # `Session._apply` done here: count, follow a cell, check, call
-    "apply": ("apply", "@t\n@u\n$prologue\nif $t.__class__ is not FunClosure: $t = s._function($t)"
-              "\n$t, $u = $t.code(s, ($u, $t.env)), None"),
+    "apply": ("apply", "@t\n@u\n$prologue\n" + _IS_FUNCTION + _CALL),
+    # `f a b`, after "Making a fast curry" (ICFP 2004): `f`'s inner body, if fuel is left for its
+    # `lambda` rule, goes to "apply2" in a list with its environment (no value is a list)
+    "apply1": ("apply", "@t\n@u\n$prologue\n" + _IS_FUNCTION
+               + "if $t.inner is not None and s.rules < s.limit:\n    s.rules += 1\n"
+               + "    $t = [$t.inner, ($u, $t.env)]\nelse: " + _CALL),
+    "apply2": ("apply", "@t\n@u\n$prologue\nif $t.__class__ is list: $t, $u = $t[0](s, ($u, "
+               "$t[1])), None\nelse:\n" + textwrap.indent(_IS_FUNCTION + _CALL, "    ")),
     "cond": ("cond", """
         @t
         if $t.__class__ is not bool: $t = s._force_scalar($t)
@@ -202,7 +213,7 @@ _STEPS = {
     # rules; "elem" is such an element, which has a rule and no step
     **{f"vector{n}": ("array", "@t\n" * n + "$t = $a") for n in range(_ELEMENTS + 1)},
     "elem": ("const", ""),
-    "lambda": ("lambda", "$t = FunClosure($a, $env)"),
+    "lambda": ("lambda", "$t = FunClosure($a, $env, $b)"),
     # `$inner` extends `$env` for the body and a letrec's bound; later siblings do not see it
     "letrec": ("letrec", """
         $t = Rec($a)
@@ -232,7 +243,7 @@ _STEPS = {
                   "else: $t = s._eval_imap($env, $t, $a, $b, $c)"),
     "reduce": ("reduce", """
         @t
-        if not isinstance(s._value($t), FunClosure):
+        if not isinstance($t := s._value($t), FunClosure):  # a cell followed
             raise Fault("NotAFunction", "reduce needs a function as first argument")
         @u
         @v
@@ -373,7 +384,10 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, spans: list, args: l
                 _flatten(node.bound, scope, key, spans, args)
             scope = (node.name,) + scope
         elif cls is Lambda:
-            args.append(compile_expr(node.body, (node.param,) + scope))
+            args += _lambda_codes(node, scope)
+        elif cls is Apply and node.fun.__class__ is Apply and len(key) < _NODES:
+            key[-1:], children = ["apply2", "apply1"], [node.fun.fun, node.fun.arg, node.arg]
+            spans.append(node.fun.span)  # of `f a`, after that of `f a b`
         elif cls is Imap:  # a lone `_(x)` generator's box is the frame: gens None
             gens = [(None, None) if isinstance(gen, Full) else
                     (compile_expr(gen.lower, scope), compile_expr(gen.upper, scope))
@@ -388,6 +402,14 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, spans: list, args: l
     else:
         key.append(None)
         args.append(compile_expr(node, scope))
+
+
+def _lambda_codes(node: Lambda, scope: Tuple[str, ...]) -> Tuple[Code, Optional[Code]]:
+    """The code of `node`'s body, and of its body's body if that is a lambda, else None."""
+    body, scope = node.body, (node.param,) + scope
+    if body.__class__ is not Lambda: return compile_expr(body, scope), None
+    codes, (make, nodes, rules) = _lambda_codes(body, scope), _factory(("lambda",))
+    return make((nodes, rules, (body.span,)), *codes), codes[0]
 
 
 def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
@@ -544,10 +566,13 @@ class Session:
             return self._filter_shape(value)
         return ()
 
-    def _eval_reduce(self, fun, acc, array):
+    def _eval_reduce(self, fun, acc, array):  # `fun acc x` for each `x`, as `apply2` makes it
         _, data = self._force_strict(array, "ReduceOnInfinite", "reduce needs a finite array")
         for x in data:
-            acc = self._apply(self._apply(fun, acc), x)
+            if fun.inner is not None and self.rules < self.limit - 2:
+                self.rules += 3
+                acc = fun.inner(self, (x, (acc, fun.env)))
+            else: acc = self._apply(self._apply(fun, acc), x)
         return acc
 
     ### imap
@@ -869,9 +894,18 @@ class Session:
     def select_at(self, value, index: Sequence):
         """Scalar at `index` (a sequence of ints/Ordinals) within `value`; a
         boxed natural `Ordinal(n)` in it is unboxed to n."""
-        vec = tuple(x if x.__class__ is int and x >= 0 else Ordinal._make(Ordinal(x).terms)
-                    for x in index)
-        return self._entry("select", lambda: self._force_scalar(self.select(value, vec)))
+        scalars: list = []
+        self.select_each(value, (index,), scalars.append)
+        return scalars[0]
+
+    def select_each(self, value, indices: Iterable[Sequence], out: Callable) -> None:
+        """`out(self.select_at(value, index))` for each of `indices` in turn, in one entry."""
+        def run():
+            for index in indices:
+                out(self._force_scalar(self.select(value, tuple(
+                    x if x.__class__ is int and x >= 0 else Ordinal._make(Ordinal(x).terms)
+                    for x in index))))
+        self._entry("select", run)
 
     def strict_at(self, value) -> Tuple[ShapeVec, list]:
         """(shape, row-major data) of a finite `value`, forcing every element;

@@ -66,11 +66,12 @@ class FunClosure:
     """A function value: the code of its body and the environment it was
     built in, which its argument extends."""
 
-    __slots__ = ("code", "env")
+    __slots__ = ("code", "env", "inner")
 
-    def __init__(self, code, env):
+    def __init__(self, code, env, inner):
         self.code = code
         self.env = env
+        self.inner = inner  # for a body that is only a lambda, that lambda's body, else None
 
 
 class ImapClosure:

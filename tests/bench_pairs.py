@@ -11,6 +11,8 @@ from the last JSON line the run printed.  Then, for each workload and metric,
 it prints the medians and interquartile ranges of both sides, the change in
 the median, and the pairs in which the change read better by the metric's
 `better` in the change's BENCHMARK.json.  A tie counts for neither side.
+Last comes a verdict for each workload and metric (see `verdict`): `gain`,
+`worse` or `unresolved`.
 
 `--aa TREE` pairs TREE, as the parent, with a copy of its working tree less
 `.git`, untracked files included, made beside it under a name of the same
@@ -77,6 +79,20 @@ def summarize(pairs: list, better: dict) -> dict:
     return summary
 
 
+def verdict(s: dict, better: str, bound: float) -> str:
+    """`gain` when the change read better in at least 9 of 10 pairs and its
+    median beats the parent's by more than the parent's quartile range;
+    `worse` when its median is worse than the parent's by more than `bound`,
+    a fraction of the parent's median; else `unresolved`.  `s` is a metric's
+    entry of `summarize`, `better` its "lower" or "higher"."""
+    gain = (s["change_median"] - s["parent_median"]) * (-1 if better == "lower" else 1)
+    if 10 * s["wins"] >= 9 * s["pairs"] and gain > s["parent_iqr"]:
+        return "gain"
+    if -gain > bound * abs(s["parent_median"]):
+        return "worse"
+    return "unresolved"
+
+
 def same_length_copy(tree: Path) -> Path:
     """A copy of the working tree `tree`, less its `.git`, made beside it
     under a new name as long as its own; a copy left partial is removed."""
@@ -109,6 +125,7 @@ def main(argv=None) -> None:
             change = same_length_copy(parent)
         benchmark = json.loads((change / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+        bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
         workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
         print(f"parent {parent}\nchange {change}")
         pairs = {workload: [] for workload in workloads}
@@ -129,14 +146,18 @@ def main(argv=None) -> None:
     finally:
         if args.aa and change is not None:
             shutil.rmtree(change)
-    for workload, runs in pairs.items():
-        print(f"{workload} ({len(runs)} pairs):")
-        for name, s in summarize(runs, better).items():
+    summaries = {workload: summarize(runs, better) for workload, runs in pairs.items()}
+    for workload, summary in summaries.items():
+        print(f"{workload} ({len(pairs[workload])} pairs):")
+        for name, s in summary.items():
             p, c = s["parent_median"], s["change_median"]
             moved = f"{(c - p) / p:+.1%}" if p else "n/a"
             print(f"  {name} ({better[name]} is better): median {p:.4g} (IQR "
                   f"{s['parent_iqr']:.4g}) -> {c:.4g} (IQR {s['change_iqr']:.4g}), {moved}; "
                   f"change better in {s['wins']}/{s['pairs']}")
+    for workload, summary in summaries.items():
+        for name, s in summary.items():
+            print(f"verdict {workload} {name}: {verdict(s, better[name], bounds[name])}")
 
 
 if __name__ == "__main__":

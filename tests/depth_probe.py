@@ -20,10 +20,14 @@ calls (and calls of builtins) that one `nats` level makes, the difference
 between fresh probes `nats.[2000]` and `nats.[1000]` over 1,000; those
 that one entry of the table behind `ackermann.[3,6]` makes, a fresh probe's
 calls over its body evaluations, with its `Rec` constructions and its
-`_check_bounds` calls; and those that strict forcing makes for
-one cell of each imap of `STRICT`, the difference between the imap and one
-of half its cells, each built in a fresh session with `strict_finite_imaps`,
-over the difference in cells, with the `_check_bounds` calls of the imap.
+`_check_bounds` calls; those of the Game-of-Life probes of
+`examples_suite()`, all made in one fresh session, in total and over their
+body evaluations; those that `REDUCE` makes an element of a vector of
+`REDUCED` ints, the difference from the empty vector over `REDUCED`; and
+those that strict forcing makes for one cell of each imap of `STRICT`, the
+difference between the imap and one of half its cells, each built in a
+fresh session with `strict_finite_imaps`, over the difference in cells,
+with the `_check_bounds` calls of the imap.
 
 `--compile` prints instead what building the prelude and evaluating the
 shipped programs compiles: the functions, characters and lines of generated
@@ -57,7 +61,7 @@ from heh.eval import (  # noqa: E402
     RECURSION_LIMIT, EvalConfig, Session, _check_bounds, evaluate, probe,
 )
 from heh.runtime import Rec  # noqa: E402
-from heh.prelude import program_source  # noqa: E402
+from heh.prelude import examples_suite, program_source  # noqa: E402
 
 # the definitions a probe loads, the entry that recurses N levels deep, and
 # the value it prints
@@ -159,6 +163,16 @@ def strict_calls(src: str) -> tuple:
     return profiled(session, lambda: session.eval_source(src))
 
 
+REDUCE, REDUCED = "reduce (\\x.\\y. x + y) 0 v", 1000  # a curried function over `v`
+
+
+def reduce_calls(n: int) -> tuple:
+    """`profiled` evaluating `REDUCE` in a fresh session with `v` the ints below `n`."""
+    session = Session()
+    session.env["v"] = tuple(range(n))
+    return profiled(session, lambda: session.eval_source(REDUCE))
+
+
 def print_calls() -> None:
     (short, c_short, *_), (long, c_long, *_) = calls("nats.heh", [1000]), calls("nats.heh", [2000])
     print(f"nats: {(long - short) / 1000:.1f} Python calls and {(c_long - c_short) / 1000:.1f} "
@@ -168,6 +182,17 @@ def print_calls() -> None:
           f"builtin calls a table entry ({python:,} and {builtin:,} over {entries:,} entries), "
           f"of which {cells / entries:.2f} Rec constructions and {bounds / entries:.2f} "
           f"_check_bounds calls ({cells:,} and {bounds:,})")
+    indices = [index for index, _ in dict(examples_suite())["game_of_life.heh"]]
+    result = evaluate(program_source("game_of_life.heh"))
+    python, builtin, evals, _ = profiled(result.session, lambda: [
+        probe(result, index) for index in indices])
+    print(f"game_of_life.heh, {len(indices)} probes: {python:,} Python calls and {builtin:,} "
+          f"builtin calls, {python / evals:.2f} and {builtin / evals:.2f} a body evaluation "
+          f"({evals:,})")
+    reduce_calls(0)  # compiles the code both share
+    (python, builtin, *_), (p_empty, b_empty, *_) = reduce_calls(REDUCED), reduce_calls(0)
+    print(f"{REDUCE}: {(python - p_empty) / REDUCED:.1f} Python calls and "
+          f"{(builtin - b_empty) / REDUCED:.1f} builtin calls an element of {REDUCED:,}")
     for full, half in STRICT:
         strict_calls(half)  # compiles the code both share
         (python, builtin, cells, (_, bounds)), (p_half, b_half, c_half, _) = map(
@@ -276,8 +301,8 @@ def main(argv=None) -> None:
     parser.add_argument("--no-ceiling", action="store_true",
                         help="skip the bisection for the fresh ceiling")
     parser.add_argument("--calls", action="store_true",
-                        help="print the calls a nats level, an ackermann entry and a "
-                        "strictly forced imap cell make, only")
+                        help="print the calls a nats level, an ackermann entry, the Game-of-"
+                        "Life probes, a reduce element and a strictly forced imap cell make, only")
     parser.add_argument("--compile", action="store_true",
                         help="print the source, memory and time that compiling the prelude "
                         "and the shipped programs takes, only")

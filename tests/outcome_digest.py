@@ -51,7 +51,13 @@ from heh.runtime import render_scalar  # noqa: E402
 # rest reads a name while its definition runs, passes its cell on, and uses
 # it once filled: by application, by selection and `|...|` in an imap, in an
 # array literal and by `reduce`, as a filter's predicate, and in a binop and
-# a `cond` that fail
+# a `cond` that fail.  The last eight apply functions to two arguments (the
+# `apply1` and `apply2` steps of `heh.eval`, and `reduce`): applied to three,
+# with a function and with a number as the result; as the head, a `letrec`
+# cell, filled and while its definition runs; one whose body is not only a
+# lambda; a partial application kept and applied twice; a head that is no
+# function; and `reduce` with a curried function and with one that returns a
+# function from a conditional
 FUEL_PROGRAMS = [
     ("letrec a = imap [2] {_(iv): iv.[0]} in reduce (\\x.\\y. if islim y then x else x + y) "
      "0 (filter (\\x. true) [a.[1], |a|.[0]])", False),
@@ -75,6 +81,15 @@ FUEL_PROGRAMS = [
     ("letrec p = (\\g.\\x. if x = 0 then true else |filter g [x - 1]|.[0] = 1) p in p 1", False),
     ("letrec f = (\\g.\\k. g + 1) f in f 0", False),
     ("letrec b = (\\g.\\k. if g then 1 else 2) b in b 0", False),
+    ("(\\a.\\b.\\c. a + b + c) 1 2 3", False),
+    ("(\\a.\\b. a) 1 2 3", False),
+    ("letrec f = (\\g.\\a.\\b. if b = 0 then a else g (a + 1) (b - 1)) f in f 0 2", False),
+    ("letrec f = f 1 2 in f", False),
+    ("(\\a. if a then (\\b. b) else (\\b. 0)) true 5", False),
+    ("letrec k = and true in if k false then 1 else k true", True),
+    ("1 2 3", False),
+    ("reduce (\\x.\\y. x + y) 0 [1, 2, 3] + "
+     "reduce (\\x. if x = 0 then (\\y. y) else (\\y. x + y)) 0 [1, 2]", False),
 ]
 
 

@@ -7,6 +7,7 @@ from importlib.resources import files
 
 import pytest
 
+import heh.eval
 from heh import cli
 from heh.eval import Session
 from test_eval import interrupt, shallow_limit  # noqa: F401 (a fixture)
@@ -251,6 +252,23 @@ def test_faulting_element_is_reported_inline(capsys):
     code, out, _ = run_cli(capsys, "--force-print", "2", "-e",
                            "imap [w+1] {[0] <= iv < [w]: 1, [w] <= iv < [w+1]: 1 / 0}")
     assert (code, out) == (0, "<imap shape=[w + 1]> [1, 1, ..., !DivisionByZero]\n")
+
+
+def test_a_lazy_prefix_is_forced_in_one_entry(monkeypatch, capsys):
+    """The elements of a lazy prefix are forced in one public entry, which
+    leaves no entry open and the caller's recursion limit when one fails."""
+    entries, entry = [], Session._entry
+    monkeypatch.setattr(Session, "_entry",
+                        lambda self, rule, thunk: entries.append(rule) or entry(self, rule, thunk))
+    caller = sys.getrecursionlimit()
+    sys.setrecursionlimit(caller + 7)
+    try:
+        code, out, _ = run_cli(capsys, "-e", "imap [w] {_(iv): 6 / (3 - iv.[0])}")
+        assert (code, out) == (0, "<imap shape=[w]> [2, 3, 6, !DivisionByZero, ... ]\n")
+        assert entries == ["eval", "shape", "select"]
+        assert heh.eval._open[0] == 0 and sys.getrecursionlimit() == caller + 7
+    finally:
+        sys.setrecursionlimit(caller)
 
 
 ### ---- REPL ------------------------------------------------------------------------------

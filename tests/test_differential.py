@@ -183,7 +183,7 @@ def test_the_outcome_digest_still_takes_its_rows():
 
 # the digest of every outcome, counter and fuel read `outcome_digest.rows()`
 # takes; a change that moves it changed what a user can observe
-OUTCOME_DIGEST = "3beb91c7fd95c5a380a0d72fb15bb8d1072ecf6f3e38f49e5b0ea6bf2331af9e"
+OUTCOME_DIGEST = "072f11caa7254ef1e7db7ec416af0c2a534194484d61f1f6790e2178343368e1"
 
 
 def test_the_outcome_digest_is_pinned():

@@ -1002,9 +1002,12 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     written once; the compiled `apply` and `select` steps count with it too,
     through their lines `$prologue`: an application, and a selection in a
     tuple, in an imap and of a scalar cell's trailing `()`.  Besides it only
-    `_apply`, `select`, `_pick` and `_scan` count, with the same two lines.  A
-    maximal subtree of names, constants, operators, selections,
-    applications and conditionals is one generated function, whose source
+    `_apply`, `select`, `_pick` and `_scan` count, with the same two lines,
+    and, each only where fuel is left for all it counts, the `apply1` step,
+    the `lambda` rule of a body that is only a lambda, and `_eval_reduce`,
+    that rule and the two applications around it.  A maximal subtree of
+    names, constants, operators, selections, applications and
+    conditionals is one generated function, whose source
     holds none of the program's names and numbers; a program of the same
     shape with other names and constants reuses it without compiling
     again."""
@@ -1021,16 +1024,18 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
         assert heh.eval.compile_expr(node).__code__.co_filename.startswith("<heh "), node
     text = Path(heh.eval.__file__).read_text()
     assert text.count("s.rules += $k\nif s.rules > s.limit: s._short($k)") == 1  # `_PROLOGUE`
-    assert text.count("s.rules += ") == 1
+    assert text.count("s.rules += ") == 2
+    assert text.count('"if $t.inner is not None and s.rules < s.limit:\\n    s.rules += 1\\n"') == 1
     assert text.count('_PROLOGUE.replace("$k", "1")') == 1  # a step's line `$prologue`
     assert {kind: step.count("$prologue") for kind, (_, step) in heh.eval._STEPS.items()
-            if "$prologue" in step} == {"apply": 1, "select": 3}
+            if "$prologue" in step} == {"apply": 1, "apply1": 1, "apply2": 1, "select": 3}
     counting = sorted(function.name for function in ast.walk(ast.parse(text))
                       if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
                       if isinstance(node, ast.AugAssign)
                       and getattr(node.target, "attr", "") == "rules")
-    assert counting == ["_apply", "_pick", "_scan", "_scan", "_short", "select"]
+    assert counting == ["_apply", "_eval_reduce", "_pick", "_scan", "_scan", "_short", "select"]
     assert text.count("self.rules += 1") == 5
+    assert text.count(" and self.rules < self.limit - 2:\n                self.rules += 3\n") == 1
     assert text.count("if self.rules > self.limit: self._short(1)\n") == 5
 
     def key_of(src):
@@ -1063,8 +1068,10 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     assert compiled == []
 
 
-# the line after each count of a step's own, with every temp named `t`
-OWN_COUNTS = {"apply": {"if t.__class__ is not FunClosure: t = s._function(t)"},
+# the line after each count of a step's own, with every temp named `t`: the
+# rule of the `apply`, `apply1` and `apply2` steps is "apply"
+OWN_COUNTS = {"apply": {"if t.__class__ is not FunClosure: t = s._function(t)",
+                        "if t.__class__ is list: t, t = t[0](s, (t, t[1])), None"},
               "select": {"t, t = t[t[0]], None", "t = t.memo.get(t)",
                          "t, t, t = t, None, None"}}
 
@@ -1223,22 +1230,22 @@ def test_which_compiled_code_a_probe_calls():
     root's rule, and of subtrees past a function's budget of nodes, never
     the code of an array literal, a constant, a `letrec` or a shape of its
     own.  ackermann.[3,6] evaluates its body, a `letrec`, once per table
-    entry; at each entry with m > 0 it applies `and`, whose two lambda
-    bodies are a lambda and a conditional, and runs the two subtrees past
-    the budget: the test `n = 0` and one branch, a selection.  nats.[2000]
+    entry; at each entry with m > 0 it applies `and` to both its arguments
+    in one step, which runs the body of its inner lambda, a conditional, and
+    not its outer body, a lambda; and it runs the two subtrees past the
+    budget: the test `n = 0` and one branch, a selection.  nats.[2000]
     evaluates the body of its first generator, a constant, once and that of
-    its second, a sum, 2,000 times; each of those applies `subv`, whose two
-    lambda bodies are a lambda and an imap, and forces the imap's one
-    element, a difference.  A transfinite filter scan reads each imap cell
-    and calls the predicate's code itself, with no `select` per element."""
+    its second, a sum, 2,000 times; each of those applies `subv` to both its
+    arguments in one step, which runs its inner body, an imap, and forces
+    the imap's one element, a difference.  A transfinite filter scan reads
+    each imap cell and calls the predicate's code itself, with no `select`
+    per element."""
     table = memoized_ackermann(3, 6)
     m_positive = sum(m > 0 for m, _ in table)
     for name, index, calls in (
-            ("ackermann.heh", [3, 6], {"letrec": len(table), "lambda": m_positive,
-                                       "cond": m_positive, "binop": m_positive,
-                                       "select": m_positive}),
-            ("nats.heh", [2000], {"const": 1, "binop": 2 * 2000, "lambda": 2000,
-                                  "imap": 2000})):
+            ("ackermann.heh", [3, 6], {"letrec": len(table), "cond": m_positive,
+                                       "binop": m_positive, "select": m_positive}),
+            ("nats.heh", [2000], {"const": 1, "binop": 2 * 2000, "imap": 2000})):
         r = evaluate(program_source(name))
         assert heh_calls(called_codes(lambda: probe(r, index))) == calls
     r = evaluate("filter (\\x. x < 5) (imap [w] {_(iv): 4})")
