@@ -543,11 +543,11 @@ class Session:
         return fun
 
     def _nested_array(self, values: list):
-        """The array literal of `values`.  A list, not a generator run from C,
-        so nesting costs no C stack."""
+        """The array literal of `values`, never empty (`[]` is a `vector0`).
+        A list, not a generator run from C, so nesting costs no C stack."""
         forced = [self._force_strict(v, "ShapeMismatch", "array elements must have finite shape")
                   for v in values]
-        first = forced[0][0] if forced else ()
+        first = forced[0][0]
         for other, _ in forced[1:]:
             if other != first:
                 raise Fault("HeterogeneousNesting",
@@ -613,8 +613,9 @@ class Session:
 
     def _miss(self, closure: ImapClosure, index: ShapeVec) -> Code:
         """The body's code for `index`, a memo miss of the compiled `select`
-        step or of strict forcing, once the index is tested (ints in Ordinal
-        extents need no test) and the evaluation counted.  The box of a
+        step, or of `_pick` or strict forcing among several partitions, once
+        the index is tested (ints in Ordinal extents need no test) and the
+        evaluation counted: heh's one partition search.  The box of a
         rank-1 natural index is found inline, with no `box_contains`."""
         n = closure.frame[0] if len(index) == 1 and index[0].__class__ is int else None
         if n is None:  # loops, as a call or a C-level test of so short a tuple costs more
@@ -638,25 +639,17 @@ class Session:
         selection is counted and the index tested: a scalar cell, with no
         index left, counts the rule of the trailing `()` selection inline,
         and any other cell is selected by `rest` (the `select` step runs a
-        miss itself, and strict forcing reads cells with no selection).
-
-        The spec is the paper's update rule: forcing an element cuts its
-        generator box into guillotine pieces around the index and adds a
-        one-point partition holding the value, so a later selection finds
-        it without evaluating the body again.  The closure's memo dict is an
-        equivalent way to realise that rule: a hit is a one-point partition,
-        and a miss lies in exactly one of the generator boxes as written.
-        Without memoization nothing is recorded and every access evaluates.
+        miss itself, and strict forcing reads cells with no selection).  A
+        miss runs the body of the closure's one partition, or of the one
+        `_miss` finds among several; the memo is the paper's update rule
+        (see `ImapClosure`), and without memoization every access evaluates.
         """
         cell = closure.memo.get(index)
         if cell is None:
-            parts = closure.partitions
-            for box, code in parts[:-1]:
-                if box_contains(box, index):
-                    break
-            else:
-                code = parts[-1][1]  # the boxes tile the frame, so the last holds it
-            self._stats["body_evals"] += 1
+            if len(closure.partitions) == 1:  # else `_miss` finds the body and counts it
+                self._stats["body_evals"] += 1
+                code = closure.partitions[0][1]
+            else: code = self._miss(closure, index)
             cell = code(self, (index, closure.env))
             if cell.__class__ not in _SCALARS or closure.cell:
                 self._check_cell(closure, index, cell)
@@ -841,13 +834,10 @@ class Session:
             return (len(value),), list(value)
         if isinstance(value, StrictArray):
             return value.shape, value.data
-        if isinstance(value, ImapClosure):
-            if all(s.__class__ is int for s in value.shape):
-                return value.shape, self._force_ordinal_vector(value, None)
-            raise Fault(kind, message + f" (shape {render_shape(value.shape)})")
-        if isinstance(value, FilterClosure):
-            raise Fault(kind, message +
-                        f" (shape {render_shape(self._filter_shape(value))})")
+        if isinstance(value, ImapClosure) and all(s.__class__ is int for s in value.shape):
+            return value.shape, self._force_ordinal_vector(value, None)
+        if isinstance(value, (ImapClosure, FilterClosure)):
+            raise Fault(kind, message + f" (shape {render_shape(self._shape_of(value))})")
         return (), [value]
 
     ### program and embedding interface

@@ -174,13 +174,6 @@ def box_contains(box: Box, index: ShapeVec) -> bool:
     return True
 
 
-def box_inside(inner: Box, outer: Box) -> bool:
-    if box_is_empty(inner):
-        return True
-    return all(ol <= il and iu <= ou
-               for ol, il, iu, ou in zip(outer[0], inner[0], inner[1], outer[1]))
-
-
 def box_intersect(a: Box, b: Box) -> Box:
     lower = tuple(max(x, y) for x, y in zip(a[0], b[0]))
     upper = tuple(min(x, y) for x, y in zip(a[1], b[1]))
@@ -209,9 +202,11 @@ def box_subtract(outer: Box, inner: Box) -> List[Box]:
 
 
 def forms_partition(frame: Box, gens: List[Box]) -> Optional[str]:
-    """None when the boxes tile the frame exactly, else a description."""
+    """None when the boxes tile the frame exactly, else a description.  A box
+    lies in the frame exactly when nothing of it is left outside, an empty
+    box included."""
     for i, g in enumerate(gens):
-        if not box_inside(g, frame):
+        if box_subtract(g, frame):
             return f"generator {i} reaches outside the frame"
         for j in range(i):
             if not box_is_empty(box_intersect(g, gens[j])):

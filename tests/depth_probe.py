@@ -27,7 +27,12 @@ body evaluations; those that `REDUCE` makes an element of a vector of
 those that strict forcing makes for one cell of each imap of `STRICT`, the
 difference between the imap and one of half its cells, each built in a
 fresh session with `strict_finite_imaps`, over the difference in cells,
-with the `_check_bounds` calls of the imap.
+with the `_check_bounds` calls of the imap; those that a filter that
+accepts nothing makes an element it scans past w (`SCAN`, through `_scan`
+and `_pick`), the difference between two fuels over the elements scanned
+between them; and those of a fresh probe of an imap of two partitions
+(`SPLIT`, through `select`, `_pick` and `_miss`), over `SPLIT_PROBES`
+probes of distinct cells.
 
 `--compile` prints instead what building the prelude and evaluating the
 shipped programs compiles: the functions, characters and lines of generated
@@ -58,7 +63,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from heh.eval import (  # noqa: E402
-    RECURSION_LIMIT, EvalConfig, Session, _check_bounds, evaluate, probe,
+    RECURSION_LIMIT, EvalConfig, EvalError, Session, _check_bounds, evaluate, probe,
 )
 from heh.runtime import Rec  # noqa: E402
 from heh.prelude import examples_suite, program_source  # noqa: E402
@@ -173,6 +178,31 @@ def reduce_calls(n: int) -> tuple:
     return profiled(session, lambda: session.eval_source(REDUCE))
 
 
+SCAN = "(filter (\\x. x > 7) (imap [w] {_(iv): 3})).[0]"  # runs until its fuel runs out
+
+
+def scan_calls(fuel: int) -> tuple:
+    """`profiled` evaluating `SCAN` in a fresh session with `fuel`."""
+    session = Session(EvalConfig(fuel=fuel))
+
+    def scan():
+        try:
+            session.eval_source(SCAN)
+        except EvalError:
+            pass
+    return profiled(session, scan)
+
+
+SPLIT, SPLIT_PROBES = "imap [w] {[0] <= iv < [3]: iv.[0], [3] <= iv < [w]: 0}", 1000
+
+
+def split_calls() -> tuple:
+    """`profiled` probing `SPLIT` at `SPLIT_PROBES` distinct cells in a fresh session."""
+    result = evaluate(SPLIT, prelude=False)
+    indices = [[i] for i in range(SPLIT_PROBES)]
+    return profiled(result.session, lambda: [probe(result, index) for index in indices])
+
+
 def print_calls() -> None:
     (short, c_short, *_), (long, c_long, *_) = calls("nats.heh", [1000]), calls("nats.heh", [2000])
     print(f"nats: {(long - short) / 1000:.1f} Python calls and {(c_long - c_short) / 1000:.1f} "
@@ -200,6 +230,15 @@ def print_calls() -> None:
         print(f"strict {full}: {(python - p_half) / (cells - c_half):.1f} Python calls and "
               f"{(builtin - b_half) / (cells - c_half):.1f} builtin calls a cell "
               f"({python:,} and {builtin:,} over {cells:,} cells, {bounds:,} _check_bounds calls)")
+    scan_calls(100)  # compiles the code both share
+    (python, builtin, scanned, _), (p_short, b_short, s_short, _) = map(scan_calls,
+                                                                         (40_000, 20_000))
+    print(f"{SCAN}: {(python - p_short) / (scanned - s_short):.1f} Python calls and "
+          f"{(builtin - b_short) / (scanned - s_short):.1f} builtin calls an element scanned "
+          f"past w ({scanned - s_short:,} elements between fuel 20,000 and 40,000)")
+    python, builtin, evals, _ = split_calls()
+    print(f"{SPLIT}: {python / SPLIT_PROBES:.1f} Python calls and {builtin / SPLIT_PROBES:.1f} "
+          f"builtin calls a fresh probe ({python:,} and {builtin:,} over {evals:,} probes)")
 
 
 COMPILE_CHILD = """
@@ -302,7 +341,8 @@ def main(argv=None) -> None:
                         help="skip the bisection for the fresh ceiling")
     parser.add_argument("--calls", action="store_true",
                         help="print the calls a nats level, an ackermann entry, the Game-of-"
-                        "Life probes, a reduce element and a strictly forced imap cell make, only")
+                        "Life probes, a reduce element, a strictly forced imap cell, an element "
+                        "a filter scans past w and a fresh probe of a split imap make, only")
     parser.add_argument("--compile", action="store_true",
                         help="print the source, memory and time that compiling the prelude "
                         "and the shipped programs takes, only")

@@ -28,7 +28,9 @@ from heh.cli import format_value
 from heh.eval import EvalConfig, EvalError, Session, evaluate, new_session, probe
 from heh.ordinal import OMEGA, Ordinal, omega_power
 from heh.prelude import prelude_source, program_names, program_source
-from heh.runtime import FilterClosure, FunClosure, ImapClosure, Rec, StrictArray
+from heh.runtime import (
+    FilterClosure, FunClosure, ImapClosure, Rec, StrictArray, linearize, render_shape,
+)
 
 
 def run(src, config=None):
@@ -1277,9 +1279,11 @@ def test_which_helpers_a_probe_calls(config):
     nats.[2000] calls `select` and `_pick` once, for the probe, and the
     `select` step of each of the 2,000 levels selects in `nats`, an imap
     with no cell shape, itself: each is a memo miss, so 2,000 `_miss`
-    calls.  Each level applies `subv` twice, takes `|iv|`, builds and
-    forces the one-element imap of `subv iv [1]` and selects `a.iv` and
-    `b.iv` in two tuples in its body, all without a call.
+    calls, and one more for the probe's own miss, which `_pick` finds
+    through `_miss` as `nats` has two partitions.  Each level applies
+    `subv` twice, takes `|iv|`, builds and forces the one-element imap of
+    `subv iv [1]` and selects `a.iv` and `b.iv` in two tuples in its body,
+    all without a call.
     ackermann.[3,6] calls `select` and `_pick` only for the probe; its step
     reads a memo hit of a selection `a.[...]` in the table itself, and
     calls `_miss` once for each other entry of the table, on its one miss;
@@ -1291,7 +1295,7 @@ def test_which_helpers_a_probe_calls(config):
     none = dict.fromkeys(HELPERS, 0)
     r = evaluate(program_source("nats.heh"), config)
     assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 1, "_pick": 1,
-                                                      "_miss": 2000}
+                                                      "_miss": 2001}
     table = memoized_ackermann(3, 6)
     r = evaluate(program_source("ackermann.heh"), config)
     assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": 1, "_pick": 1,
@@ -1338,6 +1342,105 @@ def test_strict_forcing_tests_no_index_inside_the_frame():
     with pytest.raises(EvalError) as e:
         Session().run_program(f"({src}).[59, 60]")
     assert (e.value.kind, e.value.rule) == ("IndexOutOfBounds", "select")
+
+
+# (an imap of two partitions, a Python oracle of its element at a full index,
+# and the indices read: each of its frame cells at most once, in the order a
+# filter scan reaches them where one can read it): rank 1 split at a natural
+# and at w, rank 2 split on its second axis as `fzip` builds, and a cell shape
+SPLIT_IMAPS = [
+    ("imap [w] {[0] <= iv < [3]: iv.[0] * 10, [3] <= iv < [w]: iv.[0] + 100}",
+     lambda i: i * 10 if i < 3 else i + 100, [(i,) for i in range(7)]),
+    ("imap [w*2] {[0] <= iv < [w]: iv.[0] * 2, [w] <= iv < [w*2]: iv.[0] + 3}",
+     lambda i: i * 2 if i.__class__ is int else i + 3,
+     [(i,) for i in range(4)] + [(OMEGA + i,) for i in range(4)]),
+    ("imap [3, 2] {[0, 0] <= iv < [3, 1]: iv.[0] * 10, [0, 1] <= iv < [3, 2]: iv.[0] + 100}",
+     lambda i, j: i * 10 if j == 0 else i + 100, [(i, j) for i in range(3) for j in range(2)]),
+    ("imap [4]|[2] {[0] <= iv < [1]: [5, 6], [1] <= iv < [4]: [iv.[0], 7]}",
+     lambda i, j: [[5, 6], [i, 7]][i > 0][j], [(i, i % 2) for i in range(4)]),
+]
+
+
+def read_split_imap(config, src, indices, reader):
+    """The values a fresh session reads at `indices` of the imap `src`, built
+    in a `letrec` bound so that it stays lazy, and its body evaluations."""
+    session = Session(config)
+    a = session.env["a"] = session.run_program(f"letrec a = {src} in a")
+    evals = session.stats["body_evals"]
+    if reader == "probe":
+        values = [session.select_at(a, index) for index in indices]
+    elif reader == "compiled":
+        values = list(session.run_program(
+            "[" + ", ".join(f"a.{render_shape(index)}" for index in indices) + "]"))
+    elif reader == "strict":
+        shape, data = session.strict_at(a)
+        values = [data[linearize(shape, index)] for index in indices]
+    else:  # a filter scan that keeps every element
+        kept = session.run_program("filter (\\x. true) a")
+        values = [session.select_at(kept, index) for index in indices]
+    return values, session.stats["body_evals"] - evals
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_every_reader_of_a_split_imap_agrees(config, monkeypatch):
+    """A probe (`select`, `_pick`), a compiled selection (the `select` step,
+    or `select` for a cell shape), strict forcing of a finite imap and a
+    filter scan past w over a rank-1 infinite one read the same values of an
+    imap of several partitions, with one body evaluation a cell.  `_miss` is
+    the one partition search, so every `box_contains` call comes from it."""
+    callers, contains = [], heh.eval.box_contains
+
+    def box_contains(box, index):
+        callers.append(sys._getframe(1).f_code)
+        return contains(box, index)
+    monkeypatch.setattr(heh.eval, "box_contains", box_contains)
+    for src, oracle, indices in SPLIT_IMAPS:
+        a = run(src, EvalConfig()).value
+        readers = ["probe", "compiled"]
+        if all(s.__class__ is int for s in a.shape):
+            readers.append("strict")
+        elif len(a.shape) == 1:
+            readers.append("filter")
+        expected = [oracle(*index) for index in indices]
+        for reader in readers:
+            assert read_split_imap(config, src, indices, reader) == (expected, len(indices)), \
+                (src, reader)
+    assert callers and set(callers) == {Session._miss.__code__}
+
+
+# (a recursive imap of two partitions, and a probe whose cell lies in the
+# second and reads cells of both)
+SPLIT_PROBES = [
+    ("letrec a = imap [w] {[0] <= iv < [2]: iv.[0] + 1, "
+     "[2] <= iv < [w]: a.[iv.[0] - 1] + a.[iv.[0] - 2]} in a", [9]),
+    ("letrec a = imap [w]|[2] {[0] <= iv < [1]: [1, 2], "
+     "[1] <= iv < [w]: [a.[iv.[0] - 1, 1], iv.[0]]} in a", [5, 0]),
+]
+
+
+@pytest.mark.parametrize("interrupted", [False, True])
+def test_a_stopped_probe_of_a_split_imap_keeps_a_true_memo(monkeypatch, interrupted):
+    """A fresh probe of an imap of two partitions, through `select`, `_pick`
+    and `_miss`, stopped at each of its rules by fuel or by an interrupt,
+    leaves every memo entry equal to the uninterrupted run's, and probing
+    again gives the same value and fills the same memo."""
+    if interrupted:  # a run with no fuel set never calls it
+        monkeypatch.setattr(Session, "_out_of_fuel", interrupt)
+    for src, index in SPLIT_PROBES:
+        session = Session()
+        a = session.run_program(src)
+        before = session.stats["rules"]
+        expected = session.select_at(a, index)
+        rules, memo = session.stats["rules"] - before, dict(a.memo)
+        for k in range(rules):
+            session = Session()
+            a = session.run_program(src)
+            session.fuel = k
+            with pytest.raises(KeyboardInterrupt if interrupted else EvalError):
+                session.select_at(a, index)
+            assert a.memo.items() <= memo.items(), (src, k)
+            session.fuel = None
+            assert (session.select_at(a, index), a.memo) == (expected, memo), (src, k)
 
 
 @pytest.mark.parametrize("config", CONFIGS)

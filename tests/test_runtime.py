@@ -272,6 +272,62 @@ def test_forms_partition_scalar_frame():
     assert "not fully covered" in forms_partition(((), ()), [])
 
 
+def test_forms_partition_matches_its_cells():
+    # over small integer frames of rank 1 and 2 and boxes that may be empty
+    # (inverted ones included), reach outside, overlap or leave gaps, the
+    # cells of the boxes decide: the first of them outside the frame or
+    # overlapping an earlier one is reported, in box order, then a frame cell
+    # no box covers, and None exactly when the boxes tile the frame
+    def cells(lower, upper):
+        return set(itertools.product(*(range(l, u) for l, u in zip(lower, upper))))
+
+    def expected(frame, gens):
+        inside, covered = cells(*frame), set()
+        for i, g in enumerate(gens):
+            if cells(*g) - inside:
+                return f"generator {i} reaches outside the frame"
+            for j in range(i):
+                if cells(*g) & cells(*gens[j]):
+                    return f"generators {j} and {i} overlap"
+            covered |= cells(*g)
+        return None if covered == inside else "the frame is not fully covered"
+
+    rng = random.Random(39)
+    seen = set()
+    for _ in range(3000):
+        rank = rng.randint(1, 2)
+        upper = tuple(rng.randint(0, 4) for _ in range(rank))
+        frame = ((0,) * rank, upper)
+        if rng.random() < 0.3:  # the frame cut in two along one axis, which tiles it
+            axis = rng.randrange(rank)
+            cut = (rng.randint(0, upper[axis]),)
+            gens = [((0,) * rank, upper[:axis] + cut + upper[axis + 1:]),
+                    ((0,) * axis + cut + (0,) * (rank - axis - 1), upper)]
+            rng.shuffle(gens)
+        else:
+            gens = [(tuple(rng.randint(0, 5) for _ in range(rank)),
+                     tuple(rng.randint(0, 5) for _ in range(rank)))
+                    for _ in range(rng.randint(0, 4))]
+        problem, want = forms_partition(frame, gens), expected(frame, gens)
+        if want is None or want.startswith("generator"):
+            assert problem == want, (frame, gens)
+        else:  # its example is a box of frame cells that no box covers
+            prefix = want + " (e.g. indices from "
+            assert problem.startswith(prefix), (frame, gens)
+            lower, upper = (tuple(int(x) for x in side.strip("[]").split(", ") if x)
+                            for side in problem[len(prefix):-1].split(" up to "))
+            missed = cells(*frame).difference(*(cells(*g) for g in gens))
+            assert cells(lower, upper) and cells(lower, upper) <= missed, (frame, gens)
+        inside = cells(*frame)
+        seen.add((want and want.split()[-1], any(box_is_empty(g) for g in gens),
+                  any(cells(*g) - inside and cells(*g) & inside for g in gens)))
+    # each outcome, with and without an empty box, and a box partly outside
+    assert {(outcome, empty) for outcome, empty, _ in seen} == {
+        (outcome, empty) for outcome in (None, "frame", "overlap", "covered")
+        for empty in (False, True)}
+    assert ("frame", False, True) in seen
+
+
 extents = st.one_of(st.integers(0, 4),
                     st.sampled_from([OMEGA, OMEGA + 2, OMEGA * 2]))
 
