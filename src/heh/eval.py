@@ -206,6 +206,8 @@ _STEPS = {
             .replace("$check", _CHECK.replace("$op", op) if op != "=" else ""))
        for op, x in _OPS.items()},  # `=` also compares booleans
     None: (None, "$t = $a(s, $env)"),  # a hole: the code of another node
+    # an imap body's first line, before its first rule: a step with no rule that is no hole
+    "count": (None, "s.body_evals += 1\n@t"),
     # an array literal of more than `_ELEMENTS` elements, from their codes
     "array": ("array", "$t = s._nested_array([element(s, $env) for element in $a])"),
     **{f"array{n}": ("array", _array(n)) for n in range(_ELEMENTS + 1)},
@@ -301,7 +303,7 @@ def _source(key: tuple) -> Tuple[str, tuple, tuple]:
                  "inner": f"env{level + 1}", "hops": "[1]" * (hops and marker),
                  **{f"t{k}": f"t{h + k}" for k in range(_ELEMENTS)}}
         step = textwrap.dedent(step).strip()
-        if rule is not None:  # a node, not a hole
+        if rule is not None:  # a node, not a hole or the count
             node = len(rules)
             rules.append(rule)
             if run is not None and run[0] == pad:
@@ -331,7 +333,7 @@ def _source(key: tuple) -> Tuple[str, tuple, tuple]:
                 if kind not in _QUIET:
                     run = None
 
-    emit(0, 8, None, 0)
+    emit(0, 8, 0, 0)  # a line before the first node, the count's, is that node's
     for pad, first, k in runs:
         body[first:first + 2] = [" " * pad + line
                                  for line in _PROLOGUE.replace("$k", str(k)).split("\n")]
@@ -394,7 +396,7 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, spans: list, args: l
                     for gen, _ in node.partitions]
             args += (None if node.cell is None else compile_expr(node.cell, scope),
                      None if gens == [(None, None)] else gens,
-                     [compile_expr(body, (gen.var,) + scope) for gen, body in node.partitions])
+                     [compile_expr(e, (gen.var,) + scope, True) for gen, e in node.partitions])
             if args[-3] is None and args[-2] is None:  # no cell shape, a lone `_(x)`
                 key[-1] = "imap_full"
         for child in children:
@@ -412,10 +414,11 @@ def _lambda_codes(node: Lambda, scope: Tuple[str, ...]) -> Tuple[Code, Optional[
     return make((nodes, rules, (body.span,)), *codes), codes[0]
 
 
-def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
+def compile_expr(node: Expr, scope: Tuple[str, ...] = (), body: bool = False) -> Code:
     """The code of `node`; `scope` lists the names bound around it by
-    lambdas, `letrec`s and imap generators, innermost first.  Source text
-    reaches the code only as an argument, never as Python source."""
+    lambdas, `letrec`s and imap generators, innermost first.  The code of an
+    imap `body` first adds one to `body_evals`.  Source text reaches the code
+    only as an argument, never as Python source."""
     if node.__class__ not in _EXPRESSIONS:
         raise TypeError(f"not an expression: {node!r}")
     if node.__class__ is ArrayLiteral and len(node.elements) > _ELEMENTS:
@@ -423,7 +426,7 @@ def compile_expr(node: Expr, scope: Tuple[str, ...] = ()) -> Code:
     else:
         key, spans, args = [], [], []
         _flatten(node, scope, key, spans, args)
-    make, nodes, rules = _factory(tuple(key))
+    make, nodes, rules = _factory(("count",) * body + tuple(key))  # not counted in `_NODES`
     return make((nodes, rules, tuple(spans)), *args)
 
 
@@ -443,7 +446,7 @@ class Session:
         self.rules = 0  # the rules applied; fuel is a limit on this count
         self.limit = _NO_LIMIT  # fuel is checked again: a config can change once made
         if self.config.fuel is not None: self.fuel = self.config.fuel
-        self._stats = {"rules": 0, "body_evals": 0, "predicate_calls": 0}
+        self.body_evals = self.predicate_calls = 0  # imap bodies run, filter predicates applied
         self._letrec_depth = 0  # the `letrec` bounds being evaluated; `_entry` zeroes it
 
     @property
@@ -459,9 +462,9 @@ class Session:
 
     @property
     def stats(self) -> dict:
-        """The counters, with "rules" read afresh from `rules`."""
-        self._stats["rules"] = self.rules
-        return self._stats
+        """A new dict of the three counters, read from their attributes."""
+        return {"rules": self.rules, "body_evals": self.body_evals,
+                "predicate_calls": self.predicate_calls}
 
     ### plumbing
 
@@ -614,9 +617,9 @@ class Session:
     def _miss(self, closure: ImapClosure, index: ShapeVec) -> Code:
         """The body's code for `index`, a memo miss of the compiled `select`
         step, or of `_pick` or strict forcing among several partitions, once
-        the index is tested (ints in Ordinal extents need no test) and the
-        evaluation counted: heh's one partition search.  The box of a
-        rank-1 natural index is found inline, with no `box_contains`."""
+        the index is tested (ints in Ordinal extents need no test): heh's one
+        partition search.  It counts nothing: the body counts its own run.
+        The box of a rank-1 natural index is found inline, with no `box_contains`."""
         n = closure.frame[0] if len(index) == 1 and index[0].__class__ is int else None
         if n is None:  # loops, as a call or a C-level test of so short a tuple costs more
             extents = iter(closure.frame)
@@ -625,7 +628,6 @@ class Session:
                 if (i.__class__ is not int or s.__class__ is not Ordinal) and not i < s:
                     _check_bounds(closure, index)
         elif n.__class__ is int and index[0] >= n: _check_bounds(closure, index)
-        self._stats["body_evals"] += 1
         if n is not None:  # a natural, below every Ordinal: its box's lower bound is an
             i = index[0]   # int at most `i`, its upper an Ordinal or an int above `i`
             for ((l,), (u,)), code in closure.partitions:
@@ -641,15 +643,13 @@ class Session:
         and any other cell is selected by `rest` (the `select` step runs a
         miss itself, and strict forcing reads cells with no selection).  A
         miss runs the body of the closure's one partition, or of the one
-        `_miss` finds among several; the memo is the paper's update rule
-        (see `ImapClosure`), and without memoization every access evaluates.
-        """
+        `_miss` finds among several, which adds to `body_evals` itself; the
+        memo is the paper's update rule (see `ImapClosure`), and without
+        memoization every access evaluates."""
         cell = closure.memo.get(index)
         if cell is None:
-            if len(closure.partitions) == 1:  # else `_miss` finds the body and counts it
-                self._stats["body_evals"] += 1
-                code = closure.partitions[0][1]
-            else: code = self._miss(closure, index)
+            code = (closure.partitions[0][1] if len(closure.partitions) == 1
+                    else self._miss(closure, index))
             cell = code(self, (index, closure.env))
             if cell.__class__ not in _SCALARS or closure.cell:
                 self._check_cell(closure, index, cell)
@@ -713,7 +713,7 @@ class Session:
                                          "filter argument is not strict")
             kept = []
             for x in data:
-                self._stats["predicate_calls"] += 1
+                self.predicate_calls += 1
                 accepted = self._force_scalar(self._apply(predicate, x))
                 if not isinstance(accepted, bool):
                     raise Fault("ShapeMismatch", "the filter predicate must return a boolean")
@@ -754,7 +754,7 @@ class Session:
                 element = self._pick(argument, (source,))
             else:
                 element = self.select(argument, (source,))
-            self._stats["predicate_calls"] += 1
+            self.predicate_calls += 1
             self.rules += 1  # applying the predicate
             if self.rules > self.limit: self._short(1)
             accepted = pcode(self, (element, penv))
@@ -785,10 +785,10 @@ class Session:
         """A rank-1 value forced to a tuple of ordinals, each forced before
         any is checked; a tuple is returned as it is.  A finite imap is
         forced in one loop, which reads each cell with no selection rule:
-        a memo hit as it is, and for a miss the body of its one partition,
-        or of several the one `_miss` finds, then the cell check and the
-        memo as in `_pick`.  With `what` None, `value` is any finite imap,
-        and the result is its row-major data: strict forcing."""
+        a memo hit as it is, and for a miss the body (which counts itself)
+        of its one partition, or of several the one `_miss` finds, then the
+        cell check and the memo as in `_pick`.  With `what` None, `value` is
+        any finite imap, and the result is its row-major data: strict forcing."""
         if value.__class__ is tuple:
             return value
         if value.__class__ is ImapClosure and (what is None or len(value.shape) == 1
@@ -800,7 +800,6 @@ class Session:
                 if rank1: index = (index,)
                 cell = memo.get(index)
                 if cell is None:
-                    if code is not None: self._stats["body_evals"] += 1  # else `_miss` counts
                     cell = (code or self._miss(value, index))(self, (index, env))
                     if cell.__class__ not in _SCALARS or value.cell:
                         self._check_cell(value, index, cell)

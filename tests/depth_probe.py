@@ -4,6 +4,7 @@
     python tests/depth_probe.py --calls
     python tests/depth_probe.py --compile
     python tests/depth_probe.py --errors
+    python tests/depth_probe.py --rss [N]
 
 For each of two shapes of recursion, `nats.[N]` on the shipped nats.heh
 (through an imap) and `go N` with `letrec go = \\k. if k = 0 then 0 else
@@ -46,6 +47,15 @@ of `/proc/self/statm` after `gc.collect()`: its growth over a fresh session
 once the session has raised and kept each error of `KEPT`, a deep fault and
 a recursion past `RECURSION_LIMIT`; and the wall time of one deep fault, the
 median over `FAULT_RUNS` processes that each raise it once and keep nothing.
+
+`--rss` prints instead the size of `eval.py` in bytes, and the peak RSS
+(`ru_maxrss`) of N fresh processes (5 by default) at five points: once
+Python has started, once heh is imported, once the prelude is built, once
+a fresh session has evaluated ackermann.heh (compiled, no body run), and
+once it has probed `ackermann.[3,6]`, with the median and range of each.
+So a move in the benchmark's `peak_rss_mb` can be traced to importing and
+compiling, or to evaluation.  Linux keeps `ru_maxrss` across `exec`, so these processes are
+started by a bare interpreter, smaller than any of them.
 
 Peak RSS is a high-water mark of the whole process, so each probe runs in a
 process of its own.  Only the standard library and heh are needed; it is not
@@ -92,13 +102,13 @@ print(json.dumps([outcome, before, after]))  # ru_maxrss is in KiB on Linux
 """
 
 
-def child(script: str, arg: str):
+def child(script: str, arg: str, launcher: tuple = ()):
     """What `script`, run with `arg` by a fresh process that imports this
-    checkout's heh, prints as JSON."""
+    checkout's heh, started by `launcher` if given, prints as JSON."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, arg], env=env, capture_output=True,
-                          text=True, check=True)
+    proc = subprocess.run([*launcher, sys.executable, "-c", script, arg], env=env,
+                          capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
@@ -334,6 +344,39 @@ def print_errors() -> None:
           f"processes ({times[0] * 1000:.1f}-{times[-1] * 1000:.1f} ms)")
 
 
+RSS_CHILD = """
+import json, resource
+
+def peak():  # KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+started = peak()
+from heh.eval import evaluate, probe
+imported = peak()
+from heh.prelude import _prelude_values, program_source
+_prelude_values()
+prelude = peak()
+result = evaluate(program_source("ackermann.heh"))
+compiled = peak()
+probe(result, [3, 6])
+print(json.dumps([started, imported, prelude, compiled, peak()]))
+"""
+RSS_POINTS = ("Python started", "import heh", "the prelude built",
+              "ackermann.heh evaluated", "a fresh ackermann.[3,6] probe")
+# a process that starts one command and waits: `python -S` peaks below any `RSS_POINTS`
+LAUNCHER = (sys.executable, "-S", "-c",
+            "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))")
+
+
+def print_rss(runs: int) -> None:
+    print(f"eval.py: {(SRC / 'heh' / 'eval.py').stat().st_size:,} bytes")
+    peaks = zip(*(child(RSS_CHILD, "", LAUNCHER) for _ in range(runs)))
+    for point, kib in zip(RSS_POINTS, peaks):
+        mib = sorted(k / 1024 for k in kib)
+        print(f"peak RSS after {point}: {mib[len(mib) // 2]:.2f} MiB, median of {runs} "
+              f"processes ({mib[0]:.2f}-{mib[-1]:.2f} MiB)")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--depths", type=int, nargs="+", default=[20_000, 40_000, 60_000])
@@ -349,7 +392,13 @@ def main(argv=None) -> None:
     parser.add_argument("--errors", action="store_true",
                         help="print the memory that caught deep errors keep, and the time "
                         "of a deep fault, only")
+    parser.add_argument("--rss", type=int, nargs="?", const=5, metavar="N",
+                        help="print the size of eval.py and the peak RSS of N fresh processes "
+                        "(default 5) after start, import, the prelude, compiling ackermann.heh "
+                        "and a probe of it, only")
     args = parser.parse_args(argv)
+    if args.rss is not None:
+        return print_rss(args.rss)
     if args.errors:
         return print_errors()
     if args.calls:

@@ -332,11 +332,18 @@ def test_memoization_skips_reevaluation():
     r = run("imap [w] {_(iv): iv.[0] * 2}")
     s = r.session
     assert probe(r, [7]) == 14
-    evals = s.stats["body_evals"]
+    before = s.stats
+    assert list(before) == ["rules", "body_evals", "predicate_calls"]
     assert probe(r, [7]) == 14
-    assert s.stats["body_evals"] == evals  # second selection is free
+    assert s.stats["body_evals"] == before["body_evals"]  # second selection is free
     assert probe(r, [9]) == 18
-    assert s.stats["body_evals"] == evals + 1
+    # `stats` is a new dict of the counters on each read: one read before keeps
+    # its numbers, and writing to one changes no counter
+    after = s.stats
+    assert after is not s.stats and after["body_evals"] == before["body_evals"] + 1
+    after["body_evals"] = after["rules"] = 0
+    assert s.stats == {"rules": s.rules, "body_evals": before["body_evals"] + 1,
+                       "predicate_calls": 0} and s.rules > before["rules"]
 
 
 # (binding, entry): each entry runs the body of `a` at a cell whose value fails
@@ -1007,7 +1014,9 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     `_apply`, `select`, `_pick` and `_scan` count, with the same two lines,
     and, each only where fuel is left for all it counts, the `apply1` step,
     the `lambda` rule of a body that is only a lambda, and `_eval_reduce`,
-    that rule and the two applications around it.  A maximal subtree of
+    that rule and the two applications around it.  An imap body's first
+    line counts its evaluation in `body_evals`, and only `_scan` and
+    `_eval_filter` count predicate calls.  A maximal subtree of
     names, constants, operators, selections, applications and
     conditionals is one generated function, whose source
     holds none of the program's names and numbers; a program of the same
@@ -1039,6 +1048,13 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     assert text.count("self.rules += 1") == 5
     assert text.count(" and self.rules < self.limit - 2:\n                self.rules += 3\n") == 1
     assert text.count("if self.rules > self.limit: self._short(1)\n") == 5
+    # an imap body counts its own evaluation; only a filter's helpers count predicate calls
+    assert text.count("body_evals += ") == 1
+    assert sorted((function.name, node.target.attr) for function in ast.walk(ast.parse(text))
+                  if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
+                  if isinstance(node, ast.AugAssign) and getattr(node.target, "attr", "") in (
+                      "body_evals", "predicate_calls")) == [("_eval_filter", "predicate_calls"),
+                                                            ("_scan", "predicate_calls")]
 
     def key_of(src):
         node = heh.syntax.parse_expr(src)
@@ -1053,6 +1069,10 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     assert source == PINNED_SOURCE  # the line table and rules are not in it
     assert nodes == (0, 0, 1, 0, 0, 2, 2, 2, 2, 0, 3, 3, 3, 0)
     assert rules == ("cond", "var", "var", "const")
+    # the same subtree as an imap body: its first line, its first node's, counts it
+    body = heh.eval._source(("count",) + key)
+    assert body[0] == PINNED_SOURCE.replace("env):\n", "env):\n        s.body_evals += 1\n")
+    assert body[1:] == ((0,) + nodes, rules)
     assert "depth" not in source and "ceiling" not in source and "7919" not in source
     assert key_of("\\level. if level then limit else 12")[0] == key == ("cond", 0, "var", "const")
 
@@ -1347,7 +1367,8 @@ def test_strict_forcing_tests_no_index_inside_the_frame():
 # (an imap of two partitions, a Python oracle of its element at a full index,
 # and the indices read: each of its frame cells at most once, in the order a
 # filter scan reaches them where one can read it): rank 1 split at a natural
-# and at w, rank 2 split on its second axis as `fzip` builds, and a cell shape
+# and at w, rank 2 split on its second axis as `fzip` builds, and a cell shape;
+# then of one partition, an infinite imap and the prelude's `zip`, a cell shape
 SPLIT_IMAPS = [
     ("imap [w] {[0] <= iv < [3]: iv.[0] * 10, [3] <= iv < [w]: iv.[0] + 100}",
      lambda i: i * 10 if i < 3 else i + 100, [(i,) for i in range(7)]),
@@ -1359,25 +1380,33 @@ SPLIT_IMAPS = [
     ("imap [4]|[2] {[0] <= iv < [1]: [5, 6], [1] <= iv < [4]: [iv.[0], 7]}",
      lambda i, j: [[5, 6], [i, 7]][i > 0][j], [(i, i % 2) for i in range(4)]),
 ]
+ONE_PARTITION_IMAPS = [
+    ("imap [w] {_(iv): iv.[0] * 3}", lambda i: i * 3, [(i,) for i in range(5)]),
+    ("zip [10, 20, 30] [4, 5, 6]", lambda i, j: [[10, 4], [20, 5], [30, 6]][i][j],
+     [(i, i % 2) for i in range(3)]),
+]
 
 
 def read_split_imap(config, src, indices, reader):
-    """The values a fresh session reads at `indices` of the imap `src`, built
-    in a `letrec` bound so that it stays lazy, and its body evaluations."""
-    session = Session(config)
+    """The values a fresh session with the prelude reads at `indices` of the
+    imap `src`, built in a `letrec` bound so that it stays lazy, in two
+    passes, and its body evaluations.  A pass is a probe of each index, one
+    compiled selection of each, strict forcing, or a new filter's scan."""
+    session, values = new_session(config), []
     a = session.env["a"] = session.run_program(f"letrec a = {src} in a")
     evals = session.stats["body_evals"]
-    if reader == "probe":
-        values = [session.select_at(a, index) for index in indices]
-    elif reader == "compiled":
-        values = list(session.run_program(
-            "[" + ", ".join(f"a.{render_shape(index)}" for index in indices) + "]"))
-    elif reader == "strict":
-        shape, data = session.strict_at(a)
-        values = [data[linearize(shape, index)] for index in indices]
-    else:  # a filter scan that keeps every element
-        kept = session.run_program("filter (\\x. true) a")
-        values = [session.select_at(kept, index) for index in indices]
+    for _ in range(2):
+        if reader == "probe":
+            values += [session.select_at(a, index) for index in indices]
+        elif reader == "compiled":
+            values += session.run_program(
+                "[" + ", ".join(f"a.{render_shape(index)}" for index in indices) + "]")
+        elif reader == "strict":
+            shape, data = session.strict_at(a)
+            values += [data[linearize(shape, index)] for index in indices]
+        else:  # a filter scan that keeps every element
+            kept = session.run_program("filter (\\x. true) a")
+            values += [session.select_at(kept, index) for index in indices]
     return values, session.stats["body_evals"] - evals
 
 
@@ -1386,24 +1415,27 @@ def test_every_reader_of_a_split_imap_agrees(config, monkeypatch):
     """A probe (`select`, `_pick`), a compiled selection (the `select` step,
     or `select` for a cell shape), strict forcing of a finite imap and a
     filter scan past w over a rank-1 infinite one read the same values of an
-    imap of several partitions, with one body evaluation a cell.  `_miss` is
-    the one partition search, so every `box_contains` call comes from it."""
+    imap of several partitions, or of one.  Each body counts itself, so
+    every reader makes one body evaluation for each cell it reads with memo
+    on, and one for each read with memo off.  `_miss` is the one partition
+    search, so every `box_contains` call comes from it."""
     callers, contains = [], heh.eval.box_contains
 
     def box_contains(box, index):
         callers.append(sys._getframe(1).f_code)
         return contains(box, index)
     monkeypatch.setattr(heh.eval, "box_contains", box_contains)
-    for src, oracle, indices in SPLIT_IMAPS:
-        a = run(src, EvalConfig()).value
+    for src, oracle, indices in SPLIT_IMAPS + ONE_PARTITION_IMAPS:
+        a = evaluate(src, EvalConfig()).value
         readers = ["probe", "compiled"]
         if all(s.__class__ is int for s in a.shape):
             readers.append("strict")
         elif len(a.shape) == 1:
             readers.append("filter")
-        expected = [oracle(*index) for index in indices]
+        expected = [oracle(*index) for index in indices] * 2
+        evals = len(indices) * (1 if config.memoize else 2)
         for reader in readers:
-            assert read_split_imap(config, src, indices, reader) == (expected, len(indices)), \
+            assert read_split_imap(config, src, indices, reader) == (expected, evals), \
                 (src, reader)
     assert callers and set(callers) == {Session._miss.__code__}
 

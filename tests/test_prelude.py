@@ -296,9 +296,9 @@ def test_countdown_program():
     assert [probe(r, [n]) for n in range(10)] == list(range(10))
     # the "backwards" recursion makes index 9 a single body evaluation
     r = run(program_source("countdown.heh"))
-    r.session.stats["body_evals"] = 0
+    evals = r.session.stats["body_evals"]
     assert probe(r, [9]) == 9
-    assert r.session.stats["body_evals"] == 1
+    assert r.session.stats["body_evals"] == evals + 1
 
 
 def test_ackermann_program():

@@ -207,12 +207,13 @@ def test_box_contains_matches_naive_comparison():
 
 def test_a_miss_finds_the_box_box_contains_finds():
     # `Session._miss` finds the generator box of a rank-1 natural index with
-    # an inline `l <= i < u` test, any other index through `box_contains`,
-    # as `Session._pick` finds any index's.  Over random tilings of a rank-1
-    # or rank-2 frame, in any order, by boxes with int and Ordinal bounds
-    # (such as [w] <= iv < [w*2], and int uppers below the index), each
-    # index in the frame gets from both the box `box_contains` picks, whose
-    # body returns the box's number
+    # an inline `l <= i < u` test, any other index through `box_contains`.
+    # `Session._pick` runs the body of a closure of one partition itself and
+    # asks `_miss` for one of several; its assertion checks that dispatch.
+    # Over random tilings of a rank-1 or rank-2 frame, in any order, by boxes
+    # with int and Ordinal bounds (such as [w] <= iv < [w*2], and int uppers
+    # below the index), each index in the frame gets from both the box
+    # `box_contains` picks, whose body returns the box's number
     pool = [1, 2, 3, 5, 8, OMEGA, OMEGA + 1, OMEGA + 3, OMEGA * 2, omega_power(2)]
     rng = random.Random(29)
 
