@@ -149,7 +149,7 @@ _CHECK = ("if $t.__class__ is not int and $t.__class__ is not Ordinal or $u.__cl
 # an application of `$t` to `$u`: a cell followed and the function checked, then its body
 _IS_FUNCTION, _CALL = ("if $t.__class__ is not FunClosure: $t = s._function($t)\n",
                        "$t, $u = $t.code(s, ($u, $t.env)), None")
-_INTS = "$t.__class__ is int and $u.__class__ is int"  # for `-` as `sub` does it, and `=`
+_INTS = "$t.__class__ is int and $u.__class__ is int"  # Python's `-` where defined, and `=`
 _OPS = {"<": "$t < $u", "<=": "$t <= $u", ">": "$t > $u", ">=": "$t >= $u", "+": "$t + $u",
         "-": f"$t - $u if {_INTS} and $t >= $u >= 0 else sub($t, $u)", "*": "$t * $u",
         "/": "$t // $u", "%": "$t % $u", "=": f"$t == $u if {_INTS} else _equal($t, $u)"}
@@ -172,7 +172,7 @@ def _array(n: int) -> str:
 # clears once used, so a temp holds no value its rule has done with (in a
 # deep recursion, such a value stays alive on every level); "@v" for those of
 # a third, in `$v`; "@tK" for those of an array literal's K-th element, in
-# `$tK`.  `$a`...`$d` are arguments (a leaf's constant or top-level name, a
+# `$tK`.  `$a`...`$c` are arguments (a leaf's constant or top-level name, a
 # hole's code, another node's fields) and `$env` the variable that holds its
 # environment (a node's span is in `where`, see `_FUNCTION`).  A step reads this
 # module's globals, so a name only a step uses, such as `is_limit`, is imported.
@@ -239,10 +239,14 @@ _STEPS = {
         """),
     # the rarer rules end in a Session method, given the compiled bodies
     "imap": ("imap", "@t\n$t = s._eval_imap($env, $t, $a, $b, $c)"),
-    # a lone `_(x)` generator and no cell shape, over a tuple frame: one box
-    "imap_full": ("imap", "@t\nif $t.__class__ is tuple and not s.config.strict_finite_imaps: "
-                  "$t = ImapClosure($t, (), $env, ((((0,) * len($t), $t), $c[0]),))\n"
-                  "else: $t = s._eval_imap($env, $t, $a, $b, $c)"),
+    # a lone `_(x)` generator, whose one box is the frame: no bounds, no partition check
+    "imap_full": ("imap", """
+        @t
+        if $t.__class__ is not tuple: $t = s._force_ordinal_vector($t, "frame shape")
+        if s.config.strict_finite_imaps: $t = s._eval_imap($env, $t, $a, $b, $c)
+        else: $t = ImapClosure($t, () if $a is None else s._force_ordinal_vector($a(s, $env),
+              "cell shape"), $env, ((((0,) * len($t), $t), $c[0]),))
+        """),
     "reduce": ("reduce", """
         @t
         if not isinstance($t := s._value($t), FunClosure):  # a cell followed
@@ -313,7 +317,7 @@ def _source(key: tuple) -> Tuple[str, tuple, tuple]:
                 runs.append(run)
                 body.extend(("", ""))
                 nodes.extend((node, node))
-        for field in "abcd":
+        for field in "abc":
             if "$" + field in step:
                 names[field] = f"a{len(args)}"
                 args.append(names[field])
@@ -390,15 +394,13 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, spans: list, args: l
         elif cls is Apply and node.fun.__class__ is Apply and len(key) < _NODES:
             key[-1:], children = ["apply2", "apply1"], [node.fun.fun, node.fun.arg, node.arg]
             spans.append(node.fun.span)  # of `f a`, after that of `f a b`
-        elif cls is Imap:  # a lone `_(x)` generator's box is the frame: gens None
+        elif cls is Imap:  # a lone `_(x)` generator's imap is built in the step
             gens = [(None, None) if isinstance(gen, Full) else
                     (compile_expr(gen.lower, scope), compile_expr(gen.upper, scope))
                     for gen, _ in node.partitions]
-            args += (None if node.cell is None else compile_expr(node.cell, scope),
-                     None if gens == [(None, None)] else gens,
+            args += (None if node.cell is None else compile_expr(node.cell, scope), gens,
                      [compile_expr(e, (gen.var,) + scope, True) for gen, e in node.partitions])
-            if args[-3] is None and args[-2] is None:  # no cell shape, a lone `_(x)`
-                key[-1] = "imap_full"
+            if gens == [(None, None)]: key[-1] = "imap_full"
         for child in children:
             _flatten(child, scope, key, spans, args)
     else:
@@ -581,33 +583,30 @@ class Session:
     ### imap
 
     def _eval_imap(self, env, frame, cell: Optional[Code], gens, bodies):
-        """`frame` is the frame's value, `bodies` the code of each body and
-        `gens` the (lower, upper) bound codes of each generator, (None, None)
-        for a `_(x)` one, or None for a lone `_(x)` generator."""
+        """The imap of any generators but a lone `_(x)`, which the `imap_full` step builds
+        unless `strict_finite_imaps` is set: `frame` is the frame's value, `bodies` the code of
+        each body, `gens` each generator's (lower, upper) bound codes, (None, None) for `_(x)`."""
         if frame.__class__ is not tuple:
             frame = self._force_ordinal_vector(frame, "frame shape")
         cell = () if cell is None else self._force_ordinal_vector(cell(self, env), "cell shape")
         frame_box: Box = ((0,) * len(frame), frame)
-        if gens is None:  # its one box tiles the frame: no bounds, no check
-            parts = [(frame_box, bodies[0])]
-        else:
-            parts = []
-            for (lower, upper), body in zip(gens, bodies):
-                if lower is None:
-                    box = frame_box
-                else:
-                    lower = self._force_ordinal_vector(lower(self, env), "generator bound")
-                    upper = self._force_ordinal_vector(upper(self, env), "generator bound")
-                    if len(lower) != len(frame) or len(upper) != len(frame):
-                        raise Fault("RankMismatch", "generator bounds must match the frame "
-                                    f"rank ({len(frame)})")
-                    if any(l > u for l, u in zip(lower, upper)):
-                        raise Fault("NotAPartition", "generator bounds are inverted")
-                    box = (lower, upper)
-                parts.append((box, body))
-            problem = forms_partition(frame_box, [box for box, _ in parts])
-            if problem is not None:
-                raise Fault("NotAPartition", problem)
+        parts = []
+        for (lower, upper), body in zip(gens, bodies):
+            if lower is None:
+                box = frame_box
+            else:
+                lower = self._force_ordinal_vector(lower(self, env), "generator bound")
+                upper = self._force_ordinal_vector(upper(self, env), "generator bound")
+                if len(lower) != len(frame) or len(upper) != len(frame):
+                    raise Fault("RankMismatch", "generator bounds must match the frame "
+                                f"rank ({len(frame)})")
+                if any(l > u for l, u in zip(lower, upper)):
+                    raise Fault("NotAPartition", "generator bounds are inverted")
+                box = (lower, upper)
+            parts.append((box, body))
+        problem = forms_partition(frame_box, [box for box, _ in parts])
+        if problem is not None:
+            raise Fault("NotAPartition", problem)
         closure = ImapClosure(frame, cell, env, tuple(parts))
         if (self.config.strict_finite_imaps and self._letrec_depth == 0
                 and all(s.__class__ is int for s in closure.shape)):

@@ -18,14 +18,14 @@ produces the unique (q, r) with a == b*q + r and r < b.  `*` and divmod
 are one-pass closed forms over the term tuples (Manolios and Vroon 2005).
 
 Two ints never reach `Ordinal`'s methods: `+`, `*`, `//`, `%` and the
-order are Python's own on them, and `sub(a, b)` is the ordinal `-`, which
-is Python's `-` on two ints wherever it is defined.  `_operand` is the one
-rule that reads an operand, and every operator is built on it by one of
-two templates: the five comparisons by `_comparison`, and the forward and
-reflected `+`, `-`, `*`, `//`, `%` and divmod by `_arithmetic`, which
-computes on term tuples and makes the result canonical with `_canonical`
-(the int of a natural; `Ordinal._make` to other modules).  No operator
-method is written by hand.
+order are Python's own on them.  `sub(a, b)` is the ordinal `-` on terms;
+heh's compiled `-` takes Python's `-` for two ints where it is defined.
+`_operand` is the one rule that reads an operand, and every operator is
+built on it by one of two templates: the five comparisons by
+`_comparison`, and the forward and reflected `+`, `-`, `*`, `//`, `%` and
+divmod by `_arithmetic`, which computes on term tuples and makes the
+result canonical with `_canonical` (the int of a natural; `Ordinal._make`
+to other modules).  No operator method is written by hand.
 
 Partial operations raise UndefinedOrdinalOp (or ZeroDivisionError for
 division by zero) instead of returning sentinels.  Instances are
@@ -252,10 +252,8 @@ class Ordinal:
 
 
 def sub(a, b):
-    """Ordinal `-`, the left subtraction a - b: Python's `-` on two ints where
-    it is defined, else `_sub` on their terms, which raises where it is not."""
-    if a.__class__ is int and b.__class__ is int and a >= b >= 0:
-        return a - b
+    """Ordinal `-`, the left subtraction a - b, by `_sub` on terms, which raises where it
+    is undefined; the compiled `-` takes Python's `-` for two ints where it is defined."""
     return _canonical(_sub(_operand(a), _operand(b)))
 
 

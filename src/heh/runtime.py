@@ -166,10 +166,7 @@ def box_is_empty(box: Box) -> bool:
 def box_contains(box: Box, index: ShapeVec) -> bool:
     lower, upper = box
     for l, i, u in zip(lower, index, upper):
-        if i.__class__ is int:  # an int is below every Ordinal (module docstring)
-            if l.__class__ is not int or l > i or u.__class__ is int and i >= u:
-                return False
-        elif not l <= i < u:
+        if not l <= i < u:
             return False
     return True
 

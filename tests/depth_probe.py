@@ -5,13 +5,14 @@
     python tests/depth_probe.py --compile
     python tests/depth_probe.py --errors
     python tests/depth_probe.py --rss [N]
+    python tests/depth_probe.py --traffic [SEED]
 
 For each of two shapes of recursion, `nats.[N]` on the shipped nats.heh
 (through an imap) and `go N` with `letrec go = \\k. if k = 0 then 0 else
 go (k - 1)` (through application), it prints:
 
-- the growth of peak RSS (`ru_maxrss`) over the session before the probe,
-  in MiB and in bytes per level, at each of `--depths`;
+- the peak RSS (`ru_maxrss`) of the session before the probe, and its growth
+  over it in MiB and in bytes per level, at each of `--depths`;
 - the fresh ceiling: the deepest N that a fresh session evaluates under
   `heh.eval.RECURSION_LIMIT`, found by bisection, with the process's peak
   RSS there.
@@ -54,15 +55,25 @@ Python has started, once heh is imported, once the prelude is built, once
 a fresh session has evaluated ackermann.heh (compiled, no body run), and
 once it has probed `ackermann.[3,6]`, with the median and range of each.
 So a move in the benchmark's `peak_rss_mb` can be traced to importing and
-compiling, or to evaluation.  Linux keeps `ru_maxrss` across `exec`, so these processes are
-started by a bare interpreter, smaller than any of them.
+compiling, or to evaluation.
+
+`--traffic` prints instead, from a `sys.settrace` limited to `src/heh` in this
+process, the calls of each function of `src/heh` in one round of each workload
+of `perfbench/workloads.py` at SEED (3000 by default), and, per module, the
+statement lines of its functions that no workload ran.  It first clears the
+prelude's cache and the compiler's, so that building the prelude and
+compiling are counted.  So a fast path that no workload takes shows.
 
 Peak RSS is a high-water mark of the whole process, so each probe runs in a
-process of its own.  Only the standard library and heh are needed; it is not
-part of Tier-1.
+process of its own.  Linux keeps `ru_maxrss` across `exec`, so each such
+process is started by a bare interpreter, smaller than any of them.  Only
+the standard library and heh are needed; it is not part of Tier-1.
 """
 
 import argparse
+import dis
+import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -102,12 +113,18 @@ print(json.dumps([outcome, before, after]))  # ru_maxrss is in KiB on Linux
 """
 
 
-def child(script: str, arg: str, launcher: tuple = ()):
+# a process that starts one command and waits: `python -S` peaks below any probe's
+# start, and Linux keeps `ru_maxrss` across `exec`, so a child reads its own peak
+LAUNCHER = (sys.executable, "-S", "-c",
+            "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))")
+
+
+def child(script: str, arg: str):
     """What `script`, run with `arg` by a fresh process that imports this
-    checkout's heh, started by `launcher` if given, prints as JSON."""
+    checkout's heh, started by `LAUNCHER`, prints as JSON."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([*launcher, sys.executable, "-c", script, arg], env=env,
+    proc = subprocess.run([*LAUNCHER, sys.executable, "-c", script, arg], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -363,18 +380,84 @@ print(json.dumps([started, imported, prelude, compiled, peak()]))
 """
 RSS_POINTS = ("Python started", "import heh", "the prelude built",
               "ackermann.heh evaluated", "a fresh ackermann.[3,6] probe")
-# a process that starts one command and waits: `python -S` peaks below any `RSS_POINTS`
-LAUNCHER = (sys.executable, "-S", "-c",
-            "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))")
 
 
 def print_rss(runs: int) -> None:
     print(f"eval.py: {(SRC / 'heh' / 'eval.py').stat().st_size:,} bytes")
-    peaks = zip(*(child(RSS_CHILD, "", LAUNCHER) for _ in range(runs)))
+    peaks = zip(*(child(RSS_CHILD, "") for _ in range(runs)))
     for point, kib in zip(RSS_POINTS, peaks):
         mib = sorted(k / 1024 for k in kib)
         print(f"peak RSS after {point}: {mib[len(mib) // 2]:.2f} MiB, median of {runs} "
               f"processes ({mib[0]:.2f}-{mib[-1]:.2f} MiB)")
+
+
+def statement_lines(code, lines: dict) -> dict:
+    """`lines` with each line of the functions in `code` that a trace reports
+    when it runs, mapped to its function's code: each function's instructions
+    after its `RESUME`, whose line is its `def`.  A module or class body, which
+    runs at import, adds none."""
+    resumed = False
+    for instruction in dis.get_instructions(code) if code.co_flags & inspect.CO_OPTIMIZED else ():
+        if resumed and instruction.positions.lineno is not None:
+            lines[instruction.positions.lineno] = code
+        resumed = resumed or instruction.opname == "RESUME"
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            statement_lines(const, lines)
+    return lines
+
+
+def print_traffic(seed: int) -> None:
+    import heh.eval
+    import heh.prelude
+    sys.path.insert(0, str(SRC.parent / "perfbench"))
+    from workloads import WORKLOADS
+    package = Path(heh.eval.__file__).parent
+    heh.prelude._prelude_values.cache_clear()
+    heh.eval._factory.cache_clear()
+    calls, ran = {}, set()  # code -> its calls in each workload; each (file, line) run
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def tracer(column: int):
+        def trace(frame, event, arg):  # called for each new frame
+            if not frame.f_code.co_filename.startswith(str(package)):
+                return None
+            calls.setdefault(frame.f_code, [0] * len(WORKLOADS))[column] += 1
+            return local
+        return trace
+    print(f"one round of each workload at seed {seed}:")
+    for column, (name, workload) in enumerate(WORKLOADS.items()):
+        rnd = next(workload.rounds(seed))
+        sys.settrace(tracer(column))
+        try:
+            session = rnd.start()
+            outcomes = [op.run(session)[0].status for op in rnd.ops]
+        finally:
+            sys.settrace(None)
+        print(f"  {name}: {len(outcomes)} operations, {outcomes.count('ok')} ok")
+    codes = sorted(calls, key=lambda c: (c.co_filename, c.co_firstlineno))
+    wheres = [f"{Path(c.co_filename).name}:{c.co_firstlineno} {c.co_qualname}" for c in codes]
+    width = max(map(len, wheres)) + 2
+    print(f"\n{'calls':<{width}}" + "".join(f"{name:>10}" for name in WORKLOADS))
+    for code, where in zip(codes, wheres):
+        print(f"{where:<{width}}" + "".join(f"{n:>10,}" for n in calls[code]))
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        function = statement_lines(compile(source, str(path), "exec"), {})
+        lines, text = sorted(function), source.split("\n")
+        unrun = [line for line in lines if (str(path), line) not in ran]
+        print(f"\n{path.name}: {len(unrun)} of {len(lines)} statement lines run by no workload")
+        # each run of unrun lines of one function, with the text of its first
+        for (run, code), group in itertools.groupby(
+                lines, lambda line: ((str(path), line) in ran, function[line])):
+            if not run:
+                group = list(group)
+                span = f"{group[0]}-{group[-1]}" if len(group) > 1 else str(group[0])
+                print(f"  {span:>9}  {code.co_qualname}: {text[group[0] - 1].strip()[:60]}")
 
 
 def main(argv=None) -> None:
@@ -396,7 +479,12 @@ def main(argv=None) -> None:
                         help="print the size of eval.py and the peak RSS of N fresh processes "
                         "(default 5) after start, import, the prelude, compiling ackermann.heh "
                         "and a probe of it, only")
+    parser.add_argument("--traffic", type=int, nargs="?", const=3000, metavar="SEED",
+                        help="print the calls of each function of src/heh in one round of "
+                        "each workload at SEED (default 3000), and the lines no workload ran, only")
     args = parser.parse_args(argv)
+    if args.traffic is not None:
+        return print_traffic(args.traffic)
     if args.rss is not None:
         return print_rss(args.rss)
     if args.errors:
@@ -411,8 +499,9 @@ def main(argv=None) -> None:
         for n in args.depths:
             ok, before, after = run(shape, n)
             growth = (after - before) * 1024
-            print(f"  depth {n:,}: {'value' if ok else 'failed'}, peak RSS "
-                  f"+{growth / 2**20:.1f} MiB over the session, {growth / n:.0f} B a level")
+            print(f"  depth {n:,}: {'value' if ok else 'failed'}, peak RSS {before / 1024:.2f} "
+                  f"MiB before, +{growth / 2**20:.1f} MiB over the session, "
+                  f"{growth / n:.0f} B a level")
         if not args.no_ceiling:
             n = ceiling(shape)
             peak = run(shape, n)[2] * 1024

@@ -1292,9 +1292,8 @@ def helper_calls(thunk) -> dict:
 def test_which_helpers_a_probe_calls(config):
     """With fuel set or not, a compiled step applies a function, selects
     from a tuple by one natural in range, takes the shape of a tuple and
-    builds an imap of one `_(x)` generator over a tuple frame without a
-    call, and forcing a finite imap runs its body in
-    `_force_ordinal_vector`'s loop.
+    builds an imap of one `_(x)` generator without a call, and forcing a
+    finite imap runs its body in `_force_ordinal_vector`'s loop.
 
     nats.[2000] calls `select` and `_pick` once, for the probe, and the
     `select` step of each of the 2,000 levels selects in `nats`, an imap
@@ -1311,7 +1310,13 @@ def test_which_helpers_a_probe_calls(config):
     for each element of `[v, v]`, calls no helper: the first runs its body
     for each cell, and the second reads memo hits.  Strict forcing of a
     rank-2 imap of one partition runs its body for each cell with no call,
-    and of an imap of two partitions calls `_miss` once a cell."""
+    and of an imap of two partitions calls `_miss` once a cell.
+    An imap of one `_(x)` generator is built in its step whatever its frame
+    and cell shape: over the lazy frame `addv [1] [2]`, and in the prelude's
+    `zip`, whose frame `minv |a| |b|` is lazy too and whose cell shape is
+    [2].  Only with `strict_finite_imaps` does each of the two imaps of
+    either go through `_eval_imap`, whose strict forcing checks each of
+    `zip`'s two cells with `_shape_of`."""
     none = dict.fromkeys(HELPERS, 0)
     r = evaluate(program_source("nats.heh"), config)
     assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 1, "_pick": 1,
@@ -1329,6 +1334,13 @@ def test_which_helpers_a_probe_calls(config):
         assert helper_calls(lambda: values.append(session.eval_source(src))) == {
             **none, "_eval_imap": 1, "_miss": misses}, src
         assert session.strict_at(values[0])[1] == data and session.stats["body_evals"] == len(data)
+    for src, cells, value in [("imap (addv [1] [2]) {_(iv): iv.[0]}", 0, ((3,), [0, 1, 2])),
+                              ("zip [1, 2, 3] [4, 5]", 2, ((2, 2), [1, 4, 2, 5]))]:
+        for strict in (False, True):
+            session, values = new_session(EvalConfig(strict, fuel=config.fuel)), []
+            assert helper_calls(lambda: values.append(session.eval_source(src))) == {
+                **none, "_eval_imap": 2 * strict, "_shape_of": cells * strict}, (src, strict)
+            assert session.strict_at(values[0]) == value, (src, strict)
 
 
 def test_what_an_ackermann_entry_no_longer_calls():

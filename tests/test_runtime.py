@@ -187,8 +187,8 @@ def test_box_subtract_point_oracle():
 
 
 def test_box_contains_matches_naive_comparison():
-    # bounds and indices mix ints with canonical Ordinals on every side; the
-    # int-below-Ordinal shortcut must agree with comparing through Ordinal
+    # bounds and indices mix ints with canonical Ordinals on every side, so
+    # `box_contains` compares an int with an Ordinal either way round
     pool = [0, 1, 2, 3, 5, OMEGA, OMEGA + 3, OMEGA * 2, omega_power(2)]
     assert all(p.__class__ is int or p.terms[0][0] >= 1 for p in pool)
     rng = random.Random(15)
