@@ -124,9 +124,9 @@ if $t.__class__ is not int and $t.__class__ is not Ordinal: $t = s._force_scalar
 if $u.__class__ is not int and $u.__class__ is not Ordinal: $u = s._force_scalar($u)
 $check
 $apply"""  # of two ordinals, only `sub`, `//` and `%` fail: `Session._entry` reports it
-# the selection step, which reads a tuple by one natural in range (a vector's ints
-# are naturals), and an imap with no cell shape by an index of its rank as `select`
-# would, with no frame between levels: for a miss it runs the body `_miss` gives
+# the selection step, which reads a tuple by one natural in range (a vector's ints are
+# naturals), and an imap with no cell shape by an index of its rank as `select` would, with
+# no frame between levels: a miss runs the body `_miss` gives, which checks and memoizes it
 _PICK = """\
 if $t.__class__ is tuple and len($u) == 1 and $u[0].__class__ is int and $u[0] < len($t):
     $prologue
@@ -134,10 +134,7 @@ if $t.__class__ is tuple and len($u) == 1 and $u[0].__class__ is int and $u[0] <
 elif $t.__class__ is ImapClosure and not $t.cell and len($u) == len($t.frame):
     $prologue
     $v = $t.memo.get($u)
-    if $v is None:
-        $v = s._miss($t, $u)(s, ($u, $t.env))
-        if $v.__class__ not in _SCALARS: s._check_cell($t, $u, $v)
-        if s.config.memoize: $t.memo[$u] = $v
+    if $v is None: $v = s._miss($t, $u)(s, ($u, $t.env, $t))
     if $v.__class__ not in _SCALARS: $v = s.select($v, ())
     else:
         $prologue
@@ -206,8 +203,11 @@ _STEPS = {
             .replace("$check", _CHECK.replace("$op", op) if op != "=" else ""))
        for op, x in _OPS.items()},  # `=` also compares booleans
     None: (None, "$t = $a(s, $env)"),  # a hole: the code of another node
-    # an imap body's first line, before its first rule: a step with no rule that is no hole
-    "count": (None, "s.body_evals += 1\n@t"),
+    # an imap body, run by each reader of a cell in the env `(index, closure.env, closure)`,
+    # counted, then its cell checked and memoized: a step with no rule or node that is no hole
+    "count": (None, "s.body_evals += 1\n@t\nif $t.__class__ not in _SCALARS or $env[2].cell: "
+                    "s._check_cell($env[2], $env[0], $t)\n"
+                    "if s.config.memoize: $env[2].memo[$env[0]] = $t"),
     # an array literal of more than `_ELEMENTS` elements, from their codes
     "array": ("array", "$t = s._nested_array([element(s, $env) for element in $a])"),
     **{f"array{n}": ("array", _array(n)) for n in range(_ELEMENTS + 1)},
@@ -291,8 +291,8 @@ $body
 def _source(key: tuple) -> Tuple[str, tuple, tuple]:
     """The source of the `make(where, *args)` of the code `key` describes (see
     `_flatten`), its line table (the node of each line, whose span and rule a fault
-    raised there takes; a run's prologue has its first node's) and each node's
-    rule.  A node's lines are its step, after the `_PROLOGUE` of its run."""
+    raised there takes; a run's prologue has its first node's, an imap body's own lines
+    None) and each node's rule.  A node's lines are its step, after its run's `_PROLOGUE`."""
     body, nodes, rules, args, runs = [], [], [], [], []
     run = None  # the open run: [its indent, its first line, its nodes]
     markers = iter(key)
@@ -337,7 +337,7 @@ def _source(key: tuple) -> Tuple[str, tuple, tuple]:
                 if kind not in _QUIET:
                     run = None
 
-    emit(0, 8, 0, 0)  # a line before the first node, the count's, is that node's
+    emit(0, 8, None, 0)  # an imap body's own lines, the count's, have no node
     for pad, first, k in runs:
         body[first:first + 2] = [" " * pad + line
                                  for line in _PROLOGUE.replace("$k", str(k)).split("\n")]
@@ -419,8 +419,9 @@ def _lambda_codes(node: Lambda, scope: Tuple[str, ...]) -> Tuple[Code, Optional[
 def compile_expr(node: Expr, scope: Tuple[str, ...] = (), body: bool = False) -> Code:
     """The code of `node`; `scope` lists the names bound around it by
     lambdas, `letrec`s and imap generators, innermost first.  The code of an
-    imap `body` first adds one to `body_evals`.  Source text reaches the code
-    only as an argument, never as Python source."""
+    imap `body` first adds one to `body_evals`, and last checks and memoizes
+    its cell.  Source text reaches the code only as an argument, never as
+    Python source."""
     if node.__class__ not in _EXPRESSIONS:
         raise TypeError(f"not an expression: {node!r}")
     if node.__class__ is ArrayLiteral and len(node.elements) > _ELEMENTS:
@@ -472,9 +473,11 @@ class Session:
 
     def _entry(self, rule: str, thunk):
         """`thunk()` run as a public entry, the one place where an internal failure becomes
-        an error: a `Fault`, or a binop's failed `sub`, `//` or `%`, an `EvalError` at its
-        line's node in the innermost compiled `code` it passed through (of `rule` with no
-        span if none), and running out of Python frames `DepthExceeded`.  The error is
+        an error: a `Fault`, or a binop's failed `sub`, `//` or `%`, an `EvalError` at the
+        innermost line with a node of a compiled `code` it passed through (of `rule` with no
+        span if none), running out of Python frames `DepthExceeded`, and an `EvalError` of
+        `_run_binding` as it is.  An imap body's own lines have no node, so a fault raised
+        there, in the cell check, takes the node of the reader that ran the body.  The error is
         raised after the handler, which takes the failure's traceback, so no frame of the
         failure outlives it.  The recursion limit is raised while an entry is open (see
         `_open`), and `_letrec_depth`, which a failure leaves raised, is zeroed after."""
@@ -489,14 +492,17 @@ class Session:
             kind, message = ((e.kind, e.message) if isinstance(e, Fault) else
                              ("UndefinedOrdinalOp", str(e)) if isinstance(e, UndefinedOrdinalOp)
                              else ("DivisionByZero", "division by zero"))
-            span, last, tb, e.__traceback__ = None, None, e.__traceback__, None
-            while tb is not None:  # to the innermost frame of a compiled `code`
-                if "where" in tb.tb_frame.f_code.co_freevars: last = tb
+            span, codes, tb, e.__traceback__ = None, [], e.__traceback__, None
+            while tb is not None:  # the frames of compiled `code`s it passed through
+                if "where" in tb.tb_frame.f_code.co_freevars: codes.append(tb)
                 tb = tb.tb_next
-            if last is not None:  # `last` is cleared, as the error's traceback keeps this frame
-                where, line, last = last.tb_frame.f_locals["where"], last.tb_lineno, None
-                i = where[0][line - 3] + getattr(e, "skip", 0)  # its node (see `_FUNCTION`)
-                span, rule = where[2][i], where[1][i]
+            while codes:  # to the innermost at a line with a node (see `_FUNCTION`); `codes`
+                where, line = codes[-1].tb_frame.f_locals["where"], codes.pop().tb_lineno
+                if (i := where[0][line - 3]) is not None:  # is cleared, as the error's
+                    i, codes = i + getattr(e, "skip", 0), None  # traceback keeps this frame
+                    span, rule = where[2][i], where[1][i]
+        except EvalError as e:  # raised by `_run_binding`, which is no compiled `code`
+            kind, message, span, rule = e.kind, e.message, e.span, e.rule
         except RecursionError:
             kind, span = "DepthExceeded", None
             message = ("evaluation nested deeper than the interpreter's recursion limit "
@@ -617,7 +623,8 @@ class Session:
         """The body's code for `index`, a memo miss of the compiled `select`
         step, or of `_pick` or strict forcing among several partitions, once
         the index is tested (ints in Ordinal extents need no test): heh's one
-        partition search.  It counts nothing: the body counts its own run.
+        partition search.  It counts nothing, and runs nothing: the body
+        counts its own run, and checks and memoizes its cell.
         The box of a rank-1 natural index is found inline, with no `box_contains`."""
         n = closure.frame[0] if len(index) == 1 and index[0].__class__ is int else None
         if n is None:  # loops, as a call or a C-level test of so short a tuple costs more
@@ -642,18 +649,13 @@ class Session:
         and any other cell is selected by `rest` (the `select` step runs a
         miss itself, and strict forcing reads cells with no selection).  A
         miss runs the body of the closure's one partition, or of the one
-        `_miss` finds among several, which adds to `body_evals` itself; the
-        memo is the paper's update rule (see `ImapClosure`), and without
-        memoization every access evaluates."""
+        `_miss` finds among several, which counts itself and checks and
+        memoizes its cell (see `ImapClosure`)."""
         cell = closure.memo.get(index)
         if cell is None:
             code = (closure.partitions[0][1] if len(closure.partitions) == 1
                     else self._miss(closure, index))
-            cell = code(self, (index, closure.env))
-            if cell.__class__ not in _SCALARS or closure.cell:
-                self._check_cell(closure, index, cell)
-            if self.config.memoize:
-                closure.memo[index] = cell
+            cell = code(self, (index, closure.env, closure))
         if cell.__class__ in _SCALARS:  # of no cell shape, so `rest` is empty
             self.rules += 1
             if self.rules > self.limit: self._short(1)
@@ -784,10 +786,10 @@ class Session:
         """A rank-1 value forced to a tuple of ordinals, each forced before
         any is checked; a tuple is returned as it is.  A finite imap is
         forced in one loop, which reads each cell with no selection rule:
-        a memo hit as it is, and for a miss the body (which counts itself)
-        of its one partition, or of several the one `_miss` finds, then the
-        cell check and the memo as in `_pick`.  With `what` None, `value` is
-        any finite imap, and the result is its row-major data: strict forcing."""
+        a memo hit as it is, and for a miss the body (which counts itself
+        and checks and memoizes its cell) of its one partition, or of
+        several the one `_miss` finds.  With `what` None, `value` is any
+        finite imap, and the result is its row-major data: strict forcing."""
         if value.__class__ is tuple:
             return value
         if value.__class__ is ImapClosure and (what is None or len(value.shape) == 1
@@ -799,11 +801,7 @@ class Session:
                 if rank1: index = (index,)
                 cell = memo.get(index)
                 if cell is None:
-                    cell = (code or self._miss(value, index))(self, (index, env))
-                    if cell.__class__ not in _SCALARS or value.cell:
-                        self._check_cell(value, index, cell)
-                    if self.config.memoize:
-                        memo[index] = cell
+                    cell = (code or self._miss(value, index))(self, (index, env, value))
                 if cell.__class__ in _SCALARS:
                     data.append(cell)
                 else:  # of the cell shape, by the check: a finite array, or a function

@@ -76,12 +76,12 @@ class FunClosure:
 
 class ImapClosure:
     """A lazy index map: one `(box, code)` pair per generator, whose bodies
-    all extend the one `env` with the index.  The paper memoizes a forced
-    element by cutting its generator box into guillotine pieces around the
-    index, leaving a one-point partition that holds the value.  `memo`
-    realises that rule equivalently: its keys are exactly those one-point
-    partitions, and every other index still lies in the generator box it
-    was written in, so the partitions are never cut."""
+    run in the env `(index, env, closure)` and check and memoize their cell.
+    The paper memoizes a forced element by cutting its generator box into
+    guillotine pieces around the index, leaving a one-point partition that
+    holds the value.  `memo` realises that rule equivalently: its keys are
+    exactly those one-point partitions, and every other index still lies in
+    the generator box it was written in, so the partitions are never cut."""
 
     __slots__ = ("frame", "cell", "shape", "env", "partitions", "memo")
 

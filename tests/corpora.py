@@ -581,6 +581,19 @@ FAULTS = [
      "reduce (\\x.\\z. x + z) 0 a) 5",
      ("ShapeMismatch", "imap element at [1] has shape [], cell shape is [3]", "reduce",
       (83, 108, 1, 84))),
+    # a cell of the wrong shape, which the body's own code checks: reported at the
+    # node of the reader that ran the body, here the compiled `select` step, the
+    # `Session.select` it calls for an imap with a cell shape, and a `select` step
+    # in another imap's body (`STRICT_FAULTS` has what strict forcing reports)
+    ("(\\y. (imap [w] {_(iv): [y]}).[1]) 0",
+     ("ShapeMismatch", "imap element at [1] has shape [1], cell shape is []", "select",
+      (5, 32, 1, 6))),
+    ("(\\y. (imap [2] | [3] {_(iv): y}).[0, 0]) 1",
+     ("ShapeMismatch", "imap element at [0] has shape [], cell shape is [3]", "select",
+      (5, 39, 1, 6))),
+    ("(\\y. (imap [2] {_(iv): (imap [w] {_(jv): [y]}).[iv.[0]] + 1}).[1]) 0",
+     ("ShapeMismatch", "imap element at [1] has shape [1], cell shape is []", "select",
+      (23, 55, 1, 24))),
     # a `letrec` whose bound does not name its variable binds the bound's value
     # with no cell: here an outer `letrec`'s empty cell, which that one finds
     # as its own value, and a difference of variables at two depths outside it
@@ -591,6 +604,18 @@ FAULTS = [
       (28, 33, 1, 29))),
     *INDEX_CELL_FAULTS,
 ]
+
+# The outcomes of `FAULTS` rows that differ with `strict_finite_imaps`, which
+# forces a finite imap built outside a `letrec` definition, each cell in turn,
+# at its `imap` node
+STRICT_FAULTS = {
+    "(\\y. (imap [2] | [3] {_(iv): y}).[0, 0]) 1":
+        ("ShapeMismatch", "imap element at [0] has shape [], cell shape is [3]", "imap",
+         (5, 32, 1, 6)),
+    "(\\y. (imap [2] {_(iv): (imap [w] {_(jv): [y]}).[iv.[0]] + 1}).[1]) 0":
+        ("ShapeMismatch", "imap element at [0] has shape [1], cell shape is []", "select",
+         (23, 55, 1, 24)),
+}
 
 # A filter scan whose imap cells are rank-0 imaps selects each with `[]`;
 # it gives 2, with body_evals 8 and predicate_calls 4 in every configuration

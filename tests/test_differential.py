@@ -183,7 +183,7 @@ def test_the_outcome_digest_still_takes_its_rows():
 
 # the digest of every outcome, counter and fuel read `outcome_digest.rows()`
 # takes; a change that moves it changed what a user can observe
-OUTCOME_DIGEST = "072f11caa7254ef1e7db7ec416af0c2a534194484d61f1f6790e2178343368e1"
+OUTCOME_DIGEST = "fa34375c2a28b98d7d6fb5e2fff8e8f719f9da3a847a2d6c14dcdc82e150153a"
 
 
 def test_the_outcome_digest_is_pinned():

@@ -19,7 +19,8 @@ import types
 from pathlib import Path
 
 import pytest
-from corpora import CONFIGS, FAULTS, INDEX_CELL_FAULTS, RANK_0_CELL_SCAN, corpus, list_corpus
+from corpora import (CONFIGS, FAULTS, INDEX_CELL_FAULTS, RANK_0_CELL_SCAN, STRICT_FAULTS, corpus,
+                     list_corpus)
 from outcome_digest import FUEL_PROGRAMS, rule_total
 
 import heh.eval
@@ -918,16 +919,17 @@ def shallow_limit(monkeypatch):
 def keeps_no_frame_of_the_failure(error: EvalError, context=None) -> bool:
     """Whether `error` holds no frame of the evaluation that failed: it has no
     cause, its context is `context`, the exception the caller was handling,
-    and no frame on its traceback is compiled code or keeps a traceback in a
-    local."""
-    tb = error.__traceback__
+    no frame on its traceback is compiled code or keeps a traceback in a
+    local, and its traceback ends in `Session._entry`, which raised it."""
+    tb, frame = error.__traceback__, None
     while tb is not None:
         frame = tb.tb_frame
         if "where" in frame.f_code.co_freevars or any(
                 value.__class__ is types.TracebackType for value in frame.f_locals.values()):
             return False
         tb = tb.tb_next
-    return error.__context__ is context and error.__cause__ is None
+    return (error.__context__ is context and error.__cause__ is None
+            and frame.f_code is Session._entry.__code__)
 
 
 def test_depth_overflow_is_depth_exceeded_and_the_session_recovers(shallow_limit):
@@ -1050,6 +1052,12 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     assert text.count("if self.rules > self.limit: self._short(1)\n") == 5
     # an imap body counts its own evaluation; only a filter's helpers count predicate calls
     assert text.count("body_evals += ") == 1
+    # and checks and memoizes its own cell: `_PICK`, `_pick` and strict forcing only read the
+    # memo and run the body
+    count = heh.eval._STEPS["count"][1]
+    assert text.count("._check_cell(") == count.count("._check_cell(") == 1
+    assert text.count(".memo[") == count.count(".memo[") == 1
+    assert text.count(".memo.get(") == 2 and text.count("memo.get(") == 3
     assert sorted((function.name, node.target.attr) for function in ast.walk(ast.parse(text))
                   if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
                   if isinstance(node, ast.AugAssign) and getattr(node.target, "attr", "") in (
@@ -1069,10 +1077,14 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     assert source == PINNED_SOURCE  # the line table and rules are not in it
     assert nodes == (0, 0, 1, 0, 0, 2, 2, 2, 2, 0, 3, 3, 3, 0)
     assert rules == ("cond", "var", "var", "const")
-    # the same subtree as an imap body: its first line, its first node's, counts it
+    # the same subtree as an imap body: its first line counts it, its last two check and
+    # memoize its cell, in the env `(index, closure.env, closure)`; these lines have no node
     body = heh.eval._source(("count",) + key)
-    assert body[0] == PINNED_SOURCE.replace("env):\n", "env):\n        s.body_evals += 1\n")
-    assert body[1:] == ((0,) + nodes, rules)
+    assert body[0] == PINNED_SOURCE.replace("env):\n", "env):\n        s.body_evals += 1\n").replace(
+        "        return t0\n", "        if t0.__class__ not in _SCALARS or env[2].cell: "
+        "s._check_cell(env[2], env[0], t0)\n"
+        "        if s.config.memoize: env[2].memo[env[0]] = t0\n        return t0\n")
+    assert body[1:] == ((None,) + nodes + (None, None), rules)
     assert "depth" not in source and "ceiling" not in source and "7919" not in source
     assert key_of("\\level. if level then limit else 12")[0] == key == ("cond", 0, "var", "const")
 
@@ -1101,10 +1113,13 @@ OWN_COUNTS = {"apply": {"if t.__class__ is not FunClosure: t = s._function(t)",
 def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
     """The line table of every function compiled for the prelude, the
     shipped programs and the corpora gives one node for each line of the
-    body, and the merged prologues count each node once, in order: each
-    counts its first node and the nodes after it.  The `apply` step counts
-    one more rule, of a node counted before, and so does the `select` step,
-    before it reads a tuple, reads an imap's memo, or takes a scalar cell.
+    body, but for an imap body's own three lines, its count and its cell's
+    check and memo write, which have None (`Session._entry` reports a fault
+    there at the reader's node).  The merged prologues count each node
+    once, in order: each counts its first node and the nodes after it.
+    The `apply` step counts one more rule, of a node counted before, and
+    so does the `select` step, before it reads a tuple, reads an imap's
+    memo, or takes a scalar cell.
     No body loops: a name is read from its frame with no `Rec` cell to follow."""
     keys = []
     source_of = heh.eval._source
@@ -1121,6 +1136,8 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
         body = lines[2:end]  # the line `tb_lineno - 3` indexes from
         assert not re.search(r"\btry:|\bexcept\b|EvalError", source), key
         assert len(nodes) == len(body), key
+        own = [0, len(body) - 2, len(body) - 1] if key[0] == "count" else []
+        assert [i for i, node in enumerate(nodes) if node is None] == own, key
         counted = []
         for i, (line, node) in enumerate(zip(body, nodes)):
             if "s._short(" in line:
@@ -1172,13 +1189,17 @@ def test_compiled_code_adds_no_slot_to_its_frame(monkeypatch):
 def test_deep_and_arithmetic_faults_are_reported_at_their_node():
     """A fault raised tens of thousands of frames down, and the failure of an
     ordinal `-` or `/`, which is no `Fault`, each take the span and rule of
-    the node that raised it, and the error keeps no frame it passed through."""
+    the node that raised it, and the error keeps no frame it passed through;
+    nor does a premature reference at a top-level binding, which
+    `Session._run_binding` reports itself."""
     cases = [("letrec go = \\k. if k = 0 then 1 / 0 else go (k - 1) in go 50000", None,
               ("DivisionByZero", "division by zero", "binop", (30, 35, 1, 31))),
              (program_source("nats.heh") + "\nnats.[150000]", EvalConfig(fuel=500_000),
               ("FuelExhausted", "evaluation fuel exhausted", "array", (241, 244, 4, 57))),
              ("1 - w", None, ("UndefinedOrdinalOp", "(1) - (w) is undefined: subtrahend is "
-                              "larger", "binop", (0, 5, 1, 1)))]
+                              "larger", "binop", (0, 5, 1, 1))),
+             ("letrec x = x", None, ("UnboundVariable", "premature recursive reference to 'x'",
+                                     "letrec", (0, 12, 1, 1)))]
     for src, config, expected in cases:
         with pytest.raises(EvalError) as e:
             evaluate(src, config)
@@ -1215,6 +1236,7 @@ def test_deep_and_arithmetic_faults_are_reported_at_their_node():
                                     EvalConfig(memoize=False, strict_finite_imaps=True)])
 def test_a_fault_in_a_fused_body_is_reported_at_its_node(config):
     for src, expected in FAULTS:
+        if config.strict_finite_imaps: expected = STRICT_FAULTS.get(src, expected)
         with pytest.raises(EvalError) as e:
             evaluate(src, config)
         error = e.value
