@@ -39,7 +39,7 @@ from .runtime import (
 )
 from .syntax import (
     PREFIX_FORMS, Apply, ArrayLiteral, BinOp, Binding, BoolConst, Cond, Expr, Full,
-    Imap, Lambda, Letrec, OrdinalConst, Select, Shape, Span, TopForm, Var,
+    Imap, Lambda, Letrec, OrdinalConst, ParseError, Select, Shape, Span, TopForm, Var,
     names, parse_expr, parse_program,
 )
 
@@ -476,11 +476,11 @@ class Session:
         an error: a `Fault`, or a binop's failed `sub`, `//` or `%`, an `EvalError` at the
         innermost line with a node of a compiled `code` it passed through (of `rule` with no
         span if none), running out of Python frames `DepthExceeded`, and an `EvalError` of
-        `_run_binding` as it is.  An imap body's own lines have no node, so a fault raised
-        there, in the cell check, takes the node of the reader that ran the body.  The error is
-        raised after the handler, which takes the failure's traceback, so no frame of the
-        failure outlives it.  The recursion limit is raised while an entry is open (see
-        `_open`), and `_letrec_depth`, which a failure leaves raised, is zeroed after."""
+        `_run_binding` or a `ParseError` as it is.  An imap body's own lines have no node, so a
+        fault raised there, in the cell check, takes the node of the reader that ran the body.
+        Each handler builds the error, raised after it with no traceback of the failure, so no
+        frame of the failure outlives it.  The recursion limit is raised while an entry is open
+        (see `_open`), and `_letrec_depth`, which a failure leaves raised, is zeroed after."""
         with _ENTRIES:
             if not _open[0]:
                 _open[1] = sys.getrecursionlimit()
@@ -501,18 +501,18 @@ class Session:
                 if (i := where[0][line - 3]) is not None:  # is cleared, as the error's
                     i, codes = i + getattr(e, "skip", 0), None  # traceback keeps this frame
                     span, rule = where[2][i], where[1][i]
-        except EvalError as e:  # raised by `_run_binding`, which is no compiled `code`
-            kind, message, span, rule = e.kind, e.message, e.span, e.rule
+            error = EvalError(kind, message, span, rule)
+        except (EvalError, ParseError) as e:  # of `_run_binding` or the parser: no compiled code
+            error = e.with_traceback(None)
         except RecursionError:
-            kind, span = "DepthExceeded", None
-            message = ("evaluation nested deeper than the interpreter's recursion limit "
-                       f"({sys.getrecursionlimit()} frames)")
+            error = EvalError("DepthExceeded", "evaluation nested deeper than the interpreter's "
+                              f"recursion limit ({sys.getrecursionlimit()} frames)", None, rule)
         finally:
             with _ENTRIES:
                 _open[0] -= 1
                 if not _open[0]: sys.setrecursionlimit(_open[1])
             self._letrec_depth = 0
-        raise EvalError(kind, message, span, rule)
+        raise error
 
     def _out_of_fuel(self) -> Fault:
         """The fault of a rule that found no fuel left, which `_short` raises.
@@ -574,7 +574,8 @@ class Session:
         if cls is StrictArray or cls is ImapClosure:
             return value.shape
         if cls is FilterClosure:
-            return self._filter_shape(value)
+            lam, k = limit_part(value.arg_shape[0])
+            return (lam,) if k == 0 else (lam + len(self._scan(value, lam, None)),)
         return ()
 
     def _eval_reduce(self, fun, acc, array):  # `fun acc x` for each `x`, as `apply2` makes it
@@ -592,8 +593,7 @@ class Session:
         """The imap of any generators but a lone `_(x)`, which the `imap_full` step builds
         unless `strict_finite_imaps` is set: `frame` is the frame's value, `bodies` the code of
         each body, `gens` each generator's (lower, upper) bound codes, (None, None) for `_(x)`."""
-        if frame.__class__ is not tuple:
-            frame = self._force_ordinal_vector(frame, "frame shape")
+        frame = self._force_ordinal_vector(frame, "frame shape")
         cell = () if cell is None else self._force_ordinal_vector(cell(self, env), "cell shape")
         frame_box: Box = ((0,) * len(frame), frame)
         parts = []
@@ -621,23 +621,20 @@ class Session:
 
     def _miss(self, closure: ImapClosure, index: ShapeVec) -> Code:
         """The body's code for `index`, a memo miss of the compiled `select`
-        step, or of `_pick` or strict forcing among several partitions, once
-        the index is tested (ints in Ordinal extents need no test): heh's one
-        partition search.  It counts nothing, and runs nothing: the body
-        counts its own run, and checks and memoizes its cell.
-        The box of a rank-1 natural index is found inline, with no `box_contains`."""
-        n = closure.frame[0] if len(index) == 1 and index[0].__class__ is int else None
-        if n is None:  # loops, as a call or a C-level test of so short a tuple costs more
-            extents = iter(closure.frame)
-            for i in index:  # the test of `_check_bounds`, which is called only to raise
-                s = next(extents)
-                if (i.__class__ is not int or s.__class__ is not Ordinal) and not i < s:
-                    _check_bounds(closure, index)
-        elif n.__class__ is int and index[0] >= n: _check_bounds(closure, index)
-        if n is not None:  # a natural, below every Ordinal: its box's lower bound is an
-            i = index[0]   # int at most `i`, its upper an Ordinal or an int above `i`
-            for ((l,), (u,)), code in closure.partitions:
+        step, or of `_pick` or strict forcing among several partitions: heh's
+        one partition search, and the test of the index.  It counts nothing,
+        and runs nothing: the body counts its own run, and checks and memoizes
+        its cell.  A rank-1 natural's box is found inline, with no `box_contains`,
+        and that search is its test: the boxes lie in the frame, so a natural at
+        or past a finite extent is in none, and meets the frame test of the rest."""
+        if len(index) == 1 and index[0].__class__ is int:  # a natural, below every Ordinal:
+            i = index[0]  # its box's lower bound is an int at most `i`, its upper an
+            for ((l,), (u,)), code in closure.partitions:  # Ordinal or an int above `i`
                 if l.__class__ is int and l <= i and (u.__class__ is not int or i < u): return code
+        extents = iter(closure.frame)  # loops, as a call or a C-level test costs more
+        for i in index:  # the test of `_check_bounds`, called only to raise: an int in an
+            if ((s := next(extents)).__class__ is not Ordinal  # Ordinal extent needs none
+                    or i.__class__ is not int) and not i < s: _check_bounds(closure, index)
         for box, code in closure.partitions[:-1]:
             if box_contains(box, index): return code
         return closure.partitions[-1][1]  # the boxes tile the frame, so the last holds it
@@ -664,7 +661,7 @@ class Session:
 
     def _check_cell(self, closure: ImapClosure, index: ShapeVec, result) -> None:
         """Fault unless the cell value `result` at `index` has the cell shape."""
-        shape = () if result.__class__ in _SCALARS else self._shape_of(result)
+        shape = self._shape_of(result)
         if shape != closure.cell:
             raise Fault("ShapeMismatch", f"imap element at {render_shape(index)} has shape "
                         f"{render_shape(shape)}, cell shape is {render_shape(closure.cell)}")
@@ -690,7 +687,8 @@ class Session:
         if cls is FilterClosure:
             if len(index) != 1:
                 raise Fault("RankMismatch", "filter results are 1-dimensional")
-            return self._filter_select(value, index[0])
+            xi, n = limit_part(index[0])
+            return self._scan(value, xi, n)[n]
         # a scalar
         if index == ():
             return value
@@ -721,14 +719,6 @@ class Session:
                 if accepted: kept.append(x)
             return strict_value((len(kept),), kept)
         return FilterClosure(predicate, array, shape)
-
-    def _filter_select(self, fc: FilterClosure, target):
-        xi, n = limit_part(target)
-        return self._scan(fc, xi, n)[n]
-
-    def _filter_shape(self, fc: FilterClosure) -> ShapeVec:
-        lam, k = limit_part(fc.arg_shape[0])
-        return (lam,) if k == 0 else (lam + len(self._scan(fc, lam, None)),)
 
     def _scan(self, fc: FilterClosure, xi, n) -> list:
         """The prefix of the segment of `fc` from `xi`, scanned until it holds

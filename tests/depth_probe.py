@@ -76,8 +76,10 @@ import inspect
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -121,11 +123,18 @@ LAUNCHER = (sys.executable, "-S", "-c",
 
 def child(script: str, arg: str):
     """What `script`, run with `arg` by a fresh process that imports this
-    checkout's heh, started by `LAUNCHER`, prints as JSON."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([*LAUNCHER, sys.executable, "-c", script, arg], env=env,
-                          capture_output=True, text=True, check=True)
+    checkout's heh, started by `LAUNCHER`, prints as JSON.  The child imports
+    a copy of `src` with no bytecode cache, in a new temporary directory, and
+    writes none: it compiles heh afresh, the standard library from its cache,
+    so every tree is read in the same state, whatever caches it has.  (A new
+    `PYTHONPYCACHEPREFIX` would compile the standard library afresh too.)"""
+    with tempfile.TemporaryDirectory() as copy:
+        shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"),
+                        dirs_exist_ok=True)
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [copy, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([*LAUNCHER, sys.executable, "-c", script, arg], env=env,
+                              capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 

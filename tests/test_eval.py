@@ -916,7 +916,7 @@ def shallow_limit(monkeypatch):
     sys.setrecursionlimit(previous)
 
 
-def keeps_no_frame_of_the_failure(error: EvalError, context=None) -> bool:
+def keeps_no_frame_of_the_failure(error: Exception, context=None) -> bool:
     """Whether `error` holds no frame of the evaluation that failed: it has no
     cause, its context is `context`, the exception the caller was handling,
     no frame on its traceback is compiled code or keeps a traceback in a
@@ -1191,7 +1191,8 @@ def test_deep_and_arithmetic_faults_are_reported_at_their_node():
     ordinal `-` or `/`, which is no `Fault`, each take the span and rule of
     the node that raised it, and the error keeps no frame it passed through;
     nor does a premature reference at a top-level binding, which
-    `Session._run_binding` reports itself."""
+    `Session._run_binding` reports itself, or a parse or lex error, from
+    either entry that parses."""
     cases = [("letrec go = \\k. if k = 0 then 1 / 0 else go (k - 1) in go 50000", None,
               ("DivisionByZero", "division by zero", "binop", (30, 35, 1, 31))),
              (program_source("nats.heh") + "\nnats.[150000]", EvalConfig(fuel=500_000),
@@ -1206,6 +1207,18 @@ def test_deep_and_arithmetic_faults_are_reported_at_their_node():
         error = e.value
         assert (error.kind, error.message, error.rule, tuple(error.span)) == expected, src
         assert keeps_no_frame_of_the_failure(error), src
+    syntax_errors = [("let x = (1 +", heh.syntax.ParseError, "expected an expression, found 'eof'",
+                      (12, 12, 1, 13)),
+                     ("(((1 +", heh.syntax.ParseError, "expected an expression, found 'eof'",
+                      (6, 6, 1, 7)),
+                     ("1 # 2", heh.syntax.LexError, "unrecognized character '#'", (2, 3, 1, 3))]
+    for src, *expected in syntax_errors:  # `eval_source` takes no top-level `let`
+        for entry in [Session.run_program] + [Session.eval_source] * (src[:3] != "let"):
+            with pytest.raises(heh.syntax.ParseError) as e:
+                entry(Session(), src)
+            error = e.value
+            assert [error.__class__, error.message, tuple(error.span)] == expected, src
+            assert keeps_no_frame_of_the_failure(error), (entry, src)
     # raised while the caller handles an exception, the error's context is that one
     try:
         raise ValueError("the caller's")

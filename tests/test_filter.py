@@ -174,6 +174,9 @@ def test_filter_shape_trailing_naturals_are_forced():
     assert list(r.shape) == [OMEGA + 1]
     assert r.session.stats["predicate_calls"] >= 3
     assert probe(r, [OMEGA]) == 1
+    # [w+1]: one trailing element, which survives
+    r = run("filter (\\x. x = 1) (imap [w+1] {[0]<=iv<[w]: 0, [w]<=iv<[w+1]: 1})")
+    assert list(r.shape) == [OMEGA + 1]
 
 
 def test_filter_shape_trailing_none_survive():

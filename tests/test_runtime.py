@@ -13,7 +13,7 @@ import pytest
 from canonical import is_canonical_array
 from hypothesis import given, strategies as st
 
-from heh.eval import Session, evaluate
+from heh.eval import Session, _check_bounds, evaluate
 from heh.ordinal import OMEGA, ZERO, omega_power
 from heh.runtime import (
     Fault, ImapClosure, Rec, StrictArray, box_contains, box_intersect, box_is_empty, box_subtract,
@@ -207,13 +207,15 @@ def test_box_contains_matches_naive_comparison():
 
 def test_a_miss_finds_the_box_box_contains_finds():
     # `Session._miss` finds the generator box of a rank-1 natural index with
-    # an inline `l <= i < u` test, any other index through `box_contains`.
+    # an inline `l <= i < u` test, which is also its bounds test, and tests
+    # any other index against the frame before `box_contains` finds its box.
     # `Session._pick` runs the body of a closure of one partition itself and
     # asks `_miss` for one of several; its assertion checks that dispatch.
     # Over random tilings of a rank-1 or rank-2 frame, in any order, by boxes
     # with int and Ordinal bounds (such as [w] <= iv < [w*2], and int uppers
     # below the index), each index in the frame gets from both the box
-    # `box_contains` picks, whose body returns the box's number
+    # `box_contains` picks, whose body returns the box's number; an index at
+    # or past an extent, a natural or not, is refused as `_check_bounds` does
     pool = [1, 2, 3, 5, 8, OMEGA, OMEGA + 1, OMEGA + 3, OMEGA * 2, omega_power(2)]
     rng = random.Random(29)
 
@@ -223,7 +225,7 @@ def test_a_miss_finds_the_box_box_contains_finds():
         return [0] + points + ([end] if end else [])
 
     session = Session()
-    seen = set()
+    seen, refused = set(), set()
     for _ in range(4000):
         rows = cuts(None)
         frame, boxes = (rows[-1],), [((lo,), (hi,)) for lo, hi in zip(rows, rows[1:])]
@@ -244,9 +246,18 @@ def test_a_miss_finds_the_box_box_contains_finds():
         seen.add((len(frame), index[-1].__class__ is int,
                   any(hi[-1].__class__ is int and hi[-1] <= index[-1] for _, hi in boxes),
                   any(lo[-1].__class__ is not int for lo, _ in boxes)))
+        axis = rng.randrange(len(frame))  # past one extent, in the frame on the other
+        past = rng.choice([i for i in pool if i >= frame[axis]])
+        outside = index[:axis] + (past,) + index[axis + 1:]
+        with pytest.raises(Fault) as expected:
+            _check_bounds(closure, outside)
+        with pytest.raises(Fault) as e:
+            session._miss(closure, outside)
+        assert (e.value.kind, e.value.message) == ("IndexOutOfBounds", expected.value.message)
+        refused.add((len(frame), axis, past.__class__ is int))
     # of rank 1 and 2, a natural or not, an int upper below it or not, an
-    # Ordinal lower or not, on the last axis
-    assert len(seen) == 16
+    # Ordinal lower or not, on the last axis; and refused past either axis
+    assert len(seen) == 16 and len(refused) == 6
 
 
 def test_forms_partition():
