@@ -512,7 +512,8 @@ class Session:
                 _open[0] -= 1
                 if not _open[0]: sys.setrecursionlimit(_open[1])
             self._letrec_depth = 0
-        raise error
+        try: raise error
+        finally: del error  # its traceback keeps this frame, which must not keep it
 
     def _out_of_fuel(self) -> Fault:
         """The fault of a rule that found no fuel left, which `_short` raises.

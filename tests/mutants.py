@@ -1,6 +1,6 @@
 """Mutants of heh that Tier-1 must kill, and the script that runs them.
 
-    python tests/mutants.py [--limit SECONDS] [NAME ...]
+    python tests/mutants.py [NAME ...]
 
 Each entry of `MUTANTS` is one small fault: a file of the tree, an old text
 that occurs in it exactly once, the new text that replaces it, and what is
@@ -13,10 +13,10 @@ outcome digest, and Tier-1, whose failures count only where the unmutated
 tree passes (that tree's Tier-1 is run once, when a mutant first gets that
 far).  It prints a line a mutant, with its seconds: `killed` and by what,
 `survived`, or `stale` if the old text does not occur exactly once or a
-named test does not exist.  A mutant still running after `--limit` seconds
-(default 300) is stopped and counts as killed: Tier-1 stops a test that
-loops, at its own limit (see `conftest.py`).  The exit status is 0 only if
-every mutant was killed.
+named test does not exist.  A mutant still running after `LIMIT` seconds is
+stopped and counts as killed: Tier-1 stops a test that loops, at its own
+limit (see `conftest.py`).  The exit status is 0 only if every mutant was
+killed.
 
 This is mutation testing, after DeMillo, Lipton and Sayward, "Hints on Test
 Data Selection" (IEEE Computer, 1978).  Tier-1 checks only that the catalogue
@@ -39,6 +39,7 @@ from typing import NamedTuple, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST = "digest"
+LIMIT = 300  # seconds a mutant may run
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 
@@ -69,6 +70,8 @@ MUTANTS = [
            (FILTER_TEST + "filter_shape_trailing_naturals_are_forced",)),
     Mutant("parse-error-clause-dropped", EVAL, "except (EvalError, ParseError) as e:",
            "except EvalError as e:",
+           (EVAL_TEST + "deep_and_arithmetic_faults_are_reported_at_their_node",)),
+    Mutant("entry-frame-keeps-its-error", EVAL, "finally: del error", "finally: pass",
            (EVAL_TEST + "deep_and_arithmetic_faults_are_reported_at_their_node",)),
     Mutant("count-line-removed", EVAL, '"count": (None, "s.body_evals += 1\\n@t\\n',
            '"count": (None, "@t\\n', (DIGEST,)),
@@ -153,20 +156,20 @@ def copy_tree(destination: Path) -> Path:
     return destination
 
 
-def verdict(mutant: Mutant, scratch: Path, limit: float, baseline: dict) -> str:
+def verdict(mutant: Mutant, scratch: Path, baseline: dict) -> str:
     """`killed (by ...)`, `survived` or `stale` for `mutant`, run in a copy under `scratch`."""
     root = copy_tree(scratch / mutant.name)
     try:
         if not named_tests_exist(mutant, root) or not applied(mutant, root):
             return "stale"
-        deadline = time.monotonic() + limit
+        deadline = time.monotonic() + LIMIT
         tests = [killer for killer in mutant.killers if killer != DIGEST]
         steps = ([("named tests", TIER1 + ["-x", *tests])] * bool(tests)
                  + [(DIGEST, ["tests/outcome_digest.py"]), ("Tier-1", TIER1 + ["-rfE"])])
         for step, args in steps:
             result = run(args, root, deadline)
             if result is None:
-                return f"killed (the limit of {limit:g} s, in the {step})"
+                return f"killed (the limit of {LIMIT} s, in the {step})"
             status, out = result
             if step == DIGEST:
                 if status != 0:
@@ -192,7 +195,6 @@ def verdict(mutant: Mutant, scratch: Path, limit: float, baseline: dict) -> str:
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description="Run the mutant catalogue against Tier-1.")
     parser.add_argument("names", nargs="*", metavar="NAME", help="mutants to run (default all)")
-    parser.add_argument("--limit", type=float, default=300, help="seconds a mutant may take")
     args = parser.parse_args(argv)
     known = {mutant.name: mutant for mutant in MUTANTS}
     unknown = [name for name in args.names if name not in known]
@@ -203,7 +205,7 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         for mutant in chosen:
             began = time.monotonic()
-            result = verdict(mutant, Path(scratch), args.limit, baseline)
+            result = verdict(mutant, Path(scratch), baseline)
             counts[result.split()[0]] += 1
             print(f"{mutant.name}: {result}, {time.monotonic() - began:.1f} s", flush=True)
     print(", ".join(f"{n} {kind}" for kind, n in sorted(counts.items()))

@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 import types
+import weakref
 from pathlib import Path
 
 import pytest
@@ -1241,6 +1242,24 @@ def test_deep_and_arithmetic_faults_are_reported_at_their_node():
             except EvalError:
                 pass
             assert gc.collect() < 1000, src
+        finally:
+            gc.enable()
+    # a kept error holds its session until it is dropped, and no longer: no frame on its
+    # traceback holds the error itself, a cycle only a collection would free
+    for src in ["1 / 0", "letrec x = x", "let x = (1 +"]:
+        session = Session()
+        alive = weakref.ref(session)
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                session.run_program(src)
+            except (EvalError, heh.syntax.ParseError) as caught:
+                kept = caught
+            del session
+            assert alive() is not None, src
+            del kept
+            assert alive() is None, src
         finally:
             gc.enable()
 
