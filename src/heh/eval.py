@@ -109,7 +109,7 @@ def _equal(lhs, rhs) -> bool:
 # count passes the limit, `Session._short` runs out at the node of the run
 # that one prologue per node would.  A step's line `$prologue` is `_PROLOGUE` at
 # `$k = 1`, with which the `apply` and `select` steps count as `_apply` and `select` do;
-# only these, `_pick`, `_scan` and, where fuel is left, `apply1` and `_eval_reduce` count.
+# only these, `_scan` and, where fuel is left, `apply1` and `_eval_reduce` count.
 Code = Callable
 
 _PROLOGUE = """\
@@ -518,8 +518,8 @@ class Session:
     def _out_of_fuel(self) -> Fault:
         """The fault of a rule that found no fuel left, which `_short` raises.
         Each rule counts itself inline, with `_PROLOGUE` or the same two
-        lines in `_apply`, `select`, `_pick` or `_scan`: `rules += k` for
-        `k` rules, then `_short(k)` if that passes `limit`."""
+        lines in `_apply`, `select` or `_scan`: `rules += k` for `k` rules,
+        then `_short(k)` if that passes `limit`."""
         return Fault("FuelExhausted", "evaluation fuel exhausted")
 
     def _short(self, k: int) -> NoReturn:
@@ -622,12 +622,14 @@ class Session:
 
     def _miss(self, closure: ImapClosure, index: ShapeVec) -> Code:
         """The body's code for `index`, a memo miss of the compiled `select`
-        step, or of `_pick` or strict forcing among several partitions: heh's
-        one partition search, and the test of the index.  It counts nothing,
-        and runs nothing: the body counts its own run, and checks and memoizes
-        its cell.  A rank-1 natural's box is found inline, with no `box_contains`,
-        and that search is its test: the boxes lie in the frame, so a natural at
-        or past a finite extent is in none, and meets the frame test of the rest."""
+        step or of `select`, or of `_scan` or strict forcing among several
+        partitions: heh's one partition search, and the test of the index
+        (`select` first tests one with a cell part against the shape).  It
+        counts nothing, and runs nothing: the body counts its own run, and
+        checks and memoizes its cell.  A rank-1 natural's box is found inline,
+        with no `box_contains`, and that search is its test: the boxes lie in
+        the frame, so a natural at or past a finite extent is in none, and
+        meets the frame test of the rest."""
         if len(index) == 1 and index[0].__class__ is int:  # a natural, below every Ordinal:
             i = index[0]  # its box's lower bound is an int at most `i`, its upper an
             for ((l,), (u,)), code in closure.partitions:  # Ordinal or an int above `i`
@@ -639,26 +641,6 @@ class Session:
         for box, code in closure.partitions[:-1]:
             if box_contains(box, index): return code
         return closure.partitions[-1][1]  # the boxes tile the frame, so the last holds it
-
-    def _pick(self, closure: ImapClosure, index: ShapeVec, rest: ShapeVec = ()):
-        """The selection of `rest` in the cell at a frame index, once the
-        selection is counted and the index tested: a scalar cell, with no
-        index left, counts the rule of the trailing `()` selection inline,
-        and any other cell is selected by `rest` (the `select` step runs a
-        miss itself, and strict forcing reads cells with no selection).  A
-        miss runs the body of the closure's one partition, or of the one
-        `_miss` finds among several, which counts itself and checks and
-        memoizes its cell (see `ImapClosure`)."""
-        cell = closure.memo.get(index)
-        if cell is None:
-            code = (closure.partitions[0][1] if len(closure.partitions) == 1
-                    else self._miss(closure, index))
-            cell = code(self, (index, closure.env, closure))
-        if cell.__class__ in _SCALARS:  # of no cell shape, so `rest` is empty
-            self.rules += 1
-            if self.rules > self.limit: self._short(1)
-            return cell
-        return self.select(cell, rest)
 
     def _check_cell(self, closure: ImapClosure, index: ShapeVec, result) -> None:
         """Fault unless the cell value `result` at `index` has the cell shape."""
@@ -678,13 +660,18 @@ class Session:
             return value[linearize((len(value),), index)]
         if cls is StrictArray:
             return value.data[linearize(value.shape, index)]
-        if cls is ImapClosure:  # the compiled `select` step does this with no cell shape
+        if cls is ImapClosure:  # read as the compiled `select` step reads one with no cell shape
             if len(index) != len(value.shape):
                 raise Fault("RankMismatch",
                             f"index of length {len(index)} into rank-{len(value.shape)} imap")
-            _check_bounds(value, index)
-            m = len(value.frame)
-            return self._pick(value, index[:m], index[m:])
+            if value.cell: _check_bounds(value, index)  # `_miss` tests only the frame part
+            at = index[:len(value.frame)]
+            cell = value.memo.get(at)  # a key is in range: only a body, run in range, writes one
+            if cell is None: cell = self._miss(value, at)(self, (at, value.env, value))
+            if cell.__class__ not in _SCALARS: return self.select(cell, index[len(at):])
+            self.rules += 1  # the trailing `()` selection of a scalar cell, with no index left
+            if self.rules > self.limit: self._short(1)
+            return cell
         if cls is FilterClosure:
             if len(index) != 1:
                 raise Fault("RankMismatch", "filter results are 1-dimensional")
@@ -731,7 +718,9 @@ class Session:
         segment = fc.partitions[xi]
         prefix, alpha, argument = segment.prefix, fc.arg_shape[0], fc.argument
         pcode, penv = fc.predicate.code, fc.predicate.env
-        cells = argument.__class__ is ImapClosure and argument.cell == ()
+        if cells := argument.__class__ is ImapClosure and argument.cell == ():
+            memo, env, parts = argument.memo, argument.env, argument.partitions
+            code = parts[0][1] if len(parts) == 1 else None
         while n is None or len(prefix) <= n:
             source = xi + segment.scan
             if source.__class__ is not int and not source < alpha:  # alpha > every int
@@ -740,10 +729,16 @@ class Session:
                 raise Fault("IndexOutOfBounds", f"filter scan passed the end of the argument "
                             f"(shape {render_shape(fc.arg_shape)}) looking for element "
                             f"[{xi + n}]")
-            if cells:  # `select` with the bounds just tested
+            if cells:  # `select`, the bounds just tested, reading the cell as strict forcing does
                 self.rules += 1
                 if self.rules > self.limit: self._short(1)
-                element = self._pick(argument, (source,))
+                element = memo.get(index := (source,))
+                if element is None:
+                    element = (code or self._miss(argument, index))(self, (index, env, argument))
+                if element.__class__ in _SCALARS:  # the trailing `()` selection
+                    self.rules += 1
+                    if self.rules > self.limit: self._short(1)
+                else: element = self.select(element, ())
             else:
                 element = self.select(argument, (source,))
             self.predicate_calls += 1

@@ -25,16 +25,19 @@ calls over its body evaluations, with its `Rec` constructions and its
 `_check_bounds` calls; those of the Game-of-Life probes of
 `examples_suite()`, all made in one fresh session, in total and over their
 body evaluations; those that `REDUCE` makes an element of a vector of
-`REDUCED` ints, the difference from the empty vector over `REDUCED`; and
+`REDUCED` ints, the difference from the empty vector over `REDUCED`;
 those that strict forcing makes for one cell of each imap of `STRICT`, the
 difference between the imap and one of half its cells, each built in a
 fresh session with `strict_finite_imaps`, over the difference in cells,
 with the `_check_bounds` calls of the imap; those that a filter that
-accepts nothing makes an element it scans past w (`SCAN`, through `_scan`
-and `_pick`), the difference between two fuels over the elements scanned
-between them; and those of a fresh probe of an imap of two partitions
-(`SPLIT`, through `select`, `_pick` and `_miss`), over `SPLIT_PROBES`
-probes of distinct cells.
+accepts nothing makes an element it scans past w (`SCAN`, through `_scan`,
+which runs the body itself), the difference between two fuels over the
+elements scanned between them; those of a fresh probe of an imap of two
+partitions (`SPLIT`, through `select` and `_miss`), over `SPLIT_PROBES`
+probes of distinct cells; and those that one level of a recursive imap
+with a cell shape makes (`CELLS`, each level a `select` of the level below,
+through `_check_bounds` and `_miss`), the difference between fresh probes
+at [2000, 0] and [1000, 0] over 1,000.
 
 `--compile` prints instead what building the prelude and evaluating the
 shipped programs compiles: the functions, characters and lines of generated
@@ -239,6 +242,18 @@ def split_calls() -> tuple:
     return profiled(result.session, lambda: [probe(result, index) for index in indices])
 
 
+# each cell reads the cell below it through `select`, as its cell shape is [2]
+CELLS = ("letrec a = imap [w]|[2] {[0] <= iv < [1]: [1, 2], "
+         "[1] <= iv < [w]: [a.[iv.[0] - 1, 1], iv.[0]]} in a")
+
+
+def cell_calls(n: int) -> tuple:
+    """`profiled` probing `CELLS` at [n, 0] in a fresh session."""
+    session = Session()
+    a = session.run_program(CELLS)
+    return profiled(session, lambda: session.select_at(a, [n, 0]))
+
+
 def print_calls() -> None:
     (short, c_short, *_), (long, c_long, *_) = calls("nats.heh", [1000]), calls("nats.heh", [2000])
     print(f"nats: {(long - short) / 1000:.1f} Python calls and {(c_long - c_short) / 1000:.1f} "
@@ -275,6 +290,9 @@ def print_calls() -> None:
     python, builtin, evals, _ = split_calls()
     print(f"{SPLIT}: {python / SPLIT_PROBES:.1f} Python calls and {builtin / SPLIT_PROBES:.1f} "
           f"builtin calls a fresh probe ({python:,} and {builtin:,} over {evals:,} probes)")
+    (short, c_short, *_), (long, c_long, *_) = cell_calls(1000), cell_calls(2000)
+    print(f"{CELLS}: {(long - short) / 1000:.1f} Python calls and {(c_long - c_short) / 1000:.1f} "
+          f"builtin calls a level (a.[2000, 0]: {long:,} and {c_long:,})")
 
 
 COMPILE_CHILD = """
@@ -477,7 +495,8 @@ def main(argv=None) -> None:
     parser.add_argument("--calls", action="store_true",
                         help="print the calls a nats level, an ackermann entry, the Game-of-"
                         "Life probes, a reduce element, a strictly forced imap cell, an element "
-                        "a filter scans past w and a fresh probe of a split imap make, only")
+                        "a filter scans past w, a fresh probe of a split imap and a level of a "
+                        "recursive imap with a cell shape make, only")
     parser.add_argument("--compile", action="store_true",
                         help="print the source, memory and time that compiling the prelude "
                         "and the shipped programs takes, only")

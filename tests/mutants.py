@@ -11,12 +11,13 @@ temporary directory and applies the mutant there.  It then runs, each in a
 fresh process and stopping at the first that fails, the named tests, the
 outcome digest, and Tier-1, whose failures count only where the unmutated
 tree passes (that tree's Tier-1 is run once, when a mutant first gets that
-far).  It prints a line a mutant, with its seconds: `killed` and by what,
-`survived`, or `stale` if the old text does not occur exactly once or a
-named test does not exist.  A mutant still running after `LIMIT` seconds is
-stopped and counts as killed: Tier-1 stops a test that loops, at its own
-limit (see `conftest.py`).  The exit status is 0 only if every mutant was
-killed.
+far).  Tier-1 runs without `test_mutants.py`, which fails in every mutated
+tree, as the mutant's old text is gone from it.  It prints a line a mutant,
+with its seconds: `killed` and by what, `survived`, or `stale` if the old
+text does not occur exactly once or a named test does not exist.  A mutant
+still running after `LIMIT` seconds is stopped and counts as killed: Tier-1
+stops a test that loops, at its own limit (see `conftest.py`).  The exit
+status is 0 only if every mutant was killed.
 
 This is mutation testing, after DeMillo, Lipton and Sayward, "Hints on Test
 Data Selection" (IEEE Computer, 1978).  Tier-1 checks only that the catalogue
@@ -40,7 +41,8 @@ from typing import NamedTuple, Optional, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST = "digest"
 LIMIT = 300  # seconds a mutant may run
-TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+         "-rfE", "--ignore=tests/test_mutants.py"]
 
 
 class Mutant(NamedTuple):
@@ -51,11 +53,25 @@ class Mutant(NamedTuple):
     killers: Tuple[str, ...]  # tests, `file::name`, or `DIGEST`
 
 
-EVAL, RUNTIME = "src/heh/eval.py", "src/heh/runtime.py"
+EVAL, RUNTIME, ORDINAL = "src/heh/eval.py", "src/heh/runtime.py", "src/heh/ordinal.py"
 MISS_TEST = "tests/test_runtime.py::test_a_miss_finds_the_box_box_contains_finds"
 FILTER_TEST, EVAL_TEST = "tests/test_filter.py::test_", "tests/test_eval.py::test_"
 READERS_TEST = EVAL_TEST + "every_reader_of_a_split_imap_agrees"
 NATURAL_BOX = "if l.__class__ is int and l <= i and (u.__class__ is not int or i < u): return code"
+SELECT_MISS = "if cell is None: cell = self._miss(value, at)(self, (at, value.env, value))"
+# `_scan`'s predicate call, and the count of the element as scanned once it answered
+SCAN_STEP = """            self.predicate_calls += 1
+            self.rules += 1  # applying the predicate
+            if self.rules > self.limit: self._short(1)
+            accepted = pcode(self, (element, penv))
+            if accepted.__class__ is not bool:
+                accepted = self._force_scalar(accepted)
+                if accepted.__class__ is not bool:
+                    raise Fault("ShapeMismatch", "the filter predicate must return a boolean")
+            if accepted:
+                prefix.append(element)
+            segment.scan += 1
+"""
 
 MUTANTS = [
     Mutant("natural-upper-inclusive", EVAL, NATURAL_BOX, NATURAL_BOX.replace("i < u", "i <= u"),
@@ -79,7 +95,8 @@ MUTANTS = [
            '"count": (None, "@t\\ns.body_evals += 1\\n', (DIGEST,)),
     Mutant("memo-before-check", EVAL, '@t\\nif $t.__class__ not in _SCALARS or',
            '@t\\nif s.config.memoize: $env[2].memo[$env[0]] = $t\\nif $t.__class__ not in '
-           '_SCALARS or', (EVAL_TEST + "a_cell_that_fails_its_shape_check_is_not_memoized",)),
+           '_SCALARS or', (EVAL_TEST + "a_cell_that_fails_its_shape_check_is_not_memoized",
+                           DIGEST)),
     Mutant("memo-write-dropped", EVAL, "if s.config.memoize: $env[2].memo[$env[0]] = $t",
            "if s.config.memoize: pass", (READERS_TEST, DIGEST)),
     Mutant("cell-shape-check-needs-a-non-scalar", EVAL,
@@ -92,6 +109,30 @@ MUTANTS = [
            (MISS_TEST,)),
     Mutant("strict-loop-skips-memo", EVAL, "cell = memo.get(index)", "cell = None",
            (READERS_TEST,)),
+    Mutant("select-skips-cell-bounds", EVAL, "if value.cell: _check_bounds(value, index)",
+           "if False: _check_bounds(value, index)", (DIGEST,)),
+    Mutant("select-miss-takes-first-body", EVAL, SELECT_MISS,
+           SELECT_MISS.replace("self._miss(value, at)", "value.partitions[0][1]"),
+           (MISS_TEST, DIGEST)),
+    Mutant("scan-uncounted-trailing-select", EVAL,
+           "# the trailing `()` selection\n                    self.rules += 1",
+           "# the trailing `()` selection\n                    self.rules += 0", (DIGEST,)),
+    Mutant("scan-counts-before-the-predicate", EVAL, SCAN_STEP, SCAN_STEP[-30:]
+           + SCAN_STEP[:-30], (EVAL_TEST + "failed_probe_leaves_the_session_able_to_reprobe",)),
+    Mutant("run-prologue-counts-one-more", EVAL, '_PROLOGUE.replace("$k", str(k))',
+           '_PROLOGUE.replace("$k", str(k + 1))', (DIGEST,)),
+    Mutant("var-step-is-quiet", EVAL, '_QUIET = {"const", "hops", "lambda",',
+           '_QUIET = {"const", "hops", "var", "lambda",',
+           (EVAL_TEST + "a_run_counts_no_node_past_a_name_that_can_fault",)),
+    Mutant("equal-mixes-bool-and-int", EVAL,
+           "and (lhs.__class__ is bool) is (rhs.__class__ is bool)):", "):",
+           (EVAL_TEST + "booleans_are_not_ordinals",)),
+    Mutant("sub-keeps-a-zero-coefficient", ORDINAL, "while i < len(b) and b[i] == a[i]:",
+           "while i < len(b) - 1 and b[i] == a[i]:",
+           ("tests/test_ordinal.py::test_left_sub_witnesses",)),
+    Mutant("divmod-quotient-one-short", ORDINAL, "if k and ((f, d * k),) + b[1:] > r:",
+           "if k and ((f, d * k),) + b[1:] >= r:",
+           ("tests/test_ordinal.py::test_division_theorem",)),
     Mutant("short-counts-one-rule-less", EVAL, "self.rules += f + 1 - k", "self.rules += f - k",
            (DIGEST,)),
     Mutant("apply1-fuel-guard-dropped", EVAL, "if $t.inner is not None and s.rules < s.limit:",
@@ -165,7 +206,7 @@ def verdict(mutant: Mutant, scratch: Path, baseline: dict) -> str:
         deadline = time.monotonic() + LIMIT
         tests = [killer for killer in mutant.killers if killer != DIGEST]
         steps = ([("named tests", TIER1 + ["-x", *tests])] * bool(tests)
-                 + [(DIGEST, ["tests/outcome_digest.py"]), ("Tier-1", TIER1 + ["-rfE"])])
+                 + [(DIGEST, ["tests/outcome_digest.py"]), ("Tier-1", TIER1)])
         for step, args in steps:
             result = run(args, root, deadline)
             if result is None:
@@ -178,8 +219,7 @@ def verdict(mutant: Mutant, scratch: Path, baseline: dict) -> str:
                     return f"killed (digest {out.strip()[:8]}…)"
             elif step == "Tier-1":
                 if "failures" not in baseline:
-                    baseline["failures"] = failures(run(
-                        TIER1 + ["-rfE"], copy_tree(scratch / "unmutated"))[1])
+                    baseline["failures"] = failures(run(TIER1, copy_tree(scratch / "unmutated"))[1])
                 new = failures(out) - baseline["failures"]
                 if new:
                     return f"killed (Tier-1: {len(new)} tests, first {sorted(new)[0]})"

@@ -12,6 +12,8 @@ the session's counters, the fuel left and the `letrec` depth left over:
 
 - every program of both corpora in `corpora.py` and of `corpora.FAULTS`,
   under the five configurations of `corpora.CONFIGS`;
+- each program of `REREAD` probed twice in one session at a cell that
+  fails its shape check, under the same five configurations;
 - every shipped program at the indices of `examples_suite()`, under the
   same five configurations;
 - the pinned probes `nats.[2000]`, `ackermann.[3,6]` and Game of Life at
@@ -93,6 +95,12 @@ FUEL_PROGRAMS = [
 ]
 
 
+# (imap, index): a cell with a cell shape, and one with none, whose body gives a value
+# of another shape; a cell that fails its check is not memoized, so a second probe
+# fails as the first did
+REREAD = [("imap [2] | [1] {_(iv): iv.[0]}", (0, 0)), ("imap [w] {_(iv): [iv.[0]]}", (1,))]
+
+
 def attempt(thunk):
     """The value `thunk()` gives, shown with its class, or what a user sees
     of its failure."""
@@ -154,8 +162,8 @@ def fusion(settings):
 def rows(sample=None):
     """The rows, in a fixed order.  With `sample`, each corpus gives only
     that many programs, picked with a fixed seed, and the shipped programs
-    at `examples_suite()`'s indices are left out; `FAULTS`, the pinned
-    probes and the `FUEL_PROGRAMS` sweeps are all kept."""
+    at `examples_suite()`'s indices are left out; `FAULTS`, `REREAD`, the
+    pinned probes and the `FUEL_PROGRAMS` sweeps are all kept."""
     corpora = [(False, corpus()), (True, list_corpus())]
     if sample is not None:
         corpora = [(prelude, random.Random(7).sample(cases, sample)) for prelude, cases in corpora]
@@ -166,6 +174,9 @@ def rows(sample=None):
     for source, _ in FAULTS:
         for config in CONFIGS:
             yield run(source, None, config, False)
+    for source, index in REREAD:
+        for config in CONFIGS:
+            yield run(source, [index, index], config, False)
     for name, probes in examples_suite() if sample is None else ():
         for config in CONFIGS:
             yield run(program_source(name), [index for index, _ in probes], config)

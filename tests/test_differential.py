@@ -183,7 +183,7 @@ def test_the_outcome_digest_still_takes_its_rows():
 
 # the digest of every outcome, counter and fuel read `outcome_digest.rows()`
 # takes; a change that moves it changed what a user can observe
-OUTCOME_DIGEST = "fa34375c2a28b98d7d6fb5e2fff8e8f719f9da3a847a2d6c14dcdc82e150153a"
+OUTCOME_DIGEST = "daa5252174bef80a2e00c423714fe1728e21637f437c9c2cfb014d46dd47eb60"
 
 
 def test_the_outcome_digest_is_pinned():

@@ -1014,7 +1014,8 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     written once; the compiled `apply` and `select` steps count with it too,
     through their lines `$prologue`: an application, and a selection in a
     tuple, in an imap and of a scalar cell's trailing `()`.  Besides it only
-    `_apply`, `select`, `_pick` and `_scan` count, with the same two lines,
+    `_apply`, `select` and `_scan` count, with the same two lines (`select`
+    and `_scan` also a scalar cell's trailing `()`, as `_PICK` does),
     and, each only where fuel is left for all it counts, the `apply1` step,
     the `lambda` rule of a body that is only a lambda, and `_eval_reduce`,
     that rule and the two applications around it.  An imap body's first
@@ -1047,18 +1048,19 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
                       if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
                       if isinstance(node, ast.AugAssign)
                       and getattr(node.target, "attr", "") == "rules")
-    assert counting == ["_apply", "_eval_reduce", "_pick", "_scan", "_scan", "_short", "select"]
-    assert text.count("self.rules += 1") == 5
+    assert counting == ["_apply", "_eval_reduce", "_scan", "_scan", "_scan", "_short", "select",
+                        "select"]
+    assert text.count("self.rules += 1") == 6
     assert text.count(" and self.rules < self.limit - 2:\n                self.rules += 3\n") == 1
-    assert text.count("if self.rules > self.limit: self._short(1)\n") == 5
+    assert text.count("if self.rules > self.limit: self._short(1)\n") == 6
     # an imap body counts its own evaluation; only a filter's helpers count predicate calls
     assert text.count("body_evals += ") == 1
-    # and checks and memoizes its own cell: `_PICK`, `_pick` and strict forcing only read the
-    # memo and run the body
+    # and checks and memoizes its own cell: `_PICK`, `select`, `_scan` and strict forcing only
+    # read the memo and run the body
     count = heh.eval._STEPS["count"][1]
     assert text.count("._check_cell(") == count.count("._check_cell(") == 1
     assert text.count(".memo[") == count.count(".memo[") == 1
-    assert text.count(".memo.get(") == 2 and text.count("memo.get(") == 3
+    assert text.count(".memo.get(") == 2 and text.count("memo.get(") == 4
     assert sorted((function.name, node.target.attr) for function in ast.walk(ast.parse(text))
                   if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
                   if isinstance(node, ast.AugAssign) and getattr(node.target, "attr", "") in (
@@ -1279,6 +1281,20 @@ def test_a_fault_in_a_fused_body_is_reported_at_its_node(config):
     assert (r.session.stats["body_evals"], r.session.stats["predicate_calls"]) == (8, 4)
 
 
+def test_a_run_counts_no_node_past_a_name_that_can_fault():
+    """`_PROLOGUE` counts a run of nodes at once only across steps that
+    cannot fault (`_QUIET`), and a top-level name may be unbound: the node
+    after it is counted only once it is found.  So `[nope, 1]` faults having
+    counted two rules, the literal's and the name's, and with fuel for just
+    those two it reports the unbound name, not a lack of fuel."""
+    for fuel in (None, 2):
+        session = Session(EvalConfig(fuel=fuel))
+        with pytest.raises(EvalError) as e:
+            session.run_program("[nope, 1]")
+        assert (e.value.kind, e.value.rule, session.stats["rules"]) == ("UnboundVariable",
+                                                                         "var", 2), fuel
+
+
 def called_codes(thunk) -> list:
     """The code of every Python function `thunk` calls."""
     codes = []
@@ -1331,9 +1347,9 @@ def test_which_compiled_code_a_probe_calls():
 
 
 # the `Session` methods a compiled step or strict forcing would call if it
-# did not handle the common case itself, and `_miss`, which the `select` step
-# and strict forcing call for the body of a memo miss they run themselves
-HELPERS = ("_apply", "_function", "_eval_imap", "_shape_of", "select", "_pick", "_miss")
+# did not handle the common case itself, and `_miss`, which the `select` step,
+# `select` and strict forcing call for the body of a memo miss they run themselves
+HELPERS = ("_apply", "_function", "_eval_imap", "_shape_of", "select", "_miss")
 
 
 def helper_calls(thunk) -> dict:
@@ -1349,17 +1365,19 @@ def test_which_helpers_a_probe_calls(config):
     builds an imap of one `_(x)` generator without a call, and forcing a
     finite imap runs its body in `_force_ordinal_vector`'s loop.
 
-    nats.[2000] calls `select` and `_pick` once, for the probe, and the
-    `select` step of each of the 2,000 levels selects in `nats`, an imap
-    with no cell shape, itself: each is a memo miss, so 2,000 `_miss`
-    calls, and one more for the probe's own miss, which `_pick` finds
-    through `_miss` as `nats` has two partitions.  Each level applies
+    nats.[2000] calls `select` once, for the probe, and the `select` step
+    of each of the 2,000 levels selects in `nats`, an imap with no cell
+    shape, itself: each is a memo miss, so 2,000 `_miss` calls, and one
+    more for the probe's own miss, which `select` finds through `_miss`
+    as the step does.  Each level applies
     `subv` twice, takes `|iv|`, builds and forces the one-element imap of
     `subv iv [1]` and selects `a.iv` and `b.iv` in two tuples in its body,
     all without a call.
-    ackermann.[3,6] calls `select` and `_pick` only for the probe; its step
-    reads a memo hit of a selection `a.[...]` in the table itself, and
-    calls `_miss` once for each other entry of the table, on its one miss;
+    ackermann.[3,6] calls `select` only for the probe; its step reads a
+    memo hit of a selection `a.[...]` in the table itself, and calls
+    `_miss` once for each other entry of the table, on its one miss, and
+    once more for the probe's own, through `select`, though the table has
+    one partition;
     `iv.[0]` and `iv.[1]` select in a tuple.  Forcing `v` strictly, once
     for each element of `[v, v]`, calls no helper: the first runs its body
     for each cell, and the second reads memo hits.  Strict forcing of a
@@ -1373,12 +1391,10 @@ def test_which_helpers_a_probe_calls(config):
     `zip`'s two cells with `_shape_of`."""
     none = dict.fromkeys(HELPERS, 0)
     r = evaluate(program_source("nats.heh"), config)
-    assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 1, "_pick": 1,
-                                                      "_miss": 2001}
+    assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 1, "_miss": 2001}
     table = memoized_ackermann(3, 6)
     r = evaluate(program_source("ackermann.heh"), config)
-    assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": 1, "_pick": 1,
-                                                      "_miss": len(table) - 1}
+    assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": 1, "_miss": len(table)}
     src = "letrec v = imap [3] {_(iv): iv.[0] + 1} in [v, v]"
     assert helper_calls(lambda: evaluate(src, config, prelude=False)) == none
     for src, misses, data in [
@@ -1400,15 +1416,17 @@ def test_which_helpers_a_probe_calls(config):
 def test_what_an_ackermann_entry_no_longer_calls():
     """A `letrec` whose bound does not name its variable binds the bound's
     value with no `Rec` cell, and `_miss` tests an index of ints in a frame
-    of `Ordinal`s without `_check_bounds`.  So a fresh ackermann.[3,6]
-    probe builds no cell for `m` or `n` (two a table entry before), and
-    calls `_check_bounds` once, for the probe's own selection (once a table
-    entry before).  A `letrec` whose bound names its variable, here a
-    recursive function, still builds its one cell."""
+    of `Ordinal`s without `_check_bounds`, for the probe's own selection
+    too, as `select` leaves an index with no cell part to `_miss` (and a
+    memo hit needs no test, as only a body run in range writes a key).  So
+    a fresh ackermann.[3,6] probe builds no cell for `m` or `n` (two a table
+    entry before), and calls no `_check_bounds` (once a table entry before,
+    then once for the probe).  A `letrec` whose bound names its variable,
+    here a recursive function, still builds its one cell."""
     r = evaluate(program_source("ackermann.heh"))
     codes = called_codes(lambda: probe(r, [3, 6]))
     assert codes.count(Rec.__init__.__code__) == 0
-    assert codes.count(heh.eval._check_bounds.__code__) == 1
+    assert codes.count(heh.eval._check_bounds.__code__) == 0
     src = "letrec go = \\k. if k = 0 then 0 else go (k - 1) in go 3"
     values = []
     codes = called_codes(lambda: values.append(evaluate(src, prelude=False).value))
@@ -1478,7 +1496,7 @@ def read_split_imap(config, src, indices, reader):
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_every_reader_of_a_split_imap_agrees(config, monkeypatch):
-    """A probe (`select`, `_pick`), a compiled selection (the `select` step,
+    """A probe (`select`), a compiled selection (the `select` step,
     or `select` for a cell shape), strict forcing of a finite imap and a
     filter scan past w over a rank-1 infinite one read the same values of an
     imap of several partitions, or of one.  Each body counts itself, so
@@ -1518,8 +1536,8 @@ SPLIT_PROBES = [
 
 @pytest.mark.parametrize("interrupted", [False, True])
 def test_a_stopped_probe_of_a_split_imap_keeps_a_true_memo(monkeypatch, interrupted):
-    """A fresh probe of an imap of two partitions, through `select`, `_pick`
-    and `_miss`, stopped at each of its rules by fuel or by an interrupt,
+    """A fresh probe of an imap of two partitions, through `select` and
+    `_miss`, stopped at each of its rules by fuel or by an interrupt,
     leaves every memo entry equal to the uninterrupted run's, and probing
     again gives the same value and fills the same memo."""
     if interrupted:  # a run with no fuel set never calls it

@@ -209,8 +209,9 @@ def test_a_miss_finds_the_box_box_contains_finds():
     # `Session._miss` finds the generator box of a rank-1 natural index with
     # an inline `l <= i < u` test, which is also its bounds test, and tests
     # any other index against the frame before `box_contains` finds its box.
-    # `Session._pick` runs the body of a closure of one partition itself and
-    # asks `_miss` for one of several; its assertion checks that dispatch.
+    # `Session.select` of an imap with no cell shape leaves the index to
+    # `_miss`, as the compiled `select` step does: a probe gets the same box,
+    # and is refused with the same message.
     # Over random tilings of a rank-1 or rank-2 frame, in any order, by boxes
     # with int and Ordinal bounds (such as [w] <= iv < [w*2], and int uppers
     # below the index), each index in the frame gets from both the box
@@ -242,7 +243,7 @@ def test_a_miss_finds_the_box_box_contains_finds():
         picked = [k for k, box in enumerate(boxes) if box_contains(box, index)]
         assert len(picked) == 1, (boxes, index)
         assert session._miss(closure, index)(session, None) == picked[0], (boxes, index)
-        assert session._pick(closure, index) == picked[0], (boxes, index)
+        assert session.select(closure, index) == picked[0], (boxes, index)
         seen.add((len(frame), index[-1].__class__ is int,
                   any(hi[-1].__class__ is int and hi[-1] <= index[-1] for _, hi in boxes),
                   any(lo[-1].__class__ is not int for lo, _ in boxes)))
@@ -251,9 +252,10 @@ def test_a_miss_finds_the_box_box_contains_finds():
         outside = index[:axis] + (past,) + index[axis + 1:]
         with pytest.raises(Fault) as expected:
             _check_bounds(closure, outside)
-        with pytest.raises(Fault) as e:
-            session._miss(closure, outside)
-        assert (e.value.kind, e.value.message) == ("IndexOutOfBounds", expected.value.message)
+        for reader in (session._miss, session.select):
+            with pytest.raises(Fault) as e:
+                reader(closure, outside)
+            assert (e.value.kind, e.value.message) == ("IndexOutOfBounds", expected.value.message)
         refused.add((len(frame), axis, past.__class__ is int))
     # of rank 1 and 2, a natural or not, an int upper below it or not, an
     # Ordinal lower or not, on the last axis; and refused past either axis
