@@ -24,6 +24,7 @@ memoized on selection.
 
 import functools
 import itertools
+import operator
 import sys
 import textwrap
 import threading
@@ -356,6 +357,9 @@ def _factory(key: tuple):
     return namespace["make"], nodes, rules
 
 
+_VALUE, _SPAN = operator.attrgetter("value"), operator.attrgetter("span")
+
+
 def _flatten(node: Expr, scope: Tuple[str, ...], key: list, spans: list, args: list):
     """Append to `key` a marker for each node of the fused subtree at `node`, in
     evaluation order, to `spans` its span, and to `args` a leaf's constant or
@@ -372,14 +376,14 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, spans: list, args: l
         args.append(node.name if cls is Var else node.value)
     elif len(key) < _NODES and (cls is not ArrayLiteral or len(node.elements) <= _ELEMENTS):
         marker, *fields = _KINDS[cls]
-        children = [getattr(node, field) for field in fields]
+        children = map(node.__getattribute__, fields)  # no comprehension: no frame
         key.append(marker or node.op)
         spans.append(node.span)
-        if cls is ArrayLiteral and all(e.__class__ is OrdinalConst for e in node.elements):
+        if cls is ArrayLiteral and {*map(type, node.elements)} <= {OrdinalConst}:
             key[-1] = f"vector{len(node.elements)}"  # then an "elem" for each element
-            args.append(tuple(element.value for element in node.elements))
+            args.append(tuple(map(_VALUE, node.elements)))
             key += ["elem"] * len(node.elements)
-            spans += [element.span for element in node.elements]
+            spans += map(_SPAN, node.elements)
         elif cls is ArrayLiteral:
             key[-1] += str(len(node.elements))
             children = node.elements

@@ -18,13 +18,17 @@ Operator precedence, loosest to tightest: comparisons (`= < <= > >=`),
 `+ -`, `* / %`, selection, application.  Inside `|...|` and in the shape
 position of `imap`, a `|` never starts a nested shape atom in argument
 position; parenthesize (`imap (f |a|) {...}`).
+
+`tokenize` makes each token the plain tuple `(kind, value, begin, end, line,
+col)`, and the parser reads their kinds from a list; a `Span` is made only
+for a node of the tree or for an error, never for a token.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple, Union
 
-from .ordinal import Ordinal, omega_power, terms
+from .ordinal import OMEGA, Ordinal, omega_power, terms
 
 
 ### ---- source spans ----------------------------------------------------------
@@ -65,52 +69,37 @@ _SYMBOLS = [
     "|", "=", "<", ">", "+", "-", "*", "/", "%", "^", "_",
 ]
 
-# every character starts a match, so a scan is one pass of `finditer`; an
-# unrecognized character is a `bad` match of its own
-_TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r\n]+|;[^\n]*)"
-    r"|(?P<number>[0-9]+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<symbol>" + "|".join(re.escape(s) for s in _SYMBOLS) + r")"
-    r"|(?P<bad>.)", re.DOTALL)
+# every character starts a match, so the matches of a line are contiguous; an
+# unrecognized character is a match of its own
+_TOKEN_RE = re.compile(r"[ \t\r]+|;.*|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|"
+                       + "|".join(re.escape(s) for s in _SYMBOLS) + "|.")
+_DIGITS, _LETTERS = "0123456789", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 
 
-@dataclass(slots=True, unsafe_hash=True)  # built per token: no frozen-init cost
-class Token:
-    kind: str          # "number", "ident", "eof", a keyword, or the symbol text
-    value: object      # int for numbers, name for idents, else None
-    span: Span
-
-
-def tokenize(source: str) -> List[Token]:
-    """The tokens of `source`, then "eof".  Whitespace and comments get no
-    token and no span; the line count advances over their newlines."""
-    tokens: List[Token] = []
-    line, line_start = 1, 0  # the current line and the offset it starts at
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        begin, end = m.span()
-        if kind == "ws":
-            newlines = source.count("\n", begin, end)
-            if newlines:
-                line += newlines
-                line_start = source.rindex("\n", begin, end) + 1
-            continue
-        text = m.group()
-        span = Span(begin, end, line, begin - line_start + 1)
-        if kind == "ident":
-            if text in KEYWORDS or text == "_":
-                tokens.append(Token(text, None, span))
-            else:
-                tokens.append(Token("ident", text, span))
-        elif kind == "symbol":
-            tokens.append(Token("\\" if text == "λ" else text, None, span))
-        elif kind == "number":
-            tokens.append(Token("number", int(text), span))
-        else:
-            raise LexError(f"unrecognized character {text!r}", span)
-    end = len(source)
-    tokens.append(Token("eof", None, Span(end, end, line, end - line_start + 1)))
+def tokenize(source: str) -> List[tuple]:
+    """The tokens of `source`, then "eof", each the tuple `(kind, value, begin,
+    end, line, col)`: kind is "number", "ident", "eof", a keyword or the symbol
+    text; value an int for a number, the name for an ident, else None.
+    Whitespace and comments make no token; no token has a `Span`."""
+    tokens: list = []
+    begin, start = 0, -1  # a match's offset, and that of the newline before its line
+    for line, text in enumerate(source.split("\n"), 1):
+        for word in _TOKEN_RE.findall(text):
+            end = begin + len(word)
+            kind = _FIXED.get(word)
+            if kind is not None:
+                tokens.append((kind, None, begin, end, line, begin - start))
+            elif word[0] in _LETTERS:
+                tokens.append(("ident", word, begin, end, line, begin - start))
+            elif word[0] in _DIGITS:
+                tokens.append(("number", int(word), begin, end, line, begin - start))
+            elif word[0] not in " \t\r;":
+                raise LexError(f"unrecognized character {word!r}",
+                               Span(begin, end, line, begin - start))
+            begin = end
+        start = begin  # the newline that ends the line
+        begin += 1
+    tokens.append(("eof", None, start, start, line, len(text) + 1))
     return tokens
 
 
@@ -260,6 +249,8 @@ PREFIX_FORMS = {"reduce": (Reduce, ("fun", "neutral", "array")),
                 "filter": (Filter, ("predicate", "array")),
                 "islim": (IsLim, ("arg",))}
 KEYWORDS.update(PREFIX_FORMS)
+# the kind of each word that is a keyword or a symbol, as `tokenize` reads it
+_FIXED = {**{s: s for s in _SYMBOLS}, "λ": "\\", **{k: k for k in KEYWORDS}}
 _PREFIX_OF = {cls: (keyword, fields) for keyword, (cls, fields) in PREFIX_FORMS.items()}
 
 
@@ -285,54 +276,57 @@ _TIGHTEST = len(_LEVELS) - 1
 _ATOM_STARTERS = ("number", "ident", "w", "true", "false", "(", "[")
 
 
+_new = tuple.__new__  # builds a Span without the Python frame of its `__new__`
+
+
 class _Parser:
-    def __init__(self, tokens: List[Token]):
+    """A recursive descent over the tokens of `tokenize`; `kinds` holds each
+    token's kind, `pos` the index of the next token."""
+
+    def __init__(self, tokens: List[tuple]):
         self.tokens = tokens
+        self.kinds = [token[0] for token in tokens]
         self.pos = 0
 
     ### token plumbing
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def span_at(self, pos: int) -> Span:
+        """The span of the token at `pos`."""
+        return _new(Span, self.tokens[pos][2:])
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.kind!r}", tok.span)
-        return self.next()
+    def expect(self, kind: str):
+        """Step past the next token, which must be of `kind`; its value."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise ParseError(f"expected {kind!r}, found {self.kinds[pos]!r}", self.span_at(pos))
+        self.pos = pos + 1
+        return self.tokens[pos][1]
 
     def _span(self, start: int) -> Span:
-        first = self.tokens[start].span
-        last = self.tokens[self.pos - 1].span
-        return Span(first.begin, max(first.begin, last.end), first.line, first.col)
+        """The span from the token at `start` to the last one read, at least
+        the token at `start`."""
+        first, last = self.tokens[start], self.tokens[self.pos - 1]
+        return _new(Span, (first[2], last[3], first[4], first[5]))
 
     ### expression grammar, loosest level first
 
     def expr(self, bars: bool, top: bool = False) -> TopForm:
         """An expression; at the top level (`top`) also a `Binding`."""
-        tok = self.peek()
-        if tok.kind == "\\":
+        kind = self.kinds[self.pos]
+        if kind == "\\":
             return self.lambda_(bars)
-        if tok.kind in ("let", "letrec"):
+        if kind == "let" or kind == "letrec":
             return self.letrec(bars, top)
-        if tok.kind == "if":
+        if kind == "if":
             return self.cond(bars)
-        if tok.kind == "imap":
+        if kind == "imap":
             return self.imap()
         return self.binary(bars)
 
     def lambda_(self, bars: bool) -> Expr:
         start = self.pos
-        self.next()
-        param = self.expect("ident").value
+        self.pos += 1
+        param = self.expect("ident")
         self.expect(".")
         body = self.expr(bars)
         return Lambda(param, body, self._span(start))
@@ -342,33 +336,32 @@ class _Parser:
         `letrec x = e` with no `in` are a `Binding`.  `let` takes no `in`:
         the top level refuses it at the `in`, anywhere else at the keyword."""
         start = self.pos
-        kind = self.peek().kind
+        kind = self.kinds[start]
         if top or kind == "letrec":
-            self.next()
+            self.pos += 1
             name = self.binder_name()
             self.expect("=")
             bound = self.expr(bars)
-            if top and not self.at("in"):
+            if top and self.kinds[self.pos] != "in":
                 return Binding(name, bound, kind == "letrec", self._span(start))
         if kind == "let":
             raise ParseError("'let' is only a top-level binding; use 'letrec ... in' "
-                             "for expressions", self.peek().span)
+                             "for expressions", self.span_at(self.pos))
         self.expect("in")
         body = self.expr(bars)
         return Letrec(name, bound, body, self._span(start))
 
     def binder_name(self) -> str:
         # a plain name, or (++) to (re)bind the concatenation operator
-        if self.at("(") and self.tokens[self.pos + 1].kind == "++":
-            self.next()
-            self.next()
+        if self.kinds[self.pos] == "(" and self.kinds[self.pos + 1] == "++":
+            self.pos += 2
             self.expect(")")
             return "++"
-        return self.expect("ident").value
+        return self.expect("ident")
 
     def cond(self, bars: bool) -> Expr:
         start = self.pos
-        self.next()
+        self.pos += 1
         test = self.expr(bars)
         self.expect("then")
         then = self.expr(bars)
@@ -378,11 +371,11 @@ class _Parser:
 
     def imap(self) -> Expr:
         start = self.pos
-        self.next()
+        self.pos += 1
         frame = self.expr(bars=True)
         cell = None
-        if self.at("|"):
-            self.next()
+        if self.kinds[self.pos] == "|":
+            self.pos += 1
             cell = self.expr(bars=True)
         self.expect("{")
         partitions = self.comma_list(self.partition)
@@ -391,17 +384,17 @@ class _Parser:
 
     def partition(self) -> Partition:
         start = self.pos
-        if self.at("_"):
-            self.next()
+        if self.kinds[start] == "_":
+            self.pos += 1
             self.expect("(")
-            var = self.expect("ident").value
+            var = self.expect("ident")
             self.expect(")")
             gen: Generator = Full(var, self._span(start))
         else:
             # bounds sit at ++ level so the generator's < and <= stay unambiguous
             lower = self.binary(False, _LEVEL_OF["++"])
             self.expect("<=")
-            var = self.expect("ident").value
+            var = self.expect("ident")
             self.expect("<")
             upper = self.binary(False, _LEVEL_OF["++"])
             gen = Bounds(lower, var, upper, self._span(start))
@@ -416,99 +409,83 @@ class _Parser:
         start = self.pos
         node = self.selection(bars)
         while True:
-            optok = self.peek()
-            op_level = _LEVEL_OF.get(optok.kind)
+            op = self.kinds[self.pos]
+            op_level = _LEVEL_OF.get(op)
             if op_level is None or op_level < level:
                 return node
-            self.next()
-            if optok.kind == "++":
+            self.pos += 1
+            if op == "++":
+                fn = Var("++", self.span_at(self.pos - 1))
                 rhs = self.binary(bars, op_level)
-                fn = Apply(Var("++", optok.span), node, self._span(start))
-                node = Apply(fn, rhs, self._span(start))
+                span = self._span(start)
+                node = Apply(Apply(fn, node, span), rhs, span)
             else:
                 rhs = (self.selection(bars) if op_level == _TIGHTEST
                        else self.binary(bars, op_level + 1))
-                node = BinOp(optok.kind, node, rhs, self._span(start))
+                node = BinOp(op, node, rhs, self._span(start))
 
     def selection(self, bars: bool) -> Expr:
+        """An application, then any selections from it: `f a.[0]` is `(f a).[0]`."""
         start = self.pos
-        node = self.application(bars)
-        while self.at("."):
-            self.next()
-            index = self.selection_index()
-            node = Select(node, index, self._span(start))
-        return node
-
-    def selection_index(self) -> Expr:
-        tok = self.peek()
-        if tok.kind not in ("ident", "[", "("):
-            raise ParseError("selection index must be a bracketed literal, a "
-                             "parenthesized expression, or a name", tok.span)
-        return self.atom(bars=False, head=False)
-
-    def application(self, bars: bool) -> Expr:
-        start = self.pos
-        form = PREFIX_FORMS.get(self.peek().kind)
+        kinds = self.kinds
+        form = PREFIX_FORMS.get(kinds[start])
         if form is not None:
-            self.next()
+            self.pos += 1
             cls, fields = form
-            children = [self.atom(bars, head=False) for _ in fields]
-            node = cls(*children, self._span(start))
+            node = cls(*[self.atom(bars, False) for _ in fields], self._span(start))
         else:
-            node = self.atom(bars, head=True)
-        while self.starts_atom(bars, head=False):
-            arg = self.atom(bars, head=False)
-            node = Apply(node, arg, self._span(start))
+            node = self.atom(bars, True)
+        # an atom starts here; a `|` only where it cannot close an enclosing shape
+        while kinds[self.pos] in _ATOM_STARTERS or kinds[self.pos] == "|" and not bars:
+            node = Apply(node, self.atom(bars, False), self._span(start))
+        while kinds[self.pos] == ".":
+            self.pos += 1
+            if kinds[self.pos] not in ("ident", "[", "("):
+                raise ParseError("selection index must be a bracketed literal, a "
+                                 "parenthesized expression, or a name", self.span_at(self.pos))
+            node = Select(node, self.atom(False, False), self._span(start))
         return node
-
-    def starts_atom(self, bars: bool, head: bool) -> bool:
-        kind = self.peek().kind
-        if kind in _ATOM_STARTERS:
-            return True
-        return kind == "|" and (not bars or head)
 
     def atom(self, bars: bool, head: bool) -> Expr:
-        tok = self.peek()
-        if not self.starts_atom(bars, head):
-            if tok.kind == "|" and bars:
-                raise ParseError("'|' cannot start a shape here; parenthesize the "
-                                 "|...| expression", tok.span)
-            raise ParseError(f"expected an expression, found {tok.kind!r}", tok.span)
-        if tok.kind == "number":
-            self.next()
-            return OrdinalConst(tok.value, tok.span)
-        if tok.kind == "w":
-            start = self.pos
-            self.next()
-            if self.at("^"):
-                self.next()
-                exp = self.expect("number")
-                return OrdinalConst(omega_power(exp.value), self._span(start))
-            return OrdinalConst(omega_power(1), tok.span)
-        if tok.kind in ("true", "false"):
-            self.next()
-            return BoolConst(tok.kind == "true", tok.span)
-        if tok.kind == "ident":
-            self.next()
-            return Var(tok.value, tok.span)
-        if tok.kind == "(":
+        pos = self.pos
+        token = self.tokens[pos]
+        kind = token[0]
+        if kind == "(":
             return self.parens()
-        if tok.kind == "[":
+        if kind == "[":
             return self.array_literal()
-        # "|": shape atom; nested bars are blocked in argument position
-        start = self.pos
-        self.next()
+        span = _new(Span, token[2:])
+        if kind == "ident":
+            self.pos = pos + 1
+            return Var(token[1], span)
+        if kind == "number":
+            self.pos = pos + 1
+            return OrdinalConst(token[1], span)
+        if kind == "w":
+            self.pos = pos + 1
+            if self.kinds[pos + 1] != "^":
+                return OrdinalConst(OMEGA, span)
+            self.pos += 1
+            return OrdinalConst(omega_power(self.expect("number")), self._span(pos))
+        if kind == "true" or kind == "false":
+            self.pos = pos + 1
+            return BoolConst(kind == "true", span)
+        if kind != "|":
+            raise ParseError(f"expected an expression, found {kind!r}", span)
+        if bars and not head:  # nested bars are blocked in argument position
+            raise ParseError("'|' cannot start a shape here; parenthesize the "
+                             "|...| expression", span)
+        self.pos = pos + 1
         inner = self.expr(bars=True)
         self.expect("|")
-        return Shape(inner, self._span(start))
+        return Shape(inner, self._span(pos))
 
     def parens(self) -> Expr:
         start = self.pos
-        self.expect("(")
-        if self.at("++") and self.tokens[self.pos + 1].kind == ")":
-            optok = self.next()
-            self.next()
-            return Var("++", optok.span)
+        self.pos += 1
+        if self.kinds[self.pos] == "++" and self.kinds[self.pos + 1] == ")":
+            self.pos += 2
+            return Var("++", self.span_at(start + 1))
         inner = self.expr(bars=False)
         self.expect(")")
         inner.span = self._span(start)
@@ -516,16 +493,17 @@ class _Parser:
 
     def array_literal(self) -> Expr:
         start = self.pos
-        self.expect("[")
-        elements = [] if self.at("]") else self.comma_list(lambda: self.expr(bars=False))
+        self.pos += 1
+        elements = ([] if self.kinds[self.pos] == "]"
+                    else self.comma_list(lambda: self.expr(bars=False)))
         self.expect("]")
         return ArrayLiteral(elements, self._span(start))
 
     def comma_list(self, item) -> list:
         """One or more `item()`s, separated by commas."""
         items = [item()]
-        while self.at(","):
-            self.next()
+        while self.kinds[self.pos] == ",":
+            self.pos += 1
             items.append(item())
         return items
 
@@ -533,12 +511,12 @@ class _Parser:
 
     def program(self) -> List[TopForm]:
         forms: List[TopForm] = []
-        while not self.at("eof"):
+        while self.kinds[self.pos] != "eof":
             form = self.expr(bars=False, top=True)
             forms.append(form)
-            if not isinstance(form, Binding) and not self.at("eof"):
+            if not isinstance(form, Binding) and self.kinds[self.pos] != "eof":
                 raise ParseError("only the final form may be a bare expression",
-                                 self.peek().span)
+                                 self.span_at(self.pos))
         return forms
 
 
@@ -552,8 +530,7 @@ def parse_expr(source: str) -> Expr:
 
 def parse_program(source: str) -> List[TopForm]:
     """Parse a program: top-level bindings plus at most one trailing expression."""
-    p = _Parser(tokenize(source))
-    return p.program()
+    return _Parser(tokenize(source)).program()
 
 
 ### ---- pretty-printer ----------------------------------------------------------

@@ -6,6 +6,7 @@
     python tests/depth_probe.py --errors
     python tests/depth_probe.py --rss [N]
     python tests/depth_probe.py --traffic [SEED]
+    python tests/depth_probe.py --front [SEED]
 
 For each of two shapes of recursion, `nats.[N]` on the shipped nats.heh
 (through an imap) and `go N` with `letrec go = \\k. if k = 0 then 0 else
@@ -67,6 +68,17 @@ statement lines of its functions that no workload ran.  It first clears the
 prelude's cache and the compiler's, so that building the prelude and
 compiling are counted.  So a fast path that no workload takes shows.
 
+`--front` prints instead, in this process, the microseconds that each layer
+takes of a REPL entry: tokenizing, parsing the tokens, compiling the forms,
+and running them and printing the value as the REPL does.  Each figure is
+the fastest of `FRONT_ROUNDS` runs, made with the cyclic collector off, as
+a collection falls at the same point in each run; the entries are those of
+one repl_mix round at SEED (3000 by default), each run a fresh session, and
+the figure printed is the median over the entries.  It prints the same for
+`ackermann.heh`, run in a fresh session with the prelude (its value, the
+table, printed), and for the prelude, run in a bare session.  So the front
+end's share of an entry shows, layer by layer.
+
 Peak RSS is a high-water mark of the whole process, so each probe runs in a
 process of its own.  Linux keeps `ru_maxrss` across `exec`, so each such
 process is started by a bare interpreter, smaller than any of them.  Only
@@ -75,24 +87,30 @@ the standard library and heh are needed; it is not part of Tier-1.
 
 import argparse
 import dis
+import gc
 import inspect
 import itertools
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from heh.eval import (  # noqa: E402
-    RECURSION_LIMIT, EvalConfig, EvalError, Session, _check_bounds, evaluate, probe,
+    RECURSION_LIMIT, EvalConfig, EvalError, Session, _check_bounds, compile_expr, evaluate,
+    new_session, probe,
 )
+from heh.cli import format_value  # noqa: E402
+from heh.syntax import Binding, _Parser, tokenize  # noqa: E402
 from heh.runtime import Rec  # noqa: E402
-from heh.prelude import examples_suite, program_source  # noqa: E402
+from heh.prelude import examples_suite, prelude_source, program_source  # noqa: E402
 
 # the definitions a probe loads, the entry that recurses N levels deep, and
 # the value it prints
@@ -487,6 +505,62 @@ def print_traffic(seed: int) -> None:
                 print(f"  {span:>9}  {code.co_qualname}: {text[group[0] - 1].strip()[:60]}")
 
 
+FRONT_ROUNDS = 5  # the runs each figure of `--front` is the fastest of
+
+
+def front_times(session: Session, source: str, force_print: int) -> list:
+    """Seconds to tokenize `source`, to parse its tokens, to compile its forms,
+    and to run them in `session` and print the value as the REPL does with
+    `force_print`; a run that raises an `EvalError` ends there."""
+    start = time.perf_counter()
+    tokens = tokenize(source)
+    lexed = time.perf_counter()
+    forms = _Parser(tokens).program()
+    parsed = time.perf_counter()
+    program = [(form, compile_expr(form.expr if isinstance(form, Binding) else form))
+               for form in forms]
+    compiled = time.perf_counter()
+    try:  # `Session.run_program` less `compile_program`
+        value = session._entry("eval", lambda: session._run(program))
+        if value is not None:
+            format_value(session, value, force_print)
+    except EvalError:
+        pass
+    return [lexed - start, parsed - lexed, compiled - parsed, time.perf_counter() - compiled]
+
+
+def print_front(seed: int) -> None:
+    sys.path.insert(0, str(SRC.parent / "perfbench"))
+    from workloads import ENTRY_FUEL, FORCE_PRINT, WORKLOADS
+    fastest: dict = {}  # (row, entry) -> the fastest seconds of each layer
+    gc.collect()
+    gc.disable()  # a collection falls at the same point in each run: no layer is charged it
+    try:
+        for _ in range(FRONT_ROUNDS):
+            rnd = next(WORKLOADS["repl_mix"].rounds(seed))
+            session = rnd.start()
+            runs = []
+            for k, entry in enumerate(rnd.ops):
+                session.fuel = ENTRY_FUEL
+                runs.append((("repl_mix", k), front_times(session, entry.source, FORCE_PRINT)))
+            runs.append((("ackermann.heh", 0), front_times(
+                new_session(), program_source("ackermann.heh"), FORCE_PRINT)))
+            runs.append((("prelude", 0), front_times(Session(), prelude_source(), FORCE_PRINT)))
+            for at, seconds in runs:
+                fastest[at] = list(map(min, fastest.get(at, seconds), seconds))
+    finally:
+        gc.enable()
+    print(f"us an entry, the fastest of {FRONT_ROUNDS} runs (repl_mix at seed {seed}: the "
+          f"median over its entries)")
+    print(f"{'':<20}{'tokenize':>10}{'parse':>10}{'compile':>10}{'run+print':>11}")
+    for row in ("repl_mix", "ackermann.heh", "prelude"):
+        entries = [seconds for (name, _), seconds in fastest.items() if name == row]
+        medians = [statistics.median(layer) * 1e6 for layer in zip(*entries)]
+        label = f"{row} ({len(entries)})" if len(entries) > 1 else row
+        print(f"{label:<20}" + "".join(f"{us:>10.1f}" for us in medians[:3])
+              + f"{medians[3]:>11.1f}")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--depths", type=int, nargs="+", default=[20_000, 40_000, 60_000])
@@ -510,7 +584,13 @@ def main(argv=None) -> None:
     parser.add_argument("--traffic", type=int, nargs="?", const=3000, metavar="SEED",
                         help="print the calls of each function of src/heh in one round of "
                         "each workload at SEED (default 3000), and the lines no workload ran, only")
+    parser.add_argument("--front", type=int, nargs="?", const=3000, metavar="SEED",
+                        help="print the microseconds a REPL entry of one repl_mix round at "
+                        "SEED (default 3000), ackermann.heh and the prelude take to tokenize, "
+                        "parse, compile, and run and print, only")
     args = parser.parse_args(argv)
+    if args.front is not None:
+        return print_front(args.front)
     if args.traffic is not None:
         return print_traffic(args.traffic)
     if args.rss is not None:

@@ -54,6 +54,8 @@ class Mutant(NamedTuple):
 
 
 EVAL, RUNTIME, ORDINAL = "src/heh/eval.py", "src/heh/runtime.py", "src/heh/ordinal.py"
+SYNTAX, SYNTAX_TEST = "src/heh/syntax.py", "tests/test_syntax.py::test_"
+FRONT_END_PIN = SYNTAX_TEST + "the_front_end_is_pinned"
 MISS_TEST = "tests/test_runtime.py::test_a_miss_finds_the_box_box_contains_finds"
 FILTER_TEST, EVAL_TEST = "tests/test_filter.py::test_", "tests/test_eval.py::test_"
 READERS_TEST = EVAL_TEST + "every_reader_of_a_split_imap_agrees"
@@ -139,6 +141,19 @@ MUTANTS = [
            "if $t.inner is not None:", (DIGEST,)),
     Mutant("binding-restore-dropped", EVAL, "                del self.env[form.name]",
            "                pass", (EVAL_TEST + "binding_failure_restores_environment",)),
+    Mutant("column-off-by-one-after-a-newline", SYNTAX, "start = begin  # the newline",
+           "start = begin + 1  # the newline", (SYNTAX_TEST + "tokenize_spans", FRONT_END_PIN)),
+    Mutant("span-ends-at-the-last-token-begin", SYNTAX, "(first[2], last[3], first[4], first[5])",
+           "(first[2], last[2], first[4], first[5])", (SYNTAX_TEST + "precedence",
+                                                        FRONT_END_PIN)),
+    Mutant("expect-reports-the-token-before", SYNTAX,
+           'found {self.kinds[pos]!r}", self.span_at(pos))',
+           'found {self.kinds[pos]!r}", self.span_at(pos - 1))', (FRONT_END_PIN,)),
+    Mutant("lambda-alias-lexed-as-itself", SYNTAX, '"λ": "\\\\", ', "",
+           (SYNTAX_TEST + "tokenize_symbols_and_lambda_alias", FRONT_END_PIN)),
+    Mutant("no-literal-is-a-vector", EVAL, "{*map(type, node.elements)} <= {OrdinalConst}",
+           "{*map(type, node.elements)} < {OrdinalConst}",
+           (EVAL_TEST + "a_literal_of_constants_is_built_from_one_tuple",)),
 ]
 
 

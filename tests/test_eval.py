@@ -1009,6 +1009,17 @@ def make(where, a0, a1):
 """
 
 
+def test_a_literal_of_constants_is_built_from_one_tuple():
+    """An array literal of ordinal constants compiles to the `vector` step,
+    whose one argument is the tuple of their values; a literal with any
+    other element compiles to the `array` step, an argument an element."""
+    def arguments(source):
+        code = heh.eval.compile_expr(heh.syntax.parse_expr(source))
+        return [cell.cell_contents for cell in code.__closure__]
+    assert (1, OMEGA, 2) in arguments("[1, w, 2]") and () in arguments("[]")
+    assert (1, True) not in arguments("[1, true]") and True in arguments("[1, true]")
+
+
 def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     """Every expression class compiles.  The prologue that counts a rule is
     written once; the compiled `apply` and `select` steps count with it too,
