@@ -109,8 +109,8 @@ def _equal(lhs, rhs) -> bool:
 # `_QUIET` steps, which cannot call out or fault, between them.  When the
 # count passes the limit, `Session._short` runs out at the node of the run
 # that one prologue per node would.  A step's line `$prologue` is `_PROLOGUE` at
-# `$k = 1`, with which the `apply` and `select` steps count as `_apply` and `select` do;
-# only these, `_scan` and, where fuel is left, `apply1` and `_eval_reduce` count.
+# `$k = 1`, with which the `apply`, `select` and `select1` steps count as `_apply` and
+# `select` do; only these, `_scan` and, where fuel is left, `apply1` and `_eval_reduce` count.
 Code = Callable
 
 _PROLOGUE = """\
@@ -125,9 +125,10 @@ if $t.__class__ is not int and $t.__class__ is not Ordinal: $t = s._force_scalar
 if $u.__class__ is not int and $u.__class__ is not Ordinal: $u = s._force_scalar($u)
 $check
 $apply"""  # of two ordinals, only `sub`, `//` and `%` fail: `Session._entry` reports it
-# the selection step, which reads a tuple by one natural in range (a vector's ints are
-# naturals), and an imap with no cell shape by an index of its rank as `select` would, with
-# no frame between levels: a miss runs the body `_miss` gives, which checks and memoizes it
+# the selection step: a tuple read by one natural in range (a vector's ints are naturals), and
+# an imap with no cell shape by an index of its rank as `select` reads it, with no frame between
+# levels; a miss runs the body `_miss` gives, or an open frame's (`ImapClosure.open`) if the
+# index's `max` is an int, so each component is (an int is below every Ordinal, see runtime)
 _PICK = """\
 if $t.__class__ is tuple and len($u) == 1 and $u[0].__class__ is int and $u[0] < len($t):
     $prologue
@@ -135,7 +136,8 @@ if $t.__class__ is tuple and len($u) == 1 and $u[0].__class__ is int and $u[0] <
 elif $t.__class__ is ImapClosure and not $t.cell and len($u) == len($t.frame):
     $prologue
     $v = $t.memo.get($u)
-    if $v is None: $v = s._miss($t, $u)(s, ($u, $t.env, $t))
+    if $v is None: $v = ($t.open if $t.open and max($u).__class__ is int
+                         else s._miss($t, $u))(s, ($u, $t.env, $t))
     if $v.__class__ not in _SCALARS: $v = s.select($v, ())
     else:
         $prologue
@@ -182,6 +184,9 @@ _STEPS = {
                    "'UnboundVariable', f\"unbound variable '{$a}'\")"),
     "select": ("select", "@t\n@u\nif $u.__class__ is not tuple: "
                          "$u = s._force_ordinal_vector($u, \"selection index\")\n" + _PICK),
+    # `x.[k]` for a natural `k`, an argument: a tuple read with no test of the index
+    "select1": ("select", "@t\n@u\nif $t.__class__ is tuple and $a < len($t):\n    $prologue\n"
+                          "    $t, $u = $t[$a], None\nel" + _PICK),
     # `Session._apply` done here: count, follow a cell, check, call
     "apply": ("apply", "@t\n@u\n$prologue\n" + _IS_FUNCTION + _CALL),
     # `f a b`, after "Making a fast curry" (ICFP 2004): `f`'s inner body, if fuel is left for its
@@ -387,6 +392,11 @@ def _flatten(node: Expr, scope: Tuple[str, ...], key: list, spans: list, args: l
         elif cls is ArrayLiteral:
             key[-1] += str(len(node.elements))
             children = node.elements
+        elif cls is Select and node.index.__class__ is ArrayLiteral:
+            k = node.index.elements  # `x.[k]` for a natural `k`, an argument of its step
+            if len(k) == 1 and k[0].__class__ is OrdinalConst and k[0].value.__class__ is int:
+                key[-1] = "select1"
+                args.append(k[0].value)
         elif cls is Letrec:  # a "let" if its bound does not name it, which needs no cell
             if names(node.bound, node.name): args.append(node.name)  # bound to a `Rec` cell
             else:  # only the body is in the name's scope
@@ -633,7 +643,10 @@ class Session:
         checks and memoizes its cell.  A rank-1 natural's box is found inline,
         with no `box_contains`, and that search is its test: the boxes lie in
         the frame, so a natural at or past a finite extent is in none, and
-        meets the frame test of the rest."""
+        meets the frame test of the rest.  Its first call decides `closure.open`."""
+        if closure.open is None:  # one partition, over a frame of rank >= 1 and no int extent
+            closure.open = (closure.frame != () and int not in map(type, closure.frame)
+                            and len(closure.partitions) == 1 and closure.partitions[0][1])
         if len(index) == 1 and index[0].__class__ is int:  # a natural, below every Ordinal:
             i = index[0]  # its box's lower bound is an int at most `i`, its upper an
             for ((l,), (u,)), code in closure.partitions:  # Ordinal or an int above `i`
@@ -671,7 +684,8 @@ class Session:
             if value.cell: _check_bounds(value, index)  # `_miss` tests only the frame part
             at = index[:len(value.frame)]
             cell = value.memo.get(at)  # a key is in range: only a body, run in range, writes one
-            if cell is None: cell = self._miss(value, at)(self, (at, value.env, value))
+            if cell is None: cell = (value.open if value.open and max(at).__class__ is int
+                                     else self._miss(value, at))(self, (at, value.env, value))
             if cell.__class__ not in _SCALARS: return self.select(cell, index[len(at):])
             self.rules += 1  # the trailing `()` selection of a scalar cell, with no index left
             if self.rules > self.limit: self._short(1)

@@ -81,9 +81,13 @@ class ImapClosure:
     guillotine pieces around the index, leaving a one-point partition that
     holds the value.  `memo` realises that rule equivalently: its keys are
     exactly those one-point partitions, and every other index still lies in
-    the generator box it was written in, so the partitions are never cut."""
+    the generator box it was written in, so the partitions are never cut.
+    `open`, None until `eval.Session._miss` first runs for it, is then the code
+    of its one partition if its frame, of rank >= 1, has no int extent, so
+    holds every index of ints (a miss at one runs that code with no search),
+    else False."""
 
-    __slots__ = ("frame", "cell", "shape", "env", "partitions", "memo")
+    __slots__ = ("frame", "cell", "shape", "env", "partitions", "memo", "open")
 
     def __init__(self, frame: ShapeVec, cell: ShapeVec, env, partitions: tuple):
         self.frame = frame
@@ -92,6 +96,7 @@ class ImapClosure:
         self.env = env
         self.partitions = partitions
         self.memo: Dict[ShapeVec, object] = {}  # frame index -> cell value
+        self.open = None
 
 
 class FilterSegment:

@@ -22,8 +22,8 @@ go (k - 1)` (through application), it prints:
 calls (and calls of builtins) that one `nats` level makes, the difference
 between fresh probes `nats.[2000]` and `nats.[1000]` over 1,000; those
 that one entry of the table behind `ackermann.[3,6]` makes, a fresh probe's
-calls over its body evaluations, with its `Rec` constructions and its
-`_check_bounds` calls; those of the Game-of-Life probes of
+calls over its body evaluations, with its `Rec` constructions, its
+`_check_bounds` calls and its `_miss` calls; those of the Game-of-Life probes of
 `examples_suite()`, all made in one fresh session, in total and over their
 body evaluations; those that `REDUCE` makes an element of a vector of
 `REDUCED` ints, the difference from the empty vector over `REDUCED`;
@@ -190,7 +190,7 @@ STRICT = [("imap [60, 60] {_(iv): iv.[0] + iv.[1]}", "imap [30, 60] {_(iv): iv.[
 
 
 # the Python functions whose calls `profiled` also counts one by one
-WATCHED = (Rec.__init__.__code__, _check_bounds.__code__)
+WATCHED = (Rec.__init__.__code__, _check_bounds.__code__, Session._miss.__code__)
 
 
 def profiled(session: Session, thunk) -> tuple:
@@ -276,11 +276,12 @@ def print_calls() -> None:
     (short, c_short, *_), (long, c_long, *_) = calls("nats.heh", [1000]), calls("nats.heh", [2000])
     print(f"nats: {(long - short) / 1000:.1f} Python calls and {(c_long - c_short) / 1000:.1f} "
           f"builtin calls a level (nats.[2000]: {long:,} and {c_long:,})")
-    python, builtin, entries, (cells, bounds) = calls("ackermann.heh", [3, 6])
+    python, builtin, entries, (cells, bounds, misses) = calls("ackermann.heh", [3, 6])
     print(f"ackermann.[3,6]: {python / entries:.1f} Python calls and {builtin / entries:.1f} "
           f"builtin calls a table entry ({python:,} and {builtin:,} over {entries:,} entries), "
-          f"of which {cells / entries:.2f} Rec constructions and {bounds / entries:.2f} "
-          f"_check_bounds calls ({cells:,} and {bounds:,})")
+          f"of which {cells / entries:.2f} Rec constructions, {bounds / entries:.2f} "
+          f"_check_bounds calls and {misses / entries:.2f} _miss calls ({cells:,}, {bounds:,} "
+          f"and {misses:,})")
     indices = [index for index, _ in dict(examples_suite())["game_of_life.heh"]]
     result = evaluate(program_source("game_of_life.heh"))
     python, builtin, evals, _ = profiled(result.session, lambda: [
@@ -294,7 +295,7 @@ def print_calls() -> None:
           f"{(builtin - b_empty) / REDUCED:.1f} builtin calls an element of {REDUCED:,}")
     for full, half in STRICT:
         strict_calls(half)  # compiles the code both share
-        (python, builtin, cells, (_, bounds)), (p_half, b_half, c_half, _) = map(
+        (python, builtin, cells, (_, bounds, _)), (p_half, b_half, c_half, _) = map(
             strict_calls, (full, half))
         print(f"strict {full}: {(python - p_half) / (cells - c_half):.1f} Python calls and "
               f"{(builtin - b_half) / (cells - c_half):.1f} builtin calls a cell "

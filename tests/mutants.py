@@ -60,7 +60,8 @@ MISS_TEST = "tests/test_runtime.py::test_a_miss_finds_the_box_box_contains_finds
 FILTER_TEST, EVAL_TEST = "tests/test_filter.py::test_", "tests/test_eval.py::test_"
 READERS_TEST = EVAL_TEST + "every_reader_of_a_split_imap_agrees"
 NATURAL_BOX = "if l.__class__ is int and l <= i and (u.__class__ is not int or i < u): return code"
-SELECT_MISS = "if cell is None: cell = self._miss(value, at)(self, (at, value.env, value))"
+SELECT_MISS = "else self._miss(value, at))(self, (at, value.env, value))"
+EDGES_TEST = EVAL_TEST + "selection_edges_around_w"
 # `_scan`'s predicate call, and the count of the element as scanned once it answered
 SCAN_STEP = """            self.predicate_calls += 1
             self.rules += 1  # applying the predicate
@@ -151,6 +152,16 @@ MUTANTS = [
            'found {self.kinds[pos]!r}", self.span_at(pos - 1))', (FRONT_END_PIN,)),
     Mutant("lambda-alias-lexed-as-itself", SYNTAX, '"λ": "\\\\", ', "",
            (SYNTAX_TEST + "tokenize_symbols_and_lambda_alias", FRONT_END_PIN)),
+    Mutant("open-with-an-int-extent", EVAL, " and int not in map(type, closure.frame)", "",
+           (EDGES_TEST, DIGEST)),
+    Mutant("open-at-rank-0", EVAL, "closure.frame != () and ", "", (EDGES_TEST, DIGEST)),
+    Mutant("step-reads-open-frame-past-its-extent", EVAL,
+           "$t.open if $t.open and max($u).__class__ is int", "$t.open if $t.open",
+           (EDGES_TEST, DIGEST)),
+    Mutant("select-reads-open-frame-past-its-extent", EVAL,
+           "value.open if value.open and max(at).__class__ is int", "value.open if value.open",
+           (DIGEST,)),
+    Mutant("select1-reads-past-the-end", EVAL, "$a < len($t)", "$a <= len($t)", (EDGES_TEST,)),
     Mutant("no-literal-is-a-vector", EVAL, "{*map(type, node.elements)} <= {OrdinalConst}",
            "{*map(type, node.elements)} < {OrdinalConst}",
            (EVAL_TEST + "a_literal_of_constants_is_built_from_one_tuple",)),

@@ -14,6 +14,7 @@ the session's counters, the fuel left and the `letrec` depth left over:
   under the five configurations of `corpora.CONFIGS`;
 - each program of `REREAD` probed twice in one session at a cell that
   fails its shape check, under the same five configurations;
+- each program of `OPEN_READS`, under the same five configurations;
 - every shipped program at the indices of `examples_suite()`, under the
   same five configurations;
 - the pinned probes `nats.[2000]`, `ackermann.[3,6]` and Game of Life at
@@ -99,6 +100,12 @@ FUEL_PROGRAMS = [
 # of another shape; a cell that fails its check is not memoized, so a second probe
 # fails as the first did
 REREAD = [("imap [2] | [1] {_(iv): iv.[0]}", (0, 0)), ("imap [w] {_(iv): [iv.[0]]}", (1,))]
+# each reads one imap twice, the second time at a miss the first decided how to read (see
+# `ImapClosure.open`): an open frame past its extent, a frame that is not open, as it has an
+# int extent, past that extent, and a rank-0 frame, never open, twice (a miss with no memo)
+OPEN_READS = ["letrec r = imap [w, w] {_(iv): 0} in r.[1, 1] + r.[w, 0]",
+              "letrec r = imap [w, 3] {_(iv): 0} in r.[1, 1] + r.[1, 5]",
+              "letrec r = imap [] {_(iv): 7} in r.[] + r.[]"]
 
 
 def attempt(thunk):
@@ -162,7 +169,7 @@ def fusion(settings):
 def rows(sample=None):
     """The rows, in a fixed order.  With `sample`, each corpus gives only
     that many programs, picked with a fixed seed, and the shipped programs
-    at `examples_suite()`'s indices are left out; `FAULTS`, `REREAD`, the
+    at `examples_suite()`'s indices are left out; `FAULTS`, `REREAD`, `OPEN_READS`, the
     pinned probes and the `FUEL_PROGRAMS` sweeps are all kept."""
     corpora = [(False, corpus()), (True, list_corpus())]
     if sample is not None:
@@ -177,6 +184,9 @@ def rows(sample=None):
     for source, index in REREAD:
         for config in CONFIGS:
             yield run(source, [index, index], config, False)
+    for source in OPEN_READS:
+        for config in CONFIGS:
+            yield run(source, None, config, False)
     for name, probes in examples_suite() if sample is None else ():
         for config in CONFIGS:
             yield run(program_source(name), [index for index, _ in probes], config)

@@ -315,6 +315,12 @@ def test_selection_edges_around_w():
         ("[1, 2].[2]", "IndexOutOfBounds", "index [2] outside shape [2]"),
         ("[1, 2].[w]", "IndexOutOfBounds", "index [w] outside shape [2]"),
         ("[1, 2].[0, 0]", "RankMismatch", "index of length 2 into rank-1 array"),
+        # one imap read twice: the first read finds it open or not, and the second, with no
+        # memo hit, is still tested against its frame
+        ("letrec r = imap [w, w] {_(iv): 0} in r.[1, 1] + r.[w, 0]", "IndexOutOfBounds",
+         "index [w, 0] outside shape [w, w]"),
+        ("letrec r = imap [w, 3] {_(iv): 0} in r.[1, 1] + r.[1, 5]", "IndexOutOfBounds",
+         "index [1, 5] outside shape [w, 3]"),
     ]
     for config in (EvalConfig(), EvalConfig(memoize=False, strict_finite_imaps=True)):
         for src, kind, message in cases:
@@ -325,6 +331,8 @@ def test_selection_edges_around_w():
         assert val("(imap [w*2, 3] {_(iv): iv.[1]}).[w+7, 2]", config) == 2
         # a rank-0 imap cell is forced to its scalar
         assert val("[5, 6].(imap [1] {_(iv): imap [] {_(jv): 1}})", config) == 6
+        # a rank-0 frame is never open: its one index `[]` has no greatest component
+        assert val("letrec r = imap [] {_(iv): 7} in r.[] + r.[]", config) == 14
 
 
 ### ---- memoization ------------------------------------------------------------------
@@ -1054,7 +1062,8 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     assert text.count('"if $t.inner is not None and s.rules < s.limit:\\n    s.rules += 1\\n"') == 1
     assert text.count('_PROLOGUE.replace("$k", "1")') == 1  # a step's line `$prologue`
     assert {kind: step.count("$prologue") for kind, (_, step) in heh.eval._STEPS.items()
-            if "$prologue" in step} == {"apply": 1, "apply1": 1, "apply2": 1, "select": 3}
+            if "$prologue" in step} == {"apply": 1, "apply1": 1, "apply2": 1, "select": 3,
+                                                    "select1": 4}
     counting = sorted(function.name for function in ast.walk(ast.parse(text))
                       if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
                       if isinstance(node, ast.AugAssign)
@@ -1116,11 +1125,12 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     assert compiled == []
 
 
-# the line after each count of a step's own, with every temp named `t`: the
-# rule of the `apply`, `apply1` and `apply2` steps is "apply"
+# the line after each count of a step's own, with every temp named `t` and every
+# argument `a`: the rule of the `apply`, `apply1` and `apply2` steps is "apply", and of
+# the `select` and `select1` steps "select"
 OWN_COUNTS = {"apply": {"if t.__class__ is not FunClosure: t = s._function(t)",
                         "if t.__class__ is list: t, t = t[0](s, (t, t[1])), None"},
-              "select": {"t, t = t[t[0]], None", "t = t.memo.get(t)",
+              "select": {"t, t = t[t[0]], None", "t, t = t[a], None", "t = t.memo.get(t)",
                          "t, t, t = t, None, None"}}
 
 
@@ -1159,7 +1169,7 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
                 assert line.strip() == f"if s.rules > s.limit: s._short({k})", key
                 assert body[i - 1].strip() == f"s.rules += {k}" and nodes[i - 1] == node, key
                 if node < len(counted):  # an `apply` or `select` step's own count
-                    following = re.sub(r"\bt\d+", "t", body[i + 1].strip())
+                    following = re.sub(r"\b([ta])\d+", r"\1", body[i + 1].strip())
                     assert k == 1 and following in OWN_COUNTS[rules[node]], key
                 else:
                     counted += range(node, node + k)
@@ -1360,6 +1370,7 @@ def test_which_compiled_code_a_probe_calls():
 # the `Session` methods a compiled step or strict forcing would call if it
 # did not handle the common case itself, and `_miss`, which the `select` step,
 # `select` and strict forcing call for the body of a memo miss they run themselves
+# (but for an index of ints into an open imap, see `ImapClosure.open`)
 HELPERS = ("_apply", "_function", "_eval_imap", "_shape_of", "select", "_miss")
 
 
@@ -1385,11 +1396,11 @@ def test_which_helpers_a_probe_calls(config):
     `subv iv [1]` and selects `a.iv` and `b.iv` in two tuples in its body,
     all without a call.
     ackermann.[3,6] calls `select` only for the probe; its step reads a
-    memo hit of a selection `a.[...]` in the table itself, and calls
-    `_miss` once for each other entry of the table, on its one miss, and
-    once more for the probe's own, through `select`, though the table has
-    one partition;
-    `iv.[0]` and `iv.[1]` select in a tuple.  Forcing `v` strictly, once
+    memo hit of a selection `a.[...]` in the table itself.  `_miss` is
+    called once, for the probe's own miss, through `select`: it finds the
+    table open, one partition over `[w, w]`, so the step runs the body of
+    each other entry on its one miss without a call, as every index of ints
+    lies in that frame; `iv.[0]` and `iv.[1]` select in a tuple.  Forcing `v` strictly, once
     for each element of `[v, v]`, calls no helper: the first runs its body
     for each cell, and the second reads memo hits.  Strict forcing of a
     rank-2 imap of one partition runs its body for each cell with no call,
@@ -1403,9 +1414,8 @@ def test_which_helpers_a_probe_calls(config):
     none = dict.fromkeys(HELPERS, 0)
     r = evaluate(program_source("nats.heh"), config)
     assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 1, "_miss": 2001}
-    table = memoized_ackermann(3, 6)
     r = evaluate(program_source("ackermann.heh"), config)
-    assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": 1, "_miss": len(table)}
+    assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": 1, "_miss": 1}
     src = "letrec v = imap [3] {_(iv): iv.[0] + 1} in [v, v]"
     assert helper_calls(lambda: evaluate(src, config, prelude=False)) == none
     for src, misses, data in [
