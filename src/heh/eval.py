@@ -108,9 +108,9 @@ def _equal(lhs, rhs) -> bool:
 # run of `$k` nodes at once: their prologues at one indent, with only
 # `_QUIET` steps, which cannot call out or fault, between them.  When the
 # count passes the limit, `Session._short` runs out at the node of the run
-# that one prologue per node would.  A step's line `$prologue` is `_PROLOGUE` at
-# `$k = 1`, with which the `apply`, `select` and `select1` steps count as `_apply` and
-# `select` do; only these, `_scan` and, where fuel is left, `apply1` and `_eval_reduce` count.
+# that one prologue per node would.  A step's line `$prologue` is `_PROLOGUE` at `$k = 1`:
+# an application's, as `_apply` counts, and a selection's and its step into a cell; only these,
+# the helpers of `_out_of_fuel` and, where fuel is left, `apply1` and `_eval_reduce` count.
 Code = Callable
 
 _PROLOGUE = """\
@@ -125,22 +125,20 @@ if $t.__class__ is not int and $t.__class__ is not Ordinal: $t = s._force_scalar
 if $u.__class__ is not int and $u.__class__ is not Ordinal: $u = s._force_scalar($u)
 $check
 $apply"""  # of two ordinals, only `sub`, `//` and `%` fail: `Session._entry` reports it
-# the selection step: a tuple read by one natural in range (a vector's ints are naturals), and
-# an imap with no cell shape by an index of its rank as `select` reads it, with no frame between
-# levels; a miss runs the body `_miss` gives, or an open frame's (`ImapClosure.open`) if the
-# index's `max` is an int, so each component is (an int is below every Ordinal, see runtime)
+# the selection step, counted first: a tuple read by one natural in range (`$fit`, `$t[$i]`; a
+# vector's ints are naturals), an imap with no cell shape by an index of its rank as `select`
+# reads it, with no frame between levels, then the step into its cell counted; a miss runs the
+# body `_miss` gives, or an open frame's (`ImapClosure.open`) if the index's `max` is an int, so
+# each component is (an int is below every Ordinal, see runtime)
 _PICK = """\
-if $t.__class__ is tuple and len($u) == 1 and $u[0].__class__ is int and $u[0] < len($t):
-    $prologue
-    $t, $u = $t[$u[0]], None
+$prologue
+if $t.__class__ is tuple and $fit: $t, $u = $t[$i], None
 elif $t.__class__ is ImapClosure and not $t.cell and len($u) == len($t.frame):
-    $prologue
     $v = $t.memo.get($u)
     if $v is None: $v = ($t.open if $t.open and max($u).__class__ is int
                          else s._miss($t, $u))(s, ($u, $t.env, $t))
+    $prologue
     if $v.__class__ not in _SCALARS: $v = s.select($v, ())
-    else:
-        $prologue
     $t, $u, $v = $v, None, None
 else: $t, $u = s.select($t, $u), None"""
 _CHECK = ("if $t.__class__ is not int and $t.__class__ is not Ordinal or $u.__class__ is not "
@@ -182,11 +180,11 @@ _STEPS = {
     "hops": ("var", "$t = $env$hops[0]"),
     "var": ("var", "$t = s.env.get($a)\nif $t is None: raise Fault("
                    "'UnboundVariable', f\"unbound variable '{$a}'\")"),
-    "select": ("select", "@t\n@u\nif $u.__class__ is not tuple: "
-                         "$u = s._force_ordinal_vector($u, \"selection index\")\n" + _PICK),
+    "select": ("select", "@t\n@u\nif $u.__class__ is not tuple: $u = s._force_ordinal_vector($u, "
+               "\"selection index\")\n" + _PICK.replace("$fit", "len($u) == 1 and $u[0].__class__ "
+               "is int and $u[0] < len($t)").replace("$i", "$u[0]")),
     # `x.[k]` for a natural `k`, an argument: a tuple read with no test of the index
-    "select1": ("select", "@t\n@u\nif $t.__class__ is tuple and $a < len($t):\n    $prologue\n"
-                          "    $t, $u = $t[$a], None\nel" + _PICK),
+    "select1": ("select", "@t\n@u\n" + _PICK.replace("$fit", "$a < len($t)").replace("$i", "$a")),
     # `Session._apply` done here: count, follow a cell, check, call
     "apply": ("apply", "@t\n@u\n$prologue\n" + _IS_FUNCTION + _CALL),
     # `f a b`, after "Making a fast curry" (ICFP 2004): `f`'s inner body, if fuel is left for its
@@ -531,9 +529,9 @@ class Session:
 
     def _out_of_fuel(self) -> Fault:
         """The fault of a rule that found no fuel left, which `_short` raises.
-        Each rule counts itself inline, with `_PROLOGUE` or the same two
-        lines in `_apply`, `select` or `_scan`: `rules += k` for `k` rules,
-        then `_short(k)` if that passes `limit`."""
+        Each rule counts itself inline, with `_PROLOGUE` or the same two lines
+        in `_apply`, `select`, `_scan`, `_force_scalar` or `select_each`: `rules
+        += k` for `k` rules, then `_short(k)` if that passes `limit`."""
         return Fault("FuelExhausted", "evaluation fuel exhausted")
 
     def _short(self, k: int) -> NoReturn:
@@ -669,8 +667,8 @@ class Session:
     ### selection
 
     def select(self, value, index: ShapeVec):
-        self.rules += 1
-        if self.rules > self.limit: self._short(1)
+        """`value` at `index`, a selection its caller counted: only the step into an imap's
+        cell counts, once read, then a scalar cell is returned, or the rest selects in it."""
         if value.__class__ is Rec: value = self._value(value)  # a cell passed on
         cls = value.__class__
         if cls is tuple:  # the compiled `select` step reads one in range itself
@@ -686,10 +684,9 @@ class Session:
             cell = value.memo.get(at)  # a key is in range: only a body, run in range, writes one
             if cell is None: cell = (value.open if value.open and max(at).__class__ is int
                                      else self._miss(value, at))(self, (at, value.env, value))
-            if cell.__class__ not in _SCALARS: return self.select(cell, index[len(at):])
-            self.rules += 1  # the trailing `()` selection of a scalar cell, with no index left
+            self.rules += 1
             if self.rules > self.limit: self._short(1)
-            return cell
+            return cell if cell.__class__ in _SCALARS else self.select(cell, index[len(at):])
         if cls is FilterClosure:
             if len(index) != 1:
                 raise Fault("RankMismatch", "filter results are 1-dimensional")
@@ -747,16 +744,15 @@ class Session:
                 raise Fault("IndexOutOfBounds", f"filter scan passed the end of the argument "
                             f"(shape {render_shape(fc.arg_shape)}) looking for element "
                             f"[{xi + n}]")
+            self.rules += 1  # the selection
+            if self.rules > self.limit: self._short(1)
             if cells:  # `select`, the bounds just tested, reading the cell as strict forcing does
-                self.rules += 1
-                if self.rules > self.limit: self._short(1)
                 element = memo.get(index := (source,))
                 if element is None:
                     element = (code or self._miss(argument, index))(self, (index, env, argument))
-                if element.__class__ in _SCALARS:  # the trailing `()` selection
-                    self.rules += 1
-                    if self.rules > self.limit: self._short(1)
-                else: element = self.select(element, ())
+                self.rules += 1  # the step into the cell
+                if self.rules > self.limit: self._short(1)
+                if element.__class__ not in _SCALARS: element = self.select(element, ())
             else:
                 element = self.select(argument, (source,))
             self.predicate_calls += 1
@@ -782,6 +778,8 @@ class Session:
             return value
         shape = self._shape_of(value)
         if shape == ():
+            self.rules += 1  # the selection
+            if self.rules > self.limit: self._short(1)
             return self._force_scalar(self.select(value, ()))
         raise Fault("ShapeMismatch",
                     f"expected a scalar, got shape {render_shape(shape)}")
@@ -892,9 +890,11 @@ class Session:
         """`out(self.select_at(value, index))` for each of `indices` in turn, in one entry."""
         def run():
             for index in indices:
-                out(self._force_scalar(self.select(value, tuple(
-                    x if x.__class__ is int and x >= 0 else Ordinal._make(Ordinal(x).terms)
-                    for x in index))))
+                index = tuple(x if x.__class__ is int and x >= 0 else Ordinal._make(
+                    Ordinal(x).terms) for x in index)
+                self.rules += 1
+                if self.rules > self.limit: self._short(1)
+                out(self._force_scalar(self.select(value, index)))
         self._entry("select", run)
 
     def strict_at(self, value) -> Tuple[ShapeVec, list]:

@@ -7,6 +7,7 @@
     python tests/depth_probe.py --rss [N]
     python tests/depth_probe.py --traffic [SEED]
     python tests/depth_probe.py --front [SEED]
+    python tests/depth_probe.py --startup [N]
 
 For each of two shapes of recursion, `nats.[N]` on the shipped nats.heh
 (through an imap) and `go N` with `letrec go = \\k. if k = 0 then 0 else
@@ -42,8 +43,9 @@ at [2000, 0] and [1000, 0] over 1,000.
 
 `--compile` prints instead what building the prelude and evaluating the
 shipped programs compiles: the functions, characters and lines of generated
-source; the tracemalloc peak, and the memory still traced once the programs'
-values are dropped; the compiled bodies then alive, with the sums of their
+source, and how many of those lines are prologues that count rules; the
+tracemalloc peak, and the memory still traced once the programs' values are
+dropped; the compiled bodies then alive, with the sums of their
 `co_nlocals`, free variables and `co_stacksize` (the slots of their frames);
 and the seconds spent in `compile`, untraced, over `COMPILE_RUNS` processes.
 
@@ -78,6 +80,15 @@ the figure printed is the median over the entries.  It prints the same for
 `ackermann.heh`, run in a fresh session with the prelude (its value, the
 table, printed), and for the prelude, run in a bare session.  So the front
 end's share of an entry shows, layer by layer.
+
+`--startup` prints instead the milliseconds, median and range over N
+rounds (5 by default), of each part of starting heh afresh: a Python
+interpreter's start, the wall time of `python -c pass`; in a process of its
+own, `import heh` and the first build of the prelude, and within that build
+the time spent parsing, in `_source` and in `compile`; and the wall time of
+`python -m heh.cli -e "1 + 1"`.  Each process imports heh from a copy of
+`src` with no bytecode cache, as the other probes do, so importing includes
+compiling heh's own modules.
 
 Peak RSS is a high-water mark of the whole process, so each probe runs in a
 process of its own.  Linux keeps `ru_maxrss` across `exec`, so each such
@@ -324,8 +335,8 @@ from heh.prelude import _prelude_values, program_names, program_source
 sizes, seconds, source_of = [], [0.0], heh.eval._source
 
 def source(key):
-    made = source_of(key)
-    sizes.append((len(made[0]), made[0].count("\\n")))
+    made = source_of(key)  # a prologue is two lines, the second calls `_short`
+    sizes.append((len(made[0]), made[0].count("\\n"), 2 * made[0].count("s._short(")))
     return made
 
 def timed_compile(*args):
@@ -345,7 +356,8 @@ gc.collect()
 kept, peak = tracemalloc.get_traced_memory()
 codes = {f.__code__ for f in gc.get_objects() if f.__class__ is FunctionType
          and f.__code__.co_filename.startswith("<heh ") and f.__code__.co_name == "code"}
-print(json.dumps([len(sizes), sum(n for n, _ in sizes), sum(k for _, k in sizes), peak, kept,
+print(json.dumps([len(sizes), sum(n for n, _, _ in sizes), sum(k for _, k, _ in sizes),
+                  sum(p for _, _, p in sizes), peak, kept,
                   len(codes), sum(c.co_nlocals for c in codes),
                   sum(len(c.co_freevars) for c in codes), sum(c.co_stacksize for c in codes),
                   seconds[0]]))
@@ -355,15 +367,65 @@ COMPILE_RUNS = 5  # untraced processes that time `compile`
 
 def print_compile() -> None:
     traced = child(COMPILE_CHILD, "traced")
-    functions, chars, lines, peak, kept, codes, nlocals, free, stack, _ = traced
+    functions, chars, lines, prologue, peak, kept, codes, nlocals, free, stack, _ = traced
     times = sorted(child(COMPILE_CHILD, "untraced")[-1] for _ in range(COMPILE_RUNS))
     print(f"prelude and shipped programs: {functions} functions, {chars:,} characters and "
-          f"{lines:,} lines of generated source")
+          f"{lines:,} lines of generated source, {prologue:,} of them prologue lines "
+          f"({prologue / lines:.1%})")
     print(f"tracemalloc: peak {peak / 1024:,.0f} KB, kept {kept / 1024:,.0f} KB")
     print(f"{codes} compiled bodies alive: co_nlocals {nlocals}, free variables {free}, "
           f"co_stacksize {stack}")
     print(f"compile: {times[len(times) // 2] * 1000:.1f} ms, median of {COMPILE_RUNS} "
           f"processes ({times[0] * 1000:.1f}-{times[-1] * 1000:.1f} ms)")
+
+
+# for `--startup`: a process that imports heh and builds the prelude, timing the import, the
+# build, and within the build the parse, `_source` and `compile` (none calls another)
+BUILD_CHILD = """
+import json, time
+start = time.perf_counter()
+import heh
+imported, seconds = time.perf_counter(), [0.0, 0.0, 0.0]
+
+def timed(i, f):
+    def run(*args):
+        begin = time.perf_counter()
+        try:
+            return f(*args)
+        finally:
+            seconds[i] += time.perf_counter() - begin
+    return run
+
+heh.eval.parse_program, heh.eval._source, heh.eval.compile = (
+    timed(0, heh.eval.parse_program), timed(1, heh.eval._source), timed(2, compile))
+begin = time.perf_counter()
+heh.prelude._prelude_values()
+print(json.dumps([imported - start, time.perf_counter() - begin, *seconds]))
+"""
+# and one that times two commands of this interpreter, each to its end
+COMMAND_CHILD = """
+import json, subprocess, sys, time
+
+def wall(*args):
+    start = time.perf_counter()
+    subprocess.run([sys.executable, *args], check=True, capture_output=True)
+    return time.perf_counter() - start
+
+print(json.dumps([wall("-c", "pass"), wall("-m", "heh.cli", "-e", "1 + 1")]))
+"""
+STARTUP_ROWS = ("interpreter start (python -c pass)", "import heh", "first prelude build",
+                "  parse", "  _source", "  compile", "python -m heh.cli -e \"1 + 1\"")
+
+
+def print_startup(runs: int) -> None:
+    rows = [[] for _ in STARTUP_ROWS]
+    for _ in range(runs):
+        start, command = child(COMMAND_CHILD, "")
+        for row, seconds in zip(rows, [start, *child(BUILD_CHILD, ""), command]):
+            row.append(seconds * 1000)
+    for name, ms in zip(STARTUP_ROWS, map(sorted, rows)):
+        print(f"{name:<36}{statistics.median(ms):>8.1f} ms, median of {runs} processes "
+              f"({ms[0]:.1f}-{ms[-1]:.1f} ms)")
 
 
 # (entry, the errors of it a process keeps), for `--errors`: a fault 50,000
@@ -589,7 +651,13 @@ def main(argv=None) -> None:
                         help="print the microseconds a REPL entry of one repl_mix round at "
                         "SEED (default 3000), ackermann.heh and the prelude take to tokenize, "
                         "parse, compile, and run and print, only")
+    parser.add_argument("--startup", type=int, nargs="?", const=5, metavar="N",
+                        help="print the time of an interpreter's start, of importing heh, of "
+                        "the first prelude build and its parts, and of heh -e over N fresh "
+                        "processes (default 5), only")
     args = parser.parse_args(argv)
+    if args.startup is not None:
+        return print_startup(args.startup)
     if args.front is not None:
         return print_front(args.front)
     if args.traffic is not None:

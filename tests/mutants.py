@@ -62,6 +62,8 @@ READERS_TEST = EVAL_TEST + "every_reader_of_a_split_imap_agrees"
 NATURAL_BOX = "if l.__class__ is int and l <= i and (u.__class__ is not int or i < u): return code"
 SELECT_MISS = "else self._miss(value, at))(self, (at, value.env, value))"
 EDGES_TEST = EVAL_TEST + "selection_edges_around_w"
+SELECT_DOC = "or the rest selects in it.\"\"\"\n"  # the end of `select`'s docstring
+SHORT = "            if self.rules > self.limit: self._short(1)\n            "  # after a count
 # `_scan`'s predicate call, and the count of the element as scanned once it answered
 SCAN_STEP = """            self.predicate_calls += 1
             self.rules += 1  # applying the predicate
@@ -118,8 +120,24 @@ MUTANTS = [
            SELECT_MISS.replace("self._miss(value, at)", "value.partitions[0][1]"),
            (MISS_TEST, DIGEST)),
     Mutant("scan-uncounted-trailing-select", EVAL,
-           "# the trailing `()` selection\n                    self.rules += 1",
-           "# the trailing `()` selection\n                    self.rules += 0", (DIGEST,)),
+           "\n                self.rules += 1  # the step into the cell",
+           "\n                self.rules += 0  # the step into the cell", (DIGEST,)),
+    Mutant("scan-uncounted-selection", EVAL, "self.rules += 1  # the selection\n" + SHORT
+           + "if cells:", "self.rules += 0  # the selection\n" + SHORT + "if cells:", (DIGEST,)),
+    Mutant("pick-uncounted-selection", EVAL, '_PICK = """\\\n$prologue\n', '_PICK = """\\\n',
+           (DIGEST,)),
+    Mutant("pick-uncounted-step-into-cell", EVAL, "    $prologue\n    if $v.__class__ not in",
+           "    if $v.__class__ not in", (DIGEST,)),
+    Mutant("select-uncounted-step-into-cell", EVAL, "self.rules += 1\n" + SHORT + "return cell if",
+           "self.rules += 0\n" + SHORT + "return cell if", (DIGEST,)),
+    Mutant("select-counts-its-selection-again", EVAL, SELECT_DOC,
+           SELECT_DOC + "        self.rules += 1\n        if self.rules > self.limit: "
+           "self._short(1)\n", (DIGEST,)),
+    Mutant("select-each-uncounted", EVAL, "self.rules += 1\n    " + SHORT + "    out(",
+           "self.rules += 0\n    " + SHORT + "    out(", (DIGEST,)),
+    Mutant("force-scalar-uncounted", EVAL, "self.rules += 1  # the selection\n" + SHORT
+           + "return self._force_scalar(", "self.rules += 0  # the selection\n" + SHORT
+           + "return self._force_scalar(", (DIGEST,)),
     Mutant("scan-counts-before-the-predicate", EVAL, SCAN_STEP, SCAN_STEP[-30:]
            + SCAN_STEP[:-30], (EVAL_TEST + "failed_probe_leaves_the_session_able_to_reprobe",)),
     Mutant("run-prologue-counts-one-more", EVAL, '_PROLOGUE.replace("$k", str(k))',

@@ -14,7 +14,8 @@ the session's counters, the fuel left and the `letrec` depth left over:
   under the five configurations of `corpora.CONFIGS`;
 - each program of `REREAD` probed twice in one session at a cell that
   fails its shape check, under the same five configurations;
-- each program of `OPEN_READS`, under the same five configurations;
+- each program of `OPEN_READS` and of `FORCED`, under the same five
+  configurations;
 - every shipped program at the indices of `examples_suite()`, under the
   same five configurations;
 - the pinned probes `nats.[2000]`, `ackermann.[3,6]` and Game of Life at
@@ -106,6 +107,8 @@ REREAD = [("imap [2] | [1] {_(iv): iv.[0]}", (0, 0)), ("imap [w] {_(iv): [iv.[0]
 OPEN_READS = ["letrec r = imap [w, w] {_(iv): 0} in r.[1, 1] + r.[w, 0]",
               "letrec r = imap [w, 3] {_(iv): 0} in r.[1, 1] + r.[1, 5]",
               "letrec r = imap [] {_(iv): 7} in r.[] + r.[]"]
+# each forces a rank-0 imap to a scalar, selecting `[]` in it (see `Session._force_scalar`)
+FORCED = ["(imap [] {_(iv): 7}) + 1", "if imap [] {_(iv): true} then 1 else 2"]
 
 
 def attempt(thunk):
@@ -169,8 +172,8 @@ def fusion(settings):
 def rows(sample=None):
     """The rows, in a fixed order.  With `sample`, each corpus gives only
     that many programs, picked with a fixed seed, and the shipped programs
-    at `examples_suite()`'s indices are left out; `FAULTS`, `REREAD`, `OPEN_READS`, the
-    pinned probes and the `FUEL_PROGRAMS` sweeps are all kept."""
+    at `examples_suite()`'s indices are left out; `FAULTS`, `REREAD`, `OPEN_READS`,
+    `FORCED`, the pinned probes and the `FUEL_PROGRAMS` sweeps are all kept."""
     corpora = [(False, corpus()), (True, list_corpus())]
     if sample is not None:
         corpora = [(prelude, random.Random(7).sample(cases, sample)) for prelude, cases in corpora]
@@ -184,7 +187,7 @@ def rows(sample=None):
     for source, index in REREAD:
         for config in CONFIGS:
             yield run(source, [index, index], config, False)
-    for source in OPEN_READS:
+    for source in OPEN_READS + FORCED:
         for config in CONFIGS:
             yield run(source, None, config, False)
     for name, probes in examples_suite() if sample is None else ():

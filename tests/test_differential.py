@@ -183,7 +183,7 @@ def test_the_outcome_digest_still_takes_its_rows():
 
 # the digest of every outcome, counter and fuel read `outcome_digest.rows()`
 # takes; a change that moves it changed what a user can observe
-OUTCOME_DIGEST = "b2b79dadac46bb3813108b5cc63ff0fd901a0c0e06ec762992720c831925e857"
+OUTCOME_DIGEST = "eb5b6cb7f17fee6b28cd54d2f593a2862edef32d9becb4c074976481533cfdcf"
 
 
 def test_the_outcome_digest_is_pinned():

@@ -694,9 +694,9 @@ def test_fuel_runs_out_at_the_same_rule():
         ("reduce", 40), ("lambda", 47), ("const", 85),
         ("filter", 87), ("lambda", 95), ("array", 106),
         ("select", 107), ("var", 107), ("array", 109), ("const", 110),
-        ("select", 107),  # `select` itself, which evaluates the cell a.[1]:
+        ("select", 107),  # the selection step, which evaluates the cell a.[1]:
         ("select", 29), ("var", 29), ("array", 32), ("const", 33), ("select", 29),
-        ("select", 107),  # the trailing () selection of the scalar cell
+        ("select", 107),  # the step into the scalar cell
         ("select", 114), ("shape", 114), ("var", 115), ("array", 118),
         ("const", 119), ("select", 114),
         ("filter", 87), ("const", 100),  # the predicate on 1
@@ -770,8 +770,8 @@ def test_every_counted_rule_is_in_the_rule_inventory():
     # docs/semantics.md says which step counts as one rule: a table row for
     # each rule name compiled code reports, the count of a run that finds
     # too little fuel (`_short`), and the counts the compiled `apply` and
-    # `select` steps, `_apply`, `select` and a filter's `_scan` add; the
-    # program above is its worked example
+    # `select` steps, `_apply`, `select`, a filter's `_scan`, `_force_scalar`
+    # and `select_each` add; the program above is its worked example
     doc = (Path(__file__).parent.parent / "docs" / "semantics.md").read_text()
     names = {rule for rule, _ in heh.eval._STEPS.values() if rule is not None}
     assert len(names) == 14
@@ -779,6 +779,7 @@ def test_every_counted_rule_is_in_the_rule_inventory():
         assert f"\n| `{name}` |" in doc, name
     for counted in ("Session._short", "compiled `apply` step", "compiled `select` step",
                     "Session._apply", "Session.select", "Session._scan", "trailing `()`", "body_evals",
+                    "Session._force_scalar", "Session.select_each",
                     "predicate_calls", "The total is 49"):
         assert counted in doc, counted
 
@@ -1031,10 +1032,12 @@ def test_a_literal_of_constants_is_built_from_one_tuple():
 def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     """Every expression class compiles.  The prologue that counts a rule is
     written once; the compiled `apply` and `select` steps count with it too,
-    through their lines `$prologue`: an application, and a selection in a
-    tuple, in an imap and of a scalar cell's trailing `()`.  Besides it only
-    `_apply`, `select` and `_scan` count, with the same two lines (`select`
-    and `_scan` also a scalar cell's trailing `()`, as `_PICK` does),
+    through their lines `$prologue`: an application, and a selection, once
+    before it reads, and the step into an imap's cell once that is read.
+    Besides it only `_apply`, `select`, `_scan`, `_force_scalar` and
+    `select_each` count, with the same two lines (`select` and `_scan` the
+    step into a cell, as `_PICK` does; `_scan`, `_force_scalar` and
+    `select_each` the selection they make, which `select` does not count),
     and, each only where fuel is left for all it counts, the `apply1` step,
     the `lambda` rule of a body that is only a lambda, and `_eval_reduce`,
     that rule and the two applications around it.  An imap body's first
@@ -1062,17 +1065,17 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     assert text.count('"if $t.inner is not None and s.rules < s.limit:\\n    s.rules += 1\\n"') == 1
     assert text.count('_PROLOGUE.replace("$k", "1")') == 1  # a step's line `$prologue`
     assert {kind: step.count("$prologue") for kind, (_, step) in heh.eval._STEPS.items()
-            if "$prologue" in step} == {"apply": 1, "apply1": 1, "apply2": 1, "select": 3,
-                                                    "select1": 4}
+            if "$prologue" in step} == {"apply": 1, "apply1": 1, "apply2": 1, "select": 2,
+                                                    "select1": 2}
     counting = sorted(function.name for function in ast.walk(ast.parse(text))
                       if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
                       if isinstance(node, ast.AugAssign)
                       and getattr(node.target, "attr", "") == "rules")
-    assert counting == ["_apply", "_eval_reduce", "_scan", "_scan", "_scan", "_short", "select",
-                        "select"]
-    assert text.count("self.rules += 1") == 6
+    assert counting == ["_apply", "_eval_reduce", "_force_scalar", "_scan", "_scan", "_scan",
+                        "_short", "run", "select", "select_each"]  # `run`, in `select_each`
+    assert text.count("self.rules += 1") == 7
     assert text.count(" and self.rules < self.limit - 2:\n                self.rules += 3\n") == 1
-    assert text.count("if self.rules > self.limit: self._short(1)\n") == 6
+    assert text.count("if self.rules > self.limit: self._short(1)\n") == 7
     # an imap body counts its own evaluation; only a filter's helpers count predicate calls
     assert text.count("body_evals += ") == 1
     # and checks and memoizes its own cell: `_PICK`, `select`, `_scan` and strict forcing only
@@ -1130,8 +1133,10 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
 # the `select` and `select1` steps "select"
 OWN_COUNTS = {"apply": {"if t.__class__ is not FunClosure: t = s._function(t)",
                         "if t.__class__ is list: t, t = t[0](s, (t, t[1])), None"},
-              "select": {"t, t = t[t[0]], None", "t, t = t[a], None", "t = t.memo.get(t)",
-                         "t, t, t = t, None, None"}}
+              "select": {"if t.__class__ is tuple and len(t) == 1 and t[0].__class__ is int "
+                         "and t[0] < len(t): t, t = t[t[0]], None",
+                         "if t.__class__ is tuple and a < len(t): t, t = t[a], None",
+                         "if t.__class__ not in _SCALARS: t = s.select(t, ())"}}
 
 
 def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
@@ -1142,8 +1147,8 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
     there at the reader's node).  The merged prologues count each node
     once, in order: each counts its first node and the nodes after it.
     The `apply` step counts one more rule, of a node counted before, and
-    so does the `select` step, before it reads a tuple, reads an imap's
-    memo, or takes a scalar cell.
+    so does the `select` step, before its tuple test, and once more for the
+    step into an imap's cell, once read.
     No body loops: a name is read from its frame with no `Rec` cell to follow."""
     keys = []
     source_of = heh.eval._source

@@ -119,8 +119,8 @@ def test_scan_past_end_of_segment():
 
 
 # Each element the divergent scan inspects costs 7 rules: selecting it from
-# the imap, the imap's body `4`, the trailing `()` selection of the scalar
-# cell, applying the predicate, and its body `x > 4` (binop, var, const).
+# the imap, the imap's body `4`, the step into the scalar cell, applying
+# the predicate, and its body `x > 4` (binop, var, const).
 # After the 9 rules before the scan and 7,141 elements, the 7,142nd element
 # has its cell evaluated and its predicate applied, and the 50,001st rule,
 # the binop of that predicate's body, finds no fuel left.  Read off the
