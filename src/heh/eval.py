@@ -118,11 +118,12 @@ s.rules += $k
 if s.rules > s.limit: s._short($k)"""
 _ELEMENTS = 16  # the longest array literal whose elements each get a temp
 _QUIET = {"const", "hops", "lambda", *(f"vector{n}" for n in range(_ELEMENTS + 1))}
-_BINOP = """\
+_T, _U = (f"{x}.__class__ is not int and {x}.__class__ is not Ordinal" for x in ("$t", "$u"))
+_BINOP = f"""\
 @t
-if $t.__class__ is not int and $t.__class__ is not Ordinal: $t = s._force_scalar($t)
+?02 if {_T}: $t = s._force_scalar($t)
 @u
-if $u.__class__ is not int and $u.__class__ is not Ordinal: $u = s._force_scalar($u)
+?01 if {_U}: $u = s._force_scalar($u)
 $check
 $apply"""  # of two ordinals, only `sub`, `//` and `%` fail: `Session._entry` reports it
 # the selection step, counted first: a tuple read by one natural in range (`$fit`, `$t[$i]`; a
@@ -132,25 +133,25 @@ $apply"""  # of two ordinals, only `sub`, `//` and `%` fail: `Session._entry` re
 # each component is (an int is below every Ordinal, see runtime)
 _PICK = """\
 $prologue
-if $t.__class__ is tuple and $fit: $t, $u = $t[$i], None
-elif $t.__class__ is ImapClosure and not $t.cell and len($u) == len($t.frame):
-    $v = $t.memo.get($u)
-    if $v is None: $v = ($t.open if $t.open and max($u).__class__ is int
-                         else s._miss($t, $u))(s, ($u, $t.env, $t))
-    $prologue
-    if $v.__class__ not in _SCALARS: $v = s.select($v, ())
-    $t, $u, $v = $v, None, None
+?02 if $t.__class__ is tuple and $fit: $t, $u = $t[$i], None
+?13 if $fit: $t, $u = $t[$i], None
+?02 elif $t.__class__ is ImapClosure and not $t.cell and len($u) == len($t.frame):
+    ?02 $v = $t.memo.get($u)
+    ?02 if $v is None: $v = ($t.open if $t.open and max($u).__class__ is int
+                         ?02 else s._miss($t, $u))(s, ($u, $t.env, $t))
+    ?02 $prologue
+    ?02 if $v.__class__ not in _SCALARS: $v = s.select($v, ())
+    ?02 $t, $u, $v = $v, None, None
 else: $t, $u = s.select($t, $u), None"""
-_CHECK = ("if $t.__class__ is not int and $t.__class__ is not Ordinal or $u.__class__ is not "
-          "int and $u.__class__ is not Ordinal: raise Fault(\"ShapeMismatch\", \"'$op' needs "
-          "ordinal scalar operands\")")
+_CHECK = "\n".join(f"?{mask} if {test}: raise Fault(\"ShapeMismatch\", \"'$op' needs ordinal "
+                   "scalar operands\")" for mask, test in ((0, f"{_T} or {_U}"), (2, _T), (1, _U)))
 # an application of `$t` to `$u`: a cell followed and the function checked, then its body
 _IS_FUNCTION, _CALL = ("if $t.__class__ is not FunClosure: $t = s._function($t)\n",
                        "$t, $u = $t.code(s, ($u, $t.env)), None")
 _INTS = "$t.__class__ is int and $u.__class__ is int"  # Python's `-` where defined, and `=`
 _OPS = {"<": "$t < $u", "<=": "$t <= $u", ">": "$t > $u", ">=": "$t >= $u", "+": "$t + $u",
         "-": f"$t - $u if {_INTS} and $t >= $u >= 0 else sub($t, $u)", "*": "$t * $u",
-        "/": "$t // $u", "%": "$t % $u", "=": f"$t == $u if {_INTS} else _equal($t, $u)"}
+        "/": "$t // $u", "%": "$t % $u"}
 
 
 def _array(n: int) -> str:
@@ -158,9 +159,10 @@ def _array(n: int) -> str:
     its own, a vector of ordinals built inline, and the temps cleared."""
     temps = [f"$t{k}" for k in range(n)]
     ordinals = " and ".join(f"({t}.__class__ is int or {t}.__class__ is Ordinal)" for t in temps)
+    vector = f"$t = ({''.join(t + ', ' for t in temps)})"
     return "\n".join([f"@t{k}" for k in range(n)]
-                     + [f"if {ordinals or True}: $t = ({''.join(t + ', ' for t in temps)})",
-                        f"else: $t = s._nested_array([{', '.join(temps)}])"]
+                     + [f"?0 if {ordinals or True}: {vector}",
+                        f"?0 else: $t = s._nested_array([{', '.join(temps)}])", f"?1 {vector}"]
                      + [" = ".join(temps[1:] + ["None"])] * (n > 1))
 
 
@@ -174,15 +176,17 @@ def _array(n: int) -> str:
 # hole's code, another node's fields) and `$env` the variable that holds its
 # environment (a node's span is in `where`, see `_FUNCTION`).  A step reads this
 # module's globals, so a name only a step uses, such as `is_limit`, is imported.
+# A line tagged `?` and digits is kept only at the masks it lists (see `_flatten`): bit 1 is set
+# where the first operand has the fact its step asks for, 2 the second; none dropped could fail.
 _STEPS = {
     "const": ("const", "$t = $a"),
     # a name holds its value, or its empty `Rec` cell while its recursive definition runs
     "hops": ("var", "$t = $env$hops[0]"),
     "var": ("var", "$t = s.env.get($a)\nif $t is None: raise Fault("
                    "'UnboundVariable', f\"unbound variable '{$a}'\")"),
-    "select": ("select", "@t\n@u\nif $u.__class__ is not tuple: $u = s._force_ordinal_vector($u, "
-               "\"selection index\")\n" + _PICK.replace("$fit", "len($u) == 1 and $u[0].__class__ "
-               "is int and $u[0] < len($t)").replace("$i", "$u[0]")),
+    "select": ("select", "@t\n@u\n?01 if $u.__class__ is not tuple: $u = s._force_ordinal_vector("
+               "$u, \"selection index\")\n" + _PICK.replace("$fit", "len($u) == 1 and "
+               "$u[0].__class__ is int and $u[0] < len($t)").replace("$i", "$u[0]")),
     # `x.[k]` for a natural `k`, an argument: a tuple read with no test of the index
     "select1": ("select", "@t\n@u\n" + _PICK.replace("$fit", "$a < len($t)").replace("$i", "$a")),
     # `Session._apply` done here: count, follow a cell, check, call
@@ -196,7 +200,7 @@ _STEPS = {
                "$t[1])), None\nelse:\n" + textwrap.indent(_IS_FUNCTION + _CALL, "    ")),
     "cond": ("cond", """
         @t
-        if $t.__class__ is not bool: $t = s._force_scalar($t)
+        ?0 if $t.__class__ is not bool: $t = s._force_scalar($t)
         if $t is True:
             @t
         elif $t is False:
@@ -204,13 +208,16 @@ _STEPS = {
         else: raise Fault("ShapeMismatch", "the condition must be a boolean scalar")
         """),
     **{op: ("binop", _BINOP.replace("$apply", "$t, $u = $x, None").replace("$x", x)
-            .replace("$check", _CHECK.replace("$op", op) if op != "=" else ""))
-       for op, x in _OPS.items()},  # `=` also compares booleans
+            .replace("$check", _CHECK.replace("$op", op))) for op, x in _OPS.items()},
+    # `=` also compares booleans, and two known ordinals with no test of their classes
+    "=": ("binop", _BINOP.replace("$check", f"?012 $t, $u = $t == $u if {_INTS} else _equal($t, "
+                                  "$u), None").replace("$apply", "?3 $t, $u = $t == $u, None")),
     None: (None, "$t = $a(s, $env)"),  # a hole: the code of another node
     # an imap body, run by each reader of a cell in the env `(index, closure.env, closure)`,
     # counted, then its cell checked and memoized: a step with no rule or node that is no hole
-    "count": (None, "s.body_evals += 1\n@t\nif $t.__class__ not in _SCALARS or $env[2].cell: "
+    "count": (None, "s.body_evals += 1\n@t\n?0 if $t.__class__ not in _SCALARS or $env[2].cell: "
                     "s._check_cell($env[2], $env[0], $t)\n"
+                    "?1 if $env[2].cell: s._check_cell($env[2], $env[0], $t)\n"
                     "if s.config.memoize: $env[2].memo[$env[0]] = $t"),
     # an array literal of more than `_ELEMENTS` elements, from their codes
     "array": ("array", "$t = s._nested_array([element(s, $env) for element in $a])"),
@@ -231,9 +238,10 @@ _STEPS = {
         $t.value, $inner[0], $u = $u, $u, None
         @t
         """),
-    "let": ("letrec", "s._letrec_depth += 1\n@u\ns._letrec_depth -= 1\n"  # a letrec, no cell
+    "let": ("letrec", "?0 s._letrec_depth += 1\n@u\n?0 s._letrec_depth -= 1\n"  # no cell
                       "$inner, $u = ($u, $env), None\n@t"),
-    "shape": ("shape", "@t\n$t = (len($t),) if $t.__class__ is tuple else s._shape_of($t)"),
+    "shape": ("shape", "@t\n?0 $t = (len($t),) if $t.__class__ is tuple else s._shape_of($t)\n"
+                       "?1 $t = (len($t),)"),
     "islim": ("islim", """
         @t
         $t = s._force_scalar($t)
@@ -246,7 +254,7 @@ _STEPS = {
     # a lone `_(x)` generator, whose one box is the frame: no bounds, no partition check
     "imap_full": ("imap", """
         @t
-        if $t.__class__ is not tuple: $t = s._force_ordinal_vector($t, "frame shape")
+        ?0 if $t.__class__ is not tuple: $t = s._force_ordinal_vector($t, "frame shape")
         if s.config.strict_finite_imaps: $t = s._eval_imap($env, $t, $a, $b, $c)
         else: $t = ImapClosure($t, () if $a is None else s._force_ordinal_vector($a(s, $env),
               "cell shape"), $env, ((((0,) * len($t), $t), $c[0]),))
@@ -276,6 +284,11 @@ _KINDS = {Select: ("select", "array", "index"), Apply: ("apply", "fun", "arg"),
           ArrayLiteral: ("array",), Imap: ("imap", "frame"),
           **{cls: (keyword, *fields) for keyword, (cls, fields) in PREFIX_FORMS.items()}}
 _EXPRESSIONS = {Var, OrdinalConst, BoolConst, *_KINDS}  # every expression class
+# the markers of steps that run no compiled code and build no imap, settled as their
+# masks say: a `let` whose bound has only these needs no `_letrec_depth` (see `_eval_imap`)
+_NO_CODE = {*_QUIET, "var", "elem", ("select", 3), ("select1", 1), ("cond", 1), ("shape", 1),
+            ("let", 1), *((op, 3) for op in (*_OPS, "=")),
+            *((f"array{n}", 1) for n in range(_ELEMENTS + 1))}
 # a node opens at most one indented block, of which Python allows 100 nested;
 # compiling a function peaks at about 35 KB a node, which can set peak memory
 _NODES = 24
@@ -292,6 +305,30 @@ $body
 """)
 
 
+def _split(kind, rule: Optional[str], step: str) -> tuple:
+    """The step of `kind` as `_source` reads it, made once: its rule, the fields and temps it
+    names, whether it is `_QUIET`, and each line as (indent, a bit for each mask it is kept
+    at, item): for a child's lines (temp offset, whether they see a letrec's `$inner`), else a
+    Template."""
+    lines = []
+    for line in filter(None, textwrap.dedent(step).strip().split("\n")):
+        text, masks, indent = line.lstrip(), 15, len(line) - len(line.lstrip())
+        if text[:1] == "?":  # the masks it is kept at
+            tag, _, text = text.partition(" ")
+            masks = sum(1 << int(mask) for mask in tag[1:])
+        if text[:1] == "@":  # a letrec's children see its `$inner`, a let's body only
+            lines.append((indent, masks, (int(text[2:]) if text[2:] else "tuv".index(text[1]),
+                                          rule == "letrec" and (kind == "letrec" or text == "@t"))))
+        else:  # `$prologue` is `_PROLOGUE` at `$k = 1`: a rule of the step's own
+            lines += ((indent, masks, Template(x)) for x in (
+                _PROLOGUE.replace("$k", "1") if text == "$prologue" else text).split("\n"))
+    return (rule, [field for field in "abc" if "$" + field in step], kind in _QUIET,
+            _ELEMENTS * ("$t0" in step), tuple(lines))
+
+
+_LINES = {kind: _split(kind, rule, step) for kind, (rule, step) in _STEPS.items()}
+
+
 def _source(key: tuple) -> Tuple[str, tuple, tuple]:
     """The source of the `make(where, *args)` of the code `key` describes (see
     `_flatten`), its line table (the node of each line, whose span and rule a fault
@@ -303,14 +340,12 @@ def _source(key: tuple) -> Tuple[str, tuple, tuple]:
 
     def emit(h, pad, node, level):
         nonlocal run
-        marker = next(markers)
+        marker, mask = m if (m := next(markers)).__class__ is tuple else (m, 0)
         hops = marker.__class__ is int
-        kind = "hops" if hops else marker
-        rule, step = _STEPS[kind]
+        rule, fields, quiet, temps, lines = _LINES["hops" if hops else marker]
         names = {"t": f"t{h}", "u": f"t{h + 1}", "v": f"t{h + 2}", "env": f"env{level or ''}",
                  "inner": f"env{level + 1}", "hops": "[1]" * (hops and marker),
-                 **{f"t{k}": f"t{h + k}" for k in range(_ELEMENTS)}}
-        step = textwrap.dedent(step).strip()
+                 **{f"t{k}": f"t{h + k}" for k in range(temps)}}
         if rule is not None:  # a node, not a hole or the count
             node = len(rules)
             rules.append(rule)
@@ -321,24 +356,17 @@ def _source(key: tuple) -> Tuple[str, tuple, tuple]:
                 runs.append(run)
                 body.extend(("", ""))
                 nodes.extend((node, node))
-        for field in "abc":
-            if "$" + field in step:
-                names[field] = f"a{len(args)}"
-                args.append(names[field])
-        for line in step.split("\n"):
-            text = line.lstrip()
-            indent = pad + len(line) - len(text)
-            if text[:1] == "@":  # a letrec's children see its `$inner`, a let's body only
-                offset = int(text[2:]) if text[2:] else "tuv".index(text[1])
-                emit(h + offset, indent, node,
-                     level + (rule == "letrec" and (kind == "letrec" or text == "@t")))
-            elif text == "$prologue":  # a rule of the step's own: `_PROLOGUE` at `$k = 1`
-                body.extend(" " * indent + x for x in _PROLOGUE.replace("$k", "1").split("\n"))
-                nodes.extend((node, node))
-            elif text:
-                body.append(" " * indent + Template(text).substitute(names))
+        for field in fields:
+            names[field] = f"a{len(args)}"
+            args.append(names[field])
+        for indent, masks, item in lines:
+            if not masks >> mask & 1: continue  # a line its facts settle
+            if item.__class__ is tuple:
+                emit(h + item[0], pad + indent, node, level + item[1])
+            else:
+                body.append(" " * (pad + indent) + item.substitute(names))
                 nodes.append(node)
-                if kind not in _QUIET:
+                if not quiet:
                     run = None
 
     emit(0, 8, None, 0)  # an imap body's own lines, the count's, have no node
@@ -363,85 +391,115 @@ def _factory(key: tuple):
 _VALUE, _SPAN = operator.attrgetter("value"), operator.attrgetter("span")
 
 
-def _flatten(node: Expr, scope: Tuple[str, ...], key: list, spans: list, args: list):
-    """Append to `key` a marker for each node of the fused subtree at `node`, in
-    evaluation order, to `spans` its span, and to `args` a leaf's constant or
-    top-level name and the codes of lambda and imap bodies.  A lexically bound
-    name's marker is its depth in `env`.  A node past `_NODES` nodes, or a literal
-    of more than `_ELEMENTS` elements, is a hole: marker None, its code an argument."""
+def _flatten(node: Expr, scope: tuple, key: list, spans: list, args: list):
+    """Append to `key` a marker for each node of the fused subtree at `node`, in evaluation
+    order, to `spans` its span, and to `args` a leaf's constant or top-level name and the codes
+    of lambda and imap bodies; return its fact, the class its value is known to have: `Ordinal`
+    (an int or an Ordinal), `bool`, `tuple` (a vector of ordinals) or None.  `scope` holds the
+    names bound around it, innermost first, each followed by its fact; a name's marker is its
+    depth in `env`.  Where facts settle lines of its step (see `_STEPS`), a marker is `(marker,
+    mask)`: bit 1 for its first operand's, 2 its second's (a `let`'s 1: its bound runs
+    `_NO_CODE`).  A node past `_NODES` nodes, or a literal of more than `_ELEMENTS` elements,
+    is a hole: marker None, its code an argument."""
     cls = node.__class__
     if cls is Var and node.name in scope:
-        key.append(scope.index(node.name))
+        key.append((depth := scope.index(node.name)) >> 1)
         spans.append(node.span)
-    elif cls is Var or cls is OrdinalConst or cls is BoolConst:
+        return scope[depth + 1]
+    if cls is Var or cls is OrdinalConst or cls is BoolConst:
         key.append("var" if cls is Var else "const")
         spans.append(node.span)
         args.append(node.name if cls is Var else node.value)
-    elif len(key) < _NODES and (cls is not ArrayLiteral or len(node.elements) <= _ELEMENTS):
-        marker, *fields = _KINDS[cls]
-        children = map(node.__getattribute__, fields)  # no comprehension: no frame
-        key.append(marker or node.op)
-        spans.append(node.span)
-        if cls is ArrayLiteral and {*map(type, node.elements)} <= {OrdinalConst}:
-            key[-1] = f"vector{len(node.elements)}"  # then an "elem" for each element
-            args.append(tuple(map(_VALUE, node.elements)))
-            key += ["elem"] * len(node.elements)
-            spans += map(_SPAN, node.elements)
-        elif cls is ArrayLiteral:
-            key[-1] += str(len(node.elements))
-            children = node.elements
-        elif cls is Select and node.index.__class__ is ArrayLiteral:
-            k = node.index.elements  # `x.[k]` for a natural `k`, an argument of its step
-            if len(k) == 1 and k[0].__class__ is OrdinalConst and k[0].value.__class__ is int:
-                key[-1] = "select1"
-                args.append(k[0].value)
-        elif cls is Letrec:  # a "let" if its bound does not name it, which needs no cell
-            if names(node.bound, node.name): args.append(node.name)  # bound to a `Rec` cell
-            else:  # only the body is in the name's scope
-                key[-1], children = "let", [node.body]
-                _flatten(node.bound, scope, key, spans, args)
-            scope = (node.name,) + scope
-        elif cls is Lambda:
-            args += _lambda_codes(node, scope)
-        elif cls is Apply and node.fun.__class__ is Apply and len(key) < _NODES:
-            key[-1:], children = ["apply2", "apply1"], [node.fun.fun, node.fun.arg, node.arg]
-            spans.append(node.fun.span)  # of `f a`, after that of `f a b`
-        elif cls is Imap:  # a lone `_(x)` generator's imap is built in the step
-            gens = [(None, None) if isinstance(gen, Full) else
-                    (compile_expr(gen.lower, scope), compile_expr(gen.upper, scope))
-                    for gen, _ in node.partitions]
-            args += (None if node.cell is None else compile_expr(node.cell, scope), gens,
-                     [compile_expr(e, (gen.var,) + scope, True) for gen, e in node.partitions])
-            if gens == [(None, None)]: key[-1] = "imap_full"
-        for child in children:
-            _flatten(child, scope, key, spans, args)
-    else:
+        return None if cls is Var else Ordinal if cls is OrdinalConst else bool
+    if len(key) >= _NODES or cls is ArrayLiteral and len(node.elements) > _ELEMENTS:
         key.append(None)
         args.append(compile_expr(node, scope))
+        return None
+    at, (marker, *fields), mask, fact = len(key), _KINDS[cls], 0, None
+    key.append(marker or node.op)
+    spans.append(node.span)
+    if cls is BinOp:
+        mask = ((_flatten(node.lhs, scope, key, spans, args) is Ordinal)
+                | (_flatten(node.rhs, scope, key, spans, args) is Ordinal) << 1)
+        fact = bool if node.op in ("<", "<=", ">", ">=", "=") else Ordinal
+    elif cls is Select:
+        k = node.index.elements if node.index.__class__ is ArrayLiteral else ()
+        if len(k) == 1 and k[0].__class__ is OrdinalConst and k[0].value.__class__ is int:
+            key[at] = "select1"  # `x.[k]` for a natural `k`, an argument of its step
+            args.append(k[0].value)
+        mask = _flatten(node.array, scope, key, spans, args) is tuple
+        if _flatten(node.index, scope, key, spans, args) is tuple and key[at] == "select": mask |= 2
+        fact = Ordinal if mask & 1 else None  # a vector's element
+    elif cls is Shape:  # a vector; a vector's is its length
+        mask, fact = _flatten(node.arg, scope, key, spans, args) is tuple, tuple
+    elif cls is Cond:
+        mask = _flatten(node.test, scope, key, spans, args) is bool
+        fact = _flatten(node.then, scope, key, spans, args)
+        if _flatten(node.orelse, scope, key, spans, args) is not fact: fact = None
+    elif cls is ArrayLiteral and {*map(type, node.elements)} <= {OrdinalConst}:
+        key[at], fact = f"vector{len(node.elements)}", tuple  # then an "elem" for each element
+        args.append(tuple(map(_VALUE, node.elements)))
+        key += ["elem"] * len(node.elements)
+        spans += map(_SPAN, node.elements)
+    elif cls is ArrayLiteral:
+        key[at], mask = key[at] + str(len(node.elements)), 1
+        for element in node.elements:
+            mask &= _flatten(element, scope, key, spans, args) is Ordinal
+        fact = tuple if mask else None
+    elif cls is Letrec:  # a "let" if its bound does not name it: no cell, and only its
+        if names(node.bound, node.name):  # body in the name's scope; else a `Rec` cell's
+            args.append(node.name)
+            scope = (node.name, None) + scope
+        else: key[at] = "let"
+        start, bound = len(key), _flatten(node.bound, scope, key, spans, args)
+        if key[at] == "let":
+            mask = all(marker.__class__ is int or marker in _NO_CODE for marker in key[start:])
+            scope = (node.name, bound) + scope
+        fact = _flatten(node.body, scope, key, spans, args)
+    elif cls is Lambda:
+        args += _lambda_codes(node, scope)
+    elif cls is Imap:  # a lone `_(x)` generator's imap is built in the step
+        gens = [(None, None) if isinstance(gen, Full) else
+                (compile_expr(gen.lower, scope), compile_expr(gen.upper, scope))
+                for gen, _ in node.partitions]
+        args += (None if node.cell is None else compile_expr(node.cell, scope), gens,
+                 [compile_expr(e, (gen.var, tuple) + scope, True) for gen, e in node.partitions])
+        if gens == [(None, None)]: key[at] = "imap_full"
+        mask = _flatten(node.frame, scope, key, spans, args) is tuple and key[at] == "imap_full"
+    else:
+        if cls is Apply and node.fun.__class__ is Apply and len(key) < _NODES:
+            key[at:], fields = ["apply2", "apply1"], [node.fun.fun, node.fun.arg, node.arg]
+            spans.append(node.fun.span)  # of `f a`, after that of `f a b`
+        else: fields = map(node.__getattribute__, fields)  # no comprehension: no frame
+        for child in fields:
+            _flatten(child, scope, key, spans, args)
+        if marker == "islim": fact = bool
+    if mask: key[at] = (key[at], mask)
+    return fact
 
 
-def _lambda_codes(node: Lambda, scope: Tuple[str, ...]) -> Tuple[Code, Optional[Code]]:
+def _lambda_codes(node: Lambda, scope: tuple) -> Tuple[Code, Optional[Code]]:
     """The code of `node`'s body, and of its body's body if that is a lambda, else None."""
-    body, scope = node.body, (node.param,) + scope
+    body, scope = node.body, (node.param, None) + scope
     if body.__class__ is not Lambda: return compile_expr(body, scope), None
     codes, (make, nodes, rules) = _lambda_codes(body, scope), _factory(("lambda",))
     return make((nodes, rules, (body.span,)), *codes), codes[0]
 
 
-def compile_expr(node: Expr, scope: Tuple[str, ...] = (), body: bool = False) -> Code:
-    """The code of `node`; `scope` lists the names bound around it by
-    lambdas, `letrec`s and imap generators, innermost first.  The code of an
-    imap `body` first adds one to `body_evals`, and last checks and memoizes
-    its cell.  Source text reaches the code only as an argument, never as
-    Python source."""
+def compile_expr(node: Expr, scope: tuple = (), body: bool = False) -> Code:
+    """The code of `node`; `scope` holds the names bound around it by lambdas,
+    `letrec`s and imap generators, innermost first, each followed by its fact
+    (see `_flatten`).  The code of an imap `body` first adds one to `body_evals`,
+    and last checks and memoizes its cell, a test a scalar's fact settles.
+    Source text reaches the code only as an argument, never as Python source."""
     if node.__class__ not in _EXPRESSIONS:
         raise TypeError(f"not an expression: {node!r}")
+    key, spans, args, fact = [], [], [], None
     if node.__class__ is ArrayLiteral and len(node.elements) > _ELEMENTS:
         key, spans, args = ["array"], [node.span], [[compile_expr(e, scope) for e in node.elements]]
-    else:
-        key, spans, args = [], [], []
-        _flatten(node, scope, key, spans, args)
-    make, nodes, rules = _factory(("count",) * body + tuple(key))  # not counted in `_NODES`
+    else: fact = _flatten(node, scope, key, spans, args)
+    if body: key.insert(0, ("count", 1) if fact is Ordinal or fact is bool else "count")
+    make, nodes, rules = _factory(tuple(key))
     return make((nodes, rules, tuple(spans)), *args)
 
 

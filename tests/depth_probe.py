@@ -2,6 +2,7 @@
 
     python tests/depth_probe.py [--depths N ...] [--no-ceiling]
     python tests/depth_probe.py --calls
+    python tests/depth_probe.py --opcodes
     python tests/depth_probe.py --compile
     python tests/depth_probe.py --errors
     python tests/depth_probe.py --rss [N]
@@ -40,6 +41,17 @@ probes of distinct cells; and those that one level of a recursive imap
 with a cell shape makes (`CELLS`, each level a `select` of the level below,
 through `_check_bounds` and `_miss`), the difference between fresh probes
 at [2000, 0] and [1000, 0] over 1,000.
+
+`--opcodes` prints instead, from a `sys.settrace` opcode trace in this
+process, the bytecodes that one entry of the table behind a fresh
+`ackermann.[3,6]` runs (over its body evaluations), one `nats` level (the
+difference between fresh probes `nats.[2000]` and `nats.[1000]` over
+1,000) and one element of `SCAN` scanned past w (the difference between
+fuels 40,000 and 20,000 over the elements scanned between them), in every
+Python frame.  Each figure comes with the share of it spent in prologue
+lines of generated code, which count rules, and in its class-test lines,
+which read a `__class__` or `_SCALARS` (a line that does both is a
+prologue line; none does).
 
 `--compile` prints instead what building the prelude and evaluating the
 shipped programs compiles: the functions, characters and lines of generated
@@ -323,6 +335,95 @@ def print_calls() -> None:
     (short, c_short, *_), (long, c_long, *_) = cell_calls(1000), cell_calls(2000)
     print(f"{CELLS}: {(long - short) / 1000:.1f} Python calls and {(c_long - c_short) / 1000:.1f} "
           f"builtin calls a level (a.[2000, 0]: {long:,} and {c_long:,})")
+
+
+def line_kinds(source: str) -> list:
+    """For each line of generated `source`, from its first at index 1: 1 for a prologue
+    line, which counts rules, 2 for a class-test line, which reads a `__class__` or
+    `_SCALARS`, else 0."""
+    return [0] + [1 if "s.rules += " in line or "s._short(" in line
+                  else 2 if ".__class__" in line or "_SCALARS" in line else 0
+                  for line in source.split("\n")]
+
+
+def opcode_counter():
+    """(`count`, kinds): `count(thunk)` runs `thunk` and gives the bytecodes it ran in
+    every Python frame, and how many of them ran in prologue lines and in class-test
+    lines of generated code (see `line_kinds`), from a `sys.settrace` opcode trace.
+    From here on, each function compiled by `heh.eval` is known by its code object, so
+    the caches of compiled code and of the prelude are cleared first."""
+    import heh.eval
+    import heh.prelude
+    kinds = {}
+
+    def recorded(source, *args):
+        module = compile(source, *args)
+        todo, lines = [module], line_kinds(source)
+        while todo:  # `make`, and the `code` it returns
+            code = todo.pop()
+            kinds[code] = lines
+            todo += [c for c in code.co_consts if c.__class__ is module.__class__]
+        return module
+
+    heh.eval.compile = recorded
+    heh.eval._factory.cache_clear()
+    heh.prelude._prelude_values.cache_clear()
+
+    def count(thunk) -> list:
+        counts = [0, 0, 0]
+
+        def trace(frame, event, arg):  # a new frame
+            frame.f_trace_opcodes, lines = True, kinds.get(frame.f_code)
+
+            def local(frame, event, arg):
+                if event == "opcode":
+                    counts[0] += 1
+                    if lines is not None and lines[frame.f_lineno]:
+                        counts[lines[frame.f_lineno]] += 1
+                return local
+            frame.f_trace_lines = False
+            return local
+        sys.settrace(trace)
+        try:
+            thunk()
+        finally:
+            sys.settrace(None)
+        return counts
+    return count
+
+
+def print_opcodes() -> None:
+    count = opcode_counter()
+
+    def shares(total, prologue, tests, n):
+        return (f"{total / n:.1f} bytecodes {{}} ({total:,} over {n:,}), {prologue / total:.1%} "
+                f"in prologue lines and {tests / total:.1%} in class-test lines")
+
+    def fresh(program, index):
+        result = evaluate(program_source(program))
+        evals = result.session.stats["body_evals"]
+        counts = count(lambda: probe(result, index))
+        return counts, result.session.stats["body_evals"] - evals
+    counts, entries = fresh("ackermann.heh", [3, 6])
+    print("ackermann.[3,6]: " + shares(*counts, entries).format("a table entry"))
+    fresh("nats.heh", [10])  # builds the prelude
+    (short, _), (long, _) = fresh("nats.heh", [1000]), fresh("nats.heh", [2000])
+    print("nats: " + shares(*(b - a for a, b in zip(short, long)), 1000).format(
+        "a level, nats.[2000] less nats.[1000]"))
+
+    def scan(fuel):
+        session = Session(EvalConfig(fuel=fuel))
+
+        def run():
+            try:
+                session.eval_source(SCAN)
+            except EvalError:
+                pass
+        return count(run), session.stats["body_evals"]
+    scan(100)  # compiles the code both share
+    (short, s_short), (long, s_long) = scan(20_000), scan(40_000)
+    print(f"{SCAN}: " + shares(*(b - a for a, b in zip(short, long)), s_long - s_short).format(
+        "an element scanned past w, fuel 40,000 less 20,000"))
 
 
 COMPILE_CHILD = """
@@ -634,6 +735,10 @@ def main(argv=None) -> None:
                         "Life probes, a reduce element, a strictly forced imap cell, an element "
                         "a filter scans past w, a fresh probe of a split imap and a level of a "
                         "recursive imap with a cell shape make, only")
+    parser.add_argument("--opcodes", action="store_true",
+                        help="print the bytecodes an ackermann entry, a nats level and an "
+                        "element a filter scans past w run, with their shares in prologue and "
+                        "class-test lines, only")
     parser.add_argument("--compile", action="store_true",
                         help="print the source, memory and time that compiling the prelude "
                         "and the shipped programs takes, only")
@@ -668,6 +773,8 @@ def main(argv=None) -> None:
         return print_errors()
     if args.calls:
         return print_calls()
+    if args.opcodes:
+        return print_opcodes()
     if args.compile:
         return print_compile()
     print(f"python {sys.version.split()[0]}, RECURSION_LIMIT {RECURSION_LIMIT:,}")

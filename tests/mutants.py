@@ -54,6 +54,9 @@ class Mutant(NamedTuple):
 
 
 EVAL, RUNTIME, ORDINAL = "src/heh/eval.py", "src/heh/runtime.py", "src/heh/ordinal.py"
+# the `=` step's two last lines: with a test of its operands' classes, and with none
+EQUAL_TAGS = ('"?012 $t, $u = $t == $u if {_INTS} else _equal($t, "\n' + " " * 34
+              + '"$u), None").replace("$apply", "?3 ')
 SYNTAX, SYNTAX_TEST = "src/heh/syntax.py", "tests/test_syntax.py::test_"
 FRONT_END_PIN = SYNTAX_TEST + "the_front_end_is_pinned"
 MISS_TEST = "tests/test_runtime.py::test_a_miss_finds_the_box_box_contains_finds"
@@ -98,8 +101,8 @@ MUTANTS = [
            '"count": (None, "@t\\n', (DIGEST,)),
     Mutant("count-after-body", EVAL, '"count": (None, "s.body_evals += 1\\n@t\\n',
            '"count": (None, "@t\\ns.body_evals += 1\\n', (DIGEST,)),
-    Mutant("memo-before-check", EVAL, '@t\\nif $t.__class__ not in _SCALARS or',
-           '@t\\nif s.config.memoize: $env[2].memo[$env[0]] = $t\\nif $t.__class__ not in '
+    Mutant("memo-before-check", EVAL, '@t\\n?0 if $t.__class__ not in _SCALARS or',
+           '@t\\nif s.config.memoize: $env[2].memo[$env[0]] = $t\\n?0 if $t.__class__ not in '
            '_SCALARS or', (EVAL_TEST + "a_cell_that_fails_its_shape_check_is_not_memoized",
                            DIGEST)),
     Mutant("memo-write-dropped", EVAL, "if s.config.memoize: $env[2].memo[$env[0]] = $t",
@@ -126,8 +129,8 @@ MUTANTS = [
            + "if cells:", "self.rules += 0  # the selection\n" + SHORT + "if cells:", (DIGEST,)),
     Mutant("pick-uncounted-selection", EVAL, '_PICK = """\\\n$prologue\n', '_PICK = """\\\n',
            (DIGEST,)),
-    Mutant("pick-uncounted-step-into-cell", EVAL, "    $prologue\n    if $v.__class__ not in",
-           "    if $v.__class__ not in", (DIGEST,)),
+    Mutant("pick-uncounted-step-into-cell", EVAL, "    ?02 $prologue\n    ?02 if $v.__class__ not in",
+           "    ?02 if $v.__class__ not in", (DIGEST,)),
     Mutant("select-uncounted-step-into-cell", EVAL, "self.rules += 1\n" + SHORT + "return cell if",
            "self.rules += 0\n" + SHORT + "return cell if", (DIGEST,)),
     Mutant("select-counts-its-selection-again", EVAL, SELECT_DOC,
@@ -180,6 +183,18 @@ MUTANTS = [
            "value.open if value.open and max(at).__class__ is int", "value.open if value.open",
            (DIGEST,)),
     Mutant("select1-reads-past-the-end", EVAL, "$a < len($t)", "$a <= len($t)", (EDGES_TEST,)),
+    # each grants a fact (see `heh.eval._flatten`) where it does not hold
+    Mutant("unknown-array-gives-an-ordinal", EVAL, "fact = Ordinal if mask & 1 else None",
+           "fact = Ordinal", (DIGEST,)),
+    Mutant("unknown-test-taken-for-a-bool", EVAL,
+           "mask = _flatten(node.test, scope, key, spans, args) is bool",
+           "mask = _flatten(node.test, scope, key, spans, args) is bool or 1", (DIGEST,)),
+    Mutant("lambda-parameter-taken-for-a-vector", EVAL, "(node.param, None) + scope",
+           "(node.param, tuple) + scope", (DIGEST,)),
+    Mutant("application-runs-no-code", EVAL, '_NO_CODE = {*_QUIET,',
+           '_NO_CODE = {*_QUIET, "apply", "apply1", "apply2",', (READERS_TEST, DIGEST)),
+    Mutant("equal-settled-with-one-known-operand", EVAL, EQUAL_TAGS,
+           EQUAL_TAGS.replace("?012", "?02").replace("?3", "?13"), (DIGEST,)),
     Mutant("no-literal-is-a-vector", EVAL, "{*map(type, node.elements)} <= {OrdinalConst}",
            "{*map(type, node.elements)} < {OrdinalConst}",
            (EVAL_TEST + "a_literal_of_constants_is_built_from_one_tuple",)),

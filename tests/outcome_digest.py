@@ -16,6 +16,8 @@ the session's counters, the fuel left and the `letrec` depth left over:
   fails its shape check, under the same five configurations;
 - each program of `OPEN_READS` and of `FORCED`, under the same five
   configurations;
+- each program of `SETTLED`, probed where it gives a probe, under the same
+  five configurations;
 - every shipped program at the indices of `examples_suite()`, under the
   same five configurations;
 - the pinned probes `nats.[2000]`, `ackermann.[3,6]` and Game of Life at
@@ -109,6 +111,16 @@ OPEN_READS = ["letrec r = imap [w, w] {_(iv): 0} in r.[1, 1] + r.[w, 0]",
               "letrec r = imap [] {_(iv): 7} in r.[] + r.[]"]
 # each forces a rank-0 imap to a scalar, selecting `[]` in it (see `Session._force_scalar`)
 FORCED = ["(imap [] {_(iv): 7}) + 1", "if imap [] {_(iv): true} then 1 else 2"]
+# (program, probes or None) on the paths where the compiler settles a class test (see
+# `heh.eval._flatten`): a fault in a `let` bound with no `_letrec_depth` lines and at a `-`
+# of two known ordinals, operands of mixed or wrong facts, where nothing is settled, and
+# bounds that build an imap, and that apply a function that does, which keep their depth
+# lines (so a strict configuration leaves the imap lazy)
+SETTLED = [("imap [w] {_(iv): letrec m = iv.[1] in m}", [(0,)]),
+           ("imap [w] {_(iv): iv.[0] - 1}", [(0,)]),
+           ("1 = true", None), ("true + 1", None), ("if 1 then 2 else 3", None),
+           ("letrec b = imap [3] {_(jv): jv.[0]} in b.[1]", None),
+           ("letrec b = (\\k. imap [3] {_(jv): jv.[0] + k}) 1 in b.[1]", None)]
 
 
 def attempt(thunk):
@@ -173,7 +185,7 @@ def rows(sample=None):
     """The rows, in a fixed order.  With `sample`, each corpus gives only
     that many programs, picked with a fixed seed, and the shipped programs
     at `examples_suite()`'s indices are left out; `FAULTS`, `REREAD`, `OPEN_READS`,
-    `FORCED`, the pinned probes and the `FUEL_PROGRAMS` sweeps are all kept."""
+    `FORCED`, `SETTLED`, the pinned probes and the `FUEL_PROGRAMS` sweeps are all kept."""
     corpora = [(False, corpus()), (True, list_corpus())]
     if sample is not None:
         corpora = [(prelude, random.Random(7).sample(cases, sample)) for prelude, cases in corpora]
@@ -190,6 +202,9 @@ def rows(sample=None):
     for source in OPEN_READS + FORCED:
         for config in CONFIGS:
             yield run(source, None, config, False)
+    for source, probes in SETTLED:
+        for config in CONFIGS:
+            yield run(source, probes, config, False)
     for name, probes in examples_suite() if sample is None else ():
         for config in CONFIGS:
             yield run(program_source(name), [index for index, _ in probes], config)

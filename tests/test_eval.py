@@ -7,6 +7,7 @@ computed index arithmetic.
 
 import ast
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -1079,9 +1080,10 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     # an imap body counts its own evaluation; only a filter's helpers count predicate calls
     assert text.count("body_evals += ") == 1
     # and checks and memoizes its own cell: `_PICK`, `select`, `_scan` and strict forcing only
-    # read the memo and run the body
+    # read the memo and run the body (the check's two lines are one, with and with no test
+    # of a scalar, which a scalar body's fact settles)
     count = heh.eval._STEPS["count"][1]
-    assert text.count("._check_cell(") == count.count("._check_cell(") == 1
+    assert text.count("._check_cell(") == count.count("._check_cell(") == 2
     assert text.count(".memo[") == count.count(".memo[") == 1
     assert text.count(".memo.get(") == 2 and text.count("memo.get(") == 4
     assert sorted((function.name, node.target.attr) for function in ast.walk(ast.parse(text))
@@ -1093,7 +1095,7 @@ def test_scalar_subtrees_compile_to_one_function(monkeypatch):
     def key_of(src):
         node = heh.syntax.parse_expr(src)
         key, spans, args = [], [], []
-        heh.eval._flatten(node.body, (node.param,), key, spans, args)
+        heh.eval._flatten(node.body, (node.param, None), key, spans, args)
         return tuple(key), [src[span.begin:span.end] for span in spans], args
 
     key, spans, args = key_of("\\depth. if depth then ceiling else 7919")
@@ -1136,6 +1138,10 @@ OWN_COUNTS = {"apply": {"if t.__class__ is not FunClosure: t = s._function(t)",
               "select": {"if t.__class__ is tuple and len(t) == 1 and t[0].__class__ is int "
                          "and t[0] < len(t): t, t = t[t[0]], None",
                          "if t.__class__ is tuple and a < len(t): t, t = t[a], None",
+                         # of a known vector, with no class test
+                         "if len(t) == 1 and t[0].__class__ is int and t[0] < len(t): "
+                         "t, t = t[t[0]], None",
+                         "if a < len(t): t, t = t[a], None",
                          "if t.__class__ not in _SCALARS: t = s.select(t, ())"}}
 
 
@@ -1165,7 +1171,7 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
         body = lines[2:end]  # the line `tb_lineno - 3` indexes from
         assert not re.search(r"\btry:|\bexcept\b|EvalError", source), key
         assert len(nodes) == len(body), key
-        own = [0, len(body) - 2, len(body) - 1] if key[0] == "count" else []
+        own = [0, len(body) - 2, len(body) - 1] if key[0] in ("count", ("count", 1)) else []
         assert [i for i, node in enumerate(nodes) if node is None] == own, key
         counted = []
         for i, (line, node) in enumerate(zip(body, nodes)):
@@ -1187,6 +1193,62 @@ def test_each_line_of_a_compiled_body_has_its_node(monkeypatch):
                 if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
                 if isinstance(node, ast.ExceptHandler) and "Fault" in ast.unparse(node.type)]
     assert catching == ["_entry"]
+
+
+# the sha256 of `generated_source` at this tree; a change that moves it changed the
+# source the compiler writes, its line tables or its rules
+SOURCE_PIN = "8d4ec7ee5cecf5afa841d39edf67a4cdd458b679c735ef7825b852711aa7ece8"
+
+
+def generated_source(monkeypatch) -> str:
+    """The sha256 over `repr(_source(key))` for each key that compiling the prelude,
+    the shipped programs and both corpora makes, in the order each is first made."""
+    keys = []
+    source_of = heh.eval._source
+    monkeypatch.setattr(heh.eval, "_source", lambda key: keys.append(key) or source_of(key))
+    heh.eval._factory.cache_clear()
+    for src in ([prelude_source()] + [program_source(name) for name in program_names()]
+                + [src for src, _ in corpus() + list_corpus()]):
+        heh.eval.compile_program(src)
+    hashed = hashlib.sha256()
+    for key in dict.fromkeys(keys):
+        hashed.update(repr(source_of(key)).encode() + b"\n")
+    return hashed.hexdigest()
+
+
+def test_the_generated_source_is_pinned(monkeypatch):
+    assert generated_source(monkeypatch) == SOURCE_PIN
+
+
+def test_the_compiler_leaves_out_the_class_tests_it_settles(monkeypatch):
+    """A class test on a value whose class the compiler knows (its fact, see
+    `heh.eval._flatten`) is not in the generated source.  In the imap body, the
+    generator's name is a vector, so `iv.[0]` reads it with no tuple test and gives an
+    ordinal; `m` names that ordinal, so `m + 1` has no guard or check, and gives an
+    ordinal, so the cell check has no scalar test; and the `let` bound, a read of a
+    vector, runs no code, so it needs no `_letrec_depth` lines.  The frame `[w, w]` is a
+    vector, which the `imap_full` step does not test; the outer `let`'s bound builds an
+    imap, so it keeps its depth lines.  A lambda parameter's class is unknown, so the
+    body of `\\x. x + 1` keeps the guard of `x`, and only that."""
+    sources = []
+    source_of = heh.eval._source
+    monkeypatch.setattr(heh.eval, "_source",
+                        lambda key: sources.append(source_of(key)[0]) or source_of(key))
+    heh.eval._factory.cache_clear()
+    src = "letrec a = imap [w, w] {_(iv): letrec m = iv.[0] in m + 1} in a"
+    heh.eval.compile_expr(heh.syntax.parse_expr(src))
+    body, outer = sources  # the body is compiled as the outer code is flattened
+    for test in ("_force_scalar", "__class__ is tuple", "__class__ is not tuple", "_SCALARS",
+                 "Ordinal", "_letrec_depth"):
+        assert test not in body, test
+    assert "_force_scalar" not in outer and "tuple" not in outer
+    assert outer.count("s._letrec_depth") == 2
+    result = evaluate(src, prelude=False)
+    assert probe(result, [2, 5]) == 3
+    sources.clear()
+    heh.eval.compile_expr(heh.syntax.parse_expr("\\x. x + 1"))
+    body = sources[0]
+    assert body.count("t0 = s._force_scalar(t0)") == 1 and "t1.__class__" not in body
 
 
 def test_compiled_code_adds_no_slot_to_its_frame(monkeypatch):
