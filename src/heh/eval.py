@@ -6,14 +6,15 @@ Lapalme, "Using closures for code generation", 1987).  A body is one
 function, whose statements are each node's prologue and step in evaluation
 order (a superoperator, after Proebsting, "Optimizing an ANSI C interpreter
 with superoperators", POPL 1995).  A new function starts only at a lambda or
-imap body, an imap's bounds and cell shape, a long array literal, and past
-a budget of nodes.  All come from one template and the steps in `_STEPS`,
-and are cached by the shape of the subtree.  A name bound by a lambda, a
-`letrec` or an imap generator is resolved at compile time to its depth in
-`env`, a chain of `(value, parent)` pairs (a recursive `letrec`'s is a list,
-set to its value once its bound returns); any other name is looked up in
-the top-level frame, the dict `Session.env`, when it is evaluated.  Compiled
-code holds no session state, so the prelude's functions serve every session.
+imap body, an imap's bounds and cell shape, an element of a long array
+literal (the literal is a node of its parent), and past a budget of nodes.
+All come from one template and the steps in `_STEPS`, and are cached by the
+shape of the subtree.  A name bound by a lambda, a `letrec` or an imap
+generator is resolved at compile time to its depth in `env`, a chain of
+`(value, parent)` pairs (a recursive `letrec`'s is a list, set to its value
+once its bound returns); any other name is looked up in the top-level frame,
+the dict `Session.env`, when it is evaluated.  Compiled code holds no session
+state, so the prelude's functions serve every session.
 
 Values are plain Python objects (see `runtime`); an ordinal below w is an
 `int`, so index arithmetic on naturals is Python's own.  Evaluation is strict
@@ -161,7 +162,7 @@ def _array(n: int) -> str:
     ordinals = " and ".join(f"({t}.__class__ is int or {t}.__class__ is Ordinal)" for t in temps)
     vector = f"$t = ({''.join(t + ', ' for t in temps)})"
     return "\n".join([f"@t{k}" for k in range(n)]
-                     + [f"?0 if {ordinals or True}: {vector}",
+                     + [f"?0 if {ordinals}: {vector}",
                         f"?0 else: $t = s._nested_array([{', '.join(temps)}])", f"?1 {vector}"]
                      + [" = ".join(temps[1:] + ["None"])] * (n > 1))
 
@@ -219,9 +220,10 @@ _STEPS = {
                     "s._check_cell($env[2], $env[0], $t)\n"
                     "?1 if $env[2].cell: s._check_cell($env[2], $env[0], $t)\n"
                     "if s.config.memoize: $env[2].memo[$env[0]] = $t"),
-    # an array literal of more than `_ELEMENTS` elements, from their codes
-    "array": ("array", "$t = s._nested_array([element(s, $env) for element in $a])"),
-    **{f"array{n}": ("array", _array(n)) for n in range(_ELEMENTS + 1)},
+    # a literal of more than `_ELEMENTS` elements, from their codes (a comprehension is a frame)
+    "array": ("array", "$t = []\nfor $u in $a: $t.append($u(s, $env))\n"
+                       "$t, $u = s._nested_array($t), None"),
+    **{f"array{n}": ("array", _array(n)) for n in range(1, _ELEMENTS + 1)},
     # a literal of ordinal constants: its vector, an argument, after its elements'
     # rules; "elem" is such an element, which has a rule and no step
     **{f"vector{n}": ("array", "@t\n" * n + "$t = $a") for n in range(_ELEMENTS + 1)},
@@ -240,15 +242,9 @@ _STEPS = {
         """),
     "let": ("letrec", "?0 s._letrec_depth += 1\n@u\n?0 s._letrec_depth -= 1\n"  # no cell
                       "$inner, $u = ($u, $env), None\n@t"),
-    "shape": ("shape", "@t\n?0 $t = (len($t),) if $t.__class__ is tuple else s._shape_of($t)\n"
-                       "?1 $t = (len($t),)"),
-    "islim": ("islim", """
-        @t
-        $t = s._force_scalar($t)
-        if $t.__class__ is not int and $t.__class__ is not Ordinal:
-            raise Fault("ShapeMismatch", "islim needs an ordinal scalar")
-        $t = is_limit($t)
-        """),
+    "shape": ("shape", "@t\n$t = (len($t),) if $t.__class__ is tuple else s._shape_of($t)"),
+    "islim": ("islim", f"@t\nif {_T}: $t = s._force_scalar($t)\nif {_T}: raise Fault("
+                       "\"ShapeMismatch\", \"islim needs an ordinal scalar\")\n$t = is_limit($t)"),
     # the rarer rules end in a Session method, given the compiled bodies
     "imap": ("imap", "@t\n$t = s._eval_imap($env, $t, $a, $b, $c)"),
     # a lone `_(x)` generator, whose one box is the frame: no bounds, no partition check
@@ -286,9 +282,8 @@ _KINDS = {Select: ("select", "array", "index"), Apply: ("apply", "fun", "arg"),
 _EXPRESSIONS = {Var, OrdinalConst, BoolConst, *_KINDS}  # every expression class
 # the markers of steps that run no compiled code and build no imap, settled as their
 # masks say: a `let` whose bound has only these needs no `_letrec_depth` (see `_eval_imap`)
-_NO_CODE = {*_QUIET, "var", "elem", ("select", 3), ("select1", 1), ("cond", 1), ("shape", 1),
-            ("let", 1), *((op, 3) for op in (*_OPS, "=")),
-            *((f"array{n}", 1) for n in range(_ELEMENTS + 1))}
+_NO_CODE = {*_QUIET, "var", "elem", ("select1", 1), ("cond", 1), ("let", 1),
+            *((op, 3) for op in (*_OPS, "=")), *((f"array{n}", 1) for n in range(1, _ELEMENTS + 1))}
 # a node opens at most one indented block, of which Python allows 100 nested;
 # compiling a function peaks at about 35 KB a node, which can set peak memory
 _NODES = 24
@@ -399,8 +394,9 @@ def _flatten(node: Expr, scope: tuple, key: list, spans: list, args: list):
     names bound around it, innermost first, each followed by its fact; a name's marker is its
     depth in `env`.  Where facts settle lines of its step (see `_STEPS`), a marker is `(marker,
     mask)`: bit 1 for its first operand's, 2 its second's (a `let`'s 1: its bound runs
-    `_NO_CODE`).  A node past `_NODES` nodes, or a literal of more than `_ELEMENTS` elements,
-    is a hole: marker None, its code an argument."""
+    `_NO_CODE`).  A literal of more than `_ELEMENTS` elements is an `array` node, the codes of
+    its elements an argument; a node past `_NODES` nodes is a hole: marker None, its code an
+    argument."""
     cls = node.__class__
     if cls is Var and node.name in scope:
         key.append((depth := scope.index(node.name)) >> 1)
@@ -411,7 +407,7 @@ def _flatten(node: Expr, scope: tuple, key: list, spans: list, args: list):
         spans.append(node.span)
         args.append(node.name if cls is Var else node.value)
         return None if cls is Var else Ordinal if cls is OrdinalConst else bool
-    if len(key) >= _NODES or cls is ArrayLiteral and len(node.elements) > _ELEMENTS:
+    if len(key) >= _NODES:
         key.append(None)
         args.append(compile_expr(node, scope))
         return None
@@ -430,12 +426,12 @@ def _flatten(node: Expr, scope: tuple, key: list, spans: list, args: list):
         mask = _flatten(node.array, scope, key, spans, args) is tuple
         if _flatten(node.index, scope, key, spans, args) is tuple and key[at] == "select": mask |= 2
         fact = Ordinal if mask & 1 else None  # a vector's element
-    elif cls is Shape:  # a vector; a vector's is its length
-        mask, fact = _flatten(node.arg, scope, key, spans, args) is tuple, tuple
     elif cls is Cond:
         mask = _flatten(node.test, scope, key, spans, args) is bool
         fact = _flatten(node.then, scope, key, spans, args)
         if _flatten(node.orelse, scope, key, spans, args) is not fact: fact = None
+    elif cls is ArrayLiteral and len(node.elements) > _ELEMENTS:
+        args.append([compile_expr(e, scope) for e in node.elements])
     elif cls is ArrayLiteral and {*map(type, node.elements)} <= {OrdinalConst}:
         key[at], fact = f"vector{len(node.elements)}", tuple  # then an "elem" for each element
         args.append(tuple(map(_VALUE, node.elements)))
@@ -473,7 +469,7 @@ def _flatten(node: Expr, scope: tuple, key: list, spans: list, args: list):
         else: fields = map(node.__getattribute__, fields)  # no comprehension: no frame
         for child in fields:
             _flatten(child, scope, key, spans, args)
-        if marker == "islim": fact = bool
+        fact = bool if marker == "islim" else tuple if marker == "shape" else None
     if mask: key[at] = (key[at], mask)
     return fact
 
@@ -494,10 +490,8 @@ def compile_expr(node: Expr, scope: tuple = (), body: bool = False) -> Code:
     Source text reaches the code only as an argument, never as Python source."""
     if node.__class__ not in _EXPRESSIONS:
         raise TypeError(f"not an expression: {node!r}")
-    key, spans, args, fact = [], [], [], None
-    if node.__class__ is ArrayLiteral and len(node.elements) > _ELEMENTS:
-        key, spans, args = ["array"], [node.span], [[compile_expr(e, scope) for e in node.elements]]
-    else: fact = _flatten(node, scope, key, spans, args)
+    key, spans, args = [], [], []
+    fact = _flatten(node, scope, key, spans, args)
     if body: key.insert(0, ("count", 1) if fact is Ordinal or fact is bool else "count")
     make, nodes, rules = _factory(tuple(key))
     return make((nodes, rules, tuple(spans)), *args)

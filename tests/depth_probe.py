@@ -80,7 +80,13 @@ process, the calls of each function of `src/heh` in one round of each workload
 of `perfbench/workloads.py` at SEED (3000 by default), and, per module, the
 statement lines of its functions that no workload ran.  It first clears the
 prelude's cache and the compiler's, so that building the prelude and
-compiling are counted.  So a fast path that no workload takes shows.
+compiling are counted.  It then prints the nodes of each kind of step
+(`heh.eval._STEPS`) at each mask that each round compiles, the prelude's
+included: the markers of every distinct key the round passes to the
+compiler, cache hits too, with the prelude's keys.  Last it names the kinds,
+and the tagged variants of a step (the masks that keep the same lines, named
+by the least), that no workload compiles.  So a fast path that no workload
+takes shows.
 
 `--front` prints instead, in this process, the microseconds that each layer
 takes of a REPL entry: tokenizing, parsing the tokens, compiling the forms,
@@ -126,6 +132,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
+import heh.eval  # noqa: E402
 from heh.eval import (  # noqa: E402
     RECURSION_LIMIT, EvalConfig, EvalError, Session, _check_bounds, compile_expr, evaluate,
     new_session, probe,
@@ -352,7 +359,6 @@ def opcode_counter():
     lines of generated code (see `line_kinds`), from a `sys.settrace` opcode trace.
     From here on, each function compiled by `heh.eval` is known by its code object, so
     the caches of compiled code and of the prelude are cleared first."""
-    import heh.eval
     import heh.prelude
     kinds = {}
 
@@ -616,15 +622,58 @@ def statement_lines(code, lines: dict) -> dict:
     return lines
 
 
+def variants() -> dict:
+    """Each kind of step of `heh.eval._LINES` -> {mask: the least mask that keeps the same
+    lines}, over the masks up to the highest its tags name (1, or 3 for a tag of 2 or 3)."""
+    table = {}
+    for kind, (*_, lines) in heh.eval._LINES.items():
+        kept = [bits for _, bits, _ in lines]
+        masks = range(2 if all(bits in (15, 1, 2, 3) for bits in kept) else 4)
+        lines_at = {mask: tuple(bits >> mask & 1 for bits in kept) for mask in masks}
+        table[kind] = {mask: min(m for m in masks if lines_at[m] == lines_at[mask])
+                       for mask in masks}
+    return table
+
+
+def step_name(kind, mask: int = 0) -> str:
+    return ("hole" if kind is None else kind) + (f"?{mask}" if mask else "")
+
+
+def print_nodes(names, keys: list) -> None:
+    """The nodes of each kind at each mask in each set of `keys`, and the kinds and
+    variants (see `variants`) none of them compiles."""
+    counts = {}  # (kind, mask) -> nodes in each set
+    for column, compiled in enumerate(keys):
+        for key in compiled:
+            for marker in key:
+                kind, mask = marker if marker.__class__ is tuple else (marker, 0)
+                kind = "hops" if kind.__class__ is int else kind
+                counts.setdefault((kind, int(mask)), [0] * len(keys))[column] += 1
+    table = variants()
+    order = list(table)
+    print(f"\n{'nodes compiled':<16}" + "".join(f"{name:>10}" for name in names))
+    for kind, mask in sorted(counts, key=lambda km: (order.index(km[0]), km[1])):
+        print(f"{step_name(kind, mask):<16}" + "".join(f"{n:>10,}" for n in counts[kind, mask]))
+    reached = {(kind, table[kind][mask]) for kind, mask in counts}
+    kinds = {kind for kind, _ in counts}
+    tagged = [step_name(kind, mask) for kind, masks in table.items() if kind in kinds
+              for mask in sorted(set(masks.values())) if (kind, mask) not in reached]
+    print("\nkinds no workload compiles: "
+          + ", ".join(step_name(kind) for kind in table if kind not in kinds))
+    print(f"tagged variants no workload compiles: {', '.join(tagged) or 'none'}")
+
+
 def print_traffic(seed: int) -> None:
-    import heh.eval
     import heh.prelude
     sys.path.insert(0, str(SRC.parent / "perfbench"))
     from workloads import WORKLOADS
     package = Path(heh.eval.__file__).parent
     heh.prelude._prelude_values.cache_clear()
-    heh.eval._factory.cache_clear()
+    factory = heh.eval._factory
+    factory.cache_clear()
     calls, ran = {}, set()  # code -> its calls in each workload; each (file, line) run
+    keys = []  # the keys each round, then the prelude, compiles
+    heh.eval._factory = lambda key: keys[-1].add(key) or factory(key)
 
     def local(frame, event, arg):
         if event == "line":
@@ -639,15 +688,22 @@ def print_traffic(seed: int) -> None:
             return local
         return trace
     print(f"one round of each workload at seed {seed}:")
-    for column, (name, workload) in enumerate(WORKLOADS.items()):
-        rnd = next(workload.rounds(seed))
-        sys.settrace(tracer(column))
-        try:
-            session = rnd.start()
-            outcomes = [op.run(session)[0].status for op in rnd.ops]
-        finally:
-            sys.settrace(None)
-        print(f"  {name}: {len(outcomes)} operations, {outcomes.count('ok')} ok")
+    try:
+        for column, (name, workload) in enumerate(WORKLOADS.items()):
+            rnd = next(workload.rounds(seed))
+            keys.append(set())
+            sys.settrace(tracer(column))
+            try:
+                session = rnd.start()
+                outcomes = [op.run(session)[0].status for op in rnd.ops]
+            finally:
+                sys.settrace(None)
+            print(f"  {name}: {len(outcomes)} operations, {outcomes.count('ok')} ok")
+        keys.append(set())
+        heh.eval.compile_program(prelude_source())
+    finally:
+        heh.eval._factory = factory
+    prelude = keys.pop()
     codes = sorted(calls, key=lambda c: (c.co_filename, c.co_firstlineno))
     wheres = [f"{Path(c.co_filename).name}:{c.co_firstlineno} {c.co_qualname}" for c in codes]
     width = max(map(len, wheres)) + 2
@@ -667,6 +723,7 @@ def print_traffic(seed: int) -> None:
                 group = list(group)
                 span = f"{group[0]}-{group[-1]}" if len(group) > 1 else str(group[0])
                 print(f"  {span:>9}  {code.co_qualname}: {text[group[0] - 1].strip()[:60]}")
+    print_nodes(WORKLOADS, [compiled | prelude for compiled in keys])
 
 
 FRONT_ROUNDS = 5  # the runs each figure of `--front` is the fastest of
@@ -751,7 +808,8 @@ def main(argv=None) -> None:
                         "and a probe of it, only")
     parser.add_argument("--traffic", type=int, nargs="?", const=3000, metavar="SEED",
                         help="print the calls of each function of src/heh in one round of "
-                        "each workload at SEED (default 3000), and the lines no workload ran, only")
+                        "each workload at SEED (default 3000), the lines no workload ran, and the "
+                        "nodes of each step kind and mask each round compiles, only")
     parser.add_argument("--front", type=int, nargs="?", const=3000, metavar="SEED",
                         help="print the microseconds a REPL entry of one repl_mix round at "
                         "SEED (default 3000), ackermann.heh and the prelude take to tokenize, "

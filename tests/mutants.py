@@ -65,6 +65,7 @@ READERS_TEST = EVAL_TEST + "every_reader_of_a_split_imap_agrees"
 NATURAL_BOX = "if l.__class__ is int and l <= i and (u.__class__ is not int or i < u): return code"
 SELECT_MISS = "else self._miss(value, at))(self, (at, value.env, value))"
 EDGES_TEST = EVAL_TEST + "selection_edges_around_w"
+LONG_TEST = EVAL_TEST + "a_long_literal_is_a_node_of_its_parent"
 SELECT_DOC = "or the rest selects in it.\"\"\"\n"  # the end of `select`'s docstring
 SHORT = "            if self.rules > self.limit: self._short(1)\n            "  # after a count
 # `_scan`'s predicate call, and the count of the element as scanned once it answered
@@ -198,6 +199,14 @@ MUTANTS = [
     Mutant("no-literal-is-a-vector", EVAL, "{*map(type, node.elements)} <= {OrdinalConst}",
            "{*map(type, node.elements)} < {OrdinalConst}",
            (EVAL_TEST + "a_literal_of_constants_is_built_from_one_tuple",)),
+    Mutant("long-literal-drops-its-last-element", EVAL, "for $u in $a:", "for $u in $a[:-1]:",
+           (LONG_TEST, DIGEST)),
+    Mutant("long-literal-elements-lose-their-scope", EVAL,
+           "args.append([compile_expr(e, scope) for e in node.elements])",
+           "args.append([compile_expr(e) for e in node.elements])", (LONG_TEST, DIGEST)),
+    Mutant("islim-leaves-a-rank-0-imap-unforced", EVAL, '"islim": ("islim", f"@t\\nif {_T}:',
+           '"islim": ("islim", f"@t\\nif {_T} and $t.__class__ is not ImapClosure:',
+           (EVAL_TEST + "rarely_taken_branches", DIGEST)),
 ]
 
 

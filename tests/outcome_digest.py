@@ -14,7 +14,7 @@ the session's counters, the fuel left and the `letrec` depth left over:
   under the five configurations of `corpora.CONFIGS`;
 - each program of `REREAD` probed twice in one session at a cell that
   fails its shape check, under the same five configurations;
-- each program of `OPEN_READS` and of `FORCED`, under the same five
+- each program of `OPEN_READS`, `FORCED` and `ISLIM`, under the same five
   configurations;
 - each program of `SETTLED`, probed where it gives a probe, under the same
   five configurations;
@@ -63,7 +63,9 @@ from heh.runtime import render_scalar  # noqa: E402
 # cell, filled and while its definition runs; one whose body is not only a
 # lambda; a partial application kept and applied twice; a head that is no
 # function; and `reduce` with a curried function and with one that returns a
-# function from a conditional
+# function from a conditional.  The last holds literals of more than
+# `heh.eval._ELEMENTS` elements, each an `array` node in the run of its parent
+LONG = ", ".join(map(str, range(1, 17)))  # with an element before it, a literal of 17
 FUEL_PROGRAMS = [
     ("letrec a = imap [2] {_(iv): iv.[0]} in reduce (\\x.\\y. if islim y then x else x + y) "
      "0 (filter (\\x. true) [a.[1], |a|.[0]])", False),
@@ -96,6 +98,7 @@ FUEL_PROGRAMS = [
     ("1 2 3", False),
     ("reduce (\\x.\\y. x + y) 0 [1, 2, 3] + "
      "reduce (\\x. if x = 0 then (\\y. y) else (\\y. x + y)) 0 [1, 2]", False),
+    (f"(\\x. 1 + |[x, {LONG}]|.[0] + [x - 1, {LONG}].[16]) 1", False),
 ]
 
 
@@ -121,6 +124,10 @@ SETTLED = [("imap [w] {_(iv): letrec m = iv.[1] in m}", [(0,)]),
            ("1 = true", None), ("true + 1", None), ("if 1 then 2 else 3", None),
            ("letrec b = imap [3] {_(jv): jv.[0]} in b.[1]", None),
            ("letrec b = (\\k. imap [3] {_(jv): jv.[0] + k}) 1 in b.[1]", None)]
+# `islim` of two ordinals, then of values its class test passes to `_force_scalar`: a
+# boolean, a rank-0 imap forced to its scalar, a function, a name whose definition runs
+ISLIM = ["islim 5", "islim w", "islim true", "islim (imap [] {_(iv): w})", "islim (\\x. x)",
+         "letrec x = islim x in x"]
 
 
 def attempt(thunk):
@@ -185,7 +192,8 @@ def rows(sample=None):
     """The rows, in a fixed order.  With `sample`, each corpus gives only
     that many programs, picked with a fixed seed, and the shipped programs
     at `examples_suite()`'s indices are left out; `FAULTS`, `REREAD`, `OPEN_READS`,
-    `FORCED`, `SETTLED`, the pinned probes and the `FUEL_PROGRAMS` sweeps are all kept."""
+    `FORCED`, `ISLIM`, `SETTLED`, the pinned probes and the `FUEL_PROGRAMS` sweeps are all
+    kept."""
     corpora = [(False, corpus()), (True, list_corpus())]
     if sample is not None:
         corpora = [(prelude, random.Random(7).sample(cases, sample)) for prelude, cases in corpora]
@@ -199,7 +207,7 @@ def rows(sample=None):
     for source, index in REREAD:
         for config in CONFIGS:
             yield run(source, [index, index], config, False)
-    for source in OPEN_READS + FORCED:
+    for source in OPEN_READS + FORCED + ISLIM:
         for config in CONFIGS:
             yield run(source, None, config, False)
     for source, probes in SETTLED:

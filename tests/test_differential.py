@@ -183,7 +183,7 @@ def test_the_outcome_digest_still_takes_its_rows():
 
 # the digest of every outcome, counter and fuel read `outcome_digest.rows()`
 # takes; a change that moves it changed what a user can observe
-OUTCOME_DIGEST = "6e5136e8fe4091ef3122f0c5426a14fd98bca2bedba2271d3be01d9e9049fa69"
+OUTCOME_DIGEST = "542835f4c445d438f002b466ea2d063bb4293f68558e3b5c4390df77c7919405"
 
 
 def test_the_outcome_digest_is_pinned():

@@ -1229,7 +1229,8 @@ def test_the_compiler_leaves_out_the_class_tests_it_settles(monkeypatch):
     vector, runs no code, so it needs no `_letrec_depth` lines.  The frame `[w, w]` is a
     vector, which the `imap_full` step does not test; the outer `let`'s bound builds an
     imap, so it keeps its depth lines.  A lambda parameter's class is unknown, so the
-    body of `\\x. x + 1` keeps the guard of `x`, and only that."""
+    body of `\\x. x + 1` keeps the guard of `x`, and only that, and `\\x. islim x` calls
+    `_force_scalar` only behind the same guard, as every step does."""
     sources = []
     source_of = heh.eval._source
     monkeypatch.setattr(heh.eval, "_source",
@@ -1249,6 +1250,35 @@ def test_the_compiler_leaves_out_the_class_tests_it_settles(monkeypatch):
     heh.eval.compile_expr(heh.syntax.parse_expr("\\x. x + 1"))
     body = sources[0]
     assert body.count("t0 = s._force_scalar(t0)") == 1 and "t1.__class__" not in body
+    sources.clear()
+    heh.eval.compile_expr(heh.syntax.parse_expr("\\x. islim x"))
+    assert sources[0].count("_force_scalar") == 1
+    assert ("if t0.__class__ is not int and t0.__class__ is not Ordinal: "
+            "t0 = s._force_scalar(t0)") in sources[0]
+    for kind, (_, step) in heh.eval._STEPS.items():
+        for line in step.split("\n"):
+            if "_force_scalar(" in line:
+                assert re.match(r"\s*(\?\d+ )?if \$[tu]\.__class__ is not ", line), (kind, line)
+
+
+def test_a_long_literal_is_a_node_of_its_parent(monkeypatch):
+    """An array literal of more than `_ELEMENTS` elements compiles to the `array` step in
+    the function of the node around it, with its elements' codes as its argument: a body
+    that holds one is one function with no hole.  Only each element is a function of its
+    own, compiled before the body."""
+    keys = []
+    source_of = heh.eval._source
+    monkeypatch.setattr(heh.eval, "_source", lambda key: keys.append(key) or source_of(key))
+    elements = ", ".join(map(str, range(1, heh.eval._ELEMENTS + 1)))
+    for src in (f"\\x. [x, {elements}]",
+                f"\\x. 1 + |[x, {elements}]|.[0] + [x, {elements}].[{elements[-2:]}]"):
+        keys.clear()
+        heh.eval._factory.cache_clear()
+        heh.eval.compile_expr(heh.syntax.parse_expr(src))
+        *_, body, function = keys
+        assert function == ("lambda",) and "array" in body and None not in body, body
+    assert body.count("array") == 2 and keys[:2] == [(0,), ("const",)]
+    assert val(f"({src}) 1") == 34
 
 
 def test_compiled_code_adds_no_slot_to_its_frame(monkeypatch):
