@@ -130,8 +130,8 @@ $apply"""  # of two ordinals, only `sub`, `//` and `%` fail: `Session._entry` re
 # the selection step, counted first: a tuple read by one natural in range (`$fit`, `$t[$i]`; a
 # vector's ints are naturals), an imap with no cell shape by an index of its rank as `select`
 # reads it, with no frame between levels, then the step into its cell counted; a miss runs the
-# body `_miss` gives, or an open frame's (`ImapClosure.open`) if the index's `max` is an int, so
-# each component is (an int is below every Ordinal, see runtime)
+# body `_miss` gives, or, with no call, the one it would give an index of ints (whose `max` is an
+# int) in an open frame (`ImapClosure.open`; an int is below every Ordinal, see runtime)
 _PICK = """\
 $prologue
 ?02 if $t.__class__ is tuple and $fit: $t, $u = $t[$i], None
@@ -690,10 +690,9 @@ class Session:
         partitions: heh's one partition search, and the test of the index
         (`select` first tests one with a cell part against the shape).  It
         counts nothing, and runs nothing: the body counts its own run, and
-        checks and memoizes its cell.  A rank-1 natural's box is found inline,
-        with no `box_contains`, and that search is its test: the boxes lie in
-        the frame, so a natural at or past a finite extent is in none, and
-        meets the frame test of the rest.  Its first call decides `closure.open`."""
+        checks and memoizes its cell.  The search is the test: the boxes tile
+        the frame, so an index in none is outside it.  A rank-1 natural's box
+        is found inline, and an open frame holds every index of naturals."""
         if closure.open is None:  # one partition, over a frame of rank >= 1 and no int extent
             closure.open = (closure.frame != () and int not in map(type, closure.frame)
                             and len(closure.partitions) == 1 and closure.partitions[0][1])
@@ -701,13 +700,11 @@ class Session:
             i = index[0]  # its box's lower bound is an int at most `i`, its upper an
             for ((l,), (u,)), code in closure.partitions:  # Ordinal or an int above `i`
                 if l.__class__ is int and l <= i and (u.__class__ is not int or i < u): return code
-        extents = iter(closure.frame)  # loops, as a call or a C-level test costs more
-        for i in index:  # the test of `_check_bounds`, called only to raise: an int in an
-            if ((s := next(extents)).__class__ is not Ordinal  # Ordinal extent needs none
-                    or i.__class__ is not int) and not i < s: _check_bounds(closure, index)
-        for box, code in closure.partitions[:-1]:
+        elif closure.open and max(index).__class__ is int:  # each below its Ordinal extent
+            return closure.open
+        for box, code in closure.partitions:
             if box_contains(box, index): return code
-        return closure.partitions[-1][1]  # the boxes tile the frame, so the last holds it
+        _check_bounds(closure, index)  # in no box, so outside the frame: it raises
 
     def _check_cell(self, closure: ImapClosure, index: ShapeVec, result) -> None:
         """Fault unless the cell value `result` at `index` has the cell shape."""
@@ -734,8 +731,7 @@ class Session:
             if value.cell: _check_bounds(value, index)  # `_miss` tests only the frame part
             at = index[:len(value.frame)]
             cell = value.memo.get(at)  # a key is in range: only a body, run in range, writes one
-            if cell is None: cell = (value.open if value.open and max(at).__class__ is int
-                                     else self._miss(value, at))(self, (at, value.env, value))
+            if cell is None: cell = self._miss(value, at)(self, (at, value.env, value))
             self.rules += 1
             if self.rules > self.limit: self._short(1)
             return cell if cell.__class__ in _SCALARS else self.select(cell, index[len(at):])

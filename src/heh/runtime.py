@@ -84,8 +84,8 @@ class ImapClosure:
     the generator box it was written in, so the partitions are never cut.
     `open`, None until `eval.Session._miss` first runs for it, is then the code
     of its one partition if its frame, of rank >= 1, has no int extent, so
-    holds every index of ints (a miss at one runs that code with no search),
-    else False."""
+    holds every index of ints (`_miss` gives it for one with no search, and
+    the compiled `select` step runs it with no call), else False."""
 
     __slots__ = ("frame", "cell", "shape", "env", "partitions", "memo", "open")
 

@@ -104,9 +104,12 @@ rounds (5 by default), of each part of starting heh afresh: a Python
 interpreter's start, the wall time of `python -c pass`; in a process of its
 own, `import heh` and the first build of the prelude, and within that build
 the time spent parsing, in `_source` and in `compile`; and the wall time of
-`python -m heh.cli -e "1 + 1"`.  Each process imports heh from a copy of
-`src` with no bytecode cache, as the other probes do, so importing includes
-compiling heh's own modules.
+`python -m heh.cli -e "1 + 1"`.  Each row has two columns.  In the first,
+each process imports heh from a copy of `src` with no bytecode cache, as
+the other probes do, so importing includes compiling heh's own modules.  In
+the second, the copy's bytecode is compiled (`compileall`) before the
+process starts, as an installed heh has it.  The two alternate, round by
+round.
 
 Peak RSS is a high-water mark of the whole process, so each probe runs in a
 process of its own.  Linux keeps `ru_maxrss` across `exec`, so each such
@@ -115,6 +118,7 @@ the standard library and heh are needed; it is not part of Tier-1.
 """
 
 import argparse
+import compileall
 import dis
 import gc
 import inspect
@@ -172,16 +176,20 @@ LAUNCHER = (sys.executable, "-S", "-c",
             "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))")
 
 
-def child(script: str, arg: str):
+def child(script: str, arg: str, compiled: bool = False):
     """What `script`, run with `arg` by a fresh process that imports this
     checkout's heh, started by `LAUNCHER`, prints as JSON.  The child imports
     a copy of `src` with no bytecode cache, in a new temporary directory, and
     writes none: it compiles heh afresh, the standard library from its cache,
     so every tree is read in the same state, whatever caches it has.  (A new
-    `PYTHONPYCACHEPREFIX` would compile the standard library afresh too.)"""
+    `PYTHONPYCACHEPREFIX` would compile the standard library afresh too.)
+    With `compiled`, the copy's bytecode is compiled first, and the child
+    reads it, as an installed heh's is."""
     with tempfile.TemporaryDirectory() as copy:
         shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"),
                         dirs_exist_ok=True)
+        if compiled:
+            compileall.compile_dir(copy, quiet=1)
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
             filter(None, [copy, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([*LAUNCHER, sys.executable, "-c", script, arg], env=env,
@@ -525,14 +533,18 @@ STARTUP_ROWS = ("interpreter start (python -c pass)", "import heh", "first prelu
 
 
 def print_startup(runs: int) -> None:
-    rows = [[] for _ in STARTUP_ROWS]
+    columns = {compiled: [[] for _ in STARTUP_ROWS] for compiled in (False, True)}
     for _ in range(runs):
-        start, command = child(COMMAND_CHILD, "")
-        for row, seconds in zip(rows, [start, *child(BUILD_CHILD, ""), command]):
-            row.append(seconds * 1000)
-    for name, ms in zip(STARTUP_ROWS, map(sorted, rows)):
-        print(f"{name:<36}{statistics.median(ms):>8.1f} ms, median of {runs} processes "
-              f"({ms[0]:.1f}-{ms[-1]:.1f} ms)")
+        for compiled, rows in columns.items():
+            start, command = child(COMMAND_CHILD, "", compiled)
+            for row, seconds in zip(rows, [start, *child(BUILD_CHILD, "", compiled), command]):
+                row.append(seconds * 1000)
+    print(f"{'ms, median of ' + str(runs) + ' processes (range)':<36}"
+          f"{'no bytecode':>24}{'bytecode compiled':>24}")
+    for name, *column in zip(STARTUP_ROWS, *([sorted(ms) for ms in rows]
+                                             for rows in columns.values())):
+        print(f"{name:<36}" + "".join(f"{statistics.median(ms):.1f} ({ms[0]:.1f}-{ms[-1]:.1f})"
+                                      .rjust(24) for ms in column))
 
 
 # (entry, the errors of it a process keeps), for `--errors`: a fault 50,000
@@ -817,7 +829,7 @@ def main(argv=None) -> None:
     parser.add_argument("--startup", type=int, nargs="?", const=5, metavar="N",
                         help="print the time of an interpreter's start, of importing heh, of "
                         "the first prelude build and its parts, and of heh -e over N fresh "
-                        "processes (default 5), only")
+                        "processes (default 5), without and with heh's bytecode compiled, only")
     args = parser.parse_args(argv)
     if args.startup is not None:
         return print_startup(args.startup)

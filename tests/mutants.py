@@ -63,7 +63,7 @@ MISS_TEST = "tests/test_runtime.py::test_a_miss_finds_the_box_box_contains_finds
 FILTER_TEST, EVAL_TEST = "tests/test_filter.py::test_", "tests/test_eval.py::test_"
 READERS_TEST = EVAL_TEST + "every_reader_of_a_split_imap_agrees"
 NATURAL_BOX = "if l.__class__ is int and l <= i and (u.__class__ is not int or i < u): return code"
-SELECT_MISS = "else self._miss(value, at))(self, (at, value.env, value))"
+SELECT_MISS = "cell = self._miss(value, at)(self, (at, value.env, value))"
 EDGES_TEST = EVAL_TEST + "selection_edges_around_w"
 LONG_TEST = EVAL_TEST + "a_long_literal_is_a_node_of_its_parent"
 SELECT_DOC = "or the rest selects in it.\"\"\"\n"  # the end of `select`'s docstring
@@ -87,8 +87,10 @@ MUTANTS = [
            (MISS_TEST,)),
     Mutant("natural-miss-takes-last-body", EVAL, NATURAL_BOX + "\n",
            NATURAL_BOX + "\n            return closure.partitions[-1][1]\n", (MISS_TEST, DIGEST)),
-    Mutant("frame-test-dropped", EVAL, "not i < s: _check_bounds(closure, index)",
-           "not i < s: pass", (MISS_TEST,)),
+    Mutant("miss-raises-nothing", EVAL, "_check_bounds(closure, index)", "pass",
+           (MISS_TEST, DIGEST)),
+    Mutant("box-search-skips-last-box", EVAL, "for box, code in closure.partitions:",
+           "for box, code in closure.partitions[:-1]:", (MISS_TEST, DIGEST)),
     Mutant("scan-index-off-by-one", EVAL, "return self._scan(value, xi, n)[n]",
            "return self._scan(value, xi, n)[n - 1]", (FILTER_TEST + "evens_of_nats",)),
     Mutant("filter-shape-k-le-1", EVAL, "(lam,) if k == 0 else", "(lam,) if k <= 1 else",
@@ -180,9 +182,9 @@ MUTANTS = [
     Mutant("step-reads-open-frame-past-its-extent", EVAL,
            "$t.open if $t.open and max($u).__class__ is int", "$t.open if $t.open",
            (EDGES_TEST, DIGEST)),
-    Mutant("select-reads-open-frame-past-its-extent", EVAL,
-           "value.open if value.open and max(at).__class__ is int", "value.open if value.open",
-           (DIGEST,)),
+    Mutant("miss-reads-open-frame-past-its-extent", EVAL,
+           "elif closure.open and max(index).__class__ is int:", "elif closure.open:",
+           (MISS_TEST, DIGEST)),
     Mutant("select1-reads-past-the-end", EVAL, "$a < len($t)", "$a <= len($t)", (EDGES_TEST,)),
     # each grants a fact (see `heh.eval._flatten`) where it does not hold
     Mutant("unknown-array-gives-an-ordinal", EVAL, "fact = Ordinal if mask & 1 else None",

@@ -16,8 +16,8 @@ the session's counters, the fuel left and the `letrec` depth left over:
   fails its shape check, under the same five configurations;
 - each program of `OPEN_READS`, `FORCED` and `ISLIM`, under the same five
   configurations;
-- each program of `SETTLED`, probed where it gives a probe, under the same
-  five configurations;
+- each program of `SETTLED`, probed where it gives a probe, and of
+  `MISS_PROBES`, under the same five configurations;
 - every shipped program at the indices of `examples_suite()`, under the
   same five configurations;
 - the pinned probes `nats.[2000]`, `ackermann.[3,6]` and Game of Life at
@@ -46,6 +46,7 @@ from corpora import CONFIGS, FAULTS, RANK_0_CELL_SCAN, corpus, list_corpus  # no
 
 import heh.eval  # noqa: E402
 from heh.eval import EvalConfig, EvalError, Session, new_session  # noqa: E402
+from heh.ordinal import OMEGA  # noqa: E402
 from heh.prelude import _prelude_values, examples_suite, program_source  # noqa: E402
 from heh.runtime import render_scalar  # noqa: E402
 
@@ -124,6 +125,16 @@ SETTLED = [("imap [w] {_(iv): letrec m = iv.[1] in m}", [(0,)]),
            ("1 = true", None), ("true + 1", None), ("if 1 then 2 else 3", None),
            ("letrec b = imap [3] {_(jv): jv.[0]} in b.[1]", None),
            ("letrec b = (\\k. imap [3] {_(jv): jv.[0] + k}) 1 in b.[1]", None)]
+# (imap, probes), each probe a memo miss that `select` leaves to `Session._miss`: in an open
+# frame, indexes of naturals and one past each extent; in a rank-1 frame with no int extent, an
+# index past w, a natural and the extent; in a frame of two partitions with an int extent, a cell
+# of each partition and one past each extent; in a finite frame, a cell and one past its extent
+MISS_PROBES = [
+    ("imap [w, w] {_(iv): iv.[0] * 10 + iv.[1]}", [(1, 2), (3, 4), (OMEGA, 0), (0, OMEGA + 1)]),
+    ("imap [w * 2] {_(iv): iv.[0]}", [(OMEGA + 1,), (5,), (OMEGA * 2,)]),
+    ("imap [w * 2, 2] {[0, 0] <= iv < [w * 2, 1]: 0, [0, 1] <= iv < [w * 2, 2]: iv.[0]}",
+     [(3, 1), (OMEGA + 3, 1), (OMEGA * 2, 1), (3, 2)]),
+    ("imap [3, 4] {_(iv): iv.[0] + iv.[1]}", [(2, 3), (3, 0)])]
 # `islim` of two ordinals, then of values its class test passes to `_force_scalar`: a
 # boolean, a rank-0 imap forced to its scalar, a function, a name whose definition runs
 ISLIM = ["islim 5", "islim w", "islim true", "islim (imap [] {_(iv): w})", "islim (\\x. x)",
@@ -192,8 +203,8 @@ def rows(sample=None):
     """The rows, in a fixed order.  With `sample`, each corpus gives only
     that many programs, picked with a fixed seed, and the shipped programs
     at `examples_suite()`'s indices are left out; `FAULTS`, `REREAD`, `OPEN_READS`,
-    `FORCED`, `ISLIM`, `SETTLED`, the pinned probes and the `FUEL_PROGRAMS` sweeps are all
-    kept."""
+    `FORCED`, `ISLIM`, `SETTLED`, `MISS_PROBES`, the pinned probes and the
+    `FUEL_PROGRAMS` sweeps are all kept."""
     corpora = [(False, corpus()), (True, list_corpus())]
     if sample is not None:
         corpora = [(prelude, random.Random(7).sample(cases, sample)) for prelude, cases in corpora]
@@ -210,7 +221,7 @@ def rows(sample=None):
     for source in OPEN_READS + FORCED + ISLIM:
         for config in CONFIGS:
             yield run(source, None, config, False)
-    for source, probes in SETTLED:
+    for source, probes in SETTLED + MISS_PROBES:
         for config in CONFIGS:
             yield run(source, probes, config, False)
     for name, probes in examples_suite() if sample is None else ():

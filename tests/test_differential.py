@@ -183,7 +183,7 @@ def test_the_outcome_digest_still_takes_its_rows():
 
 # the digest of every outcome, counter and fuel read `outcome_digest.rows()`
 # takes; a change that moves it changed what a user can observe
-OUTCOME_DIGEST = "542835f4c445d438f002b466ea2d063bb4293f68558e3b5c4390df77c7919405"
+OUTCOME_DIGEST = "f10cc9b1557e6360aea3cbf5d7876dd8cb6a4f83289706f13523eb97e916536d"
 
 
 def test_the_outcome_digest_is_pinned():

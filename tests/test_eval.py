@@ -1467,7 +1467,7 @@ def test_which_compiled_code_a_probe_calls():
 # the `Session` methods a compiled step or strict forcing would call if it
 # did not handle the common case itself, and `_miss`, which the `select` step,
 # `select` and strict forcing call for the body of a memo miss they run themselves
-# (but for an index of ints into an open imap, see `ImapClosure.open`)
+# (but the step, for an index of ints into an open imap, see `ImapClosure.open`)
 HELPERS = ("_apply", "_function", "_eval_imap", "_shape_of", "select", "_miss")
 
 
@@ -1497,7 +1497,9 @@ def test_which_helpers_a_probe_calls(config):
     called once, for the probe's own miss, through `select`: it finds the
     table open, one partition over `[w, w]`, so the step runs the body of
     each other entry on its one miss without a call, as every index of ints
-    lies in that frame; `iv.[0]` and `iv.[1]` select in a tuple.  Forcing `v` strictly, once
+    lies in that frame; `iv.[0]` and `iv.[1]` select in a tuple.  `select`
+    leaves every miss to `_miss`, so two probes of an open imap at cells of
+    ints call it twice.  Forcing `v` strictly, once
     for each element of `[v, v]`, calls no helper: the first runs its body
     for each cell, and the second reads memo hits.  Strict forcing of a
     rank-2 imap of one partition runs its body for each cell with no call,
@@ -1513,6 +1515,9 @@ def test_which_helpers_a_probe_calls(config):
     assert helper_calls(lambda: probe(r, [2000])) == {**none, "select": 1, "_miss": 2001}
     r = evaluate(program_source("ackermann.heh"), config)
     assert helper_calls(lambda: probe(r, [3, 6])) == {**none, "select": 1, "_miss": 1}
+    r = evaluate("imap [w, w] {_(iv): iv.[0] * 10 + iv.[1]}", config, prelude=False)
+    assert helper_calls(lambda: [probe(r, [1, 2]), probe(r, [3, 4])]) == {
+        **none, "select": 2, "_miss": 2}
     src = "letrec v = imap [3] {_(iv): iv.[0] + 1} in [v, v]"
     assert helper_calls(lambda: evaluate(src, config, prelude=False)) == none
     for src, misses, data in [
@@ -1553,9 +1558,9 @@ def test_what_an_ackermann_entry_no_longer_calls():
 
 def test_strict_forcing_tests_no_index_inside_the_frame():
     """Strict forcing generates only indexes inside the frame, so `_miss`
-    tests each component inline and calls `_check_bounds` only to raise:
-    forcing a rank-2 imap of two partitions calls it for none of its
-    3,600 cells, and a selection outside such a frame still faults."""
+    finds each one's box, and calls `_check_bounds` only for an index in
+    none, to raise: forcing a rank-2 imap of two partitions calls it for
+    none of its 3,600 cells, and a selection outside such a frame faults."""
     src = "imap [60, 60] {[0, 0] <= iv < [30, 60]: iv.[0], [30, 0] <= iv < [60, 60]: 0}"
     session, values = Session(EvalConfig(strict_finite_imaps=True)), []
     codes = called_codes(lambda: values.append(session.eval_source(src)))

@@ -207,11 +207,12 @@ def test_box_contains_matches_naive_comparison():
 
 def test_a_miss_finds_the_box_box_contains_finds():
     # `Session._miss` finds the generator box of a rank-1 natural index with
-    # an inline `l <= i < u` test, which is also its bounds test, and tests
-    # any other index against the frame before `box_contains` finds its box.
-    # `Session.select` of an imap with no cell shape leaves the index to
-    # `_miss`, as the compiled `select` step does: a probe gets the same box,
-    # and is refused with the same message.
+    # an inline `l <= i < u` test, gives an open frame's one body for any
+    # other index of naturals, and finds the box of the rest with
+    # `box_contains`; an index in no box is outside the frame, and
+    # `_check_bounds` refuses it.  `Session.select` of an imap with no cell
+    # shape leaves every miss to `_miss`: a probe gets the same box, and is
+    # refused with the same message.
     # Over random tilings of a rank-1 or rank-2 frame, in any order, by boxes
     # with int and Ordinal bounds (such as [w] <= iv < [w*2], and int uppers
     # below the index), each index in the frame gets from both the box
