@@ -108,8 +108,9 @@ the time spent parsing, in `_source` and in `compile`; and the wall time of
 each process imports heh from a copy of `src` with no bytecode cache, as
 the other probes do, so importing includes compiling heh's own modules.  In
 the second, the copy's bytecode is compiled (`compileall`) before the
-process starts, as an installed heh has it.  The two alternate, round by
-round.
+process starts, as an installed heh has it, at every optimization level,
+so the child finds it whether `PYTHONOPTIMIZE` is set or not.  Each round
+runs both, and the one that runs first alternates from round to round.
 
 Peak RSS is a high-water mark of the whole process, so each probe runs in a
 process of its own.  Linux keeps `ru_maxrss` across `exec`, so each such
@@ -189,7 +190,7 @@ def child(script: str, arg: str, compiled: bool = False):
         shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"),
                         dirs_exist_ok=True)
         if compiled:
-            compileall.compile_dir(copy, quiet=1)
+            compileall.compile_dir(copy, quiet=1, optimize=[0, 1, 2])
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
             filter(None, [copy, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([*LAUNCHER, sys.executable, "-c", script, arg], env=env,
@@ -534,8 +535,9 @@ STARTUP_ROWS = ("interpreter start (python -c pass)", "import heh", "first prelu
 
 def print_startup(runs: int) -> None:
     columns = {compiled: [[] for _ in STARTUP_ROWS] for compiled in (False, True)}
-    for _ in range(runs):
-        for compiled, rows in columns.items():
+    for k in range(runs):
+        for compiled in ((False, True), (True, False))[k % 2]:
+            rows = columns[compiled]
             start, command = child(COMMAND_CHILD, "", compiled)
             for row, seconds in zip(rows, [start, *child(BUILD_CHILD, "", compiled), command]):
                 row.append(seconds * 1000)

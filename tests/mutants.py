@@ -65,6 +65,8 @@ READERS_TEST = EVAL_TEST + "every_reader_of_a_split_imap_agrees"
 NATURAL_BOX = "if l.__class__ is int and l <= i and (u.__class__ is not int or i < u): return code"
 SELECT_MISS = "cell = self._miss(value, at)(self, (at, value.env, value))"
 EDGES_TEST = EVAL_TEST + "selection_edges_around_w"
+OPEN_MISS = ("        elif closure.open and max(index).__class__ is int:  # each below its Ordinal "
+             "extent\n            return closure.open\n")  # `_miss`'s return of an open frame's body
 LONG_TEST = EVAL_TEST + "a_long_literal_is_a_node_of_its_parent"
 SELECT_DOC = "or the rest selects in it.\"\"\"\n"  # the end of `select`'s docstring
 SHORT = "            if self.rules > self.limit: self._short(1)\n            "  # after a count
@@ -182,9 +184,14 @@ MUTANTS = [
     Mutant("step-reads-open-frame-past-its-extent", EVAL,
            "$t.open if $t.open and max($u).__class__ is int", "$t.open if $t.open",
            (EDGES_TEST, DIGEST)),
+    Mutant("miss-searches-an-open-frame", EVAL, OPEN_MISS, "",
+           (EVAL_TEST + "which_helpers_a_probe_calls",
+            EVAL_TEST + "pinned_probes_make_no_ordinal_comparison")),
     Mutant("miss-reads-open-frame-past-its-extent", EVAL,
            "elif closure.open and max(index).__class__ is int:", "elif closure.open:",
            (MISS_TEST, DIGEST)),
+    Mutant("open-over-several-partitions", EVAL, " and len(closure.partitions) == 1", "",
+           (READERS_TEST, DIGEST)),
     Mutant("select1-reads-past-the-end", EVAL, "$a < len($t)", "$a <= len($t)", (EDGES_TEST,)),
     # each grants a fact (see `heh.eval._flatten`) where it does not hold
     Mutant("unknown-array-gives-an-ordinal", EVAL, "fact = Ordinal if mask & 1 else None",

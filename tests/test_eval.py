@@ -1499,7 +1499,7 @@ def test_which_helpers_a_probe_calls(config):
     each other entry on its one miss without a call, as every index of ints
     lies in that frame; `iv.[0]` and `iv.[1]` select in a tuple.  `select`
     leaves every miss to `_miss`, so two probes of an open imap at cells of
-    ints call it twice.  Forcing `v` strictly, once
+    ints call it twice, and it gives the body with no box search.  Forcing `v` strictly, once
     for each element of `[v, v]`, calls no helper: the first runs its body
     for each cell, and the second reads memo hits.  Strict forcing of a
     rank-2 imap of one partition runs its body for each cell with no call,
@@ -1518,6 +1518,7 @@ def test_which_helpers_a_probe_calls(config):
     r = evaluate("imap [w, w] {_(iv): iv.[0] * 10 + iv.[1]}", config, prelude=False)
     assert helper_calls(lambda: [probe(r, [1, 2]), probe(r, [3, 4])]) == {
         **none, "select": 2, "_miss": 2}
+    assert heh.eval.box_contains.__code__ not in called_codes(lambda: probe(r, [5, 6]))
     src = "letrec v = imap [3] {_(iv): iv.[0] + 1} in [v, v]"
     assert helper_calls(lambda: evaluate(src, config, prelude=False)) == none
     for src, misses, data in [
